@@ -339,6 +339,8 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.max_denominator < 1:
+        raise CliError("--max-denominator must be >= 1", EXIT_BAD_INPUT)
     action = build_action(args)
     level = resolve_level(action, args.level)
     try:
@@ -527,8 +529,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="also write the payload here")
     p.add_argument("--max-weyl-order", type=int, default=10**6)
     p.add_argument("--max-subgroup-order", type=int, default=384)
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; no algorithmic effect")
 
 
 def _add_entry_args(p: argparse.ArgumentParser) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .intlinalg import (
     FracMat,
@@ -126,16 +127,13 @@ class SharedWeylAction:
         elem = self.group.elements[idx]
         cols = []
         if kind == "char":
-            basis, tgt_basis, action = src.char_basis, tgt.char_basis, elem.char_action
+            basis, action = src.char_basis, elem.char_action
             coords_q, coords = tgt.char_coords_q, src.char_coords
             amb = tgt.char_ambient
         else:
-            basis, tgt_basis, action = (
-                src.cochar_basis, tgt.cochar_basis, elem.cochar_action,
-            )
+            basis, action = src.cochar_basis, elem.cochar_action
             coords_q, coords = tgt.cochar_coords_q, src.cochar_coords
             amb = tgt.cochar_ambient
-        del tgt_basis
         for vec in basis:
             c = coords_q(vec)
             if c is None:
@@ -345,19 +343,10 @@ def basic_level(iso: IsogenyDatum) -> BasicLevelResult:
         tuple(scale * dot(mu, lam) for lam in tgt.cochar_basis)
         for mu in src.cochar_basis
     )
-    den = 1
-    for row in rat:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in rat for x in row))
     mat = tuple(tuple(int(x * den) for x in row) for row in rat)
     tensor = LevelTensor(iso, mat)
     return BasicLevelResult(den == 1, den, tensor, rat)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def named_basic_level(series: str, rank: int, form: str) -> BasicLevelResult:
@@ -454,7 +443,7 @@ def allowable_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]:
     return ev_filter(inv, action).basis
 
 
-def _vectorize(mats, rs, rt):
+def _vectorize(mats):
     return freeze([sum((list(r) for r in m), []) for m in mats])
 
 
@@ -504,10 +493,10 @@ def compare_with_reference(action: SharedWeylAction, claim: dict | None) -> Atla
         return AtlasEntry(
             series, rank, sf, tf, computed, claim, None, note, "mismatch"
         )
-    same = lattices_equal(_vectorize(computed, rs, rt), _vectorize(claimed, rs, rt))
+    same = lattices_equal(_vectorize(computed), _vectorize(claimed))
     canon_claim = tuple(
         tuple(tuple(v[i * rt + j] for j in range(rt)) for i in range(rs))
-        for v in hnf_basis(_vectorize(claimed, rs, rt))
+        for v in hnf_basis(_vectorize(claimed))
     )
     return AtlasEntry(
         series, rank, sf, tf, computed, claim, canon_claim, None,

@@ -212,15 +212,18 @@ def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
 
 
 def class_order(res: ObstructionResult) -> int:
-    """Smallest k >= 1 with k*c a coboundary; divides exponent(W_L)."""
+    """Smallest k >= 1 with k*c a coboundary; divides exponent(W_L).
+
+    Fills in res.trivial and res.witness_u too when they are still unset,
+    so a caller that wants both needs no separate is_trivial_class.
+    """
     gens = res.w_l.generators or (res.w_l.group.identity_index,)
     a, y = _coboundary_system(res, gens)
     sol = solve_z(a, y)
     k = sol.min_multiplier
     if k is None:
         raise AssertionError("cocycle class has infinite order against generators")
-    scaled = solve_z(a, tuple(k * x for x in y))
-    u = scaled.solution
+    u = sol.solution if k == 1 else solve_z(a, tuple(k * x for x in y)).solution
     if u is None or not _verify_witness(res, u, k):
         raise AssertionError("scaled witness failed full verification")
     exp = res.w_l.exponent()
@@ -349,7 +352,6 @@ def obstruction_report(
     verify_cap: int = 384,
 ) -> ObstructionResult:
     res = centralizer_cocycle(action, b, pt, verify_cap=verify_cap)
-    is_trivial_class(res)
     class_order(res)
     if with_h1:
         h1 = h1_group_lattice(
@@ -430,7 +432,6 @@ def scan_points(
     rows = []
     for xi in reps:
         res = centralizer_cocycle(action, b, SemisimplePoint(xi), verify_cap)
-        is_trivial_class(res)
         k = class_order(res)
         rows.append(ScanRow(xi, len(res.w_l), k, bool(res.trivial)))
     return ScanTable(tuple(rows))

@@ -12,6 +12,14 @@ Coordinate conventions used throughout the package:
     dual basis of char_basis, so the pairing of coordinate vectors is the
     plain dot product.
 
+Coordinates are pairings.  Because the bases are dual, the j-th
+coordinate of v in char_basis is <v, cochar_basis[j]> and the j-th
+coordinate in cochar_basis is <char_basis[j], v>.  A span check follows:
+the coordinates are returned only when the combination they name gives v
+back, so a vector outside the span gets None, and a returned vector is
+correct even on non-dual input.  validate_datum checks the duality
+itself.
+
 A homomorphism H -> G with central kernel and G = Z(G).Im(H) is encoded
 by an IsogenyDatum: the restriction map on characters, the induced map on
 cocharacters (its transpose), and the lifts of the coroots of G into the
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .intlinalg import (
     FracMat,
@@ -33,7 +43,6 @@ from .intlinalg import (
     cokernel,
     frac_inverse,
     frac_matvec,
-    frac_solve,
     freeze,
     matmul,
     transpose,
@@ -56,25 +65,24 @@ def dot(x: FracVec, y: FracVec) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise DatumError(f"expected an integer, got {x}")
-    return x.numerator
+def _combination(coords, basis: tuple[FracVec, ...], n: int) -> FracVec:
+    """sum_j coords[j] * basis[j] in the n-dimensional ambient space."""
+    return tuple(
+        sum((Fraction(c) * row[j] for c, row in zip(coords, basis)), Fraction(0))
+        for j in range(n)
+    )
 
 
-def _coords_in(basis: tuple[FracVec, ...], v: FracVec) -> FracVec | None:
-    """Rational coordinates of v in the row basis, or None if outside span."""
-    if not basis:
-        return () if all(x == 0 for x in v) else None
-    cols = tuple(tuple(basis[i][j] for i in range(len(basis))) for j in range(len(v)))
-    return frac_solve(cols, v)
+def _coords_in(basis: tuple[FracVec, ...], dual: tuple[FracVec, ...],
+               v: FracVec) -> FracVec | None:
+    """Coordinates of v in basis, as pairings with the dual basis; None
+    when v is outside the span."""
+    c = tuple(dot(v, d) for d in dual)
+    return c if _combination(c, basis, len(v)) == v else None
 
 
-def _int_coords(basis: tuple[FracVec, ...], v: FracVec) -> Vector | None:
-    c = _coords_in(basis, v)
-    if c is None:
-        return None
-    if any(x.denominator != 1 for x in c):
+def _integral(c: FracVec | None) -> Vector | None:
+    if c is None or any(x.denominator != 1 for x in c):
         return None
     return tuple(x.numerator for x in c)
 
@@ -96,34 +104,27 @@ class RootDatum:
     # -- coordinates ------------------------------------------------------
 
     def char_coords(self, v) -> Vector | None:
-        return _int_coords(self.char_basis, fracvec(v))
+        return _integral(self.char_coords_q(v))
 
     def cochar_coords(self, v) -> Vector | None:
-        return _int_coords(self.cochar_basis, fracvec(v))
+        return _integral(self.cochar_coords_q(v))
 
     def char_coords_q(self, v) -> FracVec | None:
-        return _coords_in(self.char_basis, fracvec(v))
+        return _coords_in(self.char_basis, self.cochar_basis, fracvec(v))
 
     def cochar_coords_q(self, v) -> FracVec | None:
-        return _coords_in(self.cochar_basis, fracvec(v))
+        return _coords_in(self.cochar_basis, self.char_basis, fracvec(v))
 
     def char_ambient(self, coords) -> FracVec:
-        return tuple(
-            sum((Fraction(c) * row[j] for c, row in zip(coords, self.char_basis)),
-                Fraction(0))
-            for j in range(self.ambient_dim)
-        )
+        return _combination(coords, self.char_basis, self.ambient_dim)
 
     def cochar_ambient(self, coords) -> FracVec:
-        return tuple(
-            sum((Fraction(c) * row[j] for c, row in zip(coords, self.cochar_basis)),
-                Fraction(0))
-            for j in range(self.ambient_dim)
-        )
+        return _combination(coords, self.cochar_basis, self.ambient_dim)
 
     # -- roots ------------------------------------------------------------
 
-    def root_coords(self) -> tuple[Vector, ...]:
+    @cached_property
+    def _root_coords(self) -> tuple[Vector, ...]:
         out = []
         for a in self.roots:
             c = self.char_coords(a)
@@ -132,7 +133,8 @@ class RootDatum:
             out.append(c)
         return tuple(out)
 
-    def coroot_coords(self) -> tuple[Vector, ...]:
+    @cached_property
+    def _coroot_coords(self) -> tuple[Vector, ...]:
         out = []
         for a in self.coroots:
             c = self.cochar_coords(a)
@@ -140,6 +142,12 @@ class RootDatum:
                 raise DatumError(f"coroot {a} outside the cocharacter lattice")
             out.append(c)
         return tuple(out)
+
+    def root_coords(self) -> tuple[Vector, ...]:
+        return self._root_coords
+
+    def coroot_coords(self) -> tuple[Vector, ...]:
+        return self._coroot_coords
 
     def simple_roots(self) -> tuple[FracVec, ...]:
         return tuple(self.roots[i] for i in self.simple_indices)
@@ -154,33 +162,15 @@ class RootDatum:
     # -- reflections in basis coordinates ----------------------------------
 
     def reflection_char(self, root_index: int) -> Matrix:
-        """s_alpha on X*(T) basis coordinates: chi -> chi - <chi, acheck> alpha."""
-        alpha = self.roots[root_index]
-        acheck = self.coroots[root_index]
-        cols = []
-        for basis_vec in self.char_basis:
-            pair = _as_int(dot(basis_vec, acheck))
-            img = self.char_coords(
-                tuple(b - pair * a for b, a in zip(basis_vec, alpha))
-            )
-            if img is None:
-                raise DatumError("reflection does not preserve the character lattice")
-            cols.append(img)
-        return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(cols)))
+        """s_alpha on X*(T) basis coordinates: chi -> chi - <chi, acheck> alpha,
+        the matrix I - a c^T for root coordinates a and coroot coordinates c."""
+        return _rank_one_reflection(self.root_coords()[root_index],
+                                    self.coroot_coords()[root_index])
 
     def reflection_cochar(self, root_index: int) -> Matrix:
-        alpha = self.roots[root_index]
-        acheck = self.coroots[root_index]
-        cols = []
-        for basis_vec in self.cochar_basis:
-            pair = _as_int(dot(alpha, basis_vec))
-            img = self.cochar_coords(
-                tuple(b - pair * a for b, a in zip(basis_vec, acheck))
-            )
-            if img is None:
-                raise DatumError("reflection does not preserve the cocharacter lattice")
-            cols.append(img)
-        return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(cols)))
+        """s_alpha on X_*(T) basis coordinates: I - c a^T."""
+        return _rank_one_reflection(self.coroot_coords()[root_index],
+                                    self.root_coords()[root_index])
 
     # -- serialization -----------------------------------------------------
 
@@ -197,33 +187,38 @@ class RootDatum:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RootDatum":
-        return cls(
-            name=str(d["name"]),
-            ambient_dim=int(d["ambient_dim"]),
-            char_basis=tuple(_fracvec_load(r) for r in d["char_basis"]),
-            cochar_basis=tuple(_fracvec_load(r) for r in d["cochar_basis"]),
-            roots=tuple(_fracvec_load(r) for r in d["roots"]),
-            coroots=tuple(_fracvec_load(r) for r in d["coroots"]),
-            simple_indices=tuple(int(i) for i in d["simple_indices"]),
-        )
+        try:
+            return cls(
+                name=str(d["name"]),
+                ambient_dim=int(d["ambient_dim"]),
+                char_basis=tuple(_fracvec_load(r) for r in d["char_basis"]),
+                cochar_basis=tuple(_fracvec_load(r) for r in d["cochar_basis"]),
+                roots=tuple(_fracvec_load(r) for r in d["roots"]),
+                coroots=tuple(_fracvec_load(r) for r in d["coroots"]),
+                simple_indices=tuple(int(i) for i in d["simple_indices"]),
+            )
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            raise DatumError(f"malformed root datum: {err}") from None
+
+
+def _rank_one_reflection(a: Vector, c: Vector) -> Matrix:
+    """I - a c^T."""
+    return tuple(
+        tuple((1 if i == j else 0) - ai * cj for j, cj in enumerate(c))
+        for i, ai in enumerate(a)
+    )
 
 
 def _fracvec_json(v: FracVec) -> dict:
-    den = 1
-    for x in v:
-        den = den * x.denominator // _gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in v))
     return {"num": [int(x * den) for x in v], "den": den}
 
 
 def _fracvec_load(d: dict) -> FracVec:
+    if not isinstance(d["num"], list):
+        raise TypeError(f"vector 'num' must be a list, got {d['num']!r}")
     den = int(d["den"])
     return tuple(Fraction(int(n), den) for n in d["num"])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def pairing(chi, lam) -> int:
@@ -598,7 +593,7 @@ def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
 
     char_cols = []
     for chi in target.char_basis:
-        c = _int_coords(source.char_basis, restrict(chi))
+        c = source.char_coords(restrict(chi))
         if c is None:
             raise DatumError(
                 f"character lattice of {target.name} does not restrict into "

@@ -28,13 +28,11 @@ class WeylElement:
     """One Weyl group element acting on both lattices.
 
     char_action and cochar_action are contragredient integer matrices
-    (char_action^T @ cochar_action = identity); word is a shortest
-    expression in simple reflections, kept for provenance.
+    (char_action^T @ cochar_action = identity).
     """
 
     char_action: Matrix
     cochar_action: Matrix
-    word: tuple[int, ...]
 
 
 class WeylGroup:
@@ -94,28 +92,23 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
     gens = []
     for i in rd.simple_indices:
         gens.append((rd.reflection_char(i), rd.reflection_cochar(i)))
-    ident = (identity(r), identity(r))
-    seen: dict[Matrix, tuple[Matrix, tuple[int, ...]]] = {
-        ident[0]: (ident[1], ())
-    }
-    frontier = [ident[0]]
+    seen: dict[Matrix, Matrix] = {identity(r): identity(r)}
+    frontier = list(seen)
     while frontier:
         new_frontier = []
         for chm in frontier:
-            cochm, word = seen[chm]
-            for gi, (gch, gco) in enumerate(gens):
+            cochm = seen[chm]
+            for gch, gco in gens:
                 nch = matmul(gch, chm)
                 if nch in seen:
                     continue
-                seen[nch] = (matmul(gco, cochm), (gi,) + word)
+                seen[nch] = matmul(gco, cochm)
                 if len(seen) > cap:
                     raise WeylCapExceeded(cap)
                 new_frontier.append(nch)
         frontier = new_frontier
     ordered = sorted(seen.keys())
-    elements = tuple(
-        WeylElement(ch, seen[ch][0], seen[ch][1]) for ch in ordered
-    )
+    elements = tuple(WeylElement(ch, seen[ch]) for ch in ordered)
     group = WeylGroup(rd, elements, ())
     gen_indices = tuple(group.index_of(g[0]) for g in gens)
     group.generators = gen_indices
@@ -202,12 +195,11 @@ def subgroup_from_members(group: WeylGroup, members) -> Subgroup:
     return sub
 
 
-def stabilizer(group: WeylGroup, xi: RatVector, rd: RootDatum | None = None) -> Subgroup:
+def stabilizer(group: WeylGroup, xi: RatVector) -> Subgroup:
     """Elements w with w.xi - xi in the cocharacter lattice.
 
     xi is given in X_*(T) basis coordinates; the test is exact.
     """
-    del rd  # the acting datum is group.datum
     members = []
     for i, e in enumerate(group.elements):
         diff = act_cochar(e, xi) - xi
@@ -227,10 +219,9 @@ class ReflectionComparison:
     equal: bool
 
 
-def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
-                                 rd: RootDatum | None = None) -> ReflectionComparison:
+def integral_reflection_subgroup(group: WeylGroup, xi: RatVector) -> ReflectionComparison:
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral."""
-    datum = group.datum if rd is None else rd
+    datum = group.datum
     xi_amb = datum.cochar_ambient(xi.fractions())
     seeds = []
     seen = set()

@@ -411,3 +411,49 @@ def test_atlas_with_scan_summaries(capsys):
         "--scan-denominator", "2", "--format", "json",
     )
     assert out == out2 and code == code2
+
+
+def _g2_with_char_vector(tmp_path, **override):
+    data = json.loads(open(f"{FIX}/g2_datum.json").read())
+    data["source"]["char_basis"][0].update(override)
+    path = tmp_path / "g2_mutated.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("override", [{"den": 0}, {"den": "x"}, {"num": 5}])
+def test_malformed_datum_fixture_is_bad_input(tmp_path, capsys, override):
+    path = _g2_with_char_vector(tmp_path, **override)
+    code = main(["levels", "--datum-fixture", path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: malformed root datum" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_scan_rejects_nonpositive_denominator(capsys, bound):
+    code = main(["scan", "A", "1", "SL", "SL", "--max-denominator", bound,
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: --max-denominator must be >= 1" in captured.err
+
+
+def test_obstruction_xi_outside_cocharacter_span(capsys):
+    code = main(["obstruction", "A", "2", "SL", "SL", "--xi", "1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "outside the cocharacter span" in captured.err
+
+
+@pytest.mark.parametrize("command", ["levels", "atlas", "obstruction", "scan",
+                                     "datum", "cohomology", "equivariant",
+                                     "extension"])
+def test_no_seed_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--seed" not in capsys.readouterr().out

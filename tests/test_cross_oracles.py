@@ -3,14 +3,18 @@
 Each test recomputes a quantity by a second route that shares no code
 with the implementation path it is checking: determinantal divisors for
 Smith forms, brute-force enumeration for invariant lattices, canonical
-form invariance for Hermite forms, and classical values for group and
-sphere cohomology in degrees beyond the golden set.
+form invariance for Hermite forms, classical values for group and
+sphere cohomology in degrees beyond the golden set, and rational
+Gaussian elimination for root-datum coordinates and reflections.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
+
+import pytest
 
 from gerbelevels.cech import (
     CoefficientGroup,
@@ -24,6 +28,7 @@ from gerbelevels.intlinalg import (
     RatVector,
     det,
     diagonal,
+    frac_solve,
     freeze,
     hnf,
     matmul,
@@ -37,7 +42,13 @@ from gerbelevels.levels import (
     LevelTensor,
 )
 from gerbelevels.obstruction import SemisimplePoint, obstruction_report
-from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
+from gerbelevels.cli import DEFAULT_ATLAS_ROWS
+from gerbelevels.rootdata import (
+    RootDatum,
+    classical_datum,
+    classical_isogeny,
+    identity_isogeny,
+)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
@@ -196,3 +207,96 @@ def test_sphere_mod_two_coefficients():
     assert cohomology(octa, 0, mod2) == AbelianInvariants(0, (2,))
     assert cohomology(octa, 1, mod2) == AbelianInvariants(0, ())
     assert cohomology(octa, 2, mod2) == AbelianInvariants(0, (2,))
+
+
+# -- root-datum coordinates: dual-basis pairings vs Gaussian elimination ---
+
+
+def solve_coords(basis, v):
+    """Rational coordinates of v in the row basis by elimination, or None."""
+    if not basis:
+        return () if all(x == 0 for x in v) else None
+    cols = tuple(tuple(basis[i][j] for i in range(len(basis))) for j in range(len(v)))
+    return frac_solve(cols, v)
+
+
+def solve_int_coords(basis, v):
+    c = solve_coords(basis, v)
+    if c is None or any(x.denominator != 1 for x in c):
+        return None
+    return tuple(x.numerator for x in c)
+
+
+def loop_reflection(basis, alpha, along):
+    """x -> x - <x, along> alpha, built one basis vector at a time: the
+    image of each basis vector is re-solved in the basis (columns of the
+    result)."""
+    cols = []
+    for b in basis:
+        pair = sum((x * y for x, y in zip(b, along)), Fraction(0))
+        assert pair.denominator == 1
+        img = tuple(x - pair * a for x, a in zip(b, alpha))
+        cols.append(solve_int_coords(basis, img))
+    r = len(cols)
+    return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+
+
+def oracle_data():
+    keys = sorted({(s, r, f) for s, r, sf, tf in DEFAULT_ATLAS_ROWS
+                   for f in (sf, tf)})
+    data = [classical_datum(*k) for k in keys]
+    with open("fixtures/g2_datum.json") as fh:
+        g2 = json.load(fh)
+    data += [RootDatum.from_json_dict(g2[side]) for side in ("source", "target")]
+    return data
+
+
+ORACLE_DATA = oracle_data()
+
+
+def probe_vectors(basis, n):
+    """Basis vectors, rational combinations of them, and vectors that may
+    lie outside the span (all ones, the first reference vector)."""
+    out = list(basis)
+    for coeffs in ((Fraction(1, 2), Fraction(-1, 3)), (3, 2), (Fraction(7, 5), 0)):
+        out.append(tuple(
+            sum((Fraction(c) * b[j] for c, b in zip(coeffs, basis)), Fraction(0))
+            for j in range(n)
+        ))
+    out.append(tuple(Fraction(1) for _ in range(n)))
+    out.append(tuple(Fraction(1 if j == 0 else 0) for j in range(n)))
+    return out
+
+
+@pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
+def test_coordinates_match_elimination(rd):
+    n = rd.ambient_dim
+    for vecs in (rd.roots, rd.coroots, probe_vectors(rd.char_basis, n),
+                 probe_vectors(rd.cochar_basis, n)):
+        for v in vecs:
+            assert rd.char_coords_q(v) == solve_coords(rd.char_basis, v)
+            assert rd.cochar_coords_q(v) == solve_coords(rd.cochar_basis, v)
+            assert rd.char_coords(v) == solve_int_coords(rd.char_basis, v)
+            assert rd.cochar_coords(v) == solve_int_coords(rd.cochar_basis, v)
+    assert rd.root_coords() == tuple(
+        solve_int_coords(rd.char_basis, a) for a in rd.roots)
+    assert rd.coroot_coords() == tuple(
+        solve_int_coords(rd.cochar_basis, a) for a in rd.coroots)
+    assert rd.coroot_coords() is rd.coroot_coords()
+
+
+def test_coordinate_probes_cover_every_case():
+    sl3 = classical_datum("A", 2, "SL")
+    ones = (Fraction(1),) * 3
+    assert sl3.char_coords_q(ones) is None
+    assert sl3.cochar_coords_q(ones) is None
+    half = tuple(Fraction(x, 2) for x in sl3.coroots[0])
+    assert sl3.cochar_coords_q(half) is not None
+    assert sl3.cochar_coords(half) is None
+
+
+@pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
+def test_reflections_match_per_vector_loop(rd):
+    for i, (alpha, acheck) in enumerate(zip(rd.roots, rd.coroots)):
+        assert rd.reflection_char(i) == loop_reflection(rd.char_basis, alpha, acheck)
+        assert rd.reflection_cochar(i) == loop_reflection(rd.cochar_basis, acheck, alpha)
