@@ -4,7 +4,11 @@ cohomology, circle-cover log cocycles, and central extensions.
 Coefficients are finitely generated abelian groups presented as
 Z^free + Z/d1 + Z/d2 + ...; every computation happens on the free cover
 Z^(free + torsion count) with explicit relation vectors, so all answers
-are exact.  Cochain values are stored on sorted simplices only, with the
+are exact.  Cech, equivariant and group cohomology all build one
+presentation -- the coboundaries out of and into the degree, and the
+relation vectors on both sides -- and hand it to intlinalg.subquotient,
+the routine that also computes the stabilizer H^1 of obstruction.py.
+Cochain values are stored on sorted simplices only, with the
 alternation sign applied on access.
 
 Overlap line bundles are modeled by their classes in the coefficient
@@ -19,22 +23,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 
 from .intlinalg import (
     AbelianInvariants,
     Matrix,
+    Smith,
     Vector,
-    diagonal,
     freeze,
-    hnf_basis,
+    from_columns,
     identity,
-    kernel_basis,
-    lattice_coords,
     matmul,
     matvec,
-    snf,
     solve_z,
+    subquotient,
     transpose,
 )
 
@@ -120,15 +121,10 @@ class CoefficientGroup:
             img = matvec(m, rel)
             if not self._in_relation_lattice(img):
                 return False
-        # surjectivity: every standard generator is hit modulo relations
-        cols = list(transpose(m))
-        cols.extend(rels)
-        a = transpose(freeze(cols)) if cols else freeze([(0,) * self.size])
-        for i in range(self.size):
-            e = tuple(1 if j == i else 0 for j in range(self.size))
-            if solve_z(a, e).solution is None:
-                return False
-        return True
+        # surjectivity: every standard generator is hit modulo relations,
+        # i.e. has order 1 modulo the span of the images and relations
+        images = Smith.of(from_columns(transpose(m) + rels, self.size))
+        return all(images.reduce(e)[1] == 1 for e in identity(self.size))
 
     def _in_relation_lattice(self, v) -> bool:
         rels = self.relation_vectors()
@@ -156,24 +152,34 @@ def _plain_label(g: CoefficientGroup) -> str:
 
 def parse_group_label(text: str) -> CoefficientGroup:
     """Parse labels like "Z", "Z/4", "Z^2+Z/2+Z/6", "0"."""
+    if not isinstance(text, str):
+        raise CechError(f"group label must be a string, not {text!r}")
     text = text.replace(" ", "")
     if text in ("0", ""):
         return CoefficientGroup(0, ())
     free = 0
     torsion = []
     for part in text.split("+"):
+        kind, count = part[:2], part[2:]
         if part == "Z":
             free += 1
-        elif part.startswith("Z^"):
-            free += int(part[2:])
-        elif part.startswith("Z/"):
-            torsion.append(int(part[2:]))
+        elif kind in ("Z^", "Z/") and count.isascii() and count.isdigit():
+            if kind == "Z^":
+                free += int(count)
+            else:
+                torsion.append(int(count))
         else:
             raise CechError(f"cannot parse group label {text!r}")
     return CoefficientGroup(free, tuple(torsion))
 
 
 ZZ = CoefficientGroup(1, ())
+
+
+def _malformed(what: str, err: Exception) -> CechError:
+    """One-line error for a fixture whose JSON has the wrong shape."""
+    detail = f"missing field {err}" if isinstance(err, KeyError) else str(err)
+    return CechError(f"malformed {what}: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +228,15 @@ class Nerve:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Nerve":
-        return cls(
-            int(d["n_vertices"]),
-            tuple(
+        try:
+            n_vertices = int(d["n_vertices"])
+            simplices = tuple(
                 tuple(tuple(int(v) for v in s) for s in level)
                 for level in d["simplices"]
-            ),
-        )
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise _malformed("nerve", err) from None
+        return cls(n_vertices, simplices)
 
     @classmethod
     def from_maximal(cls, n_vertices: int, maximal) -> "Nerve":
@@ -424,80 +432,31 @@ def _cech_matrix(nerve: Nerve, p: int, size: int) -> Matrix:
     return freeze(rows) if rows else ()
 
 
-def _level_relations(count: int, group: CoefficientGroup) -> tuple[Vector, ...]:
+def _relations(total: int, group: CoefficientGroup) -> tuple[Vector, ...]:
+    """Torsion relations of every coefficient slot of a free-cover cochain
+    vector with total coordinates, slot by slot."""
     out = []
-    size = group.size
-    for slot in range(count):
-        for rel in group.relation_vectors():
-            v = [0] * (count * size)
-            for i, x in enumerate(rel):
-                v[slot * size + i] = x
+    for base in range(0, total, group.size) if group.torsion else ():
+        for i, d in enumerate(group.torsion):
+            v = [0] * total
+            v[base + group.free_rank + i] = d
             out.append(tuple(v))
     return tuple(out)
 
 
-def _subquotient(
-    n_coords: int,
-    d_out: Matrix,
-    rel_out: tuple[Vector, ...],
-    d_in_cols: tuple[Vector, ...],
-    rel_in: tuple[Vector, ...],
-    locate: Vector | None = None,
-):
-    """Invariants of {x : d_out x in <rel_out>} / (<d_in cols> + <rel_in>).
-
-    With locate set, also returns the class coordinates of that vector in
-    the Smith presentation and its order (None when of infinite order).
-    """
-    if n_coords == 0:
-        inv = AbelianInvariants(0, ())
-        return (inv, (), 1) if locate is not None else (inv, None, None)
-    if d_out:
-        cols = [tuple(r) for r in transpose(d_out)]
-        combined_cols = cols + [tuple(-x for x in v) for v in rel_out]
-        combined = transpose(freeze(combined_cols))
-        kern = kernel_basis(combined)
-        xparts = freeze([v[:n_coords] for v in kern])
-        lbasis = hnf_basis(xparts)
-    else:
-        lbasis = identity(n_coords)
-    sub_rows = tuple(d_in_cols) + tuple(rel_in)
-    coords_rows = []
-    for v in sub_rows:
-        c = lattice_coords(lbasis, v)
-        if c is None:
-            raise AssertionError("boundary image escaped the cocycle lattice")
-        coords_rows.append(c)
-    r = len(lbasis)
-    if coords_rows:
-        rel = transpose(freeze(coords_rows))
-        s, u, _v = snf(rel)
-        diag = diagonal(s)
-        rank = sum(1 for d in diag if d)
-        inv = AbelianInvariants(
-            free_rank=r - rank, torsion=tuple(d for d in diag if d not in (0, 1))
-        )
-    else:
-        u = identity(r)
-        diag = ()
-        rank = 0
-        inv = AbelianInvariants(free_rank=r, torsion=())
-    if locate is None:
-        return inv, None, None
-    c = lattice_coords(lbasis, locate)
-    if c is None:
-        raise CechError("vector to locate is not a cocycle")
-    z = matvec(u, c) if r else ()
-    k = 1
-    infinite = False
-    for i in range(len(z)):
-        if i < rank:
-            if diag[i]:
-                need = diag[i] // gcd(diag[i], z[i])
-                k = k * need // gcd(k, need)
-        elif z[i]:
-            infinite = True
-    return inv, tuple(z), (None if infinite else k)
+def _cech_presentation(nerve: Nerve, p: int, group: CoefficientGroup):
+    """The arguments of subquotient for H^p of the nerve: the size of C^p,
+    delta^p, the relations on C^(p+1), delta^(p-1) and the relations on
+    C^p, all on the free cover of the coefficients."""
+    size = group.size
+    n_p = len(nerve.level(p)) * size
+    return (
+        n_p,
+        _cech_matrix(nerve, p, size),
+        _relations(len(nerve.level(p + 1)) * size, group),
+        _cech_matrix(nerve, p - 1, size) if p else (),
+        _relations(n_p, group),
+    )
 
 
 def _cochain_vector(c: Cochain) -> Vector:
@@ -526,64 +485,34 @@ def cohomology(nerve: Nerve, p: int, group: CoefficientGroup) -> AbelianInvarian
         raise CechError("negative degree")
     if p > nerve.dim:
         return AbelianInvariants(0, ())
-    size = group.size
-    n_p = len(nerve.level(p)) * size
-    d_out = _cech_matrix(nerve, p, size)
-    rel_out = _level_relations(len(nerve.level(p + 1)), group)
-    if p == 0:
-        d_in_cols: tuple[Vector, ...] = ()
-    else:
-        d_in = _cech_matrix(nerve, p - 1, size)
-        d_in_cols = tuple(tuple(r) for r in transpose(d_in)) if d_in else ()
-    rel_in = _level_relations(len(nerve.level(p)), group)
-    inv, _, _ = _subquotient(n_p, d_out, rel_out, d_in_cols, rel_in)
-    return inv
+    return subquotient(*_cech_presentation(nerve, p, group))[0]
 
 
 def cocycle_class(c: Cochain):
     """(H^p invariants, class coordinates, class order) of a cocycle."""
-    check = coboundary(c)
-    if not check.is_zero():
+    if not coboundary(c).is_zero():
         raise CechError("input cochain is not a cocycle")
-    nerve, p, group = c.nerve, c.degree, c.group
-    size = group.size
-    n_p = len(nerve.level(p)) * size
-    d_out = _cech_matrix(nerve, p, size)
-    rel_out = _level_relations(len(nerve.level(p + 1)), group)
-    if p == 0:
-        d_in_cols: tuple[Vector, ...] = ()
-    else:
-        d_in = _cech_matrix(nerve, p - 1, size)
-        d_in_cols = tuple(tuple(r) for r in transpose(d_in)) if d_in else ()
-    rel_in = _level_relations(len(nerve.level(p)), group)
-    return _subquotient(
-        n_p, d_out, rel_out, d_in_cols, rel_in, locate=_cochain_vector(c)
-    )
+    return subquotient(*_cech_presentation(c.nerve, c.degree, c.group),
+                       locate=_cochain_vector(c))
 
 
 def trivialize(c: Cochain) -> Cochain | None:
     """A cochain b with db = c, or None when the class is nonzero."""
-    check = coboundary(c)
-    if not check.is_zero():
+    if not coboundary(c).is_zero():
         raise CechError("input cochain is not a cocycle")
     nerve, p, group = c.nerve, c.degree, c.group
-    size = group.size
     target = _cochain_vector(c)
+    if not any(target):
+        return zero_cochain(nerve, max(p - 1, 0), group)
     if p == 0:
-        return zero_cochain(nerve, 0, group) if not any(target) else None
-    d_in = _cech_matrix(nerve, p - 1, size)
-    rel_in = _level_relations(len(nerve.level(p)), group)
-    n_prev = len(nerve.level(p - 1)) * size
-    cols = [tuple(r) for r in transpose(d_in)] if d_in else []
-    cols.extend(rel_in)
-    if not cols:
-        return None if any(target) else zero_cochain(nerve, p - 1, group)
-    a = transpose(freeze(cols))
-    res = solve_z(a, target)
-    if res.solution is None:
         return None
-    x = res.solution[:n_prev]
-    return _vector_cochain(nerve, p - 1, group, x)
+    _, _, _, d_in, rel_in = _cech_presentation(nerve, p, group)
+    # unknowns: the (p-1)-cochain, then one multiplier per relation
+    a = tuple(row + tuple(v[i] for v in rel_in) for i, row in enumerate(d_in))
+    x = solve_z(a, target).solution
+    if x is None:
+        return None
+    return _vector_cochain(nerve, p - 1, group, x[: len(d_in[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -738,13 +667,21 @@ class FiniteAction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteAction":
-        return cls(
-            group=FiniteGroupTable.from_json_dict(d["group"]),
-            nerve=Nerve.from_json_dict(d["nerve"]),
-            coefficients=parse_group_label(d["coefficients"]),
-            vertex_perms=tuple(tuple(int(x) for x in p) for p in d["vertex_perms"]),
-            coeff_actions=tuple(freeze(m) for m in d["coeff_actions"]),
-        )
+        try:
+            fields = dict(
+                group=FiniteGroupTable.from_json_dict(d["group"]),
+                nerve=Nerve.from_json_dict(d["nerve"]),
+                coefficients=parse_group_label(d["coefficients"]),
+                vertex_perms=tuple(
+                    tuple(int(x) for x in p) for p in d["vertex_perms"]
+                ),
+                coeff_actions=tuple(freeze(m) for m in d["coeff_actions"]),
+            )
+        except CechError:
+            raise
+        except (KeyError, TypeError, ValueError) as err:
+            raise _malformed("action", err) from None
+        return cls(**fields)
 
 
 def trivial_action(group: FiniteGroupTable, nerve: Nerve,
@@ -899,33 +836,6 @@ def _tuple_index(tup, base: int) -> int:
     return idx
 
 
-def _total_relations(act: FiniteAction, n: int, cap: int) -> tuple[Vector, ...]:
-    g = act.group
-    nerve = act.nerve
-    group = act.coefficients
-    size = group.size
-    blocks = _blocks(nerve, n)
-    total = 0
-    slots = 0
-    for (q, p) in blocks:
-        cnt = (g.n ** q) * len(nerve.level(p))
-        slots += cnt
-        total += cnt * size
-    if total > cap:
-        raise ComplexCapExceeded(total, cap)
-    out = []
-    rels = group.relation_vectors()
-    if not rels:
-        return ()
-    for slot in range(slots):
-        for rel in rels:
-            v = [0] * total
-            for i, x in enumerate(rel):
-                v[slot * size + i] = x
-            out.append(tuple(v))
-    return tuple(out)
-
-
 def equivariant_cohomology(
     act: FiniteAction, degree: int, cap: int = 60000
 ) -> AbelianInvariants:
@@ -936,16 +846,14 @@ def equivariant_cohomology(
     """
     if degree < 0:
         raise CechError("negative degree")
-    d_out, n_here, _ = _equivariant_matrices(act, degree, cap)
-    rel_out = _total_relations(act, degree + 1, cap)
-    if degree == 0:
-        d_in_cols: tuple[Vector, ...] = ()
-    else:
-        d_in, _, _ = _equivariant_matrices(act, degree - 1, cap)
-        d_in_cols = tuple(tuple(r) for r in transpose(d_in)) if d_in else ()
-    rel_in = _total_relations(act, degree, cap)
-    inv, _, _ = _subquotient(n_here, d_out, rel_out, d_in_cols, rel_in)
-    return inv
+    # T^(m+1) has at least |G| times the coordinates of T^m, so the cap
+    # check of the first call, on T^n and T^(n+1), covers every layer used
+    # and refuses before anything is allocated
+    d_out, n_here, n_next = _equivariant_matrices(act, degree, cap)
+    d_in = _equivariant_matrices(act, degree - 1, cap)[0] if degree else ()
+    group = act.coefficients
+    return subquotient(n_here, d_out, _relations(n_next, group), d_in,
+                       _relations(n_here, group))[0]
 
 
 def group_cohomology(table: FiniteGroupTable, coefficients: CoefficientGroup,

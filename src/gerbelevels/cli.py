@@ -236,6 +236,9 @@ def _atlas_row(row, max_weyl_order, scan_denominator):
 
 
 def cmd_atlas(args) -> int:
+    if args.scan_denominator < 0:
+        raise CliError("--scan-denominator must be >= 0 (0 means no scan)",
+                       EXIT_BAD_INPUT)
     rows = []
     if args.row:
         for spec in args.row:
@@ -429,6 +432,8 @@ def _nerve_from_fixture(data: dict, dim_cap: int) -> Nerve:
             return Nerve.from_json_dict(data["nerve"])
     except CechError as err:
         raise CliError(str(err), EXIT_BAD_INPUT)
+    except TypeError as err:  # e.g. a cover that is not a list of lists
+        raise CliError(f"malformed cover: {err}", EXIT_BAD_INPUT)
     raise CliError("fixture needs a 'cover' or 'nerve' field", EXIT_BAD_INPUT)
 
 
@@ -498,7 +503,7 @@ def cmd_extension(args) -> int:
             for e in data.get("psi", [])
         }
         res = central_extension_from_cocycle(table, coeff, psi)
-    except (CechError, KeyError, ValueError) as err:
+    except (CechError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"extension rejected: {err}", EXIT_BAD_INPUT)
     payload = {
         "order": res.table.n,

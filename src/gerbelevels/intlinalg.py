@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -303,6 +303,14 @@ def diagonal(a: Matrix) -> tuple[int, ...]:
     return tuple(a[i][i] for i in range(min(m, n)))
 
 
+def from_columns(cols, m: int) -> Matrix:
+    """The m-row matrix with the given columns.  With no columns it still
+    has m (empty) rows, which a transpose cannot express."""
+    if any(len(c) != m for c in cols):
+        raise DimensionMismatch(f"columns must have length {m}")
+    return tuple(tuple(c[i] for c in cols) for i in range(m))
+
+
 # ---------------------------------------------------------------------------
 # solving, kernels, cokernels
 
@@ -322,13 +330,60 @@ class SolveResult:
     min_multiplier: int | None
 
 
+@dataclass(frozen=True)
+class Smith:
+    """A matrix a factored once by snf: u @ a @ v is diagonal with the
+    entries diag, of which the first rank are nonzero.  Solves, kernels,
+    cokernels and class orders are all read off this one factorization."""
+
+    diag: tuple[int, ...]
+    rank: int
+    u: Matrix
+    v: Matrix
+
+    @classmethod
+    def of(cls, a: Matrix) -> "Smith":
+        s, u, v = snf(a)
+        diag = diagonal(s)
+        return cls(diag, sum(1 for d in diag if d), u, v)
+
+    def kernel(self) -> tuple[Vector, ...]:
+        """Basis of {x : a @ x = 0}; the lattice it spans is saturated."""
+        n = len(self.v)
+        return tuple(
+            tuple(self.v[i][j] for i in range(n)) for j in range(self.rank, n)
+        )
+
+    def reduce(self, y: Vector) -> tuple[Vector, int | None]:
+        """(u @ y, k): y in Smith coordinates, and the order k of y modulo
+        the column span of a, i.e. the least k >= 1 with k*y in the span
+        (None when no multiple of y is in it)."""
+        z = matvec(self.u, y)
+        if any(z[self.rank:]):
+            return z, None
+        k = 1
+        for d, x in zip(self.diag[: self.rank], z):
+            k = lcm(k, d // gcd(d, x))
+        return z, k
+
+    def solve(self, y: Vector) -> SolveResult:
+        """Solve a @ x = y over the integers.
+
+        Raises DimensionMismatch if len(y) differs from the row count.
+        """
+        if len(y) != len(self.u):
+            raise DimensionMismatch(f"rhs length {len(y)} != row count {len(self.u)}")
+        z, k = self.reduce(y)
+        x = None
+        if k == 1:
+            w = [z[i] // self.diag[i] for i in range(self.rank)]
+            x = matvec(self.v, tuple(w + [0] * (len(self.v) - self.rank)))
+        return SolveResult(x, self.kernel(), k)
+
+
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of {x : a @ x = 0}; the lattice it spans is saturated."""
-    m, n = shape(a)
-    s, _u, v = snf(a)
-    diag = diagonal(s)
-    rank = sum(1 for d in diag if d != 0)
-    return tuple(tuple(v[i][j] for i in range(n)) for j in range(rank, n))
+    return Smith.of(a).kernel()
 
 
 def solve_z(a: Matrix, y: Vector) -> SolveResult:
@@ -336,27 +391,7 @@ def solve_z(a: Matrix, y: Vector) -> SolveResult:
 
     Raises DimensionMismatch if len(y) differs from the row count.
     """
-    m, n = shape(a)
-    if len(y) != m:
-        raise DimensionMismatch(f"rhs length {len(y)} != row count {m}")
-    s, u, v = snf(a)
-    diag = diagonal(s)
-    rank = sum(1 for d in diag if d != 0)
-    z = matvec(u, y)
-    kern = tuple(tuple(v[i][j] for i in range(n)) for j in range(rank, n))
-    if any(z[i] != 0 for i in range(rank, m)):
-        return SolveResult(None, kern, None)
-    ok = all(z[i] % diag[i] == 0 for i in range(rank))
-    if ok:
-        w = [z[i] // diag[i] for i in range(rank)] + [0] * (n - rank)
-        x = matvec(v, tuple(w))
-        return SolveResult(x, kern, 1)
-    # minimal k with d_i | k*z_i for all i: lcm of d_i / gcd(d_i, z_i)
-    k = 1
-    for i in range(rank):
-        need = diag[i] // gcd(diag[i], z[i])
-        k = k * need // gcd(k, need)
-    return SolveResult(None, kern, k)
+    return Smith.of(a).solve(y)
 
 
 @dataclass(frozen=True)
@@ -410,13 +445,11 @@ class AbelianInvariants:
 
 def cokernel(a: Matrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of a)."""
-    m, _n = shape(a)
-    s, _u, _v = snf(a)
-    diag = diagonal(s)
-    rank = sum(1 for d in diag if d != 0)
-    return AbelianInvariants(
-        free_rank=m - rank, torsion=tuple(d for d in diag if d not in (0, 1))
-    )
+    return _cokernel(Smith.of(a))
+
+
+def _cokernel(sm: Smith) -> AbelianInvariants:
+    return AbelianInvariants.from_diagonal(sm.diag, len(sm.u) - len(sm.diag))
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +470,7 @@ def lattices_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
 
 def lattice_coords(basis_rows: Matrix, v: Vector) -> Vector | None:
     """Coordinates of v in the given row basis, or None if v is outside."""
-    if not basis_rows:
-        return () if not any(v) else None
-    res = solve_z(transpose(basis_rows), v)
-    return res.solution
+    return Smith.of(from_columns(basis_rows, len(v))).solve(v).solution
 
 
 def lattice_contains(basis_rows: Matrix, v: Vector) -> bool:
@@ -450,18 +480,67 @@ def lattice_contains(basis_rows: Matrix, v: Vector) -> bool:
 def quotient_invariants(ambient_rows: Matrix, sub_rows: Matrix) -> AbelianInvariants:
     """Invariants of (lattice spanned by ambient_rows) / (span of sub_rows).
 
-    sub_rows must lie inside the ambient lattice.
+    ambient_rows must be linearly independent, and sub_rows must lie
+    inside the lattice they span.
     """
-    r = len(ambient_rows)
-    if not sub_rows:
-        return AbelianInvariants(free_rank=r, torsion=())
+    vectors = tuple(ambient_rows) + tuple(sub_rows)
+    n = len(vectors[0]) if vectors else 0
+    return _quotient(ambient_rows, n, sub_rows)[0]
+
+
+def subquotient(
+    n_coords: int,
+    d_out: Matrix,
+    rel_out,
+    d_in: Matrix,
+    rel_in,
+    locate: Vector | None = None,
+):
+    """Invariants of {x in Z^n_coords : d_out x in <rel_out>} modulo the
+    column span of d_in plus <rel_in>.
+
+    This is H^p of a cochain complex written on the free cover of its
+    coefficients: d_out is the coboundary out of C^p, d_in the coboundary
+    into it (or () in degree 0), and rel_out, rel_in are the coefficient
+    relations on C^(p+1) and C^p.  The cocycle lattice is taken in the
+    basis its Smith kernel gives: ker d_out itself when there are no
+    out-relations, else ker [d_out | -rel_out] cut to its first n_coords
+    entries (the relations are independent, so the cut keeps a basis).
+    With locate set, also returns the coordinates of that cocycle in the
+    Smith presentation of the quotient and its order there (None when
+    infinite); without it those two are None.
+    """
+    if not d_out:
+        basis = identity(n_coords)
+    elif not rel_out:
+        basis = kernel_basis(d_out)
+    else:
+        combined = tuple(
+            row + tuple(-v[i] for v in rel_out) for i, row in enumerate(d_out)
+        )
+        basis = tuple(v[:n_coords] for v in kernel_basis(combined))
+    return _quotient(basis, n_coords, transpose(d_in) + tuple(rel_in), locate)
+
+
+def _quotient(basis, n: int, sub_rows, locate: Vector | None = None):
+    """(invariants, class coordinates, class order) of <basis> / <sub_rows>;
+    the basis is factored once to place every vector in it."""
+    place = Smith.of(from_columns(basis, n))
     coords = []
-    for row in sub_rows:
-        c = lattice_coords(ambient_rows, row)
+    for v in sub_rows:
+        c = place.solve(v).solution
         if c is None:
             raise ValueError("sub_rows are not inside the ambient lattice")
         coords.append(c)
-    return cokernel(transpose(freeze(coords)))
+    rel = Smith.of(from_columns(coords, len(basis)))
+    inv = _cokernel(rel)
+    if locate is None:
+        return inv, None, None
+    c = place.solve(locate).solution
+    if c is None:
+        raise ValueError("vector to locate is not inside the ambient lattice")
+    z, k = rel.reduce(c)
+    return inv, z, k
 
 
 def kernel_basis_mod2(a: Matrix) -> tuple[Vector, ...]:

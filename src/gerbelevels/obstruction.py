@@ -22,23 +22,18 @@ full sweep is what makes the certificate self-contained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .intlinalg import (
     AbelianInvariants,
     Matrix,
     RatVector,
+    Smith,
     Vector,
-    cokernel,
-    diagonal,
     freeze,
     identity,
-    kernel_basis,
-    lattice_coords,
     matvec,
-    snf,
     solve_z,
-    transpose,
+    subquotient,
     vec_add,
     vec_sub,
 )
@@ -219,11 +214,12 @@ def class_order(res: ObstructionResult) -> int:
     """
     gens = res.w_l.generators or (res.w_l.group.identity_index,)
     a, y = _coboundary_system(res, gens)
-    sol = solve_z(a, y)
+    system = Smith.of(a)
+    sol = system.solve(y)
     k = sol.min_multiplier
     if k is None:
         raise AssertionError("cocycle class has infinite order against generators")
-    u = sol.solution if k == 1 else solve_z(a, tuple(k * x for x in y)).solution
+    u = sol.solution if k == 1 else system.solve(tuple(k * x for x in y)).solution
     if u is None or not _verify_witness(res, u, k):
         raise AssertionError("scaled witness failed full verification")
     exp = res.w_l.exponent()
@@ -285,59 +281,18 @@ def h1_group_lattice(
                 row[pos[w12] * r + a] -= 1
                 row[pos[w1] * r + a] += 1
                 rows.append(tuple(row))
-    z_basis = kernel_basis(freeze(rows))  # columns of C^1
 
-    # delta^0 : C^0 -> C^1
-    b_gens = []
-    for u_idx in range(r):
-        col = []
-        for w in members:
-            m = lattice_action(w)
-            for a in range(r):
-                col.append(m[a][u_idx] - (1 if a == u_idx else 0))
-        b_gens.append(tuple(col))
+    # delta^0 : C^0 -> C^1, (delta^0 u)_w = w.u - u
+    d0 = []
+    for w in members:
+        m = lattice_action(w)
+        for a in range(r):
+            d0.append(tuple(m[a][c] - (1 if a == c else 0) for c in range(r)))
 
-    if not z_basis:
-        if any(any(v) for v in b_gens):
-            raise AssertionError("coboundaries outside the cocycle lattice")
-        inv = AbelianInvariants(0, ())
-        return H1Result(inv, () if cocycle is not None else None,
-                        1 if cocycle is not None else None)
-
-    z_rows = freeze(z_basis)
-    coord_rows = []
-    for g in b_gens:
-        c = lattice_coords(z_rows, g)
-        if c is None:
-            raise AssertionError("coboundary not inside the cocycle lattice")
-        coord_rows.append(c)
-    rel = transpose(freeze(coord_rows))
-    inv = cokernel(rel)
-
-    class_coords = None
-    order_in_h1 = None
+    locate = None
     if cocycle is not None:
-        cvec = []
-        for w in members:
-            cvec.extend(cocycle[w])
-        coords = lattice_coords(z_rows, tuple(cvec))
-        if coords is None:
-            raise AssertionError("supplied cochain is not a cocycle")
-        s, u, _v = snf(rel)
-        diag = diagonal(s)
-        rank = sum(1 for d in diag if d)
-        z = matvec(u, coords)
-        # order of the class in coker(rel)
-        k = 1
-        for i in range(rank):
-            need = diag[i] // gcd(diag[i], z[i])
-            k = k * need // gcd(k, need)
-        if any(z[i] for i in range(rank, len(z))):
-            order_in_h1 = None  # infinite order (free part)
-        else:
-            order_in_h1 = k
-        class_coords = tuple(z)
-    return H1Result(inv, class_coords, order_in_h1)
+        locate = tuple(x for w in members for x in cocycle[w])
+    return H1Result(*subquotient(n1, freeze(rows), (), freeze(d0), (), locate))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -426,8 +427,28 @@ def test_parse_group_label():
     assert parse_group_label("Z/4") == CoefficientGroup(0, (4,))
     assert parse_group_label("Z^2+Z/2+Z/6") == CoefficientGroup(2, (2, 6))
     assert parse_group_label("0") == CoefficientGroup(0, ())
-    with pytest.raises(CechError):
-        parse_group_label("Q")
+    for bad in ("Q", "Z/x", "Z^x", "Z^-1", "Z^-1+Z^2", "Z/", 4):
+        with pytest.raises(CechError):
+            parse_group_label(bad)
+
+
+@pytest.mark.parametrize("data", [
+    {"n_vertices": "x", "simplices": []},
+    {"simplices": [[[0]]]},
+    {"n_vertices": 1, "simplices": 5},
+])
+def test_nerve_from_json_rejects_malformed(data):
+    with pytest.raises(CechError, match="malformed nerve"):
+        Nerve.from_json_dict(data)
+
+
+def test_action_from_json_rejects_missing_group():
+    with open("fixtures/z2_point.json") as fh:
+        data = json.load(fh)
+    FiniteAction.from_json_dict(data)
+    del data["group"]
+    with pytest.raises(CechError, match="malformed action: missing field 'group'"):
+        FiniteAction.from_json_dict(data)
 
 
 def test_torus_model_rejects_inconsistent_offsets():

@@ -457,3 +457,57 @@ def test_no_seed_option(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "--seed" not in capsys.readouterr().out
+
+
+def _one_error_line(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_atlas_rejects_negative_scan_denominator(capsys):
+    code = main(["atlas", "--row", "A,1,SL,SL", "--scan-denominator", "-2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: --scan-denominator must be >= 0 (0 means no scan)"]
+
+
+@pytest.mark.parametrize("label", ["Z/x", "Z^x", "Z^-1"])
+def test_cohomology_rejects_malformed_coefficients(capsys, label):
+    code = main(["cohomology", "--fixture", f"{FIX}/circle3.json",
+                 "--degree", "1", "--coefficients", label])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        f"error: cannot parse group label {label!r}"]
+
+
+def _without_group():
+    data = json.loads(open(f"{FIX}/z2_point.json").read())
+    del data["group"]
+    return data
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("cohomology", {"cover": 5}, "error: malformed cover"),
+    ("cohomology", {"nerve": {"n_vertices": "x", "simplices": []}},
+     "error: malformed nerve"),
+    ("equivariant", _without_group(),
+     "error: malformed action: missing field 'group'"),
+    ("extension", {"group": {"table": 5}, "coefficients": "Z/2"},
+     "error: extension rejected"),
+])
+def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--fixture", str(path)]
+    if command != "extension":
+        argv += ["--degree", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = _one_error_line(captured.err)
+    assert len(lines) == 1 and lines[0].startswith(message)

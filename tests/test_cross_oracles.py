@@ -4,8 +4,10 @@ Each test recomputes a quantity by a second route that shares no code
 with the implementation path it is checking: determinantal divisors for
 Smith forms, brute-force enumeration for invariant lattices, canonical
 form invariance for Hermite forms, classical values for group and
-sphere cohomology in degrees beyond the golden set, and rational
-Gaussian elimination for root-datum coordinates and reflections.
+sphere cohomology in degrees beyond the golden set, rational Gaussian
+elimination for root-datum coordinates and reflections, and the earlier
+solve-per-vector cohomology routes for Cech, equivariant and stabilizer
+H^1.
 """
 
 import itertools
@@ -17,22 +19,41 @@ from math import gcd
 import pytest
 
 from gerbelevels.cech import (
+    Cochain,
     CoefficientGroup,
+    FiniteAction,
+    Nerve,
+    _blocks,
+    _cech_matrix,
+    _equivariant_matrices,
+    cocycle_class,
     cohomology,
     cyclic_group,
+    equivariant_cohomology,
     group_cohomology,
+    nerve_of_cover,
     octahedron_nerve,
+    parse_group_label,
 )
 from gerbelevels.intlinalg import (
     AbelianInvariants,
     RatVector,
+    Smith,
+    cokernel,
     det,
     diagonal,
     frac_solve,
     freeze,
     hnf,
+    hnf_basis,
+    identity,
+    kernel_basis,
+    lattice_coords,
+    lattices_equal,
     matmul,
+    matvec,
     snf,
+    transpose,
 )
 from gerbelevels.levels import (
     SharedWeylAction,
@@ -41,7 +62,13 @@ from gerbelevels.levels import (
     is_invariant,
     LevelTensor,
 )
-from gerbelevels.obstruction import SemisimplePoint, obstruction_report
+from gerbelevels.obstruction import (
+    SemisimplePoint,
+    centralizer_cocycle,
+    h1_group_lattice,
+    obstruction_report,
+    scan_points,
+)
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.rootdata import (
     RootDatum,
@@ -86,6 +113,33 @@ def test_snf_matches_determinantal_divisors():
             expected = big_d // d_prev
             assert diag[k] == expected, (a, diag, divisors)
             d_prev = big_d
+
+
+def test_smith_order_matches_hnf_membership():
+    # the order of y modulo the column span, read off the Smith form, is
+    # the least k with k*y in the span, where membership is decided by
+    # comparing Hermite bases with and without k*y.  Half the matrices
+    # are diag(2, 6) scrambled by unimodular factors, so that orders mix
+    # invariant factors (lcm(2, 3) = 6 from the entries 2 and 6).
+    rng = random.Random(99)
+    seen = set()
+    for trial in range(80):
+        if trial % 2:
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            a = random_matrix(rng, m, n, -4, 4)
+        else:
+            m = n = 2
+            _, left, _ = snf(random_matrix(rng, 2, 2, -3, 3))
+            _, right, _ = snf(random_matrix(rng, 2, 2, -3, 3))
+            a = matmul(matmul(left, freeze([[2, 0], [0, 6]])), right)
+        y = tuple(rng.randint(-3, 3) for _ in range(m))
+        _z, order = Smith.of(a).reduce(y)
+        cols = transpose(a)
+        hits = [k for k in range(1, 241)
+                if lattices_equal(cols, cols + (tuple(k * x for x in y),))]
+        assert order == (hits[0] if hits else None), (a, y)
+        seen.add(order)
+    assert {None, 1, 2, 3, 6} <= seen
 
 
 def test_hnf_is_a_canonical_form():
@@ -300,3 +354,217 @@ def test_reflections_match_per_vector_loop(rd):
     for i, (alpha, acheck) in enumerate(zip(rd.roots, rd.coroots)):
         assert rd.reflection_char(i) == loop_reflection(rd.char_basis, alpha, acheck)
         assert rd.reflection_cochar(i) == loop_reflection(rd.cochar_basis, acheck, alpha)
+
+
+# -- cohomology: one factored subquotient vs the solve-per-vector routes -----
+
+
+def oracle_subquotient(n_coords, d_out, rel_out, d_in_cols, rel_in, locate=None):
+    """Invariants of {x : d_out x in <rel_out>} / (<d_in cols> + <rel_in>)
+    by the earlier Cech route: an HNF-canonical cocycle basis, one Smith
+    solve per placed vector and a fresh Smith form of the relations."""
+    if n_coords == 0:
+        inv = AbelianInvariants(0, ())
+        return (inv, (), 1) if locate is not None else (inv, None, None)
+    if d_out:
+        cols = [tuple(r) for r in transpose(d_out)]
+        combined_cols = cols + [tuple(-x for x in v) for v in rel_out]
+        kern = kernel_basis(transpose(freeze(combined_cols)))
+        lbasis = hnf_basis(freeze([v[:n_coords] for v in kern]))
+    else:
+        lbasis = identity(n_coords)
+    coords_rows = [lattice_coords(lbasis, v) for v in tuple(d_in_cols) + tuple(rel_in)]
+    assert None not in coords_rows
+    r = len(lbasis)
+    if coords_rows:
+        s, u, _v = snf(transpose(freeze(coords_rows)))
+        diag = diagonal(s)
+        rank = sum(1 for d in diag if d)
+        inv = AbelianInvariants(
+            free_rank=r - rank, torsion=tuple(d for d in diag if d not in (0, 1))
+        )
+    else:
+        u, diag, rank = identity(r), (), 0
+        inv = AbelianInvariants(free_rank=r, torsion=())
+    if locate is None:
+        return inv, None, None
+    c = lattice_coords(lbasis, locate)
+    z = matvec(u, c) if r else ()
+    k = 1
+    infinite = False
+    for i in range(len(z)):
+        if i < rank:
+            need = diag[i] // gcd(diag[i], z[i])
+            k = k * need // gcd(k, need)
+        elif z[i]:
+            infinite = True
+    return inv, tuple(z), (None if infinite else k)
+
+
+def oracle_relations(slots, group):
+    """Torsion relations of each coefficient slot, built slot by slot."""
+    out = []
+    size = group.size
+    for slot in range(slots):
+        for rel in group.relation_vectors():
+            v = [0] * (slots * size)
+            for i, x in enumerate(rel):
+                v[slot * size + i] = x
+            out.append(tuple(v))
+    return tuple(out)
+
+
+def oracle_cech(nerve, p, group, locate=None):
+    size = group.size
+    d_out = _cech_matrix(nerve, p, size)
+    d_in_cols = ()
+    if p:
+        d_in = _cech_matrix(nerve, p - 1, size)
+        d_in_cols = tuple(transpose(d_in)) if d_in else ()
+    return oracle_subquotient(
+        len(nerve.level(p)) * size, d_out,
+        oracle_relations(len(nerve.level(p + 1)), group), d_in_cols,
+        oracle_relations(len(nerve.level(p)), group), locate,
+    )
+
+
+def oracle_equivariant(act, n):
+    def slots(m):
+        return sum((act.group.n ** q) * len(act.nerve.level(p))
+                   for q, p in _blocks(act.nerve, m))
+
+    d_out, n_here, _ = _equivariant_matrices(act, n, 10**6)
+    d_in_cols = ()
+    if n:
+        d_in, _, _ = _equivariant_matrices(act, n - 1, 10**6)
+        d_in_cols = tuple(transpose(d_in)) if d_in else ()
+    group = act.coefficients
+    return oracle_subquotient(n_here, d_out, oracle_relations(slots(n + 1), group),
+                              d_in_cols, oracle_relations(slots(n), group))[0]
+
+
+def oracle_h1(sub, lattice_action, cocycle):
+    """H^1 of the stabilizer by the bar complex, placing every coboundary
+    generator and the cocycle with a solve of its own."""
+    members = sub.members
+    group = sub.group
+    r = len(lattice_action(group.identity_index))
+    pos = {w: k for k, w in enumerate(members)}
+    n1 = len(members) * r
+    rows = []
+    for w1 in members:
+        m1 = lattice_action(w1)
+        for w2 in members:
+            w12 = group.mult(w1, w2)
+            for a in range(r):
+                row = [0] * n1
+                for c in range(r):
+                    row[pos[w2] * r + c] += m1[a][c]
+                row[pos[w12] * r + a] -= 1
+                row[pos[w1] * r + a] += 1
+                rows.append(tuple(row))
+    z_rows = freeze(kernel_basis(freeze(rows)))
+    b_gens = [
+        tuple(lattice_action(w)[a][u] - (1 if a == u else 0)
+              for w in members for a in range(r))
+        for u in range(r)
+    ]
+    if not z_rows:
+        assert not any(any(v) for v in b_gens)
+        return AbelianInvariants(0, ()), (), 1
+    rel = transpose(freeze([lattice_coords(z_rows, g) for g in b_gens]))
+    inv = cokernel(rel)
+    coords = lattice_coords(z_rows, tuple(x for w in members for x in cocycle[w]))
+    s, u, _v = snf(rel)
+    diag = diagonal(s)
+    rank = sum(1 for d in diag if d)
+    z = matvec(u, coords)
+    k = 1
+    for i in range(rank):
+        need = diag[i] // gcd(diag[i], z[i])
+        k = k * need // gcd(k, need)
+    return inv, tuple(z), (None if any(z[rank:]) else k)
+
+
+def stabilizer_cases():
+    cases = []
+    for entry in (("A", 2, "SL", "SL"), ("B", 2, "Spin", "Spin"),
+                  ("C", 2, "Sp", "Sp")):
+        iso = classical_isogeny(*entry)
+        act = SharedWeylAction(iso)
+        b = basic_level(iso).tensor
+        for row in scan_points(act, b, 2).rows:
+            cases.append((act, b, row.xi))
+    iso = identity_isogeny(classical_datum("B", 3, "Spin"))
+    act = SharedWeylAction(iso)
+    xi = RatVector.from_fractions(
+        iso.target.cochar_coords_q((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+    )
+    cases.append((act, basic_level(iso).tensor, xi))
+    return cases
+
+
+def test_h1_matches_bar_complex_oracle():
+    cases = stabilizer_cases()
+    assert len(cases) > 4
+    orders = set()
+    for act, b, xi in cases:
+        res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+        h1 = h1_group_lattice(res.w_l, act.source_char_action, res.c_cocycle)
+        got = (h1.invariants, h1.class_coords, h1.class_order_in_h1)
+        assert got == oracle_h1(res.w_l, act.source_char_action, res.c_cocycle)
+        orders.add(h1.class_order_in_h1)
+    assert orders >= {1, 2}  # trivial and nontrivial classes both covered
+
+
+def load_fixture(name):
+    with open(f"fixtures/{name}") as fh:
+        return json.load(fh)
+
+
+NERVE_FIXTURES = ("circle3.json", "cone4.json", "octahedron.json",
+                  "triangle_cover.json")
+ACTION_FIXTURES = ("z2_point.json", "z2_point_mod2.json", "z4_point.json",
+                   "trivial_group_octahedron.json")
+
+
+def fixture_nerve(name):
+    data = load_fixture(name)
+    if "cover" in data:
+        return nerve_of_cover([set(c) for c in data["cover"]], 4)
+    return Nerve.from_json_dict(data["nerve"])
+
+
+@pytest.mark.parametrize("name", NERVE_FIXTURES)
+def test_cech_cohomology_matches_oracle(name):
+    nerve = fixture_nerve(name)
+    for label in ("Z", "Z/2", "Z+Z/6", "Z^2"):
+        group = parse_group_label(label)
+        for p in range(4):
+            expect = oracle_cech(nerve, p, group)[0] if p <= nerve.dim else \
+                AbelianInvariants(0, ())
+            assert cohomology(nerve, p, group) == expect, (label, p)
+
+
+def test_cocycle_class_order_matches_oracle():
+    # the class coordinates are in another cocycle basis than the oracle's,
+    # so only the group and the order of the class are compared
+    nerve = fixture_nerve("circle3.json")
+    data = load_fixture("circle3_cocycle.json")
+    for label in ("Z", "Z/2", "Z+Z/6", "Z/4+Z/6"):
+        group = parse_group_label(label)
+        values = {tuple(e["simplex"]): tuple(e["value"]) * group.size
+                  for e in data["values"]}
+        c = Cochain(nerve, data["degree"], group, values)
+        locate = tuple(x for s in nerve.level(c.degree)
+                       for x in c.values.get(s, group.zero()))
+        inv, _coords, order = cocycle_class(c)
+        o_inv, _, o_order = oracle_cech(nerve, c.degree, group, locate)
+        assert (inv, order) == (o_inv, o_order), label
+
+
+@pytest.mark.parametrize("name", ACTION_FIXTURES)
+def test_equivariant_cohomology_matches_oracle(name):
+    act = FiniteAction.from_json_dict(load_fixture(name))
+    for n in range(4):
+        assert equivariant_cohomology(act, n) == oracle_equivariant(act, n), n
