@@ -341,6 +341,19 @@ class Cochain:
                 clean[s] = vv
         self.values = clean
 
+    @classmethod
+    def from_json_dict(cls, nerve: Nerve, group: CoefficientGroup,
+                       d: dict) -> "Cochain":
+        try:
+            degree = int(d["degree"])
+            values = {
+                tuple(int(v) for v in e["simplex"]): tuple(int(x) for x in e["value"])
+                for e in d["values"]
+            }
+        except (KeyError, TypeError, ValueError) as err:
+            raise _malformed("cocycle", err) from None
+        return cls(nerve, degree, group, values)
+
     def value(self, simplex) -> Vector:
         simplex = tuple(simplex)
         if len(set(simplex)) != len(simplex):

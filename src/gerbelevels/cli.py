@@ -438,6 +438,8 @@ def _nerve_from_fixture(data: dict, dim_cap: int) -> Nerve:
 
 
 def cmd_cohomology(args) -> int:
+    if args.max_nerve_dim < 0:
+        raise CliError("--max-nerve-dim must be >= 0", EXIT_BAD_INPUT)
     data = _load_fixture(args.fixture)
     nerve = _nerve_from_fixture(data, args.max_nerve_dim)
     try:
@@ -452,11 +454,7 @@ def cmd_cohomology(args) -> int:
         }
         if args.trivialize_cocycle:
             cdata = _load_fixture(args.trivialize_cocycle)
-            vals = {
-                tuple(e["simplex"]): tuple(e["value"]) for e in cdata["values"]
-            }
-            c = Cochain(nerve, int(cdata["degree"]), group, vals)
-            witness = trivialize(c)
+            witness = trivialize(Cochain.from_json_dict(nerve, group, cdata))
             payload["witness"] = (
                 None if witness is None else witness.to_json_dict()
             )

@@ -39,7 +39,7 @@ from .intlinalg import (
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum, dot, fracvec
-from .weyl import WeylGroup, generate
+from .weyl import WeylGroup, generate, simple_root_permutations
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,12 @@ class LevelTensor:
 class SharedWeylAction:
     """The target's Weyl group with its induced action on the source lattices.
 
-    Source-side action matrices are obtained exactly by re-expressing the
-    ambient action through the rational coordinate systems; they are
-    integer matrices because the source lattices are stable under it.
+    The source-side action of the identity and of each generator is
+    obtained exactly by re-expressing the ambient action through the
+    rational coordinate systems, with span and lattice checks.  Every
+    other element's action is the integer product along the generation
+    tree: restricting the target action to a stable source lattice is a
+    homomorphism, and products of lattice-preserving maps preserve it.
     """
 
     def __init__(self, iso: IsogenyDatum, group: WeylGroup | None = None,
@@ -150,19 +153,30 @@ class SharedWeylAction:
         r = len(cols)
         return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
+    def _source_action(self, idx: int, kind: str, known: dict[int, Matrix]) -> Matrix:
+        got = known.get(idx)
+        if got is not None:
+            return got
+        group = self.group
+        if not known:
+            known.update({g: self._reexpress(g, kind)
+                          for g in (group.identity_index,) + group.generators})
+        # climb the generation tree to a known element, then multiply back down
+        path = []
+        i = idx
+        while i not in known:
+            path.append(i)
+            i = group.tree[i][1]
+        for i in reversed(path):
+            g, parent = group.tree[i]
+            known[i] = matmul(known[g], known[parent])
+        return known[idx]
+
     def source_char_action(self, idx: int) -> Matrix:
-        got = self._source_char.get(idx)
-        if got is None:
-            got = self._reexpress(idx, "char")
-            self._source_char[idx] = got
-        return got
+        return self._source_action(idx, "char", self._source_char)
 
     def source_cochar_action(self, idx: int) -> Matrix:
-        got = self._source_cochar.get(idx)
-        if got is None:
-            got = self._reexpress(idx, "cochar")
-            self._source_cochar[idx] = got
-        return got
+        return self._source_action(idx, "cochar", self._source_cochar)
 
     def target_char_action(self, idx: int) -> Matrix:
         return self.group.elements[idx].char_action
@@ -221,11 +235,10 @@ def invariant_level_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]
 
 def root_orbits(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Indices of the roots grouped into Weyl orbits (deterministic order)."""
-    n = len(rd.roots)
-    index_of = {a: k for k, a in enumerate(rd.roots)}
+    gens = simple_root_permutations(rd)
     seen = set()
     orbits = []
-    for start in range(n):
+    for start in range(len(rd.roots)):
         if start in seen:
             continue
         orbit = {start}
@@ -233,16 +246,10 @@ def root_orbits(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
         while frontier:
             nxt = []
             for k in frontier:
-                beta = rd.roots[k]
-                for i in rd.simple_indices:
-                    alpha, acheck = rd.roots[i], rd.coroots[i]
-                    img = tuple(
-                        x - dot(beta, acheck) * y for x, y in zip(beta, alpha)
-                    )
-                    m = index_of[img]
-                    if m not in orbit:
-                        orbit.add(m)
-                        nxt.append(m)
+                for p in gens:
+                    if p[k] not in orbit:
+                        orbit.add(p[k])
+                        nxt.append(p[k])
             frontier = nxt
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))

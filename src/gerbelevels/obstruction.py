@@ -153,7 +153,7 @@ def centralizer_cocycle(
     rational_witness = RatVector.make(
         list(matvec(b.matrix, pt.xi.nums)), pt.xi.den
     )
-    cmp = integral_reflection_subgroup(group, pt.xi)
+    cmp = integral_reflection_subgroup(group, pt.xi, w_l)
     return ObstructionResult(
         action=action,
         level=b,
@@ -361,7 +361,8 @@ def scan_points(
 
     Points are coordinate vectors in (1/d) Z^r modulo Z^r for d up to the
     bound; one lexicographically minimal representative per Weyl orbit is
-    evaluated, in deterministic order.
+    evaluated, in deterministic order.  Each orbit is walked once under
+    the Weyl generators, so every point costs one action per generator.
     """
     r = action.iso.target.rank
     estimate = sum(d**r for d in range(1, max_denominator + 1))
@@ -374,16 +375,25 @@ def scan_points(
             stack = [t + (k,) for t in stack for k in range(d)]
         for nums in stack:
             points.add(RatVector.make(list(nums), d))
-    group = action.group
+    gens = [action.group.elements[g] for g in action.group.generators]
     reps = []
+    visited = set()
     for xi in sorted(points, key=lambda v: v.fractions()):
-        orbit_min = min(
-            (act_cochar(e, xi).mod1() for e in group.elements),
-            key=lambda v: v.fractions(),
-        )
-        if xi == orbit_min:
-            reps.append(xi)
-    reps.sort(key=lambda v: v.fractions())
+        if xi in visited:
+            continue
+        # the first point of an orbit in sorted order is its minimum
+        reps.append(xi)
+        visited.add(xi)
+        frontier = [xi]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in gens:
+                    img = act_cochar(e, v).mod1()
+                    if img not in visited:
+                        visited.add(img)
+                        nxt.append(img)
+            frontier = nxt
     rows = []
     for xi in reps:
         res = centralizer_cocycle(action, b, SemisimplePoint(xi), verify_cap)

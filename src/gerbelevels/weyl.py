@@ -1,6 +1,16 @@
-"""Weyl groups as exact integer matrix groups on both lattices.
+"""Weyl groups as permutations of the roots, with exact integer actions.
 
-Elements are stored densely in a canonical order (lexicographic on the
+An element is the permutation it induces on the root index set (the
+CHEVIE convention): perm[k] is the index of w(alpha_k).  It is keyed by
+the images of the simple roots, which determine it because W acts
+trivially on the annihilator of the coroots; a product is therefore one
+composition on the simple roots and one dictionary lookup, O(rank).
+Each element also carries its integer actions on both lattices,
+computed once when generation first reaches it, and one entry of the
+generation tree (a Schreier vector) that writes it as a generator times
+an element found earlier.
+
+Elements are stored in a canonical order (lexicographic on the
 flattened character-action matrix) so that subgroup serializations and
 reports are deterministic.  Beyond the generation cap the engine refuses
 outright: downstream obstruction certificates need exhaustive subgroup
@@ -10,11 +20,10 @@ verification, and an approximate group would silently invalidate them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from .intlinalg import Matrix, RatVector, identity, matmul
-from .rootdata import RootDatum
+from .intlinalg import Matrix, RatVector, Vector, identity, matvec
+from .rootdata import DatumError, RootDatum
 
 
 class WeylCapExceeded(RuntimeError):
@@ -35,15 +44,28 @@ class WeylElement:
     cochar_action: Matrix
 
 
+Permutation = tuple[int, ...]
+
+
 class WeylGroup:
+    """Elements in canonical order, with their root permutations and the
+    generation tree: tree[i] = (g, parent) with
+    elements[i] = elements[g] * elements[parent], where g is a generator;
+    tree[identity_index] is None."""
+
     def __init__(self, datum: RootDatum, elements: tuple[WeylElement, ...],
-                 generators: tuple[int, ...]):
+                 generators: tuple[int, ...], perms: tuple[Permutation, ...],
+                 tree: tuple[tuple[int, int] | None, ...]):
         self.datum = datum
         self.elements = elements
         self.generators = generators
+        self.perms = perms
+        self.tree = tree
+        simple = datum.simple_indices
+        self._keys = tuple(tuple(p[s] for s in simple) for p in perms)
+        self._by_key = {k: i for i, k in enumerate(self._keys)}
         self._index = {e.char_action: i for i, e in enumerate(elements)}
         self.identity_index = self._index[identity(datum.rank)]
-        self._mult_cache: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -57,22 +79,11 @@ class WeylGroup:
 
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (i acts after j)."""
-        key = (i, j)
-        got = self._mult_cache.get(key)
-        if got is None:
-            prod = matmul(self.elements[i].char_action, self.elements[j].char_action)
-            got = self._index[prod]
-            self._mult_cache[key] = got
-        return got
+        return self._by_key[tuple(map(self.perms[i].__getitem__, self._keys[j]))]
 
     def inverse(self, i: int) -> int:
-        e = self.elements[i]
-        # inverse char action = transpose of the cochar action
-        inv = tuple(
-            tuple(e.cochar_action[r][c] for r in range(len(e.cochar_action)))
-            for c in range(len(e.cochar_action))
-        )
-        return self._index[inv]
+        p = self.perms[i]
+        return self._by_key[tuple(p.index(s) for s in self.datum.simple_indices)]
 
     def element_order(self, i: int) -> int:
         k = 1
@@ -83,36 +94,76 @@ class WeylGroup:
         return k
 
 
+def simple_root_permutations(rd: RootDatum) -> tuple[Permutation, ...]:
+    """The permutation of the root indices induced by each simple reflection."""
+    coords = rd.root_coords()
+    where = {c: k for k, c in enumerate(coords)}
+    out = []
+    for i in rd.simple_indices:
+        m = rd.reflection_char(i)
+        try:
+            out.append(tuple(where[matvec(m, c)] for c in coords))
+        except KeyError:
+            raise DatumError(
+                f"reflection in root[{i}] does not permute the roots") from None
+    return tuple(out)
+
+
+def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
+    """(I - a c^T) @ m as a rank-one update of m."""
+    cm = [sum(ck * x for ck, x in zip(c, col)) for col in zip(*m)]
+    return tuple(tuple(x - ai * y for x, y in zip(row, cm))
+                 for ai, row in zip(a, m))
+
+
 def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
-    """Breadth-first closure of the simple reflections.
+    """Breadth-first closure of the simple reflections on root permutations.
 
     Raises WeylCapExceeded when more than cap elements appear.
     """
     r = rd.rank
-    gens = []
-    for i in rd.simple_indices:
-        gens.append((rd.reflection_char(i), rd.reflection_cochar(i)))
-    seen: dict[Matrix, Matrix] = {identity(r): identity(r)}
-    frontier = list(seen)
+    simple = rd.simple_indices
+    gen_perms = simple_root_permutations(rd)
+    roots, coroots = rd.root_coords(), rd.coroot_coords()
+    perms = [tuple(range(len(rd.roots)))]
+    chars, cochars = [identity(r)], [identity(r)]
+    steps: list[tuple[int, int] | None] = [None]  # (generator position, parent)
+    found = {tuple(simple): 0}
+    frontier = [0]
     while frontier:
         new_frontier = []
-        for chm in frontier:
-            cochm = seen[chm]
-            for gch, gco in gens:
-                nch = matmul(gch, chm)
-                if nch in seen:
+        for w in frontier:
+            pw = perms[w]
+            for g, pg in enumerate(gen_perms):
+                key = tuple(pg[pw[s]] for s in simple)
+                if key in found:
                     continue
-                seen[nch] = matmul(gco, cochm)
-                if len(seen) > cap:
+                if len(perms) >= cap:
                     raise WeylCapExceeded(cap)
-                new_frontier.append(nch)
+                found[key] = len(perms)
+                new_frontier.append(len(perms))
+                perms.append(tuple(map(pg.__getitem__, pw)))
+                a, c = roots[simple[g]], coroots[simple[g]]
+                chars.append(_reflect(a, c, chars[w]))
+                cochars.append(_reflect(c, a, cochars[w]))
+                steps.append((g, w))
         frontier = new_frontier
-    ordered = sorted(seen.keys())
-    elements = tuple(WeylElement(ch, seen[ch]) for ch in ordered)
-    group = WeylGroup(rd, elements, ())
-    gen_indices = tuple(group.index_of(g[0]) for g in gens)
-    group.generators = gen_indices
-    return group
+    order = sorted(range(len(chars)), key=chars.__getitem__)
+    pos = [0] * len(order)
+    for i, b in enumerate(order):
+        pos[b] = i
+    gen_pos = tuple(pos[found[tuple(pg[s] for s in simple)]] for pg in gen_perms)
+    tree = tuple(
+        None if steps[b] is None else (gen_pos[steps[b][0]], pos[steps[b][1]])
+        for b in order
+    )
+    return WeylGroup(
+        rd,
+        tuple(WeylElement(chars[b], cochars[b]) for b in order),
+        gen_pos,
+        tuple(perms[b] for b in order),
+        tree,
+    )
 
 
 def act_cochar(elem: WeylElement, lam: RatVector) -> RatVector:
@@ -219,15 +270,17 @@ class ReflectionComparison:
     equal: bool
 
 
-def integral_reflection_subgroup(group: WeylGroup, xi: RatVector) -> ReflectionComparison:
-    """Subgroup generated by reflections s_alpha with <alpha, xi> integral."""
+def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
+                                 stab: Subgroup | None = None) -> ReflectionComparison:
+    """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
+
+    stab, when the caller already has it, is stabilizer(group, xi).
+    """
     datum = group.datum
-    xi_amb = datum.cochar_ambient(xi.fractions())
     seeds = []
     seen = set()
-    for k, alpha in enumerate(datum.roots):
-        val = sum((a * x for a, x in zip(alpha, xi_amb)), Fraction(0))
-        if val.denominator != 1:
+    for k, alpha in enumerate(datum.root_coords()):
+        if sum(a * x for a, x in zip(alpha, xi.nums)) % xi.den:
             continue
         m = datum.reflection_char(k)
         if m in seen:
@@ -236,7 +289,8 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector) -> ReflectionC
         seeds.append(group.index_of(m))
     members = _closure(group, seeds)
     refl = subgroup_from_members(group, members)
-    stab = stabilizer(group, xi)
+    if stab is None:
+        stab = stabilizer(group, xi)
     stab_set = set(stab.members)
     if not set(refl.members) <= stab_set:
         raise AssertionError(

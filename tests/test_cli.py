@@ -511,3 +511,34 @@ def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message
     assert captured.out == ""
     lines = _one_error_line(captured.err)
     assert len(lines) == 1 and lines[0].startswith(message)
+
+
+@pytest.mark.parametrize("cocycle, detail", [
+    ({"degree": 1}, "missing field 'values'"),
+    ({"values": []}, "missing field 'degree'"),
+    ({"degree": 1, "values": 5}, ""),
+    ({"degree": 1, "values": [{"simplex": [0, 1], "value": ["x"]}]}, ""),
+])
+def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cocycle, detail):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cocycle))
+    code = main(["cohomology", "--fixture", f"{FIX}/circle3.json",
+                 "--degree", "1", "--trivialize-cocycle", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = _one_error_line(captured.err)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: malformed cocycle: {detail}")
+
+
+def test_cohomology_rejects_negative_nerve_dimension(capsys):
+    code = main(["cohomology", "--fixture", f"{FIX}/triangle_cover.json",
+                 "--degree", "1", "--max-nerve-dim", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == ["error: --max-nerve-dim must be >= 0"]
+    code, out = run(capsys, "cohomology", "--fixture",
+                    f"{FIX}/triangle_cover.json", "--degree", "1")
+    assert (code, out) == (0, "H^1 = Z\n")

@@ -5,9 +5,10 @@ with the implementation path it is checking: determinantal divisors for
 Smith forms, brute-force enumeration for invariant lattices, canonical
 form invariance for Hermite forms, classical values for group and
 sphere cohomology in degrees beyond the golden set, rational Gaussian
-elimination for root-datum coordinates and reflections, and the earlier
+elimination for root-datum coordinates and reflections, the earlier
 solve-per-vector cohomology routes for Cech, equivariant and stabilizer
-H^1.
+H^1, and the earlier matrix route for Weyl products, per-element source
+actions and orbit-minimum scan representatives.
 """
 
 import itertools
@@ -70,6 +71,7 @@ from gerbelevels.obstruction import (
     scan_points,
 )
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
+from gerbelevels.weyl import WeylCapExceeded, act_cochar, generate
 from gerbelevels.rootdata import (
     RootDatum,
     classical_datum,
@@ -568,3 +570,121 @@ def test_equivariant_cohomology_matches_oracle(name):
     act = FiniteAction.from_json_dict(load_fixture(name))
     for n in range(4):
         assert equivariant_cohomology(act, n) == oracle_equivariant(act, n), n
+
+
+# --- Weyl groups: the matrix route the root permutations replaced ---------
+
+
+def oracle_generate(rd, cap=10**6):
+    """Breadth-first closure of the simple reflections on character
+    matrices, each product a matmul.  Returns the sorted (char, cochar)
+    pairs and, per element in that order, its (generator, parent) step."""
+    r = rd.rank
+    gens = [(rd.reflection_char(i), rd.reflection_cochar(i))
+            for i in rd.simple_indices]
+    seen = {identity(r): (identity(r), None)}
+    frontier = list(seen)
+    while frontier:
+        new_frontier = []
+        for chm in frontier:
+            for g, (gch, gco) in enumerate(gens):
+                nch = matmul(gch, chm)
+                if nch in seen:
+                    continue
+                seen[nch] = (matmul(gco, seen[chm][0]), (gch, chm))
+                if len(seen) > cap:
+                    raise WeylCapExceeded(cap)
+                new_frontier.append(nch)
+        frontier = new_frontier
+    ordered = sorted(seen)
+    pos = {ch: i for i, ch in enumerate(ordered)}
+    elements = [(ch, seen[ch][0]) for ch in ordered]
+    steps = [None if seen[ch][1] is None
+             else (pos[seen[ch][1][0]], pos[seen[ch][1][1]]) for ch in ordered]
+    return elements, steps
+
+
+def oracle_mult(group, i, j):
+    return group.index_of(matmul(group.elements[i].char_action,
+                                 group.elements[j].char_action))
+
+
+def oracle_inverse(group, i):
+    return group.index_of(transpose(group.elements[i].cochar_action))
+
+
+SMALL_TARGETS = sorted({(s, r, tf) for s, r, _sf, tf in DEFAULT_ATLAS_ROWS})
+
+
+@pytest.mark.parametrize("key", SMALL_TARGETS, ids=lambda k: "".join(map(str, k)))
+def test_weyl_products_match_matrix_oracle(key):
+    rd = classical_datum(*key)
+    group = generate(rd)
+    assert group.order <= 192
+    elements, steps = oracle_generate(rd)
+    assert [(e.char_action, e.cochar_action) for e in group.elements] == elements
+    assert group.tree == tuple(steps)
+    assert group.generators == tuple(
+        group.index_of(rd.reflection_char(i)) for i in rd.simple_indices)
+    n = group.order
+    for i in range(n):
+        assert group.inverse(i) == oracle_inverse(group, i)
+        for j in range(n):
+            assert group.mult(i, j) == oracle_mult(group, i, j)
+
+
+@pytest.mark.parametrize("key", [("A", 2, "SL"), ("B", 2, "SO"), ("A", 3, "GL"),
+                                 ("B", 3, "Spin"), ("D", 4, "PSO")],
+                         ids=lambda k: "".join(map(str, k)))
+def test_weyl_cap_threshold_matches_matrix_oracle(key):
+    rd = classical_datum(*key)
+    n = generate(rd).order
+    caps = range(n + 2) if n <= 24 else (0, 1, n // 2, n - 1, n, n + 1)
+    for cap in caps:
+        raised = []
+        for gen in (generate, oracle_generate):
+            try:
+                gen(rd, cap)
+                raised.append(False)
+            except WeylCapExceeded as err:
+                assert err.cap == cap
+                raised.append(True)
+        assert raised == [cap < n, cap < n], cap
+
+
+@pytest.mark.parametrize("row", DEFAULT_ATLAS_ROWS, ids=lambda r: ",".join(map(str, r)))
+def test_source_actions_match_per_element_reexpression(row):
+    act = SharedWeylAction(classical_isogeny(*row))
+    for i in range(act.group.order):
+        assert act.source_char_action(i) == act._reexpress(i, "char")
+        assert act.source_cochar_action(i) == act._reexpress(i, "cochar")
+
+
+def oracle_scan_representatives(action, max_denominator):
+    """Points of (1/d)Z^r/Z^r, d <= max_denominator, equal to the minimum
+    of their orbit over every element of W."""
+    r = action.iso.target.rank
+    points = {RatVector.make(list(nums), d)
+              for d in range(1, max_denominator + 1)
+              for nums in itertools.product(range(d), repeat=r)}
+    reps = []
+    for xi in points:
+        orbit_min = min((act_cochar(e, xi).mod1() for e in action.group.elements),
+                        key=lambda v: v.fractions())
+        if xi == orbit_min:
+            reps.append(xi)
+    return sorted(reps, key=lambda v: v.fractions())
+
+
+SCAN_ENTRIES = [("A", 3, "SL", "SL"), ("B", 3, "Spin", "Spin"), ("B", 3, "SO", "SO"),
+                ("B", 3, "Spin", "SO"), ("C", 3, "Sp", "Sp"), ("C", 3, "PSp", "PSp"),
+                ("A", 2, "SL", "SL"), ("A", 2, "SL", "PGL"), ("B", 2, "Spin", "Spin"),
+                ("C", 2, "Sp", "Sp")]
+
+
+@pytest.mark.parametrize("entry", SCAN_ENTRIES, ids=lambda e: ",".join(map(str, e)))
+def test_scan_representatives_match_orbit_minimum(entry):
+    iso = classical_isogeny(*entry)
+    act = SharedWeylAction(iso)
+    rows = scan_points(act, basic_level(iso).tensor, 4).rows
+    assert [row.xi for row in rows] == oracle_scan_representatives(act, 4)

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from gerbelevels.intlinalg import RatVector, identity, matmul, transpose
-from gerbelevels.rootdata import classical_datum
+from gerbelevels.rootdata import DatumError, classical_datum
 from gerbelevels.weyl import (
     WeylCapExceeded,
     act_cochar,
@@ -162,3 +163,13 @@ def test_b4_order_384():
     rd = classical_datum("B", 4, "Spin")
     w = generate(rd)
     assert w.order == 384
+
+
+def test_generate_rejects_roots_not_permuted():
+    rd = classical_datum("A", 1, "SL")
+    k = rd.simple_indices[0]
+    # only the simple root: its reflection sends it to a missing root
+    bad = dataclasses.replace(rd, roots=(rd.roots[k],), coroots=(rd.coroots[k],),
+                              simple_indices=(0,))
+    with pytest.raises(DatumError, match="does not permute the roots"):
+        generate(bad)
