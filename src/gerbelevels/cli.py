@@ -47,6 +47,7 @@ from .levels import (
     is_invariant,
 )
 from .obstruction import (
+    BarComplexTooLarge,
     ScanTooLarge,
     SemisimplePoint,
     VerificationCapExceeded,
@@ -635,7 +636,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (WeylCapExceeded, ScanTooLarge, ComplexCapExceeded,
-            VerificationCapExceeded) as err:
+            VerificationCapExceeded, BarComplexTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
 

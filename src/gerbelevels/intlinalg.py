@@ -14,6 +14,7 @@ strictly increase from row to row, entries above a pivot are reduced into
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -193,109 +194,119 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
     return freeze(h), freeze(u)
 
 
-def snf(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def snf(a: Matrix, left: bool = True) -> tuple[Matrix, Matrix | None, Matrix]:
     """Smith normal form.
 
     Returns (S, U, V) with U, V unimodular, U @ a @ V == S, S diagonal
-    with nonnegative entries d1 | d2 | ...
+    with nonnegative entries d1 | d2 | ...  The left transform U is built
+    only when left is true; otherwise U is None, and S and V are the same
+    entry for entry.
+
+    Pivot rule: at step t the pivot is an entry of least absolute value
+    in the submatrix s[t:, t:], the first in row-major order on ties.
+    The search takes each row's least nonzero |entry| and stops at the
+    first row that holds a +-1, since no smaller nonzero entry exists.
+    A pivot that is not a unit must divide the rest of the submatrix, or
+    a row that breaks this is added to the pivot row; for a unit pivot
+    that check cannot fail and is skipped.
+
+    Rows t.. of s are zero left of column t, so updates skip what they
+    would leave unchanged: a row operation touches only the columns where
+    the pivot row is nonzero, and a column operation only the rows where
+    column t is nonzero (just the pivot row, until an extended-gcd column
+    operation refills column t).
     """
     m, n = shape(a)
     s = [list(row) for row in a]
-    u = [list(row) for row in identity(m)]
+    u = [list(row) for row in identity(m)] if left else None
     v = [list(row) for row in identity(n)]
 
     def row_op(i1, i2, x, y, p, q):
-        s[i1], s[i2] = (
-            [x * aa + y * bb for aa, bb in zip(s[i1], s[i2])],
-            [-q * aa + p * bb for aa, bb in zip(s[i1], s[i2])],
-        )
-        u[i1], u[i2] = (
-            [x * aa + y * bb for aa, bb in zip(u[i1], u[i2])],
-            [-q * aa + p * bb for aa, bb in zip(u[i1], u[i2])],
-        )
+        for w in (s, u) if left else (s,):
+            w[i1], w[i2] = (
+                [x * aa + y * bb for aa, bb in zip(w[i1], w[i2])],
+                [-q * aa + p * bb for aa, bb in zip(w[i1], w[i2])],
+            )
 
     def col_op(j1, j2, x, y, p, q):
-        for row_s in s:
-            aa, bb = row_s[j1], row_s[j2]
-            row_s[j1], row_s[j2] = x * aa + y * bb, -q * aa + p * bb
-        for row_v in v:
-            aa, bb = row_v[j1], row_v[j2]
-            row_v[j1], row_v[j2] = x * aa + y * bb, -q * aa + p * bb
-
-    def swap_rows(i1, i2):
-        if i1 != i2:
-            s[i1], s[i2] = s[i2], s[i1]
-            u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        if j1 != j2:
-            for row_s in s:
-                row_s[j1], row_s[j2] = row_s[j2], row_s[j1]
-            for row_v in v:
-                row_v[j1], row_v[j2] = row_v[j2], row_v[j1]
+        for row in itertools.chain(s, v):
+            aa, bb = row[j1], row[j2]
+            row[j1], row[j2] = x * aa + y * bb, -q * aa + p * bb
 
     t = 0
     while t < min(m, n):
-        # deterministic pivot: smallest |entry|, ties broken by position
-        best = None
+        best = 0
         for i in range(t, m):
-            for j in range(t, n):
-                e = abs(s[i][j])
-                if e and (best is None or e < best[0]):
-                    best = (e, i, j)
-        if best is None:
+            e = min(map(abs, filter(None, s[i][t:])), default=0)
+            if e and (not best or e < best):
+                best, bi = e, i
+                if e == 1:
+                    break
+        if not best:
             break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
+        bj = next(j for j in range(t, n) if abs(s[bi][j]) == best)
+        s[t], s[bi] = s[bi], s[t]
+        if left:
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            for row in itertools.chain(s[t:], v):
+                row[t], row[bj] = row[bj], row[t]
         while True:
+            # clear column t below the pivot with row operations
+            support = [j for j in range(t, n) if s[t][j]]
             for i in range(t + 1, m):
                 if s[i][t] == 0:
                     continue
                 aa, bb = s[t][t], s[i][t]
                 if bb % aa == 0:
                     q = bb // aa
-                    s[i] = [w - q * z for w, z in zip(s[i], s[t])]
-                    u[i] = [w - q * z for w, z in zip(u[i], u[t])]
+                    row, pivot_row = s[i], s[t]
+                    for j in support:
+                        row[j] -= q * pivot_row[j]
+                    if left:
+                        u[i] = [w - q * z for w, z in zip(u[i], u[t])]
                 else:
                     g, x, y = xgcd(aa, bb)
                     row_op(t, i, x, y, aa // g, bb // g)
+                    support = [j for j in range(t, n) if s[t][j]]
+            # clear row t right of the pivot with column operations
+            refilled = False
             for j in range(t + 1, n):
                 if s[t][j] == 0:
                     continue
                 aa, bb = s[t][t], s[t][j]
                 if bb % aa == 0:
                     q = bb // aa
-                    for row_s in s:
-                        row_s[j] -= q * row_s[t]
-                    for row_v in v:
-                        row_v[j] -= q * row_v[t]
+                    rows = s[t:] if refilled else (s[t],)
+                    for row in itertools.chain(rows, v):
+                        row[j] -= q * row[t]
                 else:
                     g, x, y = xgcd(aa, bb)
                     col_op(t, j, x, y, aa // g, bb // g)
-            if any(s[i][t] for i in range(t + 1, m)):
+                    refilled = True
+            if refilled and any(s[i][t] for i in range(t + 1, m)):
                 continue
             if any(s[t][j] for j in range(t + 1, n)):
                 continue
-            # pivot must divide the rest of the submatrix
-            culprit = None
             d = s[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % d:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            if d in (1, -1):
+                break
+            # the pivot must divide the rest of the submatrix
+            culprit = next(
+                (i for i in range(t + 1, m) if any(x % d for x in s[i][t + 1:])),
+                None,
+            )
             if culprit is None:
                 break
             s[t] = [aa + bb for aa, bb in zip(s[t], s[culprit])]
-            u[t] = [aa + bb for aa, bb in zip(u[t], u[culprit])]
+            if left:
+                u[t] = [aa + bb for aa, bb in zip(u[t], u[culprit])]
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            if left:
+                u[t] = [-x for x in u[t]]
         t += 1
-    return freeze(s), freeze(u), freeze(v)
+    return freeze(s), (freeze(u) if left else None), freeze(v)
 
 
 def diagonal(a: Matrix) -> tuple[int, ...]:
@@ -332,20 +343,23 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class Smith:
-    """A matrix a factored once by snf: u @ a @ v is diagonal with the
-    entries diag, of which the first rank are nonzero.  Solves, kernels,
-    cokernels and class orders are all read off this one factorization."""
+    """A matrix a with rows rows factored once by snf: u @ a @ v is
+    diagonal with the entries diag, of which the first rank are nonzero.
+    Solves, kernels, cokernels and class orders are all read off this one
+    factorization.  Kernels and cokernels need only v and diag; a factor
+    made with left=False has u = None and cannot reduce or solve."""
 
     diag: tuple[int, ...]
     rank: int
-    u: Matrix
+    rows: int
+    u: Matrix | None
     v: Matrix
 
     @classmethod
-    def of(cls, a: Matrix) -> "Smith":
-        s, u, v = snf(a)
+    def of(cls, a: Matrix, left: bool = True) -> "Smith":
+        s, u, v = snf(a, left=left)
         diag = diagonal(s)
-        return cls(diag, sum(1 for d in diag if d), u, v)
+        return cls(diag, sum(1 for d in diag if d), len(a), u, v)
 
     def kernel(self) -> tuple[Vector, ...]:
         """Basis of {x : a @ x = 0}; the lattice it spans is saturated."""
@@ -358,7 +372,13 @@ class Smith:
         """(u @ y, k): y in Smith coordinates, and the order k of y modulo
         the column span of a, i.e. the least k >= 1 with k*y in the span
         (None when no multiple of y is in it)."""
-        z = matvec(self.u, y)
+        if self.u is None:
+            raise ValueError("factored without the left transform")
+        if len(y) != self.rows:
+            raise DimensionMismatch(f"rhs length {len(y)} != row count {self.rows}")
+        # y is mostly a sparse coboundary column: sum over its support only
+        support = [(j, x) for j, x in enumerate(y) if x]
+        z = tuple(sum(row[j] * x for j, x in support) for row in self.u)
         if any(z[self.rank:]):
             return z, None
         k = 1
@@ -371,8 +391,6 @@ class Smith:
 
         Raises DimensionMismatch if len(y) differs from the row count.
         """
-        if len(y) != len(self.u):
-            raise DimensionMismatch(f"rhs length {len(y)} != row count {len(self.u)}")
         z, k = self.reduce(y)
         x = None
         if k == 1:
@@ -383,7 +401,7 @@ class Smith:
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of {x : a @ x = 0}; the lattice it spans is saturated."""
-    return Smith.of(a).kernel()
+    return Smith.of(a, left=False).kernel()
 
 
 def solve_z(a: Matrix, y: Vector) -> SolveResult:
@@ -445,11 +463,11 @@ class AbelianInvariants:
 
 def cokernel(a: Matrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of a)."""
-    return _cokernel(Smith.of(a))
+    return _cokernel(Smith.of(a, left=False))
 
 
 def _cokernel(sm: Smith) -> AbelianInvariants:
-    return AbelianInvariants.from_diagonal(sm.diag, len(sm.u) - len(sm.diag))
+    return AbelianInvariants.from_diagonal(sm.diag, sm.rows - len(sm.diag))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +550,7 @@ def _quotient(basis, n: int, sub_rows, locate: Vector | None = None):
         if c is None:
             raise ValueError("sub_rows are not inside the ambient lattice")
         coords.append(c)
-    rel = Smith.of(from_columns(coords, len(basis)))
+    rel = Smith.of(from_columns(coords, len(basis)), left=locate is not None)
     inv = _cokernel(rel)
     if locate is None:
         return inv, None, None

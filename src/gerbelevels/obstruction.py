@@ -34,7 +34,6 @@ from .intlinalg import (
     matvec,
     solve_z,
     subquotient,
-    vec_add,
     vec_sub,
 )
 from .levels import LevelTensor, SharedWeylAction, is_invariant
@@ -50,6 +49,21 @@ class VerificationCapExceeded(RuntimeError):
         super().__init__(
             f"subgroup of order {size} exceeds the exhaustive verification cap {cap}"
         )
+
+
+class BarComplexTooLarge(RuntimeError):
+    """The dense bar-complex matrix of an H^1 would exceed H1_CELL_CAP."""
+
+    def __init__(self, cells: int, cap: int):
+        super().__init__(
+            f"H^1 bar complex needs about {cells} matrix cells, over the cap {cap}"
+        )
+
+
+# Dense cells of delta^1 that h1_group_lattice may build, (|W_L|^2 r) rows
+# by |W_L| r columns.  B3 at the origin needs 995,328 and finishes in about
+# a second; D4 at the origin would need 113,246,208 and exhaust memory.
+H1_CELL_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -142,13 +156,21 @@ def centralizer_cocycle(
         d = diff.int_vector()
         d_cocycle[i] = d
         c_cocycle[i] = b.bmap(d)
-    # cocycle identity c_{w1 w2} = w1 . c_{w2} + c_{w1}, all pairs
+    # cocycle identity c_{w1 w2} = w1 . c_{w2} + c_{w1}, all pairs; the
+    # right side is computed once per row and distinct value of c_{w2}
     for i in w_l.members:
         mi = action.source_char_action(i)
+        ci = c_cocycle[i]
+        images: dict[Vector, Vector] = {}
         for j in w_l.members:
-            k = group.mult(i, j)
-            expect = vec_add(matvec(mi, c_cocycle[j]), c_cocycle[i])
-            if c_cocycle[k] != expect:
+            cj = c_cocycle[j]
+            expect = images.get(cj)
+            if expect is None:
+                expect = images[cj] = tuple(
+                    sum(x * y for x, y in zip(row, cj)) + c
+                    for row, c in zip(mi, ci)
+                )
+            if c_cocycle[group.mult(i, j)] != expect:
                 raise AssertionError("cocycle identity failed")
     rational_witness = RatVector.make(
         list(matvec(b.matrix, pt.xi.nums)), pt.xi.den
@@ -258,15 +280,19 @@ def h1_group_lattice(
     Z^1 = ker(delta^1) with (delta^1 c)_{w1,w2} = w1.c_{w2} - c_{w1 w2}
     + c_{w1}; B^1 = im(delta^0) with (delta^0 u)_w = w.u - u.  When a
     cocycle is supplied, its coordinates in the quotient presentation
-    and its exact order there are reported.
+    and its exact order there are reported.  Raises BarComplexTooLarge
+    before building anything when delta^1 would exceed H1_CELL_CAP cells.
     """
     if len(sub) > cap:
         raise VerificationCapExceeded(len(sub), cap)
     members = sub.members
     group = sub.group
     r = len(lattice_action(group.identity_index))
-    pos = {w: k for k, w in enumerate(members)}
     n1 = len(members) * r
+    cells = len(members) ** 2 * r * n1
+    if cells > H1_CELL_CAP:
+        raise BarComplexTooLarge(cells, H1_CELL_CAP)
+    pos = {w: k for k, w in enumerate(members)}
 
     # delta^1 : C^1 -> C^2, one block row per ordered pair
     rows = []

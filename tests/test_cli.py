@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from gerbelevels import obstruction
 from gerbelevels.cli import main
 
 FIX = "fixtures"
@@ -98,6 +100,35 @@ def test_obstruction_bad_xi(capsys):
     # outside the sum-zero span
     code, _ = run(capsys, "obstruction", "A", "1", "SL", "SL", "--xi", "1/2,1/2")
     assert code == 1
+
+
+def test_obstruction_h1_cap_refuses_d4_origin(capsys, monkeypatch):
+    # delta^1 for |W_L| = 192 on rank 4 would have 113,246,208 cells; the
+    # refusal comes before the bar complex is built or factored
+    def unreachable(*args):
+        raise AssertionError("the bar complex was factored")
+
+    monkeypatch.setattr(obstruction, "subquotient", unreachable)
+    code = main(["obstruction", "D", "4", "Spin", "Spin", "--xi", "0,0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: H^1 bar complex needs about 113246208 matrix cells, "
+                      "over the cap 4194304"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("obstruction", "B", "3", "Spin", "Spin", "--xi", "0,0,0", "--format", "json"),
+     "870338a91320e297c108c2e9897c30c339e1d30eabf88e7b3f99d267bb42ae25"),
+    (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4",
+      "--format", "json"),
+     "4f4a114fdce492d67ed9e7b78fb33dd613c057408357ec199751a8d093d92109"),
+], ids=["B3-origin", "z4-degree4"])
+def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan_exit_codes(capsys):

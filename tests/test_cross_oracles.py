@@ -7,10 +7,12 @@ form invariance for Hermite forms, classical values for group and
 sphere cohomology in degrees beyond the golden set, rational Gaussian
 elimination for root-datum coordinates and reflections, the earlier
 solve-per-vector cohomology routes for Cech, equivariant and stabilizer
-H^1, and the earlier matrix route for Weyl products, per-element source
-actions and orbit-minimum scan representatives.
+H^1, the earlier matrix route for Weyl products, per-element source
+actions and orbit-minimum scan representatives, and the earlier
+full-scan Smith form that always builds its left transform.
 """
 
+import importlib.util
 import itertools
 import json
 import random
@@ -19,6 +21,7 @@ from math import gcd
 
 import pytest
 
+from gerbelevels import intlinalg
 from gerbelevels.cech import (
     Cochain,
     CoefficientGroup,
@@ -55,6 +58,7 @@ from gerbelevels.intlinalg import (
     matvec,
     snf,
     transpose,
+    xgcd,
 )
 from gerbelevels.levels import (
     SharedWeylAction,
@@ -688,3 +692,186 @@ def test_scan_representatives_match_orbit_minimum(entry):
     act = SharedWeylAction(iso)
     rows = scan_points(act, basic_level(iso).tensor, 4).rows
     assert [row.xi for row in rows] == oracle_scan_representatives(act, 4)
+
+
+# --- Smith normal form: the full-scan pivot search that always builds U ---
+
+
+def oracle_snf(a):
+    """Smith normal form as computed before the early exits: the pivot is
+    found by scanning the whole remaining submatrix for the first entry of
+    least |value| in row-major order, every pivot (units too) is checked
+    to divide the rest, and U is always built."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    s = [list(row) for row in a]
+    u = [list(row) for row in identity(m)]
+    v = [list(row) for row in identity(n)]
+
+    def row_op(i1, i2, x, y, p, q):
+        for w in (s, u):
+            w[i1], w[i2] = (
+                [x * aa + y * bb for aa, bb in zip(w[i1], w[i2])],
+                [-q * aa + p * bb for aa, bb in zip(w[i1], w[i2])],
+            )
+
+    def col_op(j1, j2, x, y, p, q):
+        for w in (s, v):
+            for row in w:
+                aa, bb = row[j1], row[j2]
+                row[j1], row[j2] = x * aa + y * bb, -q * aa + p * bb
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = abs(s[i][j])
+                if e and (best is None or e < best[0]):
+                    best = (e, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        s[t], s[bi] = s[bi], s[t]
+        u[t], u[bi] = u[bi], u[t]
+        for w in (s, v):
+            for row in w:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            for i in range(t + 1, m):
+                if s[i][t] == 0:
+                    continue
+                aa, bb = s[t][t], s[i][t]
+                if bb % aa == 0:
+                    q = bb // aa
+                    s[i] = [w - q * z for w, z in zip(s[i], s[t])]
+                    u[i] = [w - q * z for w, z in zip(u[i], u[t])]
+                else:
+                    g, x, y = xgcd(aa, bb)
+                    row_op(t, i, x, y, aa // g, bb // g)
+            for j in range(t + 1, n):
+                if s[t][j] == 0:
+                    continue
+                aa, bb = s[t][t], s[t][j]
+                if bb % aa == 0:
+                    q = bb // aa
+                    for w in (s, v):
+                        for row in w:
+                            row[j] -= q * row[t]
+                else:
+                    g, x, y = xgcd(aa, bb)
+                    col_op(t, j, x, y, aa // g, bb // g)
+            if any(s[i][t] for i in range(t + 1, m)):
+                continue
+            if any(s[t][j] for j in range(t + 1, n)):
+                continue
+            d = s[t][t]
+            culprit = None
+            for i in range(t + 1, m):
+                if any(s[i][j] % d for j in range(t + 1, n)):
+                    culprit = i
+                    break
+            if culprit is None:
+                break
+            s[t] = [aa + bb for aa, bb in zip(s[t], s[culprit])]
+            u[t] = [aa + bb for aa, bb in zip(u[t], u[culprit])]
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return freeze(s), freeze(u), freeze(v)
+
+
+def assert_snf_matches_oracle(a):
+    s, u, v = oracle_snf(a)
+    assert snf(a) == (s, u, v), a
+    assert snf(a, left=False) == (s, None, v), a
+    diag = diagonal(s)
+    rank = sum(1 for d in diag if d)
+    n = len(v)
+    assert kernel_basis(a) == tuple(
+        tuple(v[i][j] for i in range(n)) for j in range(rank, n))
+    assert cokernel(a) == AbelianInvariants.from_diagonal(diag, len(a) - len(diag))
+
+
+def unit_rich_matrix(rng, m, n):
+    """Sparse entries in {-2..2}: most rows hold several +-1, so the pivot
+    search meets ties between units in one row and across rows."""
+    return freeze([[rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(n)]
+                   for _ in range(m)])
+
+
+def snf_oracle_cases():
+    rng = random.Random(51)
+    cases = [(), ((),) * 3, freeze([[0] * 4] * 3), freeze([[0]] * 5)]
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        cases.append(unit_rich_matrix(rng, m + rng.randint(2, 6), n))  # tall
+        cases.append(unit_rich_matrix(rng, m, n + rng.randint(2, 6)))  # wide
+        cases.append(random_matrix(rng, m, n, -9, 9))
+        cases.append(freeze([[2 * rng.randint(-4, 4) for _ in range(n)]
+                             for _ in range(m + 1)]))  # all even, no unit
+    return cases
+
+
+def test_snf_matches_full_scan_oracle_on_random_matrices():
+    cases = snf_oracle_cases()
+    assert any(x in (1, -1) for a in cases for row in a for x in row)
+    assert any(a and all(x % 2 == 0 for row in a for x in row) and any(map(any, a))
+               for a in cases)
+    for a in cases:
+        assert_snf_matches_oracle(a)
+
+
+def recorded_snf_inputs(monkeypatch, fn, *args):
+    """Run fn(*args) and return every matrix it handed to intlinalg.snf."""
+    seen = []
+    real = intlinalg.snf
+
+    def recording(a, left=True):
+        seen.append(a)
+        return real(a, left=left)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(intlinalg, "snf", recording)
+        fn(*args)
+    return seen
+
+
+def workload_cert_points():
+    """The certificate points of the benchmark's cohomology workload, read
+    from perfbench/workloads.py, in reference coordinates."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", "perfbench/workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    for series, rank, sf, tf, point, count in wl.CERT_POINTS:
+        for xi in wl._weyl_conjugates(series, point, count):
+            yield (series, rank, sf, tf), xi
+
+
+def test_snf_matches_full_scan_oracle_on_certificate_h1(monkeypatch):
+    points = list(workload_cert_points())
+    assert len(points) == 18
+    shapes = set()
+    for entry, xi in points:
+        iso = classical_isogeny(*entry)
+        act = SharedWeylAction(iso)
+        coords = iso.target.cochar_coords_q(tuple(xi))
+        pt = SemisimplePoint(RatVector.from_fractions(coords))
+        res = centralizer_cocycle(act, basic_level(iso).tensor, pt)
+        for a in recorded_snf_inputs(monkeypatch, h1_group_lattice, res.w_l,
+                                     act.source_char_action, res.c_cocycle):
+            assert_snf_matches_oracle(a)
+            shapes.add((len(a), len(a[0]) if a else 0))
+    assert (1024, 64) in shapes  # the D4 certificate's delta^1
+
+
+@pytest.mark.parametrize("name", ACTION_FIXTURES)
+def test_snf_matches_full_scan_oracle_on_equivariant_coboundaries(monkeypatch, name):
+    act = FiniteAction.from_json_dict(load_fixture(name))
+    for n in range(4):
+        inputs = recorded_snf_inputs(monkeypatch, equivariant_cohomology, act, n)
+        assert inputs
+        for a in inputs:
+            assert_snf_matches_oracle(a)

@@ -6,6 +6,7 @@ from gerbelevels.intlinalg import (
     AbelianInvariants,
     DimensionMismatch,
     RatVector,
+    Smith,
     cokernel,
     det,
     diagonal,
@@ -175,6 +176,21 @@ def test_solve_kernel_line():
 def test_solve_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         solve_z(freeze([[1, 2], [3, 4]]), (1,))
+
+
+def test_smith_without_left_transform():
+    a = freeze([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    full = Smith.of(a)
+    bare = Smith.of(a, left=False)
+    assert bare.u is None and bare.rows == full.rows == 3
+    assert (bare.diag, bare.rank, bare.v) == (full.diag, full.rank, full.v)
+    assert bare.kernel() == full.kernel()
+    with pytest.raises(ValueError, match="left transform"):
+        bare.reduce((1, 0, 0))
+    with pytest.raises(ValueError, match="left transform"):
+        bare.solve((1, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        full.reduce((1, 0))
 
 
 def test_solve_random_roundtrip():

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from gerbelevels import obstruction
 from gerbelevels.intlinalg import AbelianInvariants, RatVector, matvec, vec_sub
 from gerbelevels.levels import LevelTensor, SharedWeylAction, basic_level
 from gerbelevels.obstruction import (
+    BarComplexTooLarge,
     ObstructionError,
     ScanTooLarge,
     SemisimplePoint,
@@ -125,6 +127,45 @@ def test_cocycle_identity_exhaustive():
             assert res.c_cocycle[k] == vec_add(
                 matvec(mi, res.c_cocycle[j]), res.c_cocycle[i]
             )
+
+
+def test_cocycle_identity_catches_any_single_corrupted_value(monkeypatch):
+    # at the origin W_L = W and every c_w is 0; shifting d_w at one element
+    # breaks the identity only at pairs involving that element, so each
+    # shift is caught only if those pairs are compared
+    iso = identity_isogeny(classical_datum("B", 2, "Spin"))
+    action = SharedWeylAction(iso)
+    b = basic_level(iso).tensor
+    pt = SemisimplePoint(RatVector.zero(2))
+    g = action.group
+    shift = RatVector.make([1, 0])
+    real = obstruction.act_cochar
+    for target in range(len(g.elements)):
+        if target == g.identity_index:
+            continue
+        bad = g.elements[target]
+
+        def shifted(e, xi, bad=bad):
+            out = real(e, xi)
+            return out + shift if e is bad else out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(obstruction, "act_cochar", shifted)
+            with pytest.raises(AssertionError, match="cocycle identity"):
+                centralizer_cocycle(action, b, pt)
+    assert len(centralizer_cocycle(action, b, pt).w_l) == 8
+
+
+def test_h1_bar_complex_cap_edges(monkeypatch):
+    action, b, pt = spin7_setup()
+    res = centralizer_cocycle(action, b, pt)
+    cells = (8 * 8 * 3) * (8 * 3)  # delta^1 of |W_L| = 8 on rank 3
+    monkeypatch.setattr(obstruction, "H1_CELL_CAP", cells)
+    assert h1_group_lattice(res.w_l, action.source_char_action).invariants == \
+        AbelianInvariants(0, (2,))
+    monkeypatch.setattr(obstruction, "H1_CELL_CAP", cells - 1)
+    with pytest.raises(BarComplexTooLarge, match=f"{cells} matrix cells.*cap {cells - 1}"):
+        h1_group_lattice(res.w_l, action.source_char_action)
 
 
 def test_log_independence():
