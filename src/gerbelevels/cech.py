@@ -114,7 +114,7 @@ class CoefficientGroup:
 
     def is_automorphism(self, m: Matrix) -> bool:
         """Integer matrix inducing an automorphism of the group."""
-        if len(m) != self.size:
+        if len(m) != self.size or any(len(row) != self.size for row in m):
             return False
         rels = self.relation_vectors()
         for rel in rels:
@@ -229,11 +229,8 @@ class Nerve:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Nerve":
         try:
-            n_vertices = int(d["n_vertices"])
-            simplices = tuple(
-                tuple(tuple(int(v) for v in s) for s in level)
-                for level in d["simplices"]
-            )
+            n_vertices = freeze(d["n_vertices"], 0)
+            simplices = freeze(d["simplices"], 3)
         except (KeyError, TypeError, ValueError) as err:
             raise _malformed("nerve", err) from None
         return cls(n_vertices, simplices)
@@ -345,10 +342,9 @@ class Cochain:
     def from_json_dict(cls, nerve: Nerve, group: CoefficientGroup,
                        d: dict) -> "Cochain":
         try:
-            degree = int(d["degree"])
+            degree = freeze(d["degree"], 0)
             values = {
-                tuple(int(v) for v in e["simplex"]): tuple(int(x) for x in e["value"])
-                for e in d["values"]
+                freeze(e["simplex"], 1): freeze(e["value"], 1) for e in d["values"]
             }
         except (KeyError, TypeError, ValueError) as err:
             raise _malformed("cocycle", err) from None
@@ -442,7 +438,7 @@ def _cech_matrix(nerve: Nerve, p: int, size: int) -> Matrix:
             for j in range(len(src)):
                 row[j * size + ccoord] = blocks[j * size + ccoord]
             rows.append(tuple(row))
-    return freeze(rows) if rows else ()
+    return tuple(rows)
 
 
 def _relations(total: int, group: CoefficientGroup) -> tuple[Vector, ...]:
@@ -605,7 +601,7 @@ class FiniteGroupTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteGroupTable":
-        return cls(tuple(tuple(int(x) for x in row) for row in d["table"]))
+        return cls(freeze(d["table"]))
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
@@ -685,10 +681,8 @@ class FiniteAction:
                 group=FiniteGroupTable.from_json_dict(d["group"]),
                 nerve=Nerve.from_json_dict(d["nerve"]),
                 coefficients=parse_group_label(d["coefficients"]),
-                vertex_perms=tuple(
-                    tuple(int(x) for x in p) for p in d["vertex_perms"]
-                ),
-                coeff_actions=tuple(freeze(m) for m in d["coeff_actions"]),
+                vertex_perms=freeze(d["vertex_perms"]),
+                coeff_actions=freeze(d["coeff_actions"], 3),
             )
         except CechError:
             raise
@@ -837,8 +831,8 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
                                 dst_coord2(ti, out_si, c)
                             ] += coef
 
-    matrix = freeze([[cols[j][i] for j in range(src_total)]
-                     for i in range(dst_total)]) if dst_total else ()
+    matrix = tuple(tuple(cols[j][i] for j in range(src_total))
+                   for i in range(dst_total))
     return matrix, src_total, dst_total
 
 

@@ -160,7 +160,7 @@ def resolve_level(action: SharedWeylAction, spec: str) -> LevelTensor:
             with open(spec) as fh:
                 data = json.load(fh)
             level = LevelTensor(iso, freeze(data["matrix"]))
-        except (OSError, KeyError, ValueError) as err:
+        except (OSError, KeyError, TypeError, ValueError) as err:
             raise CliError(f"cannot load level from {spec!r}: {err}",
                            EXIT_BAD_INPUT)
     if not is_invariant(action, level):
@@ -309,10 +309,10 @@ def cmd_obstruction(args) -> int:
             f"xi must have {tgt.ambient_dim} reference coordinates",
             EXIT_BAD_INPUT,
         )
-    coords = tgt.cochar_coords_q(xi_amb.fractions())
+    coords = tgt.cochar_coords_q(xi_amb)
     if coords is None:
         raise CliError("xi lies outside the cocharacter span", EXIT_BAD_INPUT)
-    pt = SemisimplePoint(RatVector.from_fractions(coords))
+    pt = SemisimplePoint(coords)
     try:
         res = obstruction_report(action, level, pt,
                                  verify_cap=args.max_subgroup_order)
@@ -493,14 +493,14 @@ def cmd_extension(args) -> int:
     data = _load_fixture(args.fixture)
     try:
         if "cyclic" in data["group"]:
-            table = cyclic_group(int(data["group"]["cyclic"]))
+            table = cyclic_group(freeze(data["group"]["cyclic"], 0))
         else:
             table = FiniteGroupTable.from_json_dict(data["group"])
         coeff = parse_group_label(data["coefficients"])
-        psi = {
-            (int(e["pair"][0]), int(e["pair"][1])): tuple(e["value"])
-            for e in data.get("psi", [])
-        }
+        psi = {}
+        for e in data.get("psi", []):
+            g1, g2 = freeze(e["pair"], 1)
+            psi[g1, g2] = freeze(e["value"], 1)
         res = central_extension_from_cocycle(table, coeff, psi)
     except (CechError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"extension rejected: {err}", EXIT_BAD_INPUT)

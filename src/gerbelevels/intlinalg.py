@@ -21,8 +21,6 @@ from math import gcd, lcm
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
-FracVec = tuple[Fraction, ...]
-FracMat = tuple[FracVec, ...]
 
 
 class DimensionMismatch(ValueError):
@@ -33,8 +31,19 @@ class DimensionMismatch(ValueError):
 # basic matrix utilities
 
 
-def freeze(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+def freeze(x, depth: int = 2):
+    """Validate outside input: lists (or tuples) nested depth deep, 2 for
+    a matrix, 1 for a vector and 0 for one integer, whose entries are
+    ints, returned as tuples.  A bool, float, string or None where an int
+    belongs, or a non-list where a list belongs, raises TypeError; nothing
+    is converted."""
+    if depth == 0:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"expected an integer, got {x!r}")
+        return x
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"expected a list, got {x!r}")
+    return tuple(freeze(y, depth - 1) for y in x)
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -191,7 +200,7 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
         row += 1
         if row == m:
             break
-    return freeze(h), freeze(u)
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def snf(a: Matrix, left: bool = True) -> tuple[Matrix, Matrix | None, Matrix]:
@@ -306,7 +315,8 @@ def snf(a: Matrix, left: bool = True) -> tuple[Matrix, Matrix | None, Matrix]:
             if left:
                 u[t] = [-x for x in u[t]]
         t += 1
-    return freeze(s), (freeze(u) if left else None), freeze(v)
+    return (tuple(map(tuple, s)), tuple(map(tuple, u)) if left else None,
+            tuple(map(tuple, v)))
 
 
 def diagonal(a: Matrix) -> tuple[int, ...]:
@@ -397,6 +407,20 @@ class Smith:
             w = [z[i] // self.diag[i] for i in range(self.rank)]
             x = matvec(self.v, tuple(w + [0] * (len(self.v) - self.rank)))
         return SolveResult(x, self.kernel(), k)
+
+    def inverse(self) -> tuple[Matrix, int]:
+        """(m, d) with a^-1 = m / d for a square nonsingular a.  From
+        u @ a @ v = diag(d_1, ..., d_n), a^-1 = v @ diag(d / d_i) @ u / d
+        with d = d_n, which every d_i divides (Cohen, GTM 138, 2.4)."""
+        if self.u is None:
+            raise ValueError("factored without the left transform")
+        n = len(self.v)
+        if self.rows != n or self.rank != n:
+            raise ValueError("matrix is singular")
+        d = self.diag[-1] if n else 1
+        scaled = tuple(tuple(d // di * x for x in row)
+                       for di, row in zip(self.diag, self.u))
+        return matmul(self.v, scaled), d
 
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
@@ -594,63 +618,6 @@ def kernel_basis_mod2(a: Matrix) -> tuple[Vector, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact rational helpers (Fraction matrices)
-
-
-def frac_matvec(a: FracMat, v) -> FracVec:
-    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
-
-
-def frac_solve(a: FracMat, y) -> FracVec | None:
-    """Solve a @ x = y exactly over the rationals (None if inconsistent).
-
-    When the solution is not unique the free variables are set to 0,
-    deterministically.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        sel = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y2 for x, y2 in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return tuple(x)
-
-
-def frac_inverse(a: FracMat) -> FracMat:
-    n = len(a)
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-        col = frac_solve(a, e)
-        if col is None:
-            raise ValueError("matrix is singular")
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-# ---------------------------------------------------------------------------
 # rational vectors with a common reduced denominator
 
 
@@ -704,7 +671,7 @@ class RatVector:
     def __len__(self) -> int:
         return len(self.nums)
 
-    def fractions(self) -> FracVec:
+    def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
@@ -743,3 +710,10 @@ class RatVector:
     def mod1(self) -> "RatVector":
         """Representative with all coordinates in [0, 1)."""
         return RatVector.make([x % self.den for x in self.nums], self.den)
+
+
+def over_common_denominator(vecs) -> tuple[Matrix, int]:
+    """(m, d) with vecs[i] = m[i] / d: RatVector rows scaled to the least
+    common multiple d of their denominators."""
+    d = lcm(*(v.den for v in vecs))
+    return tuple(tuple(d // v.den * x for x in v.nums) for v in vecs), d

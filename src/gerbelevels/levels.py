@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .intlinalg import (
-    FracMat,
     Matrix,
+    RatVector,
     Vector,
-    freeze,
     hnf_basis,
     identity,
     kernel_basis,
@@ -36,9 +35,10 @@ from .intlinalg import (
     lattices_equal,
     matmul,
     matvec,
+    over_common_denominator,
     transpose,
 )
-from .rootdata import DatumError, IsogenyDatum, RootDatum, dot, fracvec
+from .rootdata import DatumError, IsogenyDatum, RootDatum
 from .weyl import WeylGroup, generate, simple_root_permutations
 
 
@@ -52,7 +52,7 @@ class LevelTensor:
     def __post_init__(self):
         if len(self.matrix) != self.iso.source.rank:
             raise DatumError("level matrix has wrong row count")
-        if self.matrix and len(self.matrix[0]) != self.iso.target.rank:
+        if any(len(row) != self.iso.target.rank for row in self.matrix):
             raise DatumError("level matrix has wrong column count")
 
     def bmap(self, lam: Vector) -> Vector:
@@ -82,22 +82,24 @@ class LevelTensor:
     def neg(self) -> "LevelTensor":
         return self.scale(-1)
 
-    def ambient_form(self) -> FracMat:
+    def ambient_form(self) -> tuple[tuple[Fraction, ...], ...]:
         """Coefficient matrix of b on reference coordinates (for display)."""
-        cs = self.iso.source.char_basis
-        ct = self.iso.target.char_basis
-        n = self.iso.source.ambient_dim
-        out = []
-        for s in range(n):
-            row = []
-            for t in range(self.iso.target.ambient_dim):
-                val = Fraction(0)
-                for i in range(len(cs)):
-                    for j in range(len(ct)):
-                        val += self.matrix[i][j] * cs[i][s] * ct[j][t]
-                row.append(val)
-            out.append(tuple(row))
-        return tuple(out)
+        amb, den = self._ambient_numerators()
+        return tuple(tuple(Fraction(x, den) for x in row) for row in amb)
+
+    def _ambient_numerators(self) -> tuple[Matrix, int]:
+        """(a, d) with a / d the ambient form: C_S^T B C_T over the
+        character bases C_S, C_T written over common denominators."""
+        cs, ds = over_common_denominator(self.iso.source.char_basis)
+        ct, dt = over_common_denominator(self.iso.target.char_basis)
+        n_s, n_t = self.iso.source.ambient_dim, self.iso.target.ambient_dim
+        bct = [[sum(b * row[t] for b, row in zip(brow, ct)) for t in range(n_t)]
+               for brow in self.matrix]
+        amb = tuple(
+            tuple(sum(row[s] * x[t] for row, x in zip(cs, bct)) for t in range(n_t))
+            for s in range(n_s)
+        )
+        return amb, ds * dt
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +143,7 @@ class SharedWeylAction:
             c = coords_q(vec)
             if c is None:
                 raise DatumError("source basis vector outside the target span")
-            img_coords = tuple(
-                sum((Fraction(action[i][j]) * c[j] for j in range(len(c))),
-                    Fraction(0))
-                for i in range(len(c))
-            )
-            img = coords(amb(img_coords))
+            img = coords(amb(c.apply(action)))
             if img is None:
                 raise DatumError("Weyl action does not preserve the source lattice")
             cols.append(img)
@@ -221,8 +218,8 @@ def invariant_level_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]
     if not rows:
         basis_vecs = tuple(identity(rs * rt))
     else:
-        basis_vecs = kernel_basis(freeze(rows))
-    canon = hnf_basis(freeze(basis_vecs)) if basis_vecs else ()
+        basis_vecs = kernel_basis(tuple(rows))
+    canon = hnf_basis(basis_vecs) if basis_vecs else ()
     out = []
     for vec in canon:
         mat = tuple(tuple(vec[i * rt + j] for j in range(rt)) for i in range(rs))
@@ -289,11 +286,11 @@ def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvRep
     parity_rows = []
     for ridx in range(len(tgt.roots)):
         parity_rows.append(tuple(coroot_value(b, ridx) & 1 for b in basis))
-    ker2 = kernel_basis_mod2(freeze(parity_rows))
+    ker2 = kernel_basis_mod2(tuple(parity_rows))
     gens = [tuple(v) for v in ker2]
     for i in range(k):
         gens.append(tuple(2 if j == i else 0 for j in range(k)))
-    coeff_basis = hnf_basis(freeze(gens))
+    coeff_basis = hnf_basis(tuple(gens))
     out = []
     for coeffs in coeff_basis:
         mat = None
@@ -303,8 +300,7 @@ def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvRep
         out.append(mat)
     # recanonicalize in vector form so output is basis-choice independent
     rt = iso.target.rank
-    vecs = freeze([sum((list(r) for r in b.matrix), []) for b in out])
-    canon = hnf_basis(vecs)
+    canon = hnf_basis(_vectorize(b.matrix for b in out))
     out = tuple(
         LevelTensor(iso, tuple(tuple(v[i * rt + j] for j in range(rt))
                                for i in range(iso.source.rank)))
@@ -336,24 +332,35 @@ class BasicLevelResult:
     member: bool
     minimal_multiple: int
     tensor: LevelTensor
-    rational_matrix: FracMat
+
+    @property
+    def rational_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basic level itself, tensor / minimal_multiple (for display)."""
+        k = self.minimal_multiple
+        return tuple(tuple(Fraction(x, k) for x in row) for row in self.tensor.matrix)
+
+
+def _cochar_gram(iso: IsogenyDatum) -> tuple[Matrix, int]:
+    """(g, d) with g[i][j] / d = <mu_i, lambda_j> over the source and
+    target cocharacter bases."""
+    ms, ds = over_common_denominator(iso.source.cochar_basis)
+    mt, dt = over_common_denominator(iso.target.cochar_basis)
+    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in mt)
+                 for a in ms), ds * dt
 
 
 def basic_level(iso: IsogenyDatum) -> BasicLevelResult:
-    src, tgt = iso.source, iso.target
-    norms = [dot(ac, ac) for ac in tgt.coroots]
-    if norms:
-        scale = Fraction(2) / min(norms)
-    else:
-        scale = Fraction(1)
-    rat = tuple(
-        tuple(scale * dot(mu, lam) for lam in tgt.cochar_basis)
-        for mu in src.cochar_basis
-    )
-    den = lcm(*(x.denominator for row in rat for x in row))
-    mat = tuple(tuple(int(x * den) for x in row) for row in rat)
-    tensor = LevelTensor(iso, mat)
-    return BasicLevelResult(den == 1, den, tensor, rat)
+    gram, den = _cochar_gram(iso)
+    coroots, cden = over_common_denominator(iso.target.coroots)
+    num = 1
+    if coroots:
+        # the scale 2 / min <acheck, acheck> is 2 cden^2 / least
+        least = min(sum(x * x for x in ac) for ac in coroots)
+        num, den = 2 * cden * cden, den * least
+    # the basic level is num * gram / den, and g cancels their common factor
+    g = gcd(den, *(num * x for row in gram for x in row))
+    mat = tuple(tuple(num * x // g for x in row) for row in gram)
+    return BasicLevelResult(den == g, den // g, LevelTensor(iso, mat))
 
 
 def named_basic_level(series: str, rank: int, form: str) -> BasicLevelResult:
@@ -389,8 +396,8 @@ def restrict_to_rank_one(b: LevelTensor, root) -> RankOneRestriction:
     if ridx is None or not (0 <= ridx < len(tgt.roots)):
         raise DatumError(f"{root!r} is not a root of {tgt.name}")
     acheck = tgt.coroots[ridx]
-    half = tuple(Fraction(x, 2) for x in fracvec(acheck))
-    kills_minus_one = tgt.cochar_coords(half) is not None
+    kills_minus_one = tgt.cochar_coords(
+        RatVector.make(acheck.nums, 2 * acheck.den)) is not None
     subgroup_type = "PGL2" if kills_minus_one else "SL2"
     value = coroot_value(b, ridx)
     return RankOneRestriction(
@@ -401,14 +408,15 @@ def restrict_to_rank_one(b: LevelTensor, root) -> RankOneRestriction:
     )
 
 
-def symmetric_projection(b: LevelTensor) -> FracMat:
+def symmetric_projection(b: LevelTensor) -> tuple[tuple[Fraction, ...], ...]:
     """(b + b^T)/2 on ambient coordinates; labeled convenience, H = G only."""
     if b.iso.source != b.iso.target:
         raise DatumError("symmetric projection needs source == target")
-    amb = b.ambient_form()
+    amb, den = b._ambient_numerators()
     n = len(amb)
     return tuple(
-        tuple(Fraction(amb[i][j] + amb[j][i], 2) for j in range(n)) for i in range(n)
+        tuple(Fraction(amb[i][j] + amb[j][i], 2 * den) for j in range(n))
+        for i in range(n)
     )
 
 
@@ -450,8 +458,8 @@ def allowable_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]:
     return ev_filter(inv, action).basis
 
 
-def _vectorize(mats):
-    return freeze([sum((list(r) for r in m), []) for m in mats])
+def _vectorize(mats) -> Matrix:
+    return tuple(tuple(x for row in m for x in row) for m in mats)
 
 
 def claimed_lattice(iso: IsogenyDatum, claim: dict) -> tuple[tuple[Matrix, ...] | None, str | None]:
@@ -462,30 +470,30 @@ def claimed_lattice(iso: IsogenyDatum, claim: dict) -> tuple[tuple[Matrix, ...] 
         if mult == "n":
             mult = iso.target.ambient_dim
         basic = basic_level(iso)
-        rat = tuple(
-            tuple(mult * x for x in row) for row in basic.rational_matrix
-        )
-        if any(x.denominator != 1 for row in rat for x in row):
+        k = basic.minimal_multiple
+        if any(mult * x % k for row in basic.tensor.matrix for x in row):
             return None, (
                 f"claimed generator {mult}*basic is not integral on the "
                 "cocharacter lattices"
             )
-        return (tuple(tuple(int(x) for x in row) for row in rat),), None
+        return (tuple(tuple(mult * x // k for x in row)
+                      for row in basic.tensor.matrix),), None
     if kind == "gl_family":
         # spanned by sum(t_i^2) and (t_1 + ... + t_n)^2
-        src, tgt = iso.source, iso.target
-        eye = tuple(
-            tuple(int(dot(mu, lam)) for lam in tgt.cochar_basis)
-            for mu in src.cochar_basis
-        )
-        n = iso.source.ambient_dim
-        one = fracvec([1] * n)
-        ones = tuple(
-            tuple(int(dot(mu, one) * dot(one, lam)) for lam in tgt.cochar_basis)
-            for mu in src.cochar_basis
-        )
+        gram, den = _cochar_gram(iso)
+        ms, ds = over_common_denominator(iso.source.cochar_basis)
+        mt, dt = over_common_denominator(iso.target.cochar_basis)
+        eye = tuple(tuple(_truncated(x, den) for x in row) for row in gram)
+        ones = tuple(tuple(_truncated(sum(a) * sum(b), den) for b in mt)
+                     for a in ms)
         return (eye, ones), None
     raise DatumError(f"unknown claim kind {kind!r}")
+
+
+def _truncated(num: int, den: int) -> int:
+    """num / den rounded toward zero, as int() rounds a rational."""
+    q = abs(num) // den
+    return q if num >= 0 else -q
 
 
 def compare_with_reference(action: SharedWeylAction, claim: dict | None) -> AtlasEntry:

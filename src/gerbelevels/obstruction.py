@@ -22,6 +22,7 @@ full sweep is what makes the certificate self-contained.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .intlinalg import (
     AbelianInvariants,
@@ -29,7 +30,6 @@ from .intlinalg import (
     RatVector,
     Smith,
     Vector,
-    freeze,
     identity,
     matvec,
     solve_z,
@@ -200,7 +200,7 @@ def _coboundary_system(res: ObstructionResult, members) -> tuple[Matrix, Vector]
         for a in range(r):
             rows.append(tuple(m[a][c] - eye[a][c] for c in range(r)))
         rhs.extend(res.c_cocycle[i])
-    return freeze(rows), tuple(rhs)
+    return tuple(rows), tuple(rhs)
 
 
 def is_trivial_class(res: ObstructionResult) -> Vector | None:
@@ -318,7 +318,7 @@ def h1_group_lattice(
     locate = None
     if cocycle is not None:
         locate = tuple(x for w in members for x in cocycle[w])
-    return H1Result(*subquotient(n1, freeze(rows), (), freeze(d0), (), locate))
+    return H1Result(*subquotient(n1, tuple(rows), (), tuple(d0), (), locate))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,9 @@ def scan_points(
     gens = [action.group.elements[g] for g in action.group.generators]
     reps = []
     visited = set()
-    for xi in sorted(points, key=lambda v: v.fractions()):
+    # numerators over one common denominator order points as rationals do
+    common = lcm(*range(1, max_denominator + 1))
+    for xi in sorted(points, key=lambda v: [common // v.den * x for x in v.nums]):
         if xi in visited:
             continue
         # the first point of an orbit in sorted order is its minimum

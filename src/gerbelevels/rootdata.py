@@ -5,6 +5,9 @@ orthonormal reference coordinates t_1..t_N (characters) and the dual
 coordinates e_1..e_N (cocharacters); the reference pairing is the dot
 product.  Character and cocharacter lattices are given by rational row
 bases that are exactly dual: char_basis @ cochar_basis^T = identity.
+Every ambient vector (basis vector, root, coroot) is a RatVector, integer
+numerators over one reduced denominator, which is also its JSON form
+{"num": [...], "den": d}.
 
 Coordinate conventions used throughout the package:
   * coordinate vectors are columns; integer matrices act on the left;
@@ -14,11 +17,16 @@ Coordinate conventions used throughout the package:
 
 Coordinates are pairings.  Because the bases are dual, the j-th
 coordinate of v in char_basis is <v, cochar_basis[j]> and the j-th
-coordinate in cochar_basis is <char_basis[j], v>.  A span check follows:
-the coordinates are returned only when the combination they name gives v
-back, so a vector outside the span gets None, and a returned vector is
-correct even on non-dual input.  validate_datum checks the duality
-itself.
+coordinate in cochar_basis is <char_basis[j], v>.  Each basis and the
+basis it pairs against are held once per datum as integer rows over a
+common denominator, so a coordinate vector is an integer matrix-vector
+product over one denominator, and "integral" means that denominator
+divides every entry.  A span check follows: the coordinates are
+returned only when the combination they name gives v back (an integer
+comparison), so a vector outside the span gets None, and a returned
+vector is correct even on non-dual input.  validate_datum checks the
+duality itself.  The one rational inverse needed, of a Gram matrix for a
+dual basis, is read off its Smith form.
 
 A homomorphism H -> G with central kernel and G = Z(G).Im(H) is encoded
 by an IsogenyDatum: the restriction map on characters, the induced map on
@@ -31,20 +39,19 @@ content beyond them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd
 
 from .intlinalg import (
-    FracMat,
-    FracVec,
     Matrix,
+    RatVector,
+    Smith,
     Vector,
     cokernel,
-    frac_inverse,
-    frac_matvec,
     freeze,
     matmul,
+    matvec,
+    over_common_denominator,
     transpose,
 )
 
@@ -55,46 +62,73 @@ class DatumError(ValueError):
     """Rejected or inconsistent root-datum input."""
 
 
-def fracvec(xs) -> FracVec:
-    return tuple(Fraction(x) for x in xs)
-
-
-def dot(x: FracVec, y: FracVec) -> Fraction:
+def _pairing(x: RatVector, y: RatVector) -> tuple[int, int]:
+    """<x, y> as a reduced (numerator, denominator)."""
     if len(x) != len(y):
         raise DatumError("ambient dimension mismatch")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    num = sum(a * b for a, b in zip(x.nums, y.nums))
+    den = x.den * y.den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _combination(coords, basis: tuple[FracVec, ...], n: int) -> FracVec:
-    """sum_j coords[j] * basis[j] in the n-dimensional ambient space."""
-    return tuple(
-        sum((Fraction(c) * row[j] for c, row in zip(coords, basis)), Fraction(0))
-        for j in range(n)
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, written "n" or "n/d"."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _reflected(v: RatVector, alpha: RatVector, acheck: RatVector) -> RatVector:
+    """v - <v, acheck> alpha."""
+    p, q = _pairing(v, acheck)
+    return RatVector.make(
+        [q * alpha.den * x - p * v.den * a for x, a in zip(v.nums, alpha.nums)],
+        q * v.den * alpha.den,
     )
 
 
-def _coords_in(basis: tuple[FracVec, ...], dual: tuple[FracVec, ...],
-               v: FracVec) -> FracVec | None:
-    """Coordinates of v in basis, as pairings with the dual basis; None
-    when v is outside the span."""
-    c = tuple(dot(v, d) for d in dual)
-    return c if _combination(c, basis, len(v)) == v else None
+class _Frame:
+    """A basis and the basis it pairs against, as integer rows over one
+    common denominator each, in an n-dimensional ambient space."""
 
+    def __init__(self, basis: tuple[RatVector, ...], dual: tuple[RatVector, ...],
+                 n: int):
+        rows, self.den = over_common_denominator(basis)
+        self.columns = tuple(tuple(row[j] for row in rows) for j in range(n))
+        self.dual, self.dual_den = over_common_denominator(dual)
 
-def _integral(c: FracVec | None) -> Vector | None:
-    if c is None or any(x.denominator != 1 for x in c):
-        return None
-    return tuple(x.numerator for x in c)
+    def coords_q(self, v: RatVector) -> RatVector | None:
+        """Coordinates of v, or None when v is outside the span."""
+        if len(v) != len(self.columns):
+            raise DatumError("ambient dimension mismatch")
+        c = [sum(a * x for a, x in zip(row, v.nums)) for row in self.dual]
+        k = self.den * self.dual_den
+        if any(sum(a * y for a, y in zip(col, c)) != k * x
+               for col, x in zip(self.columns, v.nums)):
+            return None
+        return RatVector.make(c, self.dual_den * v.den)
+
+    def coords(self, v: RatVector) -> Vector | None:
+        c = self.coords_q(v)
+        return c.nums if c is not None and c.is_integral else None
+
+    def ambient(self, coords: RatVector) -> RatVector:
+        """The combination of the basis with the given coordinates."""
+        return RatVector.make(
+            [sum(a * x for a, x in zip(col, coords.nums)) for col in self.columns],
+            self.den * coords.den,
+        )
 
 
 @dataclass(frozen=True)
 class RootDatum:
     name: str
     ambient_dim: int
-    char_basis: tuple[FracVec, ...]
-    cochar_basis: tuple[FracVec, ...]
-    roots: tuple[FracVec, ...]
-    coroots: tuple[FracVec, ...]
+    char_basis: tuple[RatVector, ...]
+    cochar_basis: tuple[RatVector, ...]
+    roots: tuple[RatVector, ...]
+    coroots: tuple[RatVector, ...]
     simple_indices: tuple[int, ...]
 
     @property
@@ -103,23 +137,31 @@ class RootDatum:
 
     # -- coordinates ------------------------------------------------------
 
-    def char_coords(self, v) -> Vector | None:
-        return _integral(self.char_coords_q(v))
+    @cached_property
+    def _char_frame(self) -> _Frame:
+        return _Frame(self.char_basis, self.cochar_basis, self.ambient_dim)
 
-    def cochar_coords(self, v) -> Vector | None:
-        return _integral(self.cochar_coords_q(v))
+    @cached_property
+    def _cochar_frame(self) -> _Frame:
+        return _Frame(self.cochar_basis, self.char_basis, self.ambient_dim)
 
-    def char_coords_q(self, v) -> FracVec | None:
-        return _coords_in(self.char_basis, self.cochar_basis, fracvec(v))
+    def char_coords(self, v: RatVector) -> Vector | None:
+        return self._char_frame.coords(v)
 
-    def cochar_coords_q(self, v) -> FracVec | None:
-        return _coords_in(self.cochar_basis, self.char_basis, fracvec(v))
+    def cochar_coords(self, v: RatVector) -> Vector | None:
+        return self._cochar_frame.coords(v)
 
-    def char_ambient(self, coords) -> FracVec:
-        return _combination(coords, self.char_basis, self.ambient_dim)
+    def char_coords_q(self, v: RatVector) -> RatVector | None:
+        return self._char_frame.coords_q(v)
 
-    def cochar_ambient(self, coords) -> FracVec:
-        return _combination(coords, self.cochar_basis, self.ambient_dim)
+    def cochar_coords_q(self, v: RatVector) -> RatVector | None:
+        return self._cochar_frame.coords_q(v)
+
+    def char_ambient(self, coords: RatVector) -> RatVector:
+        return self._char_frame.ambient(coords)
+
+    def cochar_ambient(self, coords: RatVector) -> RatVector:
+        return self._cochar_frame.ambient(coords)
 
     # -- roots ------------------------------------------------------------
 
@@ -129,7 +171,8 @@ class RootDatum:
         for a in self.roots:
             c = self.char_coords(a)
             if c is None:
-                raise DatumError(f"root {a} outside the character lattice")
+                raise DatumError(
+                    f"root {_vector_text(a)} outside the character lattice")
             out.append(c)
         return tuple(out)
 
@@ -139,7 +182,8 @@ class RootDatum:
         for a in self.coroots:
             c = self.cochar_coords(a)
             if c is None:
-                raise DatumError(f"coroot {a} outside the cocharacter lattice")
+                raise DatumError(
+                    f"coroot {_vector_text(a)} outside the cocharacter lattice")
             out.append(c)
         return tuple(out)
 
@@ -149,13 +193,12 @@ class RootDatum:
     def coroot_coords(self) -> tuple[Vector, ...]:
         return self._coroot_coords
 
-    def simple_roots(self) -> tuple[FracVec, ...]:
+    def simple_roots(self) -> tuple[RatVector, ...]:
         return tuple(self.roots[i] for i in self.simple_indices)
 
-    def root_index(self, v) -> int | None:
-        target = fracvec(v)
+    def root_index(self, v: RatVector) -> int | None:
         for i, a in enumerate(self.roots):
-            if a == target:
+            if a == v:
                 return i
         return None
 
@@ -178,10 +221,10 @@ class RootDatum:
         return {
             "name": self.name,
             "ambient_dim": self.ambient_dim,
-            "char_basis": [_fracvec_json(r) for r in self.char_basis],
-            "cochar_basis": [_fracvec_json(r) for r in self.cochar_basis],
-            "roots": [_fracvec_json(r) for r in self.roots],
-            "coroots": [_fracvec_json(r) for r in self.coroots],
+            "char_basis": [_vector_json(r) for r in self.char_basis],
+            "cochar_basis": [_vector_json(r) for r in self.cochar_basis],
+            "roots": [_vector_json(r) for r in self.roots],
+            "coroots": [_vector_json(r) for r in self.coroots],
             "simple_indices": list(self.simple_indices),
         }
 
@@ -190,14 +233,14 @@ class RootDatum:
         try:
             return cls(
                 name=str(d["name"]),
-                ambient_dim=int(d["ambient_dim"]),
-                char_basis=tuple(_fracvec_load(r) for r in d["char_basis"]),
-                cochar_basis=tuple(_fracvec_load(r) for r in d["cochar_basis"]),
-                roots=tuple(_fracvec_load(r) for r in d["roots"]),
-                coroots=tuple(_fracvec_load(r) for r in d["coroots"]),
-                simple_indices=tuple(int(i) for i in d["simple_indices"]),
+                ambient_dim=freeze(d["ambient_dim"], 0),
+                char_basis=_vectors_load(d["char_basis"]),
+                cochar_basis=_vectors_load(d["cochar_basis"]),
+                roots=_vectors_load(d["roots"]),
+                coroots=_vectors_load(d["coroots"]),
+                simple_indices=freeze(d["simple_indices"], 1),
             )
-        except (TypeError, ValueError, ZeroDivisionError) as err:
+        except (TypeError, ValueError) as err:
             raise DatumError(f"malformed root datum: {err}") from None
 
 
@@ -209,28 +252,30 @@ def _rank_one_reflection(a: Vector, c: Vector) -> Matrix:
     )
 
 
-def _fracvec_json(v: FracVec) -> dict:
-    den = lcm(*(x.denominator for x in v))
-    return {"num": [int(x * den) for x in v], "den": den}
+def _vector_json(v: RatVector) -> dict:
+    return {"num": list(v.nums), "den": v.den}
 
 
-def _fracvec_load(d: dict) -> FracVec:
-    if not isinstance(d["num"], list):
-        raise TypeError(f"vector 'num' must be a list, got {d['num']!r}")
-    den = int(d["den"])
-    return tuple(Fraction(int(n), den) for n in d["num"])
+def _vector_text(v: RatVector) -> str:
+    return "(" + ", ".join(_ratio_text(x, v.den) for x in v.nums) + ")"
 
 
-def pairing(chi, lam) -> int:
+def _vectors_load(rows) -> tuple[RatVector, ...]:
+    return tuple(RatVector.make(freeze(r["num"], 1), freeze(r["den"], 0))
+                 for r in rows)
+
+
+def pairing(chi: RatVector, lam: RatVector) -> int:
     """Reference pairing of a character with a cocharacter (ambient vectors).
 
     A non-integral value means the inputs were not actually lattice
     elements of dual lattices, so it is reported as a hard error.
     """
-    val = dot(fracvec(chi), fracvec(lam))
-    if val.denominator != 1:
-        raise DatumError(f"non-integral pairing {val}: corrupted datum")
-    return val.numerator
+    num, den = _pairing(chi, lam)
+    if den != 1:
+        raise DatumError(f"non-integral pairing {_ratio_text(num, den)}: "
+                         "corrupted datum")
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +300,33 @@ def validate_datum(rd: RootDatum) -> DatumReport:
         if len(row) != rd.ambient_dim:
             bad.append("vector of wrong ambient dimension")
             return DatumReport(False, tuple(bad))
+    if any(not 0 <= i < len(rd.roots) for i in rd.simple_indices):
+        bad.append("simple index outside the root list")
     # duality: char_basis @ cochar_basis^T == identity
     for i, cb in enumerate(rd.char_basis):
         for j, db in enumerate(rd.cochar_basis):
-            want = Fraction(1 if i == j else 0)
-            if dot(cb, db) != want:
+            val = _pairing(cb, db)
+            if val != (1 if i == j else 0, 1):
                 bad.append(
-                    f"bases not dual: <char[{i}], cochar[{j}]> = {dot(cb, db)}"
+                    f"bases not dual: <char[{i}], cochar[{j}]> = {_ratio_text(*val)}"
                 )
     for k, (a, ac) in enumerate(zip(rd.roots, rd.coroots)):
-        if dot(a, ac) != 2:
-            bad.append(f"<root[{k}], coroot[{k}]> = {dot(a, ac)} != 2")
+        val = _pairing(a, ac)
+        if val != (2, 1):
+            bad.append(f"<root[{k}], coroot[{k}]> = {_ratio_text(*val)} != 2")
     for k, a in enumerate(rd.roots):
         if rd.char_coords(a) is None:
             bad.append(f"root[{k}] outside the character lattice")
     for k, ac in enumerate(rd.coroots):
         if rd.cochar_coords(ac) is None:
             bad.append(f"coroot[{k}] outside the cocharacter lattice")
-    for a in rd.roots:
-        for ac in rd.coroots:
-            if dot(a, ac).denominator != 1:
-                bad.append("some root pairs non-integrally with some coroot")
-                break
-        else:
-            continue
-        break
+    if any(_pairing(a, ac)[1] != 1 for a in rd.roots for ac in rd.coroots):
+        bad.append("some root pairs non-integrally with some coroot")
     # every reflection permutes the root set
     root_set = set(rd.roots)
-    for i in range(len(rd.roots)):
-        ac = rd.coroots[i]
-        alpha = rd.roots[i]
-        for b in rd.roots:
-            img = tuple(x - dot(b, ac) * y for x, y in zip(b, alpha))
-            if img not in root_set:
-                bad.append(f"reflection in root[{i}] does not permute the roots")
-                break
+    for i, (alpha, ac) in enumerate(zip(rd.roots, rd.coroots)):
+        if any(_reflected(b, alpha, ac) not in root_set for b in rd.roots):
+            bad.append(f"reflection in root[{i}] does not permute the roots")
     return DatumReport(not bad, tuple(bad))
 
 
@@ -325,97 +362,56 @@ def resolve_form(series: str, form: str) -> str:
     return form
 
 
+def _unit(n: int, *entries) -> tuple[int, ...]:
+    """The integer vector of length n with the given (index, value) entries."""
+    v = [0] * n
+    for i, x in entries:
+        v[i] = x
+    return tuple(v)
+
+
 def _a_series_roots(n: int):
-    roots = []
-    coroots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a = [Fraction(0)] * n
-            a[i], a[j] = Fraction(1), Fraction(-1)
-            roots.append(tuple(a))
-            coroots.append(tuple(a))
-    simple = []
-    for i in range(n - 1):
-        want = [Fraction(0)] * n
-        want[i], want[i + 1] = Fraction(1), Fraction(-1)
-        simple.append(roots.index(tuple(want)))
-    return tuple(roots), tuple(coroots), tuple(simple)
+    roots = [RatVector.make(_unit(n, (i, 1), (j, -1)))
+             for i in range(n) for j in range(n) if i != j]
+    simple = tuple(roots.index(RatVector.make(_unit(n, (i, 1), (i + 1, -1))))
+                   for i in range(n - 1))
+    return tuple(roots), tuple(roots), simple
 
 
 def _bcd_roots(series: str, n: int):
-    roots = []
-    coroots = []
-
-    def e(i, c=1):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(c)
-        return v
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    a = [Fraction(0)] * n
-                    a[i], a[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(a))
-                    coroots.append(tuple(a))
-    if series == "B":
+    pairs = [_unit(n, (i, si), (j, sj))
+             for i in range(n) for j in range(i + 1, n)
+             for si in (1, -1) for sj in (1, -1)]
+    roots = list(pairs)
+    coroots = list(pairs)
+    # B: short roots e_i with coroots 2 e_i; C: long roots 2 e_i, coroots e_i
+    root_len, coroot_len = {"B": (1, 2), "C": (2, 1)}.get(series, (0, 0))
+    if root_len:
         for i in range(n):
             for s in (1, -1):
-                roots.append(tuple(e(i, s)))
-                coroots.append(tuple(e(i, 2 * s)))
-    elif series == "C":
-        for i in range(n):
-            for s in (1, -1):
-                roots.append(tuple(e(i, 2 * s)))
-                coroots.append(tuple(e(i, s)))
-
-    def find(v):
-        return roots.index(tuple(Fraction(x) for x in v))
-
-    simple = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simple.append(find(v))
-    if series == "B":
-        v = [0] * n
-        v[n - 1] = 1
-        simple.append(find(v))
-    elif series == "C":
-        v = [0] * n
-        v[n - 1] = 2
-        simple.append(find(v))
+                roots.append(_unit(n, (i, root_len * s)))
+                coroots.append(_unit(n, (i, coroot_len * s)))
+    simple = [_unit(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+    if series == "D":
+        simple.append(_unit(n, (n - 2, 1), (n - 1, 1)))
     else:
-        v = [0] * n
-        v[n - 2], v[n - 1] = 1, 1
-        simple.append(find(v))
-    return tuple(roots), tuple(coroots), tuple(simple)
+        simple.append(_unit(n, (n - 1, root_len)))
+    return (tuple(map(RatVector.make, roots)), tuple(map(RatVector.make, coroots)),
+            tuple(roots.index(v) for v in simple))
 
 
-def _std_basis(n: int) -> tuple[FracVec, ...]:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+def _std_basis(n: int) -> tuple[RatVector, ...]:
+    return tuple(RatVector.make(_unit(n, (i, 1))) for i in range(n))
 
 
-def _dual_basis(char_basis: tuple[FracVec, ...]) -> tuple[FracVec, ...]:
-    """Dual basis inside the span of char_basis (rows)."""
-    r = len(char_basis)
-    gram = tuple(
-        tuple(dot(char_basis[i], char_basis[j]) for j in range(r)) for i in range(r)
-    )
-    ginv = frac_inverse(gram)
-    n = len(char_basis[0])
-    return tuple(
-        tuple(
-            sum((ginv[i][k] * char_basis[k][j] for k in range(r)), Fraction(0))
-            for j in range(n)
-        )
-        for i in range(r)
-    )
+def _dual_basis(basis: tuple[RatVector, ...]) -> tuple[RatVector, ...]:
+    """Dual basis inside the span of basis (rows): G^-1 B for the Gram
+    matrix G = B B^T.  With B = M / L for an integer matrix M,
+    G^-1 B = L (M M^T)^-1 M, and the inverse comes from the Smith form."""
+    m, den = over_common_denominator(basis)
+    inv, d = Smith.of(matmul(m, transpose(m))).inverse()
+    return tuple(RatVector.make([den * x for x in row], d)
+                 for row in matmul(inv, m))
 
 
 def classical_datum(series: str, rank: int, form: str) -> RootDatum:
@@ -439,14 +435,11 @@ def classical_datum(series: str, rank: int, form: str) -> RootDatum:
             # X*(T): Z^n modulo t_1+...+t_n = 0, realized as the orthogonal
             # projection of Z^n into the sum-zero hyperplane
             char = tuple(
-                tuple(Fraction(1 if i == j else 0) - Fraction(1, n) for j in range(n))
+                RatVector.make([n * (i == j) - 1 for j in range(n)], n)
                 for i in range(n - 1)
             )
-            cochar = tuple(
-                tuple(Fraction(1 if j == i else 0) - Fraction(1 if j == n - 1 else 0)
-                      for j in range(n))
-                for i in range(n - 1)
-            )
+            cochar = tuple(RatVector.make(_unit(n, (i, 1), (n - 1, -1)))
+                           for i in range(n - 1))
             name = f"SL{n}"
         else:  # PGL: characters are the root lattice
             char = tuple(roots[simple[i]] for i in range(n - 1))
@@ -461,7 +454,7 @@ def classical_datum(series: str, rank: int, form: str) -> RootDatum:
         raise DatumError("series D needs rank >= 3")
     n = rank
     roots, coroots, simple = _bcd_roots(series, n)
-    half_one = tuple(Fraction(1, 2) for _ in range(n))
+    half_one = RatVector.make([1] * n, 2)
     if series == "B":
         if form == "Spin":
             char = _std_basis(n)[: n - 1] + (half_one,)
@@ -553,28 +546,20 @@ class IsogenyDatum:
             target=RootDatum.from_json_dict(d["target"]),
             char_map=freeze(d["char_map"]),
             cochar_map=freeze(d["cochar_map"]),
-            coroot_lift=tuple(tuple(int(x) for x in r) for r in d["coroot_lift"]),
+            coroot_lift=freeze(d["coroot_lift"]),
         )
 
 
-def _projection_onto_span(basis: tuple[FracVec, ...]) -> FracMat:
-    """Orthogonal projection matrix onto the row span of basis."""
-    r = len(basis)
-    n = len(basis[0]) if r else 0
-    gram = tuple(tuple(dot(basis[i], basis[j]) for j in range(r)) for i in range(r))
-    ginv = frac_inverse(gram)
-    # P = B^T Ginv B  acting on ambient column vectors
-    out = []
-    for s in range(n):
-        row = []
-        for t in range(n):
-            val = Fraction(0)
-            for i in range(r):
-                for j in range(r):
-                    val += basis[i][s] * ginv[i][j] * basis[j][t]
-            row.append(val)
-        out.append(tuple(row))
-    return tuple(out)
+def _projection_onto_span(basis: tuple[RatVector, ...],
+                          n: int) -> tuple[Matrix, int]:
+    """Orthogonal projection onto the row span of basis, B^T times the dual
+    basis, as (p, d): the matrix p / d acts on ambient column vectors."""
+    m, den = over_common_denominator(basis)
+    dual, dual_den = over_common_denominator(_dual_basis(basis))
+    return tuple(
+        tuple(sum(row[s] * drow[t] for row, drow in zip(m, dual)) for t in range(n))
+        for s in range(n)
+    ), den * dual_den
 
 
 def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
@@ -586,14 +571,11 @@ def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
     """
     if source.ambient_dim != target.ambient_dim:
         raise DatumError("source and target live in different ambient spaces")
-    proj = _projection_onto_span(source.char_basis)
-
-    def restrict(v: FracVec) -> FracVec:
-        return frac_matvec(proj, v)
-
+    proj, proj_den = _projection_onto_span(source.char_basis, source.ambient_dim)
     char_cols = []
     for chi in target.char_basis:
-        c = source.char_coords(restrict(chi))
+        c = source.char_coords(RatVector.make(matvec(proj, chi.nums),
+                                              proj_den * chi.den))
         if c is None:
             raise DatumError(
                 f"character lattice of {target.name} does not restrict into "
@@ -623,8 +605,8 @@ def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
         c = source.cochar_coords(ac)
         if c is None:
             raise DatumError(
-                f"coroot {ac} of {target.name} does not lift into X_*(S) of "
-                f"{source.name}"
+                f"coroot {_vector_text(ac)} of {target.name} does not lift "
+                f"into X_*(S) of {source.name}"
             )
         lifts.append(c)
     iso = IsogenyDatum(source, target, char_map, cochar_map, tuple(lifts))
@@ -651,11 +633,11 @@ def _check_weyl_compatibility(iso: IsogenyDatum) -> None:
             )
 
 
-def _ambient_reflection_on(rd: RootDatum, alpha: FracVec, acheck: FracVec) -> Matrix:
+def _ambient_reflection_on(rd: RootDatum, alpha: RatVector,
+                           acheck: RatVector) -> Matrix:
     cols = []
     for basis_vec in rd.char_basis:
-        pair = dot(basis_vec, acheck)
-        img = rd.char_coords(tuple(b - pair * a for b, a in zip(basis_vec, alpha)))
+        img = rd.char_coords(_reflected(basis_vec, alpha, acheck))
         if img is None:
             raise DatumError("reflection does not preserve the source lattice")
         cols.append(img)

@@ -436,6 +436,9 @@ def test_parse_group_label():
     {"n_vertices": "x", "simplices": []},
     {"simplices": [[[0]]]},
     {"n_vertices": 1, "simplices": 5},
+    {"n_vertices": 1.5, "simplices": [[[0]]]},
+    {"n_vertices": 1, "simplices": [[[0.0]]]},
+    {"n_vertices": 1, "simplices": [[[True]]]},
 ])
 def test_nerve_from_json_rejects_malformed(data):
     with pytest.raises(CechError, match="malformed nerve"):
@@ -449,6 +452,30 @@ def test_action_from_json_rejects_missing_group():
     del data["group"]
     with pytest.raises(CechError, match="malformed action: missing field 'group'"):
         FiniteAction.from_json_dict(data)
+
+
+@pytest.mark.parametrize("path, value, bad", [
+    (("coeff_actions", 1), [[1.9]], 1.9),
+    (("group", "table", 0, 1), 1.2, 1.2),
+    (("vertex_perms", 1, 0), 0.0, 0.0),
+])
+def test_action_from_json_rejects_non_integers(path, value, bad):
+    with open("fixtures/z2_point.json") as fh:
+        data = json.load(fh)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(CechError, match=f"malformed action: expected an integer, "
+                                        f"got {bad}"):
+        FiniteAction.from_json_dict(data)
+
+
+def test_cocycle_from_json_rejects_non_integers():
+    nerve = circle_nerve(3)
+    with pytest.raises(CechError, match="malformed cocycle: expected an integer"):
+        Cochain.from_json_dict(nerve, CoefficientGroup(1), {
+            "degree": 1, "values": [{"simplex": [0, 1], "value": [1.5]}]})
 
 
 def test_torus_model_rejects_inconsistent_offsets():

@@ -4,9 +4,14 @@ import json
 import pytest
 
 from gerbelevels import obstruction
-from gerbelevels.cli import main
+from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main
 
 FIX = "fixtures"
+
+
+def _fixture(name):
+    with open(f"{FIX}/{name}") as fh:
+        return json.load(fh)
 
 
 def run(capsys, *argv):
@@ -129,6 +134,32 @@ def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ATLAS_FORMS = sorted({(s, r, f) for s, r, sf, tf in DEFAULT_ATLAS_ROWS
+                      for f in (sf, tf)})
+G2 = ("--datum-fixture", f"{FIX}/g2_datum.json", "--format", "json")
+
+
+@pytest.mark.parametrize("argvs, digest", [
+    ([("datum", s, str(r), f, "--format", "json") for s, r, f in ATLAS_FORMS],
+     "3b0b334086fd480f6804f21104d250846189a5971e1abb9f8f4c7c894af24ede"),
+    ([("datum", s, str(r), sf, "--isogeny-target", tf, "--format", "json")
+      for s, r, sf, tf in DEFAULT_ATLAS_ROWS],
+     "9f3108f7459bcd82ac1c04313d70314ff67dc4494830b0afef736fb86e42184f"),
+    ([("levels",) + G2],
+     "4c901d8b2d000944d630440705b86b07d8ea5ec5f53ccd5a0fbf34dc89e06b22"),
+    ([("obstruction", "--xi", "0,-1/2,1/2") + G2],
+     "dfe4b0f67d0186b67f2b25e8db6f355098b419d1b8e6551e0bd2442bf98e8790"),
+], ids=["datum-forms", "datum-isogenies", "g2-levels", "g2-obstruction"])
+def test_datum_and_g2_goldens(capsys, argvs, digest):
+    # sha256 of the concatenated stdout of every command in argvs
+    outs = []
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
 
 
 def test_scan_exit_codes(capsys):
@@ -445,21 +476,86 @@ def test_atlas_with_scan_summaries(capsys):
 
 
 def _g2_with_char_vector(tmp_path, **override):
-    data = json.loads(open(f"{FIX}/g2_datum.json").read())
+    data = _fixture("g2_datum.json")
     data["source"]["char_basis"][0].update(override)
     path = tmp_path / "g2_mutated.json"
     path.write_text(json.dumps(data))
     return str(path)
 
 
-@pytest.mark.parametrize("override", [{"den": 0}, {"den": "x"}, {"num": 5}])
+@pytest.mark.parametrize("override", [
+    {"den": 0}, {"den": "x"}, {"num": 5},
+    # JSON integers are read strictly: no float is truncated, no bool counted
+    {"den": 1.7}, {"num": [1.4, -1, 0]}, {"den": True},
+])
 def test_malformed_datum_fixture_is_bad_input(tmp_path, capsys, override):
     path = _g2_with_char_vector(tmp_path, **override)
     code = main(["levels", "--datum-fixture", path])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert "error: malformed root datum" in err
-    assert "Traceback" not in err
+    assert captured.out == ""
+    lines = _one_error_line(captured.err)
+    assert len(lines) == 1 and lines[0].startswith("error: malformed root datum")
+
+
+def _g2_target_with(key, value):
+    data = _fixture("g2_datum.json")
+    data["target"][key] = value
+    return data
+
+
+def _g2_target_without_coroot(k):
+    data = _fixture("g2_datum.json")
+    del data["target"]["coroots"][k]
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_g2_target_with("simple_indices", [0, 99]), "simple index outside the root list"),
+    (_g2_target_with("simple_indices", [0, -1]), "simple index outside the root list"),
+    (_g2_target_without_coroot(3), "root and coroot counts differ; "),
+])
+def test_invalid_datum_fixture_is_bad_input(tmp_path, capsys, data, message):
+    path = tmp_path / "g2_mutated.json"
+    path.write_text(json.dumps(data))
+    code = main(["levels", "--datum-fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = _one_error_line(captured.err)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: datum G2 invalid: {message}")
+
+
+@pytest.mark.parametrize("level, detail", [
+    ({"matrix": [[2.9]]}, "expected an integer, got 2.9"),
+    ({"matrix": [[True]]}, "expected an integer, got True"),
+    ({"matrix": 5}, "expected a list, got 5"),
+    ([1], ""),
+])
+def test_level_file_is_read_strictly(tmp_path, capsys, level, detail):
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(level))
+    code = main(["obstruction", "A", "1", "SL", "SL", "--xi", "1/2,-1/2",
+                 "--level", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = _one_error_line(captured.err)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot load level from {str(path)!r}: {detail}")
+
+
+def test_level_file_with_ragged_matrix_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps({"matrix": [[2, 0], [0]]}))
+    code = main(["obstruction", "A", "2", "SL", "SL", "--xi", "0,0,0",
+                 "--level", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert _one_error_line(captured.err) == [
+        f"error: cannot load level from {str(path)!r}: "
+        "level matrix has wrong column count"]
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -516,8 +612,24 @@ def test_cohomology_rejects_malformed_coefficients(capsys, label):
 
 
 def _without_group():
-    data = json.loads(open(f"{FIX}/z2_point.json").read())
+    data = _fixture("z2_point.json")
     del data["group"]
+    return data
+
+
+def _z2_point_with(path, value):
+    """z2_point.json with the entry at path (a key sequence) replaced."""
+    data = _fixture("z2_point.json")
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _extension_with(**fields):
+    data = _fixture("z2_extension_cyclic4.json")
+    data.update(fields)
     return data
 
 
@@ -529,6 +641,24 @@ def _without_group():
      "error: malformed action: missing field 'group'"),
     ("extension", {"group": {"table": 5}, "coefficients": "Z/2"},
      "error: extension rejected"),
+    ("cohomology", {"nerve": {"n_vertices": 3.0, "simplices": [[[0]]]}},
+     "error: malformed nerve: expected an integer, got 3.0"),
+    ("equivariant", _z2_point_with(("coeff_actions", 1), [[1.9]]),
+     "error: malformed action: expected an integer, got 1.9"),
+    ("equivariant", _z2_point_with(("group", "table", 0, 1), 1.2),
+     "error: malformed action: expected an integer, got 1.2"),
+    ("equivariant", _z2_point_with(("vertex_perms", 0, 0), False),
+     "error: malformed action: expected an integer, got False"),
+    ("equivariant", _z2_point_with(("coeff_actions", 1, 0), [0, 1]),
+     "error: coefficient action is not an automorphism"),
+    ("extension", _extension_with(group={"cyclic": 2.5}),
+     "error: extension rejected: expected an integer, got 2.5"),
+    ("extension", _extension_with(psi=[{"pair": [1, 1.0], "value": [1]}]),
+     "error: extension rejected: expected an integer, got 1.0"),
+    ("extension", _extension_with(psi=[{"pair": [1, 1], "value": [1.5]}]),
+     "error: extension rejected: expected an integer, got 1.5"),
+    ("extension", _extension_with(psi=[{"pair": [1], "value": [1]}]),
+     "error: extension rejected: not enough values to unpack"),
 ])
 def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"
@@ -549,6 +679,11 @@ def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message
     ({"values": []}, "missing field 'degree'"),
     ({"degree": 1, "values": 5}, ""),
     ({"degree": 1, "values": [{"simplex": [0, 1], "value": ["x"]}]}, ""),
+    ({"degree": 1.0, "values": []}, "expected an integer, got 1.0"),
+    ({"degree": 1, "values": [{"simplex": [0, 1], "value": [1.5]}]},
+     "expected an integer, got 1.5"),
+    ({"degree": 1, "values": [{"simplex": [0, 1.0], "value": [1]}]},
+     "expected an integer, got 1.0"),
 ])
 def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cocycle, detail):
     path = tmp_path / "cocycle.json"

@@ -6,6 +6,8 @@ Smith forms, brute-force enumeration for invariant lattices, canonical
 form invariance for Hermite forms, classical values for group and
 sphere cohomology in degrees beyond the golden set, rational Gaussian
 elimination for root-datum coordinates and reflections, the earlier
+Fraction route for dual bases, projections, isogeny maps, source
+actions and the basic level, the earlier
 solve-per-vector cohomology routes for Cech, equivariant and stabilizer
 H^1, the earlier matrix route for Weyl products, per-element source
 actions and orbit-minimum scan representatives, and the earlier
@@ -17,7 +19,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -46,7 +48,6 @@ from gerbelevels.intlinalg import (
     cokernel,
     det,
     diagonal,
-    frac_solve,
     freeze,
     hnf,
     hnf_basis,
@@ -78,6 +79,9 @@ from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.weyl import WeylCapExceeded, act_cochar, generate
 from gerbelevels.rootdata import (
     RootDatum,
+    _dual_basis,
+    _projection_onto_span,
+    build_isogeny,
     classical_datum,
     classical_isogeny,
     identity_isogeny,
@@ -226,8 +230,8 @@ def test_spin7_h1_is_exactly_z2():
     iso = identity_isogeny(classical_datum("B", 3, "Spin"))
     act = SharedWeylAction(iso)
     b = basic_level(iso).tensor
-    xi = RatVector.from_fractions(
-        iso.target.cochar_coords_q((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+    xi = iso.target.cochar_coords_q(
+        RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
     res = obstruction_report(act, b, SemisimplePoint(xi))
     # the obstruction class generates the whole H^1
@@ -242,8 +246,8 @@ def test_spin_to_so7_obstruction():
     act = SharedWeylAction(iso)
     res_basic = basic_level(iso)
     assert res_basic.member
-    xi = RatVector.from_fractions(
-        iso.target.cochar_coords_q((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+    xi = iso.target.cochar_coords_q(
+        RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
     res = obstruction_report(act, res_basic.tensor, SemisimplePoint(xi))
     assert len(res.w_l) == 16
@@ -269,7 +273,209 @@ def test_sphere_mod_two_coefficients():
     assert cohomology(octa, 2, mod2) == AbelianInvariants(0, (2,))
 
 
-# -- root-datum coordinates: dual-basis pairings vs Gaussian elimination ---
+# -- root data: integer pairings and Smith inverses vs the Fraction route ---
+#
+# The Fraction route below is the earlier implementation: vectors as tuples
+# of fractions.Fraction, Gram inverses by Gauss-Jordan elimination, and
+# coordinates as pairings checked by recombination.  It shares no code with
+# the RatVector route it checks.
+
+
+def frac_matvec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def frac_solve(a, y):
+    """Solve a @ x = y exactly over the rationals (None if inconsistent);
+    free variables are set to 0."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(y[i])] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        sel = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y2 for x, y2 in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return tuple(x)
+
+
+def frac_inverse(a):
+    n = len(a)
+    cols = []
+    for j in range(n):
+        col = frac_solve(a, tuple(Fraction(int(i == j)) for i in range(n)))
+        assert col is not None, "singular Gram matrix"
+        cols.append(col)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def dot(x, y):
+    assert len(x) == len(y)
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def frac_basis(vecs):
+    return tuple(v.fractions() for v in vecs)
+
+
+def oracle_combination(coords, basis, n):
+    return tuple(
+        sum((Fraction(c) * row[j] for c, row in zip(coords, basis)), Fraction(0))
+        for j in range(n)
+    )
+
+
+def oracle_coords_in(basis, dual, v):
+    c = tuple(dot(v, d) for d in dual)
+    return c if oracle_combination(c, basis, len(v)) == v else None
+
+
+def oracle_integral(c):
+    if c is None or any(x.denominator != 1 for x in c):
+        return None
+    return tuple(x.numerator for x in c)
+
+
+def oracle_dual_basis(basis):
+    r = len(basis)
+    ginv = frac_inverse(tuple(tuple(dot(basis[i], basis[j]) for j in range(r))
+                              for i in range(r)))
+    n = len(basis[0])
+    return tuple(
+        tuple(sum((ginv[i][k] * basis[k][j] for k in range(r)), Fraction(0))
+              for j in range(n))
+        for i in range(r)
+    )
+
+
+def oracle_projection(basis):
+    r = len(basis)
+    n = len(basis[0])
+    ginv = frac_inverse(tuple(tuple(dot(basis[i], basis[j]) for j in range(r))
+                              for i in range(r)))
+    return tuple(
+        tuple(sum((basis[i][s] * ginv[i][j] * basis[j][t]
+                   for i in range(r) for j in range(r)), Fraction(0))
+              for t in range(n))
+        for s in range(n)
+    )
+
+
+def fracvec_json(v):
+    den = lcm(*(x.denominator for x in v))
+    return {"num": [int(x * den) for x in v], "den": den}
+
+
+def fracvec_load(d):
+    return tuple(Fraction(int(n), int(d["den"])) for n in d["num"])
+
+
+class FractionDatum:
+    """A RootDatum's vectors as Fraction tuples, with the old coordinates."""
+
+    def __init__(self, rd):
+        self.n = rd.ambient_dim
+        self.char = frac_basis(rd.char_basis)
+        self.cochar = frac_basis(rd.cochar_basis)
+        self.coroots = frac_basis(rd.coroots)
+
+    def char_coords_q(self, v):
+        return oracle_coords_in(self.char, self.cochar, v)
+
+    def cochar_coords_q(self, v):
+        return oracle_coords_in(self.cochar, self.char, v)
+
+    def char_coords(self, v):
+        return oracle_integral(self.char_coords_q(v))
+
+    def cochar_coords(self, v):
+        return oracle_integral(self.cochar_coords_q(v))
+
+
+def oracle_isogeny_maps(src, tgt):
+    """(char_map, cochar_map, coroot_lift) by the Fraction route."""
+    s, t = FractionDatum(src), FractionDatum(tgt)
+    proj = oracle_projection(s.char)
+    char_cols = [s.char_coords(frac_matvec(proj, chi)) for chi in t.char]
+    cochar_cols = [t.cochar_coords(mu) for mu in s.cochar]
+    lifts = tuple(s.cochar_coords(ac) for ac in t.coroots)
+    assert None not in char_cols + cochar_cols and None not in lifts
+    return transpose(tuple(char_cols)), transpose(tuple(cochar_cols)), lifts
+
+
+def oracle_reexpress(s, t, action, kind):
+    """An element's action on the source lattice, from its target action
+    (both FractionDatum)."""
+    if kind == "char":
+        basis, coords_q, coords, tbasis = s.char, t.char_coords_q, s.char_coords, t.char
+    else:
+        basis, coords_q, coords, tbasis = (s.cochar, t.cochar_coords_q,
+                                           s.cochar_coords, t.cochar)
+    cols = []
+    for vec in basis:
+        c = coords_q(vec)
+        img_coords = tuple(
+            sum((Fraction(action[i][j]) * c[j] for j in range(len(c))), Fraction(0))
+            for i in range(len(c))
+        )
+        cols.append(coords(oracle_combination(img_coords, tbasis, t.n)))
+    return transpose(tuple(cols))
+
+
+def oracle_basic_level(iso):
+    """(rational matrix, least integral multiple, that multiple's matrix)."""
+    s, t = FractionDatum(iso.source), FractionDatum(iso.target)
+    norms = [dot(ac, ac) for ac in t.coroots]
+    scale = Fraction(2) / min(norms) if norms else Fraction(1)
+    rat = tuple(tuple(scale * dot(mu, lam) for lam in t.cochar) for mu in s.cochar)
+    den = lcm(*(x.denominator for row in rat for x in row))
+    return rat, den, tuple(tuple(int(x * den) for x in row) for row in rat)
+
+
+def oracle_data():
+    keys = sorted({(s, r, f) for s, r, sf, tf in DEFAULT_ATLAS_ROWS
+                   for f in (sf, tf)})
+    data = [classical_datum(*k) for k in keys]
+    data += list(g2_data())
+    return data
+
+
+def g2_data():
+    with open("fixtures/g2_datum.json") as fh:
+        g2 = json.load(fh)
+    return tuple(RootDatum.from_json_dict(g2[side]) for side in ("source", "target"))
+
+
+ORACLE_DATA = oracle_data()
+
+
+ISOGENY_CASES = [",".join(map(str, row)) for row in DEFAULT_ATLAS_ROWS] + [
+    "G2", "G2-source", "G2-target"]
+
+
+def oracle_isogeny(case):
+    """An atlas row, the G2 fixture's isogeny, or the identity of one side."""
+    if not case.startswith("G2"):
+        series, rank, sf, tf = case.split(",")
+        return classical_isogeny(series, int(rank), sf, tf)
+    src, tgt = g2_data()
+    pair = {"G2": (src, tgt), "G2-source": (src, src), "G2-target": (tgt, tgt)}
+    return build_isogeny(*pair[case])
 
 
 def solve_coords(basis, v):
@@ -301,19 +507,6 @@ def loop_reflection(basis, alpha, along):
     return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
 
-def oracle_data():
-    keys = sorted({(s, r, f) for s, r, sf, tf in DEFAULT_ATLAS_ROWS
-                   for f in (sf, tf)})
-    data = [classical_datum(*k) for k in keys]
-    with open("fixtures/g2_datum.json") as fh:
-        g2 = json.load(fh)
-    data += [RootDatum.from_json_dict(g2[side]) for side in ("source", "target")]
-    return data
-
-
-ORACLE_DATA = oracle_data()
-
-
 def probe_vectors(basis, n):
     """Basis vectors, rational combinations of them, and vectors that may
     lie outside the span (all ones, the first reference vector)."""
@@ -328,38 +521,104 @@ def probe_vectors(basis, n):
     return out
 
 
+def q_fractions(c):
+    return None if c is None else c.fractions()
+
+
 @pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
 def test_coordinates_match_elimination(rd):
     n = rd.ambient_dim
-    for vecs in (rd.roots, rd.coroots, probe_vectors(rd.char_basis, n),
-                 probe_vectors(rd.cochar_basis, n)):
+    fd = FractionDatum(rd)
+    for vecs in (frac_basis(rd.roots), fd.coroots, probe_vectors(fd.char, n),
+                 probe_vectors(fd.cochar, n)):
         for v in vecs:
-            assert rd.char_coords_q(v) == solve_coords(rd.char_basis, v)
-            assert rd.cochar_coords_q(v) == solve_coords(rd.cochar_basis, v)
-            assert rd.char_coords(v) == solve_int_coords(rd.char_basis, v)
-            assert rd.cochar_coords(v) == solve_int_coords(rd.cochar_basis, v)
+            rv = RatVector.from_fractions(v)
+            assert q_fractions(rd.char_coords_q(rv)) == solve_coords(fd.char, v)
+            assert q_fractions(rd.cochar_coords_q(rv)) == solve_coords(fd.cochar, v)
+            assert rd.char_coords(rv) == solve_int_coords(fd.char, v)
+            assert rd.cochar_coords(rv) == solve_int_coords(fd.cochar, v)
+            # and the same answers by the Fraction route's pairings
+            assert q_fractions(rd.char_coords_q(rv)) == fd.char_coords_q(v)
+            assert q_fractions(rd.cochar_coords_q(rv)) == fd.cochar_coords_q(v)
+            assert rd.char_coords(rv) == fd.char_coords(v)
+            assert rd.cochar_coords(rv) == fd.cochar_coords(v)
     assert rd.root_coords() == tuple(
-        solve_int_coords(rd.char_basis, a) for a in rd.roots)
+        solve_int_coords(fd.char, a) for a in frac_basis(rd.roots))
     assert rd.coroot_coords() == tuple(
-        solve_int_coords(rd.cochar_basis, a) for a in rd.coroots)
+        solve_int_coords(fd.cochar, a) for a in fd.coroots)
     assert rd.coroot_coords() is rd.coroot_coords()
 
 
 def test_coordinate_probes_cover_every_case():
     sl3 = classical_datum("A", 2, "SL")
-    ones = (Fraction(1),) * 3
+    ones = RatVector.from_fractions((Fraction(1),) * 3)
     assert sl3.char_coords_q(ones) is None
     assert sl3.cochar_coords_q(ones) is None
-    half = tuple(Fraction(x, 2) for x in sl3.coroots[0])
+    half = RatVector.from_fractions(Fraction(x, 2) for x in sl3.coroots[0].fractions())
     assert sl3.cochar_coords_q(half) is not None
     assert sl3.cochar_coords(half) is None
 
 
 @pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
+def test_dual_basis_and_projection_match_fraction_route(rd):
+    n = rd.ambient_dim
+    for basis in (rd.char_basis, rd.cochar_basis):
+        fb = frac_basis(basis)
+        assert frac_basis(_dual_basis(basis)) == oracle_dual_basis(fb)
+        proj, den = _projection_onto_span(basis, n)
+        assert tuple(tuple(Fraction(x, den) for x in row)
+                     for row in proj) == oracle_projection(fb)
+
+
+def test_g2_gram_inverse_needs_both_smith_transforms():
+    # the G2 Gram matrix is not diagonal and its Smith transforms are not
+    # transposes of each other, so an inverse that swapped them would differ
+    src, _tgt = g2_data()
+    fb = frac_basis(src.char_basis)
+    gram = tuple(tuple(int(dot(a, b)) for b in fb) for a in fb)
+    sm = Smith.of(gram)
+    assert sm.u != transpose(sm.v)
+    inv, d = sm.inverse()
+    assert tuple(tuple(Fraction(x, d) for x in row) for row in inv) == \
+        frac_inverse(gram)
+
+
+@pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
+def test_json_vectors_match_fraction_route(rd):
+    d = rd.to_json_dict()
+    for key in ("char_basis", "cochar_basis", "roots", "coroots"):
+        vecs = getattr(rd, key)
+        assert d[key] == [fracvec_json(v.fractions()) for v in vecs]
+        assert tuple(fracvec_load(x) for x in d[key]) == frac_basis(vecs)
+
+
+@pytest.mark.parametrize("case", ISOGENY_CASES)
+def test_isogeny_matches_fraction_route(case):
+    iso = oracle_isogeny(case)
+    char_map, cochar_map, lifts = oracle_isogeny_maps(iso.source, iso.target)
+    assert iso.char_map == char_map
+    assert iso.cochar_map == cochar_map
+    assert iso.coroot_lift == lifts
+    act = SharedWeylAction(iso)
+    s, t = FractionDatum(iso.source), FractionDatum(iso.target)
+    for i, elem in enumerate(act.group.elements):
+        assert act._reexpress(i, "char") == oracle_reexpress(
+            s, t, elem.char_action, "char")
+        assert act._reexpress(i, "cochar") == oracle_reexpress(
+            s, t, elem.cochar_action, "cochar")
+    rat, den, mat = oracle_basic_level(iso)
+    res = basic_level(iso)
+    assert res.rational_matrix == rat
+    assert (res.minimal_multiple, res.member) == (den, den == 1)
+    assert res.tensor.matrix == mat
+
+
+@pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
 def test_reflections_match_per_vector_loop(rd):
-    for i, (alpha, acheck) in enumerate(zip(rd.roots, rd.coroots)):
-        assert rd.reflection_char(i) == loop_reflection(rd.char_basis, alpha, acheck)
-        assert rd.reflection_cochar(i) == loop_reflection(rd.cochar_basis, acheck, alpha)
+    fd = FractionDatum(rd)
+    for i, (alpha, acheck) in enumerate(zip(frac_basis(rd.roots), fd.coroots)):
+        assert rd.reflection_char(i) == loop_reflection(fd.char, alpha, acheck)
+        assert rd.reflection_cochar(i) == loop_reflection(fd.cochar, acheck, alpha)
 
 
 # -- cohomology: one factored subquotient vs the solve-per-vector routes -----
@@ -503,8 +762,8 @@ def stabilizer_cases():
             cases.append((act, b, row.xi))
     iso = identity_isogeny(classical_datum("B", 3, "Spin"))
     act = SharedWeylAction(iso)
-    xi = RatVector.from_fractions(
-        iso.target.cochar_coords_q((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+    xi = iso.target.cochar_coords_q(
+        RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
     cases.append((act, basic_level(iso).tensor, xi))
     return cases
@@ -857,8 +1116,8 @@ def test_snf_matches_full_scan_oracle_on_certificate_h1(monkeypatch):
     for entry, xi in points:
         iso = classical_isogeny(*entry)
         act = SharedWeylAction(iso)
-        coords = iso.target.cochar_coords_q(tuple(xi))
-        pt = SemisimplePoint(RatVector.from_fractions(coords))
+        pt = SemisimplePoint(
+            iso.target.cochar_coords_q(RatVector.from_fractions(xi)))
         res = centralizer_cocycle(act, basic_level(iso).tensor, pt)
         for a in recorded_snf_inputs(monkeypatch, h1_group_lattice, res.w_l,
                                      act.source_char_action, res.c_cocycle):

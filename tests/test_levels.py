@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gerbelevels.claims import find_claim, load_claims
-from gerbelevels.intlinalg import freeze, lattices_equal, matmul, transpose
+from gerbelevels.intlinalg import RatVector, freeze, lattices_equal, matmul, transpose
 from gerbelevels.levels import (
     AtlasEntry,
     LevelTensor,
@@ -21,6 +21,10 @@ from gerbelevels.levels import (
     root_orbits,
 )
 from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
+
+# a long and a short root of B3 in reference coordinates
+LONG = RatVector.from_fractions((1, -1, 0))
+SHORT = RatVector.from_fractions((0, 0, 1))
 
 
 def action_for(series, rank, sf, tf):
@@ -154,8 +158,8 @@ def test_spin7_basic_level():
     assert res.minimal_multiple == 1
     b = res.tensor
     tgt = b.iso.target
-    long_idx = tgt.root_index((1, -1, 0))
-    short_idx = tgt.root_index((0, 0, 1))
+    long_idx = tgt.root_index(LONG)
+    short_idx = tgt.root_index(SHORT)
     assert coroot_value(b, long_idx) == 2
     assert coroot_value(b, short_idx) == 4
     # ambient form is t1^2 + t2^2 + t3^2
@@ -212,10 +216,10 @@ def test_spin7_rank_one_values():
     res = named_basic_level("B", 3, "Spin")
     b = res.tensor
     tgt = b.iso.target
-    long_r = restrict_to_rank_one(b, tgt.root_index((1, -1, 0)))
+    long_r = restrict_to_rank_one(b, tgt.root_index(LONG))
     assert long_r.subgroup_type == "SL2"
     assert long_r.value == 2 and not long_r.parity_obstruction
-    short_r = restrict_to_rank_one(b, tgt.root_index((0, 0, 1)))
+    short_r = restrict_to_rank_one(b, tgt.root_index(SHORT))
     assert short_r.value == 4 and not short_r.parity_obstruction
 
 
@@ -223,9 +227,9 @@ def test_so7_short_root_is_pgl2_type():
     res = named_basic_level("B", 3, "SO")
     b = res.tensor
     tgt = b.iso.target
-    r = restrict_to_rank_one(b, tgt.root_index((0, 0, 1)))
+    r = restrict_to_rank_one(b, tgt.root_index(SHORT))
     assert r.subgroup_type == "PGL2"
-    long_r = restrict_to_rank_one(b, tgt.root_index((1, -1, 0)))
+    long_r = restrict_to_rank_one(b, tgt.root_index(LONG))
     assert long_r.subgroup_type == "SL2"
 
 
@@ -234,7 +238,7 @@ def test_restrict_rejects_non_root():
     from gerbelevels.rootdata import DatumError
 
     with pytest.raises(DatumError):
-        restrict_to_rank_one(res.tensor, (1, 1, 1))
+        restrict_to_rank_one(res.tensor, RatVector.from_fractions((1, 1, 1)))
 
 
 def test_parity_flag_equals_value_mod_two():
@@ -340,14 +344,15 @@ def hand_built_g2():
         v[i] = 2
         longs.append(tuple(F(x) for x in v))
         longs.append(tuple(-F(x) for x in v))
-    roots = shorts + longs
-    coroots = [r for r in shorts] + [tuple(x / 3 for x in r) for r in longs]
-    a1 = tuple(F(x) for x in (1, -1, 0))
-    a2 = tuple(F(x) for x in (-2, 1, 1))
+    rv = RatVector.from_fractions
+    roots = [rv(r) for r in shorts + longs]
+    coroots = [rv(r) for r in shorts] + [rv(x / 3 for x in r) for r in longs]
+    a1 = rv(F(x) for x in (1, -1, 0))
+    a2 = rv(F(x) for x in (-2, 1, 1))
     return RootDatum(
         "G2", 3,
         (a1, a2),
-        ((F(0), F(-1), F(1)), (F(-1, 3), F(-1, 3), F(2, 3))),
+        (rv((F(0), F(-1), F(1))), rv((F(-1, 3), F(-1, 3), F(2, 3)))),
         tuple(roots), tuple(coroots),
         (roots.index(a1), roots.index(a2)),
     )

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gerbelevels.intlinalg import quotient_invariants, AbelianInvariants
+from gerbelevels.intlinalg import AbelianInvariants, RatVector, quotient_invariants
 from gerbelevels.rootdata import (
     DatumError,
     IsogenyDatum,
@@ -57,7 +57,7 @@ def test_sl2_datum():
     chi = rd.char_basis[0]
     alpha = rd.simple_roots()[0]
     acheck = rd.coroots[rd.simple_indices[0]]
-    assert tuple(2 * x for x in chi) == alpha
+    assert tuple(2 * x for x in chi.fractions()) == alpha.fractions()
     assert pairing(chi, acheck) == 1
     assert pairing(alpha, acheck) == 2
 
@@ -65,28 +65,29 @@ def test_sl2_datum():
 def test_spin7_lattice_membership():
     rd = classical_datum("B", 3, "Spin")
     half = Fraction(1, 2)
-    assert rd.char_coords((half, half, half)) is not None
-    assert rd.char_coords((half, half, 0)) is None
-    assert rd.char_coords((1, 0, 0)) is not None
+    assert rd.char_coords(RatVector.from_fractions((half, half, half))) is not None
+    assert rd.char_coords(RatVector.from_fractions((half, half, 0))) is None
+    assert rd.char_coords(RatVector.from_fractions((1, 0, 0))) is not None
 
 
 def test_pso8_index_two():
     # index of X*(T_ad) in Z^4 via the quotient-invariants oracle
     rd = classical_datum("D", 4, "PSO")
     ambient = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    sub = tuple(tuple(int(x) for x in row) for row in rd.char_basis)
+    sub = tuple(tuple(int(x) for x in row.fractions()) for row in rd.char_basis)
     inv = quotient_invariants(ambient, sub)
     assert inv == AbelianInvariants(0, (2,))
 
 
 def test_pairing_examples():
     b3 = classical_datum("B", 3, "Spin")
-    assert pairing((1, -1, 0), (1, -1, 0)) == 2
-    assert pairing((Fraction(1, 2),) * 3, (0, 0, 2)) == 1
+    rv = RatVector.from_fractions
+    assert pairing(rv((1, -1, 0)), rv((1, -1, 0))) == 2
+    assert pairing(rv((Fraction(1, 2),) * 3), rv((0, 0, 2))) == 1
     for i in b3.simple_indices:
         assert pairing(b3.roots[i], b3.coroots[i]) == 2
     with pytest.raises(DatumError):
-        pairing((Fraction(1, 2), 0, 0), (1, 0, 0))
+        pairing(rv((Fraction(1, 2), 0, 0)), rv((1, 0, 0)))
 
 
 def test_validate_catches_scaled_coroot():
@@ -97,7 +98,8 @@ def test_validate_catches_scaled_coroot():
         rd.char_basis,
         rd.cochar_basis,
         rd.roots,
-        tuple(tuple(2 * x for x in v) for v in rd.coroots),
+        tuple(RatVector.from_fractions(2 * x for x in v.fractions())
+              for v in rd.coroots),
         rd.simple_indices,
     )
     report = validate_datum(bad)
@@ -112,8 +114,10 @@ def test_validate_catches_root_outside_lattice():
         rd.ambient_dim,
         rd.char_basis,
         rd.cochar_basis,
-        rd.roots + ((Fraction(1), Fraction(0), Fraction(0)),),
-        rd.coroots + ((Fraction(2), Fraction(0), Fraction(0)),),
+        rd.roots + (RatVector.from_fractions(
+            (Fraction(1), Fraction(0), Fraction(0))),),
+        rd.coroots + (RatVector.from_fractions(
+            (Fraction(2), Fraction(0), Fraction(0))),),
         rd.simple_indices,
     )
     report = validate_datum(bad)
@@ -187,7 +191,7 @@ def test_isogeny_adjointness_all_pairs():
         assert iso.cochar_map == transpose(iso.char_map)
         # lifted coroots push back down to the target coroots
         for k, ac in enumerate(iso.target.coroots):
-            lifted = iso.source.cochar_ambient(iso.coroot_lift[k])
+            lifted = iso.source.cochar_ambient(RatVector.make(iso.coroot_lift[k]))
             assert lifted == ac
 
 
