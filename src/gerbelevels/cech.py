@@ -8,8 +8,12 @@ are exact.  Cech, equivariant and group cohomology all build one
 presentation -- the coboundaries out of and into the degree, and the
 relation vectors on both sides -- and hand it to intlinalg.subquotient,
 the routine that also computes the stabilizer H^1 of obstruction.py.
-Cochain values are stored on sorted simplices only, with the
-alternation sign applied on access.
+Every coboundary matrix is built as rows by one emitter per direction:
+_cech_rows for the Cech differential and _bar_rows for the bar
+differential of a finite group.  The equivariant total differential puts
+the two side by side, and obstruction.py takes the stabilizer H^1 and
+its coboundary solves from _bar_rows too.  Cochain values are stored on
+sorted simplices only, with the alternation sign applied on access.
 
 Overlap line bundles are modeled by their classes in the coefficient
 group (powers of one fixed bundle); section-level data is collapsed to
@@ -46,7 +50,9 @@ class CechError(ValueError):
 
 class ComplexCapExceeded(RuntimeError):
     def __init__(self, size: int, cap: int):
-        super().__init__(f"complex needs {size} coordinates, over the cap {cap}")
+        super().__init__(
+            f"equivariant complex needs {size} coordinates, over the cap {cap}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +333,8 @@ class Cochain:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise CechError("negative degree")
         level = set(self.nerve.level(self.degree))
         clean = {}
         for s, v in self.values.items():
@@ -346,9 +354,9 @@ class Cochain:
             values = {
                 freeze(e["simplex"], 1): freeze(e["value"], 1) for e in d["values"]
             }
+            return cls(nerve, degree, group, values)
         except (KeyError, TypeError, ValueError) as err:
             raise _malformed("cocycle", err) from None
-        return cls(nerve, degree, group, values)
 
     def value(self, simplex) -> Vector:
         simplex = tuple(simplex)
@@ -418,27 +426,26 @@ def zero_cochain(nerve: Nerve, degree: int, group: CoefficientGroup) -> Cochain:
 # plain Cech cohomology with presented coefficients
 
 
+def _cech_rows(nerve: Nerve, p: int, size: int, sign: int):
+    """Rows of sign * delta^p : C^p -> C^(p+1) on the free cover of size
+    coefficient coordinates, (dc)(v_0..v_{p+1}) = sum_i (-1)^i c(drop v_i):
+    one row per (p+1)-simplex and coordinate, columns (p-simplex,
+    coordinate)."""
+    src_idx = nerve.index(p)
+    width = len(src_idx) * size
+    for s in nerve.level(p + 1):
+        faces = [(src_idx[s[:i] + s[i + 1:]] * size, sign if i % 2 == 0 else -sign)
+                 for i in range(p + 2)]
+        for c in range(size):
+            row = [0] * width
+            for base, coef in faces:
+                row[base + c] = coef
+            yield tuple(row)
+
+
 def _cech_matrix(nerve: Nerve, p: int, size: int) -> Matrix:
     """Free-cover matrix of delta^p : C^p -> C^(p+1)."""
-    src = nerve.level(p)
-    dst = nerve.level(p + 1)
-    src_idx = {s: i for i, s in enumerate(src)}
-    rows = []
-    for s in dst:
-        blocks = [0] * (len(src) * size)
-        for i in range(p + 2):
-            face = s[:i] + s[i + 1:]
-            j = src_idx[face]
-            coef = 1 if i % 2 == 0 else -1
-            for ccoord in range(size):
-                blocks[j * size + ccoord] += coef
-        # expand into size rows (coefficientwise identity blocks)
-        for ccoord in range(size):
-            row = [0] * (len(src) * size)
-            for j in range(len(src)):
-                row[j * size + ccoord] = blocks[j * size + ccoord]
-            rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(_cech_rows(nerve, p, size, 1))
 
 
 def _relations(total: int, group: CoefficientGroup) -> tuple[Vector, ...]:
@@ -515,7 +522,8 @@ def trivialize(c: Cochain) -> Cochain | None:
         return zero_cochain(nerve, max(p - 1, 0), group)
     if p == 0:
         return None
-    _, _, _, d_in, rel_in = _cech_presentation(nerve, p, group)
+    d_in = _cech_matrix(nerve, p - 1, group.size)
+    rel_in = _relations(len(nerve.level(p)) * group.size, group)
     # unknowns: the (p-1)-cochain, then one multiplier per relation
     a = tuple(row + tuple(v[i] for v in rel_in) for i, row in enumerate(d_in))
     x = solve_z(a, target).solution
@@ -592,9 +600,6 @@ class FiniteGroupTable:
             for a in range(self.n)
             if all(self.table[a][b] == self.table[b][a] for b in range(self.n))
         )
-
-    def tuples(self, q: int):
-        return itertools.product(range(self.n), repeat=q)
 
     def to_json_dict(self) -> dict:
         return {"table": [list(r) for r in self.table]}
@@ -720,127 +725,103 @@ def point_action(group: FiniteGroupTable, coefficients: CoefficientGroup,
 # equivariant cohomology via the double complex
 
 
-def _blocks(nerve: Nerve, n: int):
-    """(q, p) blocks of total degree n with nonempty simplex level."""
-    out = []
-    for q in range(n + 1):
-        p = n - q
-        if p <= nerve.dim and nerve.level(p):
-            out.append((q, p))
-    return out
+def _bar_rows(q: int, prod, actions, pull):
+    """Rows of the bar differential C^q -> C^(q+1) of a finite group,
+    (df)(g_1..g_{q+1}) = g_1.f(g_2..g_{q+1})
+                         + sum_{i=1..q} (-1)^i f(.., g_i g_{i+1}, ..)
+                         + (-1)^(q+1) f(g_1..g_q).
+
+    The elements are the positions 0..n-1 of actions, and q-tuples of them
+    run in lexicographic order.  prod[a][b] is the position of a*b (read
+    only for q >= 1) and actions[g] the coefficient matrix of g.  Cochain
+    values live on the simplices of one level: pull[g][s] = (s', sign)
+    says g^-1.s = sign.s', so (g.f)(s) = sign * actions[g] f(s'); a point
+    has the pull table ((0, 1),) for every element.  One row per
+    (q+1)-tuple, simplex and coefficient coordinate; columns (q-tuple,
+    simplex, coordinate).
+    """
+    n = len(actions)
+    m = len(pull[0])
+    r = len(actions[0])
+    power = [n ** k for k in range(q + 2)]
+    width = power[q] * m * r
+    for idx, t in enumerate(itertools.product(range(n), repeat=q + 1)):
+        g = t[0]
+        rho = actions[g]
+        rest = idx % power[q]
+        # q-tuples of the other terms with their signs: the merged pair
+        # g_i g_{i+1} sits between the digits of idx above and below it
+        terms = [((idx // power[q + 2 - i]) * power[q + 1 - i]
+                  + prod[t[i - 1]][t[i]] * power[q - i] + idx % power[q - i],
+                  -1 if i % 2 else 1) for i in range(1, q + 1)]
+        terms.append((idx // n, 1 if q % 2 else -1))
+        for s in range(m):
+            moved, sign = pull[g][s]
+            base = (rest * m + moved) * r
+            for a in range(r):
+                row = [0] * width
+                for c, x in enumerate(rho[a]):
+                    row[base + c] += sign * x
+                for ti, coef in terms:
+                    row[(ti * m + s) * r + a] += coef
+                yield tuple(row)
 
 
 def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
-    """Free-cover matrix of the total differential T^n -> T^(n+1)."""
+    """Free-cover matrix of the total differential T^n -> T^(n+1).
+
+    The rows of block (q, p) of T^(n+1) are the bar rows out of block
+    (q-1, p) of T^n next to (-1)^q times the Cech rows out of block
+    (q, p-1), the latter once per q-tuple.
+    """
     g = act.group
     nerve = act.nerve
     size = act.coefficients.size
 
     def layout(m: int):
-        blocks = _blocks(nerve, m)
+        """Offsets of the (q, p) blocks of total degree m with a nonempty
+        simplex level, and the total size."""
         offs = {}
         total = 0
-        for (q, p) in blocks:
-            offs[(q, p)] = total
-            total += (g.n ** q) * len(nerve.level(p)) * size
+        for q in range(m + 1):
+            if nerve.level(m - q):
+                offs[(q, m - q)] = total
+                total += (g.n ** q) * len(nerve.level(m - q)) * size
         if total > cap:
             raise ComplexCapExceeded(total, cap)
-        return blocks, offs, total
+        return offs, total
 
-    src_blocks, src_offs, src_total = layout(n)
-    dst_blocks, dst_offs, dst_total = layout(n + 1)
-    dst_set = set(dst_blocks)
-    cols = [[0] * dst_total for _ in range(src_total)]
-
-    for (q, p) in src_blocks:
+    src_offs, src_total = layout(n)
+    dst_offs, dst_total = layout(n + 1)
+    e = g.identity
+    inverse = [row.index(e) for row in g.table]
+    rows = []
+    for (q, p) in dst_offs:
         level = nerve.level(p)
-        simp_idx = {s: i for i, s in enumerate(level)}
-        gtuples = list(g.tuples(q))
-        src_off = src_offs[(q, p)]
-        nsimp = len(level)
-
-        def src_coord(ti, si, c):
-            return src_off + (ti * nsimp + si) * size + c
-
-        # group-direction differential into (q+1, p)
-        if (q + 1, p) in dst_set:
-            dst_off = dst_offs[(q + 1, p)]
-            dst_tuples = {t: i for i, t in enumerate(g.tuples(q + 1))}
-
-            def dst_coord(ti, si, c):
-                return dst_off + (ti * nsimp + si) * size + c
-
-            for out_ti, out_tup in enumerate(g.tuples(q + 1)):
-                # (delta f)(g1..g_{q+1}, s): express in terms of f
-                g1 = out_tup[0]
-                rest = out_tup[1:]
-                for out_si, out_s in enumerate(level):
-                    # term 0: g1 . f(rest)(s) = sign * rho(g1) f(rest, g1^-1 s)
-                    ginv = g.inverse(g1)
-                    moved, sign = act.act_on_simplex(ginv, out_s)
-                    rho = act.coeff_actions[g1]
-                    ti_rest = 0
-                    # index of rest among q-tuples
-                    ti_rest = _tuple_index(rest, g.n)
-                    for outc in range(size):
-                        for inc in range(size):
-                            coef = sign * rho[outc][inc]
-                            if coef:
-                                cols[src_coord(ti_rest, simp_idx[moved], inc)][
-                                    dst_coord(out_ti, out_si, outc)
-                                ] += coef
-                    # middle terms: (-1)^i f(.., g_i g_{i+1}, ..)
-                    for i in range(1, q + 1):
-                        merged = (
-                            out_tup[:i - 1]
-                            + (g.mult(out_tup[i - 1], out_tup[i]),)
-                            + out_tup[i + 1:]
-                        )
-                        ti_m = _tuple_index(merged, g.n)
-                        coef = -1 if i % 2 else 1
-                        for c in range(size):
-                            cols[src_coord(ti_m, out_si, c)][
-                                dst_coord(out_ti, out_si, c)
-                            ] += coef
-                    # last term: (-1)^{q+1} f(g1..gq)
-                    ti_l = _tuple_index(out_tup[:q], g.n)
-                    coef = -1 if (q + 1) % 2 else 1
-                    for c in range(size):
-                        cols[src_coord(ti_l, out_si, c)][
-                            dst_coord(out_ti, out_si, c)
-                        ] += coef
-
-        # Cech-direction differential into (q, p+1), with sign (-1)^q
-        if (q, p + 1) in dst_set:
-            dst_off = dst_offs[(q, p + 1)]
-            dlevel = nerve.level(p + 1)
-            nd = len(dlevel)
-
-            def dst_coord2(ti, si, c):
-                return dst_off + (ti * nd + si) * size + c
-
-            tsign = -1 if q % 2 else 1
-            for ti in range(len(gtuples)):
-                for out_si, out_s in enumerate(dlevel):
-                    for i in range(p + 2):
-                        face = out_s[:i] + out_s[i + 1:]
-                        si = simp_idx[face]
-                        coef = tsign * (1 if i % 2 == 0 else -1)
-                        for c in range(size):
-                            cols[src_coord(ti, si, c)][
-                                dst_coord2(ti, out_si, c)
-                            ] += coef
-
-    matrix = tuple(tuple(cols[j][i] for j in range(src_total))
-                   for i in range(dst_total))
-    return matrix, src_total, dst_total
-
-
-def _tuple_index(tup, base: int) -> int:
-    idx = 0
-    for x in tup:
-        idx = idx * base + x
-    return idx
+        per_tuple = len(level) * size
+        if q:
+            idx = nerve.index(p)
+            pull = [tuple((idx[moved], sign) for moved, sign in
+                          (act.act_on_simplex(inverse[x], s) for s in level))
+                    for x in range(g.n)]
+            bar = _bar_rows(q - 1, g.table, act.coeff_actions, pull)
+            b_off, bw = src_offs[(q - 1, p)], g.n ** (q - 1) * per_tuple
+        else:
+            bar = itertools.repeat(())
+            b_off, bw = 0, 0
+        if p:
+            cech = tuple(_cech_rows(nerve, p - 1, size, -1 if q % 2 else 1))
+            c_off, cw = src_offs[(q, p - 1)], len(nerve.level(p - 1)) * size
+        else:
+            cech = ((),) * per_tuple
+            c_off, cw = b_off + bw, 0
+        lead = (0,) * b_off
+        for t in range(g.n ** q):
+            gap = (0,) * (c_off + t * cw - b_off - bw)
+            tail = (0,) * (src_total - c_off - (t + 1) * cw)
+            for crow in cech:
+                rows.append(lead + next(bar) + gap + crow + tail)
+    return tuple(rows), src_total, dst_total
 
 
 def equivariant_cohomology(

@@ -455,7 +455,11 @@ def cmd_cohomology(args) -> int:
         }
         if args.trivialize_cocycle:
             cdata = _load_fixture(args.trivialize_cocycle)
-            witness = trivialize(Cochain.from_json_dict(nerve, group, cdata))
+            cocycle = Cochain.from_json_dict(nerve, group, cdata)
+            if cocycle.degree != args.degree:
+                raise CechError(f"malformed cocycle: degree {cocycle.degree} "
+                                f"is not --degree {args.degree}")
+            witness = trivialize(cocycle)
             payload["witness"] = (
                 None if witness is None else witness.to_json_dict()
             )

@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from .cech import _bar_rows
 from .intlinalg import (
     AbelianInvariants,
     Matrix,
     RatVector,
     Smith,
     Vector,
-    identity,
     matvec,
     solve_z,
     subquotient,
@@ -190,17 +190,11 @@ def centralizer_cocycle(
 
 
 def _coboundary_system(res: ObstructionResult, members) -> tuple[Matrix, Vector]:
-    """Stacked system (w - 1) u = c_w over the given elements."""
-    r = res.action.iso.source.rank
-    rows = []
-    rhs = []
-    eye = identity(r)
-    for i in members:
-        m = res.source_action(i)
-        for a in range(r):
-            rows.append(tuple(m[a][c] - eye[a][c] for c in range(r)))
-        rhs.extend(res.c_cocycle[i])
-    return tuple(rows), tuple(rhs)
+    """Stacked system (w - 1) u = c_w over the given elements: the bar
+    differential delta^0 on them, against the values of the cocycle."""
+    actions = [res.source_action(i) for i in members]
+    a = tuple(_bar_rows(0, None, actions, [((0, 1),)] * len(members)))
+    return a, tuple(x for i in members for x in res.c_cocycle[i])
 
 
 def is_trivial_class(res: ObstructionResult) -> Vector | None:
@@ -278,7 +272,9 @@ def h1_group_lattice(
 
     lattice_action maps an element index to its integer action matrix.
     Z^1 = ker(delta^1) with (delta^1 c)_{w1,w2} = w1.c_{w2} - c_{w1 w2}
-    + c_{w1}; B^1 = im(delta^0) with (delta^0 u)_w = w.u - u.  When a
+    + c_{w1}; B^1 = im(delta^0) with (delta^0 u)_w = w.u - u.  Both come
+    from cech._bar_rows, the bar differential that the equivariant complex
+    uses too, on W_L relabelled by position in its members.  When a
     cocycle is supplied, its coordinates in the quotient presentation
     and its exact order there are reported.  Raises BarComplexTooLarge
     before building anything when delta^1 would exceed H1_CELL_CAP cells.
@@ -293,32 +289,15 @@ def h1_group_lattice(
     if cells > H1_CELL_CAP:
         raise BarComplexTooLarge(cells, H1_CELL_CAP)
     pos = {w: k for k, w in enumerate(members)}
-
-    # delta^1 : C^1 -> C^2, one block row per ordered pair
-    rows = []
-    for w1 in members:
-        m1 = lattice_action(w1)
-        for w2 in members:
-            w12 = group.mult(w1, w2)
-            for a in range(r):
-                row = [0] * n1
-                for c in range(r):
-                    row[pos[w2] * r + c] += m1[a][c]
-                row[pos[w12] * r + a] -= 1
-                row[pos[w1] * r + a] += 1
-                rows.append(tuple(row))
-
-    # delta^0 : C^0 -> C^1, (delta^0 u)_w = w.u - u
-    d0 = []
-    for w in members:
-        m = lattice_action(w)
-        for a in range(r):
-            d0.append(tuple(m[a][c] - (1 if a == c else 0) for c in range(r)))
-
+    prod = [[pos[group.mult(w1, w2)] for w2 in members] for w1 in members]
+    actions = [lattice_action(w) for w in members]
+    point = [((0, 1),)] * len(members)
+    d1 = tuple(_bar_rows(1, prod, actions, point))
+    d0 = tuple(_bar_rows(0, prod, actions, point))
     locate = None
     if cocycle is not None:
         locate = tuple(x for w in members for x in cocycle[w])
-    return H1Result(*subquotient(n1, tuple(rows), (), tuple(d0), (), locate))
+    return H1Result(*subquotient(n1, d1, (), d0, (), locate))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gerbelevels import obstruction
+from gerbelevels import cech, obstruction
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main
 
 FIX = "fixtures"
@@ -121,6 +121,24 @@ def test_obstruction_h1_cap_refuses_d4_origin(capsys, monkeypatch):
     errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
     assert errors == ["error: H^1 bar complex needs about 113246208 matrix cells, "
                       "over the cap 4194304"]
+
+
+def test_equivariant_complex_cap_edge(capsys, monkeypatch):
+    # T^5 of Z/4 on a point has 4^5 = 1024 coordinates: the cap admits it
+    # at 1024 and refuses it at 1023, before anything is built or factored
+    argv = ["equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4"]
+    assert run(capsys, *argv, "--max-complex-size", "1024") == (0, "H^4_G = Z/4\n")
+
+    def unreachable(*args):
+        raise AssertionError("the equivariant complex was factored")
+
+    monkeypatch.setattr(cech, "subquotient", unreachable)
+    code = main(argv + ["--max-complex-size", "1023"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: equivariant complex needs 1024 coordinates, over the cap 1023"]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -684,6 +702,8 @@ def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message
      "expected an integer, got 1.5"),
     ({"degree": 1, "values": [{"simplex": [0, 1.0], "value": [1]}]},
      "expected an integer, got 1.0"),
+    ({"degree": -1, "values": []}, "negative degree"),
+    ({"degree": 5, "values": []}, "degree 5 is not --degree 1"),
 ])
 def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cocycle, detail):
     path = tmp_path / "cocycle.json"

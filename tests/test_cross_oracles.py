@@ -9,9 +9,11 @@ elimination for root-datum coordinates and reflections, the earlier
 Fraction route for dual bases, projections, isogeny maps, source
 actions and the basic level, the earlier
 solve-per-vector cohomology routes for Cech, equivariant and stabilizer
-H^1, the earlier matrix route for Weyl products, per-element source
-actions and orbit-minimum scan representatives, and the earlier
-full-scan Smith form that always builds its left transform.
+H^1, the per-entry loops that built their coboundary matrices and the
+class-order system before the row emitters, the earlier matrix route
+for Weyl products, per-element source actions and orbit-minimum scan
+representatives, and the earlier full-scan Smith form that always
+builds its left transform.
 """
 
 import importlib.util
@@ -23,16 +25,18 @@ from math import gcd, lcm
 
 import pytest
 
-from gerbelevels import intlinalg
+from gerbelevels import intlinalg, obstruction
 from gerbelevels.cech import (
     Cochain,
     CoefficientGroup,
+    ComplexCapExceeded,
     FiniteAction,
+    FiniteGroupTable,
     Nerve,
-    _blocks,
     _cech_matrix,
     _equivariant_matrices,
     cocycle_class,
+    circle_nerve,
     cohomology,
     cyclic_group,
     equivariant_cohomology,
@@ -40,6 +44,7 @@ from gerbelevels.cech import (
     nerve_of_cover,
     octahedron_nerve,
     parse_group_label,
+    simplex_cone_nerve,
 )
 from gerbelevels.intlinalg import (
     AbelianInvariants,
@@ -679,38 +684,135 @@ def oracle_relations(slots, group):
     return tuple(out)
 
 
-def oracle_cech(nerve, p, group, locate=None):
-    size = group.size
-    d_out = _cech_matrix(nerve, p, size)
-    d_in_cols = ()
-    if p:
-        d_in = _cech_matrix(nerve, p - 1, size)
-        d_in_cols = tuple(transpose(d_in)) if d_in else ()
-    return oracle_subquotient(
-        len(nerve.level(p)) * size, d_out,
-        oracle_relations(len(nerve.level(p + 1)), group), d_in_cols,
-        oracle_relations(len(nerve.level(p)), group), locate,
-    )
+# -- coboundary builders: the per-entry loops the row emitters replaced -----
 
 
-def oracle_equivariant(act, n):
-    def slots(m):
-        return sum((act.group.n ** q) * len(act.nerve.level(p))
-                   for q, p in _blocks(act.nerve, m))
+def oracle_cech_matrix(nerve, p, size):
+    """delta^p : C^p -> C^(p+1) with a face sum per row and a second pass
+    that spreads it over the coefficient coordinates."""
+    src = nerve.level(p)
+    dst = nerve.level(p + 1)
+    src_idx = {s: i for i, s in enumerate(src)}
+    rows = []
+    for s in dst:
+        blocks = [0] * (len(src) * size)
+        for i in range(p + 2):
+            face = s[:i] + s[i + 1:]
+            j = src_idx[face]
+            coef = 1 if i % 2 == 0 else -1
+            for ccoord in range(size):
+                blocks[j * size + ccoord] += coef
+        for ccoord in range(size):
+            row = [0] * (len(src) * size)
+            for j in range(len(src)):
+                row[j * size + ccoord] = blocks[j * size + ccoord]
+            rows.append(tuple(row))
+    return tuple(rows)
 
-    d_out, n_here, _ = _equivariant_matrices(act, n, 10**6)
-    d_in_cols = ()
-    if n:
-        d_in, _, _ = _equivariant_matrices(act, n - 1, 10**6)
-        d_in_cols = tuple(transpose(d_in)) if d_in else ()
-    group = act.coefficients
-    return oracle_subquotient(n_here, d_out, oracle_relations(slots(n + 1), group),
-                              d_in_cols, oracle_relations(slots(n), group))[0]
+
+def oracle_blocks(nerve, n):
+    return [(q, n - q) for q in range(n + 1)
+            if n - q <= nerve.dim and nerve.level(n - q)]
 
 
-def oracle_h1(sub, lattice_action, cocycle):
-    """H^1 of the stabilizer by the bar complex, placing every coboundary
-    generator and the cocycle with a solve of its own."""
+def oracle_tuple_index(tup, base):
+    idx = 0
+    for x in tup:
+        idx = idx * base + x
+    return idx
+
+
+def oracle_equivariant_matrices(act, n, cap):
+    """T^n -> T^(n+1) filled column by column into a dense src x dst list,
+    inverting group elements through the table, then transposed."""
+    g = act.group
+    nerve = act.nerve
+    size = act.coefficients.size
+
+    def layout(m):
+        blocks = oracle_blocks(nerve, m)
+        offs = {}
+        total = 0
+        for (q, p) in blocks:
+            offs[(q, p)] = total
+            total += (g.n ** q) * len(nerve.level(p)) * size
+        if total > cap:
+            raise ComplexCapExceeded(total, cap)
+        return blocks, offs, total
+
+    src_blocks, src_offs, src_total = layout(n)
+    dst_blocks, dst_offs, dst_total = layout(n + 1)
+    dst_set = set(dst_blocks)
+    cols = [[0] * dst_total for _ in range(src_total)]
+
+    def tuples(q):
+        return itertools.product(range(g.n), repeat=q)
+
+    for (q, p) in src_blocks:
+        level = nerve.level(p)
+        simp_idx = {s: i for i, s in enumerate(level)}
+        src_off = src_offs[(q, p)]
+        nsimp = len(level)
+
+        def src_coord(ti, si, c):
+            return src_off + (ti * nsimp + si) * size + c
+
+        if (q + 1, p) in dst_set:
+            dst_off = dst_offs[(q + 1, p)]
+
+            def dst_coord(ti, si, c):
+                return dst_off + (ti * nsimp + si) * size + c
+
+            for out_ti, out_tup in enumerate(tuples(q + 1)):
+                g1 = out_tup[0]
+                for out_si, out_s in enumerate(level):
+                    # g1 . f(rest)(s) = sign * rho(g1) f(rest, g1^-1 s)
+                    moved, sign = act.act_on_simplex(g.inverse(g1), out_s)
+                    rho = act.coeff_actions[g1]
+                    ti_rest = oracle_tuple_index(out_tup[1:], g.n)
+                    for outc in range(size):
+                        for inc in range(size):
+                            coef = sign * rho[outc][inc]
+                            if coef:
+                                cols[src_coord(ti_rest, simp_idx[moved], inc)][
+                                    dst_coord(out_ti, out_si, outc)] += coef
+                    for i in range(1, q + 1):
+                        merged = (out_tup[:i - 1]
+                                  + (g.mult(out_tup[i - 1], out_tup[i]),)
+                                  + out_tup[i + 1:])
+                        ti_m = oracle_tuple_index(merged, g.n)
+                        coef = -1 if i % 2 else 1
+                        for c in range(size):
+                            cols[src_coord(ti_m, out_si, c)][
+                                dst_coord(out_ti, out_si, c)] += coef
+                    ti_l = oracle_tuple_index(out_tup[:q], g.n)
+                    coef = -1 if (q + 1) % 2 else 1
+                    for c in range(size):
+                        cols[src_coord(ti_l, out_si, c)][
+                            dst_coord(out_ti, out_si, c)] += coef
+
+        if (q, p + 1) in dst_set:
+            dst_off = dst_offs[(q, p + 1)]
+            dlevel = nerve.level(p + 1)
+            nd = len(dlevel)
+            tsign = -1 if q % 2 else 1
+            for ti in range(g.n ** q):
+                for out_si, out_s in enumerate(dlevel):
+                    for i in range(p + 2):
+                        si = simp_idx[out_s[:i] + out_s[i + 1:]]
+                        coef = tsign * (1 if i % 2 == 0 else -1)
+                        for c in range(size):
+                            cols[src_coord(ti, si, c)][
+                                dst_off + (ti * nd + out_si) * size + c] += coef
+
+    matrix = tuple(tuple(cols[j][i] for j in range(src_total))
+                   for i in range(dst_total))
+    return matrix, src_total, dst_total
+
+
+def oracle_h1_matrices(sub, lattice_action):
+    """delta^1 and delta^0 of the stabilizer bar complex, one block row
+    per ordered pair and per element."""
     members = sub.members
     group = sub.group
     r = len(lattice_action(group.identity_index))
@@ -728,6 +830,62 @@ def oracle_h1(sub, lattice_action, cocycle):
                 row[pos[w12] * r + a] -= 1
                 row[pos[w1] * r + a] += 1
                 rows.append(tuple(row))
+    d0 = []
+    for w in members:
+        m = lattice_action(w)
+        for a in range(r):
+            d0.append(tuple(m[a][c] - (1 if a == c else 0) for c in range(r)))
+    return tuple(rows), tuple(d0)
+
+
+def oracle_coboundary_system(res, members):
+    r = res.action.iso.source.rank
+    rows = []
+    rhs = []
+    eye = identity(r)
+    for i in members:
+        m = res.source_action(i)
+        for a in range(r):
+            rows.append(tuple(m[a][c] - eye[a][c] for c in range(r)))
+        rhs.extend(res.c_cocycle[i])
+    return tuple(rows), tuple(rhs)
+
+
+def oracle_cech(nerve, p, group, locate=None):
+    size = group.size
+    d_out = oracle_cech_matrix(nerve, p, size)
+    d_in_cols = ()
+    if p:
+        d_in = oracle_cech_matrix(nerve, p - 1, size)
+        d_in_cols = tuple(transpose(d_in)) if d_in else ()
+    return oracle_subquotient(
+        len(nerve.level(p)) * size, d_out,
+        oracle_relations(len(nerve.level(p + 1)), group), d_in_cols,
+        oracle_relations(len(nerve.level(p)), group), locate,
+    )
+
+
+def oracle_equivariant(act, n):
+    def slots(m):
+        return sum((act.group.n ** q) * len(act.nerve.level(p))
+                   for q, p in oracle_blocks(act.nerve, m))
+
+    d_out, n_here, _ = oracle_equivariant_matrices(act, n, 10**6)
+    d_in_cols = ()
+    if n:
+        d_in, _, _ = oracle_equivariant_matrices(act, n - 1, 10**6)
+        d_in_cols = tuple(transpose(d_in)) if d_in else ()
+    group = act.coefficients
+    return oracle_subquotient(n_here, d_out, oracle_relations(slots(n + 1), group),
+                              d_in_cols, oracle_relations(slots(n), group))[0]
+
+
+def oracle_h1(sub, lattice_action, cocycle):
+    """H^1 of the stabilizer by the bar complex, placing every coboundary
+    generator and the cocycle with a solve of its own."""
+    members = sub.members
+    r = len(lattice_action(sub.group.identity_index))
+    rows, _ = oracle_h1_matrices(sub, lattice_action)
     z_rows = freeze(kernel_basis(freeze(rows)))
     b_gens = [
         tuple(lattice_action(w)[a][u] - (1 if a == u else 0)
@@ -833,6 +991,142 @@ def test_equivariant_cohomology_matches_oracle(name):
     act = FiniteAction.from_json_dict(load_fixture(name))
     for n in range(4):
         assert equivariant_cohomology(act, n) == oracle_equivariant(act, n), n
+
+
+# --- coboundary matrices: row emitters vs the per-entry loops --------------
+
+
+def dihedral_group(k):
+    """Order 2k; index j*k + i stands for r^i s^j, with s r s = r^-1."""
+    def mul(x, y):
+        i1, j1 = x % k, x // k
+        i2, j2 = y % k, y // k
+        return ((j1 + j2) % 2) * k + (i1 + (i2 if j1 == 0 else -i2)) % k
+    return FiniteGroupTable(tuple(tuple(mul(a, b) for b in range(2 * k))
+                                  for a in range(2 * k)))
+
+
+def matrix_power(m, e):
+    out = identity(len(m))
+    for _ in range(e):
+        out = matmul(out, m)
+    return out
+
+
+def relabelled_action(table, nerve, coeff, perms, mats, rng):
+    """The action with the nerve's vertices relabelled at random, so that
+    moved simplices come back unsorted and the pull signs are exercised."""
+    nv = nerve.n_vertices
+    tau = list(range(nv))
+    rng.shuffle(tau)
+    new_nerve = Nerve.from_maximal(
+        nv, [tuple(tau[v] for v in s) for level in nerve.simplices for s in level])
+    new_perms = []
+    for perm in perms:
+        new = [0] * nv
+        for v in range(nv):
+            new[tau[v]] = tau[perm[v]]
+        new_perms.append(tuple(new))
+    return FiniteAction(table, new_nerve, parse_group_label(coeff),
+                        tuple(new_perms), tuple(mats))
+
+
+SWAP = ((0, 1), (1, 0))
+ORDER_3 = ((0, -1), (1, -1))
+ORDER_4 = ((0, -1), (1, 0))
+SIGN = ((-1,),)
+
+
+def seeded_actions():
+    """(action, top degree): cyclic and dihedral groups on a point and on
+    circle covers, on coefficients of rank one and two."""
+    rng = random.Random(7007)
+    point = simplex_cone_nerve(1)
+    cases = []
+    # Z/n on a point, the generator acting by gen
+    for n, coeff, gen, top in ((2, "Z", SIGN, 4), (2, "Z/4", ((1,),), 4),
+                               (2, "Z^2", SWAP, 3), (3, "Z", ((1,),), 3),
+                               (3, "Z^2", ORDER_3, 3), (4, "Z", SIGN, 3),
+                               (4, "Z^2", ORDER_4, 2), (6, "Z/2+Z/3", identity(2), 2)):
+        mats = [matrix_power(gen, g) for g in range(n)]
+        cases.append((relabelled_action(cyclic_group(n), point, coeff,
+                                        [(0,)] * n, mats, rng), top))
+    # D_k on a point: r by rot, s by refl
+    for k, coeff, rot, refl, top in ((3, "Z", ((1,),), SIGN, 3),
+                                     (3, "Z^2", ORDER_3, SWAP, 2),
+                                     (4, "Z/3", ((1,),), SIGN, 2),
+                                     (4, "Z^2", ORDER_4, SWAP, 2)):
+        mats = [matmul(matrix_power(rot, x % k), matrix_power(refl, x // k))
+                for x in range(2 * k)]
+        cases.append((relabelled_action(dihedral_group(k), point, coeff,
+                                        [(0,)] * (2 * k), mats, rng), top))
+    # circle covers: free rotations, the reflection of a 4-arc circle and
+    # the dihedral group of a 3-arc circle
+    for m, coeff, top in ((3, "Z", 3), (4, "Z/2", 2), (5, "Z", 2)):
+        perms = [tuple((v + g) % m for v in range(m)) for g in range(m)]
+        cases.append((relabelled_action(cyclic_group(m), circle_nerve(m), coeff,
+                                        perms, [((1,),)] * m, rng), top))
+    for coeff, sign, top in (("Z", ((1,),), 3), ("Z", SIGN, 3), ("Z/3", SIGN, 3)):
+        perms = [tuple(range(4)), tuple(-v % 4 for v in range(4))]
+        cases.append((relabelled_action(cyclic_group(2), circle_nerve(4), coeff,
+                                        perms, [((1,),), sign], rng), top))
+    perms = [tuple(((-1) ** (x // 3) * v + x) % 3 for v in range(3))
+             for x in range(6)]
+    mats = [matrix_power(SIGN, x // 3) for x in range(6)]
+    cases.append((relabelled_action(dihedral_group(3), circle_nerve(3), "Z",
+                                    perms, mats, rng), 2))
+    return cases
+
+
+def test_equivariant_matrices_match_per_entry_builder():
+    cases = [(FiniteAction.from_json_dict(load_fixture(name)), 4)
+             for name in ACTION_FIXTURES] + seeded_actions()
+    signs = set()
+    for act, top in cases:
+        for n in range(top + 1):
+            got = _equivariant_matrices(act, n, 10**6)
+            assert got == oracle_equivariant_matrices(act, n, 10**6), (act, n)
+        signs.update(act.act_on_simplex(g, s)[1] for g in range(act.group.n)
+                     for level in act.nerve.simplices for s in level)
+    assert signs == {1, -1}  # some simplex is pulled back with a sign
+
+
+@pytest.mark.parametrize("name", NERVE_FIXTURES)
+def test_cech_matrices_match_per_entry_builder(name):
+    nerve = fixture_nerve(name)
+    for label in ("Z", "Z/2", "Z+Z/6", "Z^2"):
+        size = parse_group_label(label).size
+        for p in range(5):
+            assert _cech_matrix(nerve, p, size) == \
+                oracle_cech_matrix(nerve, p, size), (label, p)
+
+
+def test_h1_and_coboundary_systems_match_per_entry_builders(monkeypatch):
+    """delta^1 and delta^0 as handed to subquotient, and the generator
+    system of the class-order solve, at every denominator-2 stabilizer of
+    A2, B2, C2, the Spin(7) point and the certificate points."""
+    cases = [(act, b, SemisimplePoint(xi)) for act, b, xi in stabilizer_cases()]
+    for entry, xi in workload_cert_points():
+        iso = classical_isogeny(*entry)
+        cases.append((SharedWeylAction(iso), basic_level(iso).tensor,
+                      SemisimplePoint(iso.target.cochar_coords_q(
+                          RatVector.from_fractions(xi)))))
+    assert len(cases) > 18
+    seen = []
+    monkeypatch.setattr(obstruction, "subquotient",
+                        lambda *args: seen.append(args) or (None, None, None))
+    shapes = set()
+    for act, b, pt in cases:
+        res = centralizer_cocycle(act, b, pt)
+        h1_group_lattice(res.w_l, act.source_char_action, res.c_cocycle)
+        _n1, d1, _, d0, _, _ = seen.pop()
+        assert (d1, d0) == oracle_h1_matrices(res.w_l, act.source_char_action)
+        shapes.add((len(d1), len(d1[0])))
+        for members in (res.w_l.generators or (act.group.identity_index,),
+                        res.w_l.members):
+            assert obstruction._coboundary_system(res, members) == \
+                oracle_coboundary_system(res, members)
+    assert (1024, 64) in shapes  # the D4 certificate's delta^1
 
 
 # --- Weyl groups: the matrix route the root permutations replaced ---------
