@@ -37,18 +37,17 @@ from .intlinalg import (
     vec_sub,
 )
 from .levels import LevelTensor, SharedWeylAction, is_invariant
-from .weyl import Subgroup, act_cochar, integral_reflection_subgroup, stabilizer
+from .weyl import (
+    Subgroup,
+    VerificationCapExceeded,
+    act_cochar,
+    integral_reflection_subgroup,
+    stabilizer,
+)
 
 
 class ObstructionError(ValueError):
     pass
-
-
-class VerificationCapExceeded(RuntimeError):
-    def __init__(self, size: int, cap: int):
-        super().__init__(
-            f"subgroup of order {size} exceeds the exhaustive verification cap {cap}"
-        )
 
 
 class BarComplexTooLarge(RuntimeError):
@@ -144,9 +143,7 @@ def centralizer_cocycle(
     if len(pt.xi) != action.iso.target.rank:
         raise ObstructionError("xi has the wrong rank")
     group = action.group
-    w_l = stabilizer(group, pt.xi)
-    if len(w_l) > verify_cap:
-        raise VerificationCapExceeded(len(w_l), verify_cap)
+    w_l = stabilizer(group, pt.xi, cap=verify_cap)
     d_cocycle: dict[int, Vector] = {}
     c_cocycle: dict[int, Vector] = {}
     for i in w_l.members:
@@ -156,21 +153,22 @@ def centralizer_cocycle(
         d = diff.int_vector()
         d_cocycle[i] = d
         c_cocycle[i] = b.bmap(d)
-    # cocycle identity c_{w1 w2} = w1 . c_{w2} + c_{w1}, all pairs; the
-    # right side is computed once per row and distinct value of c_{w2}
-    for i in w_l.members:
+    # cocycle identity c_{w1 w2} = w1 . c_{w2} + c_{w1}, all pairs, with
+    # w1 w2 read from the subgroup's table; the right side is computed
+    # once per row and distinct value of c_{w2}
+    c_at = [c_cocycle[i] for i in w_l.members]
+    for i, prod_row in zip(w_l.members, w_l.table):
         mi = action.source_char_action(i)
         ci = c_cocycle[i]
         images: dict[Vector, Vector] = {}
-        for j in w_l.members:
-            cj = c_cocycle[j]
+        for cj, ij in zip(c_at, prod_row):
             expect = images.get(cj)
             if expect is None:
                 expect = images[cj] = tuple(
                     sum(x * y for x, y in zip(row, cj)) + c
                     for row, c in zip(mi, ci)
                 )
-            if c_cocycle[group.mult(i, j)] != expect:
+            if c_at[ij] != expect:
                 raise AssertionError("cocycle identity failed")
     rational_witness = RatVector.make(
         list(matvec(b.matrix, pt.xi.nums)), pt.xi.den
@@ -274,26 +272,24 @@ def h1_group_lattice(
     Z^1 = ker(delta^1) with (delta^1 c)_{w1,w2} = w1.c_{w2} - c_{w1 w2}
     + c_{w1}; B^1 = im(delta^0) with (delta^0 u)_w = w.u - u.  Both come
     from cech._bar_rows, the bar differential that the equivariant complex
-    uses too, on W_L relabelled by position in its members.  When a
+    uses too, on W_L relabelled by position in its members, with products
+    read from the subgroup's left-regular table.  When a
     cocycle is supplied, its coordinates in the quotient presentation
     and its exact order there are reported.  Raises BarComplexTooLarge
     before building anything when delta^1 would exceed H1_CELL_CAP cells.
     """
     if len(sub) > cap:
-        raise VerificationCapExceeded(len(sub), cap)
+        raise VerificationCapExceeded("H^1 subgroup", len(sub), cap)
     members = sub.members
-    group = sub.group
-    r = len(lattice_action(group.identity_index))
+    r = len(lattice_action(sub.group.identity_index))
     n1 = len(members) * r
     cells = len(members) ** 2 * r * n1
     if cells > H1_CELL_CAP:
         raise BarComplexTooLarge(cells, H1_CELL_CAP)
-    pos = {w: k for k, w in enumerate(members)}
-    prod = [[pos[group.mult(w1, w2)] for w2 in members] for w1 in members]
     actions = [lattice_action(w) for w in members]
     point = [((0, 1),)] * len(members)
-    d1 = tuple(_bar_rows(1, prod, actions, point))
-    d0 = tuple(_bar_rows(0, prod, actions, point))
+    d1 = tuple(_bar_rows(1, sub.table, actions, point))
+    d0 = tuple(_bar_rows(0, sub.table, actions, point))
     locate = None
     if cocycle is not None:
         locate = tuple(x for w in members for x in cocycle[w])

@@ -15,6 +15,13 @@ flattened character-action matrix) so that subgroup serializations and
 reports are deterministic.  Beyond the generation cap the engine refuses
 outright: downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
+
+A subgroup (a stabilizer W_L, or the subgroup generated by integral
+reflections) carries its left-regular table on positions in its sorted
+members, built once: only the generators' rows are products in W, every
+other row is a composition of two rows along a breadth-first tree of the
+subgroup.  Closure checks, element orders, the cocycle identity and the
+bar complex of H^1 read products from that table.
 """
 
 from __future__ import annotations
@@ -30,6 +37,16 @@ class WeylCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"Weyl group order exceeds the configured cap {cap}")
         self.cap = cap
+
+
+class VerificationCapExceeded(RuntimeError):
+    """A subgroup larger than the cap on exhaustive verification; stage
+    names where it was found."""
+
+    def __init__(self, stage: str, size: int, cap: int):
+        super().__init__(
+            f"{stage} of order {size} exceeds the exhaustive verification cap {cap}"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,14 +101,6 @@ class WeylGroup:
     def inverse(self, i: int) -> int:
         p = self.perms[i]
         return self._by_key[tuple(p.index(s) for s in self.datum.simple_indices)]
-
-    def element_order(self, i: int) -> int:
-        k = 1
-        j = i
-        while j != self.identity_index:
-            j = self.mult(j, i)
-            k += 1
-        return k
 
 
 def simple_root_permutations(rd: RootDatum) -> tuple[Permutation, ...]:
@@ -177,85 +186,158 @@ def act_char(elem: WeylElement, chi: RatVector) -> RatVector:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup given by sorted element indices against the canonical order."""
+    """Subgroup given by sorted element indices against the canonical order.
+
+    table is its left-regular table on positions in members:
+    table[a][b] is the position of members[a] * members[b].  Every
+    product of two members is read from it; only the generators' rows
+    were computed by group.mult.
+    """
 
     group: WeylGroup
     members: tuple[int, ...]
     generators: tuple[int, ...]
+    table: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
     def verify_closed(self) -> bool:
-        mset = set(self.members)
-        if self.group.identity_index not in mset:
+        """The identity is a member, each member's inverse is a member
+        that the table multiplies back to the identity, and every row of
+        the table is a permutation of the positions: each ordered pair of
+        members has exactly one product, inside the subgroup."""
+        pos = {w: a for a, w in enumerate(self.members)}
+        e = pos.get(self.group.identity_index)
+        if e is None:
             return False
-        for i in self.members:
-            if self.group.inverse(i) not in mset:
+        n = len(self.members)
+        everyone = set(range(n))
+        if self.table[e] != tuple(range(n)):
+            return False
+        for a, w in enumerate(self.members):
+            row = self.table[a]
+            b = pos.get(self.group.inverse(w))
+            if len(row) != n or set(row) != everyone or b is None or row[b] != e:
                 return False
-            for j in self.members:
-                if self.group.mult(i, j) not in mset:
-                    return False
         return True
 
     def exponent(self) -> int:
+        e = self.members.index(self.group.identity_index)
         out = 1
-        for i in self.members:
-            out = lcm(out, self.group.element_order(i))
+        for a in range(len(self.members)):
+            k, b = 1, a
+            while b != e:
+                b = self.table[b][a]
+                k += 1
+            out = lcm(out, k)
         return out
 
     def element(self, i: int) -> WeylElement:
         return self.group.elements[i]
 
 
-def _closure(group: WeylGroup, seeds) -> tuple[int, ...]:
-    members = {group.identity_index}
-    frontier = [group.identity_index]
-    seeds = list(seeds)
+def _grow(group: WeylGroup, have: set[int], frontier: list[int], seeds) -> None:
+    """Adds to have every s_1 ... s_m * f with f in frontier and each s_i
+    in seeds; frontier must already be in have."""
     while frontier:
         nxt = []
         for i in frontier:
             for s in seeds:
                 m = group.mult(s, i)
-                if m not in members:
-                    members.add(m)
+                if m not in have:
+                    have.add(m)
                     nxt.append(m)
         frontier = nxt
+
+
+def _closure(group: WeylGroup, seeds) -> tuple[int, ...]:
+    members = {group.identity_index}
+    _grow(group, members, [group.identity_index], list(seeds))
     return tuple(sorted(members))
 
 
 def _minimal_generators(group: WeylGroup, members: tuple[int, ...]) -> tuple[int, ...]:
-    """Greedy small generating set of a subgroup given by its members."""
+    """Greedy small generating set of a subgroup given by its members:
+    each member outside the closure of the generators so far becomes a
+    generator.  The closure grows in place: the new generator x applied
+    to the old closure gives its new elements, and only those are
+    multiplied further, by every generator."""
     gens: list[int] = []
     have = {group.identity_index}
     for i in members:
         if i in have:
             continue
         gens.append(i)
-        have = set(_closure(group, gens))
+        new = [m for m in (group.mult(i, h) for h in have) if m not in have]
+        have.update(new)
+        _grow(group, have, new, gens)
         if len(have) == len(members):
             break
     return tuple(gens)
 
 
+_NOT_CLOSED = "member set is not closed under the group operations"
+
+
+def _left_regular_table(group: WeylGroup, members: tuple[int, ...],
+                        gens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """table[a][b] = position of members[a] * members[b].
+
+    The generators' rows come from group.mult; every other row is a
+    generator row composed with the row of its parent in a breadth-first
+    tree of the subgroup: (g w) * v = g * (w v).  Raises ValueError when a
+    generator product leaves members or the tree misses a member.
+    """
+    pos = {w: a for a, w in enumerate(members)}
+    try:
+        gen_rows = [[pos[group.mult(g, w)] for w in members] for g in gens]
+    except KeyError:
+        raise ValueError(_NOT_CLOSED) from None
+    rows: list[tuple[int, ...] | None] = [None] * len(members)
+    e = pos[group.identity_index]
+    rows[e] = tuple(range(len(members)))
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            row_w = rows[a]
+            for row_g in gen_rows:
+                b = row_g[a]
+                if rows[b] is None:
+                    rows[b] = tuple(map(row_g.__getitem__, row_w))
+                    nxt.append(b)
+        frontier = nxt
+    if None in rows:
+        raise ValueError(_NOT_CLOSED)
+    return tuple(rows)
+
+
 def subgroup_from_members(group: WeylGroup, members) -> Subgroup:
     members = tuple(sorted(set(members) | {group.identity_index}))
-    sub = Subgroup(group, members, _minimal_generators(group, members))
+    gens = _minimal_generators(group, members)
+    sub = Subgroup(group, members, gens, _left_regular_table(group, members, gens))
     if not sub.verify_closed():
-        raise ValueError("member set is not closed under the group operations")
+        raise ValueError(_NOT_CLOSED)
     return sub
 
 
-def stabilizer(group: WeylGroup, xi: RatVector) -> Subgroup:
+def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgroup:
     """Elements w with w.xi - xi in the cocharacter lattice.
 
-    xi is given in X_*(T) basis coordinates; the test is exact.
+    xi is given in X_*(T) basis coordinates; the test is exact, on the
+    integer numerators of xi.  Raises VerificationCapExceeded when the
+    stabilizer has more than cap members, before any generator or table
+    is built.
     """
-    members = []
-    for i, e in enumerate(group.elements):
-        diff = act_cochar(e, xi) - xi
-        if diff.is_integral:
-            members.append(i)
+    nums, den = xi.nums, xi.den
+    members = [
+        i for i, e in enumerate(group.elements)
+        if not any((sum(a * x for a, x in zip(row, nums)) - n) % den
+                   for row, n in zip(e.cochar_action, nums))
+    ]
+    if cap is not None and len(members) > cap:
+        raise VerificationCapExceeded("stabilizer W_L", len(members), cap)
     return subgroup_from_members(group, members)
 
 
@@ -274,7 +356,9 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
                                  stab: Subgroup | None = None) -> ReflectionComparison:
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
 
-    stab, when the caller already has it, is stabilizer(group, xi).
+    stab, when the caller already has it, is stabilizer(group, xi).  When
+    the two member sets are equal, stab itself is the reflection subgroup,
+    with the generators and table it already has.
     """
     datum = group.datum
     seeds = []
@@ -288,9 +372,9 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
         seen.add(m)
         seeds.append(group.index_of(m))
     members = _closure(group, seeds)
-    refl = subgroup_from_members(group, members)
     if stab is None:
         stab = stabilizer(group, xi)
+    refl = stab if members == stab.members else subgroup_from_members(group, members)
     stab_set = set(stab.members)
     if not set(refl.members) <= stab_set:
         raise AssertionError(

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gerbelevels import cech, obstruction
+from gerbelevels import cech, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main
 
 FIX = "fixtures"
@@ -123,6 +123,36 @@ def test_obstruction_h1_cap_refuses_d4_origin(capsys, monkeypatch):
                       "over the cap 4194304"]
 
 
+def test_subgroup_cap_edge(capsys):
+    # the D4 origin has |W_L| = 192: admitted at the cap 192, refused at 191
+    argv = ["scan", "D", "4", "Spin", "Spin", "--max-denominator", "1"]
+    code, out = run(capsys, *argv, "--max-subgroup-order", "192")
+    assert code == 0
+    assert "|W_L|=192" in out
+    code = main(argv + ["--max-subgroup-order", "191"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: stabilizer W_L of order 192 exceeds the exhaustive verification cap 191"]
+
+
+def test_subgroup_cap_refuses_before_closure_work(capsys, monkeypatch):
+    # A6 at the origin: all 5040 elements fix xi.  The sweep counts them
+    # and the cap refuses before any generator, closure or table is built.
+    def unreachable(*args):
+        raise AssertionError("closure work on a subgroup over the cap")
+
+    for name in ("_minimal_generators", "_closure", "_left_regular_table"):
+        monkeypatch.setattr(weyl, name, unreachable)
+    code = main(["obstruction", "A", "6", "SL", "SL", "--xi", "0,0,0,0,0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: stabilizer W_L of order 5040 exceeds the exhaustive verification cap 384"]
+
+
 def test_equivariant_complex_cap_edge(capsys, monkeypatch):
     # T^5 of Z/4 on a point has 4^5 = 1024 coordinates: the cap admits it
     # at 1024 and refuses it at 1023, before anything is built or factored
@@ -147,7 +177,12 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
     (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4",
       "--format", "json"),
      "4f4a114fdce492d67ed9e7b78fb33dd613c057408357ec199751a8d093d92109"),
-], ids=["B3-origin", "z4-degree4"])
+    # |W| = 384 scans, outside the benchmark
+    (("scan", "B", "4", "Spin", "Spin", "--max-denominator", "2"),
+     "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"),
+    (("scan", "C", "4", "Sp", "Sp", "--max-denominator", "2"),
+     "996001e32d10760bd9c7fe5ba2ca344a1a8ce60d711139a42aca66df99a69b76"),
+], ids=["B3-origin", "z4-degree4", "B4-scan", "C4-scan"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

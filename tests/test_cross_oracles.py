@@ -12,10 +12,14 @@ solve-per-vector cohomology routes for Cech, equivariant and stabilizer
 H^1, the per-entry loops that built their coboundary matrices and the
 class-order system before the row emitters, the earlier matrix route
 for Weyl products, per-element source actions and orbit-minimum scan
-representatives, and the earlier full-scan Smith form that always
-builds its left transform.
+representatives, the earlier full-scan Smith form that always
+builds its left transform, and the earlier subgroup routes that swept
+W with rational vectors, recomputed a closure for every candidate
+generator and multiplied every ordered pair of members with
+WeylGroup.mult.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -81,7 +85,13 @@ from gerbelevels.obstruction import (
     scan_points,
 )
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
-from gerbelevels.weyl import WeylCapExceeded, act_cochar, generate
+from gerbelevels.weyl import (
+    WeylCapExceeded,
+    _left_regular_table,
+    act_cochar,
+    generate,
+    subgroup_from_members,
+)
 from gerbelevels.rootdata import (
     RootDatum,
     _dual_basis,
@@ -1245,6 +1255,154 @@ def test_scan_representatives_match_orbit_minimum(entry):
     act = SharedWeylAction(iso)
     rows = scan_points(act, basic_level(iso).tensor, 4).rows
     assert [row.xi for row in rows] == oracle_scan_representatives(act, 4)
+
+
+# --- Subgroups: the all-pairs mult routes the left-regular table replaced --
+
+
+def oracle_stabilizer_members(group, xi):
+    """The sweep over W with one RatVector image and difference each."""
+    return tuple(i for i, e in enumerate(group.elements)
+                 if (act_cochar(e, xi) - xi).is_integral)
+
+
+def oracle_closure(group, seeds):
+    members = {group.identity_index}
+    frontier = [group.identity_index]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for s in seeds:
+                m = group.mult(s, i)
+                if m not in members:
+                    members.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def oracle_minimal_generators(group, members):
+    """Greedy generators, the closure recomputed from scratch for each."""
+    gens = []
+    have = {group.identity_index}
+    for i in members:
+        if i in have:
+            continue
+        gens.append(i)
+        have = set(oracle_closure(group, gens))
+        if len(have) == len(members):
+            break
+    return tuple(gens)
+
+
+def oracle_verify_closed(group, members):
+    mset = set(members)
+    if group.identity_index not in mset:
+        return False
+    for i in members:
+        if group.inverse(i) not in mset:
+            return False
+        for j in members:
+            if group.mult(i, j) not in mset:
+                return False
+    return True
+
+
+def oracle_exponent(group, members):
+    out = 1
+    for i in members:
+        k, j = 1, i
+        while j != group.identity_index:
+            j = group.mult(j, i)
+            k += 1
+        out = lcm(out, k)
+    return out
+
+
+def oracle_cocycle_identity(res):
+    """c_{w1 w2} = w1.c_{w2} + c_{w1} for every ordered pair, by mult."""
+    group, c = res.w_l.group, res.c_cocycle
+    return all(
+        c[group.mult(i, j)] == intlinalg.vec_add(matvec(res.source_action(i), c[j]), c[i])
+        for i in res.w_l.members for j in res.w_l.members
+    )
+
+
+def oracle_reflection_members(group, xi):
+    rd = group.datum
+    seeds = {group.index_of(rd.reflection_char(k))
+             for k, alpha in enumerate(rd.root_coords())
+             if sum(a * x for a, x in zip(alpha, xi.nums)) % xi.den == 0}
+    return oracle_closure(group, sorted(seeds))
+
+
+def assert_subgroup_matches_oracle(sub, members):
+    group = sub.group
+    assert sub.members == members
+    assert sub.generators == oracle_minimal_generators(group, members)
+    pos = {w: a for a, w in enumerate(members)}
+    assert sub.table == tuple(tuple(pos[group.mult(v, w)] for w in members)
+                              for v in members)
+    assert sub.verify_closed() and oracle_verify_closed(group, members)
+    assert sub.exponent() == oracle_exponent(group, members)
+
+
+def subgroup_cases():
+    """Every stabilizer_cases() point, every denominator-2 scan point of
+    B3 Spin/Spin, C3 Sp/Sp and B3 SO/SO (where three reflection subgroups
+    are proper in the stabilizer), and the D4 origin (|W_L| = 192)."""
+    cases = list(stabilizer_cases())
+    for entry in (("B", 3, "Spin", "Spin"), ("C", 3, "Sp", "Sp"),
+                  ("B", 3, "SO", "SO")):
+        iso = classical_isogeny(*entry)
+        act = SharedWeylAction(iso)
+        b = basic_level(iso).tensor
+        cases += [(act, b, row.xi) for row in scan_points(act, b, 2).rows]
+    iso = classical_isogeny("D", 4, "Spin", "Spin")
+    cases.append((SharedWeylAction(iso), basic_level(iso).tensor, RatVector.zero(4)))
+    return cases
+
+
+def test_subgroups_match_all_pairs_mult_oracle():
+    """Stabilizer members, generators, table, closure, exponent, cocycle
+    identity and the integral reflection subgroup against the routes that
+    multiplied every ordered pair with WeylGroup.mult."""
+    orders = set()
+    unequal = 0
+    for act, b, xi in subgroup_cases():
+        group = act.group
+        res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+        members = oracle_stabilizer_members(group, xi)
+        assert_subgroup_matches_oracle(res.w_l, members)
+        assert oracle_cocycle_identity(res)
+        refl_members = oracle_reflection_members(group, xi)
+        assert_subgroup_matches_oracle(res.reflection_sub, refl_members)
+        assert res.reflection_agrees == (refl_members == members)
+        unequal += refl_members != members
+        orders.add(len(members))
+    assert 192 in orders
+    assert unequal  # a reflection subgroup built apart from the stabilizer
+
+
+def test_non_closed_member_sets_are_refused():
+    group = generate(classical_datum("A", 2, "SL"))
+    s1, s2 = group.generators
+    members = tuple(sorted((group.identity_index, s1, s2)))
+    assert not oracle_verify_closed(group, members)
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_from_members(group, members)
+    # a tree without generators reaches only the identity
+    whole = tuple(range(group.order))
+    with pytest.raises(ValueError, match="not closed"):
+        _left_regular_table(group, whole, ())
+    # tables that are not the subgroup's: a row that repeats a product,
+    # and a row that is a permutation but misses the member's inverse
+    sub = subgroup_from_members(group, whole)
+    assert sub.verify_closed()
+    a = next(a for a, w in enumerate(whole) if w != group.identity_index)
+    for row in ((sub.table[a][0],) * group.order, tuple(range(group.order))):
+        bad = sub.table[:a] + (row,) + sub.table[a + 1:]
+        assert not dataclasses.replace(sub, table=bad).verify_closed()
 
 
 # --- Smith normal form: the full-scan pivot search that always builds U ---
