@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .intlinalg import (
     AbelianInvariants,
+    CapExceeded,
     Matrix,
     Smith,
     Vector,
@@ -46,13 +47,6 @@ from .intlinalg import (
 
 class CechError(ValueError):
     pass
-
-
-class ComplexCapExceeded(RuntimeError):
-    def __init__(self, size: int, cap: int):
-        super().__init__(
-            f"equivariant complex needs {size} coordinates, over the cap {cap}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +782,8 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
                 offs[(q, m - q)] = total
                 total += (g.n ** q) * len(nerve.level(m - q)) * size
         if total > cap:
-            raise ComplexCapExceeded(total, cap)
+            raise CapExceeded(f"equivariant complex needs {total} coordinates, "
+                              f"over the cap {cap}")
         return offs, total
 
     src_offs, src_total = layout(n)

@@ -1,15 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success (including verdicts match / no-claim), 1 invalid
-input, 2 a configured cap was exceeded, 3 a classification mismatch
-against the bundled reference table (mismatch is data, not a crash; the
-nonzero code flags it for harnesses).
+input or a usage error, 2 a configured cap was exceeded, 3 a
+classification mismatch against the bundled reference table (mismatch is
+data, not a crash; the nonzero code flags it for harnesses).  main is the
+only place where an error becomes an exit code: CliError, DatumError and
+CechError map to 1 and CapExceeded to 2, each printed as one `error:`
+line on stderr.
+
+Each subcommand accepts only the options it reads: csv output is offered
+by levels, atlas and scan; --max-weyl-order by the four subcommands that
+generate a Weyl group; --max-subgroup-order by obstruction, scan and
+atlas (for its per-row scans).
 
 Output is deterministic: canonical JSON (sorted keys, fixed separators),
 fixed text layouts, no timestamps; the tool identification line goes to
-stderr so payloads stay byte-stable.  Batch commands accept --jobs; rows
-are computed in a thread pool and always assembled in canonical order,
-so the bytes do not depend on the thread count.
+stderr so payloads stay byte-stable.  atlas computes its rows one after
+another in canonical order.
 """
 
 from __future__ import annotations
@@ -17,13 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
 from .cech import (
     CechError,
-    ComplexCapExceeded,
     FiniteAction,
     FiniteGroupTable,
     Nerve,
@@ -37,7 +42,7 @@ from .cech import (
     Cochain,
 )
 from .claims import find_claim
-from .intlinalg import RatVector, freeze
+from .intlinalg import CapExceeded, RatVector, freeze
 from .levels import (
     LevelTensor,
     SharedWeylAction,
@@ -47,10 +52,7 @@ from .levels import (
     is_invariant,
 )
 from .obstruction import (
-    BarComplexTooLarge,
-    ScanTooLarge,
     SemisimplePoint,
-    VerificationCapExceeded,
     obstruction_report,
     scan_points,
 )
@@ -62,7 +64,6 @@ from .rootdata import (
     classical_isogeny,
     validate_datum,
 )
-from .weyl import WeylCapExceeded
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -82,9 +83,15 @@ DEFAULT_ATLAS_ROWS = (
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """Invalid input or usage, found by the front end: exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become CliError, so that main reports them like any
+    other invalid input; --help still exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def emit(payload: str, out_path: str | None) -> None:
@@ -102,39 +109,31 @@ def parse_rational_vector(text: str) -> RatVector:
     try:
         fracs = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as err:
-        raise CliError(f"cannot parse rational vector {text!r}: {err}",
-                       EXIT_BAD_INPUT)
+        raise CliError(f"cannot parse rational vector {text!r}: {err}")
     return RatVector.from_fractions(fracs)
 
 
 def build_action(args) -> SharedWeylAction:
     try:
-        if getattr(args, "datum_fixture", None):
+        if args.datum_fixture:
             data = _load_fixture(args.datum_fixture)
             src = RootDatum.from_json_dict(data["source"])
             tgt = RootDatum.from_json_dict(data["target"])
             for rd in (src, tgt):
                 report = validate_datum(rd)
                 if not report.passed:
-                    raise CliError(
-                        f"datum {rd.name} invalid: {'; '.join(report.violations)}",
-                        EXIT_BAD_INPUT,
-                    )
+                    raise CliError(f"datum {rd.name} invalid: "
+                                   f"{'; '.join(report.violations)}")
             iso = build_isogeny(src, tgt)
         else:
             if None in (args.series, args.rank, args.source_form,
                         args.target_form):
-                raise CliError(
-                    "give SERIES RANK SOURCE TARGET or --datum-fixture",
-                    EXIT_BAD_INPUT,
-                )
+                raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture")
             iso = classical_isogeny(args.series, args.rank, args.source_form,
                                     args.target_form)
         return SharedWeylAction(iso, cap=args.max_weyl_order)
-    except (DatumError, KeyError) as err:
-        raise CliError(str(err), EXIT_BAD_INPUT)
-    except WeylCapExceeded as err:
-        raise CliError(str(err), EXIT_CAP)
+    except KeyError as err:
+        raise CliError(str(err))
 
 
 def resolve_level(action: SharedWeylAction, spec: str) -> LevelTensor:
@@ -144,16 +143,14 @@ def resolve_level(action: SharedWeylAction, spec: str) -> LevelTensor:
         try:
             mult = 1 if not head else int(head)
         except ValueError:
-            raise CliError(f"cannot parse level spec {spec!r}", EXIT_BAD_INPUT)
+            raise CliError(f"cannot parse level spec {spec!r}")
         if mult < 1:
-            raise CliError("level multiple must be >= 1", EXIT_BAD_INPUT)
+            raise CliError("level multiple must be >= 1")
         res = basic_level(iso)
         if mult % res.minimal_multiple:
             raise CliError(
                 f"{mult} x basic is not in the level lattice for {iso.name}; "
-                f"the least integral multiple is {res.minimal_multiple}",
-                EXIT_BAD_INPUT,
-            )
+                f"the least integral multiple is {res.minimal_multiple}")
         level = res.tensor.scale(mult // res.minimal_multiple)
     else:
         try:
@@ -161,10 +158,9 @@ def resolve_level(action: SharedWeylAction, spec: str) -> LevelTensor:
                 data = json.load(fh)
             level = LevelTensor(iso, freeze(data["matrix"]))
         except (OSError, KeyError, TypeError, ValueError) as err:
-            raise CliError(f"cannot load level from {spec!r}: {err}",
-                           EXIT_BAD_INPUT)
+            raise CliError(f"cannot load level from {spec!r}: {err}")
     if not is_invariant(action, level):
-        raise CliError("level tensor is not Weyl invariant", EXIT_BAD_INPUT)
+        raise CliError("level tensor is not Weyl invariant")
     return level
 
 
@@ -211,7 +207,7 @@ def _atlas_csv(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atlas_row(row, max_weyl_order, scan_denominator):
+def _atlas_row(row, max_weyl_order, scan_denominator, max_subgroup_order):
     series, rank, sf, tf = row
     try:
         iso = classical_isogeny(series, rank, sf, tf)
@@ -222,7 +218,8 @@ def _atlas_row(row, max_weyl_order, scan_denominator):
         scan_summary = None
         if scan_denominator:
             res = basic_level(iso)
-            table = scan_points(action, res.tensor, scan_denominator)
+            table = scan_points(action, res.tensor, scan_denominator,
+                                verify_cap=max_subgroup_order)
             scan_summary = {
                 "level": f"{res.minimal_multiple}xbasic",
                 "points": len(table.rows),
@@ -232,40 +229,31 @@ def _atlas_row(row, max_weyl_order, scan_denominator):
         return {"entry": entry, "scan": scan_summary, "error": None, "row": row}
     except (DatumError, CechError) as err:
         return {"entry": None, "scan": None, "error": str(err), "row": row}
-    except (WeylCapExceeded, ScanTooLarge, VerificationCapExceeded) as err:
+    except CapExceeded as err:
         return {"entry": None, "scan": None, "error": f"cap: {err}", "row": row}
 
 
 def cmd_atlas(args) -> int:
     if args.scan_denominator < 0:
-        raise CliError("--scan-denominator must be >= 0 (0 means no scan)",
-                       EXIT_BAD_INPUT)
+        raise CliError("--scan-denominator must be >= 0 (0 means no scan)")
     rows = []
     if args.row:
         for spec in args.row:
             parts = spec.split(",")
             if len(parts) != 4:
-                raise CliError(f"--row needs SERIES,RANK,SOURCE,TARGET: {spec!r}",
-                               EXIT_BAD_INPUT)
+                raise CliError(f"--row needs SERIES,RANK,SOURCE,TARGET: {spec!r}")
             try:
                 rows.append((parts[0], int(parts[1]), parts[2], parts[3]))
             except ValueError:
-                raise CliError(f"bad rank in --row {spec!r}", EXIT_BAD_INPUT)
+                raise CliError(f"bad rank in --row {spec!r}")
     else:
         rows = list(DEFAULT_ATLAS_ROWS)
     if args.series:
         wanted = set(args.series.split(","))
         rows = [r for r in rows if r[0] in wanted]
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    worker = lambda row: _atlas_row(  # noqa: E731
-        row, args.max_weyl_order, args.scan_denominator
-    )
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, rows))
-    else:
-        results = [worker(row) for row in rows]
-    results.sort(key=lambda r: (r["row"][0], r["row"][1], r["row"][2], r["row"][3]))
+    rows.sort()
+    results = [_atlas_row(row, args.max_weyl_order, args.scan_denominator,
+                          args.max_subgroup_order) for row in rows]
     if args.format == "json":
         payload = []
         for r in results:
@@ -305,19 +293,12 @@ def cmd_obstruction(args) -> int:
     xi_amb = parse_rational_vector(args.xi)
     tgt = action.iso.target
     if len(xi_amb) != tgt.ambient_dim:
-        raise CliError(
-            f"xi must have {tgt.ambient_dim} reference coordinates",
-            EXIT_BAD_INPUT,
-        )
+        raise CliError(f"xi must have {tgt.ambient_dim} reference coordinates")
     coords = tgt.cochar_coords_q(xi_amb)
     if coords is None:
-        raise CliError("xi lies outside the cocharacter span", EXIT_BAD_INPUT)
-    pt = SemisimplePoint(coords)
-    try:
-        res = obstruction_report(action, level, pt,
-                                 verify_cap=args.max_subgroup_order)
-    except VerificationCapExceeded as err:
-        raise CliError(str(err), EXIT_CAP)
+        raise CliError("xi lies outside the cocharacter span")
+    res = obstruction_report(action, level, SemisimplePoint(coords),
+                             verify_cap=args.max_subgroup_order)
     payload = res.to_json_dict()
     payload["stabilizer_actions"] = {
         str(i): [list(r) for r in action.source_char_action(i)]
@@ -344,17 +325,12 @@ def cmd_obstruction(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.max_denominator < 1:
-        raise CliError("--max-denominator must be >= 1", EXIT_BAD_INPUT)
+        raise CliError("--max-denominator must be >= 1")
     action = build_action(args)
     level = resolve_level(action, args.level)
-    try:
-        table = scan_points(action, level, args.max_denominator,
-                            point_cap=args.max_scan_points,
-                            verify_cap=args.max_subgroup_order)
-    except ScanTooLarge as err:
-        raise CliError(str(err), EXIT_CAP)
-    except VerificationCapExceeded as err:
-        raise CliError(str(err), EXIT_CAP)
+    table = scan_points(action, level, args.max_denominator,
+                        point_cap=args.max_scan_points,
+                        verify_cap=args.max_subgroup_order)
     rows = [
         {
             "xi": {"num": list(r.xi.nums), "den": r.xi.den},
@@ -397,21 +373,18 @@ def cmd_scan(args) -> int:
 
 
 def cmd_datum(args) -> int:
-    try:
-        if args.isogeny_target:
-            iso = classical_isogeny(args.series, args.rank, args.form,
-                                    args.isogeny_target)
-            payload = iso.to_json_dict()
-            payload["index"] = iso.index()
-            payload["cokernel"] = iso.cokernel_invariants().label()
-        else:
-            rd = classical_datum(args.series, args.rank, args.form)
-            report = validate_datum(rd)
-            payload = rd.to_json_dict()
-            payload["valid"] = report.passed
-            payload["violations"] = list(report.violations)
-    except DatumError as err:
-        raise CliError(str(err), EXIT_BAD_INPUT)
+    if args.isogeny_target:
+        iso = classical_isogeny(args.series, args.rank, args.form,
+                                args.isogeny_target)
+        payload = iso.to_json_dict()
+        payload["index"] = iso.index()
+        payload["cokernel"] = iso.cokernel_invariants().label()
+    else:
+        rd = classical_datum(args.series, args.rank, args.form)
+        report = validate_datum(rd)
+        payload = rd.to_json_dict()
+        payload["valid"] = report.passed
+        payload["violations"] = list(report.violations)
     emit(canonical_json(payload) if args.format == "json"
          else json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -422,7 +395,7 @@ def _load_fixture(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError) as err:
-        raise CliError(f"cannot read fixture {path!r}: {err}", EXIT_BAD_INPUT)
+        raise CliError(f"cannot read fixture {path!r}: {err}")
 
 
 def _nerve_from_fixture(data: dict, dim_cap: int) -> Nerve:
@@ -431,40 +404,33 @@ def _nerve_from_fixture(data: dict, dim_cap: int) -> Nerve:
             return nerve_of_cover([set(c) for c in data["cover"]], dim_cap)
         if "nerve" in data:
             return Nerve.from_json_dict(data["nerve"])
-    except CechError as err:
-        raise CliError(str(err), EXIT_BAD_INPUT)
     except TypeError as err:  # e.g. a cover that is not a list of lists
-        raise CliError(f"malformed cover: {err}", EXIT_BAD_INPUT)
-    raise CliError("fixture needs a 'cover' or 'nerve' field", EXIT_BAD_INPUT)
+        raise CliError(f"malformed cover: {err}")
+    raise CliError("fixture needs a 'cover' or 'nerve' field")
 
 
 def cmd_cohomology(args) -> int:
     if args.max_nerve_dim < 0:
-        raise CliError("--max-nerve-dim must be >= 0", EXIT_BAD_INPUT)
+        raise CliError("--max-nerve-dim must be >= 0")
     data = _load_fixture(args.fixture)
     nerve = _nerve_from_fixture(data, args.max_nerve_dim)
-    try:
-        group = parse_group_label(args.coefficients)
-        inv = cohomology(nerve, args.degree, group)
-        payload = {
-            "degree": args.degree,
-            "coefficients": args.coefficients,
-            "invariants": {"free_rank": inv.free_rank,
-                           "torsion": list(inv.torsion)},
-            "label": inv.label(),
-        }
-        if args.trivialize_cocycle:
-            cdata = _load_fixture(args.trivialize_cocycle)
-            cocycle = Cochain.from_json_dict(nerve, group, cdata)
-            if cocycle.degree != args.degree:
-                raise CechError(f"malformed cocycle: degree {cocycle.degree} "
-                                f"is not --degree {args.degree}")
-            witness = trivialize(cocycle)
-            payload["witness"] = (
-                None if witness is None else witness.to_json_dict()
-            )
-    except CechError as err:
-        raise CliError(str(err), EXIT_BAD_INPUT)
+    group = parse_group_label(args.coefficients)
+    inv = cohomology(nerve, args.degree, group)
+    payload = {
+        "degree": args.degree,
+        "coefficients": args.coefficients,
+        "invariants": {"free_rank": inv.free_rank,
+                       "torsion": list(inv.torsion)},
+        "label": inv.label(),
+    }
+    if args.trivialize_cocycle:
+        cdata = _load_fixture(args.trivialize_cocycle)
+        cocycle = Cochain.from_json_dict(nerve, group, cdata)
+        if cocycle.degree != args.degree:
+            raise CliError(f"malformed cocycle: degree {cocycle.degree} "
+                           f"is not --degree {args.degree}")
+        witness = trivialize(cocycle)
+        payload["witness"] = None if witness is None else witness.to_json_dict()
     if args.format == "json":
         emit(canonical_json(payload), args.out)
     else:
@@ -473,14 +439,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_equivariant(args) -> int:
-    data = _load_fixture(args.fixture)
-    try:
-        act = FiniteAction.from_json_dict(data)
-        inv = equivariant_cohomology(act, args.degree, cap=args.max_complex_size)
-    except CechError as err:
-        raise CliError(str(err), EXIT_BAD_INPUT)
-    except ComplexCapExceeded as err:
-        raise CliError(str(err), EXIT_CAP)
+    act = FiniteAction.from_json_dict(_load_fixture(args.fixture))
+    inv = equivariant_cohomology(act, args.degree, cap=args.max_complex_size)
     payload = {
         "degree": args.degree,
         "invariants": {"free_rank": inv.free_rank, "torsion": list(inv.torsion)},
@@ -507,7 +467,7 @@ def cmd_extension(args) -> int:
             psi[g1, g2] = freeze(e["value"], 1)
         res = central_extension_from_cocycle(table, coeff, psi)
     except (CechError, KeyError, TypeError, ValueError) as err:
-        raise CliError(f"extension rejected: {err}", EXIT_BAD_INPUT)
+        raise CliError(f"extension rejected: {err}")
     payload = {
         "order": res.table.n,
         "order_multiset": list(res.order_multiset),
@@ -532,11 +492,16 @@ def cmd_extension(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
+def _add_output(p: argparse.ArgumentParser, csv: bool = False) -> None:
+    formats = ("json", "text", "csv") if csv else ("json", "text")
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", default=None, help="also write the payload here")
+
+
+def _add_weyl_caps(p: argparse.ArgumentParser, subgroup: bool = True) -> None:
     p.add_argument("--max-weyl-order", type=int, default=10**6)
-    p.add_argument("--max-subgroup-order", type=int, default=384)
+    if subgroup:
+        p.add_argument("--max-subgroup-order", type=int, default=384)
 
 
 def _add_entry_args(p: argparse.ArgumentParser) -> None:
@@ -551,7 +516,7 @@ def _add_entry_args(p: argparse.ArgumentParser) -> None:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gerbelevels",
         description=(
             "Exact classification of invariant level tensors on classical "
@@ -563,7 +528,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levels", help="classify levels for one entry")
     _add_entry_args(p)
-    _add_common(p)
+    _add_output(p, csv=True)
+    _add_weyl_caps(p, subgroup=False)
     p.set_defaults(fn=cmd_levels)
 
     p = sub.add_parser("atlas", help="classification table over a range")
@@ -573,8 +539,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="restrict the row set to these series (comma list)")
     p.add_argument("--scan-denominator", type=int, default=0,
                    help="also scan torsion points up to this denominator")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_common(p)
+    _add_output(p, csv=True)
+    _add_weyl_caps(p)
     p.set_defaults(fn=cmd_atlas)
 
     p = sub.add_parser("obstruction", help="centralizer obstruction certificate")
@@ -583,7 +549,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="reference coordinates, e.g. '1/2,-1/2,0'")
     p.add_argument("--level", default="basic",
                    help="'basic', 'Nxbasic', or a JSON file with a matrix")
-    _add_common(p)
+    _add_output(p)
+    _add_weyl_caps(p)
     p.set_defaults(fn=cmd_obstruction)
 
     p = sub.add_parser("scan", help="scan torsion points for obstructions")
@@ -591,7 +558,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", default="basic")
     p.add_argument("--max-denominator", type=int, required=True)
     p.add_argument("--max-scan-points", type=int, default=20000)
-    _add_common(p)
+    _add_output(p, csv=True)
+    _add_weyl_caps(p)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("datum", help="emit a root datum or isogeny as JSON")
@@ -599,7 +567,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("rank", type=int)
     p.add_argument("form")
     p.add_argument("--isogeny-target", default=None)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_datum)
 
     p = sub.add_parser("cohomology", help="cohomology of a nerve fixture")
@@ -609,38 +577,33 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--trivialize-cocycle", default=None,
                    help="JSON cocycle to trivialize against the fixture")
     p.add_argument("--max-nerve-dim", type=int, default=4)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("equivariant", help="equivariant cohomology of an action")
     p.add_argument("--fixture", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-complex-size", type=int, default=60000)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_equivariant)
 
     p = sub.add_parser("extension", help="central extension from a 2-cocycle")
     p.add_argument("--fixture", required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_extension)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
-    print(f"gerbelevels {__version__}", file=sys.stderr)
     try:
+        args = make_parser().parse_args(argv)
+        print(f"gerbelevels {__version__}", file=sys.stderr)
         return args.fn(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except (DatumError, CechError) as err:
+    except (CliError, DatumError, CechError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (WeylCapExceeded, ScanTooLarge, ComplexCapExceeded,
-            VerificationCapExceeded, BarComplexTooLarge) as err:
+    except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
 

@@ -27,6 +27,11 @@ class DimensionMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+class CapExceeded(RuntimeError):
+    """A configured cap refused an input before the work it bounds; the
+    message names the stage, and the estimate where one is known."""
+
+
 # ---------------------------------------------------------------------------
 # basic matrix utilities
 

@@ -27,6 +27,7 @@ from math import lcm
 from .cech import _bar_rows
 from .intlinalg import (
     AbelianInvariants,
+    CapExceeded,
     Matrix,
     RatVector,
     Smith,
@@ -39,7 +40,6 @@ from .intlinalg import (
 from .levels import LevelTensor, SharedWeylAction, is_invariant
 from .weyl import (
     Subgroup,
-    VerificationCapExceeded,
     act_cochar,
     integral_reflection_subgroup,
     stabilizer,
@@ -48,15 +48,6 @@ from .weyl import (
 
 class ObstructionError(ValueError):
     pass
-
-
-class BarComplexTooLarge(RuntimeError):
-    """The dense bar-complex matrix of an H^1 would exceed H1_CELL_CAP."""
-
-    def __init__(self, cells: int, cap: int):
-        super().__init__(
-            f"H^1 bar complex needs about {cells} matrix cells, over the cap {cap}"
-        )
 
 
 # Dense cells of delta^1 that h1_group_lattice may build, (|W_L|^2 r) rows
@@ -275,17 +266,19 @@ def h1_group_lattice(
     uses too, on W_L relabelled by position in its members, with products
     read from the subgroup's left-regular table.  When a
     cocycle is supplied, its coordinates in the quotient presentation
-    and its exact order there are reported.  Raises BarComplexTooLarge
-    before building anything when delta^1 would exceed H1_CELL_CAP cells.
+    and its exact order there are reported.  Raises CapExceeded before
+    building anything when delta^1 would exceed H1_CELL_CAP cells.
     """
     if len(sub) > cap:
-        raise VerificationCapExceeded("H^1 subgroup", len(sub), cap)
+        raise CapExceeded(f"H^1 subgroup of order {len(sub)} exceeds "
+                          f"the exhaustive verification cap {cap}")
     members = sub.members
     r = len(lattice_action(sub.group.identity_index))
     n1 = len(members) * r
     cells = len(members) ** 2 * r * n1
     if cells > H1_CELL_CAP:
-        raise BarComplexTooLarge(cells, H1_CELL_CAP)
+        raise CapExceeded(f"H^1 bar complex needs about {cells} matrix cells, "
+                          f"over the cap {H1_CELL_CAP}")
     actions = [lattice_action(w) for w in members]
     point = [((0, 1),)] * len(members)
     d1 = tuple(_bar_rows(1, sub.table, actions, point))
@@ -320,14 +313,6 @@ def obstruction_report(
                 "H^1 class order disagrees with the coboundary solve"
             )
     return res
-
-
-class ScanTooLarge(RuntimeError):
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(
-            f"scan would enumerate about {estimate} points, over the cap {cap}"
-        )
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -368,7 +353,8 @@ def scan_points(
     r = action.iso.target.rank
     estimate = sum(d**r for d in range(1, max_denominator + 1))
     if estimate > point_cap:
-        raise ScanTooLarge(estimate, point_cap)
+        raise CapExceeded(f"scan would enumerate about {estimate} points, "
+                          f"over the cap {point_cap}")
     points = set()
     for d in range(1, max_denominator + 1):
         stack = [()]

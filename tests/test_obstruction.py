@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 
 from gerbelevels import obstruction
-from gerbelevels.intlinalg import AbelianInvariants, RatVector, matvec, vec_sub
+from gerbelevels.intlinalg import (
+    AbelianInvariants,
+    CapExceeded,
+    RatVector,
+    matvec,
+    vec_sub,
+)
 from gerbelevels.levels import LevelTensor, SharedWeylAction, basic_level
 from gerbelevels.obstruction import (
-    BarComplexTooLarge,
     ObstructionError,
-    ScanTooLarge,
     SemisimplePoint,
     centralizer_cocycle,
     h1_group_lattice,
@@ -164,7 +168,8 @@ def test_h1_bar_complex_cap_edges(monkeypatch):
     assert h1_group_lattice(res.w_l, action.source_char_action).invariants == \
         AbelianInvariants(0, (2,))
     monkeypatch.setattr(obstruction, "H1_CELL_CAP", cells - 1)
-    with pytest.raises(BarComplexTooLarge, match=f"{cells} matrix cells.*cap {cells - 1}"):
+    with pytest.raises(CapExceeded, match=f"^H\\^1 bar complex needs about {cells} "
+                       f"matrix cells, over the cap {cells - 1}$"):
         h1_group_lattice(res.w_l, action.source_char_action)
 
 
@@ -267,7 +272,8 @@ def test_scan_size_refusal():
     iso = identity_isogeny(classical_datum("B", 2, "Spin"))
     action = SharedWeylAction(iso)
     b = basic_level(iso).tensor
-    with pytest.raises(ScanTooLarge):
+    with pytest.raises(CapExceeded, match="^scan would enumerate about 338350 "
+                       "points, over the cap 50$"):
         scan_points(action, b, 100, point_cap=50)
 
 

@@ -4,10 +4,9 @@ from math import factorial
 
 import pytest
 
-from gerbelevels.intlinalg import RatVector, identity, matmul, transpose
+from gerbelevels.intlinalg import CapExceeded, RatVector, identity, matmul, transpose
 from gerbelevels.rootdata import DatumError, classical_datum
 from gerbelevels.weyl import (
-    WeylCapExceeded,
     act_cochar,
     generate,
     integral_reflection_subgroup,
@@ -45,7 +44,8 @@ def test_small_orders():
 
 def test_cap_refusal():
     rd = classical_datum("B", 3, "Spin")
-    with pytest.raises(WeylCapExceeded):
+    with pytest.raises(CapExceeded,
+                       match="^Weyl group order exceeds the configured cap 10$"):
         generate(rd, cap=10)
 
 
