@@ -250,8 +250,13 @@ class Nerve:
         )
 
 
-def nerve_of_cover(cover, dim_cap: int = 4) -> Nerve:
-    """Nerve of a cover by finite sets, up to the dimension cap."""
+def nerve_of_cover(cover, dim_cap: int = 4, reads: int | None = None) -> Nerve:
+    """Nerve of a cover by finite sets, up to the dimension cap.
+
+    reads, when given, is the highest dimension the caller reads: if the
+    cap cuts off a simplex of dimension at most reads, the answer would
+    be that of a truncated nerve, and CapExceeded is raised instead.
+    """
     sets = [frozenset(c) for c in cover]
     if not sets:
         raise CechError("empty cover")
@@ -274,6 +279,12 @@ def nerve_of_cover(cover, dim_cap: int = 4) -> Nerve:
         levels.append(tuple(s for s, _ in nxt))
         current = nxt
         p += 1
+    if reads is not None and p == dim_cap < reads and any(
+            inter & sets[v] for simplex, inter in current
+            for v in range(simplex[-1] + 1, n)):
+        raise CapExceeded(
+            f"nerve has simplices of dimension {dim_cap + 1}, over the "
+            f"dimension cap {dim_cap}")
     return Nerve(n, tuple(levels))
 
 

@@ -13,6 +13,9 @@ by levels, atlas and scan; --max-weyl-order by the four subcommands that
 generate a Weyl group; --max-subgroup-order by obstruction, scan and
 atlas (for its per-row scans).
 
+The parser is built once per process, on the first call of main, and
+reused by every later call; importing the module builds nothing.
+
 Output is deterministic: canonical JSON (sorted keys, fixed separators),
 fixed text layouts, no timestamps; the tool identification line goes to
 stderr so payloads stay byte-stable.  atlas computes its rows one after
@@ -25,6 +28,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .cech import (
@@ -398,10 +402,10 @@ def _load_fixture(path: str) -> dict:
         raise CliError(f"cannot read fixture {path!r}: {err}")
 
 
-def _nerve_from_fixture(data: dict, dim_cap: int) -> Nerve:
+def _nerve_from_fixture(data: dict, dim_cap: int, reads: int) -> Nerve:
     try:
         if "cover" in data:
-            return nerve_of_cover([set(c) for c in data["cover"]], dim_cap)
+            return nerve_of_cover([set(c) for c in data["cover"]], dim_cap, reads)
         if "nerve" in data:
             return Nerve.from_json_dict(data["nerve"])
     except TypeError as err:  # e.g. a cover that is not a list of lists
@@ -413,7 +417,8 @@ def cmd_cohomology(args) -> int:
     if args.max_nerve_dim < 0:
         raise CliError("--max-nerve-dim must be >= 0")
     data = _load_fixture(args.fixture)
-    nerve = _nerve_from_fixture(data, args.max_nerve_dim)
+    # H^degree and its cocycle check read simplices up to dimension degree + 1
+    nerve = _nerve_from_fixture(data, args.max_nerve_dim, args.degree + 1)
     group = parse_group_label(args.coefficients)
     inv = cohomology(nerve, args.degree, group)
     payload = {
@@ -515,6 +520,7 @@ def _add_entry_args(p: argparse.ArgumentParser) -> None:
                         "used instead of the positional entry")
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="gerbelevels",

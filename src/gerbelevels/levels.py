@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .intlinalg import (
@@ -39,7 +40,7 @@ from .intlinalg import (
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum
-from .weyl import WeylGroup, generate, simple_root_permutations
+from .weyl import WeylElement, WeylGroup, generate, simple_root_permutations
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,8 @@ class SharedWeylAction:
     other element's action is the integer product along the generation
     tree: restricting the target action to a stable source lattice is a
     homomorphism, and products of lattice-preserving maps preserve it.
+    The invariance tests read only the simple reflections, so they never
+    need the group's indexed elements.
     """
 
     def __init__(self, iso: IsogenyDatum, group: WeylGroup | None = None,
@@ -126,10 +129,9 @@ class SharedWeylAction:
         self._source_char: dict[int, Matrix] = {}
         self._source_cochar: dict[int, Matrix] = {}
 
-    def _reexpress(self, idx: int, kind: str) -> Matrix:
+    def _reexpress(self, elem: WeylElement, kind: str) -> Matrix:
         iso = self.iso
         tgt, src = iso.target, iso.source
-        elem = self.group.elements[idx]
         cols = []
         if kind == "char":
             basis, action = src.char_basis, elem.char_action
@@ -150,13 +152,20 @@ class SharedWeylAction:
         r = len(cols)
         return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
+    @cached_property
+    def simple_cochar_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        """(source, target) cocharacter actions of each simple reflection,
+        in the order of the target's simple_indices."""
+        return tuple((self._reexpress(e, "cochar"), e.cochar_action)
+                     for e in self.group.simple_reflections)
+
     def _source_action(self, idx: int, kind: str, known: dict[int, Matrix]) -> Matrix:
         got = known.get(idx)
         if got is not None:
             return got
         group = self.group
         if not known:
-            known.update({g: self._reexpress(g, kind)
+            known.update({g: self._reexpress(group.elements[g], kind)
                           for g in (group.identity_index,) + group.generators})
         # climb the generation tree to a known element, then multiply back down
         path = []
@@ -183,10 +192,8 @@ class SharedWeylAction:
 
 
 def is_invariant(action: SharedWeylAction, b: LevelTensor) -> bool:
-    """Exact invariance test over the Weyl generators."""
-    for g in action.group.generators:
-        ns = action.source_cochar_action(g)
-        nt = action.target_cochar_action(g)
+    """Exact invariance test over the simple reflections."""
+    for ns, nt in action.simple_cochar_pairs:
         if matmul(matmul(transpose(ns), b.matrix), nt) != b.matrix:
             return False
     return True
@@ -201,9 +208,7 @@ def invariant_level_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]
     iso = action.iso
     rs, rt = iso.source.rank, iso.target.rank
     rows = []
-    for g in action.group.generators:
-        ns = action.source_cochar_action(g)
-        nt = action.target_cochar_action(g)
+    for ns, nt in action.simple_cochar_pairs:
         # constraint (Ns^T B Nt - B) = 0, vectorized row-major
         for i in range(rs):
             for j in range(rt):

@@ -362,7 +362,7 @@ def scan_points(
             stack = [t + (k,) for t in stack for k in range(d)]
         for nums in stack:
             points.add(RatVector.make(list(nums), d))
-    gens = [action.group.elements[g] for g in action.group.generators]
+    gens = action.group.simple_reflections
     reps = []
     visited = set()
     # numerators over one common denominator order points as rationals do

@@ -39,7 +39,7 @@ content beyond them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .intlinalg import (
@@ -420,8 +420,18 @@ def classical_datum(series: str, rank: int, form: str) -> RootDatum:
     rank is the Dynkin rank: (A, r, SL) is SL(r+1), (B, n, Spin) is
     Spin(2n+1), (C, n, Sp) is Sp(2n), (D, n, SO) is SO(2n).  GL(r+1) is
     the A_r datum on the full rank r+1 torus.
+
+    Each datum is built once per process (the 64 most recently asked
+    for are kept): a RootDatum is frozen, so its coordinate frames and
+    root coordinates, cached on first use, are shared by every caller.
+    A rejected input is never cached.
     """
-    form = resolve_form(series, form)
+    return _classical_datum(series, rank, resolve_form(series, form))
+
+
+# the default atlas reads 19 distinct data
+@lru_cache(maxsize=64)
+def _classical_datum(series: str, rank: int, form: str) -> RootDatum:
     if series == "A":
         if rank < 1:
             raise DatumError("series A needs rank >= 1")

@@ -5,15 +5,21 @@ CHEVIE convention): perm[k] is the index of w(alpha_k).  It is keyed by
 the images of the simple roots, which determine it because W acts
 trivially on the annihilator of the coroots; a product is therefore one
 composition on the simple roots and one dictionary lookup, O(rank).
-Each element also carries its integer actions on both lattices,
-computed once when generation first reaches it, and one entry of the
-generation tree (a Schreier vector) that writes it as a generator times
-an element found earlier.
 
-Elements are stored in a canonical order (lexicographic on the
-flattened character-action matrix) so that subgroup serializations and
-reports are deterministic.  Beyond the generation cap the engine refuses
-outright: downstream obstruction certificates need exhaustive subgroup
+Generation is a breadth-first search on root permutations alone: it
+keeps each permutation and the step that reached it (a generator and
+the element it was applied to).  That is all the group's order, its cap
+and its simple reflections need; a simple reflection's integer actions
+are the datum's own reflection matrices.  The rest is built together,
+once, on the first read of any indexed attribute: each element's
+integer actions on both lattices (along the breadth-first steps), the
+canonical order (lexicographic on the flattened character-action
+matrix, so that subgroup serializations and reports are deterministic),
+the generation tree (a Schreier vector) on canonical indices, the
+generators, the identity and the maps behind mult, inverse and
+index_of.  Classifying levels reads only the simple reflections and
+never builds it.  Beyond the generation cap the engine refuses outright:
+downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
 A subgroup (a stabilizer W_L, or the subgroup generated by integral
@@ -28,6 +34,7 @@ reflections are closed inside W_L on W_L's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .intlinalg import CapExceeded, Matrix, RatVector, Vector, identity, matvec
@@ -49,32 +56,96 @@ class WeylElement:
 Permutation = tuple[int, ...]
 
 
-class WeylGroup:
-    """Elements in canonical order, with their root permutations and the
-    generation tree: tree[i] = (g, parent) with
-    elements[i] = elements[g] * elements[parent], where g is a generator;
-    tree[identity_index] is None."""
+class _Indexed:
+    """A WeylGroup attribute that WeylGroup._build_table sets, together
+    with every other indexed attribute, on first read."""
 
-    def __init__(self, datum: RootDatum, elements: tuple[WeylElement, ...],
-                 generators: tuple[int, ...], perms: tuple[Permutation, ...],
-                 tree: tuple[tuple[int, int] | None, ...]):
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, group, owner=None):
+        if group is None:
+            return self
+        group._build_table()
+        return group.__dict__[self.name]
+
+
+class WeylGroup:
+    """A Weyl group as generated: root permutations in breadth-first
+    order and the step that reached each, steps[b] = (g, parent) for
+    simple reflection g times the parent-th (steps[0] is None, the
+    identity).
+
+    The indexed attributes are built together on first read of any of
+    them: elements in canonical order, perms, the generation tree
+    (tree[i] = (g, parent) with elements[i] = elements[g] *
+    elements[parent], where g is a generator; tree[identity_index] is
+    None), generators and identity_index."""
+
+    elements = _Indexed()
+    perms = _Indexed()
+    tree = _Indexed()
+    generators = _Indexed()
+    identity_index = _Indexed()
+    _keys = _Indexed()
+    _by_key = _Indexed()
+    _index = _Indexed()
+
+    def __init__(self, datum: RootDatum, perms: tuple[Permutation, ...],
+                 steps: tuple[tuple[int, int] | None, ...],
+                 generator_bfs: tuple[int, ...]):
         self.datum = datum
-        self.elements = elements
-        self.generators = generators
-        self.perms = perms
-        self.tree = tree
-        simple = datum.simple_indices
-        self._keys = tuple(tuple(p[s] for s in simple) for p in perms)
-        self._by_key = {k: i for i, k in enumerate(self._keys)}
-        self._index = {e.char_action: i for i, e in enumerate(elements)}
-        self.identity_index = self._index[identity(datum.rank)]
+        self._bfs_perms = perms
+        self._steps = steps
+        self._generator_bfs = generator_bfs  # breadth-first index of each generator
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._bfs_perms)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._bfs_perms)
+
+    @cached_property
+    def simple_reflections(self) -> tuple[WeylElement, ...]:
+        """The simple reflections in the order of datum.simple_indices;
+        the g-th is elements[generators[g]]."""
+        rd = self.datum
+        return tuple(WeylElement(rd.reflection_char(i), rd.reflection_cochar(i))
+                     for i in rd.simple_indices)
+
+    def _build_table(self) -> None:
+        """Sets every indexed attribute: the integer actions along the
+        breadth-first steps, then the canonical order and the maps on it."""
+        rd = self.datum
+        simple = rd.simple_indices
+        roots, coroots = rd.root_coords(), rd.coroot_coords()
+        chars, cochars = [identity(rd.rank)], [identity(rd.rank)]
+        for g, w in self._steps[1:]:
+            a, c = roots[simple[g]], coroots[simple[g]]
+            chars.append(_reflect(a, c, chars[w]))
+            cochars.append(_reflect(c, a, cochars[w]))
+        order = sorted(range(len(chars)), key=chars.__getitem__)
+        pos = [0] * len(order)
+        for i, b in enumerate(order):
+            pos[b] = i
+        gen_pos = tuple(pos[b] for b in self._generator_bfs)
+        steps = self._steps
+        elements = tuple(WeylElement(chars[b], cochars[b]) for b in order)
+        perms = tuple(self._bfs_perms[b] for b in order)
+        keys = tuple(tuple(p[s] for s in simple) for p in perms)
+        self.__dict__.update(
+            elements=elements,
+            perms=perms,
+            tree=tuple(
+                None if steps[b] is None else (gen_pos[steps[b][0]], pos[steps[b][1]])
+                for b in order),
+            generators=gen_pos,
+            identity_index=pos[0],
+            _keys=keys,
+            _by_key={k: i for i, k in enumerate(keys)},
+            _index={e.char_action: i for i, e in enumerate(elements)},
+        )
 
     def index_of(self, char_action: Matrix) -> int:
         return self._index[char_action]
@@ -113,14 +184,12 @@ def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
 def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
     """Breadth-first closure of the simple reflections on root permutations.
 
-    Raises CapExceeded when more than cap elements appear.
+    Raises CapExceeded when more than cap elements appear.  The group's
+    indexed table is left to its first use.
     """
-    r = rd.rank
     simple = rd.simple_indices
     gen_perms = simple_root_permutations(rd)
-    roots, coroots = rd.root_coords(), rd.coroot_coords()
     perms = [tuple(range(len(rd.roots)))]
-    chars, cochars = [identity(r)], [identity(r)]
     steps: list[tuple[int, int] | None] = [None]  # (generator position, parent)
     found = {tuple(simple): 0}
     frontier = [0]
@@ -138,27 +207,10 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
                 found[key] = len(perms)
                 new_frontier.append(len(perms))
                 perms.append(tuple(map(pg.__getitem__, pw)))
-                a, c = roots[simple[g]], coroots[simple[g]]
-                chars.append(_reflect(a, c, chars[w]))
-                cochars.append(_reflect(c, a, cochars[w]))
                 steps.append((g, w))
         frontier = new_frontier
-    order = sorted(range(len(chars)), key=chars.__getitem__)
-    pos = [0] * len(order)
-    for i, b in enumerate(order):
-        pos[b] = i
-    gen_pos = tuple(pos[found[tuple(pg[s] for s in simple)]] for pg in gen_perms)
-    tree = tuple(
-        None if steps[b] is None else (gen_pos[steps[b][0]], pos[steps[b][1]])
-        for b in order
-    )
-    return WeylGroup(
-        rd,
-        tuple(WeylElement(chars[b], cochars[b]) for b in order),
-        gen_pos,
-        tuple(perms[b] for b in order),
-        tree,
-    )
+    return WeylGroup(rd, tuple(perms), tuple(steps),
+                     tuple(found[tuple(pg[s] for s in simple)] for pg in gen_perms))
 
 
 def act_cochar(elem: WeylElement, lam: RatVector) -> RatVector:

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -183,7 +185,11 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
      "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"),
     (("scan", "C", "4", "Sp", "Sp", "--max-denominator", "2"),
      "996001e32d10760bd9c7fe5ba2ca344a1a8ce60d711139a42aca66df99a69b76"),
-], ids=["B3-origin", "z4-degree4", "B4-scan", "C4-scan"])
+    (("atlas", "--format", "json"),
+     "1dcbffe87777852ce85b30daa2e1d9c6bf6a5c1b5b70c2e69cffb4787cae17c9"),
+    (("atlas", "--row", "D,6,Spin,Spin", "--format", "json"),
+     "c6ceedf30d0f9049ec023fc4767084e7bcf60f05d0b56bfaa20d3a33abeff3c3"),
+], ids=["B3-origin", "z4-degree4", "B4-scan", "C4-scan", "atlas", "atlas-D6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
@@ -758,6 +764,31 @@ def test_cohomology_rejects_negative_nerve_dimension(capsys):
     assert (code, out) == (0, "H^1 = Z\n")
 
 
+def test_nerve_cap_refuses_a_truncation_that_reaches_the_degree(tmp_path, capsys):
+    # the nerve of three equal sets is a full 2-simplex: cut at dimension 1
+    # it would read H^1 = Z; the triangle cover cut at 0 would read H^1 = 0
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"cover": [[1], [1], [1]]}))
+    for fixture, cap in ((str(full), 1), (f"{FIX}/triangle_cover.json", 0)):
+        code = main(["cohomology", "--fixture", fixture, "--degree", "1",
+                     "--max-nerve-dim", str(cap)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert _one_error_line(captured.err) == [
+            f"error: nerve has simplices of dimension {cap + 1}, "
+            f"over the dimension cap {cap}"]
+    # a cut above dimension degree + 1 changes nothing H^degree reads
+    for fixture, degree, cap, out in (
+            (str(full), 1, 2, "H^1 = 0\n"), (str(full), 0, 1, "H^0 = Z\n"),
+            (f"{FIX}/triangle_cover.json", 1, 1, "H^1 = Z\n")):
+        assert run(capsys, "cohomology", "--fixture", fixture, "--degree",
+                   str(degree), "--max-nerve-dim", str(cap)) == (0, out)
+    argv = ["cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
+            "--format", "json"]
+    assert run(capsys, *argv, "--max-nerve-dim", "2") == run(capsys, *argv)
+
+
 B3_LEVELS = ("B3 Spin->Spin  verdict=match  computed=[[[2, 1, -2], [1, 2, -2], "
              "[-2, -2, 4]]]  claim={\"kind\": \"basic_multiple\", \"multiple\": 1}\n")
 A2_SCAN = """\
@@ -883,3 +914,58 @@ def test_every_accepted_option_is_read(tmp_path, capsys, command):
     assert args.fn(args) == 0
     capsys.readouterr()
     assert [a.dest for a in options if a.dest not in args._reads] == []
+
+
+def test_weyl_table_is_never_built_where_nothing_reads_it(capsys, monkeypatch):
+    # levels and the atlas without scans read |W| and the simple
+    # reflections only; the cap is still decided on the group's order
+    argv = ["atlas", "--row", "D,4,Spin,Spin", "--format", "json"]
+    expected = run(capsys, *argv)
+
+    def unreachable(self):
+        raise AssertionError("the Weyl group's indexed table was built")
+
+    monkeypatch.setattr(weyl.WeylGroup, "_build_table", unreachable)
+    assert run(capsys, "levels", "D", "4", "Spin", "Spin")[0] == 0
+    assert run(capsys, "levels", *G2)[0] == 0
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv, "--max-weyl-order", "192") == expected
+    code, out = run(capsys, *argv, "--max-weyl-order", "191")
+    assert code == 0
+    assert json.loads(out) == [{
+        "series": "D", "rank": 4, "source_form": "Spin", "target_form": "Spin",
+        "error": "cap: Weyl group order exceeds the configured cap 191"}]
+
+
+def test_parser_is_built_once_per_process_on_first_use():
+    assert make_parser() is make_parser()
+    probe = ("import gerbelevels.cli as cli; "
+             "print(cli.make_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_calls_in_one_process_do_not_leak_into_each_other(capsys):
+    code, out = run(capsys, "atlas", "--row", "A,1,SL,SL")
+    assert code == 0
+    assert out.startswith("A1 SL->SL ")
+    code, out = run(capsys, "atlas", "--row", "B,2,Spin,Spin")
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert out.startswith("B2 Spin->Spin ")
+    levels = ("levels", "A", "2", "SL", "SL", "--format", "json")
+    expected = run(capsys, *levels)
+    assert run(capsys, "atlas", "--jobs", "2")[0] == 1
+    assert run(capsys, *levels) == expected
+
+
+def test_help_exits_zero_on_every_call(capsys):
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("usage: gerbelevels")

@@ -89,6 +89,7 @@ from gerbelevels.weyl import (
     _left_regular_table,
     act_cochar,
     generate,
+    simple_root_permutations,
     subgroup_from_members,
 )
 from gerbelevels.rootdata import (
@@ -615,10 +616,10 @@ def test_isogeny_matches_fraction_route(case):
     assert iso.coroot_lift == lifts
     act = SharedWeylAction(iso)
     s, t = FractionDatum(iso.source), FractionDatum(iso.target)
-    for i, elem in enumerate(act.group.elements):
-        assert act._reexpress(i, "char") == oracle_reexpress(
+    for elem in act.group.elements:
+        assert act._reexpress(elem, "char") == oracle_reexpress(
             s, t, elem.char_action, "char")
-        assert act._reexpress(i, "cochar") == oracle_reexpress(
+        assert act._reexpress(elem, "cochar") == oracle_reexpress(
             s, t, elem.cochar_action, "cochar")
     rat, den, mat = oracle_basic_level(iso)
     res = basic_level(iso)
@@ -1223,9 +1224,9 @@ def test_weyl_cap_threshold_matches_matrix_oracle(key):
 @pytest.mark.parametrize("row", DEFAULT_ATLAS_ROWS, ids=lambda r: ",".join(map(str, r)))
 def test_source_actions_match_per_element_reexpression(row):
     act = SharedWeylAction(classical_isogeny(*row))
-    for i in range(act.group.order):
-        assert act.source_char_action(i) == act._reexpress(i, "char")
-        assert act.source_cochar_action(i) == act._reexpress(i, "cochar")
+    for i, elem in enumerate(act.group.elements):
+        assert act.source_char_action(i) == act._reexpress(elem, "char")
+        assert act.source_cochar_action(i) == act._reexpress(elem, "cochar")
 
 
 def oracle_scan_representatives(action, max_denominator):
@@ -1242,6 +1243,99 @@ def oracle_scan_representatives(action, max_denominator):
         if xi == orbit_min:
             reps.append(xi)
     return sorted(reps, key=lambda v: v.fractions())
+
+
+# --- Weyl groups: the eager generation the lazy table replaced -------------
+
+
+def _eager_reflect(a, c, m):
+    """(I - a c^T) @ m as a rank-one update of m."""
+    cm = [sum(ck * x for ck, x in zip(c, col)) for col in zip(*m)]
+    return tuple(tuple(x - ai * y for x, y in zip(row, cm))
+                 for ai, row in zip(a, m))
+
+
+class EagerWeylGroup:
+    """The generation that built every element's integer actions during
+    the breadth-first search on root permutations, then sorted and
+    indexed all of them at once."""
+
+    def __init__(self, rd, cap=10**6):
+        r = rd.rank
+        simple = rd.simple_indices
+        gen_perms = simple_root_permutations(rd)
+        roots, coroots = rd.root_coords(), rd.coroot_coords()
+        perms = [tuple(range(len(rd.roots)))]
+        chars, cochars = [identity(r)], [identity(r)]
+        steps = [None]
+        found = {tuple(simple): 0}
+        frontier = [0]
+        while frontier:
+            new_frontier = []
+            for w in frontier:
+                pw = perms[w]
+                for g, pg in enumerate(gen_perms):
+                    key = tuple(pg[pw[s]] for s in simple)
+                    if key in found:
+                        continue
+                    if len(perms) >= cap:
+                        raise CapExceeded(
+                            f"Weyl group order exceeds the configured cap {cap}")
+                    found[key] = len(perms)
+                    new_frontier.append(len(perms))
+                    perms.append(tuple(map(pg.__getitem__, pw)))
+                    a, c = roots[simple[g]], coroots[simple[g]]
+                    chars.append(_eager_reflect(a, c, chars[w]))
+                    cochars.append(_eager_reflect(c, a, cochars[w]))
+                    steps.append((g, w))
+            frontier = new_frontier
+        order = sorted(range(len(chars)), key=chars.__getitem__)
+        pos = [0] * len(order)
+        for i, b in enumerate(order):
+            pos[b] = i
+        self.generators = tuple(pos[found[tuple(pg[s] for s in simple)]]
+                                for pg in gen_perms)
+        self.tree = tuple(
+            None if steps[b] is None else (self.generators[steps[b][0]], pos[steps[b][1]])
+            for b in order)
+        self.elements = tuple((chars[b], cochars[b]) for b in order)
+        self.perms = tuple(perms[b] for b in order)
+        self._keys = tuple(tuple(p[s] for s in simple) for p in self.perms)
+        self._by_key = {k: i for i, k in enumerate(self._keys)}
+        self.identity_index = self.elements.index((identity(r), identity(r)))
+
+    def mult(self, i, j):
+        return self._by_key[tuple(map(self.perms[i].__getitem__, self._keys[j]))]
+
+
+LAZY_CASES = [",".join(map(str, row)) for row in DEFAULT_ATLAS_ROWS] + [
+    "G2", "B,4,Spin,Spin", "C,4,Sp,Sp", "D,4,Spin,Spin"]
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_lazy_weyl_table_matches_eager_generation(case):
+    iso = oracle_isogeny(case)
+    rd = iso.target
+    group = generate(rd)
+    act = SharedWeylAction(iso, group)
+    # read before anything indexed exists
+    order, simple = group.order, group.simple_reflections
+    pairs = act.simple_cochar_pairs
+    eager = EagerWeylGroup(rd)
+    assert order == len(group) == len(eager.elements)
+    assert [(e.char_action, e.cochar_action) for e in group.elements] == \
+        list(eager.elements)
+    assert group.perms == eager.perms
+    assert group.tree == eager.tree
+    assert group.generators == eager.generators
+    assert group.identity_index == eager.identity_index
+    n = group.order
+    assert [[group.mult(i, j) for j in range(n)] for i in range(n)] == \
+        [[eager.mult(i, j) for j in range(n)] for i in range(n)]
+    assert simple == tuple(group.elements[g] for g in group.generators)
+    assert pairs == tuple(
+        (act.source_cochar_action(g), act.target_cochar_action(g))
+        for g in group.generators)
 
 
 SCAN_ENTRIES = [("A", 3, "SL", "SL"), ("B", 3, "Spin", "Spin"), ("B", 3, "SO", "SO"),

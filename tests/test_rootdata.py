@@ -136,6 +136,15 @@ def test_unsupported_combinations_rejected():
         classical_datum("E", 8, "SC")
 
 
+def test_classical_datum_is_built_once_and_rejections_are_not_cached():
+    rd = classical_datum("B", 3, "Spin")
+    assert classical_datum("B", 3, "Spin") is rd
+    assert classical_datum("B", 3, "SC") is rd
+    for _ in range(2):
+        with pytest.raises(DatumError):
+            classical_datum("A", 0, "SL")
+
+
 def test_aliases():
     assert classical_datum("A", 2, "SC").name == "SL3"
     assert classical_datum("A", 2, "AD").name == "PGL3"
