@@ -4,10 +4,15 @@ cohomology, circle-cover log cocycles, and central extensions.
 Coefficients are finitely generated abelian groups presented as
 Z^free + Z/d1 + Z/d2 + ...; every computation happens on the free cover
 Z^(free + torsion count) with explicit relation vectors, so all answers
-are exact.  Cech, equivariant and group cohomology all build one
-presentation -- the coboundaries out of and into the degree, and the
-relation vectors on both sides -- and hand it to intlinalg.subquotient,
-the routine that also computes the stabilizer H^1 of obstruction.py.
+are exact.  Where no class is located, the invariants are read off the
+elementary divisors of the integer coboundaries out of and into the
+degree (intlinalg.divisor_cohomology): Cech cohomology one cyclic
+summand of the coefficients at a time, and equivariant and group
+cohomology on Z^f or (Z/m)^k, whose actions compose exactly over Z.
+Mixed equivariant coefficients and a located class (cocycle_class) build
+the full presentation -- those coboundaries and the relation vectors on
+both sides -- and hand it to intlinalg.subquotient, the routine that
+also computes the stabilizer H^1 of obstruction.py.
 Every coboundary matrix is built as rows by one emitter per direction:
 _cech_rows for the Cech differential and _bar_rows for the bar
 differential of a finite group.  The equivariant total differential puts
@@ -34,6 +39,7 @@ from .intlinalg import (
     Matrix,
     Smith,
     Vector,
+    divisor_cohomology,
     freeze,
     from_columns,
     identity,
@@ -501,12 +507,18 @@ def _vector_cochain(nerve: Nerve, degree: int, group: CoefficientGroup,
 
 
 def cohomology(nerve: Nerve, p: int, group: CoefficientGroup) -> AbelianInvariants:
-    """H^p of the nerve with the given coefficients, via Smith reduction."""
+    """H^p of the nerve with the given coefficients, from the elementary
+    divisors of the integer Cech complex.  The differential acts on each
+    coefficient coordinate alone, so H^p is the sum over the cyclic
+    summands of the coefficients, all read off the size-1 matrices."""
     if p < 0:
         raise CechError("negative degree")
     if p > nerve.dim:
         return AbelianInvariants(0, ())
-    return subquotient(*_cech_presentation(nerve, p, group))[0]
+    return divisor_cohomology(
+        len(nerve.level(p)), _cech_matrix(nerve, p, 1),
+        _cech_matrix(nerve, p - 1, 1) if p else (),
+        (0,) * group.free_rank + group.torsion)
 
 
 def cocycle_class(c: Cochain):
@@ -846,6 +858,12 @@ def equivariant_cohomology(
     d_out, n_here, n_next = _equivariant_matrices(act, degree, cap)
     d_in = _equivariant_matrices(act, degree - 1, cap)[0] if degree else ()
     group = act.coefficients
+    if not group.torsion or (not group.free_rank and len(set(group.torsion)) == 1):
+        # Z^f or (Z/m)^k: the relations are m times the free cover, and
+        # FiniteAction admits only actions that compose exactly over Z, so
+        # the free cover is an integer complex tensored with Z/m
+        m = group.torsion[0] if group.torsion else 0
+        return divisor_cohomology(n_here, d_out, d_in, (m,))
     return subquotient(n_here, d_out, _relations(n_next, group), d_in,
                        _relations(n_here, group))[0]
 

@@ -63,10 +63,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
-
-
 def transpose(a: Matrix) -> Matrix:
     m, n = shape(a)
     return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
@@ -100,10 +96,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch("vector length mismatch")
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(k: int, v: Vector) -> Vector:
-    return tuple(k * x for x in v)
 
 
 def det(a: Matrix) -> int:
@@ -208,13 +200,15 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
     return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
-def snf(a: Matrix, left: bool = True) -> tuple[Matrix, Matrix | None, Matrix]:
+def snf(a: Matrix, left: bool = True,
+        right: bool = True) -> tuple[Matrix, Matrix | None, Matrix | None]:
     """Smith normal form.
 
     Returns (S, U, V) with U, V unimodular, U @ a @ V == S, S diagonal
     with nonnegative entries d1 | d2 | ...  The left transform U is built
-    only when left is true; otherwise U is None, and S and V are the same
-    entry for entry.
+    only when left is true and the right transform V only when right is
+    true; a transform not built is None, and the rest is the same entry
+    for entry.
 
     Pivot rule: at step t the pivot is an entry of least absolute value
     in the submatrix s[t:, t:], the first in row-major order on ties.
@@ -233,7 +227,8 @@ def snf(a: Matrix, left: bool = True) -> tuple[Matrix, Matrix | None, Matrix]:
     m, n = shape(a)
     s = [list(row) for row in a]
     u = [list(row) for row in identity(m)] if left else None
-    v = [list(row) for row in identity(n)]
+    # without V, the column operations below run over no rows of it
+    v = [list(row) for row in identity(n)] if right else []
 
     def row_op(i1, i2, x, y, p, q):
         for w in (s, u) if left else (s,):
@@ -321,7 +316,7 @@ def snf(a: Matrix, left: bool = True) -> tuple[Matrix, Matrix | None, Matrix]:
                 u[t] = [-x for x in u[t]]
         t += 1
     return (tuple(map(tuple, s)), tuple(map(tuple, u)) if left else None,
-            tuple(map(tuple, v)))
+            tuple(map(tuple, v)) if right else None)
 
 
 def diagonal(a: Matrix) -> tuple[int, ...]:
@@ -467,10 +462,6 @@ class AbelianInvariants:
         free = extra_free + sum(1 for d in diag if d == 0)
         return cls(free, torsion)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:
@@ -588,6 +579,70 @@ def _quotient(basis, n: int, sub_rows, locate: Vector | None = None):
         raise ValueError("vector to locate is not inside the ambient lattice")
     z, k = rel.reduce(c)
     return inv, z, k
+
+
+def divisor_cohomology(n: int, d_out: Matrix, d_in: Matrix,
+                       moduli) -> AbelianInvariants:
+    """H^p of a cochain complex of free Z-modules, with coefficients the
+    sum of Z/m over moduli (Z where m is 0), from elementary divisors.
+
+    C^p = Z^n, d_out is the coboundary out of C^p and d_in the coboundary
+    into it (or () in degree 0); d_out @ d_in must vanish exactly, or
+    ValueError is raised.  ker d_out is saturated, so with a_i the divisors
+    of d_in and b_j those of d_out, H^p = Z^f + sum Z/a_i with
+    f = n - rank d_out - rank d_in (Munkres, Elements of Algebraic
+    Topology, 11), and by universal coefficients H^p(C (x) Z/m) =
+    (Z/m)^f + sum Z/gcd(a_i, m) + sum Z/gcd(b_j, m) (Hatcher, 3.A).
+    Neither Smith transform is built, and nothing is located.
+    """
+    if any(len(row) != n for row in d_out) or (d_in and len(d_in) != n):
+        raise DimensionMismatch(f"coboundaries do not meet at rank {n}")
+    # the product summed over nonzero entries only: both are mostly zero
+    sparse_in = [[(k, row[k]) for k in itertools.compress(range(len(row)), row)]
+                 for row in d_in]
+    for row in d_out if sparse_in else ():
+        acc: dict[int, int] = {}
+        for j in itertools.compress(range(n), row):
+            x = row[j]
+            for k, y in sparse_in[j]:
+                acc[k] = acc.get(k, 0) + x * y
+        if any(acc.values()):
+            raise ValueError("the coboundaries do not compose to zero")
+    out_div = _divisors(d_out)
+    in_div = _divisors(d_in) if d_in else ()
+    f = n - sum(1 for d in out_div + in_div if d)
+    a = [d for d in in_div if d > 1]
+    b = [d for d in out_div if d > 1]
+    free, orders = 0, []
+    for m in moduli:
+        if m:
+            orders += [m] * f + [gcd(d, m) for d in a + b]
+        else:
+            free += f
+            orders += a
+    return AbelianInvariants(free, invariant_factors(orders))
+
+
+def _divisors(a: Matrix) -> tuple[int, ...]:
+    """The Smith diagonal of a, factored with neither transform and with
+    fewer rows than columns: the diagonal is that of the transpose, and
+    each pivot step scans the rows."""
+    if a and len(a) > len(a[0]):
+        a = tuple(zip(*a))
+    return diagonal(snf(a, left=False, right=False)[0])
+
+
+def invariant_factors(orders) -> tuple[int, ...]:
+    """d1 | d2 | ..., all >= 2, with Z/d1 + Z/d2 + ... isomorphic to the
+    sum of Z/c over the positive orders c.  Each pair (c, c') is replaced
+    by (gcd, lcm), which keeps the group; after the pass of position i,
+    its entry divides every later one."""
+    d = sorted(c for c in orders if c > 1)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(c for c in d if c > 1)
 
 
 def kernel_basis_mod2(a: Matrix) -> tuple[Vector, ...]:

@@ -184,9 +184,6 @@ class SharedWeylAction:
     def source_cochar_action(self, idx: int) -> Matrix:
         return self._source_action(idx, "cochar", self._source_cochar)
 
-    def target_char_action(self, idx: int) -> Matrix:
-        return self.group.elements[idx].char_action
-
     def target_cochar_action(self, idx: int) -> Matrix:
         return self.group.elements[idx].cochar_action
 

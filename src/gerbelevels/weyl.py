@@ -218,10 +218,6 @@ def act_cochar(elem: WeylElement, lam: RatVector) -> RatVector:
     return lam.apply(elem.cochar_action)
 
 
-def act_char(elem: WeylElement, chi: RatVector) -> RatVector:
-    return chi.apply(elem.char_action)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup given by sorted element indices against the canonical order.

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gerbelevels import cech, obstruction, weyl
+from gerbelevels import cech, intlinalg, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
 
 FIX = "fixtures"
@@ -162,10 +162,21 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
     argv = ["equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4"]
     assert run(capsys, *argv, "--max-complex-size", "1024") == (0, "H^4_G = Z/4\n")
 
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("the equivariant complex was factored")
 
+    real_snf = intlinalg.snf
+
+    def coefficient_checks_only(a, left=True, right=True):
+        # reading the fixture factors one 1 x 1 matrix per element, in the
+        # automorphism check of the rank-one coefficients; every matrix of
+        # the complex has more rows
+        if len(a) > 1:
+            unreachable()
+        return real_snf(a, left=left, right=right)
+
     monkeypatch.setattr(cech, "subquotient", unreachable)
+    monkeypatch.setattr(intlinalg, "snf", coefficient_checks_only)
     code = main(argv + ["--max-complex-size", "1023"])
     captured = capsys.readouterr()
     assert code == 2
@@ -189,11 +200,50 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
      "1dcbffe87777852ce85b30daa2e1d9c6bf6a5c1b5b70c2e69cffb4787cae17c9"),
     (("atlas", "--row", "D,6,Spin,Spin", "--format", "json"),
      "c6ceedf30d0f9049ec023fc4767084e7bcf60f05d0b56bfaa20d3a33abeff3c3"),
-], ids=["B3-origin", "z4-degree4", "B4-scan", "C4-scan", "atlas", "atlas-D6"])
+    (("equivariant", "--fixture", f"{FIX}/z2_point_mod2.json", "--degree", "4",
+      "--format", "json"),
+     "59672c671586390c01a76dbbc1018c41c93f1f1095246b5d2af0ccbc13050ad6"),
+    (("cohomology", "--fixture", f"{FIX}/octahedron.json", "--degree", "2",
+      "--coefficients", "Z/2+Z/4", "--format", "json"),
+     "7d536e0483996c40055dd1f1320f6eab664edfe87bd4beef063a642fe46d25d9"),
+    (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
+      "--coefficients", "Z+Z/6", "--format", "json"),
+     "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
+], ids=["B3-origin", "z4-degree4", "B4-scan", "C4-scan", "atlas", "atlas-D6",
+        "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_invariants_only_runs_never_reach_subquotient(capsys, monkeypatch):
+    # equivariant runs on Z or Z/m coefficients and every cohomology run
+    # read H^p off elementary divisors; a certificate locates its class,
+    # and only that goes through subquotient
+    def unreachable(*args, **kwargs):
+        raise AssertionError("subquotient reached")
+
+    monkeypatch.setattr(cech, "subquotient", unreachable)
+    monkeypatch.setattr(obstruction, "subquotient", unreachable)
+    for argv, out in [
+        (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4"),
+         "H^4_G = Z/4\n"),
+        (("equivariant", "--fixture", f"{FIX}/z2_point_mod2.json", "--degree", "3"),
+         "H^3_G = Z/2\n"),
+        (("equivariant", "--fixture", f"{FIX}/trivial_group_octahedron.json",
+          "--degree", "2"), "H^2_G = Z\n"),
+        (("cohomology", "--fixture", f"{FIX}/octahedron.json", "--degree", "2",
+          "--coefficients", "Z/2+Z/4"), "H^2 = Z/2 + Z/4\n"),
+        (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
+          "--coefficients", "Z+Z/6"), "H^1 = Z + Z/6\n"),
+    ]:
+        assert run(capsys, *argv) == (0, out), argv
+    with pytest.raises(AssertionError, match="subquotient reached"):
+        main(["obstruction", "B", "3", "Spin", "Spin", "--xi", "1/2,-1/2,0"])
+    mixed = cech.CoefficientGroup(1, (2,))
+    with pytest.raises(AssertionError, match="subquotient reached"):
+        cech.group_cohomology(cech.cyclic_group(2), mixed, 2)
 
 
 ATLAS_FORMS = sorted({(s, r, f) for s, r, sf, tf in DEFAULT_ATLAS_ROWS
@@ -679,6 +729,13 @@ def _z2_point_with(path, value):
     return data
 
 
+def _z2_on_z4_by(k):
+    """z2_point.json on Z/4 coefficients, the generator acting by k."""
+    data = _z2_point_with(("coeff_actions", 1), [[k]])
+    data["coefficients"] = "Z/4"
+    return data
+
+
 def _extension_with(**fields):
     data = _fixture("z2_extension_cyclic4.json")
     data.update(fields)
@@ -711,6 +768,10 @@ def _extension_with(**fields):
      "error: extension rejected: expected an integer, got 1.5"),
     ("extension", _extension_with(psi=[{"pair": [1], "value": [1]}]),
      "error: extension rejected: not enough values to unpack"),
+    # 3 is a unit mod 4, but 3 * 3 = 9 is not 1 over Z: an action must
+    # compose exactly, which the elementary-divisor route relies on
+    ("equivariant", _z2_on_z4_by(3),
+     "error: coefficient action is not a homomorphism"),
 ])
 def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"

@@ -9,8 +9,10 @@ elimination for root-datum coordinates and reflections, the earlier
 Fraction route for dual bases, projections, isogeny maps, source
 actions and the basic level, the earlier
 solve-per-vector cohomology routes for Cech, equivariant and stabilizer
-H^1, the per-entry loops that built their coboundary matrices and the
-class-order system before the row emitters, the earlier matrix route
+H^1, subquotient for the invariants read off elementary divisors, the
+Smith form of a diagonal matrix for invariant factors, the per-entry
+loops that built their coboundary matrices and the class-order system
+before the row emitters, the earlier matrix route
 for Weyl products, per-element source actions and orbit-minimum scan
 representatives, the earlier full-scan Smith form that always
 builds its left transform, and the earlier subgroup routes that swept
@@ -37,7 +39,9 @@ from gerbelevels.cech import (
     FiniteGroupTable,
     Nerve,
     _cech_matrix,
+    _cech_presentation,
     _equivariant_matrices,
+    _relations,
     cocycle_class,
     circle_nerve,
     cohomology,
@@ -47,6 +51,7 @@ from gerbelevels.cech import (
     nerve_of_cover,
     octahedron_nerve,
     parse_group_label,
+    point_action,
     simplex_cone_nerve,
 )
 from gerbelevels.intlinalg import (
@@ -57,16 +62,19 @@ from gerbelevels.intlinalg import (
     cokernel,
     det,
     diagonal,
+    divisor_cohomology,
     freeze,
     hnf,
     hnf_basis,
     identity,
+    invariant_factors,
     kernel_basis,
     lattice_coords,
     lattices_equal,
     matmul,
     matvec,
     snf,
+    subquotient,
     transpose,
     xgcd,
 )
@@ -1592,6 +1600,8 @@ def assert_snf_matches_oracle(a):
     s, u, v = oracle_snf(a)
     assert snf(a) == (s, u, v), a
     assert snf(a, left=False) == (s, None, v), a
+    assert snf(a, right=False) == (s, u, None), a
+    assert snf(a, left=False, right=False) == (s, None, None), a
     diag = diagonal(s)
     rank = sum(1 for d in diag if d)
     n = len(v)
@@ -1634,9 +1644,9 @@ def recorded_snf_inputs(monkeypatch, fn, *args):
     seen = []
     real = intlinalg.snf
 
-    def recording(a, left=True):
+    def recording(a, left=True, right=True):
         seen.append(a)
-        return real(a, left=left)
+        return real(a, left=left, right=right)
 
     with monkeypatch.context() as mp:
         mp.setattr(intlinalg, "snf", recording)
@@ -1681,3 +1691,100 @@ def test_snf_matches_full_scan_oracle_on_equivariant_coboundaries(monkeypatch, n
         assert inputs
         for a in inputs:
             assert_snf_matches_oracle(a)
+
+
+# --- elementary divisors vs subquotient, wherever nothing is located -------
+
+
+def subquotient_equivariant(act, n):
+    """H^n of the equivariant complex by the three-factorisation route:
+    the cocycle kernel on the free cover, the placement solves and the
+    relation Smith form."""
+    d_out, n_here, n_next = _equivariant_matrices(act, n, 10**6)
+    d_in = _equivariant_matrices(act, n - 1, 10**6)[0] if n else ()
+    group = act.coefficients
+    return subquotient(n_here, d_out, _relations(n_next, group), d_in,
+                       _relations(n_here, group))[0]
+
+
+def generated_workload_actions():
+    """(key, action, degree) for every generated equivariant fixture of the
+    benchmark's cohomology workload, read from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", "perfbench/workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    for item in wl.universe("cohomology"):
+        if item["argv"][0] == "equivariant" and item["files"]:
+            (fx,) = item["files"].values()
+            degree = int(item["argv"][item["argv"].index("--degree") + 1])
+            yield item["key"], FiniteAction.from_json_dict(fx), degree
+
+
+@pytest.mark.parametrize("name", ACTION_FIXTURES)
+def test_divisor_route_matches_subquotient_on_bundled_actions(name):
+    act = FiniteAction.from_json_dict(load_fixture(name))
+    for n in range(4):
+        assert equivariant_cohomology(act, n) == subquotient_equivariant(act, n), n
+
+
+def test_divisor_route_matches_subquotient_on_generated_workload_actions():
+    cases = list(generated_workload_actions())
+    assert len(cases) == 39
+    labels = set()
+    for key, act, degree in cases:
+        labels.add(act.coefficients.label())
+        for n in range(degree + 1):
+            got = equivariant_cohomology(act, n)
+            assert got == subquotient_equivariant(act, n), (key, n)
+    assert labels >= {"Z", "Z/2", "Z/3", "Z/4", "Z/5", "Z/6"}
+
+
+@pytest.mark.parametrize("label", ["Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z/9"])
+def test_divisor_route_matches_subquotient_on_point_actions(label):
+    # Z/4 by its generator, and the dihedral group of order 6 with the
+    # reflections, acting trivially or by -1
+    coeff = parse_group_label(label)
+    torsion = set()
+    for table, signs in ((cyclic_group(4), [1, -1, 1, -1]),
+                         (dihedral_group(3), [1, 1, 1, -1, -1, -1])):
+        for sign in (False, True):
+            mats = [((s if sign else 1,),) for s in signs]
+            act = point_action(table, coeff, mats)
+            for n in range(3):
+                got = equivariant_cohomology(act, n)
+                assert got == subquotient_equivariant(act, n), (table, sign, n)
+                torsion.update(got.torsion)
+    assert torsion  # every coefficient group meets some torsion
+
+
+@pytest.mark.parametrize("name", NERVE_FIXTURES)
+def test_divisor_route_matches_subquotient_on_cech_complexes(name):
+    nerve = fixture_nerve(name)
+    for label in ("Z+Z/6", "Z/2+Z/4"):
+        group = parse_group_label(label)
+        for p in range(nerve.dim + 1):
+            expect = subquotient(*_cech_presentation(nerve, p, group))[0]
+            assert cohomology(nerve, p, group) == expect, (label, p)
+
+
+def test_divisor_route_refuses_coboundaries_that_do_not_compose_to_zero():
+    nerve = octahedron_nerve()
+    d_out, d_in = _cech_matrix(nerve, 1, 1), _cech_matrix(nerve, 0, 1)
+    n = len(nerve.level(1))
+    assert divisor_cohomology(n, d_out, d_in, (0, 6)) == \
+        subquotient(*_cech_presentation(nerve, 1, parse_group_label("Z+Z/6")))[0]
+    j = next(j for j, x in enumerate(d_out[0]) if x)
+    broken = (d_out[0][:j] + (2 * d_out[0][j],) + d_out[0][j + 1:],) + d_out[1:]
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        divisor_cohomology(n, broken, d_in, (0,))
+
+
+def test_invariant_factors_match_smith_form_of_the_diagonal():
+    rng = random.Random(911)
+    for _ in range(200):
+        orders = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 25, 36))
+                  for _ in range(rng.randint(0, 6))]
+        diag = freeze([[c if i == j else 0 for j in range(len(orders))]
+                       for i, c in enumerate(orders)])
+        assert invariant_factors(orders) == cokernel(diag).torsion, orders
