@@ -64,8 +64,8 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    m, n = shape(a)
-    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
+    shape(a)  # a ragged matrix raises DimensionMismatch
+    return tuple(zip(*a))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

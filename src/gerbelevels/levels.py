@@ -40,7 +40,7 @@ from .intlinalg import (
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum
-from .weyl import WeylElement, WeylGroup, generate, simple_root_permutations
+from .weyl import WeylGroup, generate, simple_root_permutations
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,18 @@ class LevelTensor:
 
 
 class SharedWeylAction:
-    """The target's Weyl group with its induced action on the source lattices.
+    """The target's Weyl group with its induced action on the source
+    character lattice.
 
-    The source-side action of the identity and of each generator is
-    obtained exactly by re-expressing the ambient action through the
-    rational coordinate systems, with span and lattice checks.  Every
-    other element's action is the integer product along the generation
-    tree: restricting the target action to a stable source lattice is a
-    homomorphism, and products of lattice-preserving maps preserve it.
-    The invariance tests read only the simple reflections, so they never
-    need the group's indexed elements.
+    An element is its character matrix on the target (weyl.WeylGroup);
+    on either side, w acts on cocharacters by the transpose of w^-1's
+    character matrix (weyl.act_cochar).  On the source, each simple
+    reflection acts as iso.source_reflections, the matrices the isogeny
+    check verified.  Every other element's action is the integer product
+    along the generation tree: restricting the target action to a stable
+    source lattice is a homomorphism, and products of lattice-preserving
+    maps preserve it.  The invariance tests read only the simple
+    reflections, so they never need the group's indexed elements.
     """
 
     def __init__(self, iso: IsogenyDatum, group: WeylGroup | None = None,
@@ -127,46 +129,22 @@ class SharedWeylAction:
         if self.group.datum != iso.target:
             raise DatumError("Weyl group was generated from a different datum")
         self._source_char: dict[int, Matrix] = {}
-        self._source_cochar: dict[int, Matrix] = {}
-
-    def _reexpress(self, elem: WeylElement, kind: str) -> Matrix:
-        iso = self.iso
-        tgt, src = iso.target, iso.source
-        cols = []
-        if kind == "char":
-            basis, action = src.char_basis, elem.char_action
-            coords_q, coords = tgt.char_coords_q, src.char_coords
-            amb = tgt.char_ambient
-        else:
-            basis, action = src.cochar_basis, elem.cochar_action
-            coords_q, coords = tgt.cochar_coords_q, src.cochar_coords
-            amb = tgt.cochar_ambient
-        for vec in basis:
-            c = coords_q(vec)
-            if c is None:
-                raise DatumError("source basis vector outside the target span")
-            img = coords(amb(c.apply(action)))
-            if img is None:
-                raise DatumError("Weyl action does not preserve the source lattice")
-            cols.append(img)
-        r = len(cols)
-        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
     @cached_property
-    def simple_cochar_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
-        """(source, target) cocharacter actions of each simple reflection,
+    def simple_char_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        """(source, target) character actions of each simple reflection,
         in the order of the target's simple_indices."""
-        return tuple((self._reexpress(e, "cochar"), e.cochar_action)
-                     for e in self.group.simple_reflections)
+        return tuple(zip(self.iso.source_reflections, self.group.simple_reflections))
 
-    def _source_action(self, idx: int, kind: str, known: dict[int, Matrix]) -> Matrix:
+    def source_char_action(self, idx: int) -> Matrix:
+        known = self._source_char
         got = known.get(idx)
         if got is not None:
             return got
         group = self.group
         if not known:
-            known.update({g: self._reexpress(group.elements[g], kind)
-                          for g in (group.identity_index,) + group.generators})
+            known[group.identity_index] = identity(self.iso.source.rank)
+            known.update(zip(group.generators, self.iso.source_reflections))
         # climb the generation tree to a known element, then multiply back down
         path = []
         i = idx
@@ -178,20 +156,12 @@ class SharedWeylAction:
             known[i] = matmul(known[g], known[parent])
         return known[idx]
 
-    def source_char_action(self, idx: int) -> Matrix:
-        return self._source_action(idx, "char", self._source_char)
-
-    def source_cochar_action(self, idx: int) -> Matrix:
-        return self._source_action(idx, "cochar", self._source_cochar)
-
-    def target_cochar_action(self, idx: int) -> Matrix:
-        return self.group.elements[idx].cochar_action
-
 
 def is_invariant(action: SharedWeylAction, b: LevelTensor) -> bool:
-    """Exact invariance test over the simple reflections."""
-    for ns, nt in action.simple_cochar_pairs:
-        if matmul(matmul(transpose(ns), b.matrix), nt) != b.matrix:
+    """Exact invariance test over the simple reflections: Ms B Mt^T = B
+    for their source and target character matrices."""
+    for ms, mt in action.simple_char_pairs:
+        if matmul(matmul(ms, b.matrix), transpose(mt)) != b.matrix:
             return False
     return True
 
@@ -205,14 +175,14 @@ def invariant_level_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]
     iso = action.iso
     rs, rt = iso.source.rank, iso.target.rank
     rows = []
-    for ns, nt in action.simple_cochar_pairs:
-        # constraint (Ns^T B Nt - B) = 0, vectorized row-major
+    for ms, mt in action.simple_char_pairs:
+        # constraint (Ms B Mt^T - B) = 0, vectorized row-major
         for i in range(rs):
             for j in range(rt):
                 row = []
                 for k in range(rs):
                     for l in range(rt):
-                        coef = ns[k][i] * nt[l][j]
+                        coef = ms[i][k] * mt[j][l]
                         if k == i and l == j:
                             coef -= 1
                         row.append(coef)

@@ -62,10 +62,6 @@ class SemisimplePoint:
 
     xi: RatVector
 
-    @property
-    def denominator(self) -> int:
-        return self.xi.den
-
 
 @dataclass
 class ObstructionResult:
@@ -138,7 +134,7 @@ def centralizer_cocycle(
     d_cocycle: dict[int, Vector] = {}
     c_cocycle: dict[int, Vector] = {}
     for i in w_l.members:
-        diff = act_cochar(group.elements[i], pt.xi) - pt.xi
+        diff = act_cochar(group.elements[group.inverse(i)], pt.xi) - pt.xi
         if not diff.is_integral:
             raise AssertionError("stabilizer member with non-integral difference")
         d = diff.int_vector()
@@ -362,6 +358,7 @@ def scan_points(
             stack = [t + (k,) for t in stack for k in range(d)]
         for nums in stack:
             points.add(RatVector.make(list(nums), d))
+    # each simple reflection is its own inverse, so act_cochar applies it
     gens = action.group.simple_reflections
     reps = []
     visited = set()

@@ -210,11 +210,6 @@ class RootDatum:
         return _rank_one_reflection(self.root_coords()[root_index],
                                     self.coroot_coords()[root_index])
 
-    def reflection_cochar(self, root_index: int) -> Matrix:
-        """s_alpha on X_*(T) basis coordinates: I - c a^T."""
-        return _rank_one_reflection(self.coroot_coords()[root_index],
-                                    self.root_coords()[root_index])
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -540,6 +535,16 @@ class IsogenyDatum:
         inv = self.cokernel_invariants()
         return inv.order()
 
+    @cached_property
+    def source_reflections(self) -> tuple[Matrix, ...]:
+        """The target's simple reflections on X*(S) basis coordinates, in
+        the order of the target's simple_indices: each ambient reflection
+        v -> v - <v, acheck> alpha restricted to the source character
+        lattice.  Raises DatumError when one does not preserve it."""
+        tgt = self.target
+        return tuple(_ambient_reflection_on(self.source, tgt.roots[i], tgt.coroots[i])
+                     for i in tgt.simple_indices)
+
     def to_json_dict(self) -> dict:
         return {
             "source": self.source.to_json_dict(),
@@ -626,18 +631,10 @@ def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
 
 def _check_weyl_compatibility(iso: IsogenyDatum) -> None:
     """Simple reflections of the target must act on both lattices
-    compatibly with char_map."""
-    src, tgt = iso.source, iso.target
-    for i in tgt.simple_indices:
-        alpha, acheck = tgt.roots[i], tgt.coroots[i]
-        m_t = tgt.reflection_char(i)
-        # the same ambient reflection acting on the source lattice
-        j = src.root_index(alpha)
-        if j is not None:
-            m_s = src.reflection_char(j)
-        else:
-            m_s = _ambient_reflection_on(src, alpha, acheck)
-        if matmul(iso.char_map, m_t) != matmul(m_s, iso.char_map):
+    compatibly with char_map: on the source, as iso.source_reflections."""
+    tgt = iso.target
+    for i, m_s in zip(tgt.simple_indices, iso.source_reflections):
+        if matmul(iso.char_map, tgt.reflection_char(i)) != matmul(m_s, iso.char_map):
             raise DatumError(
                 "char_map does not commute with the shared reflection action"
             )
@@ -657,8 +654,19 @@ def _ambient_reflection_on(rd: RootDatum, alpha: RatVector,
 
 def classical_isogeny(series: str, rank: int, source_form: str,
                       target_form: str) -> IsogenyDatum:
-    src = classical_datum(series, rank, source_form)
-    tgt = classical_datum(series, rank, target_form)
+    """The isogeny between two classical forms of one series and rank.
+
+    Like the data it joins, each isogeny is built and checked once per
+    process (the 64 most recently asked for are kept), and so are its
+    source_reflections.  A rejected input is never cached.
+    """
+    return _classical_isogeny(classical_datum(series, rank, source_form),
+                              classical_datum(series, rank, target_form))
+
+
+# the default atlas reads 33 distinct isogenies
+@lru_cache(maxsize=64)
+def _classical_isogeny(src: RootDatum, tgt: RootDatum) -> IsogenyDatum:
     return build_isogeny(src, tgt)
 
 

@@ -6,21 +6,26 @@ the images of the simple roots, which determine it because W acts
 trivially on the annihilator of the coroots; a product is therefore one
 composition on the simple roots and one dictionary lookup, O(rank).
 
+Each element has one integer matrix, its action on X*(T) (elements[i]).
+The actions on X*(T) and X_*(T) are contragredient under the W-invariant
+pairing, so the cocharacter action of w is the transpose of the
+character matrix of w^-1; act_cochar is the one place that applies it.
+
 Generation is a breadth-first search on root permutations alone: it
 keeps each permutation and the step that reached it (a generator and
 the element it was applied to).  That is all the group's order, its cap
-and its simple reflections need; a simple reflection's integer actions
-are the datum's own reflection matrices.  The rest is built together,
-once, on the first read of any indexed attribute: each element's
-integer actions on both lattices (along the breadth-first steps), the
-canonical order (lexicographic on the flattened character-action
-matrix, so that subgroup serializations and reports are deterministic),
-the generation tree (a Schreier vector) on canonical indices, the
-generators, the identity and the maps behind mult, inverse and
-index_of.  Classifying levels reads only the simple reflections and
-never builds it.  Beyond the generation cap the engine refuses outright:
-downstream obstruction certificates need exhaustive subgroup
-verification, and an approximate group would silently invalidate them.
+and its simple reflections need; a simple reflection is the datum's own
+reflection matrix.  The rest is built together, once, on the first read
+of any indexed attribute: each element's character matrix (one
+rank-one update along each breadth-first step), the canonical order
+(lexicographic on the flattened character matrix, so that subgroup
+serializations and reports are deterministic), the generation tree (a
+Schreier vector) on canonical indices, the generators, the identity and
+the maps behind mult, inverse and index_of.  Classifying levels reads
+only the simple reflections and never builds it.  Beyond the generation
+cap the engine refuses outright: downstream obstruction certificates
+need exhaustive subgroup verification, and an approximate group would
+silently invalidate them.
 
 A subgroup (a stabilizer W_L, or the subgroup generated by integral
 reflections) carries its left-regular table on positions in its sorted
@@ -37,21 +42,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .intlinalg import CapExceeded, Matrix, RatVector, Vector, identity, matvec
+from .intlinalg import (
+    CapExceeded,
+    Matrix,
+    RatVector,
+    Vector,
+    identity,
+    matvec,
+    transpose,
+)
 from .rootdata import DatumError, RootDatum
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """One Weyl group element acting on both lattices.
-
-    char_action and cochar_action are contragredient integer matrices
-    (char_action^T @ cochar_action = identity).
-    """
-
-    char_action: Matrix
-    cochar_action: Matrix
-
 
 Permutation = tuple[int, ...]
 
@@ -77,9 +77,9 @@ class WeylGroup:
     identity).
 
     The indexed attributes are built together on first read of any of
-    them: elements in canonical order, perms, the generation tree
-    (tree[i] = (g, parent) with elements[i] = elements[g] *
-    elements[parent], where g is a generator; tree[identity_index] is
+    them: elements (character matrices) in canonical order, perms, the
+    generation tree (tree[i] = (g, parent) with elements[i] = elements[g]
+    * elements[parent], where g is a generator; tree[identity_index] is
     None), generators and identity_index."""
 
     elements = _Indexed()
@@ -107,31 +107,28 @@ class WeylGroup:
         return len(self._bfs_perms)
 
     @cached_property
-    def simple_reflections(self) -> tuple[WeylElement, ...]:
+    def simple_reflections(self) -> tuple[Matrix, ...]:
         """The simple reflections in the order of datum.simple_indices;
         the g-th is elements[generators[g]]."""
         rd = self.datum
-        return tuple(WeylElement(rd.reflection_char(i), rd.reflection_cochar(i))
-                     for i in rd.simple_indices)
+        return tuple(rd.reflection_char(i) for i in rd.simple_indices)
 
     def _build_table(self) -> None:
-        """Sets every indexed attribute: the integer actions along the
+        """Sets every indexed attribute: the character matrices along the
         breadth-first steps, then the canonical order and the maps on it."""
         rd = self.datum
         simple = rd.simple_indices
         roots, coroots = rd.root_coords(), rd.coroot_coords()
-        chars, cochars = [identity(rd.rank)], [identity(rd.rank)]
+        chars = [identity(rd.rank)]
         for g, w in self._steps[1:]:
-            a, c = roots[simple[g]], coroots[simple[g]]
-            chars.append(_reflect(a, c, chars[w]))
-            cochars.append(_reflect(c, a, cochars[w]))
+            chars.append(_reflect(roots[simple[g]], coroots[simple[g]], chars[w]))
         order = sorted(range(len(chars)), key=chars.__getitem__)
         pos = [0] * len(order)
         for i, b in enumerate(order):
             pos[b] = i
         gen_pos = tuple(pos[b] for b in self._generator_bfs)
         steps = self._steps
-        elements = tuple(WeylElement(chars[b], cochars[b]) for b in order)
+        elements = tuple(chars[b] for b in order)
         perms = tuple(self._bfs_perms[b] for b in order)
         keys = tuple(tuple(p[s] for s in simple) for p in perms)
         self.__dict__.update(
@@ -144,7 +141,7 @@ class WeylGroup:
             identity_index=pos[0],
             _keys=keys,
             _by_key={k: i for i, k in enumerate(keys)},
-            _index={e.char_action: i for i, e in enumerate(elements)},
+            _index={m: i for i, m in enumerate(elements)},
         )
 
     def index_of(self, char_action: Matrix) -> int:
@@ -213,9 +210,17 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
                      tuple(found[tuple(pg[s] for s in simple)] for pg in gen_perms))
 
 
-def act_cochar(elem: WeylElement, lam: RatVector) -> RatVector:
-    """Image of a rational cocharacter vector (basis coordinates)."""
-    return lam.apply(elem.cochar_action)
+def act_cochar(m: Matrix, lam: RatVector) -> RatVector:
+    """Image of a rational cocharacter vector (basis coordinates) under
+    w^-1, where m is w's character matrix.
+
+    The actions of W on X*(T) and X_*(T) are contragredient: w's
+    cocharacter matrix is the inverse transpose of its character matrix,
+    so the transpose of w's character matrix acts on cocharacters as
+    w^-1.  To apply w itself, pass the character matrix of w^-1
+    (group.elements[group.inverse(i)]); a reflection is its own inverse.
+    """
+    return lam.apply(transpose(m))
 
 
 @dataclass(frozen=True)
@@ -266,9 +271,6 @@ class Subgroup:
                 k += 1
             out = lcm(out, k)
         return out
-
-    def element(self, i: int) -> WeylElement:
-        return self.group.elements[i]
 
 
 def _grow(mult, have: set[int], frontier: list[int], seeds) -> None:
@@ -355,15 +357,17 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     """Elements w with w.xi - xi in the cocharacter lattice.
 
     xi is given in X_*(T) basis coordinates; the test is exact, on the
-    integer numerators of xi.  Raises CapExceeded when the
-    stabilizer has more than cap members, before any generator or table
-    is built.
+    integer numerators of xi.  It reads the columns of each character
+    matrix, which act on cocharacters as w^-1 (act_cochar): the test made
+    for w is the test for w^-1.  W_L is closed under inverses, so the
+    member set is the same.  Raises CapExceeded when the stabilizer has
+    more than cap members, before any generator or table is built.
     """
     nums, den = xi.nums, xi.den
     members = [
-        i for i, e in enumerate(group.elements)
-        if not any((sum(a * x for a, x in zip(row, nums)) - n) % den
-                   for row, n in zip(e.cochar_action, nums))
+        i for i, m in enumerate(group.elements)
+        if not any((sum(a * x for a, x in zip(col, nums)) - n) % den
+                   for col, n in zip(zip(*m), nums))
     ]
     if cap is not None and len(members) > cap:
         raise CapExceeded(f"stabilizer W_L of order {len(members)} exceeds "

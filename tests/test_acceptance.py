@@ -305,9 +305,9 @@ def test_criterion_6_weyl_engine():
         rd = classical_datum(*args)
         w = generate(rd)
         assert w.order == order, args
-        for e in w.elements:
-            assert matmul(transpose(e.char_action), e.cochar_action) == \
-                identity(rd.rank)
+        for i, e in enumerate(w.elements):
+            cochar = transpose(w.elements[w.inverse(i)])
+            assert matmul(transpose(e), cochar) == identity(rd.rank)
 
 
 def test_criterion_7_cohomology_goldens():

@@ -31,7 +31,7 @@ from gerbelevels.cech import (
     zero_cochain,
     FiniteAction,
 )
-from gerbelevels.intlinalg import AbelianInvariants, identity, matmul
+from gerbelevels.intlinalg import AbelianInvariants, identity, matmul, transpose
 from gerbelevels.levels import LevelTensor, basic_level
 from gerbelevels.rootdata import classical_datum, identity_isogeny
 
@@ -258,8 +258,9 @@ def test_gerbe_cocycle_weyl_compatibility():
     b = basic_level(iso).tensor
     model = torus_cover_model([3], [1])
     lam = torus_log_cocycle(model)
-    for g in action.group.generators:
-        wt = action.target_cochar_action(g)
+    group = action.group
+    for g in group.generators:
+        wt = transpose(group.elements[group.inverse(g)])
         ws = action.source_char_action(g)
         lam_w = lam.map_values(lambda v: tuple(
             sum(wt[i][j] * v[j] for j in range(len(v))) for i in range(len(v))

@@ -7,13 +7,15 @@ form invariance for Hermite forms, classical values for group and
 sphere cohomology in degrees beyond the golden set, rational Gaussian
 elimination for root-datum coordinates and reflections, the earlier
 Fraction route for dual bases, projections, isogeny maps, source
-actions and the basic level, the earlier
+actions and the basic level, the source-root rule for the source
+reflections, the index comprehension for transposes, the earlier
 solve-per-vector cohomology routes for Cech, equivariant and stabilizer
 H^1, subquotient for the invariants read off elementary divisors, the
 Smith form of a diagonal matrix for invariant factors, the per-entry
 loops that built their coboundary matrices and the class-order system
-before the row emitters, the earlier matrix route
-for Weyl products, per-element source actions and orbit-minimum scan
+before the row emitters, the earlier matrix route (cocharacter
+matrices multiplied alongside) for Weyl products, per-element source
+actions and orbit-minimum scan
 representatives, the earlier full-scan Smith form that always
 builds its left transform, and the earlier subgroup routes that swept
 W with rational vectors, recomputed a closure for every candidate
@@ -57,6 +59,7 @@ from gerbelevels.cech import (
 from gerbelevels.intlinalg import (
     AbelianInvariants,
     CapExceeded,
+    DimensionMismatch,
     RatVector,
     Smith,
     cokernel,
@@ -622,13 +625,14 @@ def test_isogeny_matches_fraction_route(case):
     assert iso.char_map == char_map
     assert iso.cochar_map == cochar_map
     assert iso.coroot_lift == lifts
-    act = SharedWeylAction(iso)
-    s, t = FractionDatum(iso.source), FractionDatum(iso.target)
-    for elem in act.group.elements:
-        assert act._reexpress(elem, "char") == oracle_reexpress(
-            s, t, elem.char_action, "char")
-        assert act._reexpress(elem, "cochar") == oracle_reexpress(
-            s, t, elem.cochar_action, "cochar")
+    src, tgt = iso.source, iso.target
+    s, t = FractionDatum(src), FractionDatum(tgt)
+    for i, m_s in zip(tgt.simple_indices, iso.source_reflections):
+        # the source-root rule that the isogeny check used before
+        j = src.root_index(tgt.roots[i])
+        assert j is not None
+        assert m_s == src.reflection_char(j)
+        assert m_s == oracle_reexpress(s, t, tgt.reflection_char(i), "char")
     rat, den, mat = oracle_basic_level(iso)
     res = basic_level(iso)
     assert res.rational_matrix == rat
@@ -641,7 +645,8 @@ def test_reflections_match_per_vector_loop(rd):
     fd = FractionDatum(rd)
     for i, (alpha, acheck) in enumerate(zip(frac_basis(rd.roots), fd.coroots)):
         assert rd.reflection_char(i) == loop_reflection(fd.char, alpha, acheck)
-        assert rd.reflection_cochar(i) == loop_reflection(fd.cochar, acheck, alpha)
+        assert transpose(rd.reflection_char(i)) == \
+            loop_reflection(fd.cochar, acheck, alpha)
 
 
 # -- cohomology: one factored subquotient vs the solve-per-vector routes -----
@@ -1151,12 +1156,21 @@ def test_h1_and_coboundary_systems_match_per_entry_builders(monkeypatch):
 # --- Weyl groups: the matrix route the root permutations replaced ---------
 
 
+def oracle_reflection_cochar(rd, k):
+    """s_alpha on X_*(T) basis coordinates, I - c a^T, for the root and
+    coroot coordinates a and c of the k-th root."""
+    a, c = rd.root_coords()[k], rd.coroot_coords()[k]
+    return tuple(tuple(int(i == j) - ci * aj for j, aj in enumerate(a))
+                 for i, ci in enumerate(c))
+
+
 def oracle_generate(rd, cap=10**6):
     """Breadth-first closure of the simple reflections on character
-    matrices, each product a matmul.  Returns the sorted (char, cochar)
-    pairs and, per element in that order, its (generator, parent) step."""
+    matrices, each product a matmul, with the cocharacter matrices
+    multiplied alongside.  Returns the sorted (char, cochar) pairs and,
+    per element in that order, its (generator, parent) step."""
     r = rd.rank
-    gens = [(rd.reflection_char(i), rd.reflection_cochar(i))
+    gens = [(rd.reflection_char(i), oracle_reflection_cochar(rd, i))
             for i in rd.simple_indices]
     seen = {identity(r): (identity(r), None)}
     frontier = list(seen)
@@ -1182,12 +1196,20 @@ def oracle_generate(rd, cap=10**6):
 
 
 def oracle_mult(group, i, j):
-    return group.index_of(matmul(group.elements[i].char_action,
-                                 group.elements[j].char_action))
+    return group.index_of(matmul(group.elements[i], group.elements[j]))
 
 
-def oracle_inverse(group, i):
-    return group.index_of(transpose(group.elements[i].cochar_action))
+def oracle_inverse(group, elements, i):
+    """The inverse's character matrix is the transpose of the oracle's
+    cocharacter matrix."""
+    return group.index_of(transpose(elements[i][1]))
+
+
+def cochar_pairs(group):
+    """Each element's character matrix with its cocharacter matrix, the
+    transpose of its inverse's character matrix."""
+    return [(e, transpose(group.elements[group.inverse(i)]))
+            for i, e in enumerate(group.elements)]
 
 
 SMALL_TARGETS = sorted({(s, r, tf) for s, r, _sf, tf in DEFAULT_ATLAS_ROWS})
@@ -1199,13 +1221,13 @@ def test_weyl_products_match_matrix_oracle(key):
     group = generate(rd)
     assert group.order <= 192
     elements, steps = oracle_generate(rd)
-    assert [(e.char_action, e.cochar_action) for e in group.elements] == elements
+    assert cochar_pairs(group) == elements
     assert group.tree == tuple(steps)
     assert group.generators == tuple(
         group.index_of(rd.reflection_char(i)) for i in rd.simple_indices)
     n = group.order
     for i in range(n):
-        assert group.inverse(i) == oracle_inverse(group, i)
+        assert group.inverse(i) == oracle_inverse(group, elements, i)
         for j in range(n):
             assert group.mult(i, j) == oracle_mult(group, i, j)
 
@@ -1229,12 +1251,20 @@ def test_weyl_cap_threshold_matches_matrix_oracle(key):
         assert raised == [cap < n, cap < n], cap
 
 
-@pytest.mark.parametrize("row", DEFAULT_ATLAS_ROWS, ids=lambda r: ",".join(map(str, r)))
-def test_source_actions_match_per_element_reexpression(row):
-    act = SharedWeylAction(classical_isogeny(*row))
-    for i, elem in enumerate(act.group.elements):
-        assert act.source_char_action(i) == act._reexpress(elem, "char")
-        assert act.source_cochar_action(i) == act._reexpress(elem, "cochar")
+@pytest.mark.parametrize("case", ISOGENY_CASES)
+def test_source_actions_match_per_element_reexpression(case):
+    # products along the generation tree against each element's target
+    # actions re-expressed through the Fraction coordinates, on both lattices
+    iso = oracle_isogeny(case)
+    act = SharedWeylAction(iso)
+    group = act.group
+    s, t = FractionDatum(iso.source), FractionDatum(iso.target)
+    elements, _steps = oracle_generate(iso.target)
+    assert list(group.elements) == [ch for ch, _co in elements]
+    for i, (ch, co) in enumerate(elements):
+        assert act.source_char_action(i) == oracle_reexpress(s, t, ch, "char")
+        assert transpose(act.source_char_action(group.inverse(i))) == \
+            oracle_reexpress(s, t, co, "cochar")
 
 
 def oracle_scan_representatives(action, max_denominator):
@@ -1328,11 +1358,10 @@ def test_lazy_weyl_table_matches_eager_generation(case):
     act = SharedWeylAction(iso, group)
     # read before anything indexed exists
     order, simple = group.order, group.simple_reflections
-    pairs = act.simple_cochar_pairs
+    pairs = act.simple_char_pairs
     eager = EagerWeylGroup(rd)
     assert order == len(group) == len(eager.elements)
-    assert [(e.char_action, e.cochar_action) for e in group.elements] == \
-        list(eager.elements)
+    assert cochar_pairs(group) == list(eager.elements)
     assert group.perms == eager.perms
     assert group.tree == eager.tree
     assert group.generators == eager.generators
@@ -1342,8 +1371,7 @@ def test_lazy_weyl_table_matches_eager_generation(case):
         [[eager.mult(i, j) for j in range(n)] for i in range(n)]
     assert simple == tuple(group.elements[g] for g in group.generators)
     assert pairs == tuple(
-        (act.source_cochar_action(g), act.target_cochar_action(g))
-        for g in group.generators)
+        (act.source_char_action(g), group.elements[g]) for g in group.generators)
 
 
 SCAN_ENTRIES = [("A", 3, "SL", "SL"), ("B", 3, "Spin", "Spin"), ("B", 3, "SO", "SO"),
@@ -1506,6 +1534,26 @@ def test_non_closed_member_sets_are_refused():
     for row in ((sub.table[a][0],) * group.order, tuple(range(group.order))):
         bad = sub.table[:a] + (row,) + sub.table[a + 1:]
         assert not dataclasses.replace(sub, table=bad).verify_closed()
+
+
+# --- transpose: the index comprehension that zip replaced -----------------
+
+
+def oracle_transpose(a):
+    m = len(a)
+    n = len(a[0]) if m else 0
+    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
+
+
+def test_transpose_matches_index_comprehension():
+    rng = random.Random(1212)
+    cases = [(), ((),) * 3, ((5,),)]
+    cases += [random_matrix(rng, rng.randint(1, 7), rng.randint(0, 7)) for _ in range(200)]
+    for a in cases:
+        assert transpose(a) == oracle_transpose(a), a
+    for ragged in (((1, 2), (3,)), ((), (1,)), ((1,), (2, 3), (4,))):
+        with pytest.raises(DimensionMismatch, match="^ragged matrix$"):
+            transpose(ragged)
 
 
 # --- Smith normal form: the full-scan pivot search that always builds U ---

@@ -71,10 +71,13 @@ def test_invariance_identity_over_all_generators():
     for args in [("A", 2, "SL", "SL"), ("B", 3, "Spin", "Spin"),
                  ("D", 3, "SO", "PSO"), ("C", 2, "Sp", "Sp")]:
         act = action_for(*args)
+        group = act.group
         for b in invariant_level_lattice(act):
-            for g in act.group.generators:
-                ns = act.source_cochar_action(g)
-                nt = act.target_cochar_action(g)
+            for g in group.generators:
+                # cocharacter actions: transposes of the inverse's character matrices
+                inv = group.inverse(g)
+                ns = transpose(act.source_char_action(inv))
+                nt = transpose(group.elements[inv])
                 assert matmul(matmul(transpose(ns), b.matrix), nt) == b.matrix
 
 

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from gerbelevels import rootdata
 from gerbelevels.intlinalg import AbelianInvariants, RatVector, quotient_invariants
 from gerbelevels.rootdata import (
     DatumError,
     IsogenyDatum,
     RootDatum,
+    _check_weyl_compatibility,
     classical_datum,
     classical_isogeny,
     identity_isogeny,
@@ -202,6 +205,31 @@ def test_isogeny_adjointness_all_pairs():
         for k, ac in enumerate(iso.target.coroots):
             lifted = iso.source.cochar_ambient(RatVector.make(iso.coroot_lift[k]))
             assert lifted == ac
+
+
+def test_classical_isogeny_is_built_once_and_rejections_are_not_cached(monkeypatch):
+    builds = []
+    build = rootdata.build_isogeny
+    monkeypatch.setattr(rootdata, "build_isogeny",
+                        lambda src, tgt: builds.append(1) or build(src, tgt))
+    iso = classical_isogeny("B", 3, "Spin", "SO")
+    built = len(builds)
+    assert classical_isogeny("B", 3, "Spin", "SO") is iso
+    assert classical_isogeny("B", 3, "SC", "AD") is iso
+    assert len(builds) == built
+    for k in range(2):
+        with pytest.raises(DatumError):
+            classical_isogeny("B", 3, "SO", "Spin")
+        assert len(builds) == built + k + 1
+
+
+def test_weyl_compatibility_refuses_a_permuted_char_map():
+    iso = classical_isogeny("B", 3, "Spin", "SO")
+    _check_weyl_compatibility(iso)
+    bad = dataclasses.replace(iso, char_map=iso.char_map[1:] + iso.char_map[:1])
+    with pytest.raises(DatumError,
+                       match="^char_map does not commute with the shared reflection action$"):
+        _check_weyl_compatibility(bad)
 
 
 def test_wrong_direction_rejected():
