@@ -9,17 +9,17 @@ CechError map to 1 and CapExceeded to 2, each printed as one `error:`
 line on stderr.
 
 Each subcommand accepts only the options it reads: csv output is offered
-by levels, atlas and scan; --max-weyl-order by the four subcommands that
-generate a Weyl group; --max-subgroup-order by obstruction, scan and
-atlas (for its per-row scans).
+by levels, atlas and scan; --max-weyl-order, which bounds |W| before any
+element is built, by the four subcommands that read a Weyl group;
+--max-subgroup-order by obstruction, scan and atlas (for its per-row
+scans).
 
 The parser is built once per process, on the first call of main, and
 reused by every later call; importing the module builds nothing.
 
 Output is deterministic: canonical JSON (sorted keys, fixed separators),
-fixed text layouts, no timestamps; the tool identification line goes to
-stderr so payloads stay byte-stable.  atlas computes its rows one after
-another in canonical order.
+fixed text layouts, no timestamps; stderr carries only `error:` lines.
+atlas computes its rows one after another in canonical order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import __version__
 from .cech import (
     CechError,
     FiniteAction,
@@ -604,7 +603,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        print(f"gerbelevels {__version__}", file=sys.stderr)
         return args.fn(args)
     except (CliError, DatumError, CechError) as err:
         print(f"error: {err}", file=sys.stderr)

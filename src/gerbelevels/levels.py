@@ -33,14 +33,13 @@ from .intlinalg import (
     identity,
     kernel_basis,
     kernel_basis_mod2,
-    lattices_equal,
     matmul,
     matvec,
     over_common_denominator,
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum
-from .weyl import WeylGroup, generate, simple_root_permutations
+from .weyl import WeylGroup, generate, group_order, simple_root_permutations
 
 
 @dataclass(frozen=True)
@@ -118,23 +117,28 @@ class SharedWeylAction:
     check verified.  Every other element's action is the integer product
     along the generation tree: restricting the target action to a stable
     source lattice is a homomorphism, and products of lattice-preserving
-    maps preserve it.  The invariance tests read only the simple
-    reflections, so they never need the group's indexed elements.
+    maps preserve it.  The Weyl cap is decided at construction, on |W|
+    from the Cartan matrix (weyl.group_order); W is enumerated on the
+    first read of group, which the invariance tests never make.
     """
 
-    def __init__(self, iso: IsogenyDatum, group: WeylGroup | None = None,
-                 cap: int = 10**6):
+    def __init__(self, iso: IsogenyDatum, cap: int = 10**6):
+        group_order(iso.target, cap)
         self.iso = iso
-        self.group = group if group is not None else generate(iso.target, cap)
-        if self.group.datum != iso.target:
-            raise DatumError("Weyl group was generated from a different datum")
+        self._cap = cap
         self._source_char: dict[int, Matrix] = {}
+
+    @cached_property
+    def group(self) -> WeylGroup:
+        return generate(self.iso.target, self._cap)
 
     @cached_property
     def simple_char_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
         """(source, target) character actions of each simple reflection,
         in the order of the target's simple_indices."""
-        return tuple(zip(self.iso.source_reflections, self.group.simple_reflections))
+        tgt = self.iso.target
+        return tuple(zip(self.iso.source_reflections,
+                         map(tgt.reflection_char, tgt.simple_indices)))
 
     def source_char_action(self, idx: int) -> Matrix:
         known = self._source_char
@@ -480,14 +484,15 @@ def compare_with_reference(action: SharedWeylAction, claim: dict | None) -> Atla
         return AtlasEntry(
             series, rank, sf, tf, computed, claim, None, note, "mismatch"
         )
-    same = lattices_equal(_vectorize(computed), _vectorize(claimed))
+    canon = hnf_basis(_vectorize(claimed))
     canon_claim = tuple(
         tuple(tuple(v[i * rt + j] for j in range(rt)) for i in range(rs))
-        for v in hnf_basis(_vectorize(claimed))
+        for v in canon
     )
     return AtlasEntry(
         series, rank, sf, tf, computed, claim, canon_claim, None,
-        "match" if same else "mismatch",
+        # the computed basis is already canonical: ev_filter's HNF rows
+        "match" if _vectorize(computed) == canon else "mismatch",
     )
 
 

@@ -11,21 +11,19 @@ The actions on X*(T) and X_*(T) are contragredient under the W-invariant
 pairing, so the cocharacter action of w is the transpose of the
 character matrix of w^-1; act_cochar is the one place that applies it.
 
-Generation is a breadth-first search on root permutations alone: it
-keeps each permutation and the step that reached it (a generator and
-the element it was applied to).  That is all the group's order, its cap
-and its simple reflections need; a simple reflection is the datum's own
-reflection matrix.  The rest is built together, once, on the first read
-of any indexed attribute: each element's character matrix (one
-rank-one update along each breadth-first step), the canonical order
-(lexicographic on the flattened character matrix, so that subgroup
+The group's order comes from the Cartan matrix of the simple roots
+(group_order), with no element built: that is all the generation cap
+needs, and classifying levels reads only the simple reflections, the
+datum's own reflection matrices.  W is enumerated only where an index is
+read, by generate: one breadth-first search on root permutations that
+builds each element's character matrix alongside (a rank-one update per
+step) and must find exactly the computed order.  Then come the canonical
+order (lexicographic on the flattened character matrix, so that subgroup
 serializations and reports are deterministic), the generation tree (a
-Schreier vector) on canonical indices, the generators, the identity and
-the maps behind mult, inverse and index_of.  Classifying levels reads
-only the simple reflections and never builds it.  Beyond the generation
-cap the engine refuses outright: downstream obstruction certificates
-need exhaustive subgroup verification, and an approximate group would
-silently invalidate them.
+Schreier vector) on canonical indices and the maps behind mult, inverse
+and index_of.  Beyond the generation cap the engine refuses outright:
+downstream obstruction certificates need exhaustive subgroup
+verification, and an approximate group would silently invalidate them.
 
 A subgroup (a stabilizer W_L, or the subgroup generated by integral
 reflections) carries its left-regular table on positions in its sorted
@@ -39,7 +37,6 @@ reflections are closed inside W_L on W_L's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 
 from .intlinalg import (
@@ -47,6 +44,7 @@ from .intlinalg import (
     Matrix,
     RatVector,
     Vector,
+    det,
     identity,
     matvec,
     transpose,
@@ -56,93 +54,41 @@ from .rootdata import DatumError, RootDatum
 Permutation = tuple[int, ...]
 
 
-class _Indexed:
-    """A WeylGroup attribute that WeylGroup._build_table sets, together
-    with every other indexed attribute, on first read."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, group, owner=None):
-        if group is None:
-            return self
-        group._build_table()
-        return group.__dict__[self.name]
-
-
 class WeylGroup:
-    """A Weyl group as generated: root permutations in breadth-first
-    order and the step that reached each, steps[b] = (g, parent) for
-    simple reflection g times the parent-th (steps[0] is None, the
-    identity).
+    """A Weyl group as generate enumerates it, in canonical order:
+    elements (character matrices), perms (root permutations), the
+    generation tree (tree[i] = (g, parent) with elements[i] =
+    elements[g] * elements[parent], where g is a generator;
+    tree[identity_index] is None), generators and identity_index.  It is
+    built from the search's perms, chars and steps (g, parent) in the
+    order found: the identity, then each simple reflection."""
 
-    The indexed attributes are built together on first read of any of
-    them: elements (character matrices) in canonical order, perms, the
-    generation tree (tree[i] = (g, parent) with elements[i] = elements[g]
-    * elements[parent], where g is a generator; tree[identity_index] is
-    None), generators and identity_index."""
-
-    elements = _Indexed()
-    perms = _Indexed()
-    tree = _Indexed()
-    generators = _Indexed()
-    identity_index = _Indexed()
-    _keys = _Indexed()
-    _by_key = _Indexed()
-    _index = _Indexed()
-
-    def __init__(self, datum: RootDatum, perms: tuple[Permutation, ...],
-                 steps: tuple[tuple[int, int] | None, ...],
-                 generator_bfs: tuple[int, ...]):
-        self.datum = datum
-        self._bfs_perms = perms
-        self._steps = steps
-        self._generator_bfs = generator_bfs  # breadth-first index of each generator
-
-    def __len__(self) -> int:
-        return len(self._bfs_perms)
-
-    @property
-    def order(self) -> int:
-        return len(self._bfs_perms)
-
-    @cached_property
-    def simple_reflections(self) -> tuple[Matrix, ...]:
-        """The simple reflections in the order of datum.simple_indices;
-        the g-th is elements[generators[g]]."""
-        rd = self.datum
-        return tuple(rd.reflection_char(i) for i in rd.simple_indices)
-
-    def _build_table(self) -> None:
-        """Sets every indexed attribute: the character matrices along the
-        breadth-first steps, then the canonical order and the maps on it."""
-        rd = self.datum
-        simple = rd.simple_indices
-        roots, coroots = rd.root_coords(), rd.coroot_coords()
-        chars = [identity(rd.rank)]
-        for g, w in self._steps[1:]:
-            chars.append(_reflect(roots[simple[g]], coroots[simple[g]], chars[w]))
+    def __init__(self, datum: RootDatum, perms: list[Permutation],
+                 chars: list[Matrix], steps: list[tuple[int, int] | None]):
         order = sorted(range(len(chars)), key=chars.__getitem__)
         pos = [0] * len(order)
         for i, b in enumerate(order):
             pos[b] = i
-        gen_pos = tuple(pos[b] for b in self._generator_bfs)
-        steps = self._steps
-        elements = tuple(chars[b] for b in order)
-        perms = tuple(self._bfs_perms[b] for b in order)
-        keys = tuple(tuple(p[s] for s in simple) for p in perms)
-        self.__dict__.update(
-            elements=elements,
-            perms=perms,
-            tree=tuple(
-                None if steps[b] is None else (gen_pos[steps[b][0]], pos[steps[b][1]])
-                for b in order),
-            generators=gen_pos,
-            identity_index=pos[0],
-            _keys=keys,
-            _by_key={k: i for i, k in enumerate(keys)},
-            _index={m: i for i, m in enumerate(elements)},
-        )
+        simple = datum.simple_indices
+        self.datum = datum
+        self.elements = tuple(chars[b] for b in order)
+        self.perms = tuple(perms[b] for b in order)
+        self.generators = tuple(pos[1:len(simple) + 1])
+        self.tree = tuple(
+            None if steps[b] is None else (self.generators[steps[b][0]], pos[steps[b][1]])
+            for b in order)
+        self.identity_index = pos[0]
+        self.simple_reflections = tuple(self.elements[g] for g in self.generators)
+        self._keys = tuple(tuple(p[s] for s in simple) for p in self.perms)
+        self._by_key = {k: i for i, k in enumerate(self._keys)}
+        self._index = {m: i for i, m in enumerate(self.elements)}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     def index_of(self, char_action: Matrix) -> int:
         return self._index[char_action]
@@ -178,17 +124,65 @@ def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
                  for ai, row in zip(a, m))
 
 
-def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
-    """Breadth-first closure of the simple reflections on root permutations.
-
-    Raises CapExceeded when more than cap elements appear.  The group's
-    indexed table is left to its first use.
+def group_order(rd: RootDatum, cap: int = 10**6) -> int:
+    """|W| without enumerating W: the product over k of [W_k : W_{k-1}] =
+    |W_k . omega_k^vee|, where W_k = <s_1, ..., s_k> and the stabilizer
+    of omega_k^vee in W_k is W_{k-1} (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.10-1.12).  A coweight is the tuple v of its
+    pairings with the simple roots: omega_k^vee is the k-th unit tuple and
+    s_i sends v to v - v_i c[i], for the Cartan matrix c[i][j] =
+    <alpha_j, alpha_i^vee>.  That counts the group the simple reflections
+    generate when they pair non-positively and are linearly independent;
+    otherwise DatumError.  Raises CapExceeded as soon as the running
+    product passes cap; it is checked only as an orbit grows, so a group
+    of order 1 is never refused.
     """
     simple = rd.simple_indices
+    roots, coroots = rd.root_coords(), rd.coroot_coords()
+    # the bases are dual, so a pairing is a dot product of coordinates
+    c = tuple(tuple(sum(a * x for a, x in zip(roots[j], coroots[i])) for j in simple)
+              for i in simple)
+    r = len(c)
+    acute = [f"root[{simple[i]}] and root[{simple[j]}]" for i in range(r)
+             for j in range(r) if i != j and c[i][j] > 0]
+    if acute:
+        raise DatumError(f"simple roots {acute[0]} pair positively")
+    if det(c) == 0:
+        raise DatumError("simple roots are linearly dependent")
+    total = 1
+    for k in range(r):
+        start = tuple(int(j == k) for j in range(r))
+        orbit, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i in range(k + 1):
+                    if v[i]:
+                        u = tuple(x - v[i] * y for x, y in zip(v, c[i]))
+                        if u not in orbit:
+                            orbit.add(u)
+                            nxt.append(u)
+                            if total * len(orbit) > cap:
+                                raise CapExceeded(
+                                    f"Weyl group order exceeds the configured cap {cap}")
+            frontier = nxt
+        total *= len(orbit)
+    return total
+
+
+def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
+    """Breadth-first closure of the simple reflections on root
+    permutations, each element's character matrix built alongside.
+    Raises CapExceeded when group_order refuses, before any element is
+    built, and AssertionError unless the search finds that many."""
+    n = group_order(rd, cap)
+    simple = rd.simple_indices
     gen_perms = simple_root_permutations(rd)
+    roots, coroots = rd.root_coords(), rd.coroot_coords()
     perms = [tuple(range(len(rd.roots)))]
+    chars = [identity(rd.rank)]
     steps: list[tuple[int, int] | None] = [None]  # (generator position, parent)
-    found = {tuple(simple): 0}
+    found = {tuple(simple)}
     frontier = [0]
     while frontier:
         new_frontier = []
@@ -198,16 +192,16 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
                 key = tuple(pg[pw[s]] for s in simple)
                 if key in found:
                     continue
-                if len(perms) >= cap:
-                    raise CapExceeded(
-                        f"Weyl group order exceeds the configured cap {cap}")
-                found[key] = len(perms)
+                found.add(key)
                 new_frontier.append(len(perms))
                 perms.append(tuple(map(pg.__getitem__, pw)))
+                chars.append(_reflect(roots[simple[g]], coroots[simple[g]], chars[w]))
                 steps.append((g, w))
         frontier = new_frontier
-    return WeylGroup(rd, tuple(perms), tuple(steps),
-                     tuple(found[tuple(pg[s] for s in simple)] for pg in gen_perms))
+    if len(perms) != n:
+        raise AssertionError(
+            f"Weyl group has {len(perms)} elements, not its order {n}")
+    return WeylGroup(rd, perms, chars, steps)
 
 
 def act_cochar(m: Matrix, lam: RatVector) -> RatVector:

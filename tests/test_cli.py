@@ -977,16 +977,19 @@ def test_every_accepted_option_is_read(tmp_path, capsys, command):
     assert [a.dest for a in options if a.dest not in args._reads] == []
 
 
+D7_LEVELS_SHA256 = "2886936d566ef93ef319493df8a6b82a3c234c8c23015842904f7786f34dea85"
+
+
 def test_weyl_table_is_never_built_where_nothing_reads_it(capsys, monkeypatch):
     # levels and the atlas without scans read |W| and the simple
     # reflections only; the cap is still decided on the group's order
     argv = ["atlas", "--row", "D,4,Spin,Spin", "--format", "json"]
     expected = run(capsys, *argv)
 
-    def unreachable(self):
+    def unreachable(*args):
         raise AssertionError("the Weyl group's indexed table was built")
 
-    monkeypatch.setattr(weyl.WeylGroup, "_build_table", unreachable)
+    monkeypatch.setattr(weyl.WeylGroup, "__init__", unreachable)
     assert run(capsys, "levels", "D", "4", "Spin", "Spin")[0] == 0
     assert run(capsys, "levels", *G2)[0] == 0
     assert run(capsys, *argv) == expected
@@ -996,6 +999,56 @@ def test_weyl_table_is_never_built_where_nothing_reads_it(capsys, monkeypatch):
     assert json.loads(out) == [{
         "series": "D", "rank": 4, "source_form": "Spin", "target_form": "Spin",
         "error": "cap: Weyl group order exceeds the configured cap 191"}]
+    # |W(D7)| = 322,560 is under the default cap, |W(D8)| = 5,160,960 over it
+    code, out = run(capsys, "levels", "D", "7", "Spin", "Spin")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D7_LEVELS_SHA256
+    code = main(["levels", "D", "8", "Spin", "Spin"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: Weyl group order exceeds the configured cap 1000000"]
+
+
+def test_stderr_is_empty_on_success(capsys):
+    code = main(["levels", "A", "1", "SL", "SL"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out != ""
+    assert captured.err == ""
+
+
+def _g2_with_simple_indices(tmp_path, indices):
+    data = _fixture("g2_datum.json")
+    for side in ("source", "target"):
+        data[side]["simple_indices"] = indices
+    path = tmp_path / "g2_simple.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([0, 2], "error: simple roots are linearly dependent"),
+    ([0, 1], "error: simple roots root[0] and root[1] pair positively"),
+])
+def test_simple_roots_that_are_no_base_are_bad_input(tmp_path, capsys, indices, message):
+    # a root and its negative, or two roots at an acute angle, generate a
+    # group that the Cartan matrix cannot count
+    code = main(["levels", "--datum-fixture", _g2_with_simple_indices(tmp_path, indices)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [message]
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_bundled_g2_simple_roots_are_unchanged(tmp_path, capsys):
+    assert _fixture("g2_datum.json")["target"]["simple_indices"] == [0, 7]
+    expected = run(capsys, "levels", *G2)
+    assert expected[0] == 0
+    path = _g2_with_simple_indices(tmp_path, [0, 7])
+    assert run(capsys, "levels", "--datum-fixture", path, "--format", "json") == expected
 
 
 def test_parser_is_built_once_per_process_on_first_use():

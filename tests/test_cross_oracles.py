@@ -15,8 +15,8 @@ Smith form of a diagonal matrix for invariant factors, the per-entry
 loops that built their coboundary matrices and the class-order system
 before the row emitters, the earlier matrix route (cocharacter
 matrices multiplied alongside) for Weyl products, per-element source
-actions and orbit-minimum scan
-representatives, the earlier full-scan Smith form that always
+actions and orbit-minimum scan representatives, the counting searches
+for the Weyl group's order computed from the Cartan matrix, the earlier full-scan Smith form that always
 builds its left transform, and the earlier subgroup routes that swept
 W with rational vectors, recomputed a closure for every candidate
 generator and multiplied every ordered pair of members with
@@ -100,10 +100,12 @@ from gerbelevels.weyl import (
     _left_regular_table,
     act_cochar,
     generate,
+    group_order,
     simple_root_permutations,
     subgroup_from_members,
 )
 from gerbelevels.rootdata import (
+    DatumError,
     RootDatum,
     _dual_basis,
     _projection_onto_span,
@@ -111,6 +113,7 @@ from gerbelevels.rootdata import (
     classical_datum,
     classical_isogeny,
     identity_isogeny,
+    pairing,
 )
 
 
@@ -1354,11 +1357,11 @@ LAZY_CASES = [",".join(map(str, row)) for row in DEFAULT_ATLAS_ROWS] + [
 def test_lazy_weyl_table_matches_eager_generation(case):
     iso = oracle_isogeny(case)
     rd = iso.target
-    group = generate(rd)
-    act = SharedWeylAction(iso, group)
-    # read before anything indexed exists
-    order, simple = group.order, group.simple_reflections
+    act = SharedWeylAction(iso)
+    # read before the group is enumerated
     pairs = act.simple_char_pairs
+    group = act.group
+    order, simple = group.order, group.simple_reflections
     eager = EagerWeylGroup(rd)
     assert order == len(group) == len(eager.elements)
     assert cochar_pairs(group) == list(eager.elements)
@@ -1372,6 +1375,42 @@ def test_lazy_weyl_table_matches_eager_generation(case):
     assert simple == tuple(group.elements[g] for g in group.generators)
     assert pairs == tuple(
         (act.source_char_action(g), group.elements[g]) for g in group.generators)
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_chain_order_matches_search(case):
+    rd = oracle_isogeny(case).target
+    n = group_order(rd)
+    assert n == len(oracle_generate(rd)[0]) == len(EagerWeylGroup(rd).elements)
+
+
+def _roots_dependent(a, b):
+    """Whether two ambient root vectors are rational multiples of each other."""
+    fa, fb = a.fractions(), b.fractions()
+    k = next(y / x for x, y in zip(fa, fb) if x)
+    return all(k * x == y for x, y in zip(fa, fb))
+
+
+def test_chain_guard_on_every_g2_pair():
+    # every ordered pair of distinct G2 roots as the simple roots: the
+    # chain refuses exactly the pairs that pair positively or are
+    # dependent, and counts the searched group on every other pair
+    _src, tgt = g2_data()
+    refused = 0
+    for a, b in itertools.permutations(range(len(tgt.roots)), 2):
+        rd = dataclasses.replace(tgt, simple_indices=(a, b))
+        ra, rb, ca, cb = tgt.roots[a], tgt.roots[b], tgt.coroots[a], tgt.coroots[b]
+        bad = (pairing(rb, ca) > 0 or pairing(ra, cb) > 0
+               or _roots_dependent(ra, rb))
+        try:
+            n = group_order(rd)
+        except DatumError:
+            assert bad, (a, b)
+            refused += 1
+            continue
+        assert not bad, (a, b)
+        assert n == len(oracle_generate(rd)[0]) == len(EagerWeylGroup(rd).elements)
+    assert refused == 60
 
 
 SCAN_ENTRIES = [("A", 3, "SL", "SL"), ("B", 3, "Spin", "Spin"), ("B", 3, "SO", "SO"),

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from gerbelevels.claims import find_claim, load_claims
-from gerbelevels.intlinalg import RatVector, freeze, lattices_equal, matmul, transpose
+from gerbelevels.cli import DEFAULT_ATLAS_ROWS
+from gerbelevels.intlinalg import (
+    RatVector,
+    freeze,
+    hnf_basis,
+    lattices_equal,
+    matmul,
+    transpose,
+)
 from gerbelevels.levels import (
     AtlasEntry,
     LevelTensor,
@@ -19,6 +27,7 @@ from gerbelevels.levels import (
     named_basic_level,
     restrict_to_rank_one,
     root_orbits,
+    _vectorize,
 )
 from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
 
@@ -413,3 +422,10 @@ def test_ev_value_table_spin5():
     assert len(ev.orbit_representatives) == 2
     flat = {row[0] for row in ev.value_table}
     assert flat == {2, 4}
+
+
+def test_allowable_basis_is_already_canonical():
+    # compare_with_reference compares it with the claim's HNF as it is
+    for row in DEFAULT_ATLAS_ROWS:
+        vecs = _vectorize(b.matrix for b in allowable_lattice(action_for(*row)))
+        assert vecs and hnf_basis(vecs) == vecs, row

@@ -1,14 +1,24 @@
 import dataclasses
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from gerbelevels import weyl
 from gerbelevels.intlinalg import CapExceeded, RatVector, identity, matmul, transpose
-from gerbelevels.rootdata import DatumError, classical_datum
+from gerbelevels.levels import SharedWeylAction
+from gerbelevels.rootdata import (
+    DatumError,
+    RootDatum,
+    classical_datum,
+    identity_isogeny,
+    torus_datum,
+)
 from gerbelevels.weyl import (
     act_cochar,
     generate,
+    group_order,
     integral_reflection_subgroup,
     stabilizer,
 )
@@ -40,6 +50,53 @@ def test_small_orders():
     assert generate(classical_datum("A", 1, "SL")).order == 2
     assert generate(classical_datum("B", 3, "Spin")).order == 48
     assert generate(classical_datum("D", 4, "Spin")).order == 192
+
+
+def g2_target():
+    with open("fixtures/g2_datum.json") as fh:
+        return RootDatum.from_json_dict(json.load(fh)["target"])
+
+
+@pytest.mark.parametrize("series,rank", [("A", 9), ("B", 8), ("C", 8), ("D", 7), ("D", 8)])
+def test_chain_order_matches_closed_formula(monkeypatch, series, rank):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(weyl, "generate", unreachable)
+    monkeypatch.setattr(weyl.WeylGroup, "__init__", unreachable)
+    monkeypatch.setattr(weyl, "simple_root_permutations", unreachable)
+    form = {"A": "SL", "B": "Spin", "C": "Sp", "D": "Spin"}[series]
+    n = series_order(series, rank)
+    assert group_order(classical_datum(series, rank, form), cap=n) == n
+    assert group_order(g2_target()) == 12
+
+
+CAP_MESSAGE = "^Weyl group order exceeds the configured cap {}$"
+
+
+@pytest.mark.parametrize("rd,n", [(classical_datum("A", 2, "SL"), 6),
+                                  (classical_datum("B", 3, "SO"), 48),
+                                  (classical_datum("D", 4, "Spin"), 192),
+                                  (g2_target(), 12)],
+                         ids=["A2", "B3", "D4", "G2"])
+def test_cap_edges_on_the_computed_order(rd, n):
+    for cap in (n, n + 1):
+        assert group_order(rd, cap) == n
+        assert generate(rd, cap).order == n
+        SharedWeylAction(identity_isogeny(rd), cap)
+    for refuse in (lambda: group_order(rd, n - 1), lambda: generate(rd, n - 1),
+                   lambda: SharedWeylAction(identity_isogeny(rd), n - 1)):
+        with pytest.raises(CapExceeded, match=CAP_MESSAGE.format(n - 1)):
+            refuse()
+
+
+def test_order_one_is_never_refused():
+    rd = torus_datum(2)
+    for cap in (0, 1):
+        assert group_order(rd, cap) == 1
+        group = generate(rd, cap)
+        assert group.order == 1 and group.elements == (identity(2),)
+        assert SharedWeylAction(identity_isogeny(rd), cap).group.order == 1
 
 
 def test_cap_refusal():
