@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -75,7 +76,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(f"cannot multiply {ma}x{na} by {mb}x{nb}")
     bt = transpose(b)
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 
@@ -83,7 +84,7 @@ def matvec(a: Matrix, v: Vector) -> Vector:
     m, n = shape(a)
     if len(v) != n:
         raise DimensionMismatch(f"cannot apply {m}x{n} to vector of length {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -761,15 +762,6 @@ class RatVector:
 
     def scale(self, k: int) -> "RatVector":
         return RatVector.make([k * x for x in self.nums], self.den)
-
-    def apply(self, a: Matrix) -> "RatVector":
-        """Exact image under an integer matrix; the output denominator
-        divides the input denominator."""
-        return RatVector.make(list(matvec(a, self.nums)), self.den)
-
-    def mod1(self) -> "RatVector":
-        """Representative with all coordinates in [0, 1)."""
-        return RatVector.make([x % self.den for x in self.nums], self.den)
 
 
 def over_common_denominator(vecs) -> tuple[Matrix, int]:

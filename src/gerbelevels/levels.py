@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .intlinalg import (
     Matrix,
@@ -39,7 +40,7 @@ from .intlinalg import (
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum
-from .weyl import WeylGroup, generate, group_order, simple_root_permutations
+from .weyl import WeylGroup, _enumerate, group_order, simple_root_permutations
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class LevelTensor:
 
     def value(self, mu: Vector, lam: Vector) -> int:
         """b(mu, lambda) for cocharacter coordinate vectors."""
-        return sum(m * x for m, x in zip(mu, self.bmap(lam)))
+        return sum(map(mul, mu, self.bmap(lam)))
 
     def add(self, other: "LevelTensor") -> "LevelTensor":
         if other.iso is not self.iso and other.iso != self.iso:
@@ -118,19 +119,19 @@ class SharedWeylAction:
     along the generation tree: restricting the target action to a stable
     source lattice is a homomorphism, and products of lattice-preserving
     maps preserve it.  The Weyl cap is decided at construction, on |W|
-    from the Cartan matrix (weyl.group_order); W is enumerated on the
-    first read of group, which the invariance tests never make.
+    from the Cartan matrix (weyl.group_order); W is enumerated to that
+    order on the first read of group, which the invariance tests never
+    make.
     """
 
     def __init__(self, iso: IsogenyDatum, cap: int = 10**6):
-        group_order(iso.target, cap)
         self.iso = iso
-        self._cap = cap
+        self._order = group_order(iso.target, cap)
         self._source_char: dict[int, Matrix] = {}
 
     @cached_property
     def group(self) -> WeylGroup:
-        return generate(self.iso.target, self._cap)
+        return _enumerate(self.iso.target, self._order)
 
     @cached_property
     def simple_char_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
@@ -321,7 +322,7 @@ def _cochar_gram(iso: IsogenyDatum) -> tuple[Matrix, int]:
     target cocharacter bases."""
     ms, ds = over_common_denominator(iso.source.cochar_basis)
     mt, dt = over_common_denominator(iso.target.cochar_basis)
-    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in mt)
+    return tuple(tuple(sum(map(mul, a, b)) for b in mt)
                  for a in ms), ds * dt
 
 

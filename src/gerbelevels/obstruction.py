@@ -17,12 +17,22 @@ nowhere else.
 Triviality is decided on a generating set and then re-verified over the
 whole subgroup: the generator system is what keeps solves small, the
 full sweep is what makes the certificate self-contained.
+
+The per-point work runs on integers.  xi is held as integer numerators
+over one denominator, which an integer action keeps (weyl.act_cochar),
+so d_w is an exact division of w.xi - xi by it and c_w = B d_w.  The
+cocycle identity is checked on every ordered pair of W_L: each distinct
+value of c gets a small id, each row of the subgroup's table maps the
+ids to the ids of their images, and a row is compared as one list.  A
+scan walks its points the same way, as numerators over one common
+denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .cech import _bar_rows
 from .intlinalg import (
@@ -35,7 +45,6 @@ from .intlinalg import (
     matvec,
     solve_z,
     subquotient,
-    vec_sub,
 )
 from .levels import LevelTensor, SharedWeylAction, is_invariant
 from .weyl import (
@@ -121,7 +130,10 @@ def centralizer_cocycle(
     """Stabilizer subgroup with its d and c cocycles, fully verified.
 
     Rejects levels that are not Weyl invariant: invariance is exactly
-    what makes w -> bmap(d_w) a cocycle.
+    what makes w -> bmap(d_w) a cocycle.  The differences are taken on
+    the integer numerators of xi, and the cocycle identity is checked on
+    every ordered pair of W_L with each distinct value of c given a small
+    id: a row of the table is compared as one list of ids.
     """
     if b.iso != action.iso:
         raise ObstructionError("level and action live over different isogeny data")
@@ -131,32 +143,33 @@ def centralizer_cocycle(
         raise ObstructionError("xi has the wrong rank")
     group = action.group
     w_l = stabilizer(group, pt.xi, cap=verify_cap)
+    elements, inverse = group.elements, group.inverse
+    nums, den = pt.xi.nums, pt.xi.den
     d_cocycle: dict[int, Vector] = {}
     c_cocycle: dict[int, Vector] = {}
     for i in w_l.members:
-        diff = act_cochar(group.elements[group.inverse(i)], pt.xi) - pt.xi
-        if not diff.is_integral:
+        # d_w = (w.xi - xi) from numerators over den: act_cochar applies
+        # the inverse of the matrix it is given
+        qr = [divmod(y - x, den)
+              for y, x in zip(act_cochar(elements[inverse(i)], nums), nums)]
+        if any(rem for _, rem in qr):
             raise AssertionError("stabilizer member with non-integral difference")
-        d = diff.int_vector()
-        d_cocycle[i] = d
-        c_cocycle[i] = b.bmap(d)
+        d = d_cocycle[i] = tuple(q for q, _ in qr)
+        c_cocycle[i] = tuple(sum(map(mul, row, d)) for row in b.matrix)
     # cocycle identity c_{w1 w2} = w1 . c_{w2} + c_{w1}, all pairs, with
-    # w1 w2 read from the subgroup's table; the right side is computed
-    # once per row and distinct value of c_{w2}
-    c_at = [c_cocycle[i] for i in w_l.members]
+    # w1 w2 read from the subgroup's table, on ids of the distinct values
+    # of c: row i maps each value v to the id of M_i v + c_i, or -1 when
+    # that image is no value of c
+    ids_of: dict[Vector, int] = {}
+    ids = [ids_of.setdefault(c_cocycle[i], len(ids_of)) for i in w_l.members]
+    values = list(ids_of)
     for i, prod_row in zip(w_l.members, w_l.table):
         mi = action.source_char_action(i)
         ci = c_cocycle[i]
-        images: dict[Vector, Vector] = {}
-        for cj, ij in zip(c_at, prod_row):
-            expect = images.get(cj)
-            if expect is None:
-                expect = images[cj] = tuple(
-                    sum(x * y for x, y in zip(row, cj)) + c
-                    for row, c in zip(mi, ci)
-                )
-            if c_at[ij] != expect:
-                raise AssertionError("cocycle identity failed")
+        img = [ids_of.get(tuple(sum(map(mul, row, v)) + c for row, c in zip(mi, ci)), -1)
+               for v in values]
+        if list(map(img.__getitem__, ids)) != list(map(ids.__getitem__, prod_row)):
+            raise AssertionError("cocycle identity failed")
     rational_witness = RatVector.make(
         list(matvec(b.matrix, pt.xi.nums)), pt.xi.den
     )
@@ -200,9 +213,10 @@ def is_trivial_class(res: ObstructionResult) -> Vector | None:
 
 
 def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
+    """w.u - u = k c_w for every w in W_L."""
     for i in res.w_l.members:
-        m = res.source_action(i)
-        if vec_sub(matvec(m, u), u) != tuple(k * x for x in res.c_cocycle[i]):
+        m, c = res.source_action(i), res.c_cocycle[i]
+        if any(sum(map(mul, row, u)) - x != k * y for row, x, y in zip(m, u, c)):
             return False
     return True
 
@@ -345,37 +359,38 @@ def scan_points(
     bound; one lexicographically minimal representative per Weyl orbit is
     evaluated, in deterministic order.  Each orbit is walked once under
     the Weyl generators, so every point costs one action per generator.
+    The walk runs on integer numerators over common = lcm(1..bound),
+    which order points as the rationals do; only the representatives
+    become RatVectors.
     """
     r = action.iso.target.rank
     estimate = sum(d**r for d in range(1, max_denominator + 1))
     if estimate > point_cap:
         raise CapExceeded(f"scan would enumerate about {estimate} points, "
                           f"over the cap {point_cap}")
+    common = lcm(*range(1, max_denominator + 1))
     points = set()
     for d in range(1, max_denominator + 1):
         stack = [()]
         for _ in range(r):
-            stack = [t + (k,) for t in stack for k in range(d)]
-        for nums in stack:
-            points.add(RatVector.make(list(nums), d))
+            stack = [t + (k,) for t in stack for k in range(0, common, common // d)]
+        points.update(stack)
     # each simple reflection is its own inverse, so act_cochar applies it
     gens = action.group.simple_reflections
     reps = []
     visited = set()
-    # numerators over one common denominator order points as rationals do
-    common = lcm(*range(1, max_denominator + 1))
-    for xi in sorted(points, key=lambda v: [common // v.den * x for x in v.nums]):
+    for xi in sorted(points):
         if xi in visited:
             continue
         # the first point of an orbit in sorted order is its minimum
-        reps.append(xi)
+        reps.append(RatVector.make(xi, common))
         visited.add(xi)
         frontier = [xi]
         while frontier:
             nxt = []
             for v in frontier:
                 for e in gens:
-                    img = act_cochar(e, v).mod1()
+                    img = tuple(x % common for x in act_cochar(e, v))
                     if img not in visited:
                         visited.add(img)
                         nxt.append(img)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 
 from .intlinalg import (
     Matrix,
@@ -66,7 +67,7 @@ def _pairing(x: RatVector, y: RatVector) -> tuple[int, int]:
     """<x, y> as a reduced (numerator, denominator)."""
     if len(x) != len(y):
         raise DatumError("ambient dimension mismatch")
-    num = sum(a * b for a, b in zip(x.nums, y.nums))
+    num = sum(map(mul, x.nums, y.nums))
     den = x.den * y.den
     g = gcd(num, den)
     return num // g, den // g
@@ -102,9 +103,9 @@ class _Frame:
         """Coordinates of v, or None when v is outside the span."""
         if len(v) != len(self.columns):
             raise DatumError("ambient dimension mismatch")
-        c = [sum(a * x for a, x in zip(row, v.nums)) for row in self.dual]
+        c = [sum(map(mul, row, v.nums)) for row in self.dual]
         k = self.den * self.dual_den
-        if any(sum(a * y for a, y in zip(col, c)) != k * x
+        if any(sum(map(mul, col, c)) != k * x
                for col, x in zip(self.columns, v.nums)):
             return None
         return RatVector.make(c, self.dual_den * v.den)
@@ -116,7 +117,7 @@ class _Frame:
     def ambient(self, coords: RatVector) -> RatVector:
         """The combination of the basis with the given coordinates."""
         return RatVector.make(
-            [sum(a * x for a, x in zip(col, coords.nums)) for col in self.columns],
+            [sum(map(mul, col, coords.nums)) for col in self.columns],
             self.den * coords.den,
         )
 
@@ -322,7 +323,38 @@ def validate_datum(rd: RootDatum) -> DatumReport:
     for i, (alpha, ac) in enumerate(zip(rd.roots, rd.coroots)):
         if any(_reflected(b, alpha, ac) not in root_set for b in rd.roots):
             bad.append(f"reflection in root[{i}] does not permute the roots")
+    if not bad:
+        no_base = _not_a_base(rd)
+        if no_base:
+            bad.append(no_base)
     return DatumReport(not bad, tuple(bad))
+
+
+def _not_a_base(rd: RootDatum) -> str | None:
+    """Why the simple roots are not a base, or None: a base has every root
+    an integer combination of it with coefficients of one sign.  Simple
+    roots that pair positively or are linearly dependent are no base
+    either, but they are left to weyl.group_order, whose error names
+    them; only the other sets are decided here, on integer root
+    coordinates."""
+    coords = rd.root_coords()
+    simple = rd.simple_indices
+    if not coords:
+        return None
+    coroots = rd.coroot_coords()
+    if any(i != j and sum(map(mul, coords[j], coroots[i])) > 0
+           for i in simple for j in simple):
+        return None
+    # columns are the simple roots' coordinates
+    system = Smith.of(tuple(zip(*(coords[i] for i in simple))) or ((),) * rd.rank)
+    if system.rank < len(simple):
+        return None
+    for k, alpha in enumerate(coords):
+        x = system.solve(alpha).solution
+        if x is None or min(x) < 0 < max(x):
+            return (f"simple roots are not a base: root[{k}] is not an integer "
+                    "combination of them with coefficients of one sign")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ The group's order comes from the Cartan matrix of the simple roots
 (group_order), with no element built: that is all the generation cap
 needs, and classifying levels reads only the simple reflections, the
 datum's own reflection matrices.  W is enumerated only where an index is
-read, by generate: one breadth-first search on root permutations that
-builds each element's character matrix alongside (a rank-one update per
-step) and must find exactly the computed order.  Then come the canonical
-order (lexicographic on the flattened character matrix, so that subgroup
+read, by generate, or by _enumerate where the order is already known:
+one breadth-first search on root permutations that builds each element's
+character matrix alongside (a rank-one update per step) and must find
+exactly the computed order.  Then come the canonical order
+(lexicographic on the flattened character matrix, so that subgroup
 serializations and reports are deterministic), the generation tree (a
-Schreier vector) on canonical indices and the maps behind mult, inverse
-and index_of.  Beyond the generation cap the engine refuses outright:
+Schreier vector) on canonical indices, the maps behind mult, inverse
+and index_of, and the index of each root's reflection.  Beyond the generation cap the engine refuses outright:
 downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .intlinalg import (
     CapExceeded,
@@ -47,7 +49,6 @@ from .intlinalg import (
     det,
     identity,
     matvec,
-    transpose,
 )
 from .rootdata import DatumError, RootDatum
 
@@ -59,7 +60,9 @@ class WeylGroup:
     elements (character matrices), perms (root permutations), the
     generation tree (tree[i] = (g, parent) with elements[i] =
     elements[g] * elements[parent], where g is a generator;
-    tree[identity_index] is None), generators and identity_index.  It is
+    tree[identity_index] is None), generators, identity_index and
+    reflections (reflections[k] is the index of the reflection in
+    root k, None when that reflection is not in the group).  It is
     built from the search's perms, chars and steps (g, parent) in the
     order found: the identity, then each simple reflection."""
 
@@ -82,6 +85,8 @@ class WeylGroup:
         self._keys = tuple(tuple(p[s] for s in simple) for p in self.perms)
         self._by_key = {k: i for i, k in enumerate(self._keys)}
         self._index = {m: i for i, m in enumerate(self.elements)}
+        self.reflections = tuple(self._index.get(datum.reflection_char(k))
+                                 for k in range(len(datum.roots)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,7 +124,7 @@ def simple_root_permutations(rd: RootDatum) -> tuple[Permutation, ...]:
 
 def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
     """(I - a c^T) @ m as a rank-one update of m."""
-    cm = [sum(ck * x for ck, x in zip(c, col)) for col in zip(*m)]
+    cm = [sum(map(mul, c, col)) for col in zip(*m)]
     return tuple(tuple(x - ai * y for x, y in zip(row, cm))
                  for ai, row in zip(a, m))
 
@@ -140,7 +145,7 @@ def group_order(rd: RootDatum, cap: int = 10**6) -> int:
     simple = rd.simple_indices
     roots, coroots = rd.root_coords(), rd.coroot_coords()
     # the bases are dual, so a pairing is a dot product of coordinates
-    c = tuple(tuple(sum(a * x for a, x in zip(roots[j], coroots[i])) for j in simple)
+    c = tuple(tuple(sum(map(mul, roots[j], coroots[i])) for j in simple)
               for i in simple)
     r = len(c)
     acute = [f"root[{simple[i]}] and root[{simple[j]}]" for i in range(r)
@@ -171,11 +176,16 @@ def group_order(rd: RootDatum, cap: int = 10**6) -> int:
 
 
 def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
+    """W enumerated in full.  Raises CapExceeded when group_order
+    refuses, before any element is built."""
+    return _enumerate(rd, group_order(rd, cap))
+
+
+def _enumerate(rd: RootDatum, n: int) -> WeylGroup:
     """Breadth-first closure of the simple reflections on root
-    permutations, each element's character matrix built alongside.
-    Raises CapExceeded when group_order refuses, before any element is
-    built, and AssertionError unless the search finds that many."""
-    n = group_order(rd, cap)
+    permutations, each element's character matrix built alongside, for a
+    group of order n (group_order).  Raises AssertionError unless the
+    search finds exactly n elements."""
     simple = rd.simple_indices
     gen_perms = simple_root_permutations(rd)
     roots, coroots = rd.root_coords(), rd.coroot_coords()
@@ -204,9 +214,13 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
     return WeylGroup(rd, perms, chars, steps)
 
 
-def act_cochar(m: Matrix, lam: RatVector) -> RatVector:
-    """Image of a rational cocharacter vector (basis coordinates) under
-    w^-1, where m is w's character matrix.
+def act_cochar(m: Matrix, nums: Vector) -> Vector:
+    """Image of a cocharacter vector (basis coordinates) under w^-1,
+    where m is w's character matrix.
+
+    nums are integer numerators, and so is the image: an integer matrix
+    keeps the denominator, so a rational vector nums / d goes to
+    act_cochar(m, nums) / d.
 
     The actions of W on X*(T) and X_*(T) are contragredient: w's
     cocharacter matrix is the inverse transpose of its character matrix,
@@ -214,7 +228,7 @@ def act_cochar(m: Matrix, lam: RatVector) -> RatVector:
     w^-1.  To apply w itself, pass the character matrix of w^-1
     (group.elements[group.inverse(i)]); a reflection is its own inverse.
     """
-    return lam.apply(transpose(m))
+    return tuple(sum(map(mul, col, nums)) for col in zip(*m))
 
 
 @dataclass(frozen=True)
@@ -360,7 +374,7 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     nums, den = xi.nums, xi.den
     members = [
         i for i, m in enumerate(group.elements)
-        if not any((sum(a * x for a, x in zip(col, nums)) - n) % den
+        if not any((sum(map(mul, col, nums)) - n) % den
                    for col, n in zip(zip(*m), nums))
     ]
     if cap is not None and len(members) > cap:
@@ -385,20 +399,19 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
 
     stab, when the caller already has it, is stabilizer(group, xi).  The
-    reflections are closed on positions in stab's members, with products
-    read from its table.  When the two member sets are equal, stab itself
-    is the reflection subgroup, with the generators and table it already
-    has.
+    reflections (group.reflections) are closed on positions in stab's
+    members, with products read from its table.  When the two member sets
+    are equal, stab itself is the reflection subgroup, with the generators
+    and table it already has.
     """
-    datum = group.datum
     if stab is None:
         stab = stabilizer(group, xi)
     pos = {w: a for a, w in enumerate(stab.members)}
+    nums, den = xi.nums, xi.den
     seeds = set()
-    for k, alpha in enumerate(datum.root_coords()):
-        if sum(a * x for a, x in zip(alpha, xi.nums)) % xi.den:
+    for alpha, w in zip(group.datum.root_coords(), group.reflections):
+        if sum(map(mul, alpha, nums)) % den:
             continue
-        w = group.index_of(datum.reflection_char(k))
         if w not in pos:
             raise AssertionError(
                 "integral reflection subgroup escaped the stabilizer"

@@ -522,11 +522,14 @@ def test_scan_representatives_are_orbit_minimal(capsys):
     from gerbelevels.rootdata import classical_isogeny
     from gerbelevels.weyl import act_cochar
 
+    def image_mod1(e, xi):
+        return RatVector.make([x % xi.den for x in act_cochar(e, xi.nums)], xi.den)
+
     action = SharedWeylAction(classical_isogeny("B", 2, "Spin", "Spin"))
     for row in data["rows"]:
         xi = RatVector.make(row["xi"]["num"], row["xi"]["den"])
         orbit = [
-            act_cochar(e, xi).mod1().fractions()
+            image_mod1(e, xi).fractions()
             for e in action.group.elements
         ]
         assert xi.fractions() == min(orbit)
@@ -1041,6 +1044,56 @@ def test_simple_roots_that_are_no_base_are_bad_input(tmp_path, capsys, indices, 
     assert captured.out == ""
     assert _one_error_line(captured.err) == [message]
     assert len(captured.err.splitlines()) == 1
+
+
+def _g2_one_sign_combinations(roots, a, b):
+    """Whether every root is m*roots[a] + n*roots[b] for integers m, n of
+    one sign, searched over |m|, |n| <= 3 in ambient coordinates (the
+    highest root of G2 is 3 alpha + 2 beta)."""
+    from fractions import Fraction
+
+    vecs = [tuple(Fraction(x, r["den"]) for x in r["num"]) for r in roots]
+    coeffs = range(-3, 4)
+    return all(any(m * n >= 0 and all(m * x + n * y == z
+                                      for x, y, z in zip(vecs[a], vecs[b], v))
+                   for m in coeffs for n in coeffs)
+               for v in vecs)
+
+
+def test_g2_simple_roots_that_pass_the_chain_guard_must_be_a_base(tmp_path, capsys):
+    # of the 132 ordered pairs of G2 roots, 60 pair positively or are
+    # dependent (the chain guard's errors, kept as they were), 24 are
+    # bases and the other 48 generate W but are no base: each of those
+    # is refused by validation, where it used to pass into a traceback
+    roots = _fixture("g2_datum.json")["target"]["roots"]
+    refused = 0
+    bases = []
+    for a in range(len(roots)):
+        for b in range(len(roots)):
+            if a == b:
+                continue
+            path = _g2_with_simple_indices(tmp_path, [a, b])
+            code = main(["levels", "--datum-fixture", path])
+            captured = capsys.readouterr()
+            lines = _one_error_line(captured.err)
+            if lines and "not a base" not in lines[0]:
+                refused += 1
+                continue
+            base = _g2_one_sign_combinations(roots, a, b)
+            assert (code == 0) == base, (a, b)
+            if base:
+                bases.append((a, b))
+                continue
+            for argv in (["levels"], ["scan", "--max-denominator", "1"],
+                         ["obstruction", "--xi", "0,0,0"]):
+                code = main(argv + ["--datum-fixture", path])
+                captured = capsys.readouterr()
+                assert code == 1 and captured.out == ""
+                assert len(captured.err.splitlines()) == 1
+                assert _one_error_line(captured.err)[0].startswith(
+                    "error: datum G2 invalid: simple roots are not a base: root[")
+    assert refused == 60
+    assert len(bases) == 24 and (0, 7) in bases
 
 
 def test_bundled_g2_simple_roots_are_unchanged(tmp_path, capsys):

@@ -15,7 +15,9 @@ Smith form of a diagonal matrix for invariant factors, the per-entry
 loops that built their coboundary matrices and the class-order system
 before the row emitters, the earlier matrix route (cocharacter
 matrices multiplied alongside) for Weyl products, per-element source
-actions and orbit-minimum scan representatives, the counting searches
+actions and orbit-minimum scan representatives, the rational-vector
+scan walk, per-member differences and dict-per-row cocycle identity for
+the scan's integer numerators, the counting searches
 for the Weyl group's order computed from the Cartan matrix, the earlier full-scan Smith form that always
 builds its left transform, and the earlier subgroup routes that swept
 W with rational vectors, recomputed a closure for every candidate
@@ -1270,6 +1272,16 @@ def test_source_actions_match_per_element_reexpression(case):
             oracle_reexpress(s, t, co, "cochar")
 
 
+def oracle_act_cochar(m, lam):
+    """The rational route act_cochar replaced: the RatVector lam under the
+    transpose of the character matrix m, reduced by RatVector.make."""
+    return RatVector.make(list(matvec(transpose(m), lam.nums)), lam.den)
+
+
+def oracle_mod1(v):
+    return RatVector.make([x % v.den for x in v.nums], v.den)
+
+
 def oracle_scan_representatives(action, max_denominator):
     """Points of (1/d)Z^r/Z^r, d <= max_denominator, equal to the minimum
     of their orbit over every element of W."""
@@ -1279,7 +1291,8 @@ def oracle_scan_representatives(action, max_denominator):
               for nums in itertools.product(range(d), repeat=r)}
     reps = []
     for xi in points:
-        orbit_min = min((act_cochar(e, xi).mod1() for e in action.group.elements),
+        orbit_min = min((oracle_mod1(oracle_act_cochar(e, xi))
+                         for e in action.group.elements),
                         key=lambda v: v.fractions())
         if xi == orbit_min:
             reps.append(xi)
@@ -1427,13 +1440,124 @@ def test_scan_representatives_match_orbit_minimum(entry):
     assert [row.xi for row in rows] == oracle_scan_representatives(act, 4)
 
 
+# --- Scan points: the rational walk, differences and identity the integer --
+# --- numerators replaced ----------------------------------------------------
+
+
+def oracle_scan_walk(action, max_denominator):
+    """Orbit representatives by the walk on reduced RatVectors: one
+    rational image and one mod1 per generator and point."""
+    r = action.iso.target.rank
+    points = {RatVector.make(list(nums), d)
+              for d in range(1, max_denominator + 1)
+              for nums in itertools.product(range(d), repeat=r)}
+    gens = action.group.simple_reflections
+    common = lcm(*range(1, max_denominator + 1))
+    reps, visited = [], set()
+    for xi in sorted(points, key=lambda v: [common // v.den * x for x in v.nums]):
+        if xi in visited:
+            continue
+        reps.append(xi)
+        visited.add(xi)
+        frontier = [xi]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in gens:
+                    img = oracle_mod1(oracle_act_cochar(e, v))
+                    if img not in visited:
+                        visited.add(img)
+                        nxt.append(img)
+            frontier = nxt
+    return reps
+
+
+def oracle_cocycles(action, b, xi, members):
+    """d and c from one rational difference per member."""
+    group = action.group
+    d = {}
+    for i in members:
+        diff = oracle_act_cochar(group.elements[group.inverse(i)], xi) - xi
+        assert diff.is_integral
+        d[i] = diff.int_vector()
+    return d, {i: b.bmap(v) for i, v in d.items()}
+
+
+def oracle_dict_identity(action, w_l, c_cocycle):
+    """The cocycle identity with one dict per row, keyed by c_{w2}, and
+    one tuple comparison per ordered pair."""
+    c_at = [c_cocycle[i] for i in w_l.members]
+    for i, prod_row in zip(w_l.members, w_l.table):
+        mi = action.source_char_action(i)
+        ci = c_cocycle[i]
+        images = {}
+        for cj, ij in zip(c_at, prod_row):
+            expect = images.get(cj)
+            if expect is None:
+                expect = images[cj] = tuple(
+                    sum(x * y for x, y in zip(row, cj)) + c for row, c in zip(mi, ci))
+            if c_at[ij] != expect:
+                return False
+    return True
+
+
+def oracle_verify_witness(res, u, k):
+    return all(intlinalg.vec_sub(matvec(res.source_action(i), u), u)
+               == tuple(k * x for x in res.c_cocycle[i]) for i in res.w_l.members)
+
+
+def assert_cocycles_match_oracle(act, b, xi):
+    res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+    members = oracle_stabilizer_members(act.group, xi)
+    assert res.w_l.members == members
+    assert (res.d_cocycle, res.c_cocycle) == oracle_cocycles(act, b, xi, members)
+    assert oracle_dict_identity(act, res.w_l, res.c_cocycle)
+    return res
+
+
+def test_cocycles_match_rational_route_on_stabilizer_cases():
+    orders = set()
+    for act, b, xi in stabilizer_cases():
+        for e in act.group.elements:
+            assert RatVector.make(act_cochar(e, xi.nums), xi.den) == \
+                oracle_act_cochar(e, xi)
+        res = assert_cocycles_match_oracle(act, b, xi)
+        k = obstruction.class_order(res)
+        orders.add(k)
+        # witnesses: the true one where the class is trivial, and shifted
+        # ones that both routes must refuse
+        u0 = res.witness_u or (0,) * act.iso.source.rank
+        for u in (u0, (u0[0] + 1,) + u0[1:], tuple(x - 2 for x in u0)):
+            for m in (1, k, 2 * k):
+                assert obstruction._verify_witness(res, u, m) == \
+                    oracle_verify_witness(res, u, m)
+        if res.witness_u is not None:
+            assert obstruction._verify_witness(res, res.witness_u, 1)
+    assert orders >= {1, 2}
+
+
+@pytest.mark.parametrize("entry", [("B", 4, "Spin", "Spin"), ("C", 4, "Sp", "Sp"),
+                                   ("D", 4, "Spin", "Spin")],
+                         ids=lambda e: ",".join(map(str, e)))
+def test_scan_tables_match_rational_route(entry):
+    iso = classical_isogeny(*entry)
+    act = SharedWeylAction(iso)
+    b = basic_level(iso).tensor
+    rows = []
+    for xi in oracle_scan_walk(act, 2):
+        res = assert_cocycles_match_oracle(act, b, xi)
+        k = obstruction.class_order(res)
+        rows.append(obstruction.ScanRow(xi, len(res.w_l), k, k == 1))
+    assert scan_points(act, b, 2).rows == tuple(rows)
+
+
 # --- Subgroups: the all-pairs mult routes the left-regular table replaced --
 
 
 def oracle_stabilizer_members(group, xi):
     """The sweep over W with one RatVector image and difference each."""
     return tuple(i for i, e in enumerate(group.elements)
-                 if (act_cochar(e, xi) - xi).is_integral)
+                 if (oracle_act_cochar(e, xi) - xi).is_integral)
 
 
 def oracle_closure(group, seeds):

@@ -142,22 +142,87 @@ def test_cocycle_identity_catches_any_single_corrupted_value(monkeypatch):
     b = basic_level(iso).tensor
     pt = SemisimplePoint(RatVector.zero(2))
     g = action.group
-    shift = RatVector.make([1, 0])
+    shift = (1, 0)
     real = obstruction.act_cochar
     for target in range(len(g.elements)):
         if target == g.identity_index:
             continue
         bad = g.elements[target]
 
-        def shifted(e, xi, bad=bad):
-            out = real(e, xi)
-            return out + shift if e is bad else out
+        def shifted(e, nums, bad=bad):
+            out = real(e, nums)
+            return tuple(x + y for x, y in zip(out, shift)) if e is bad else out
 
         with monkeypatch.context() as mp:
             mp.setattr(obstruction, "act_cochar", shifted)
             with pytest.raises(AssertionError, match="cocycle identity"):
                 centralizer_cocycle(action, b, pt)
     assert len(centralizer_cocycle(action, b, pt).w_l) == 8
+
+
+def corrupted_cocycles(monkeypatch, action, b, pt, corrupt):
+    """Runs centralizer_cocycle once per non-identity element, with that
+    element's image under act_cochar replaced by corrupt(e, image), and
+    returns the members whose corruption went through."""
+    real = obstruction.act_cochar
+    passed = []
+    for bad in action.group.elements:
+        if bad == action.group.elements[action.group.identity_index]:
+            continue
+
+        def corrupted(e, nums, bad=bad):
+            out = real(e, nums)
+            return corrupt(e, out) if e is bad else out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(obstruction, "act_cochar", corrupted)
+            try:
+                centralizer_cocycle(action, b, pt)
+            except AssertionError as err:
+                assert "cocycle identity" in str(err)
+                continue
+        passed.append(bad)
+    return passed
+
+
+def regular_integral_point_setup():
+    # at an integral point W_L = W, and off every reflecting hyperplane
+    # c_w = b(w.xi - xi) takes a different value at each of the 8 members
+    iso = identity_isogeny(classical_datum("B", 2, "Spin"))
+    action = SharedWeylAction(iso)
+    b = basic_level(iso).tensor
+    pt = SemisimplePoint(RatVector.make([3, 1]))
+    res = centralizer_cocycle(action, b, pt)
+    assert len(res.w_l) == 8 and len(set(res.c_cocycle.values())) == 8
+    return action, b, pt, res
+
+
+def test_cocycle_identity_catches_a_value_no_member_has(monkeypatch):
+    # c_w moved far outside the values of c, and its own value was no
+    # other member's: every pair the corruption breaks has an image that
+    # is no value of c, the -1 of the interned comparison
+    action, b, pt, res = regular_integral_point_setup()
+    values = set(res.c_cocycle.values())
+    far = (100, 0)
+    assert all(b.bmap(tuple(x + y for x, y in zip(d, far))) not in values
+               for d in res.d_cocycle.values())
+    assert corrupted_cocycles(
+        monkeypatch, action, b, pt,
+        lambda e, out: tuple(x + y for x, y in zip(out, far))) == []
+
+
+def test_cocycle_identity_catches_another_members_value(monkeypatch):
+    # c_w replaced by c_u of another member u with a different value: no
+    # new value appears, only the ids of the pairs through w change
+    action, b, pt, res = regular_integral_point_setup()
+    g = action.group
+    real = obstruction.act_cochar
+    images = {i: real(g.elements[i], pt.xi.nums) for i in res.w_l.members}
+
+    def other(e, out):
+        return next(y for y in images.values() if y != out)
+
+    assert corrupted_cocycles(monkeypatch, action, b, pt, other) == []
 
 
 def test_h1_bar_complex_cap_edges(monkeypatch):
@@ -275,6 +340,27 @@ def test_scan_size_refusal():
     with pytest.raises(CapExceeded, match="^scan would enumerate about 338350 "
                        "points, over the cap 50$"):
         scan_points(action, b, 100, point_cap=50)
+
+
+def test_scan_computes_the_weyl_order_once_per_action(monkeypatch):
+    # the cap check at construction computes |W| and enumerating W reuses
+    # it: one Cartan-chain count per action, however much the scan reads
+    from gerbelevels import levels, weyl
+
+    calls = []
+    real = weyl.group_order
+
+    def counted(rd, cap=10**6):
+        calls.append(rd.name)
+        return real(rd, cap)
+
+    monkeypatch.setattr(weyl, "group_order", counted)
+    monkeypatch.setattr(levels, "group_order", counted)
+    iso = identity_isogeny(classical_datum("B", 3, "Spin"))
+    action = SharedWeylAction(iso)
+    table = scan_points(action, basic_level(iso).tensor, 2)
+    assert table.nontrivial_count >= 1 and len(action.group) == 48
+    assert len(calls) == 1
 
 
 def test_scan_deterministic():

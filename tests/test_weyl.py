@@ -127,6 +127,9 @@ def test_group_closure_and_inverses():
 
 
 def test_act_cochar_examples():
+    def act_q(m, v):  # act_cochar keeps the denominator of v
+        return RatVector.make(act_cochar(m, v.nums), v.den)
+
     rd = classical_datum("B", 3, "Spin")
     w = generate(rd)
     # s_{t1-t2} acting on (1/2, -1/2, 0) gives (-1/2, 1/2, 0)
@@ -135,15 +138,15 @@ def test_act_cochar_examples():
     xi = rd.cochar_coords_q(
         RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
-    img = act_cochar(elem, xi)
+    img = act_q(elem, xi)
     amb = rd.cochar_ambient(img).fractions()
     assert amb == (Fraction(-1, 2), Fraction(1, 2), Fraction(0))
     # identity fixes everything
     ident = w.elements[w.identity_index]
-    assert act_cochar(ident, xi) == xi
+    assert act_q(ident, xi) == xi
     # a simple coroot is negated by its own reflection
     acheck = RatVector.make(list(rd.coroot_coords()[rd.simple_indices[0]]))
-    assert act_cochar(elem, acheck) == -acheck
+    assert act_q(elem, acheck) == -acheck
 
 
 def test_stabilizer_of_zero_is_everything():
@@ -215,6 +218,22 @@ def test_reflection_subgroup_always_inside_stabilizer():
         xi = RatVector.make(list(nums), den)
         cmp = integral_reflection_subgroup(w, xi)
         assert set(cmp.reflection_subgroup.members) <= set(cmp.stabilizer.members)
+
+
+@pytest.mark.parametrize("simple, refls", [((0, 7), 12), ((0, 3), 6), ((0, 10), 4)])
+def test_reflections_index_each_roots_reflection(simple, refls):
+    # G2 with a base, and with two pairs of simple roots that generate a
+    # proper subgroup: a reflection outside it has no index
+    with open("fixtures/g2_datum.json") as fh:
+        rd = RootDatum.from_json_dict(json.load(fh)["target"])
+    w = generate(dataclasses.replace(rd, simple_indices=simple))
+    elements = set(w.elements)
+    assert len(w.reflections) == len(rd.roots)
+    for k, i in enumerate(w.reflections):
+        m = rd.reflection_char(k)
+        assert (i is None) == (m not in elements)
+        assert i is None or w.elements[i] == m
+    assert sum(i is not None for i in w.reflections) == refls
 
 
 def test_b4_order_384():
