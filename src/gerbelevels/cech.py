@@ -16,9 +16,14 @@ also computes the stabilizer H^1 of obstruction.py.
 Every coboundary matrix is built as rows by one emitter per direction:
 _cech_rows for the Cech differential and _bar_rows for the bar
 differential of a finite group.  The equivariant total differential puts
-the two side by side, and obstruction.py takes the stabilizer H^1 and
-its coboundary solves from _bar_rows too.  Cochain values are stored on
-sorted simplices only, with the alternation sign applied on access.
+the two side by side on normalised cochains: its group tuples avoid the
+identity, (|G|-1)^q of them in layer q instead of |G|^q, a sub-double-
+complex quasi-isomorphic to the full one (Brown, Cohomology of Groups,
+III.1; Weibel 6.5).  The --max-complex-size cap still counts the full
+layers.  obstruction.py takes the stabilizer H^1 and its coboundary
+solves from _bar_rows too, over all of W_L, so its class coordinates
+are read in the full bar complex.  Cochain values are stored on sorted
+simplices only, with the alternation sign applied on access.
 
 Overlap line bundles are modeled by their classes in the coefficient
 group (powers of one fixed bundle); section-level data is collapsed to
@@ -748,14 +753,19 @@ def _bar_rows(q: int, prod, actions, pull):
                          + sum_{i=1..q} (-1)^i f(.., g_i g_{i+1}, ..)
                          + (-1)^(q+1) f(g_1..g_q).
 
-    The elements are the positions 0..n-1 of actions, and q-tuples of them
-    run in lexicographic order.  prod[a][b] is the position of a*b (read
-    only for q >= 1) and actions[g] the coefficient matrix of g.  Cochain
-    values live on the simplices of one level: pull[g][s] = (s', sign)
-    says g^-1.s = sign.s', so (g.f)(s) = sign * actions[g] f(s'); a point
-    has the pull table ((0, 1),) for every element.  One row per
-    (q+1)-tuple, simplex and coefficient coordinate; columns (q-tuple,
-    simplex, coordinate).
+    The tuples run over the positions 0..n-1 of actions, in lexicographic
+    order, and actions[g] is the coefficient matrix of g.  prod[a][b] (read
+    only for q >= 1) is the position of a*b, or None where a*b is not
+    among the positions: the equivariant complex passes the elements other
+    than the identity, so its cochains are the normalised ones, which
+    vanish on every tuple containing the identity, and a merged term equal
+    to the identity drops out.  The stabilizer H^1 of obstruction.py and
+    its coboundary solves pass all of W_L, whose table has no None, and
+    read the full rows.  Cochain values live on the simplices of one
+    level: pull[g][s] = (s', sign) says g^-1.s = sign.s', so (g.f)(s) =
+    sign * actions[g] f(s'); a point has the pull table ((0, 1),) for
+    every element.  One row per (q+1)-tuple, simplex and coefficient
+    coordinate; columns (q-tuple, simplex, coordinate).
     """
     n = len(actions)
     m = len(pull[0])
@@ -769,8 +779,9 @@ def _bar_rows(q: int, prod, actions, pull):
         # q-tuples of the other terms with their signs: the merged pair
         # g_i g_{i+1} sits between the digits of idx above and below it
         terms = [((idx // power[q + 2 - i]) * power[q + 1 - i]
-                  + prod[t[i - 1]][t[i]] * power[q - i] + idx % power[q - i],
-                  -1 if i % 2 else 1) for i in range(1, q + 1)]
+                  + ab * power[q - i] + idx % power[q - i],
+                  -1 if i % 2 else 1) for i in range(1, q + 1)
+                 if (ab := prod[t[i - 1]][t[i]]) is not None]
         terms.append((idx // n, 1 if q % 2 else -1))
         for s in range(m):
             moved, sign = pull[g][s]
@@ -785,34 +796,44 @@ def _bar_rows(q: int, prod, actions, pull):
 
 
 def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
-    """Free-cover matrix of the total differential T^n -> T^(n+1).
+    """Free-cover matrix of the total differential T^n -> T^(n+1) on
+    normalised cochains: block (q, p) has one column group per q-tuple of
+    elements other than the identity, (|G|-1)^q of them.
 
     The rows of block (q, p) of T^(n+1) are the bar rows out of block
     (q-1, p) of T^n next to (-1)^q times the Cech rows out of block
-    (q, p-1), the latter once per q-tuple.
+    (q, p-1), the latter once per q-tuple.  The cap is checked on the
+    unnormalised layers, |G|^q tuples per block.
     """
     g = act.group
     nerve = act.nerve
     size = act.coefficients.size
+    e = g.identity
+    others = [x for x in range(g.n) if x != e]
+    k = len(others)
 
     def layout(m: int):
-        """Offsets of the (q, p) blocks of total degree m with a nonempty
-        simplex level, and the total size."""
+        """Offsets of the (q, p) blocks of total degree m that have
+        coordinates, and their total size."""
         offs = {}
-        total = 0
+        total = counted = 0
         for q in range(m + 1):
-            if nerve.level(m - q):
+            slots = len(nerve.level(m - q)) * size
+            counted += g.n ** q * slots
+            if k ** q * slots:
                 offs[(q, m - q)] = total
-                total += (g.n ** q) * len(nerve.level(m - q)) * size
-        if total > cap:
-            raise CapExceeded(f"equivariant complex needs {total} coordinates, "
+                total += k ** q * slots
+        if counted > cap:
+            raise CapExceeded(f"equivariant complex needs {counted} coordinates, "
                               f"over the cap {cap}")
         return offs, total
 
     src_offs, src_total = layout(n)
     dst_offs, dst_total = layout(n + 1)
-    e = g.identity
     inverse = [row.index(e) for row in g.table]
+    position = {x: i for i, x in enumerate(others)}
+    prod = [[position.get(g.table[a][b]) for b in others] for a in others]
+    actions = [act.coeff_actions[x] for x in others]
     rows = []
     for (q, p) in dst_offs:
         level = nerve.level(p)
@@ -821,9 +842,9 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
             idx = nerve.index(p)
             pull = [tuple((idx[moved], sign) for moved, sign in
                           (act.act_on_simplex(inverse[x], s) for s in level))
-                    for x in range(g.n)]
-            bar = _bar_rows(q - 1, g.table, act.coeff_actions, pull)
-            b_off, bw = src_offs[(q - 1, p)], g.n ** (q - 1) * per_tuple
+                    for x in others]
+            bar = _bar_rows(q - 1, prod, actions, pull)
+            b_off, bw = src_offs[(q - 1, p)], k ** (q - 1) * per_tuple
         else:
             bar = itertools.repeat(())
             b_off, bw = 0, 0
@@ -834,7 +855,7 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
             cech = ((),) * per_tuple
             c_off, cw = b_off + bw, 0
         lead = (0,) * b_off
-        for t in range(g.n ** q):
+        for t in range(k ** q):
             gap = (0,) * (c_off + t * cw - b_off - bw)
             tail = (0,) * (src_total - c_off - (t + 1) * cw)
             for crow in cech:
@@ -852,9 +873,11 @@ def equivariant_cohomology(
     """
     if degree < 0:
         raise CechError("negative degree")
-    # T^(m+1) has at least |G| times the coordinates of T^m, so the cap
-    # check of the first call, on T^n and T^(n+1), covers every layer used
-    # and refuses before anything is allocated
+    # the cap counts the unnormalised layers, and each one bounds the
+    # normalised layer that is built; counted T^(m+1) has at least |G|
+    # times the coordinates of counted T^m, so the cap check of the first
+    # call, on T^n and T^(n+1), bounds every layer built and refuses before
+    # anything is allocated
     d_out, n_here, n_next = _equivariant_matrices(act, degree, cap)
     d_in = _equivariant_matrices(act, degree - 1, cap)[0] if degree else ()
     group = act.coefficients

@@ -304,6 +304,12 @@ def test_group_cohomology_z2_degrees():
     assert group_cohomology(z2, ZZ, 3) == AbelianInvariants(0, ())
 
 
+def test_group_cohomology_cyclic_high_degree():
+    # T^10 of Z/3 counts 3^10 = 59049 coordinates, just under the default
+    # cap; the normalised complex builds 2^10 x 2^9
+    assert group_cohomology(cyclic_group(3), ZZ, 9) == AbelianInvariants(0, ())
+
+
 def test_group_cohomology_sign_action():
     # Z/2 acting by -1 on Z: H^1 = Z/2, H^2 = 0
     z2 = cyclic_group(2)

@@ -185,12 +185,41 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
         "error: equivariant complex needs 1024 coordinates, over the cap 1023"]
 
 
+def test_equivariant_cap_counts_unnormalised_layers(capsys, monkeypatch):
+    # the built complex is normalised, 3^8 = 6561 coordinates in T^8 of
+    # Z/4 on a point, but the cap counts the unnormalised 4^8 = 65536 and
+    # refuses degree 7 at the default cap before anything is built or
+    # factored
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the equivariant complex was built")
+
+    for name in ("_bar_rows", "divisor_cohomology", "subquotient"):
+        monkeypatch.setattr(cech, name, unreachable)
+    code = main(["equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: equivariant complex needs 65536 coordinates, over the cap 60000"]
+
+
+def test_equivariant_high_degree_on_normalised_cochains(capsys):
+    # T^15 of Z/2 on a point counts 2^15 = 32768 coordinates, under the
+    # default cap; normalised, every layer is 1 x 1
+    argv = ["equivariant", "--fixture", f"{FIX}/z2_point.json", "--degree", "14"]
+    assert run(capsys, *argv) == (0, "H^14_G = Z/2\n")
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("obstruction", "B", "3", "Spin", "Spin", "--xi", "0,0,0", "--format", "json"),
      "870338a91320e297c108c2e9897c30c339e1d30eabf88e7b3f99d267bb42ae25"),
     (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4",
       "--format", "json"),
      "4f4a114fdce492d67ed9e7b78fb33dd613c057408357ec199751a8d093d92109"),
+    # 4^7 = 16384 unnormalised coordinates in T^7, 3^7 = 2187 built
+    (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "6",
+      "--format", "json"),
+     "cb42d5fb9491255643376a4175e94d6830214211b1f52608205ef1d5fcb568b5"),
     # |W| = 384 scans, outside the benchmark
     (("scan", "B", "4", "Spin", "Spin", "--max-denominator", "2"),
      "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"),
@@ -209,7 +238,7 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
     (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
-], ids=["B3-origin", "z4-degree4", "B4-scan", "C4-scan", "atlas", "atlas-D6",
+], ids=["B3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas", "atlas-D6",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
