@@ -413,8 +413,6 @@ def _nerve_from_fixture(data: dict, dim_cap: int, reads: int) -> Nerve:
 
 
 def cmd_cohomology(args) -> int:
-    if args.max_nerve_dim < 0:
-        raise CliError("--max-nerve-dim must be >= 0")
     data = _load_fixture(args.fixture)
     # H^degree and its cocycle check read simplices up to dimension degree + 1
     nerve = _nerve_from_fixture(data, args.max_nerve_dim, args.degree + 1)
@@ -600,9 +598,18 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the caps a subcommand may take: a negative one is a usage error, and 0
+# keeps its meaning
+CAP_OPTIONS = ("max_weyl_order", "max_subgroup_order", "max_scan_points",
+               "max_complex_size", "max_nerve_dim")
+
+
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
+        for dest in CAP_OPTIONS:
+            if getattr(args, dest, 0) < 0:
+                raise CliError(f"--{dest.replace('_', '-')} must be >= 0")
         return args.fn(args)
     except (CliError, DatumError, CechError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -55,8 +55,11 @@ def freeze(x, depth: int = 2):
 def shape(a: Matrix) -> tuple[int, int]:
     m = len(a)
     n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("ragged matrix")
+    # a plain loop: most matrices here are a few rows, where a generator
+    # costs more than the comparisons
+    for row in a:
+        if len(row) != n:
+            raise DimensionMismatch("ragged matrix")
     return m, n
 
 

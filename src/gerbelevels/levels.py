@@ -118,7 +118,9 @@ class SharedWeylAction:
     check verified.  Every other element's action is the integer product
     along the generation tree: restricting the target action to a stable
     source lattice is a homomorphism, and products of lattice-preserving
-    maps preserve it.  The Weyl cap is decided at construction, on |W|
+    maps preserve it.  The isogeny check also verifies the source
+    reflections' Coxeter relations, so a product along any word for w is
+    the same matrix.  The Weyl cap is decided at construction, on |W|
     from the Cartan matrix (weyl.group_order); W is enumerated to that
     order on the first read of group, which the invariance tests never
     make.

@@ -21,11 +21,17 @@ full sweep is what makes the certificate self-contained.
 The per-point work runs on integers.  xi is held as integer numerators
 over one denominator, which an integer action keeps (weyl.act_cochar),
 so d_w is an exact division of w.xi - xi by it and c_w = B d_w.  The
-cocycle identity is checked on every ordered pair of W_L: each distinct
-value of c gets a small id, each row of the subgroup's table maps the
-ids to the ids of their images, and a row is compared as one list.  A
-scan walks its points the same way, as numerators over one common
-denominator.
+cocycle identity is checked on generator edges, c_{s w} = s.c_w + c_s
+for each generator s of W_L and each member w, with c_e = 0: each
+distinct value of c gets a small id, each generator's row maps the ids
+to the ids of their images, and a row is compared as one list.  Since
+w -> M_w is a homomorphism (the isogeny check verifies the source
+reflections' Coxeter relations), that implies the identity on every
+ordered pair, by induction on word length.  A scan checks the level
+once, walks its points as numerators over one common denominator, and
+pays per point only for what its row prints: the stabilizer, the
+cocycle and the class order.  The closure of the integral reflections
+and the full product table of W_L are left to certificates.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .weyl import (
     Subgroup,
     act_cochar,
     integral_reflection_subgroup,
+    integral_reflections,
     stabilizer,
 )
 
@@ -121,24 +128,40 @@ class ObstructionResult:
         }
 
 
+def check_level(action: SharedWeylAction, b: LevelTensor) -> None:
+    """Rejects a level over other isogeny data or one that is not Weyl
+    invariant: invariance is exactly what makes w -> bmap(d_w) a
+    cocycle."""
+    if b.iso != action.iso:
+        raise ObstructionError("level and action live over different isogeny data")
+    if not is_invariant(action, b):
+        raise ObstructionError("level tensor is not Weyl invariant")
+
+
 def centralizer_cocycle(
     action: SharedWeylAction,
     b: LevelTensor,
     pt: SemisimplePoint,
     verify_cap: int = 384,
+    *,
+    level_checked: bool = False,
 ) -> ObstructionResult:
     """Stabilizer subgroup with its d and c cocycles, fully verified.
 
-    Rejects levels that are not Weyl invariant: invariance is exactly
-    what makes w -> bmap(d_w) a cocycle.  The differences are taken on
-    the integer numerators of xi, and the cocycle identity is checked on
-    every ordered pair of W_L with each distinct value of c given a small
-    id: a row of the table is compared as one list of ids.
+    Runs check_level first, unless the caller already has
+    (level_checked; scan_points does, once per scan).  The differences
+    are taken on the integer numerators of xi.  The cocycle identity is
+    checked on generator edges: c_e = 0 and c_{s w} = s.c_w + c_s for
+    each generator s of W_L and each member w.  That implies
+    c_{u v} = u.c_v + c_u for every pair, by induction on the length of
+    u as a word in the generators (W_L's closure check reaches every
+    member by such words), because w -> M_w (source_char_action) is a
+    homomorphism: the isogeny check verifies the source reflections'
+    Coxeter relations.  Every integral reflection must lie in W_L;
+    closing them is left to certificates (compare_reflections).
     """
-    if b.iso != action.iso:
-        raise ObstructionError("level and action live over different isogeny data")
-    if not is_invariant(action, b):
-        raise ObstructionError("level tensor is not Weyl invariant")
+    if not level_checked:
+        check_level(action, b)
     if len(pt.xi) != action.iso.target.rank:
         raise ObstructionError("xi has the wrong rank")
     group = action.group
@@ -156,24 +179,13 @@ def centralizer_cocycle(
             raise AssertionError("stabilizer member with non-integral difference")
         d = d_cocycle[i] = tuple(q for q, _ in qr)
         c_cocycle[i] = tuple(sum(map(mul, row, d)) for row in b.matrix)
-    # cocycle identity c_{w1 w2} = w1 . c_{w2} + c_{w1}, all pairs, with
-    # w1 w2 read from the subgroup's table, on ids of the distinct values
-    # of c: row i maps each value v to the id of M_i v + c_i, or -1 when
-    # that image is no value of c
-    ids_of: dict[Vector, int] = {}
-    ids = [ids_of.setdefault(c_cocycle[i], len(ids_of)) for i in w_l.members]
-    values = list(ids_of)
-    for i, prod_row in zip(w_l.members, w_l.table):
-        mi = action.source_char_action(i)
-        ci = c_cocycle[i]
-        img = [ids_of.get(tuple(sum(map(mul, row, v)) + c for row, c in zip(mi, ci)), -1)
-               for v in values]
-        if list(map(img.__getitem__, ids)) != list(map(ids.__getitem__, prod_row)):
-            raise AssertionError("cocycle identity failed")
+    if not _holds_on_generator_edges(action, w_l, c_cocycle):
+        raise AssertionError("cocycle identity failed")
+    # raises unless every integral reflection lies in W_L
+    integral_reflections(group, pt.xi, w_l)
     rational_witness = RatVector.make(
         list(matvec(b.matrix, pt.xi.nums)), pt.xi.den
     )
-    cmp = integral_reflection_subgroup(group, pt.xi, w_l)
     return ObstructionResult(
         action=action,
         level=b,
@@ -182,9 +194,36 @@ def centralizer_cocycle(
         d_cocycle=d_cocycle,
         c_cocycle=c_cocycle,
         rational_witness=rational_witness,
-        reflection_agrees=cmp.equal,
-        reflection_sub=cmp.reflection_subgroup,
     )
+
+
+def _holds_on_generator_edges(action: SharedWeylAction, w_l: Subgroup,
+                              c_cocycle: dict[int, Vector]) -> bool:
+    """c_e = 0 and c_{s w} = M_s c_w + c_s for each generator s and
+    member w, on ids of the distinct values of c: generator s maps each
+    value v to the id of M_s v + c_s, or -1 when that image is no value
+    of c, and its row is compared as one list."""
+    if any(c_cocycle[w_l.group.identity_index]):
+        return False
+    ids_of: dict[Vector, int] = {}
+    ids = [ids_of.setdefault(c_cocycle[i], len(ids_of)) for i in w_l.members]
+    values = list(ids_of)
+    for s, prod_row in zip(w_l.generators, w_l.gen_rows):
+        ms = action.source_char_action(s)
+        cs = c_cocycle[s]
+        img = [ids_of.get(tuple(sum(map(mul, row, v)) + c for row, c in zip(ms, cs)), -1)
+               for v in values]
+        if list(map(img.__getitem__, ids)) != list(map(ids.__getitem__, prod_row)):
+            return False
+    return True
+
+
+def compare_reflections(res: ObstructionResult) -> None:
+    """Closes the integral reflections inside W_L and fills in
+    res.reflection_sub and res.reflection_agrees."""
+    cmp = integral_reflection_subgroup(res.w_l.group, res.point.xi, res.w_l)
+    res.reflection_sub = cmp.reflection_subgroup
+    res.reflection_agrees = cmp.equal
 
 
 def _coboundary_system(res: ObstructionResult, members) -> tuple[Matrix, Vector]:
@@ -311,6 +350,7 @@ def obstruction_report(
     verify_cap: int = 384,
 ) -> ObstructionResult:
     res = centralizer_cocycle(action, b, pt, verify_cap=verify_cap)
+    compare_reflections(res)
     class_order(res)
     if with_h1:
         h1 = h1_group_lattice(
@@ -368,6 +408,7 @@ def scan_points(
     if estimate > point_cap:
         raise CapExceeded(f"scan would enumerate about {estimate} points, "
                           f"over the cap {point_cap}")
+    check_level(action, b)
     common = lcm(*range(1, max_denominator + 1))
     points = set()
     for d in range(1, max_denominator + 1):
@@ -397,7 +438,8 @@ def scan_points(
             frontier = nxt
     rows = []
     for xi in reps:
-        res = centralizer_cocycle(action, b, SemisimplePoint(xi), verify_cap)
+        res = centralizer_cocycle(action, b, SemisimplePoint(xi), verify_cap,
+                                  level_checked=True)
         k = class_order(res)
         rows.append(ScanRow(xi, len(res.w_l), k, bool(res.trivial)))
     return ScanTable(tuple(rows))

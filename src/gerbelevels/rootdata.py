@@ -50,6 +50,7 @@ from .intlinalg import (
     Vector,
     cokernel,
     freeze,
+    identity,
     matmul,
     matvec,
     over_common_denominator,
@@ -193,6 +194,16 @@ class RootDatum:
 
     def coroot_coords(self) -> tuple[Vector, ...]:
         return self._coroot_coords
+
+    @cached_property
+    def cartan_matrix(self) -> Matrix:
+        """c[i][j] = <alpha_j, alpha_i^vee> over the simple roots, in the
+        order of simple_indices: the bases are dual, so a pairing is a dot
+        product of coordinates."""
+        simple = self.simple_indices
+        roots, coroots = self.root_coords(), self.coroot_coords()
+        return tuple(tuple(sum(map(mul, roots[j], coroots[i])) for j in simple)
+                     for i in simple)
 
     def simple_roots(self) -> tuple[RatVector, ...]:
         return tuple(self.roots[i] for i in self.simple_indices)
@@ -661,15 +672,49 @@ def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
     return iso
 
 
+# m_ij, the order of s_i s_j, by the product c_ij c_ji of Cartan integers
+_COXETER_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
 def _check_weyl_compatibility(iso: IsogenyDatum) -> None:
     """Simple reflections of the target must act on both lattices
-    compatibly with char_map: on the source, as iso.source_reflections."""
+    compatibly with char_map: on the source, as iso.source_reflections.
+
+    The source reflections M_i must also satisfy W's Coxeter relations,
+    M_i^2 = I and (M_i M_j)^m_ij = I, with m_ij read from the target's
+    Cartan matrix.  W has the presentation by those relations
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.9), so the
+    product of source reflections along a word for w depends on w alone:
+    w -> M_w is a homomorphism, which lets a cocycle be checked on
+    generator edges (obstruction.centralizer_cocycle).  A pair whose
+    c_ij c_ji is outside 0..3 has no finite m_ij: such simple roots pair
+    positively, are dependent or generate an infinite group, and
+    weyl.group_order refuses them.
+    """
     tgt = iso.target
-    for i, m_s in zip(tgt.simple_indices, iso.source_reflections):
+    mats = iso.source_reflections
+    for i, m_s in zip(tgt.simple_indices, mats):
         if matmul(iso.char_map, tgt.reflection_char(i)) != matmul(m_s, iso.char_map):
             raise DatumError(
                 "char_map does not commute with the shared reflection action"
             )
+    one = identity(iso.source.rank)
+    c = tgt.cartan_matrix
+    simple = tgt.simple_indices
+    for i, m_i in enumerate(mats):
+        for j in range(i, len(mats)):
+            # m_ii = 1: (M_i M_i)^1 = I
+            m = 1 if i == j else _COXETER_ORDER.get(c[i][j] * c[j][i])
+            if m is None:
+                continue
+            step = matmul(m_i, mats[j])
+            power = step
+            for _ in range(m - 1):
+                power = matmul(power, step)
+            if power != one:
+                raise DatumError(
+                    f"source reflections of root[{simple[i]}] and root[{simple[j]}] "
+                    f"break the Coxeter relation of order {m}")
 
 
 def _ambient_reflection_on(rd: RootDatum, alpha: RatVector,

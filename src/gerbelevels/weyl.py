@@ -27,17 +27,24 @@ downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
 A subgroup (a stabilizer W_L, or the subgroup generated by integral
-reflections) carries its left-regular table on positions in its sorted
-members, built once: only the generators' rows are products in W, every
-other row is a composition of two rows along a breadth-first tree of the
-subgroup.  Closure checks, element orders, the cocycle identity and the
-bar complex of H^1 read products from that table; the integral
-reflections are closed inside W_L on W_L's table.
+reflections) is its sorted members, a small generating set and the
+generators' rows: the position of s * w for each generator s and member
+w, the only products in W it is built from.  The closure check reads
+only those rows: each must be a permutation of the positions, and a
+breadth-first search from the identity along them must reach every
+member.  Element orders come from root permutations, and the cocycle
+identity is checked on generator edges (obstruction).  The full
+left-regular table, each further row a generator row composed with the
+row of its parent in that search, is built on its first read, by the
+two readers that need every product: the bar complex of H^1 and the
+closure of the integral reflections inside W_L, both in certificates.
+A scan never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -143,10 +150,7 @@ def group_order(rd: RootDatum, cap: int = 10**6) -> int:
     of order 1 is never refused.
     """
     simple = rd.simple_indices
-    roots, coroots = rd.root_coords(), rd.coroot_coords()
-    # the bases are dual, so a pairing is a dot product of coordinates
-    c = tuple(tuple(sum(map(mul, roots[j], coroots[i])) for j in simple)
-              for i in simple)
+    c = rd.cartan_matrix
     r = len(c)
     acute = [f"root[{simple[i]}] and root[{simple[j]}]" for i in range(r)
              for j in range(r) if i != j and c[i][j] > 0]
@@ -235,50 +239,59 @@ def act_cochar(m: Matrix, nums: Vector) -> Vector:
 class Subgroup:
     """Subgroup given by sorted element indices against the canonical order.
 
-    table is its left-regular table on positions in members:
-    table[a][b] is the position of members[a] * members[b].  Every
-    product of two members is read from it; only the generators' rows
-    were computed by group.mult.
+    gen_rows[k][a] is the position in members of generators[k] *
+    members[a]; these rows are the only products in W a subgroup is
+    built from (group.mult).  table, the left-regular table
+    (table[a][b] is the position of members[a] * members[b]), is
+    composed from them on its first read and kept: only the H^1 bar
+    complex and the closure of a certificate's integral reflections
+    read it.
     """
 
     group: WeylGroup
     members: tuple[int, ...]
     generators: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
+    gen_rows: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        e = self.members.index(self.group.identity_index)
+        return _compose_table(self.gen_rows, e, len(self.members))
+
     def verify_closed(self) -> bool:
-        """The identity is a member, each member's inverse is a member
-        that the table multiplies back to the identity, and every row of
-        the table is a permutation of the positions: each ordered pair of
-        members has exactly one product, inside the subgroup."""
-        pos = {w: a for a, w in enumerate(self.members)}
-        e = pos.get(self.group.identity_index)
-        if e is None:
+        """The identity is a member, each generator row is a permutation
+        of the positions, and a breadth-first search from the identity
+        along the rows reaches every member.  Then the members are closed
+        under left multiplication by the generators and are all words in
+        them: they are the subgroup the generators span."""
+        if self.group.identity_index not in self.members:
             return False
         n = len(self.members)
         everyone = set(range(n))
-        if self.table[e] != tuple(range(n)):
+        if any(len(row) != n or set(row) != everyone for row in self.gen_rows):
             return False
-        for a, w in enumerate(self.members):
-            row = self.table[a]
-            b = pos.get(self.group.inverse(w))
-            if len(row) != n or set(row) != everyone or b is None or row[b] != e:
-                return False
-        return True
+        e = self.members.index(self.group.identity_index)
+        return len(_tree_steps(self.gen_rows, e)) == n - 1
 
     def exponent(self) -> int:
-        e = self.members.index(self.group.identity_index)
-        out = 1
-        for a in range(len(self.members)):
-            k, b = 1, a
-            while b != e:
-                b = self.table[b][a]
-                k += 1
-            out = lcm(out, k)
-        return out
+        """The lcm of the members' orders.  W acts faithfully on the
+        roots, and an element that fixes the simple roots fixes them all,
+        so the order of w is the lcm of the lengths of the simple roots'
+        cycles in its root permutation."""
+        simple = self.group.datum.simple_indices
+        lengths = {1}
+        for w in self.members:
+            p = self.group.perms[w]
+            for s in simple:
+                k, t = 1, p[s]
+                while t != s:
+                    t = p[t]
+                    k += 1
+                lengths.add(k)
+        return lcm(*lengths)
 
 
 def _grow(mult, have: set[int], frontier: list[int], seeds) -> None:
@@ -319,43 +332,53 @@ def _minimal_generators(group: WeylGroup, members: tuple[int, ...]) -> tuple[int
 _NOT_CLOSED = "member set is not closed under the group operations"
 
 
-def _left_regular_table(group: WeylGroup, members: tuple[int, ...],
-                        gens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """table[a][b] = position of members[a] * members[b].
-
-    The generators' rows come from group.mult; every other row is a
-    generator row composed with the row of its parent in a breadth-first
-    tree of the subgroup: (g w) * v = g * (w v).  Raises ValueError when a
-    generator product leaves members or the tree misses a member.
-    """
+def _generator_rows(group: WeylGroup, members: tuple[int, ...],
+                    gens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """rows[k][a] = position of gens[k] * members[a].  Raises ValueError
+    when a product leaves members."""
     pos = {w: a for a, w in enumerate(members)}
     try:
-        gen_rows = [[pos[group.mult(g, w)] for w in members] for g in gens]
+        return tuple(tuple(pos[group.mult(g, w)] for w in members) for g in gens)
     except KeyError:
         raise ValueError(_NOT_CLOSED) from None
-    rows: list[tuple[int, ...] | None] = [None] * len(members)
-    e = pos[group.identity_index]
-    rows[e] = tuple(range(len(members)))
+
+
+def _tree_steps(gen_rows: tuple[tuple[int, ...], ...],
+                e: int) -> list[tuple[int, int, int]]:
+    """The breadth-first tree from position e along the generator rows:
+    steps (b, k, a) with b = gen_rows[k][a], in the order found."""
+    seen = {e}
+    steps = []
     frontier = [e]
     while frontier:
         nxt = []
         for a in frontier:
-            row_w = rows[a]
-            for row_g in gen_rows:
-                b = row_g[a]
-                if rows[b] is None:
-                    rows[b] = tuple(map(row_g.__getitem__, row_w))
+            for k, row in enumerate(gen_rows):
+                b = row[a]
+                if b not in seen:
+                    seen.add(b)
+                    steps.append((b, k, a))
                     nxt.append(b)
         frontier = nxt
-    if None in rows:
-        raise ValueError(_NOT_CLOSED)
+    return steps
+
+
+def _compose_table(gen_rows: tuple[tuple[int, ...], ...], e: int,
+                   n: int) -> tuple[tuple[int, ...], ...]:
+    """The left-regular table on n positions from the generator rows of
+    a closed subgroup: each row is a generator row composed with the row
+    of its parent in the breadth-first tree, (g w) * v = g * (w v)."""
+    rows: list[tuple[int, ...]] = [()] * n
+    rows[e] = tuple(range(n))
+    for b, k, a in _tree_steps(gen_rows, e):
+        rows[b] = tuple(map(gen_rows[k].__getitem__, rows[a]))
     return tuple(rows)
 
 
 def subgroup_from_members(group: WeylGroup, members) -> Subgroup:
     members = tuple(sorted(set(members) | {group.identity_index}))
     gens = _minimal_generators(group, members)
-    sub = Subgroup(group, members, gens, _left_regular_table(group, members, gens))
+    sub = Subgroup(group, members, gens, _generator_rows(group, members, gens))
     if not sub.verify_closed():
         raise ValueError(_NOT_CLOSED)
     return sub
@@ -394,18 +417,12 @@ class ReflectionComparison:
     equal: bool
 
 
-def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
-                                 stab: Subgroup | None = None) -> ReflectionComparison:
-    """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
-
-    stab, when the caller already has it, is stabilizer(group, xi).  The
-    reflections (group.reflections) are closed on positions in stab's
-    members, with products read from its table.  When the two member sets
-    are equal, stab itself is the reflection subgroup, with the generators
-    and table it already has.
-    """
-    if stab is None:
-        stab = stabilizer(group, xi)
+def integral_reflections(group: WeylGroup, xi: RatVector,
+                         stab: Subgroup) -> list[int]:
+    """Positions in stab's members of the reflections s_alpha with
+    <alpha, xi> integral, where stab is stabilizer(group, xi).  Each of
+    them fixes xi modulo the lattice, so raises AssertionError when one
+    is not a member."""
     pos = {w: a for a, w in enumerate(stab.members)}
     nums, den = xi.nums, xi.den
     seeds = set()
@@ -417,9 +434,25 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
                 "integral reflection subgroup escaped the stabilizer"
             )
         seeds.add(pos[w])
-    e = pos[group.identity_index]
+    return sorted(seeds)
+
+
+def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
+                                 stab: Subgroup | None = None) -> ReflectionComparison:
+    """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
+
+    stab, when the caller already has it, is stabilizer(group, xi).  The
+    integral reflections are closed on positions in stab's members, with
+    products read from its table.  When the two member sets are equal,
+    stab itself is the reflection subgroup, with the generators it
+    already has.
+    """
+    if stab is None:
+        stab = stabilizer(group, xi)
+    table = stab.table
+    e = stab.members.index(group.identity_index)
     have = {e}
-    _grow(lambda s, a: stab.table[s][a], have, [e], sorted(seeds))
+    _grow(lambda s, a: table[s][a], have, [e], integral_reflections(group, xi, stab))
     members = tuple(stab.members[a] for a in sorted(have))
     refl = stab if members == stab.members else subgroup_from_members(group, members)
     return ReflectionComparison(refl, stab, refl is stab)

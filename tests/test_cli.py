@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from gerbelevels import cech, intlinalg, obstruction, weyl
+from gerbelevels import cech, cli, intlinalg, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
+from gerbelevels.rootdata import DatumReport
 
 FIX = "fixtures"
 
@@ -142,11 +143,11 @@ def test_subgroup_cap_edge(capsys):
 
 def test_subgroup_cap_refuses_before_closure_work(capsys, monkeypatch):
     # A6 at the origin: all 5040 elements fix xi.  The sweep counts them
-    # and the cap refuses before any generator, closure or table is built.
+    # and the cap refuses before any generator or generator row is built.
     def unreachable(*args):
         raise AssertionError("closure work on a subgroup over the cap")
 
-    for name in ("_minimal_generators", "_left_regular_table"):
+    for name in ("_minimal_generators", "_generator_rows"):
         monkeypatch.setattr(weyl, name, unreachable)
     code = main(["obstruction", "A", "6", "SL", "SL", "--xi", "0,0,0,0,0,0,0"])
     captured = capsys.readouterr()
@@ -154,6 +155,35 @@ def test_subgroup_cap_refuses_before_closure_work(capsys, monkeypatch):
     assert captured.out == ""
     assert _one_error_line(captured.err) == [
         "error: stabilizer W_L of order 5040 exceeds the exhaustive verification cap 384"]
+
+
+def test_scans_never_build_the_product_table(capsys, monkeypatch):
+    # a scan row prints |W_L| and the class order: the generator rows
+    # carry the closure check and the cocycle identity, and no scan point
+    # composes the |W_L|^2 table; a certificate composes it once, for its
+    # H^1 and its reflection subgroup
+    def unreachable(*args):
+        raise AssertionError("a scan point built the left-regular table")
+
+    real = weyl._compose_table
+    with monkeypatch.context() as mp:
+        mp.setattr(weyl, "_compose_table", unreachable)
+        code, out = run(capsys, "scan", "B", "4", "Spin", "Spin", "--max-denominator", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == B4_SCAN_SHA256
+        with pytest.raises(AssertionError, match="left-regular table"):
+            main(["obstruction", "B", "3", "Spin", "Spin", "--xi", "0,0,0"])
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weyl, "_compose_table", counted)
+    code, out = run(capsys, *B3_ORIGIN)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == B3_ORIGIN_SHA256
+    assert len(built) == 1
 
 
 def test_equivariant_complex_cap_edge(capsys, monkeypatch):
@@ -210,9 +240,13 @@ def test_equivariant_high_degree_on_normalised_cochains(capsys):
     assert run(capsys, *argv) == (0, "H^14_G = Z/2\n")
 
 
+B3_ORIGIN = ("obstruction", "B", "3", "Spin", "Spin", "--xi", "0,0,0", "--format", "json")
+B3_ORIGIN_SHA256 = "870338a91320e297c108c2e9897c30c339e1d30eabf88e7b3f99d267bb42ae25"
+B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (("obstruction", "B", "3", "Spin", "Spin", "--xi", "0,0,0", "--format", "json"),
-     "870338a91320e297c108c2e9897c30c339e1d30eabf88e7b3f99d267bb42ae25"),
+    (B3_ORIGIN, B3_ORIGIN_SHA256),
     (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4",
       "--format", "json"),
      "4f4a114fdce492d67ed9e7b78fb33dd613c057408357ec199751a8d093d92109"),
@@ -221,8 +255,7 @@ def test_equivariant_high_degree_on_normalised_cochains(capsys):
       "--format", "json"),
      "cb42d5fb9491255643376a4175e94d6830214211b1f52608205ef1d5fcb568b5"),
     # |W| = 384 scans, outside the benchmark
-    (("scan", "B", "4", "Spin", "Spin", "--max-denominator", "2"),
-     "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"),
+    (("scan", "B", "4", "Spin", "Spin", "--max-denominator", "2"), B4_SCAN_SHA256),
     (("scan", "C", "4", "Sp", "Sp", "--max-denominator", "2"),
      "996001e32d10760bd9c7fe5ba2ca344a1a8ce60d711139a42aca66df99a69b76"),
     (("atlas", "--format", "json"),
@@ -244,6 +277,24 @@ def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("entry, digest", [
+    (("B", "5", "Spin", "Spin"),
+     "bf70c7e69349dd0fcf88808e72bbb3f6914c96feb1a2f4881b2b099ecdeeb8ae"),
+    (("C", "5", "Sp", "Sp"),
+     "b27004bd313188a06fcc8266208537fa561d9099a924e963888286ece4dc7ad3"),
+    (("D", "5", "Spin", "Spin"),
+     "329c6e8b14ca70085ee9e522e59d56be309d8c744b65757fd8af83668e601e69"),
+], ids=["B5", "C5", "D5"])
+def test_rank5_scans_under_a_raised_subgroup_cap(entry, digest):
+    # the origins' stabilizers are all of W (|W| = 3840, 3840, 1920); each
+    # scan runs in a fresh interpreter, in the time CI allows it
+    argv = ["scan", *entry, "--max-denominator", "2", "--max-subgroup-order", "4000"]
+    done = subprocess.run([sys.executable, "-m", "gerbelevels.cli", *argv],
+                          capture_output=True, timeout=20, check=True)
+    assert done.stderr == b""
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 def test_invariants_only_runs_never_reach_subquotient(capsys, monkeypatch):
@@ -845,6 +896,47 @@ def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cocycle, detail)
     assert lines[0].startswith(f"error: malformed cocycle: {detail}")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("levels", "A", "2", "SL", "SL"), "--max-weyl-order"),
+    (("atlas", "--row", "A,1,SL,SL"), "--max-weyl-order"),
+    (("atlas", "--row", "A,1,SL,SL"), "--max-subgroup-order"),
+    (("obstruction", "A", "1", "SL", "SL", "--xi", "0,0"), "--max-subgroup-order"),
+    (("scan", "A", "2", "SL", "SL", "--max-denominator", "2"), "--max-weyl-order"),
+    (("scan", "A", "2", "SL", "SL", "--max-denominator", "2"), "--max-subgroup-order"),
+    (("scan", "A", "2", "SL", "SL", "--max-denominator", "2"), "--max-scan-points"),
+    (("equivariant", "--fixture", f"{FIX}/z2_point.json", "--degree", "1"),
+     "--max-complex-size"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_negative_caps_are_usage_errors(capsys, argv, option):
+    # like --max-nerve-dim (test_cohomology_rejects_negative_nerve_dimension),
+    # whether or not the run would read the cap
+    code = main([*argv, option, "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [f"error: {option} must be >= 0"]
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("scan", "A", "2", "SL", "SL", "--max-denominator", "2", "--max-subgroup-order", "0"),
+     "error: stabilizer W_L of order 6 exceeds the exhaustive verification cap 0"),
+    (("scan", "A", "2", "SL", "SL", "--max-denominator", "2", "--max-scan-points", "0"),
+     "error: scan would enumerate about 5 points, over the cap 0"),
+    (("levels", "A", "2", "SL", "SL", "--max-weyl-order", "0"),
+     "error: Weyl group order exceeds the configured cap 0"),
+    (("equivariant", "--fixture", f"{FIX}/z2_point.json", "--degree", "1",
+      "--max-complex-size", "0"),
+     "error: equivariant complex needs 2 coordinates, over the cap 0"),
+], ids=["subgroup", "scan-points", "weyl", "complex"])
+def test_zero_caps_still_refuse_with_exit_two(capsys, argv, refusal):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [refusal]
+
+
 def test_cohomology_rejects_negative_nerve_dimension(capsys):
     code = main(["cohomology", "--fixture", f"{FIX}/triangle_cover.json",
                  "--degree", "1", "--max-nerve-dim", "-1"])
@@ -1165,3 +1257,27 @@ def test_help_exits_zero_on_every_call(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert outs[0].startswith("usage: gerbelevels")
+
+
+def test_datum_breaking_a_coxeter_relation_is_bad_input(capsys, monkeypatch):
+    # the reflections of this datum do not permute its roots, which
+    # validation reports; past validation the isogeny check refuses the
+    # source reflections' relation (s_1 s_2)^2 = 1, which the generator-edge
+    # cocycle check relies on
+    argv = ["scan", "--datum-fixture", f"{FIX}/coxeter_broken_datum.json",
+            "--max-denominator", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err)[0].startswith(
+        "error: datum X2 invalid: reflection in root[0] does not permute the roots")
+    monkeypatch.setattr(cli, "validate_datum", lambda rd: DatumReport(True, ()))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: source reflections of root[0] and root[1] break the Coxeter "
+        "relation of order 2"]
+    assert len(captured.err.splitlines()) == 1

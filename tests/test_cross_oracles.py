@@ -19,10 +19,13 @@ actions and orbit-minimum scan representatives, the rational-vector
 scan walk, per-member differences and dict-per-row cocycle identity for
 the scan's integer numerators, the counting searches
 for the Weyl group's order computed from the Cartan matrix, the earlier full-scan Smith form that always
-builds its left transform, and the earlier subgroup routes that swept
+builds its left transform, the earlier subgroup routes that swept
 W with rational vectors, recomputed a closure for every candidate
 generator and multiplied every ordered pair of members with
-WeylGroup.mult.
+WeylGroup.mult, and the full left-regular table (with its closure
+check, its powers and the all-pairs cocycle identity) that the
+generator rows, root-permutation orders and generator-edge identity
+replaced.
 """
 
 import dataclasses
@@ -92,14 +95,18 @@ from gerbelevels.levels import (
 )
 from gerbelevels.obstruction import (
     SemisimplePoint,
+    _holds_on_generator_edges,
     centralizer_cocycle,
+    compare_reflections,
     h1_group_lattice,
     obstruction_report,
     scan_points,
 )
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.weyl import (
-    _left_regular_table,
+    Subgroup,
+    _generator_rows,
+    _minimal_generators,
     act_cochar,
     generate,
     group_order,
@@ -1768,11 +1775,89 @@ def oracle_reflection_members(group, xi):
     return oracle_closure(group, sorted(seeds))
 
 
+def oracle_left_regular_table(group, members, gens):
+    """The table every subgroup used to build: the generators' rows from
+    group.mult, every other row a generator row composed with its
+    parent's row along a breadth-first tree.  ValueError when a generator
+    product leaves members or the tree misses a member."""
+    pos = {w: a for a, w in enumerate(members)}
+    try:
+        gen_rows = [[pos[group.mult(g, w)] for w in members] for g in gens]
+    except KeyError:
+        raise ValueError("not closed") from None
+    rows = [None] * len(members)
+    e = pos[group.identity_index]
+    rows[e] = tuple(range(len(members)))
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for row_g in gen_rows:
+                b = row_g[a]
+                if rows[b] is None:
+                    rows[b] = tuple(map(row_g.__getitem__, rows[a]))
+                    nxt.append(b)
+        frontier = nxt
+    if None in rows:
+        raise ValueError("not closed")
+    return tuple(rows)
+
+
+def oracle_table_closed(group, members, table):
+    """The closure check on the full table: the identity row is the
+    identity, every row is a permutation, and each member's inverse is a
+    member that its row sends to the identity."""
+    pos = {w: a for a, w in enumerate(members)}
+    e = pos.get(group.identity_index)
+    n = len(members)
+    if e is None or table[e] != tuple(range(n)):
+        return False
+    for a, w in enumerate(members):
+        row, b = table[a], pos.get(group.inverse(w))
+        if len(row) != n or set(row) != set(range(n)) or b is None or row[b] != e:
+            return False
+    return True
+
+
+def oracle_table_exponent(group, members, table):
+    """The lcm of the members' orders, powers read from the table."""
+    e = members.index(group.identity_index)
+    out = 1
+    for a in range(len(members)):
+        k, b = 1, a
+        while b != e:
+            b = table[b][a]
+            k += 1
+        out = lcm(out, k)
+    return out
+
+
+def oracle_closed_verdict(group, members):
+    """Whether the table route admits members, with its own generators."""
+    gens = _minimal_generators(group, members)
+    try:
+        table = oracle_left_regular_table(group, members, gens)
+    except ValueError:
+        return False
+    return oracle_table_closed(group, members, table)
+
+
+def rows_closed_verdict(group, members):
+    gens = _minimal_generators(group, members)
+    try:
+        rows = _generator_rows(group, members, gens)
+    except ValueError:
+        return False
+    return Subgroup(group, members, gens, rows).verify_closed()
+
+
 def assert_subgroup_matches_oracle(sub, members):
     group = sub.group
     assert sub.members == members
     assert sub.generators == oracle_minimal_generators(group, members)
     pos = {w: a for a, w in enumerate(members)}
+    assert sub.gen_rows == tuple(tuple(pos[group.mult(g, w)] for w in members)
+                                 for g in sub.generators)
     assert sub.table == tuple(tuple(pos[group.mult(v, w)] for w in members)
                               for v in members)
     assert sub.verify_closed() and oracle_verify_closed(group, members)
@@ -1804,6 +1889,7 @@ def test_subgroups_match_all_pairs_mult_oracle():
     for act, b, xi in subgroup_cases():
         group = act.group
         res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+        compare_reflections(res)
         members = oracle_stabilizer_members(group, xi)
         assert_subgroup_matches_oracle(res.w_l, members)
         assert oracle_cocycle_identity(res)
@@ -1823,18 +1909,88 @@ def test_non_closed_member_sets_are_refused():
     assert not oracle_verify_closed(group, members)
     with pytest.raises(ValueError, match="not closed"):
         subgroup_from_members(group, members)
-    # a tree without generators reaches only the identity
     whole = tuple(range(group.order))
-    with pytest.raises(ValueError, match="not closed"):
-        _left_regular_table(group, whole, ())
-    # tables that are not the subgroup's: a row that repeats a product,
-    # and a row that is a permutation but misses the member's inverse
     sub = subgroup_from_members(group, whole)
     assert sub.verify_closed()
-    a = next(a for a, w in enumerate(whole) if w != group.identity_index)
-    for row in ((sub.table[a][0],) * group.order, tuple(range(group.order))):
-        bad = sub.table[:a] + (row,) + sub.table[a + 1:]
-        assert not dataclasses.replace(sub, table=bad).verify_closed()
+    # rows that are not the subgroup's: none at all (the search reaches
+    # only the identity), a row that repeats a position, a row of the
+    # right length that misses one, and the identity permutation in
+    # place of a generator's row (the search misses the members that
+    # need that generator)
+    ident = tuple(range(group.order))
+    bad_rows = [(), ((sub.gen_rows[0][0],) * group.order,) + sub.gen_rows[1:],
+                ((group.order,) + sub.gen_rows[0][1:],) + sub.gen_rows[1:],
+                (ident,) + sub.gen_rows[1:]]
+    for rows in bad_rows:
+        assert not dataclasses.replace(sub, gen_rows=rows).verify_closed()
+    # a member set without the identity
+    assert not Subgroup(group, whole[1:], (), ()).verify_closed()
+
+
+def generator_row_cases():
+    """subgroup_cases() and every denominator-2 scan point of B4 Spin/Spin,
+    C4 Sp/Sp and D4 Spin/Spin (the origins of B4 and C4: |W_L| = 384)."""
+    cases = subgroup_cases()
+    for entry in (("B", 4, "Spin", "Spin"), ("C", 4, "Sp", "Sp"),
+                  ("D", 4, "Spin", "Spin")):
+        iso = classical_isogeny(*entry)
+        act = SharedWeylAction(iso)
+        b = basic_level(iso).tensor
+        cases += [(act, b, row.xi) for row in scan_points(act, b, 2).rows]
+    return cases
+
+
+def cocycle_corruptions(res):
+    """c with one value moved: at the identity, at a generator, at the
+    last member, and a member's value swapped for another member's."""
+    c = res.c_cocycle
+    members, gens = res.w_l.members, res.w_l.generators
+    unit = (1,) + (0,) * (len(c[members[0]]) - 1)
+    out = []
+    for w in {res.w_l.group.identity_index, members[-1], *gens[:1]}:
+        out.append({**c, w: tuple(x + y for x, y in zip(c[w], unit))})
+    other = next((u for u in members if c[u] != c[members[-1]]), None)
+    if other is not None:
+        out.append({**c, members[-1]: c[other]})
+    return out
+
+
+def test_generator_rows_match_the_table_oracles():
+    """The lazy table, the closure check on generator rows, the exponent
+    from root permutations and the cocycle identity on generator edges
+    against the full-table routes they replaced."""
+    sizes = set()
+    non_closed = 0
+    for act, b, xi in generator_row_cases():
+        group = act.group
+        res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+        sub = res.w_l
+        members = sub.members
+        table = oracle_left_regular_table(group, members, sub.generators)
+        assert sub.table == table
+        assert sub.verify_closed() and oracle_table_closed(group, members, table)
+        assert sub.exponent() == oracle_table_exponent(group, members, table)
+        assert _holds_on_generator_edges(act, sub, res.c_cocycle)
+        assert oracle_dict_identity(act, sub, res.c_cocycle)
+        for c in cocycle_corruptions(res):
+            assert _holds_on_generator_edges(act, sub, c) == \
+                oracle_dict_identity(act, sub, c)
+        # member sets next to W_L: one member short, one element over
+        e = group.identity_index
+        nearby = [members]
+        if len(members) > 1:
+            nearby.append(tuple(w for w in members if w != members[-1] or w == e))
+        outside = next((w for w in range(group.order) if w not in set(members)), None)
+        if outside is not None:
+            nearby.append(tuple(sorted(members + (outside,))))
+        for m in nearby:
+            verdict = rows_closed_verdict(group, m)
+            assert verdict == oracle_closed_verdict(group, m) == \
+                oracle_verify_closed(group, m)
+            non_closed += not verdict
+        sizes.add(len(members))
+    assert {384, 192} <= sizes
+    assert non_closed >= 30
 
 
 # --- transpose: the index comprehension that zip replaced -----------------

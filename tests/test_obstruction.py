@@ -370,3 +370,35 @@ def test_scan_deterministic():
     t1 = scan_points(action, b, 3)
     t2 = scan_points(action, b, 3)
     assert t1 == t2
+
+
+def test_scan_checks_the_level_once_and_each_point_its_reflections(monkeypatch):
+    # the level is the same at every point: one invariance test per scan;
+    # the integral reflections are not closed in a scan, but each point
+    # still checks that they lie in W_L
+    action, b, _ = spin7_setup()
+    calls = []
+    real = obstruction.is_invariant
+
+    def counted(act, level):
+        calls.append(level)
+        return real(act, level)
+
+    monkeypatch.setattr(obstruction, "is_invariant", counted)
+    table = scan_points(action, b, 2)
+    assert len(table.rows) == 3 and len(calls) == 1
+    bad = LevelTensor(action.iso, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(ObstructionError, match="not Weyl invariant"):
+        scan_points(action, bad, 2)
+
+    def trivial(group, xi, cap=None):
+        return subgroup_from_members(group, ())
+
+    def unreachable(*args):
+        raise AssertionError("a scan closed the integral reflections")
+
+    monkeypatch.setattr(obstruction, "integral_reflection_subgroup", unreachable)
+    assert scan_points(action, b, 2) == table
+    monkeypatch.setattr(obstruction, "stabilizer", trivial)
+    with pytest.raises(AssertionError, match="escaped the stabilizer"):
+        scan_points(action, b, 2)

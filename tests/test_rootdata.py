@@ -1,10 +1,18 @@
 import dataclasses
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from gerbelevels import rootdata
-from gerbelevels.intlinalg import AbelianInvariants, RatVector, quotient_invariants
+from gerbelevels.intlinalg import (
+    AbelianInvariants,
+    RatVector,
+    identity,
+    matmul,
+    quotient_invariants,
+)
 from gerbelevels.rootdata import (
     DatumError,
     IsogenyDatum,
@@ -252,3 +260,56 @@ def test_json_roundtrip():
     iso = classical_isogeny("D", 4, "SO", "PSO")
     iso2 = IsogenyDatum.from_json_dict(iso.to_json_dict())
     assert iso2 == iso
+
+
+def _classical_isogenies_up_to_rank_5():
+    for series, forms in rootdata.FORMS_BY_SERIES.items():
+        for rank in range(1, 6):
+            for source, target in itertools.product(forms, repeat=2):
+                try:
+                    yield classical_isogeny(series, rank, source, target)
+                except DatumError:
+                    continue  # no such isogeny, or no such datum
+
+
+def _g2_isogeny():
+    with open("fixtures/g2_datum.json") as fh:
+        data = json.load(fh)
+    return rootdata.build_isogeny(RootDatum.from_json_dict(data["source"]),
+                                  RootDatum.from_json_dict(data["target"]))
+
+
+def _matrix_order(m, bound=12):
+    one = identity(len(m))
+    power = m
+    for k in range(1, bound + 1):
+        if power == one:
+            return k
+        power = matmul(power, m)
+    return None
+
+
+def test_source_reflections_have_the_coxeter_orders():
+    # M_i M_j has order exactly m_ij (2, 3, 4 or 6 by c_ij c_ji), M_i order 2
+    isos = [*_classical_isogenies_up_to_rank_5(), _g2_isogeny()]
+    assert len(isos) == 68
+    for iso in isos:
+        c = iso.target.cartan_matrix
+        mats = iso.source_reflections
+        for i, j in itertools.product(range(len(mats)), repeat=2):
+            m = 1 if i == j else {0: 2, 1: 3, 2: 4, 3: 6}[c[i][j] * c[j][i]]
+            assert _matrix_order(matmul(mats[i], mats[j])) == m, (iso.name, i, j)
+        assert all(_matrix_order(m) == 2 for m in mats), iso.name
+
+
+def test_isogeny_check_refuses_a_broken_coxeter_relation():
+    # t1 and t2 in Z^2 as simple roots, with coroots 2t1 - 2t2 and 2t2:
+    # the Cartan integers are -2 and 0, so m = 2 is read off their
+    # product, but the two reflections compose to a map of infinite order
+    with open("fixtures/coxeter_broken_datum.json") as fh:
+        rd = RootDatum.from_json_dict(json.load(fh)["target"])
+    assert rd.cartan_matrix == ((2, -2), (0, 2))
+    assert not validate_datum(rd).passed
+    with pytest.raises(DatumError, match=r"^source reflections of root\[0\] and "
+                       r"root\[1\] break the Coxeter relation of order 2$"):
+        rootdata.build_isogeny(rd, rd)
