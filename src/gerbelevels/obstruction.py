@@ -30,14 +30,15 @@ reflections' Coxeter relations), that implies the identity on every
 ordered pair, by induction on word length.  A scan checks the level
 once, walks its points as numerators over one common denominator, and
 pays per point only for what its row prints: the stabilizer, the
-cocycle and the class order.  The closure of the integral reflections
-and the full product table of W_L are left to certificates.
+cocycle and the class order.  The closure of the integral reflections,
+taken in W, is left to certificates, and the full product table of W_L
+to their H^1, which builds it only under its cell cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from .cech import _bar_rows
@@ -219,11 +220,12 @@ def _holds_on_generator_edges(action: SharedWeylAction, w_l: Subgroup,
 
 
 def compare_reflections(res: ObstructionResult) -> None:
-    """Closes the integral reflections inside W_L and fills in
-    res.reflection_sub and res.reflection_agrees."""
-    cmp = integral_reflection_subgroup(res.w_l.group, res.point.xi, res.w_l)
-    res.reflection_sub = cmp.reflection_subgroup
-    res.reflection_agrees = cmp.equal
+    """Closes the integral reflections in W and fills in
+    res.reflection_sub and res.reflection_agrees: they agree when the
+    closure is W_L itself."""
+    w_l = res.w_l
+    res.reflection_sub = integral_reflection_subgroup(w_l.group, res.point.xi, w_l)
+    res.reflection_agrees = res.reflection_sub is w_l
 
 
 def _coboundary_system(res: ObstructionResult, members) -> tuple[Matrix, Vector]:
@@ -346,22 +348,20 @@ def obstruction_report(
     action: SharedWeylAction,
     b: LevelTensor,
     pt: SemisimplePoint,
-    with_h1: bool = True,
     verify_cap: int = 384,
 ) -> ObstructionResult:
     res = centralizer_cocycle(action, b, pt, verify_cap=verify_cap)
     compare_reflections(res)
     class_order(res)
-    if with_h1:
-        h1 = h1_group_lattice(
-            res.w_l, action.source_char_action, res.c_cocycle, cap=verify_cap
+    h1 = h1_group_lattice(
+        res.w_l, action.source_char_action, res.c_cocycle, cap=verify_cap
+    )
+    res.h1_invariants = h1.invariants
+    res.h1_class_coords = h1.class_coords
+    if h1.class_order_in_h1 is not None and h1.class_order_in_h1 != res.class_order:
+        raise AssertionError(
+            "H^1 class order disagrees with the coboundary solve"
         )
-        res.h1_invariants = h1.invariants
-        res.h1_class_coords = h1.class_coords
-        if h1.class_order_in_h1 is not None and h1.class_order_in_h1 != res.class_order:
-            raise AssertionError(
-                "H^1 class order disagrees with the coboundary solve"
-            )
     return res
 
 
@@ -386,6 +386,17 @@ class ScanTable:
         return sum(1 for r in self.rows if not r.trivial)
 
 
+def _power_sum(r: int, n: int) -> int:
+    """sum(d**r for d in range(1, n + 1)) in O(r^2) steps, whatever n:
+    d^r = sum_k F(r, k) C(d, k), F(r, k) = k! S(r, k) with S the Stirling
+    numbers of the second kind, and sum_{d=0..n} C(d, k) = C(n+1, k+1);
+    the term d = 0 is 0^r, which is 1 only for r = 0."""
+    surj = [1]  # F(r, k) for k = 0..r: F(r, k) = k (F(r-1, k) + F(r-1, k-1))
+    for _ in range(r):
+        surj = [k * (a + b) for k, (a, b) in enumerate(zip(surj + [0], [0] + surj))]
+    return sum(f * comb(n + 1, k + 1) for k, f in enumerate(surj)) - (r == 0)
+
+
 def scan_points(
     action: SharedWeylAction,
     b: LevelTensor,
@@ -404,7 +415,7 @@ def scan_points(
     become RatVectors.
     """
     r = action.iso.target.rank
-    estimate = sum(d**r for d in range(1, max_denominator + 1))
+    estimate = _power_sum(r, max_denominator)
     if estimate > point_cap:
         raise CapExceeded(f"scan would enumerate about {estimate} points, "
                           f"over the cap {point_cap}")

@@ -29,16 +29,17 @@ verification, and an approximate group would silently invalidate them.
 A subgroup (a stabilizer W_L, or the subgroup generated by integral
 reflections) is its sorted members, a small generating set and the
 generators' rows: the position of s * w for each generator s and member
-w, the only products in W it is built from.  The closure check reads
-only those rows: each must be a permutation of the positions, and a
+w.  Each row is computed once, when the greedy search picks its
+generator, and the search closes on positions along the rows: those
+are the only products in W a subgroup is built from.  The closure check
+reads only the rows: each must be a permutation of the positions, and a
 breadth-first search from the identity along them must reach every
 member.  Element orders come from root permutations, and the cocycle
-identity is checked on generator edges (obstruction).  The full
-left-regular table, each further row a generator row composed with the
-row of its parent in that search, is built on its first read, by the
-two readers that need every product: the bar complex of H^1 and the
-closure of the integral reflections inside W_L, both in certificates.
-A scan never builds it.
+identity is checked on generator edges (obstruction).  The integral
+reflections are closed in W itself, with mult.  The full left-regular
+table, each further row a generator row composed with the row of its
+parent in that search, is built on its first read, by its one reader:
+the bar complex of H^1, in certificates, after its cell cap.
 """
 
 from __future__ import annotations
@@ -241,11 +242,10 @@ class Subgroup:
 
     gen_rows[k][a] is the position in members of generators[k] *
     members[a]; these rows are the only products in W a subgroup is
-    built from (group.mult).  table, the left-regular table
-    (table[a][b] is the position of members[a] * members[b]), is
+    built from (group.mult), each taken once.  table, the left-regular
+    table (table[a][b] is the position of members[a] * members[b]), is
     composed from them on its first read and kept: only the H^1 bar
-    complex and the closure of a certificate's integral reflections
-    read it.
+    complex reads it.
     """
 
     group: WeylGroup
@@ -309,38 +309,37 @@ def _grow(mult, have: set[int], frontier: list[int], seeds) -> None:
         frontier = nxt
 
 
-def _minimal_generators(group: WeylGroup, members: tuple[int, ...]) -> tuple[int, ...]:
-    """Greedy small generating set of a subgroup given by its members:
-    each member outside the closure of the generators so far becomes a
-    generator.  The closure grows in place: the new generator x applied
-    to the old closure gives its new elements, and only those are
-    multiplied further, by every generator."""
-    gens: list[int] = []
-    have = {group.identity_index}
-    for i in members:
-        if i in have:
-            continue
-        gens.append(i)
-        new = [m for m in (group.mult(i, h) for h in have) if m not in have]
-        have.update(new)
-        _grow(group.mult, have, new, gens)
-        if len(have) == len(members):
-            break
-    return tuple(gens)
-
-
 _NOT_CLOSED = "member set is not closed under the group operations"
 
 
-def _generator_rows(group: WeylGroup, members: tuple[int, ...],
-                    gens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """rows[k][a] = position of gens[k] * members[a].  Raises ValueError
-    when a product leaves members."""
+def _generators_and_rows(group: WeylGroup, members: tuple[int, ...]
+                         ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Greedy small generating set of a subgroup given by its sorted
+    members (with the identity) and each generator's row, rows[k][a] =
+    position of gens[k] * members[a]: each member outside the closure so
+    far becomes a generator, and its row is computed then.  The closure
+    grows on positions: the new row applied to the old closure gives its
+    new elements, and only those are carried further, along every row.
+    Raises ValueError when a product leaves members."""
     pos = {w: a for a, w in enumerate(members)}
-    try:
-        return tuple(tuple(pos[group.mult(g, w)] for w in members) for g in gens)
-    except KeyError:
-        raise ValueError(_NOT_CLOSED) from None
+    gens: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    have = {pos[group.identity_index]}
+    for a, i in enumerate(members):
+        if a in have:
+            continue
+        try:
+            row = tuple(pos[group.mult(i, w)] for w in members)
+        except KeyError:
+            raise ValueError(_NOT_CLOSED) from None
+        gens.append(i)
+        rows.append(row)
+        new = [b for b in map(row.__getitem__, have) if b not in have]
+        have.update(new)
+        _grow(tuple.__getitem__, have, new, rows)
+        if len(have) == len(members):
+            break
+    return tuple(gens), tuple(rows)
 
 
 def _tree_steps(gen_rows: tuple[tuple[int, ...], ...],
@@ -377,8 +376,7 @@ def _compose_table(gen_rows: tuple[tuple[int, ...], ...], e: int,
 
 def subgroup_from_members(group: WeylGroup, members) -> Subgroup:
     members = tuple(sorted(set(members) | {group.identity_index}))
-    gens = _minimal_generators(group, members)
-    sub = Subgroup(group, members, gens, _generator_rows(group, members, gens))
+    sub = Subgroup(group, members, *_generators_and_rows(group, members))
     if not sub.verify_closed():
         raise ValueError(_NOT_CLOSED)
     return sub
@@ -406,53 +404,38 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     return subgroup_from_members(group, members)
 
 
-@dataclass(frozen=True)
-class ReflectionComparison:
-    """Reflection subgroup of the integrality stabilizer, with the
-    stabilizer itself and whether the two agree (they can differ when the
-    centralizer is disconnected)."""
-
-    reflection_subgroup: Subgroup
-    stabilizer: Subgroup
-    equal: bool
-
-
 def integral_reflections(group: WeylGroup, xi: RatVector,
                          stab: Subgroup) -> list[int]:
-    """Positions in stab's members of the reflections s_alpha with
-    <alpha, xi> integral, where stab is stabilizer(group, xi).  Each of
-    them fixes xi modulo the lattice, so raises AssertionError when one
-    is not a member."""
-    pos = {w: a for a, w in enumerate(stab.members)}
+    """Indices in W of the reflections s_alpha with <alpha, xi>
+    integral, where stab is stabilizer(group, xi).  Each of them fixes xi
+    modulo the lattice, so raises AssertionError when one is not a
+    member of stab."""
+    members = set(stab.members)
     nums, den = xi.nums, xi.den
     seeds = set()
     for alpha, w in zip(group.datum.root_coords(), group.reflections):
         if sum(map(mul, alpha, nums)) % den:
             continue
-        if w not in pos:
+        if w not in members:
             raise AssertionError(
                 "integral reflection subgroup escaped the stabilizer"
             )
-        seeds.add(pos[w])
+        seeds.add(w)
     return sorted(seeds)
 
 
 def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
-                                 stab: Subgroup | None = None) -> ReflectionComparison:
-    """Subgroup generated by reflections s_alpha with <alpha, xi> integral.
+                                 stab: Subgroup) -> Subgroup:
+    """Subgroup generated by reflections s_alpha with <alpha, xi> integral,
+    where stab is stabilizer(group, xi).
 
-    stab, when the caller already has it, is stabilizer(group, xi).  The
-    integral reflections are closed on positions in stab's members, with
-    products read from its table.  When the two member sets are equal,
-    stab itself is the reflection subgroup, with the generators it
-    already has.
+    The integral reflections are closed in W with group.mult.  The
+    closure lies inside stab, and differs from it when the centralizer is
+    disconnected; when the two member sets are equal, stab itself is
+    returned, with the generators it already has.
     """
-    if stab is None:
-        stab = stabilizer(group, xi)
-    table = stab.table
-    e = stab.members.index(group.identity_index)
+    e = group.identity_index
     have = {e}
-    _grow(lambda s, a: table[s][a], have, [e], integral_reflections(group, xi, stab))
-    members = tuple(stab.members[a] for a in sorted(have))
-    refl = stab if members == stab.members else subgroup_from_members(group, members)
-    return ReflectionComparison(refl, stab, refl is stab)
+    _grow(group.mult, have, [e], integral_reflections(group, xi, stab))
+    members = tuple(sorted(have))
+    return stab if members == stab.members else subgroup_from_members(group, members)

@@ -8,7 +8,7 @@ import pytest
 
 from gerbelevels import cech, cli, intlinalg, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
-from gerbelevels.rootdata import DatumReport
+from gerbelevels.rootdata import DatumReport, classical_datum
 
 FIX = "fixtures"
 
@@ -147,8 +147,7 @@ def test_subgroup_cap_refuses_before_closure_work(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("closure work on a subgroup over the cap")
 
-    for name in ("_minimal_generators", "_generator_rows"):
-        monkeypatch.setattr(weyl, name, unreachable)
+    monkeypatch.setattr(weyl, "_generators_and_rows", unreachable)
     code = main(["obstruction", "A", "6", "SL", "SL", "--xi", "0,0,0,0,0,0,0"])
     captured = capsys.readouterr()
     assert code == 2
@@ -161,7 +160,7 @@ def test_scans_never_build_the_product_table(capsys, monkeypatch):
     # a scan row prints |W_L| and the class order: the generator rows
     # carry the closure check and the cocycle identity, and no scan point
     # composes the |W_L|^2 table; a certificate composes it once, for its
-    # H^1 and its reflection subgroup
+    # H^1, its one reader (the reflection subgroup is closed in W)
     def unreachable(*args):
         raise AssertionError("a scan point built the left-regular table")
 
@@ -184,6 +183,45 @@ def test_scans_never_build_the_product_table(capsys, monkeypatch):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == B3_ORIGIN_SHA256
     assert len(built) == 1
+
+
+B5_ORIGIN = ("obstruction", "B", "5", "Spin", "Spin", "--xi", "0,0,0,0,0",
+             "--max-subgroup-order", "4000")
+
+
+def test_h1_cell_cap_refuses_before_the_product_table(capsys, monkeypatch):
+    # the B5 origin: |W_L| = 3840 is admitted by the subgroup cap, the
+    # integral reflections are closed in W, and the H^1 cell cap refuses
+    # before the |W_L|^2 table, its only reader, is composed
+    def unreachable(*args):
+        raise AssertionError("the left-regular table was built")
+
+    monkeypatch.setattr(weyl, "_compose_table", unreachable)
+    code = main(list(B5_ORIGIN))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: H^1 bar complex needs about 1415577600000 matrix cells, "
+        "over the cap 4194304"]
+
+
+def test_subgroups_multiply_each_generator_by_each_member_once(monkeypatch):
+    # the D4 origin, |W_L| = 192: the greedy search computes a generator's
+    # row when it picks the generator and closes along the rows, so the
+    # only products in W are k rows of |W_L|
+    group = weyl.generate(classical_datum("D", 4, "Spin"))
+    calls = []
+    real = weyl.WeylGroup.mult
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(weyl.WeylGroup, "mult", counted)
+    sub = weyl.subgroup_from_members(group, range(group.order))
+    assert len(sub) == 192
+    assert sorted(calls) == sorted((g, w) for g in sub.generators for w in sub.members)
 
 
 def test_equivariant_complex_cap_edge(capsys, monkeypatch):
@@ -1006,6 +1044,23 @@ def test_cap_edges(capsys, argv, option, edge, out, refusal):
     assert code == 2
     assert captured.out == ""
     assert _one_error_line(captured.err) == [refusal]
+
+
+HUGE_SCAN = "scan would enumerate about 4999999999950000000000 points, over the cap 20000"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("scan", "A", "1", "SL", "SL", "--max-denominator", "99999999999"),
+     2, "", f"error: {HUGE_SCAN}\n"),
+    (("atlas", "--row", "A,1,SL,SL", "--scan-denominator", "99999999999"),
+     0, f"A1 SL->SL  error: cap: {HUGE_SCAN}\n", ""),
+], ids=["scan", "atlas"])
+def test_scan_point_cap_refuses_in_time_independent_of_the_bound(argv, code, out, err):
+    # the point count sum_{d <= D} d^r is exact but takes O(r^2) steps, so
+    # a bound of 10^11 is refused at once (the atlas refuses in its row)
+    done = subprocess.run([sys.executable, "-m", "gerbelevels.cli", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 def test_atlas_scan_obeys_subgroup_cap(capsys):

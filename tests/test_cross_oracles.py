@@ -105,8 +105,7 @@ from gerbelevels.obstruction import (
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.weyl import (
     Subgroup,
-    _generator_rows,
-    _minimal_generators,
+    _generators_and_rows,
     act_cochar,
     generate,
     group_order,
@@ -1833,8 +1832,9 @@ def oracle_table_exponent(group, members, table):
 
 
 def oracle_closed_verdict(group, members):
-    """Whether the table route admits members, with its own generators."""
-    gens = _minimal_generators(group, members)
+    """Whether the table route admits members, with the oracle's greedy
+    generators."""
+    gens = oracle_minimal_generators(group, members)
     try:
         table = oracle_left_regular_table(group, members, gens)
     except ValueError:
@@ -1843,9 +1843,8 @@ def oracle_closed_verdict(group, members):
 
 
 def rows_closed_verdict(group, members):
-    gens = _minimal_generators(group, members)
     try:
-        rows = _generator_rows(group, members, gens)
+        gens, rows = _generators_and_rows(group, members)
     except ValueError:
         return False
     return Subgroup(group, members, gens, rows).verify_closed()

@@ -15,6 +15,7 @@ from gerbelevels.levels import LevelTensor, SharedWeylAction, basic_level
 from gerbelevels.obstruction import (
     ObstructionError,
     SemisimplePoint,
+    _power_sum,
     centralizer_cocycle,
     h1_group_lattice,
     obstruction_report,
@@ -340,6 +341,12 @@ def test_scan_size_refusal():
     with pytest.raises(CapExceeded, match="^scan would enumerate about 338350 "
                        "points, over the cap 50$"):
         scan_points(action, b, 100, point_cap=50)
+
+
+def test_point_count_matches_the_loop():
+    for r in range(9):
+        for n in range(30):
+            assert _power_sum(r, n) == sum(d**r for d in range(1, n + 1))
 
 
 def test_scan_computes_the_weyl_order_once_per_action(monkeypatch):

@@ -186,17 +186,20 @@ def test_spin7_reflection_subgroup_equals_stabilizer():
     xi = rd.cochar_coords_q(
         RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
-    cmp = integral_reflection_subgroup(w, xi)
-    assert len(cmp.reflection_subgroup) == 8
-    assert cmp.equal
+    stab = stabilizer(w, xi)
+    refl = integral_reflection_subgroup(w, xi, stab)
+    assert len(refl) == 8
+    assert refl is stab
 
 
 def test_reflection_subgroup_of_zero_is_whole_group():
     rd = classical_datum("A", 2, "PGL")
     w = generate(rd)
-    cmp = integral_reflection_subgroup(w, RatVector.zero(rd.rank))
-    assert len(cmp.reflection_subgroup) == w.order
-    assert cmp.equal
+    xi = RatVector.zero(rd.rank)
+    stab = stabilizer(w, xi)
+    refl = integral_reflection_subgroup(w, xi, stab)
+    assert len(refl) == w.order
+    assert refl is stab
 
 
 def test_pgl2_half_coweight_strict_inclusion():
@@ -205,10 +208,11 @@ def test_pgl2_half_coweight_strict_inclusion():
     rd = classical_datum("A", 1, "PGL")
     w = generate(rd)
     xi = RatVector.make([1], 2)  # half the fundamental coweight
-    cmp = integral_reflection_subgroup(w, xi)
-    assert len(cmp.stabilizer) == 2
-    assert len(cmp.reflection_subgroup) == 1
-    assert not cmp.equal
+    stab = stabilizer(w, xi)
+    refl = integral_reflection_subgroup(w, xi, stab)
+    assert len(stab) == 2
+    assert len(refl) == 1
+    assert refl is not stab and refl.members != stab.members
 
 
 def test_reflection_subgroup_always_inside_stabilizer():
@@ -216,8 +220,9 @@ def test_reflection_subgroup_always_inside_stabilizer():
     w = generate(rd)
     for nums, den in [((1, 0), 2), ((1, 1), 2), ((1, 2), 3), ((0, 1), 4)]:
         xi = RatVector.make(list(nums), den)
-        cmp = integral_reflection_subgroup(w, xi)
-        assert set(cmp.reflection_subgroup.members) <= set(cmp.stabilizer.members)
+        stab = stabilizer(w, xi)
+        refl = integral_reflection_subgroup(w, xi, stab)
+        assert set(refl.members) <= set(stab.members)
 
 
 @pytest.mark.parametrize("simple, refls", [((0, 7), 12), ((0, 3), 6), ((0, 10), 4)])
