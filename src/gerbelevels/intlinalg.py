@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -226,13 +226,48 @@ def snf(a: Matrix, left: bool = True,
     would leave unchanged: a row operation touches only the columns where
     the pivot row is nonzero, and a column operation only the rows where
     column t is nonzero (just the pivot row, until an extended-gcd column
-    operation refills column t).
+    operation refills column t).  A row the search finds zero stays zero
+    (no operation adds to it), so it is replaced by one shared zero row
+    that the search, the column swaps and the divisibility check skip.
+
+    Deferred rows: with V built and U not, a row of s is made only when
+    the search first reaches it, as a[i] @ V with columns < t set to
+    zero.  While every pivot is a unit this is the row the full
+    elimination would hold: step t subtracts multiples of the pivot row
+    (a unit divides everything), and afterwards row i is its old value
+    times that step's column operations with column t cleared, since the
+    pivot row is then d e_t; the column operations of later steps never
+    read column t again.  A row swap only exchanges t with a row the
+    search has reached, so unreached rows keep their places.  A search
+    that finds no unit reaches every row, so from the first non-unit
+    pivot on every row is made and the loop runs as with U built.  Rows
+    never reached are zero rows of S: a search that finds no pivot has
+    reached every row, so a row stays unreached only when the loop stops
+    at t = n, where all its columns are < t.  With U built, or without
+    V, every row is made at the start.
     """
     m, n = shape(a)
-    s = [list(row) for row in a]
     u = [list(row) for row in identity(m)] if left else None
     # without V, the column operations below run over no rows of it
     v = [list(row) for row in identity(n)] if right else []
+    # s[i] is made for i < front; from front on it is None until the
+    # search reaches it
+    front = 0 if right and not left else m
+    s = [list(row) for row in a] if front else [None] * m
+    zero = [0] * n
+
+    def reach(i, t):
+        w = [0] * (n - t)
+        row = a[i]
+        for j in itertools.compress(range(n), row):
+            x = row[j]
+            if x == 1:
+                w = list(map(add, w, v[j][t:]))
+            elif x == -1:
+                w = list(map(sub, w, v[j][t:]))
+            else:
+                w = [p + x * q for p, q in zip(w, v[j][t:])]
+        return [0] * t + w if any(w) else zero
 
     def row_op(i1, i2, x, y, p, q):
         for w in (s, u) if left else (s,):
@@ -250,8 +285,15 @@ def snf(a: Matrix, left: bool = True,
     while t < min(m, n):
         best = 0
         for i in range(t, m):
+            if i == front:
+                s[i] = reach(i, t)
+                front += 1
+            if s[i] is zero:
+                continue
             e = min(map(abs, filter(None, s[i][t:])), default=0)
-            if e and (not best or e < best):
+            if not e:
+                s[i] = zero
+            elif not best or e < best:
                 best, bi = e, i
                 if e == 1:
                     break
@@ -262,12 +304,15 @@ def snf(a: Matrix, left: bool = True,
         if left:
             u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            for row in itertools.chain(s[t:], v):
-                row[t], row[bj] = row[bj], row[t]
+            for row in itertools.chain(s[t:front], v):
+                if row is not zero:
+                    row[t], row[bj] = row[bj], row[t]
         while True:
-            # clear column t below the pivot with row operations
+            # clear column t below the pivot with row operations; a
+            # non-unit pivot (the only kind that takes the extended-gcd
+            # branches) comes with front == m
             support = [j for j in range(t, n) if s[t][j]]
-            for i in range(t + 1, m):
+            for i in range(t + 1, front):
                 if s[i][t] == 0:
                     continue
                 aa, bb = s[t][t], s[i][t]
@@ -306,7 +351,8 @@ def snf(a: Matrix, left: bool = True,
                 break
             # the pivot must divide the rest of the submatrix
             culprit = next(
-                (i for i in range(t + 1, m) if any(x % d for x in s[i][t + 1:])),
+                (i for i in range(t + 1, m)
+                 if s[i] is not zero and any(x % d for x in s[i][t + 1:])),
                 None,
             )
             if culprit is None:
@@ -319,7 +365,9 @@ def snf(a: Matrix, left: bool = True,
             if left:
                 u[t] = [-x for x in u[t]]
         t += 1
-    return (tuple(map(tuple, s)), tuple(map(tuple, u)) if left else None,
+    zero_row = (0,) * n
+    return (tuple(zero_row if row is zero or row is None else tuple(row) for row in s),
+            tuple(map(tuple, u)) if left else None,
             tuple(map(tuple, v)) if right else None)
 
 
@@ -361,7 +409,9 @@ class Smith:
     diagonal with the entries diag, of which the first rank are nonzero.
     Solves, kernels, cokernels and class orders are all read off this one
     factorization.  Kernels and cokernels need only v and diag; a factor
-    made with left=False has u = None and cannot reduce or solve."""
+    made with left=False has u = None and cannot reduce or solve, and
+    snf then makes each row of a only when its pivot search reaches it
+    (rows past full column rank are never read), with the same v."""
 
     diag: tuple[int, ...]
     rank: int
@@ -428,7 +478,9 @@ class Smith:
 
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
-    """Basis of {x : a @ x = 0}; the lattice it spans is saturated."""
+    """Basis of {x : a @ x = 0}; the lattice it spans is saturated.  The
+    basis is the last columns of snf's V, built without U, so the rows
+    the pivot search has not reached are not reduced (see snf)."""
     return Smith.of(a, left=False).kernel()
 
 

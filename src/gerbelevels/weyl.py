@@ -36,10 +36,11 @@ reads only the rows: each must be a permutation of the positions, and a
 breadth-first search from the identity along them must reach every
 member.  Element orders come from root permutations, and the cocycle
 identity is checked on generator edges (obstruction).  The integral
-reflections are closed in W itself, with mult.  The full left-regular
-table, each further row a generator row composed with the row of its
-parent in that search, is built on its first read, by its one reader:
-the bar complex of H^1, in certificates, after its cell cap.
+reflections are closed in W itself, with mult, multiplying in only those
+outside the closure so far.  The full left-regular table, each further
+row a generator row composed with the row of its parent in that search,
+is built on its first read, by its one reader: the bar complex of H^1,
+in certificates, after its cell cap.
 """
 
 from __future__ import annotations
@@ -429,13 +430,22 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral,
     where stab is stabilizer(group, xi).
 
-    The integral reflections are closed in W with group.mult.  The
-    closure lies inside stab, and differs from it when the centralizer is
-    disconnected; when the two member sets are equal, stab itself is
-    returned, with the generators it already has.
+    The integral reflections are closed in W with group.mult, greedily
+    as in _generators_and_rows: a reflection already in the closure so
+    far is skipped; another multiplies the closure once, and only the
+    new elements are carried further, along every reflection picked.
+    The closure lies inside stab, and differs from it when the
+    centralizer is disconnected; when the two member sets are equal,
+    stab itself is returned, with the generators it already has.
     """
-    e = group.identity_index
-    have = {e}
-    _grow(group.mult, have, [e], integral_reflections(group, xi, stab))
+    have = {group.identity_index}
+    picked: list[int] = []
+    for s in integral_reflections(group, xi, stab):
+        if s in have:
+            continue
+        picked.append(s)
+        new = [w for w in (group.mult(s, i) for i in have) if w not in have]
+        have.update(new)
+        _grow(group.mult, have, new, picked)
     members = tuple(sorted(have))
     return stab if members == stab.members else subgroup_from_members(group, members)

@@ -206,6 +206,31 @@ def test_h1_cell_cap_refuses_before_the_product_table(capsys, monkeypatch):
         "over the cap 4194304"]
 
 
+def test_integral_reflections_are_closed_from_the_reflections_they_need(capsys,
+                                                                       monkeypatch):
+    # the B5 origin: all 25 reflections are integral and W_L = W, of
+    # order 3840.  The stabilizer takes 3 generator rows (11,520
+    # products); the greedy closure multiplies in only the 5 reflections
+    # outside the closure so far, about one |W_L| each, where closing
+    # under all 25 took 96,000 products
+    calls = []
+    real = weyl.WeylGroup.mult
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(weyl.WeylGroup, "mult", counted)
+    code = main(list(B5_ORIGIN))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: H^1 bar complex needs about 1415577600000 matrix cells, "
+        "over the cap 4194304"]
+    assert len(calls) <= 3 * 3840 + 5 * 3840
+
+
 def test_subgroups_multiply_each_generator_by_each_member_once(monkeypatch):
     # the D4 origin, |W_L| = 192: the greedy search computes a generator's
     # row when it picks the generator and closes along the rows, so the
@@ -280,11 +305,16 @@ def test_equivariant_high_degree_on_normalised_cochains(capsys):
 
 B3_ORIGIN = ("obstruction", "B", "3", "Spin", "Spin", "--xi", "0,0,0", "--format", "json")
 B3_ORIGIN_SHA256 = "870338a91320e297c108c2e9897c30c339e1d30eabf88e7b3f99d267bb42ae25"
+# the C3 origin: like the B3 origin, delta^1 is 6912 x 144 and its Smith
+# form meets pivots of 2, after which snf has made every row
+C3_ORIGIN = ("obstruction", "C", "3", "Sp", "Sp", "--xi", "0,0,0", "--format", "json")
+C3_ORIGIN_SHA256 = "4f0c05d61a2dd7dbdc79d97d4e21f47988a25f511162bdadd32514ac5a137224"
 B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"
 
 
 @pytest.mark.parametrize("argv, digest", [
     (B3_ORIGIN, B3_ORIGIN_SHA256),
+    (C3_ORIGIN, C3_ORIGIN_SHA256),
     (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4",
       "--format", "json"),
      "4f4a114fdce492d67ed9e7b78fb33dd613c057408357ec199751a8d093d92109"),
@@ -309,7 +339,7 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
     (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
-], ids=["B3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas", "atlas-D6",
+], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas", "atlas-D6",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)

@@ -2121,6 +2121,38 @@ def unit_rich_matrix(rng, m, n):
                    for _ in range(m)])
 
 
+def tall_deferred_matrix(rng, m, n, head):
+    """m x n with `head` unit-rich rows first and, after them, rows with
+    only even entries mixed with zero rows, copies of head rows and sums
+    or differences of two head rows (rows the elimination makes zero):
+    with only V built, snf makes the later rows as its search reaches
+    them.  A head of n rows that is unimodular reaches full column rank
+    before the search passes the later rows."""
+    if head == n:
+        # unit upper triangular in shuffled order: every row keeps a unit
+        # on the diagonal through the elimination, so each step's search
+        # stops inside the head
+        rows = [[0] * j + [1] + [rng.choice((0, 1, -1, 2)) for _ in range(n - j - 1)]
+                for j in range(n)]
+        rng.shuffle(rows)
+    else:
+        rows = [list(r) for r in unit_rich_matrix(rng, head, n)]
+    heads = list(rows)
+    while len(rows) < m:
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([0] * n)
+        elif kind == 1:
+            rows.append(list(rng.choice(heads)))
+        elif kind == 2:
+            x, y = rng.choice(heads), rng.choice(heads)
+            sign = rng.choice((1, -1))
+            rows.append([p + sign * q for p, q in zip(x, y)])
+        else:
+            rows.append([2 * rng.randint(-3, 3) for _ in range(n)])
+    return freeze(rows)
+
+
 def snf_oracle_cases():
     rng = random.Random(51)
     cases = [(), ((),) * 3, freeze([[0] * 4] * 3), freeze([[0]] * 5)]
@@ -2131,6 +2163,9 @@ def snf_oracle_cases():
         cases.append(random_matrix(rng, m, n, -9, 9))
         cases.append(freeze([[2 * rng.randint(-4, 4) for _ in range(n)]
                              for _ in range(m + 1)]))  # all even, no unit
+    for m, n in ((40, 5), (60, 8)):
+        for head in (1, n // 2, n - 1, n, n):
+            cases.append(tall_deferred_matrix(rng, m, n, head))
     return cases
 
 
@@ -2141,6 +2176,25 @@ def test_snf_matches_full_scan_oracle_on_random_matrices():
                for a in cases)
     for a in cases:
         assert_snf_matches_oracle(a)
+
+
+def test_snf_without_u_never_reads_rows_past_full_column_rank():
+    # the identity first: with only V built, the search finds its pivots
+    # in the first n rows and the loop ends, so the later rows are never
+    # read; they are zero rows of S.  With U built every row is read.
+    class Unreadable(tuple):
+        def __iter__(self):
+            raise AssertionError("a row past full column rank was read")
+
+        def __getitem__(self, key):
+            raise AssertionError("a row past full column rank was read")
+
+    n = 5
+    a = identity(n) + (Unreadable((0,) * n),) * 35
+    assert snf(a, left=False) == (identity(n) + ((0,) * n,) * 35, None, identity(n))
+    assert kernel_basis(a) == ()
+    with pytest.raises(AssertionError, match="past full column rank"):
+        snf(a, right=False)
 
 
 def recorded_snf_inputs(monkeypatch, fn, *args):
