@@ -99,14 +99,6 @@ class CoefficientGroup:
     def scale(self, k: int, a) -> Vector:
         return self.reduce(tuple(k * x for x in a))
 
-    def relation_vectors(self) -> tuple[Vector, ...]:
-        out = []
-        for i, d in enumerate(self.torsion):
-            v = [0] * self.size
-            v[self.free_rank + i] = d
-            out.append(tuple(v))
-        return tuple(out)
-
     def elements(self):
         """All elements; only valid for finite groups."""
         if self.free_rank:
@@ -127,7 +119,7 @@ class CoefficientGroup:
         """Integer matrix inducing an automorphism of the group."""
         if len(m) != self.size or any(len(row) != self.size for row in m):
             return False
-        rels = self.relation_vectors()
+        rels = _relations(self.size, self)
         for rel in rels:
             img = matvec(m, rel)
             if not self._in_relation_lattice(img):
@@ -138,8 +130,7 @@ class CoefficientGroup:
         return all(images.reduce(e)[1] == 1 for e in identity(self.size))
 
     def _in_relation_lattice(self, v) -> bool:
-        rels = self.relation_vectors()
-        if not rels:
+        if not self.torsion:
             return not any(v)
         if any(v[: self.free_rank]):
             return False
@@ -147,18 +138,9 @@ class CoefficientGroup:
             v[self.free_rank + i] % d == 0 for i, d in enumerate(self.torsion)
         )
 
-    def label(self) -> str:
-        return _plain_label(self)
-
-
-def _plain_label(g: CoefficientGroup) -> str:
-    parts = []
-    if g.free_rank == 1:
-        parts.append("Z")
-    elif g.free_rank > 1:
-        parts.append(f"Z^{g.free_rank}")
-    parts.extend(f"Z/{d}" for d in g.torsion)
-    return " + ".join(parts) if parts else "0"
+    # reads only free_rank and torsion; the torsion here need not form a
+    # divisibility chain
+    label = AbelianInvariants.label
 
 
 def parse_group_label(text: str) -> CoefficientGroup:
@@ -410,7 +392,7 @@ class Cochain:
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
-            "group": _plain_label(self.group),
+            "group": self.group.label(),
             "values": [
                 {"simplex": list(s), "value": list(v)}
                 for s, v in sorted(self.values.items())
@@ -696,7 +678,7 @@ class FiniteAction:
         return {
             "group": self.group.to_json_dict(),
             "nerve": self.nerve.to_json_dict(),
-            "coefficients": _plain_label(self.coefficients),
+            "coefficients": self.coefficients.label(),
             "vertex_perms": [list(p) for p in self.vertex_perms],
             "coeff_actions": [[list(r) for r in m] for m in self.coeff_actions],
         }
@@ -814,14 +796,21 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
 
     def layout(m: int):
         """Offsets of the (q, p) blocks of total degree m that have
-        coordinates, and their total size."""
+        coordinates, and their total size, in order of increasing q.
+        Only Cech degrees p <= nerve.dim have simplices.  A block whose
+        |G|^q alone has 64 more bits than the cap is refused by that bit
+        count, without forming |G|^q."""
         offs = {}
         total = counted = 0
-        for q in range(m + 1):
-            slots = len(nerve.level(m - q)) * size
+        for p in range(min(m, nerve.dim), -1, -1):
+            q = m - p
+            slots = len(nerve.level(p)) * size
+            if slots and q * (g.n.bit_length() - 1) > cap.bit_length() + 64:
+                raise CapExceeded(f"equivariant complex needs more than {cap} "
+                                  "coordinates, the cap")
             counted += g.n ** q * slots
             if k ** q * slots:
-                offs[(q, m - q)] = total
+                offs[(q, p)] = total
                 total += k ** q * slots
         if counted > cap:
             raise CapExceeded(f"equivariant complex needs {counted} coordinates, "

@@ -117,8 +117,12 @@ def parse_rational_vector(text: str) -> RatVector:
 
 
 def build_action(args) -> SharedWeylAction:
+    positional = (args.series, args.rank, args.source_form, args.target_form)
     try:
         if args.datum_fixture:
+            if positional != (None,) * 4:
+                raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture, "
+                               "not both")
             data = _load_fixture(args.datum_fixture)
             src = RootDatum.from_json_dict(data["source"])
             tgt = RootDatum.from_json_dict(data["target"])
@@ -129,8 +133,7 @@ def build_action(args) -> SharedWeylAction:
                                    f"{'; '.join(report.violations)}")
             iso = build_isogeny(src, tgt)
         else:
-            if None in (args.series, args.rank, args.source_form,
-                        args.target_form):
+            if None in positional:
                 raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture")
             iso = classical_isogeny(args.series, args.rank, args.source_form,
                                     args.target_form)

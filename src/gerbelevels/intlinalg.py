@@ -148,15 +148,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # normal forms
 
 
-def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
-    """Row Hermite normal form.
+def hnf(a: Matrix) -> Matrix:
+    """Row Hermite normal form H of a, in the project's pivot convention
+    (see module docstring).
 
-    Returns (H, U) with U unimodular and U @ a == H, H in the project's
-    pivot convention (see module docstring).
+    The rows of H span the same lattice as the rows of a: every step is
+    a unimodular row operation.  The transform itself is not kept.
     """
     m, n = shape(a)
     h = [list(row) for row in a]
-    u = [list(row) for row in identity(m)]
     row = 0
     for col in range(n):
         pivot_row = None
@@ -168,7 +168,6 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
             continue
         if pivot_row != row:
             h[row], h[pivot_row] = h[pivot_row], h[row]
-            u[row], u[pivot_row] = u[pivot_row], u[row]
         for r in range(row + 1, m):
             if h[r][col] == 0:
                 continue
@@ -176,7 +175,6 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
             if bb % aa == 0:
                 q = bb // aa
                 h[r] = [s - q * t for s, t in zip(h[r], h[row])]
-                u[r] = [s - q * t for s, t in zip(u[r], u[row])]
                 continue
             g, x, y = xgcd(aa, bb)
             p, q = aa // g, bb // g
@@ -185,23 +183,17 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
                 [x * s + y * t for s, t in zip(h[row], h[r])],
                 [-q * s + p * t for s, t in zip(h[row], h[r])],
             )
-            u[row], u[r] = (
-                [x * s + y * t for s, t in zip(u[row], u[r])],
-                [-q * s + p * t for s, t in zip(u[row], u[r])],
-            )
         if h[row][col] < 0:
             h[row] = [-x for x in h[row]]
-            u[row] = [-x for x in u[row]]
         d = h[row][col]
         for r in range(row):
             q = h[r][col] // d
             if q:
                 h[r] = [s - q * t for s, t in zip(h[r], h[row])]
-                u[r] = [s - q * t for s, t in zip(u[r], u[row])]
         row += 1
         if row == m:
             break
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
+    return tuple(map(tuple, h))
 
 
 def snf(a: Matrix, left: bool = True,
@@ -554,8 +546,7 @@ def hnf_basis(rows: Matrix) -> Matrix:
     """Canonical basis (HNF, zero rows dropped) of the row span lattice."""
     if not rows:
         return ()
-    h, _u = hnf(rows)
-    return tuple(r for r in h if any(r))
+    return tuple(r for r in hnf(rows) if any(r))
 
 
 def lattices_equal(rows_a: Matrix, rows_b: Matrix) -> bool:

@@ -12,7 +12,12 @@ The classification pipeline: the Weyl-invariant sublattice of all
 levels, the even-values sublattice cut out by b(acheck, acheck) = 0
 mod 2 over every root, and the comparison of their intersection with a
 bundled reference table of classical results.  Disagreements with the
-reference table are reported as data, never patched.
+reference table are reported as data, never patched.  Lattices of
+levels are computed on row-major vectors vec(B), B[i][j] at
+i * rank(T) + j, and a basis becomes LevelTensors only as output.  The
+coroot values are one integer matrix Q, row k the row-major
+coroot_lift[k] (x) (k-th target coroot), so b(acheck_k, acheck_k) is
+vec(B) . Q[k] and one product gives every value of every basis level.
 
 Symmetry of b is not assumed anywhere; a symmetric projection helper is
 provided as a labeled convenience only.
@@ -198,15 +203,11 @@ def invariant_level_lattice(action: SharedWeylAction) -> tuple[LevelTensor, ...]
         basis_vecs = tuple(identity(rs * rt))
     else:
         basis_vecs = kernel_basis(tuple(rows))
-    canon = hnf_basis(basis_vecs) if basis_vecs else ()
-    out = []
-    for vec in canon:
-        mat = tuple(tuple(vec[i * rt + j] for j in range(rt)) for i in range(rs))
-        out.append(LevelTensor(iso, mat))
+    out = tuple(LevelTensor(iso, m) for m in _matrices(iso, hnf_basis(basis_vecs)))
     for b in out:
         if not is_invariant(action, b):
             raise AssertionError("invariant-lattice basis element fails invariance")
-    return tuple(out)
+    return out
 
 
 def root_orbits(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -254,45 +255,39 @@ class EvReport:
 
 
 def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvReport:
-    """Sublattice where every b(acheck, acheck) is even, over all roots."""
+    """Sublattice where every b(acheck, acheck) is even, over all roots.
+
+    The levels are row-major vectors here.  Row k of Q is coroot_lift[k]
+    (x) the k-th target coroot, row-major, so Q V^T holds every coroot
+    value (coroot_value) of every basis vector, root by root: the
+    parities, the evenness re-check and the value table are each read
+    off one product.  The
+    coefficient vectors with even values are the mod-2 kernel of the
+    parities plus 2 Z^k; the even sublattice is the HNF of their images.
+    """
     iso = action.iso
-    tgt = iso.target
     k = len(basis)
-    orbits = root_orbits(tgt)
-    reps = tuple(o[0] for o in orbits)
+    reps = tuple(o[0] for o in root_orbits(iso.target))
     if k == 0:
         return EvReport((), reps, tuple(() for _ in reps))
-    parity_rows = []
-    for ridx in range(len(tgt.roots)):
-        parity_rows.append(tuple(coroot_value(b, ridx) & 1 for b in basis))
-    ker2 = kernel_basis_mod2(tuple(parity_rows))
-    gens = [tuple(v) for v in ker2]
-    for i in range(k):
-        gens.append(tuple(2 if j == i else 0 for j in range(k)))
-    coeff_basis = hnf_basis(tuple(gens))
-    out = []
-    for coeffs in coeff_basis:
-        mat = None
-        for c, b in zip(coeffs, basis):
-            term = b.scale(c)
-            mat = term if mat is None else mat.add(term)
-        out.append(mat)
-    # recanonicalize in vector form so output is basis-choice independent
-    rt = iso.target.rank
-    canon = hnf_basis(_vectorize(b.matrix for b in out))
-    out = tuple(
-        LevelTensor(iso, tuple(tuple(v[i * rt + j] for j in range(rt))
-                               for i in range(iso.source.rank)))
-        for v in canon
-    )
-    for b in out:
-        for ridx in range(len(tgt.roots)):
-            if coroot_value(b, ridx) % 2:
-                raise AssertionError("even-values filter let an odd value through")
-    table = tuple(
-        tuple(coroot_value(b, rep) for b in out) for rep in reps
-    )
-    return EvReport(out, reps, table)
+    q = tuple(tuple(x * y for x in lift for y in lam)
+              for lift, lam in zip(iso.coroot_lift, iso.target.coroot_coords()))
+
+    def values(vecs: Matrix) -> Matrix:
+        # a matrix with no rows loses its column count, so no roots means
+        # no values rather than a product
+        return matmul(q, transpose(vecs)) if q else ()
+
+    vecs = _vectorize(b.matrix for b in basis)
+    parities = values(vecs)
+    ker2 = kernel_basis_mod2(parities) if parities else identity(k)
+    gens = ker2 + tuple(tuple(2 * x for x in row) for row in identity(k))
+    even = hnf_basis(matmul(gens, vecs))
+    table = values(even)
+    if any(x & 1 for row in table for x in row):
+        raise AssertionError("even-values filter let an odd value through")
+    return EvReport(tuple(LevelTensor(iso, m) for m in _matrices(iso, even)),
+                    reps, tuple(table[rep] for rep in reps))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +436,13 @@ def _vectorize(mats) -> Matrix:
     return tuple(tuple(x for row in m for x in row) for m in mats)
 
 
+def _matrices(iso: IsogenyDatum, vecs: Matrix) -> tuple[Matrix, ...]:
+    """The inverse of _vectorize: source-rank rows of target-rank entries."""
+    rt = iso.target.rank
+    return tuple(tuple(v[i * rt:(i + 1) * rt] for i in range(iso.source.rank))
+                 for v in vecs)
+
+
 def claimed_lattice(iso: IsogenyDatum, claim: dict) -> tuple[tuple[Matrix, ...] | None, str | None]:
     """Expand a reference claim into a concrete lattice basis, if possible."""
     kind = claim["kind"]
@@ -477,7 +479,6 @@ def _truncated(num: int, den: int) -> int:
 
 def compare_with_reference(action: SharedWeylAction, claim: dict | None) -> AtlasEntry:
     iso = action.iso
-    rs, rt = iso.source.rank, iso.target.rank
     computed = tuple(b.matrix for b in allowable_lattice(action))
     series, rank, sf, tf = claim_key_of(iso)
     if claim is None:
@@ -488,12 +489,8 @@ def compare_with_reference(action: SharedWeylAction, claim: dict | None) -> Atla
             series, rank, sf, tf, computed, claim, None, note, "mismatch"
         )
     canon = hnf_basis(_vectorize(claimed))
-    canon_claim = tuple(
-        tuple(tuple(v[i * rt + j] for j in range(rt)) for i in range(rs))
-        for v in canon
-    )
     return AtlasEntry(
-        series, rank, sf, tf, computed, claim, canon_claim, None,
+        series, rank, sf, tf, computed, claim, _matrices(iso, canon), None,
         # the computed basis is already canonical: ev_filter's HNF rows
         "match" if _vectorize(computed) == canon else "mismatch",
     )

@@ -50,7 +50,6 @@ from .intlinalg import (
     Smith,
     Vector,
     matvec,
-    solve_z,
     subquotient,
 )
 from .levels import LevelTensor, SharedWeylAction, is_invariant
@@ -242,18 +241,13 @@ def _coboundary_system(res: ObstructionResult, members) -> tuple[Matrix, Vector]
 def is_trivial_class(res: ObstructionResult) -> Vector | None:
     """Integral witness u with c_w = w.u - u for every w, or None.
 
-    Solves over the subgroup generators, then re-verifies over all of
-    W_L; fills in res.trivial and res.witness_u.
+    The witness is the one class_order finds: solved over the subgroup
+    generators, then re-verified over all of W_L.  Fills in res.trivial
+    and res.witness_u.
     """
-    gens = res.w_l.generators or (res.w_l.group.identity_index,)
-    a, y = _coboundary_system(res, gens)
-    sol = solve_z(a, y)
-    u = sol.solution
-    if u is not None and not _verify_witness(res, u, 1):
-        raise AssertionError("generator witness failed on the full subgroup")
-    res.trivial = u is not None
-    res.witness_u = u
-    return u
+    if res.trivial is None:
+        class_order(res)
+    return res.witness_u
 
 
 def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
@@ -309,7 +303,6 @@ def h1_group_lattice(
     sub: Subgroup,
     lattice_action,
     cocycle: dict[int, Vector] | None = None,
-    cap: int = 384,
 ) -> H1Result:
     """H^1 of a finite subgroup acting on a lattice, by the bar complex.
 
@@ -323,9 +316,6 @@ def h1_group_lattice(
     and its exact order there are reported.  Raises CapExceeded before
     building anything when delta^1 would exceed H1_CELL_CAP cells.
     """
-    if len(sub) > cap:
-        raise CapExceeded(f"H^1 subgroup of order {len(sub)} exceeds "
-                          f"the exhaustive verification cap {cap}")
     members = sub.members
     r = len(lattice_action(sub.group.identity_index))
     n1 = len(members) * r
@@ -356,9 +346,7 @@ def obstruction_report(
     res = centralizer_cocycle(action, b, pt, verify_cap=verify_cap)
     compare_reflections(res)
     class_order(res)
-    h1 = h1_group_lattice(
-        res.w_l, action.source_char_action, res.c_cocycle, cap=verify_cap
-    )
+    h1 = h1_group_lattice(res.w_l, action.source_char_action, res.c_cocycle)
     res.h1_invariants = h1.invariants
     res.h1_class_coords = h1.class_coords
     if h1.class_order_in_h1 is not None and h1.class_order_in_h1 != res.class_order:

@@ -3,12 +3,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from gerbelevels import cech, cli, intlinalg, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
-from gerbelevels.rootdata import DatumReport, classical_datum
+from gerbelevels.rootdata import DatumReport, classical_datum, torus_datum
 
 FIX = "fixtures"
 
@@ -294,6 +295,41 @@ def test_equivariant_cap_counts_unnormalised_layers(capsys, monkeypatch):
     assert captured.out == ""
     assert _one_error_line(captured.err) == [
         "error: equivariant complex needs 65536 coordinates, over the cap 60000"]
+
+
+@pytest.mark.parametrize("degree", ["100000", "1000000000"])
+def test_equivariant_far_past_the_cap_is_refused_by_bit_count(capsys, monkeypatch, degree):
+    # a point nerve has one block per total degree; its 2^degree count is
+    # never formed once it has 64 more bits than the cap, so even degree
+    # 10^9 is refused at once, before anything is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the equivariant complex was built")
+
+    for name in ("_bar_rows", "divisor_cohomology", "subquotient"):
+        monkeypatch.setattr(cech, name, unreachable)
+    start = time.perf_counter()
+    code = main(["equivariant", "--fixture", f"{FIX}/z2_point.json", "--degree", degree])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: equivariant complex needs more than 60000 coordinates, the cap"]
+    assert len(captured.err.splitlines()) == 1
+    assert elapsed < 1.0
+
+
+def test_equivariant_count_reads_only_degrees_of_the_nerve():
+    # the circle nerve has dimension 1: T^40 has the blocks (40, 0) and
+    # (39, 1) only, 3 * 2^40 + 3 * 2^39 unnormalised coordinates under
+    # Z/2, an exact count well short of 64 bits past the cap
+    act = cech.FiniteAction(cech.cyclic_group(2), cech.circle_nerve(3),
+                            cech.parse_group_label("Z"), (tuple(range(3)),) * 2,
+                            (((1,),),) * 2)
+    with pytest.raises(intlinalg.CapExceeded) as err:
+        cech._equivariant_matrices(act, 40, 0)
+    assert str(err.value) == (f"equivariant complex needs {9 * 2**39} coordinates, "
+                              "over the cap 0")
 
 
 def test_equivariant_high_degree_on_normalised_cochains(capsys):
@@ -599,6 +635,36 @@ def test_obstruction_custom_datum_fixture(capsys):
 def test_entry_commands_require_entry_or_fixture(capsys):
     code, _ = run(capsys, "levels")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("levels", "A", "2", "SL", "SL"),
+    ("obstruction", "A", "2", "SL", "SL", "--xi", "0,0,0"),
+    ("scan", "A", "--max-denominator", "2"),
+], ids=["levels", "obstruction", "scan"])
+def test_positional_entry_with_datum_fixture_is_usage_error(capsys, argv):
+    # a positional entry next to --datum-fixture contradicts it; neither
+    # is dropped in silence
+    code = main([*argv, "--datum-fixture", f"{FIX}/g2_datum.json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: give SERIES RANK SOURCE TARGET or --datum-fixture, not both"]
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_levels_on_rootless_datum_prints_invariant_basis(tmp_path, capsys):
+    # a rank-2 torus has no coroots, so every invariant level is allowable:
+    # the identity basis of its four matrix entries
+    torus = {"source": torus_datum(2).to_json_dict(),
+             "target": torus_datum(2).to_json_dict()}
+    path = tmp_path / "torus2.json"
+    path.write_text(json.dumps(torus))
+    code, out = run(capsys, "levels", "--datum-fixture", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["computed_basis"] == [
+        [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
 
 
 def test_atlas_empty_range(capsys):

@@ -25,7 +25,9 @@ generator and multiplied every ordered pair of members with
 WeylGroup.mult, and the full left-regular table (with its closure
 check, its powers and the all-pairs cocycle identity) that the
 generator rows, root-permutation orders and generator-edge identity
-replaced.
+replaced, the Hermite form that carried its unimodular transform, and
+the evenness filter that took a coefficient-space Hermite form and
+summed LevelTensors before levels were carried as vectors.
 """
 
 import dataclasses
@@ -77,6 +79,7 @@ from gerbelevels.intlinalg import (
     identity,
     invariant_factors,
     kernel_basis,
+    kernel_basis_mod2,
     lattice_coords,
     lattices_equal,
     matmul,
@@ -87,11 +90,15 @@ from gerbelevels.intlinalg import (
     xgcd,
 )
 from gerbelevels.levels import (
+    EvReport,
     SharedWeylAction,
     basic_level,
+    coroot_value,
+    ev_filter,
     invariant_level_lattice,
     is_invariant,
     LevelTensor,
+    root_orbits,
 )
 from gerbelevels.obstruction import (
     SemisimplePoint,
@@ -113,6 +120,7 @@ from gerbelevels.weyl import (
     subgroup_from_members,
 )
 from gerbelevels.rootdata import (
+    FORMS_BY_SERIES,
     DatumError,
     RootDatum,
     _dual_basis,
@@ -189,19 +197,175 @@ def test_smith_order_matches_hnf_membership():
     assert {None, 1, 2, 3, 6} <= seen
 
 
+def oracle_hnf(a):
+    """(H, U) with U unimodular and U a = H: the Hermite form that carried
+    its transform through every row operation, before hnf dropped it."""
+    m, n = len(a), len(a[0]) if a else 0
+    h = [list(row) for row in a]
+    u = [list(row) for row in identity(m)]
+    row = 0
+    for col in range(n):
+        pivot_row = next((r for r in range(row, m) if h[r][col]), None)
+        if pivot_row is None:
+            continue
+        h[row], h[pivot_row] = h[pivot_row], h[row]
+        u[row], u[pivot_row] = u[pivot_row], u[row]
+        for r in range(row + 1, m):
+            if h[r][col] == 0:
+                continue
+            aa, bb = h[row][col], h[r][col]
+            if bb % aa == 0:
+                q = bb // aa
+                h[r] = [s - q * t for s, t in zip(h[r], h[row])]
+                u[r] = [s - q * t for s, t in zip(u[r], u[row])]
+                continue
+            g, x, y = xgcd(aa, bb)
+            p, q = aa // g, bb // g
+            for w in (h, u):
+                w[row], w[r] = ([x * s + y * t for s, t in zip(w[row], w[r])],
+                                [-q * s + p * t for s, t in zip(w[row], w[r])])
+        if h[row][col] < 0:
+            h[row] = [-x for x in h[row]]
+            u[row] = [-x for x in u[row]]
+        d = h[row][col]
+        for r in range(row):
+            q = h[r][col] // d
+            if q:
+                h[r] = [s - q * t for s, t in zip(h[r], h[row])]
+                u[r] = [s - q * t for s, t in zip(u[r], u[row])]
+        row += 1
+        if row == m:
+            break
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
+
+
+def oracle_hnf_basis(rows):
+    return tuple(r for r in oracle_hnf(rows)[0] if any(r)) if rows else ()
+
+
 def test_hnf_is_a_canonical_form():
-    # row-equivalent matrices must produce the identical Hermite form
+    # row-equivalent matrices must produce the identical Hermite form,
+    # and it is the one the transform-carrying oracle finds
     rng = random.Random(7)
     for _ in range(30):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = random_matrix(rng, m, n)
-        h1, _ = hnf(a)
+        h1 = hnf(a)
+        assert h1 == oracle_hnf(a)[0]
         # multiply by a random unimodular matrix built from an SNF transform
         _, u, _ = snf(random_matrix(rng, m, m, -3, 3))
         assert abs(det(u)) == 1
-        h2, _ = hnf(matmul(u, a))
-        assert h1 == h2
+        h2 = hnf(matmul(u, a))
+        assert h1 == h2 == oracle_hnf(matmul(u, a))[0]
+
+
+def test_hnf_matches_transform_oracle_on_random_cases():
+    # the random cases of test_intlinalg's hnf properties: the oracle's
+    # transform is unimodular and carries a to H, and hnf returns that H
+    rng = random.Random(20240)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, m, n, -9, 9)
+        h, u = oracle_hnf(a)
+        assert matmul(u, a) == h
+        assert abs(det(u)) == 1
+        assert hnf(a) == h
+
+
+def oracle_ev_filter(basis, action):
+    """The evenness filter before levels were vectors: parities root by
+    root, the HNF of the coefficient vectors, LevelTensor sums, and a
+    second HNF of the sums in vector form."""
+    iso = action.iso
+    tgt = iso.target
+    k = len(basis)
+    reps = tuple(o[0] for o in root_orbits(tgt))
+    if k == 0:
+        return EvReport((), reps, tuple(() for _ in reps))
+    parity_rows = tuple(tuple(coroot_value(b, ridx) & 1 for b in basis)
+                        for ridx in range(len(tgt.roots)))
+    gens = [tuple(v) for v in kernel_basis_mod2(parity_rows)]
+    for i in range(k):
+        gens.append(tuple(2 if j == i else 0 for j in range(k)))
+    out = []
+    for coeffs in oracle_hnf_basis(tuple(gens)):
+        mat = None
+        for c, b in zip(coeffs, basis):
+            term = b.scale(c)
+            mat = term if mat is None else mat.add(term)
+        out.append(mat)
+    rs, rt = iso.source.rank, iso.target.rank
+    canon = oracle_hnf_basis(tuple(tuple(x for row in b.matrix for x in row)
+                                   for b in out))
+    out = tuple(LevelTensor(iso, tuple(tuple(v[i * rt + j] for j in range(rt))
+                                       for i in range(rs)))
+                for v in canon)
+    for b in out:
+        for ridx in range(len(tgt.roots)):
+            assert coroot_value(b, ridx) % 2 == 0
+    table = tuple(tuple(coroot_value(b, rep) for b in out) for rep in reps)
+    return EvReport(out, reps, table)
+
+
+def classical_entries(series, rank):
+    """Every form pair of one series and rank that is an isogeny."""
+    out = []
+    for sf, tf in itertools.product(FORMS_BY_SERIES[series], repeat=2):
+        try:
+            out.append(classical_isogeny(series, rank, sf, tf))
+        except DatumError:
+            pass
+    return out
+
+
+def sl2_squared():
+    """SL2 x SL2 on Z^2: roots +-2e_i, coroots +-e_i.  Its invariant levels
+    are the diagonal ones, each odd on one coroot, so sublattices of them
+    mix parities across generators, which no classical entry does."""
+    vec = [{"num": list(v), "den": 1} for v in ((1, 0), (0, 1), (2, 0), (-2, 0),
+                                                (0, 2), (0, -2), (-1, 0), (0, -1))]
+    rd = RootDatum.from_json_dict({
+        "name": "SL2xSL2", "ambient_dim": 2, "char_basis": vec[:2],
+        "cochar_basis": vec[:2], "roots": vec[2:6],
+        "coroots": [vec[0], vec[6], vec[1], vec[7]], "simple_indices": [0, 2]})
+    return build_isogeny(rd, rd)
+
+
+EV_CASES = [(s, r) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+            for r in range(lo, 7)] + ["G2", "SL2xSL2"]
+
+
+@pytest.mark.parametrize("case", EV_CASES,
+                         ids=lambda c: c if isinstance(c, str) else f"{c[0]}{c[1]}")
+def test_ev_filter_matches_coefficient_space_oracle(case):
+    # besides the invariant lattice itself, random sublattices of it: their
+    # bases are invariant levels too, with parities mixed across generators
+    rng = random.Random(str(case))
+    if case == "G2":
+        isos = [build_isogeny(*g2_data())]
+    elif case == "SL2xSL2":
+        isos = [sl2_squared()]
+    else:
+        isos = classical_entries(*case)
+    assert isos
+    for iso in isos:
+        action = SharedWeylAction(iso)
+        inv = invariant_level_lattice(action)
+        subs = [inv]
+        if len(inv) > 1:
+            subs += [tuple(LevelTensor(iso, m) for m in (
+                tuple(tuple(sum(c * b.matrix[i][j] for c, b in zip(coeffs, inv))
+                            for j in range(iso.target.rank))
+                      for i in range(iso.source.rank))
+                for coeffs in random_matrix(rng, len(inv), len(inv), -3, 3)))
+                for _ in range(3)]
+        for basis in subs:
+            got, want = ev_filter(basis, action), oracle_ev_filter(basis, action)
+            assert got.basis == want.basis, iso.name
+            assert got.orbit_representatives == want.orbit_representatives
+            assert got.value_table == want.value_table
 
 
 def brute_force_invariant_forms(action, box):
@@ -710,10 +874,9 @@ def oracle_relations(slots, group):
     out = []
     size = group.size
     for slot in range(slots):
-        for rel in group.relation_vectors():
+        for i, d in enumerate(group.torsion):
             v = [0] * (slots * size)
-            for i, x in enumerate(rel):
-                v[slot * size + i] = x
+            v[slot * size + group.free_rank + i] = d
             out.append(tuple(v))
     return tuple(out)
 

@@ -29,7 +29,13 @@ from gerbelevels.levels import (
     root_orbits,
     _vectorize,
 )
-from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
+from gerbelevels.rootdata import (
+    build_isogeny,
+    classical_datum,
+    classical_isogeny,
+    identity_isogeny,
+    torus_datum,
+)
 
 # a long and a short root of B3 in reference coordinates
 LONG = RatVector.from_fractions((1, -1, 0))
@@ -109,6 +115,20 @@ def test_pgl2_ev_filter_passes_unchanged():
     ev = ev_filter(inv, act)
     assert ev.basis == inv
     assert coroot_value(inv[0], 0) == 4
+
+
+def test_rootless_ev_filter_keeps_the_invariant_lattice():
+    # no roots means no parity condition: every coefficient vector passes,
+    # so the filter returns the invariant lattice itself, not twice it
+    rd = torus_datum(2)
+    act = SharedWeylAction(build_isogeny(rd, rd))
+    inv = invariant_level_lattice(act)
+    assert [b.matrix for b in inv] == [((1, 0), (0, 0)), ((0, 1), (0, 0)),
+                                       ((0, 0), (1, 0)), ((0, 0), (0, 1))]
+    ev = ev_filter(inv, act)
+    assert ev.basis == inv
+    assert ev.orbit_representatives == () and ev.value_table == ()
+    assert allowable_lattice(act) == inv
 
 
 def test_gl3_ev_passes_and_values():
