@@ -662,11 +662,11 @@ class FiniteAction:
                         self.coeff_actions[ab]:
                     raise CechError("coefficient action is not a homomorphism")
         # the nerve must be stable
+        levels = [(level, frozenset(level)) for level in self.nerve.simplices]
         for perm in self.vertex_perms:
-            for level in self.nerve.simplices:
+            for level, members in levels:
                 for s in level:
-                    img = tuple(sorted(perm[v] for v in s))
-                    if img not in set(level):
+                    if tuple(sorted(perm[v] for v in s)) not in members:
                         raise CechError("action does not preserve the nerve")
 
     def act_on_simplex(self, g: int, s) -> tuple[tuple[int, ...], int]:

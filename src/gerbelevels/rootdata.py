@@ -21,12 +21,16 @@ coordinate in cochar_basis is <char_basis[j], v>.  Each basis and the
 basis it pairs against are held once per datum as integer rows over a
 common denominator, so a coordinate vector is an integer matrix-vector
 product over one denominator, and "integral" means that denominator
-divides every entry.  A span check follows: the coordinates are
-returned only when the combination they name gives v back (an integer
-comparison), so a vector outside the span gets None, and a returned
-vector is correct even on non-dual input.  validate_datum checks the
-duality itself.  The one rational inverse needed, of a Gram matrix for a
-dual basis, is read off its Smith form.
+divides every entry: integer coordinates are those numerators divided
+exactly, with no reduced RatVector formed (the *_coords_q methods form
+one, for rational coordinates).  A span check comes first: the
+coordinates are returned only when the combination they name gives v
+back (an integer comparison), so a vector outside the span gets None,
+and a returned vector is correct even on non-dual input.  validate_datum
+checks the duality itself.  The one rational inverse needed, of a Gram
+matrix for a dual basis, is read off its Smith form.  The orthogonal
+projection onto the character span, which an isogeny from the datum
+restricts characters along, is likewise held once per datum.
 
 A homomorphism H -> G with central kernel and G = Z(G).Im(H) is encoded
 by an IsogenyDatum: the restriction map on characters, the induced map on
@@ -100,8 +104,9 @@ class _Frame:
         self.columns = tuple(tuple(row[j] for row in rows) for j in range(n))
         self.dual, self.dual_den = over_common_denominator(dual)
 
-    def coords_q(self, v: RatVector) -> RatVector | None:
-        """Coordinates of v, or None when v is outside the span."""
+    def _numerators(self, v: RatVector) -> list[int] | None:
+        """The coordinates of v times dual_den * v.den, or None when v is
+        outside the span."""
         if len(v) != len(self.columns):
             raise DatumError("ambient dimension mismatch")
         c = [sum(map(mul, row, v.nums)) for row in self.dual]
@@ -109,11 +114,24 @@ class _Frame:
         if any(sum(map(mul, col, c)) != k * x
                for col, x in zip(self.columns, v.nums)):
             return None
-        return RatVector.make(c, self.dual_den * v.den)
+        return c
+
+    def coords_q(self, v: RatVector) -> RatVector | None:
+        """Coordinates of v, or None when v is outside the span."""
+        c = self._numerators(v)
+        return None if c is None else RatVector.make(c, self.dual_den * v.den)
 
     def coords(self, v: RatVector) -> Vector | None:
-        c = self.coords_q(v)
-        return c.nums if c is not None and c.is_integral else None
+        """Integer coordinates of v, or None when v is outside the span or
+        a coordinate is not an integer.  The numerators are divided
+        exactly by their denominator, with no reduced RatVector between."""
+        c = self._numerators(v)
+        if c is None:
+            return None
+        k = self.dual_den * v.den
+        if any(x % k for x in c):
+            return None
+        return tuple(x // k for x in c)
 
     def ambient(self, coords: RatVector) -> RatVector:
         """The combination of the basis with the given coordinates."""
@@ -146,6 +164,12 @@ class RootDatum:
     @cached_property
     def _cochar_frame(self) -> _Frame:
         return _Frame(self.cochar_basis, self.char_basis, self.ambient_dim)
+
+    @cached_property
+    def _span_projection(self) -> tuple[Matrix, int]:
+        """The orthogonal projection onto the span of char_basis, as in
+        _projection_onto_span; every isogeny from this datum reads it."""
+        return _projection_onto_span(self.char_basis, self.ambient_dim)
 
     def char_coords(self, v: RatVector) -> Vector | None:
         return self._char_frame.coords(v)
@@ -629,7 +653,7 @@ def build_isogeny(source: RootDatum, target: RootDatum) -> IsogenyDatum:
     """
     if source.ambient_dim != target.ambient_dim:
         raise DatumError("source and target live in different ambient spaces")
-    proj, proj_den = _projection_onto_span(source.char_basis, source.ambient_dim)
+    proj, proj_den = source._span_projection
     char_cols = []
     for chi in target.char_basis:
         c = source.char_coords(RatVector.make(matvec(proj, chi.nums),

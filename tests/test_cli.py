@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gerbelevels import cech, cli, intlinalg, obstruction, weyl
+from gerbelevels import cech, claims, cli, intlinalg, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
 from gerbelevels.rootdata import DatumReport, classical_datum, torus_datum
 
@@ -364,6 +364,10 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
      "996001e32d10760bd9c7fe5ba2ca344a1a8ce60d711139a42aca66df99a69b76"),
     (("atlas", "--format", "json"),
      "1dcbffe87777852ce85b30daa2e1d9c6bf6a5c1b5b70c2e69cffb4787cae17c9"),
+    (("atlas",),
+     "07b21093896f71e36f664bb7159d13b8664abbb7e62f7325a403ee4e2d638766"),
+    (("atlas", "--format", "csv"),
+     "ab07e78c60847a2e510783f0964a65bf2c005a712310063cd4e3eb68ae5f1d6e"),
     (("atlas", "--row", "D,6,Spin,Spin", "--format", "json"),
      "c6ceedf30d0f9049ec023fc4767084e7bcf60f05d0b56bfaa20d3a33abeff3c3"),
     (("equivariant", "--fixture", f"{FIX}/z2_point_mod2.json", "--degree", "4",
@@ -375,7 +379,8 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
     (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
-], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas", "atlas-D6",
+], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas",
+        "atlas-text", "atlas-csv", "atlas-D6",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
@@ -399,6 +404,27 @@ def test_rank5_scans_under_a_raised_subgroup_cap(entry, digest):
                           capture_output=True, timeout=20, check=True)
     assert done.stderr == b""
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_atlas_reads_the_claims_file_once_per_process(capsys, monkeypatch):
+    # importing the package reads nothing; the first find_claim does
+    done = subprocess.run(
+        [sys.executable, "-c", "import gerbelevels.cli, gerbelevels.claims as c; "
+         "print(c._bundled_claims.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=20, check=True)
+    assert done.stdout == "0\n"
+    reads = []
+    real = claims.load_claims
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(claims, "load_claims", counting)
+    claims._bundled_claims.cache_clear()
+    assert run(capsys, "atlas")[0] == 0
+    assert run(capsys, "atlas", "--format", "csv")[0] == 0
+    assert len(reads) == 1
 
 
 def test_invariants_only_runs_never_reach_subquotient(capsys, monkeypatch):
@@ -985,6 +1011,12 @@ def _extension_with(**fields):
      "error: extension rejected: expected an integer, got 1.5"),
     ("extension", _extension_with(psi=[{"pair": [1], "value": [1]}]),
      "error: extension rejected: not enough values to unpack"),
+    ("equivariant", _z2_point_with(("vertex_perms", 1), [1]),
+     "error: vertex map is not a permutation"),
+    # the swap of vertices 1 and 2 takes the edge (0, 1) to (0, 2)
+    ("equivariant", _z2_point_with(("nerve",), {"n_vertices": 3, "simplices": [
+        [[0], [1], [2]], [[0, 1]]]}) | {"vertex_perms": [[0, 1, 2], [0, 2, 1]]},
+     "error: action does not preserve the nerve"),
     # 3 is a unit mod 4, but 3 * 3 = 9 is not 1 over Z: an action must
     # compose exactly, which the elementary-divisor route relies on
     ("equivariant", _z2_on_z4_by(3),

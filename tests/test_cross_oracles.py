@@ -5,7 +5,8 @@ with the implementation path it is checking: determinantal divisors for
 Smith forms, brute-force enumeration for invariant lattices, canonical
 form invariance for Hermite forms, classical values for group and
 sphere cohomology in degrees beyond the golden set, rational Gaussian
-elimination for root-datum coordinates and reflections, the earlier
+elimination for root-datum coordinates and reflections, the reduced
+rational coordinates for the integer ones, the earlier
 Fraction route for dual bases, projections, isogeny maps, source
 actions and the basic level, the source-root rule for the source
 reflections, the index comprehension for transposes, the earlier
@@ -39,8 +40,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gerbelevels import cech, intlinalg, obstruction
+from gerbelevels import cech, intlinalg, obstruction, rootdata
 from gerbelevels.cech import (
     Cochain,
     CoefficientGroup,
@@ -760,6 +763,78 @@ def test_coordinate_probes_cover_every_case():
     assert sl3.cochar_coords(half) is None
 
 
+def coordinate_routes(rd):
+    """(basis as Fractions, integral coords, rational coords, Fraction
+    oracle) for the character and the cocharacter frame of rd."""
+    fd = FractionDatum(rd)
+    return ((fd.char, rd.char_coords, rd.char_coords_q, fd.char_coords),
+            (fd.cochar, rd.cochar_coords, rd.cochar_coords_q, fd.cochar_coords))
+
+
+@pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
+def test_integral_coords_are_the_integral_part_of_coords_q(rd):
+    # coords against the integral part of coords_q and of the Fraction route
+    for rv in rd.roots + rd.coroots + rd.char_basis + rd.cochar_basis:
+        for _basis, coords, coords_q, oracle in coordinate_routes(rd):
+            assert coords(rv) == oracle_integral(q_fractions(coords_q(rv))) == \
+                oracle(rv.fractions())
+
+
+SPAN_DEFICIENT = [rd for rd in ORACLE_DATA if rd.rank < rd.ambient_dim]
+
+
+def normal_to_span(basis, n):
+    """A nonzero vector orthogonal to the row span of basis, or None."""
+    proj = oracle_projection(basis)
+    for k in range(n):
+        r = tuple(Fraction(j == k) - proj[j][k] for j in range(n))
+        if any(r):
+            return r
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integral_coords_refuse_off_lattice_off_span_and_wrong_length(data):
+    rd = data.draw(st.sampled_from(ORACLE_DATA), label="datum")
+    n, r = rd.ambient_dim, rd.rank
+    for basis, coords, coords_q, oracle in coordinate_routes(rd):
+        ints = data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r))
+        on = oracle_combination(ints, basis, n)
+        rv = RatVector.from_fractions(on)
+        assert coords(rv) == oracle_integral(q_fractions(coords_q(rv))) == \
+            oracle(on) == tuple(ints)
+        # off the lattice: one coordinate moved by a proper fraction
+        den = data.draw(st.integers(2, 6))
+        shift = Fraction(data.draw(st.integers(1, den - 1)), den)
+        j = data.draw(st.integers(0, r - 1))
+        moved = [Fraction(x) + (shift if i == j else 0) for i, x in enumerate(ints)]
+        off = oracle_combination(moved, basis, n)
+        rv = RatVector.from_fractions(off)
+        assert coords(rv) is None and oracle(off) is None
+        assert q_fractions(coords_q(rv)) == tuple(moved)
+        # off the span: a nonzero multiple of a normal vector added
+        normal = normal_to_span(basis, n)
+        assert (normal is None) == (rd not in SPAN_DEFICIENT)
+        if normal is not None:
+            t = Fraction(data.draw(st.integers(1, 5)) * data.draw(st.sampled_from((1, -1))),
+                         data.draw(st.integers(1, 4)))
+            away = tuple(x + t * y for x, y in zip(on, normal))
+            rv = RatVector.from_fractions(away)
+            assert coords(rv) is None and coords_q(rv) is None and oracle(away) is None
+        # the wrong length: the same DatumError from both routes
+        length = data.draw(st.sampled_from((n - 1, n + 1)))
+        wrong = RatVector.from_fractions(
+            data.draw(st.lists(st.fractions(max_denominator=6), min_size=length,
+                               max_size=length)))
+        with pytest.raises(DatumError) as by_coords:
+            coords(wrong)
+        with pytest.raises(DatumError) as by_coords_q:
+            coords_q(wrong)
+        assert str(by_coords.value) == str(by_coords_q.value) == \
+            "ambient dimension mismatch"
+
+
 @pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)
 def test_dual_basis_and_projection_match_fraction_route(rd):
     n = rd.ambient_dim
@@ -813,6 +888,43 @@ def test_isogeny_matches_fraction_route(case):
     assert res.rational_matrix == rat
     assert (res.minimal_multiple, res.member) == (den, den == 1)
     assert res.tensor.matrix == mat
+
+
+def test_span_projection_runs_once_per_source_datum(monkeypatch):
+    # fresh copies of the default atlas data, so that no projection is
+    # cached yet; 14 of the 33 rows reuse a source datum
+    real = rootdata._projection_onto_span
+    calls = []
+
+    def counting(basis, n):
+        calls.append(basis)
+        return real(basis, n)
+
+    monkeypatch.setattr(rootdata, "_projection_onto_span", counting)
+    fresh = {}
+
+    def datum(*key):
+        if key not in fresh:
+            fresh[key] = dataclasses.replace(classical_datum(*key))
+        return fresh[key]
+
+    for series, rank, sf, tf in DEFAULT_ATLAS_ROWS:
+        build_isogeny(datum(series, rank, sf), datum(series, rank, tf))
+    sources = {(series, rank, sf) for series, rank, sf, _tf in DEFAULT_ATLAS_ROWS}
+    assert len(calls) == len(sources) == 19
+    assert len(DEFAULT_ATLAS_ROWS) - len(sources) == 14
+
+
+def test_isogeny_maps_match_a_build_with_a_fresh_projection():
+    for row in DEFAULT_ATLAS_ROWS:
+        iso = classical_isogeny(*row)
+        src = iso.source
+        assert src._span_projection == _projection_onto_span(src.char_basis,
+                                                             src.ambient_dim)
+        fresh = build_isogeny(dataclasses.replace(src),
+                              dataclasses.replace(iso.target))
+        assert (iso.char_map, iso.cochar_map, iso.coroot_lift) == \
+            (fresh.char_map, fresh.cochar_map, fresh.coroot_lift), row
 
 
 @pytest.mark.parametrize("rd", ORACLE_DATA, ids=lambda rd: rd.name)

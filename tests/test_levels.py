@@ -356,6 +356,14 @@ def test_claims_table_loads():
     assert any(e["series"] == "B" and e["target_form"] == "SO" for e in entries)
 
 
+def test_find_claim_hands_out_fresh_dicts():
+    first = find_claim("B", "SO", "SO")
+    first["multiple"] = 99
+    first["kind"] = "changed"
+    assert find_claim("B", "SO", "SO") == {"kind": "basic_multiple", "multiple": 2}
+    assert find_claim("B", "SO", "SO", load_claims()) == find_claim("B", "SO", "SO")
+
+
 def hand_built_g2():
     # exceptional system entered through the generic datum interface:
     # short roots e_i - e_j and long roots 2e_i - e_j - e_k in the
