@@ -1011,16 +1011,16 @@ def _extension_with(**fields):
      "error: extension rejected: expected an integer, got 1.5"),
     ("extension", _extension_with(psi=[{"pair": [1], "value": [1]}]),
      "error: extension rejected: not enough values to unpack"),
+    # 3 is a unit mod 4, but 3 * 3 = 9 is not 1 over Z: an action must
+    # compose exactly, which the elementary-divisor route relies on
+    ("equivariant", _z2_on_z4_by(3),
+     "error: coefficient action is not a homomorphism"),
     ("equivariant", _z2_point_with(("vertex_perms", 1), [1]),
      "error: vertex map is not a permutation"),
     # the swap of vertices 1 and 2 takes the edge (0, 1) to (0, 2)
     ("equivariant", _z2_point_with(("nerve",), {"n_vertices": 3, "simplices": [
         [[0], [1], [2]], [[0, 1]]]}) | {"vertex_perms": [[0, 1, 2], [0, 2, 1]]},
      "error: action does not preserve the nerve"),
-    # 3 is a unit mod 4, but 3 * 3 = 9 is not 1 over Z: an action must
-    # compose exactly, which the elementary-divisor route relies on
-    ("equivariant", _z2_on_z4_by(3),
-     "error: coefficient action is not a homomorphism"),
 ])
 def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"
