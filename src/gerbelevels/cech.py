@@ -662,10 +662,10 @@ class FiniteAction:
                         self.coeff_actions[ab]:
                     raise CechError("coefficient action is not a homomorphism")
         # the nerve must be stable
-        levels = [(level, frozenset(level)) for level in self.nerve.simplices]
+        levels = [frozenset(level) for level in self.nerve.simplices]
         for perm in self.vertex_perms:
-            for level, members in levels:
-                for s in level:
+            for members in levels:
+                for s in members:
                     if tuple(sorted(perm[v] for v in s)) not in members:
                         raise CechError("action does not preserve the nerve")
 

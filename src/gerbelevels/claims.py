@@ -21,29 +21,22 @@ def load_claims() -> list[dict]:
     return json.loads(text)["entries"]
 
 
-def _key(e: dict) -> tuple[str, str, str]:
-    return e["series"], e["source_form"], e["target_form"]
-
-
-def _claim(e: dict) -> dict:
-    return {"kind": e["kind"], **(
-        {"multiple": e["multiple"]} if "multiple" in e else {}
-    )}
-
-
 @cache
-def _bundled_claims() -> dict[tuple[str, str, str], dict]:
-    """The bundled table by key; the first entry of a key wins."""
-    table: dict[tuple[str, str, str], dict] = {}
-    for e in load_claims():
-        table.setdefault(_key(e), _claim(e))
-    return table
+def _bundled_claims() -> tuple[dict, ...]:
+    return tuple(load_claims())
 
 
 def find_claim(series: str, source_form: str, target_form: str,
                entries: list[dict] | None = None) -> dict | None:
-    key = (series, source_form, target_form)
     if entries is None:
-        claim = _bundled_claims().get(key)
-        return None if claim is None else dict(claim)
-    return next((_claim(e) for e in entries if _key(e) == key), None)
+        entries = _bundled_claims()
+    for e in entries:
+        if (
+            e["series"] == series
+            and e["source_form"] == source_form
+            and e["target_form"] == target_form
+        ):
+            return {"kind": e["kind"], **(
+                {"multiple": e["multiple"]} if "multiple" in e else {}
+            )}
+    return None
