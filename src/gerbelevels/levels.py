@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -126,9 +126,10 @@ class SharedWeylAction:
     maps preserve it.  The isogeny check also verifies the source
     reflections' Coxeter relations, so a product along any word for w is
     the same matrix.  The Weyl cap is decided at construction, on |W|
-    from the Cartan matrix (weyl.group_order); W is enumerated to that
-    order on the first read of group, which the invariance tests never
-    make.
+    from the Cartan matrix (weyl.group_order).  W is enumerated to that
+    order once per target datum per process (_weyl_group), on the first
+    read of group by any action over that target, which the invariance
+    tests never make; actions over equal targets share one WeylGroup.
     """
 
     def __init__(self, iso: IsogenyDatum, cap: int = 10**6):
@@ -138,7 +139,7 @@ class SharedWeylAction:
 
     @cached_property
     def group(self) -> WeylGroup:
-        return _enumerate(self.iso.target, self._order)
+        return _weyl_group(self.iso.target, self._order)
 
     @cached_property
     def simple_char_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
@@ -167,6 +168,16 @@ class SharedWeylAction:
             g, parent = group.tree[i]
             known[i] = matmul(known[g], known[parent])
         return known[idx]
+
+
+# the default atlas's scans read 19 distinct target data
+@lru_cache(maxsize=64)
+def _weyl_group(target: RootDatum, order: int) -> WeylGroup:
+    """W of target, of the given order (group_order), enumerated once
+    per process: a WeylGroup is never changed after it is built, so
+    every action over an equal target reads the same one.  The 64 most
+    recently asked for are kept."""
+    return _enumerate(target, order)
 
 
 def is_invariant(action: SharedWeylAction, b: LevelTensor) -> bool:

@@ -19,12 +19,13 @@ whole subgroup: the generator system is what keeps solves small, the
 full sweep is what makes the certificate self-contained.
 
 The per-point work runs on integers.  xi is held as integer numerators
-over one denominator, which an integer action keeps (weyl.act_cochar),
-so d_w is an exact division of w.xi - xi by it and c_w = B d_w.  The
-cocycle identity is checked on generator edges, c_{s w} = s.c_w + c_s
-for each generator s of W_L and each member w, with c_e = 0: each
-distinct value of c gets a small id, each generator's row maps the ids
-to the ids of their images, and a row is compared as one list.  Since
+over one denominator, which an integer action keeps, so d_w is an exact
+division of w.xi - xi by it (_differences, with w's cocharacter matrix
+as the group holds it) and c_w = B d_w.  The cocycle identity is
+checked on generator edges, c_{s w} = s.c_w + c_s for each generator s
+of W_L and each member w, with c_e = 0: each distinct value of c gets a
+small id, each generator's row maps the ids to the ids of their images,
+and a row is compared as one list.  Since
 w -> M_w is a homomorphism (the isogeny check verifies the source
 reflections' Coxeter relations), that implies the identity on every
 ordered pair, by induction on word length.  A scan checks the level
@@ -55,6 +56,7 @@ from .intlinalg import (
 from .levels import LevelTensor, SharedWeylAction, is_invariant
 from .weyl import (
     Subgroup,
+    WeylGroup,
     act_cochar,
     integral_reflection_subgroup,
     integral_reflections,
@@ -169,19 +171,9 @@ def centralizer_cocycle(
         raise ObstructionError("xi has the wrong rank")
     group = action.group
     w_l = stabilizer(group, pt.xi, cap=verify_cap)
-    elements, inverse = group.elements, group.inverse
-    nums, den = pt.xi.nums, pt.xi.den
-    d_cocycle: dict[int, Vector] = {}
-    c_cocycle: dict[int, Vector] = {}
-    for i in w_l.members:
-        # d_w = (w.xi - xi) from numerators over den: act_cochar applies
-        # the inverse of the matrix it is given
-        qr = [divmod(y - x, den)
-              for y, x in zip(act_cochar(elements[inverse(i)], nums), nums)]
-        if any(rem for _, rem in qr):
-            raise AssertionError("stabilizer member with non-integral difference")
-        d = d_cocycle[i] = tuple(q for q, _ in qr)
-        c_cocycle[i] = tuple(sum(map(mul, row, d)) for row in b.matrix)
+    d_cocycle = _differences(group, w_l.members, pt.xi)
+    c_cocycle = {i: tuple(sum(map(mul, row, d)) for row in b.matrix)
+                 for i, d in d_cocycle.items()}
     if not _holds_on_generator_edges(action, w_l, c_cocycle):
         raise AssertionError("cocycle identity failed")
     # raises unless every integral reflection lies in W_L
@@ -198,6 +190,23 @@ def centralizer_cocycle(
         c_cocycle=c_cocycle,
         rational_witness=rational_witness,
     )
+
+
+def _differences(group: WeylGroup, members: tuple[int, ...],
+                 xi: RatVector) -> dict[int, Vector]:
+    """d_w = w.xi - xi for each of the members w, from the numerators of
+    xi over its denominator and w's cocharacter matrix (group.cochars).
+    Raises AssertionError when a difference is not integral."""
+    nums, den = xi.nums, xi.den
+    cochars = group.cochars
+    out: dict[int, Vector] = {}
+    for i in members:
+        qr = [divmod(sum(map(mul, row, nums)) - x, den)
+              for row, x in zip(cochars[i], nums)]
+        if any(rem for _, rem in qr):
+            raise AssertionError("stabilizer member with non-integral difference")
+        out[i] = tuple(q for q, _ in qr)
+    return out
 
 
 def _holds_on_generator_edges(action: SharedWeylAction, w_l: Subgroup,

@@ -9,7 +9,13 @@ composition on the simple roots and one dictionary lookup, O(rank).
 Each element has one integer matrix, its action on X*(T) (elements[i]).
 The actions on X*(T) and X_*(T) are contragredient under the W-invariant
 pairing, so the cocharacter action of w is the transpose of the
-character matrix of w^-1; act_cochar is the one place that applies it.
+character matrix of w^-1.  The group holds that transpose for every
+element (cochars[i]), next to the index of each element's inverse
+(inverses[i]), both built once, when W is enumerated; the columns of
+the character matrices repeat across W, and each distinct column is one
+shared tuple.  The stabilizer sweep and the cocycle differences read
+these tables; act_cochar applies the transpose to a single matrix, for
+the orbit walk of a scan.
 
 The group's order comes from the Cartan matrix of the simple roots
 (group_order), with no element built: that is all the generation cap
@@ -21,9 +27,10 @@ character matrix alongside (a rank-one update per step) and must find
 exactly the computed order.  Then come the canonical order
 (lexicographic on the flattened character matrix, so that subgroup
 serializations and reports are deterministic), the generation tree (a
-Schreier vector) on canonical indices, the maps behind mult, inverse
-and index_of, and the index of each root's reflection.  Beyond the generation cap the engine refuses outright:
-downstream obstruction certificates need exhaustive subgroup
+Schreier vector) on canonical indices, the maps behind mult and
+index_of, the inverse and cocharacter tables, and the index of each
+root's reflection.  Beyond the generation cap the engine refuses
+outright: downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
 A subgroup (a stabilizer W_L, or the subgroup generated by integral
@@ -71,7 +78,11 @@ class WeylGroup:
     elements[g] * elements[parent], where g is a generator;
     tree[identity_index] is None), generators, identity_index and
     reflections (reflections[k] is the index of the reflection in
-    root k, None when that reflection is not in the group).  It is
+    root k, None when that reflection is not in the group).  Two tables
+    are built with it: inverses[i] is the index of elements[i]^-1, and
+    cochars[i] is the cocharacter matrix of elements[i], the transpose
+    of the character matrix of its inverse, whose rows are interned, so
+    that equal rows anywhere in the group are one tuple.  It is
     built from the search's perms, chars and steps (g, parent) in the
     order found: the identity, then each simple reflection."""
 
@@ -96,6 +107,12 @@ class WeylGroup:
         self._index = {m: i for i, m in enumerate(self.elements)}
         self.reflections = tuple(self._index.get(datum.reflection_char(k))
                                  for k in range(len(datum.roots)))
+        self.inverses = tuple(self._by_key[tuple(map(p.index, simple))]
+                              for p in self.perms)
+        rows: dict[Vector, Vector] = {}
+        transposed = [tuple(rows.setdefault(c, c) for c in zip(*m))
+                      for m in self.elements]
+        self.cochars = tuple(map(transposed.__getitem__, self.inverses))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -110,10 +127,6 @@ class WeylGroup:
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (i acts after j)."""
         return self._by_key[tuple(map(self.perms[i].__getitem__, self._keys[j]))]
-
-    def inverse(self, i: int) -> int:
-        p = self.perms[i]
-        return self._by_key[tuple(p.index(s) for s in self.datum.simple_indices)]
 
 
 def simple_root_permutations(rd: RootDatum) -> tuple[Permutation, ...]:
@@ -232,7 +245,10 @@ def act_cochar(m: Matrix, nums: Vector) -> Vector:
     cocharacter matrix is the inverse transpose of its character matrix,
     so the transpose of w's character matrix acts on cocharacters as
     w^-1.  To apply w itself, pass the character matrix of w^-1
-    (group.elements[group.inverse(i)]); a reflection is its own inverse.
+    (group.elements[group.inverses[i]]); a reflection is its own inverse.
+    This transposes m on every call, which suits a few matrices applied
+    to many vectors, as in a scan's orbit walk; a loop over the whole
+    group reads the transposes held in group.cochars instead.
     """
     return tuple(sum(map(mul, col, nums)) for col in zip(*m))
 
@@ -387,17 +403,16 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     """Elements w with w.xi - xi in the cocharacter lattice.
 
     xi is given in X_*(T) basis coordinates; the test is exact, on the
-    integer numerators of xi.  It reads the columns of each character
-    matrix, which act on cocharacters as w^-1 (act_cochar): the test made
-    for w is the test for w^-1.  W_L is closed under inverses, so the
-    member set is the same.  Raises CapExceeded when the stabilizer has
-    more than cap members, before any generator or table is built.
+    integer numerators of xi, and is made for every element of W, with
+    its cocharacter matrix (group.cochars).  Raises CapExceeded when the
+    stabilizer has more than cap members, before any generator or table
+    is built.
     """
     nums, den = xi.nums, xi.den
     members = [
-        i for i, m in enumerate(group.elements)
-        if not any((sum(map(mul, col, nums)) - n) % den
-                   for col, n in zip(zip(*m), nums))
+        i for i, m in enumerate(group.cochars)
+        if not any((sum(map(mul, row, nums)) - n) % den
+                   for row, n in zip(m, nums))
     ]
     if cap is not None and len(members) > cap:
         raise CapExceeded(f"stabilizer W_L of order {len(members)} exceeds "

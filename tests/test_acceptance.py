@@ -306,7 +306,7 @@ def test_criterion_6_weyl_engine():
         w = generate(rd)
         assert w.order == order, args
         for i, e in enumerate(w.elements):
-            cochar = transpose(w.elements[w.inverse(i)])
+            cochar = transpose(w.elements[w.inverses[i]])
             assert matmul(transpose(e), cochar) == identity(rd.rank)
 
 

@@ -260,7 +260,7 @@ def test_gerbe_cocycle_weyl_compatibility():
     lam = torus_log_cocycle(model)
     group = action.group
     for g in group.generators:
-        wt = transpose(group.elements[group.inverse(g)])
+        wt = transpose(group.elements[group.inverses[g]])
         ws = action.source_char_action(g)
         lam_w = lam.map_values(lambda v: tuple(
             sum(wt[i][j] * v[j] for j in range(len(v))) for i in range(len(v))

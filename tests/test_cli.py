@@ -370,6 +370,11 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
      "ab07e78c60847a2e510783f0964a65bf2c005a712310063cd4e3eb68ae5f1d6e"),
     (("atlas", "--row", "D,6,Spin,Spin", "--format", "json"),
      "c6ceedf30d0f9049ec023fc4767084e7bcf60f05d0b56bfaa20d3a33abeff3c3"),
+    # 33 scans in one process over 19 target data, whose Weyl groups are
+    # enumerated once each and shared: a scan whose output depended on
+    # the scans before it would change this digest
+    (("atlas", "--scan-denominator", "2", "--format", "json"),
+     "3b37503baf5177da1abfe627c35bfd8d0c54450ec9247ab56e9b2f483f090b5c"),
     (("equivariant", "--fixture", f"{FIX}/z2_point_mod2.json", "--degree", "4",
       "--format", "json"),
      "59672c671586390c01a76dbbc1018c41c93f1f1095246b5d2af0ccbc13050ad6"),
@@ -380,7 +385,7 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
 ], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas",
-        "atlas-text", "atlas-csv", "atlas-D6",
+        "atlas-text", "atlas-csv", "atlas-D6", "atlas-scan2",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)

@@ -1632,7 +1632,7 @@ def oracle_inverse(group, elements, i):
 def cochar_pairs(group):
     """Each element's character matrix with its cocharacter matrix, the
     transpose of its inverse's character matrix."""
-    return [(e, transpose(group.elements[group.inverse(i)]))
+    return [(e, transpose(group.elements[group.inverses[i]]))
             for i, e in enumerate(group.elements)]
 
 
@@ -1645,13 +1645,16 @@ def test_weyl_products_match_matrix_oracle(key):
     group = generate(rd)
     assert group.order <= 192
     elements, steps = oracle_generate(rd)
-    assert cochar_pairs(group) == elements
+    pairs = cochar_pairs(group)
+    assert pairs == elements
     assert group.tree == tuple(steps)
     assert group.generators == tuple(
         group.index_of(rd.reflection_char(i)) for i in rd.simple_indices)
     n = group.order
+    assert len(group.inverses) == len(group.cochars) == n
     for i in range(n):
-        assert group.inverse(i) == oracle_inverse(group, elements, i)
+        assert group.inverses[i] == oracle_inverse(group, elements, i)
+        assert group.cochars[i] == pairs[i][1]
         for j in range(n):
             assert group.mult(i, j) == oracle_mult(group, i, j)
 
@@ -1687,7 +1690,7 @@ def test_source_actions_match_per_element_reexpression(case):
     assert list(group.elements) == [ch for ch, _co in elements]
     for i, (ch, co) in enumerate(elements):
         assert act.source_char_action(i) == oracle_reexpress(s, t, ch, "char")
-        assert transpose(act.source_char_action(group.inverse(i))) == \
+        assert transpose(act.source_char_action(group.inverses[i])) == \
             oracle_reexpress(s, t, co, "cochar")
 
 
@@ -1896,7 +1899,7 @@ def oracle_cocycles(action, b, xi, members):
     group = action.group
     d = {}
     for i in members:
-        diff = oracle_act_cochar(group.elements[group.inverse(i)], xi) - xi
+        diff = oracle_act_cochar(group.elements[group.inverses[i]], xi) - xi
         assert diff.is_integral
         d[i] = diff.int_vector()
     return d, {i: b.bmap(v) for i, v in d.items()}
@@ -2013,7 +2016,7 @@ def oracle_verify_closed(group, members):
     if group.identity_index not in mset:
         return False
     for i in members:
-        if group.inverse(i) not in mset:
+        if group.inverses[i] not in mset:
             return False
         for j in members:
             if group.mult(i, j) not in mset:
@@ -2087,7 +2090,7 @@ def oracle_table_closed(group, members, table):
     if e is None or table[e] != tuple(range(n)):
         return False
     for a, w in enumerate(members):
-        row, b = table[a], pos.get(group.inverse(w))
+        row, b = table[a], pos.get(group.inverses[w])
         if len(row) != n or set(row) != set(range(n)) or b is None or row[b] != e:
             return False
     return True

@@ -6,6 +6,7 @@ import pytest
 from gerbelevels.claims import find_claim, load_claims
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.intlinalg import (
+    CapExceeded,
     RatVector,
     freeze,
     hnf_basis,
@@ -30,6 +31,7 @@ from gerbelevels.levels import (
     _vectorize,
 )
 from gerbelevels.rootdata import (
+    RootDatum,
     build_isogeny,
     classical_datum,
     classical_isogeny,
@@ -82,6 +84,32 @@ def test_pgl2_invariant_lattice_is_alpha_tensor_alpha():
     assert b.rational_matrix == ((Fraction(1, 2),),)
 
 
+def test_actions_over_equal_targets_share_one_group():
+    # the group is enumerated once per target datum per process: B3 Spin->SO
+    # and SO->SO have the same target, Spin->Spin another
+    spin_so = SharedWeylAction(classical_isogeny("B", 3, "Spin", "SO"))
+    so_so = SharedWeylAction(classical_isogeny("B", 3, "SO", "SO"))
+    spin_spin = SharedWeylAction(classical_isogeny("B", 3, "Spin", "Spin"))
+    assert spin_so.group is so_so.group
+    assert spin_spin.group is not so_so.group
+    assert spin_so.group.order == spin_spin.group.order == 48
+    # an equal target built afresh, outside the classical data cache
+    rd = classical_datum("B", 3, "SO")
+    copy = RootDatum.from_json_dict(rd.to_json_dict())
+    assert copy is not rd
+    assert SharedWeylAction(identity_isogeny(copy)).group is so_so.group
+
+
+def test_weyl_cap_refuses_after_the_group_is_enumerated():
+    iso = classical_isogeny("D", 4, "Spin", "Spin")
+    group = SharedWeylAction(iso).group
+    assert group.order == 192
+    with pytest.raises(CapExceeded,
+                       match="^Weyl group order exceeds the configured cap 191$"):
+        SharedWeylAction(iso, cap=191)
+    assert SharedWeylAction(iso, cap=192).group is group
+
+
 def test_invariance_identity_over_all_generators():
     for args in [("A", 2, "SL", "SL"), ("B", 3, "Spin", "Spin"),
                  ("D", 3, "SO", "PSO"), ("C", 2, "Sp", "Sp")]:
@@ -90,7 +118,7 @@ def test_invariance_identity_over_all_generators():
         for b in invariant_level_lattice(act):
             for g in group.generators:
                 # cocharacter actions: transposes of the inverse's character matrices
-                inv = group.inverse(g)
+                inv = group.inverses[g]
                 ns = transpose(act.source_char_action(inv))
                 nt = transpose(group.elements[inv])
                 assert matmul(matmul(transpose(ns), b.matrix), nt) == b.matrix

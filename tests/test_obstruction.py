@@ -144,18 +144,18 @@ def test_cocycle_identity_catches_any_single_corrupted_value(monkeypatch):
     pt = SemisimplePoint(RatVector.zero(2))
     g = action.group
     shift = (1, 0)
-    real = obstruction.act_cochar
+    real = obstruction._differences
     for target in range(len(g.elements)):
         if target == g.identity_index:
             continue
-        bad = g.elements[target]
 
-        def shifted(e, nums, bad=bad):
-            out = real(e, nums)
-            return tuple(x + y for x, y in zip(out, shift)) if e is bad else out
+        def shifted(group, members, xi, target=target):
+            out = real(group, members, xi)
+            out[target] = tuple(x + y for x, y in zip(out[target], shift))
+            return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(obstruction, "act_cochar", shifted)
+            mp.setattr(obstruction, "_differences", shifted)
             with pytest.raises(AssertionError, match="cocycle identity"):
                 centralizer_cocycle(action, b, pt)
     assert len(centralizer_cocycle(action, b, pt).w_l) == 8
@@ -163,20 +163,22 @@ def test_cocycle_identity_catches_any_single_corrupted_value(monkeypatch):
 
 def corrupted_cocycles(monkeypatch, action, b, pt, corrupt):
     """Runs centralizer_cocycle once per non-identity element, with that
-    element's image under act_cochar replaced by corrupt(e, image), and
-    returns the members whose corruption went through."""
-    real = obstruction.act_cochar
+    element's difference d replaced by corrupt(d, ds), where ds holds the
+    point's differences, and returns the members whose corruption went
+    through."""
+    real = obstruction._differences
     passed = []
-    for bad in action.group.elements:
-        if bad == action.group.elements[action.group.identity_index]:
+    for bad in range(action.group.order):
+        if bad == action.group.identity_index:
             continue
 
-        def corrupted(e, nums, bad=bad):
-            out = real(e, nums)
-            return corrupt(e, out) if e is bad else out
+        def corrupted(group, members, xi, bad=bad):
+            out = real(group, members, xi)
+            out[bad] = corrupt(out[bad], out)
+            return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(obstruction, "act_cochar", corrupted)
+            mp.setattr(obstruction, "_differences", corrupted)
             try:
                 centralizer_cocycle(action, b, pt)
             except AssertionError as err:
@@ -209,19 +211,16 @@ def test_cocycle_identity_catches_a_value_no_member_has(monkeypatch):
                for d in res.d_cocycle.values())
     assert corrupted_cocycles(
         monkeypatch, action, b, pt,
-        lambda e, out: tuple(x + y for x, y in zip(out, far))) == []
+        lambda d, ds: tuple(x + y for x, y in zip(d, far))) == []
 
 
 def test_cocycle_identity_catches_another_members_value(monkeypatch):
     # c_w replaced by c_u of another member u with a different value: no
     # new value appears, only the ids of the pairs through w change
     action, b, pt, res = regular_integral_point_setup()
-    g = action.group
-    real = obstruction.act_cochar
-    images = {i: real(g.elements[i], pt.xi.nums) for i in res.w_l.members}
 
-    def other(e, out):
-        return next(y for y in images.values() if y != out)
+    def other(d, ds):
+        return next(y for y in ds.values() if y != d)
 
     assert corrupted_cocycles(monkeypatch, action, b, pt, other) == []
 

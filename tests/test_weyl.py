@@ -112,8 +112,18 @@ def test_contragredience_every_element():
         rd = classical_datum(*args)
         w = generate(rd)
         for i, e in enumerate(w.elements):
-            cochar = transpose(w.elements[w.inverse(i)])
+            cochar = transpose(w.elements[w.inverses[i]])
             assert matmul(transpose(e), cochar) == identity(rd.rank)
+
+
+def test_cochar_rows_are_shared_and_inverses_are_involutive():
+    # equal rows of the cocharacter table are one tuple, and the inverse
+    # table squares to the identity permutation
+    for args in (("B", 3, "Spin"), ("A", 3, "GL"), ("D", 4, "SO")):
+        w = generate(classical_datum(*args))
+        rows = [row for m in w.cochars for row in m]
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+        assert [w.inverses[j] for j in w.inverses] == list(range(w.order))
 
 
 def test_group_closure_and_inverses():
@@ -121,7 +131,7 @@ def test_group_closure_and_inverses():
     w = generate(rd)
     n = w.order
     for i in range(n):
-        assert w.mult(i, w.inverse(i)) == w.identity_index
+        assert w.mult(i, w.inverses[i]) == w.identity_index
         for j in range(n):
             w.mult(i, j)  # must not raise (closure)
 
