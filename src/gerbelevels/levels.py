@@ -127,9 +127,10 @@ class SharedWeylAction:
     reflections' Coxeter relations, so a product along any word for w is
     the same matrix.  The Weyl cap is decided at construction, on |W|
     from the Cartan matrix (weyl.group_order).  W is enumerated to that
-    order once per target datum per process (_weyl_group), on the first
-    read of group by any action over that target, which the invariance
-    tests never make; actions over equal targets share one WeylGroup.
+    order on the first read of group, which the invariance tests never
+    make: once per target datum per process for a group of order at
+    most 384, where actions over equal targets share one WeylGroup, and
+    once per action for a larger one (_weyl_group).
     """
 
     def __init__(self, iso: IsogenyDatum, cap: int = 10**6):
@@ -170,13 +171,28 @@ class SharedWeylAction:
         return known[idx]
 
 
-# the default atlas's scans read 19 distinct target data
-@lru_cache(maxsize=64)
+# every classical group of rank at most 4; the default atlas's scans
+# read 19 distinct target data, none of order over 192
+_CACHED_ORDER_MAX = 384
+
+
 def _weyl_group(target: RootDatum, order: int) -> WeylGroup:
-    """W of target, of the given order (group_order), enumerated once
-    per process: a WeylGroup is never changed after it is built, so
-    every action over an equal target reads the same one.  The 64 most
-    recently asked for are kept."""
+    """W of target, of the given order (group_order).  A group of order
+    at most _CACHED_ORDER_MAX is enumerated once per process: a
+    WeylGroup is never changed after it is built, so every action over
+    an equal target reads the same one.  The 64 most recently asked for
+    are kept, and one such group with its tables holds under 0.4 MB.  A
+    larger group is enumerated for each action that reads it and freed
+    with it, so that the groups a process holds at once stay bounded by
+    the actions alive, as --max-weyl-order intends; its enumeration is
+    small beside any scan over it."""
+    if order > _CACHED_ORDER_MAX:
+        return _enumerate(target, order)
+    return _cached_weyl_group(target, order)
+
+
+@lru_cache(maxsize=64)
+def _cached_weyl_group(target: RootDatum, order: int) -> WeylGroup:
     return _enumerate(target, order)
 
 

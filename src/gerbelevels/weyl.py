@@ -28,8 +28,9 @@ exactly the computed order.  Then come the canonical order
 (lexicographic on the flattened character matrix, so that subgroup
 serializations and reports are deterministic), the generation tree (a
 Schreier vector) on canonical indices, the maps behind mult and
-index_of, the inverse and cocharacter tables, and the index of each
-root's reflection.  Beyond the generation cap the engine refuses
+index_of, the inverse table (one product along the generation tree
+per element), the cocharacter table, and the index of each root's
+reflection.  Beyond the generation cap the engine refuses
 outright: downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
@@ -107,8 +108,14 @@ class WeylGroup:
         self._index = {m: i for i, m in enumerate(self.elements)}
         self.reflections = tuple(self._index.get(datum.reflection_char(k))
                                  for k in range(len(datum.roots)))
-        self.inverses = tuple(self._by_key[tuple(map(p.index, simple))]
-                              for p in self.perms)
+        # (g * parent)^-1 = parent^-1 * g, as g is a reflection; the
+        # search order puts each parent before its children
+        inverses = [self.identity_index] * len(order)
+        for b in range(1, len(order)):
+            g, parent = self.tree[pos[b]]
+            inverses[pos[b]] = self._by_key[
+                tuple(map(self.perms[inverses[parent]].__getitem__, self._keys[g]))]
+        self.inverses = tuple(inverses)
         rows: dict[Vector, Vector] = {}
         transposed = [tuple(rows.setdefault(c, c) for c in zip(*m))
                       for m in self.elements]

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gerbelevels import cech, claims, cli, intlinalg, obstruction, weyl
+from gerbelevels import cech, claims, cli, intlinalg, levels, obstruction, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
 from gerbelevels.rootdata import DatumReport, classical_datum, torus_datum
 
@@ -1301,7 +1301,10 @@ def test_weyl_table_is_never_built_where_nothing_reads_it(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the Weyl group's indexed table was built")
 
+    # earlier tests leave D4 Spin's group in the process cache, so a read
+    # of any action's group must fail too, not only a new enumeration
     monkeypatch.setattr(weyl.WeylGroup, "__init__", unreachable)
+    monkeypatch.setattr(levels, "_weyl_group", unreachable)
     assert run(capsys, "levels", "D", "4", "Spin", "Spin")[0] == 0
     assert run(capsys, "levels", *G2)[0] == 0
     assert run(capsys, *argv) == expected

@@ -100,6 +100,18 @@ def test_actions_over_equal_targets_share_one_group():
     assert SharedWeylAction(identity_isogeny(copy)).group is so_so.group
 
 
+def test_only_groups_up_to_order_384_are_kept_for_the_process():
+    # |W(B4)| = 384 is kept and shared; |W(A5)| = 720 is enumerated for
+    # each action that reads it, and freed with it
+    b4 = classical_isogeny("B", 4, "Spin", "Spin")
+    assert SharedWeylAction(b4).group is SharedWeylAction(b4).group
+    a5 = classical_isogeny("A", 5, "SL", "SL")
+    first, second = SharedWeylAction(a5).group, SharedWeylAction(a5).group
+    assert first.order == second.order == 720
+    assert first is not second
+    assert first.elements == second.elements
+
+
 def test_weyl_cap_refuses_after_the_group_is_enumerated():
     iso = classical_isogeny("D", 4, "Spin", "Spin")
     group = SharedWeylAction(iso).group
