@@ -67,6 +67,7 @@ from .rootdata import (
     classical_isogeny,
     validate_datum,
 )
+from .weyl import group_order
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -131,15 +132,30 @@ def build_action(args) -> SharedWeylAction:
                 if not report.passed:
                     raise CliError(f"datum {rd.name} invalid: "
                                    f"{'; '.join(report.violations)}")
+            group_order(tgt, args.max_weyl_order)
             iso = build_isogeny(src, tgt)
         else:
             if None in positional:
                 raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture")
-            iso = classical_isogeny(args.series, args.rank, args.source_form,
-                                    args.target_form)
+            return _classical_action(args.series, args.rank, args.source_form,
+                                     args.target_form, args.max_weyl_order)
         return SharedWeylAction(iso, cap=args.max_weyl_order)
     except KeyError as err:
         raise CliError(str(err))
+
+
+def _classical_action(series, rank, source_form, target_form,
+                      max_weyl_order) -> SharedWeylAction:
+    """The action over a classical isogeny.  The Weyl cap is decided on
+    the target datum before the isogeny is built: the isogeny's checks
+    multiply rank-sized matrices for every pair of simple reflections,
+    which at a rank the cap refuses costs far more than |W| from the
+    Cartan matrix.  The source datum is built first, so that a bad
+    source form is reported as before."""
+    classical_datum(series, rank, source_form)
+    group_order(classical_datum(series, rank, target_form), max_weyl_order)
+    iso = classical_isogeny(series, rank, source_form, target_form)
+    return SharedWeylAction(iso, cap=max_weyl_order)
 
 
 def resolve_level(action: SharedWeylAction, spec: str) -> LevelTensor:
@@ -216,8 +232,8 @@ def _atlas_csv(entries) -> str:
 def _atlas_row(row, max_weyl_order, scan_denominator, max_subgroup_order):
     series, rank, sf, tf = row
     try:
-        iso = classical_isogeny(series, rank, sf, tf)
-        action = SharedWeylAction(iso, cap=max_weyl_order)
+        action = _classical_action(series, rank, sf, tf, max_weyl_order)
+        iso = action.iso
         entry = compare_with_reference(
             action, find_claim(series, sf, tf)
         )

@@ -178,10 +178,12 @@ _CACHED_ORDER_MAX = 384
 
 def _weyl_group(target: RootDatum, order: int) -> WeylGroup:
     """W of target, of the given order (group_order).  A group of order
-    at most _CACHED_ORDER_MAX is enumerated once per process: a
-    WeylGroup is never changed after it is built, so every action over
-    an equal target reads the same one.  The 64 most recently asked for
-    are kept, and one such group with its tables holds under 0.4 MB.  A
+    at most _CACHED_ORDER_MAX is enumerated once per process, and every
+    action over an equal target reads the same one: its elements and
+    tables are never changed after it is built, and what grows is its
+    subgroups, each built and verified once (weyl.subgroup_from_members)
+    and kept with it.  The 64 most recently asked for are kept, and one
+    such group with its tables holds under 0.4 MB before subgroups.  A
     larger group is enumerated for each action that reads it and freed
     with it, so that the groups a process holds at once stay bounded by
     the actions alive, as --max-weyl-order intends; its enumeration is

@@ -31,7 +31,13 @@ reflections' Coxeter relations), that implies the identity on every
 ordered pair, by induction on word length.  A scan checks the level
 once, walks its points as numerators over one common denominator, and
 pays per point only for what its row prints: the stabilizer, the
-cocycle and the class order.  The closure of the integral reflections,
+cocycle and the class order.  What depends on W_L alone is made once per
+distinct W_L, and points that share a stabilizer share it: its
+generators, rows and closure check (weyl.subgroup_from_members) and the
+Smith factor of the coboundary system on its generators
+(_generator_factor).  Each point still sweeps all of W for its members,
+and checks its own differences, generator-edge identity, solves and
+witness over all of W_L.  The closure of the integral reflections,
 taken in W, is left to certificates, and the full product table of W_L
 to their H^1, which builds it only under its cell cap.
 """
@@ -39,6 +45,7 @@ to their H^1, which builds it only under its cell cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
@@ -239,12 +246,19 @@ def compare_reflections(res: ObstructionResult) -> None:
     res.reflection_agrees = res.reflection_sub is w_l
 
 
-def _coboundary_system(res: ObstructionResult, members) -> tuple[Matrix, Vector]:
-    """Stacked system (w - 1) u = c_w over the given elements: the bar
-    differential delta^0 on them, against the values of the cocycle."""
-    actions = [res.source_action(i) for i in members]
-    a = tuple(_bar_rows(0, None, actions, [((0, 1),)] * len(members)))
-    return a, tuple(x for i in members for x in res.c_cocycle[i])
+def _coboundary_matrix(actions) -> Matrix:
+    """The bar differential delta^0, (w - 1) u, stacked over the given
+    source actions: the matrix of the system (w - 1) u = c_w."""
+    return tuple(_bar_rows(0, None, actions, [((0, 1),)] * len(actions)))
+
+
+@lru_cache(maxsize=256)
+def _generator_factor(actions: tuple[Matrix, ...]) -> Smith:
+    """Smith factor of _coboundary_matrix(actions).  The actions are the
+    whole input of that matrix, so points whose stabilizers have equal
+    generator actions share one factor; a Smith is never changed after
+    it is made."""
+    return Smith.of(_coboundary_matrix(actions))
 
 
 def is_trivial_class(res: ObstructionResult) -> Vector | None:
@@ -269,14 +283,23 @@ def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
 
 
 def class_order(res: ObstructionResult) -> int:
-    """Smallest k >= 1 with k*c a coboundary; divides exponent(W_L).
+    """Smallest k >= 1 with k*c a coboundary; it divides |W_L|, as the
+    order of a finite group kills its cohomology in positive degrees
+    (Brown, Cohomology of Groups, III.10.2).  It need not divide the
+    exponent of W_L: the D4 Spin -> PSO point (0, 1, 2, 2)/4 has
+    W_L = (Z/2)^3 and class order 4.
 
-    Fills in res.trivial and res.witness_u too when they are still unset,
-    so a caller that wants both needs no separate is_trivial_class.
+    k and the witness are solved over the generators of W_L, against
+    the Smith factor of their coboundary system (_generator_factor, made
+    once per tuple of generator actions), then the witness is verified
+    over all of W_L.  Fills in res.trivial and res.witness_u too when
+    they are still unset, so a caller that wants both needs no separate
+    is_trivial_class.
     """
-    gens = res.w_l.generators or (res.w_l.group.identity_index,)
-    a, y = _coboundary_system(res, gens)
-    system = Smith.of(a)
+    w_l = res.w_l
+    gens = w_l.generators or (w_l.group.identity_index,)
+    system = _generator_factor(tuple(map(res.source_action, gens)))
+    y = tuple(x for i in gens for x in res.c_cocycle[i])
     sol = system.solve(y)
     k = sol.min_multiplier
     if k is None:
@@ -284,10 +307,9 @@ def class_order(res: ObstructionResult) -> int:
     u = sol.solution if k == 1 else system.solve(tuple(k * x for x in y)).solution
     if u is None or not _verify_witness(res, u, k):
         raise AssertionError("scaled witness failed full verification")
-    exp = res.w_l.exponent()
-    if exp % k:
+    if len(w_l) % k:
         raise AssertionError(
-            f"class order {k} does not divide the subgroup exponent {exp}"
+            f"class order {k} does not divide the subgroup order {len(w_l)}"
         )
     res.class_order = k
     if res.trivial is None:

@@ -42,20 +42,23 @@ generator, and the search closes on positions along the rows: those
 are the only products in W a subgroup is built from.  The closure check
 reads only the rows: each must be a permutation of the positions, and a
 breadth-first search from the identity along them must reach every
-member.  Element orders come from root permutations, and the cocycle
-identity is checked on generator edges (obstruction).  The integral
-reflections are closed in W itself, with mult, multiplying in only those
-outside the closure so far.  The full left-regular table, each further
-row a generator row composed with the row of its parent in that search,
-is built on its first read, by its one reader: the bar complex of H^1,
-in certificates, after its cell cap.
+member.  The cocycle identity is checked on generator edges
+(obstruction).  A subgroup is built and closure-checked once per member
+set per group: the group keeps each verified subgroup by its sorted
+members (subgroups), so scan points that share a stabilizer share its
+generators, rows and closure check, while each point still sweeps all
+of W for its members.  The integral reflections are closed in W itself,
+with mult, multiplying in only those outside the closure so far.  The
+full left-regular table, each further row a generator row composed with
+the row of its parent in that search, is built on its first read, by
+its one reader: the bar complex of H^1, in certificates, after its cell
+cap, and is kept with its subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .intlinalg import (
@@ -83,7 +86,8 @@ class WeylGroup:
     are built with it: inverses[i] is the index of elements[i]^-1, and
     cochars[i] is the cocharacter matrix of elements[i], the transpose
     of the character matrix of its inverse, whose rows are interned, so
-    that equal rows anywhere in the group are one tuple.  It is
+    that equal rows anywhere in the group are one tuple.  subgroups
+    holds each subgroup built so far (subgroup_from_members).  It is
     built from the search's perms, chars and steps (g, parent) in the
     order found: the identity, then each simple reflection."""
 
@@ -120,6 +124,8 @@ class WeylGroup:
         transposed = [tuple(rows.setdefault(c, c) for c in zip(*m))
                       for m in self.elements]
         self.cochars = tuple(map(transposed.__getitem__, self.inverses))
+        # each verified subgroup, by its sorted members (subgroup_from_members)
+        self.subgroups: dict[tuple[int, ...], Subgroup] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -158,6 +164,7 @@ def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
                  for ai, row in zip(a, m))
 
 
+@lru_cache(maxsize=64)
 def group_order(rd: RootDatum, cap: int = 10**6) -> int:
     """|W| without enumerating W: the product over k of [W_k : W_{k-1}] =
     |W_k . omega_k^vee|, where W_k = <s_1, ..., s_k> and the stabilizer
@@ -169,7 +176,10 @@ def group_order(rd: RootDatum, cap: int = 10**6) -> int:
     generate when they pair non-positively and are linearly independent;
     otherwise DatumError.  Raises CapExceeded as soon as the running
     product passes cap; it is checked only as an orbit grows, so a group
-    of order 1 is never refused.
+    of order 1 is never refused.  The 64 most recent counts are kept by
+    (rd, cap), so the command line's check on the target datum, made
+    before the isogeny is built, and the action built after it count
+    once; a refusal is not kept.
     """
     simple = rd.simple_indices
     c = rd.cartan_matrix
@@ -300,23 +310,6 @@ class Subgroup:
         e = self.members.index(self.group.identity_index)
         return len(_tree_steps(self.gen_rows, e)) == n - 1
 
-    def exponent(self) -> int:
-        """The lcm of the members' orders.  W acts faithfully on the
-        roots, and an element that fixes the simple roots fixes them all,
-        so the order of w is the lcm of the lengths of the simple roots'
-        cycles in its root permutation."""
-        simple = self.group.datum.simple_indices
-        lengths = {1}
-        for w in self.members:
-            p = self.group.perms[w]
-            for s in simple:
-                k, t = 1, p[s]
-                while t != s:
-                    t = p[t]
-                    k += 1
-                lengths.add(k)
-        return lcm(*lengths)
-
 
 def _grow(mult, have: set[int], frontier: list[int], seeds) -> None:
     """Adds to have every s_1 ... s_m * f with f in frontier and each s_i
@@ -399,10 +392,17 @@ def _compose_table(gen_rows: tuple[tuple[int, ...], ...], e: int,
 
 
 def subgroup_from_members(group: WeylGroup, members) -> Subgroup:
+    """The subgroup with the given members (the identity added), built
+    and closure-checked the first time its member set is asked for and
+    then kept in group.subgroups for as long as the group lives.  Raises
+    ValueError when the members are not closed; such a set is not kept."""
     members = tuple(sorted(set(members) | {group.identity_index}))
-    sub = Subgroup(group, members, *_generators_and_rows(group, members))
-    if not sub.verify_closed():
-        raise ValueError(_NOT_CLOSED)
+    sub = group.subgroups.get(members)
+    if sub is None:
+        sub = Subgroup(group, members, *_generators_and_rows(group, members))
+        if not sub.verify_closed():
+            raise ValueError(_NOT_CLOSED)
+        group.subgroups[members] = sub
     return sub
 
 
@@ -413,7 +413,8 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     integer numerators of xi, and is made for every element of W, with
     its cocharacter matrix (group.cochars).  Raises CapExceeded when the
     stabilizer has more than cap members, before any generator or table
-    is built.
+    is built.  Points with the same member set share one Subgroup
+    (subgroup_from_members).
     """
     nums, den = xi.nums, xi.den
     members = [

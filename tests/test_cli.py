@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import subprocess
@@ -142,9 +143,19 @@ def test_subgroup_cap_edge(capsys):
         "error: stabilizer W_L of order 192 exceeds the exhaustive verification cap 191"]
 
 
+def _fresh_weyl_groups(monkeypatch):
+    """An empty process cache of Weyl groups for the rest of the test:
+    a kept group keeps its subgroups, and a kept subgroup its table, so
+    without it a guard would see the work of whatever ran before."""
+    monkeypatch.setattr(levels, "_cached_weyl_group", functools.lru_cache(
+        maxsize=64)(levels._cached_weyl_group.__wrapped__))
+
+
 def test_subgroup_cap_refuses_before_closure_work(capsys, monkeypatch):
     # A6 at the origin: all 5040 elements fix xi.  The sweep counts them
     # and the cap refuses before any generator or generator row is built.
+    # |W(A6)| = 5040 is over the order of the groups a process keeps, so
+    # the group, with the subgroups kept on it, is new to this command.
     def unreachable(*args):
         raise AssertionError("closure work on a subgroup over the cap")
 
@@ -165,6 +176,7 @@ def test_scans_never_build_the_product_table(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a scan point built the left-regular table")
 
+    _fresh_weyl_groups(monkeypatch)
     real = weyl._compose_table
     with monkeypatch.context() as mp:
         mp.setattr(weyl, "_compose_table", unreachable)
@@ -362,6 +374,10 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
     (("scan", "B", "4", "Spin", "Spin", "--max-denominator", "2"), B4_SCAN_SHA256),
     (("scan", "C", "4", "Sp", "Sp", "--max-denominator", "2"),
      "996001e32d10760bd9c7fe5ba2ca344a1a8ce60d711139a42aca66df99a69b76"),
+    # the point (0, 1, 2, 2)/4 has class order 4 over W_L = (Z/2)^3, of
+    # exponent 2
+    (("scan", "D", "4", "Spin", "PSO", "--max-denominator", "4", "--format", "json"),
+     "98886a8a6eff657962cfe30f44062c17f921ed108a27f60c29780860362ad4a8"),
     (("atlas", "--format", "json"),
      "1dcbffe87777852ce85b30daa2e1d9c6bf6a5c1b5b70c2e69cffb4787cae17c9"),
     (("atlas",),
@@ -384,13 +400,45 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
     (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
-], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan", "atlas",
+], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan",
+        "D4-Spin-PSO-scan4", "atlas",
         "atlas-text", "atlas-csv", "atlas-D6", "atlas-scan2",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_class_order_beyond_the_stabilizer_exponent(capsys):
+    # W_L = (Z/2)^3 has exponent 2 and order 8; the class has order 4,
+    # in H^1 = Z/4 from the bar complex as from the generator solve
+    code, out = run(capsys, "obstruction", "D", "4", "Spin", "PSO",
+                    "--xi", "3/4,3/4,1/2,0")
+    assert code == 0
+    lines = out.splitlines()
+    assert "xi (basis coords): [0, 1, 2, 2] / 4" in lines
+    assert "class order: 4" in lines
+    assert "H1 invariants: Z/4" in lines
+
+
+def test_weyl_cap_refuses_before_the_isogeny_is_built(capsys, monkeypatch):
+    # |W| is counted on the target datum first, so an over-cap rank never
+    # reaches the isogeny's checks, which multiply rank-sized matrices
+    def unreachable(*args):
+        raise AssertionError("an isogeny was built for a Weyl group over the cap")
+
+    monkeypatch.setattr(cli, "build_isogeny", unreachable)
+    monkeypatch.setattr(cli, "classical_isogeny", unreachable)
+    cap = "Weyl group order exceeds the configured cap"
+    for argv, limit in ((("levels", "B", "8", "Spin", "Spin"), 10**6),
+                        (("levels", *G2, "--max-weyl-order", "11"), 11)):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert _one_error_line(captured.err) == [f"error: {cap} {limit}"]
+    assert run(capsys, "atlas", "--row", "B,8,Spin,Spin") == (
+        0, f"B8 Spin->Spin  error: cap: {cap} 1000000\n")
 
 
 @pytest.mark.parametrize("entry, digest", [

@@ -32,6 +32,7 @@ summed LevelTensors before levels were carried as vectors.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import json
@@ -43,7 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbelevels import cech, intlinalg, obstruction, rootdata
+from gerbelevels import cech, intlinalg, levels, obstruction, rootdata, weyl
 from gerbelevels.cech import (
     Cochain,
     CoefficientGroup,
@@ -120,6 +121,7 @@ from gerbelevels.weyl import (
     generate,
     group_order,
     simple_root_permutations,
+    stabilizer,
     subgroup_from_members,
 )
 from gerbelevels.rootdata import (
@@ -1550,8 +1552,8 @@ def test_cech_matrices_match_per_entry_builder(name):
 
 
 def test_h1_and_coboundary_systems_match_per_entry_builders(monkeypatch):
-    """delta^1 and delta^0 as handed to subquotient, and the generator
-    system of the class-order solve, at every denominator-2 stabilizer of
+    """delta^1 and delta^0 as handed to subquotient, and the matrix of
+    the class-order system, at every denominator-2 stabilizer of
     A2, B2, C2, the Spin(7) point and the certificate points."""
     cases = [(act, b, SemisimplePoint(xi)) for act, b, xi in stabilizer_cases()]
     for entry, xi in workload_cert_points():
@@ -1572,8 +1574,9 @@ def test_h1_and_coboundary_systems_match_per_entry_builders(monkeypatch):
         shapes.add((len(d1), len(d1[0])))
         for members in (res.w_l.generators or (act.group.identity_index,),
                         res.w_l.members):
-            assert obstruction._coboundary_system(res, members) == \
-                oracle_coboundary_system(res, members)
+            assert obstruction._coboundary_matrix(
+                [res.source_action(i) for i in members]) == \
+                oracle_coboundary_system(res, members)[0]
     assert (1024, 64) in shapes  # the D4 certificate's delta^1
 
 
@@ -2024,17 +2027,6 @@ def oracle_verify_closed(group, members):
     return True
 
 
-def oracle_exponent(group, members):
-    out = 1
-    for i in members:
-        k, j = 1, i
-        while j != group.identity_index:
-            j = group.mult(j, i)
-            k += 1
-        out = lcm(out, k)
-    return out
-
-
 def oracle_cocycle_identity(res):
     """c_{w1 w2} = w1.c_{w2} + c_{w1} for every ordered pair, by mult."""
     group, c = res.w_l.group, res.c_cocycle
@@ -2096,19 +2088,6 @@ def oracle_table_closed(group, members, table):
     return True
 
 
-def oracle_table_exponent(group, members, table):
-    """The lcm of the members' orders, powers read from the table."""
-    e = members.index(group.identity_index)
-    out = 1
-    for a in range(len(members)):
-        k, b = 1, a
-        while b != e:
-            b = table[b][a]
-            k += 1
-        out = lcm(out, k)
-    return out
-
-
 def oracle_closed_verdict(group, members):
     """Whether the table route admits members, with the oracle's greedy
     generators."""
@@ -2138,7 +2117,6 @@ def assert_subgroup_matches_oracle(sub, members):
     assert sub.table == tuple(tuple(pos[group.mult(v, w)] for w in members)
                               for v in members)
     assert sub.verify_closed() and oracle_verify_closed(group, members)
-    assert sub.exponent() == oracle_exponent(group, members)
 
 
 def subgroup_cases():
@@ -2158,7 +2136,7 @@ def subgroup_cases():
 
 
 def test_subgroups_match_all_pairs_mult_oracle():
-    """Stabilizer members, generators, table, closure, exponent, cocycle
+    """Stabilizer members, generators, table, closure, cocycle
     identity and the integral reflection subgroup against the routes that
     multiplied every ordered pair with WeylGroup.mult."""
     orders = set()
@@ -2233,9 +2211,9 @@ def cocycle_corruptions(res):
 
 
 def test_generator_rows_match_the_table_oracles():
-    """The lazy table, the closure check on generator rows, the exponent
-    from root permutations and the cocycle identity on generator edges
-    against the full-table routes they replaced."""
+    """The lazy table, the closure check on generator rows and the
+    cocycle identity on generator edges against the full-table routes
+    they replaced."""
     sizes = set()
     non_closed = 0
     for act, b, xi in generator_row_cases():
@@ -2246,7 +2224,6 @@ def test_generator_rows_match_the_table_oracles():
         table = oracle_left_regular_table(group, members, sub.generators)
         assert sub.table == table
         assert sub.verify_closed() and oracle_table_closed(group, members, table)
-        assert sub.exponent() == oracle_table_exponent(group, members, table)
         assert _holds_on_generator_edges(act, sub, res.c_cocycle)
         assert oracle_dict_identity(act, sub, res.c_cocycle)
         for c in cocycle_corruptions(res):
@@ -2268,6 +2245,82 @@ def test_generator_rows_match_the_table_oracles():
         sizes.add(len(members))
     assert {384, 192} <= sizes
     assert non_closed >= 30
+
+
+# --- Shared stabilizer work: fresh builds for every scan point -------------
+
+# the scan workload's entries with their denominators, and D4 Spin -> PSO at
+# denominator 4, whose point (0, 1, 2, 2)/4 has class order 4 over
+# W_L = (Z/2)^3
+SHARED_WORK_SCANS = (
+    [("D", 4, "Spin", "Spin", 1)]
+    + [(s, 3, sf, tf, d) for s, sf, tf in (("A", "SL", "SL"), ("B", "Spin", "Spin"),
+                                           ("B", "SO", "SO"), ("B", "Spin", "SO"),
+                                           ("C", "Sp", "Sp"), ("C", "PSp", "PSp"))
+       for d in (2, 4)]
+    + [(s, 2, sf, tf, 4) for s, sf, tf in (("A", "SL", "SL"), ("A", "SL", "PGL"),
+                                           ("B", "Spin", "Spin"), ("C", "Sp", "Sp"))]
+    + [("D", 4, "Spin", "PSO", 4)]
+)
+
+
+def oracle_class_order(res):
+    """k, trivial and witness from a Smith factor made for this point
+    alone, of the per-entry generator system."""
+    gens = res.w_l.generators or (res.w_l.group.identity_index,)
+    a, y = oracle_coboundary_system(res, gens)
+    system = intlinalg.Smith.of(a)
+    k = system.solve(y).min_multiplier
+    u = system.solve(tuple(k * x for x in y)).solution
+    return k, k == 1, u if k == 1 else None
+
+
+def test_shared_stabilizer_work_matches_fresh_builds(monkeypatch):
+    """Scans from empty caches against the same scans warm: every
+    representative's subgroup against generators and rows built afresh
+    for its members, its class order against a fresh Smith factor, and a
+    repeated stabilizer that builds nothing."""
+    monkeypatch.setattr(levels, "_cached_weyl_group", functools.lru_cache(
+        maxsize=64)(levels._cached_weyl_group.__wrapped__))
+    factors = functools.lru_cache(maxsize=256)(obstruction._generator_factor.__wrapped__)
+    monkeypatch.setattr(obstruction, "_generator_factor", factors)
+    cases = []
+    for series, rank, sf, tf, d in SHARED_WORK_SCANS:
+        iso = classical_isogeny(series, rank, sf, tf)
+        b = basic_level(iso).tensor
+        cold = scan_points(SharedWeylAction(iso), b, d)
+        act = SharedWeylAction(iso)
+        assert scan_points(act, b, d) == cold
+        cases += [(act, b, row) for row in cold.rows]
+    assert factors.cache_info().hits > 0
+    orders = set()
+    for act, b, row in cases:
+        group = act.group
+        res = centralizer_cocycle(act, b, SemisimplePoint(row.xi))
+        w_l = res.w_l
+        members = oracle_stabilizer_members(group, row.xi)
+        assert w_l.members == members and len(w_l) == row.stabilizer_order
+        gens, rows = _generators_and_rows(group, members)
+        assert (w_l.generators, w_l.gen_rows) == (gens, rows)
+        assert Subgroup(group, members, gens, rows).verify_closed()
+        k, trivial, witness = oracle_class_order(res)
+        assert obstruction.class_order(res) == k == row.class_order
+        assert res.trivial == trivial == row.trivial
+        assert res.witness_u == witness
+        orders.add((len(w_l), k))
+    # a second sweep to an equal member set, from the same point or one a
+    # lattice vector away, finds the subgroup built for the first
+    monkeypatch.setattr(weyl, "_generators_and_rows", unreachable_closure_work)
+    for act, b, row in cases:
+        w_l = stabilizer(act.group, row.xi)
+        shift = RatVector.make((row.xi.den,) + (0,) * (len(row.xi) - 1), row.xi.den)
+        assert stabilizer(act.group, row.xi + shift) is w_l
+        assert stabilizer(act.group, row.xi) is w_l
+    assert (8, 4) in orders  # the class order is not bounded by the exponent
+
+
+def unreachable_closure_work(*args):
+    raise AssertionError("a member set met before was built again")
 
 
 # --- transpose: the index comprehension that zip replaced -----------------

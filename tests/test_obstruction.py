@@ -21,8 +21,8 @@ from gerbelevels.obstruction import (
     obstruction_report,
     scan_points,
 )
-from gerbelevels.rootdata import classical_datum, identity_isogeny
-from gerbelevels.weyl import subgroup_from_members
+from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
+from gerbelevels.weyl import stabilizer, subgroup_from_members
 
 
 def spin7_setup():
@@ -322,15 +322,23 @@ def test_scan_zero_level_all_trivial():
     assert table.nontrivial_count == 0
 
 
-def test_scan_class_order_divides_exponent():
+def test_scan_class_order_divides_stabilizer_order():
+    # |W_L| kills H^1(W_L, X*(S)) (Brown, Cohomology of Groups, III.10.2),
+    # but the exponent of W_L need not: at the D4 Spin -> PSO point
+    # (0, 1, 2, 2)/4, W_L = (Z/2)^3 and the class has order 4
     action, b, _ = spin7_setup()
-    table = scan_points(action, b, 2)
-    g = action.group
-    from gerbelevels.weyl import stabilizer
-
+    for row in scan_points(action, b, 2).rows:
+        assert len(stabilizer(action.group, row.xi)) % row.class_order == 0
+    iso = classical_isogeny("D", 4, "Spin", "PSO")
+    d4 = SharedWeylAction(iso)
+    table = scan_points(d4, basic_level(iso).tensor, 4)
     for row in table.rows:
-        sub = stabilizer(g, row.xi)
-        assert sub.exponent() % row.class_order == 0
+        assert len(stabilizer(d4.group, row.xi)) % row.class_order == 0
+    row = next(r for r in table.rows if r.xi == RatVector.make((0, 1, 2, 2), 4))
+    assert (row.stabilizer_order, row.class_order) == (8, 4)
+    g = d4.group
+    assert all(g.mult(i, i) == g.identity_index
+               for i in stabilizer(g, row.xi).members)
 
 
 def test_scan_size_refusal():
