@@ -25,6 +25,19 @@ solves from _bar_rows too, over all of W_L, so its class coordinates
 are read in the full bar complex.  Cochain values are stored on sorted
 simplices only, with the alternation sign applied on access.
 
+Finite-group inputs are validated on a greedy generating set of k
+elements (_generators), and each check there implies it on every
+element: a group table is associative by Light's test on the
+generators (FiniteGroupTable), an action is checked on the generator
+edges s -> s w (FiniteAction), and the 2-cocycle identity with a
+generator as its middle entry (check_two_cocycle); each docstring gives
+the argument.  That is k n^2 work instead of n^3 for a table or a
+cocycle, and k |G| products instead of |G|^2 for an action.  A central
+extension's table is put together by index arithmetic, from the
+addition table of A and the positions of psi's values, with no element
+reduced per cell, and is refused past EXTENSION_CELL_CAP cells before
+anything is built.
+
 Overlap line bundles are modeled by their classes in the coefficient
 group (powers of one fixed bundle); section-level data is collapsed to
 the cocycle identities it satisfies.  Infinite multiplicative coefficient
@@ -540,52 +553,89 @@ def trivialize(c: Cochain) -> Cochain | None:
 # finite groups and actions
 
 
+def _generators(table, e: int) -> tuple[int, ...]:
+    """Greedy generating set of a table with identity e, as
+    weyl._generators_and_rows picks one for W_L: each element outside the
+    closure so far becomes a generator.  The closure grows by left
+    multiplication along table rows: the new generator's row applied to
+    the old closure gives its new elements, and only those are carried
+    further, along every generator's row.  Every element is then a word
+    s_1 (s_2 (... (s_m e))) in the generators."""
+    gens: list[int] = []
+    have = {e}
+    for a, row in enumerate(table):
+        if a in have:
+            continue
+        gens.append(a)
+        frontier = {row[b] for b in have} - have
+        while frontier:
+            have |= frontier
+            frontier = {table[s][f] for f in frontier for s in gens} - have
+        if len(have) == len(table):
+            break
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class FiniteGroupTable:
-    """Multiplication table on elements 0..n-1; table[i][j] = i*j."""
+    """Multiplication table on elements 0..n-1; table[i][j] = i*j.
+
+    Validated in order: the shape, a two-sided identity (found once), a
+    two-sided inverse of every element (read off its row), and
+    associativity by Light's test on a greedy generating set (_generators):
+    (x a) y = x (a y) for every x, y and generator a, k n^2 checks for k
+    generators instead of n^3.  The middle elements a that pass are closed
+    under products, x(ab).y = (xa)b.y = xa.by = x.a(by) = x.(ab)y, and
+    include the identity, so they include every word in the generators,
+    which is every element (Clifford-Preston, The Algebraic Theory of
+    Semigroups I, 1.2).
+    """
 
     table: tuple[tuple[int, ...], ...]
+    identity: int = field(init=False, repr=False, compare=False)
+    inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.table)
-        for row in self.table:
-            if len(row) != n or any(x < 0 or x >= n for x in row):
+        t = tuple(map(tuple, self.table))
+        n = len(t)
+        for row in t:
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise CechError("malformed multiplication table")
-        if self.identity is None:
+        straight = tuple(range(n))
+        e = next((x for x in straight if t[x] == straight
+                  and all(r[x] == i for i, r in enumerate(t))), None)
+        if e is None:
             raise CechError("table has no identity element")
-        for i in range(n):
-            if self.inverse(i) is None:
-                raise CechError(f"element {i} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if (
-                        self.table[self.table[a][b]][c]
-                        != self.table[a][self.table[b][c]]
-                    ):
-                        raise CechError("table is not associative")
+        inverses = []
+        for a, row in enumerate(t):
+            b = row.index(e) if e in row else None
+            if b is None or t[b][a] != e:
+                b = next((b for b in straight if row[b] == e and t[b][a] == e),
+                         None)
+                if b is None:
+                    raise CechError(f"element {a} has no inverse")
+            inverses.append(b)
+        gens = _generators(t, e)
+        for g in gens:
+            g_row = t[g]
+            for x_row in t:
+                # the row of x g against x (g y) for every y
+                if t[x_row[g]] != tuple(map(x_row.__getitem__, g_row)):
+                    raise CechError("table is not associative")
+        for name, value in (("table", t), ("identity", e),
+                            ("inverses", tuple(inverses)), ("generators", gens)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.table)
 
-    @property
-    def identity(self) -> int | None:
-        n = len(self.table)
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                return e
-        return None
-
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int | None:
-        e = self.identity
-        for b in range(self.n):
-            if self.table[a][b] == e and self.table[b][a] == e:
-                return b
-        return None
+    def inverse(self, a: int) -> int:
+        return self.inverses[a]
 
     def element_order(self, a: int) -> int:
         e = self.identity
@@ -599,11 +649,7 @@ class FiniteGroupTable:
         return tuple(sorted(self.element_order(a) for a in range(self.n)))
 
     def center_size(self) -> int:
-        return sum(
-            1
-            for a in range(self.n)
-            if all(self.table[a][b] == self.table[b][a] for b in range(self.n))
-        )
+        return sum(map(tuple.__eq__, self.table, zip(*self.table)))
 
     def to_json_dict(self) -> dict:
         return {"table": [list(r) for r in self.table]}
@@ -625,6 +671,17 @@ class FiniteAction:
 
     vertex_perms[g][v] is the image of vertex v under g; coeff_actions[g]
     is an integer matrix inducing an automorphism of the coefficients.
+
+    Every vertex map must be a permutation and every matrix square of the
+    coefficients' size.  The rest is checked on the group's generators S
+    (FiniteGroupTable.generators): the identity acts trivially, each
+    generator's matrix is an automorphism and its vertex map preserves
+    the nerve, and phi(s w) = phi(s) phi(w) on every generator edge, s in
+    S and w in G, k |G| checks instead of |G|^2.  By induction on the
+    length of a word for a = s a', phi(a b) = phi(s) phi(a' b) =
+    phi(s) phi(a') phi(b) = phi(a) phi(b), so phi is a homomorphism, and
+    each phi(a) is a product of generator images: an automorphism that
+    preserves the nerve.
     """
 
     group: FiniteGroupTable
@@ -635,38 +692,38 @@ class FiniteAction:
 
     def __post_init__(self):
         g = self.group
-        if len(self.vertex_perms) != g.n or len(self.coeff_actions) != g.n:
+        perms, mats = self.vertex_perms, self.coeff_actions
+        if len(perms) != g.n or len(mats) != g.n:
             raise CechError("action tables have wrong length")
         nv = self.nerve.n_vertices
-        for perm in self.vertex_perms:
+        for perm in perms:
             if sorted(perm) != list(range(nv)):
                 raise CechError("vertex map is not a permutation")
-        for m in self.coeff_actions:
-            if not self.coefficients.is_automorphism(m):
-                raise CechError("coefficient action is not an automorphism")
+        size = self.coefficients.size
+        square = all(len(m) == size and all(len(row) == size for row in m)
+                     for m in mats)
+        if not square or not all(self.coefficients.is_automorphism(mats[s])
+                                 for s in g.generators):
+            raise CechError("coefficient action is not an automorphism")
         e = g.identity
-        if self.vertex_perms[e] != tuple(range(nv)):
+        if perms[e] != tuple(range(nv)):
             raise CechError("identity must act trivially on vertices")
-        if self.coeff_actions[e] != identity(self.coefficients.size):
+        if mats[e] != identity(size):
             raise CechError("identity must act trivially on coefficients")
-        for a in range(g.n):
-            for b in range(g.n):
-                ab = g.mult(a, b)
-                composed = tuple(
-                    self.vertex_perms[a][self.vertex_perms[b][v]]
-                    for v in range(nv)
-                )
-                if composed != self.vertex_perms[ab]:
+        for s in g.generators:
+            p_s, m_s = perms[s], mats[s]
+            for w, sw in enumerate(g.table[s]):
+                if tuple(map(p_s.__getitem__, perms[w])) != perms[sw]:
                     raise CechError("vertex action is not a homomorphism")
-                if matmul(self.coeff_actions[a], self.coeff_actions[b]) != \
-                        self.coeff_actions[ab]:
+                if matmul(m_s, mats[w]) != mats[sw]:
                     raise CechError("coefficient action is not a homomorphism")
         # the nerve must be stable
         levels = [frozenset(level) for level in self.nerve.simplices]
-        for perm in self.vertex_perms:
+        for s in g.generators:
+            perm = perms[s]
             for members in levels:
-                for s in members:
-                    if tuple(sorted(perm[v] for v in s)) not in members:
+                for simplex in members:
+                    if tuple(sorted(perm[v] for v in simplex)) not in members:
                         raise CechError("action does not preserve the nerve")
 
     def act_on_simplex(self, g: int, s) -> tuple[tuple[int, ...], int]:
@@ -819,7 +876,7 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
 
     src_offs, src_total = layout(n)
     dst_offs, dst_total = layout(n + 1)
-    inverse = [row.index(e) for row in g.table]
+    inverse = g.inverses
     position = {x: i for i, x in enumerate(others)}
     prod = [[position.get(g.table[a][b]) for b in others] for a in others]
     actions = [act.coeff_actions[x] for x in others]
@@ -900,25 +957,90 @@ class ExtensionResult:
     center_size: int
 
 
+# cells of the largest extension table built, (|A| |G|)^2: 1024 elements
+EXTENSION_CELL_CAP = 2**20
+
+
+def _addition_table(coeff: CoefficientGroup) -> list[list[int]]:
+    """add[i][j] = the position of the sum of elements i and j of a finite
+    coefficient group, in the order of coeff.elements(): mixed radix, the
+    first torsion slot most significant."""
+    add = [[0]]
+    for d in coeff.torsion:
+        cycle = list(range(d)) * 2
+        add = [[i * d + j for i in row for j in cycle[b:b + d]]
+               for row in add for b in range(d)]
+    return add
+
+
+def _cocycle_positions(group: FiniteGroupTable, coeff: CoefficientGroup,
+                       psi: dict) -> list[list[int]]:
+    """p[g1][g2] = the position of psi(g1, g2) in coeff.elements(), each
+    value reduced once; an absent pair is 0.  Raises unless psi vanishes
+    on every pair with the identity, which is read first."""
+    get, torsion = psi.get, coeff.torsion
+
+    def position(a, b):
+        v = get((a, b))
+        if v is None:
+            return 0
+        k = 0
+        for x, d in zip(coeff.reduce(v), torsion):
+            k = k * d + x
+        return k
+
+    e, span = group.identity, range(group.n)
+    if any(position(e, x) or position(x, e) for x in span):
+        raise CechError("2-cochain is not normalized")
+    return [[position(a, b) for b in span] for a in span]
+
+
+def _first_cocycle_failure(group: FiniteGroupTable, add, p
+                           ) -> tuple[int, int, int] | None:
+    """The first (g1, s, g3), s a generator, where
+    psi(s, g3) + psi(g1, s g3) != psi(g1 s, g3) + psi(g1, s), for psi
+    given by its positions p and add the addition table."""
+    t = group.table
+    for g1, (p1, t1) in enumerate(zip(p, t)):
+        for s in group.generators:
+            lhs = [add[a][p1[b]] for a, b in zip(p[s], t[s])]
+            right = add[p1[s]]
+            rhs = [right[a] for a in p[t1[s]]]
+            if lhs != rhs:
+                return g1, s, next(g3 for g3, (x, y) in enumerate(zip(lhs, rhs))
+                                   if x != y)
+    return None
+
+
 def check_two_cocycle(group: FiniteGroupTable, coeff: CoefficientGroup,
                       psi: dict) -> tuple[int, int, int] | None:
-    """First violating triple of the (central) 2-cocycle identity, if any."""
-    e = group.identity
+    """First violating triple of the (central) 2-cocycle identity, if any,
+    for a normalised psi with finite coefficients.
 
-    def val(a, b):
-        return coeff.reduce(psi.get((a, b), coeff.zero()))
+    The identity is checked with its middle entry g2 = s a generator of G
+    (FiniteGroupTable.generators), k |G|^2 checks instead of |G|^3.  It
+    says that (0, s) passes Light's test in A x_psi G, whose associators
+    are the identity's two sides minus each other.  A normalised psi makes
+    every (a, e) central, so it passes too, and these elements generate
+    the extension: it is associative, which is the identity for every
+    triple.  The triple returned has a generator in the middle.
+    """
+    if coeff.free_rank:
+        raise CechError("2-cocycle checks need finite coefficients")
+    return _first_cocycle_failure(group, _addition_table(coeff),
+                                  _cocycle_positions(group, coeff, psi))
 
-    for gx in range(group.n):
-        if any(val(e, gx)) or any(val(gx, e)):
-            raise CechError("2-cochain is not normalized")
-    for g1 in range(group.n):
-        for g2 in range(group.n):
-            for g3 in range(group.n):
-                lhs = coeff.add(val(g2, g3), val(g1, group.mult(g2, g3)))
-                rhs = coeff.add(val(group.mult(g1, g2), g3), val(g1, g2))
-                if lhs != rhs:
-                    return (g1, g2, g3)
-    return None
+
+def check_extension_size(group_order: int, coeff: CoefficientGroup) -> None:
+    """Refuse an extension of a group of this order by coeff whose table
+    would have more than EXTENSION_CELL_CAP cells, before anything is
+    built."""
+    if coeff.free_rank:
+        raise CechError("extension tables need finite coefficients")
+    cells = (coeff.order() * group_order) ** 2
+    if cells > EXTENSION_CELL_CAP:
+        raise CapExceeded(f"extension table needs {cells} cells, over the cap "
+                          f"{EXTENSION_CELL_CAP}")
 
 
 def central_extension_from_cocycle(
@@ -927,27 +1049,30 @@ def central_extension_from_cocycle(
     """Multiplication table of A x_psi G; rejects non-cocycles.
 
     (a1, g1) (a2, g2) = (a1 + a2 + psi(g1, g2), g1 g2); associativity is
-    exactly the cocycle identity, re-verified on the built table.
+    exactly the cocycle identity, checked with a generator in the middle
+    as check_two_cocycle checks it, and re-verified by Light's test on the
+    built table.
+    The element (a, g) sits at position a * |G| + g, with a the position
+    of a in coeff.elements(), and each row is put together from blocks
+    read off the addition table of A and the positions of psi.  Raises
+    CapExceeded before psi is read when the table would have more than
+    EXTENSION_CELL_CAP cells.
     """
-    if coeff.free_rank:
-        raise CechError("extension tables need finite coefficients")
-    bad = check_two_cocycle(group, coeff, psi)
+    check_extension_size(group.n, coeff)
+    add = _addition_table(coeff)
+    p = _cocycle_positions(group, coeff, psi)
+    bad = _first_cocycle_failure(group, add, p)
     if bad is not None:
         raise CechError(f"not a 2-cocycle: fails on triple {bad}")
-    elems = [(a, g) for a in coeff.elements() for g in range(group.n)]
-    pos = {x: i for i, x in enumerate(elems)}
-
-    def val(a, b):
-        return coeff.reduce(psi.get((a, b), coeff.zero()))
-
-    table = []
-    for (a1, g1) in elems:
-        row = []
-        for (a2, g2) in elems:
-            a = coeff.add(coeff.add(a1, a2), val(g1, g2))
-            row.append(pos[(a, group.mult(g1, g2))])
-        table.append(tuple(row))
-    ext = FiniteGroupTable(tuple(table))
+    n = group.n
+    # blocks[g1][c] is row (a1, g1) over the a2 with a1 + a2 = c: the
+    # positions of (c + psi(g1, g2), g1 g2) for every g2
+    blocks = [[tuple([row[x] * n + y for x, y in zip(p1, t1)]) for row in add]
+              for p1, t1 in zip(p, group.table)]
+    ext = FiniteGroupTable(tuple(
+        tuple(itertools.chain.from_iterable(map(block.__getitem__, sums)))
+        for sums in add for block in blocks))
+    elems = [(a, g) for a in coeff.elements() for g in range(n)]
     return ExtensionResult(
         ext,
         tuple(elems),

@@ -36,6 +36,7 @@ from .cech import (
     FiniteGroupTable,
     Nerve,
     central_extension_from_cocycle,
+    check_extension_size,
     cohomology,
     cyclic_group,
     equivariant_cohomology,
@@ -478,10 +479,15 @@ def cmd_extension(args) -> int:
     data = _load_fixture(args.fixture)
     try:
         if "cyclic" in data["group"]:
-            table = cyclic_group(freeze(data["group"]["cyclic"], 0))
+            # the cap is decided before the |G|^2 table of G is built; an
+            # order below 1 is left to the table's checks
+            n = freeze(data["group"]["cyclic"], 0)
+            coeff = parse_group_label(data["coefficients"])
+            check_extension_size(max(n, 0), coeff)
+            table = cyclic_group(n)
         else:
             table = FiniteGroupTable.from_json_dict(data["group"])
-        coeff = parse_group_label(data["coefficients"])
+            coeff = parse_group_label(data["coefficients"])
         psi = {}
         for e in data.get("psi", []):
             g1, g2 = freeze(e["pair"], 1)

@@ -191,27 +191,26 @@ class RootDatum:
 
     # -- roots ------------------------------------------------------------
 
+    def _root_lattice_coords(self, a: RatVector) -> Vector:
+        c = self.char_coords(a)
+        if c is None:
+            raise DatumError(f"root {_vector_text(a)} outside the character lattice")
+        return c
+
+    def _coroot_lattice_coords(self, a: RatVector) -> Vector:
+        c = self.cochar_coords(a)
+        if c is None:
+            raise DatumError(
+                f"coroot {_vector_text(a)} outside the cocharacter lattice")
+        return c
+
     @cached_property
     def _root_coords(self) -> tuple[Vector, ...]:
-        out = []
-        for a in self.roots:
-            c = self.char_coords(a)
-            if c is None:
-                raise DatumError(
-                    f"root {_vector_text(a)} outside the character lattice")
-            out.append(c)
-        return tuple(out)
+        return tuple(map(self._root_lattice_coords, self.roots))
 
     @cached_property
     def _coroot_coords(self) -> tuple[Vector, ...]:
-        out = []
-        for a in self.coroots:
-            c = self.cochar_coords(a)
-            if c is None:
-                raise DatumError(
-                    f"coroot {_vector_text(a)} outside the cocharacter lattice")
-            out.append(c)
-        return tuple(out)
+        return tuple(map(self._coroot_lattice_coords, self.coroots))
 
     def root_coords(self) -> tuple[Vector, ...]:
         return self._root_coords
@@ -223,11 +222,13 @@ class RootDatum:
     def cartan_matrix(self) -> Matrix:
         """c[i][j] = <alpha_j, alpha_i^vee> over the simple roots, in the
         order of simple_indices: the bases are dual, so a pairing is a dot
-        product of coordinates."""
+        product of coordinates.  Only the simple roots and coroots are
+        solved for, 2r coordinate solves: weyl.group_order reads this
+        matrix before the Weyl cap can refuse, and B60 has 7,200 roots."""
         simple = self.simple_indices
-        roots, coroots = self.root_coords(), self.coroot_coords()
-        return tuple(tuple(sum(map(mul, roots[j], coroots[i])) for j in simple)
-                     for i in simple)
+        roots = [self._root_lattice_coords(self.roots[i]) for i in simple]
+        coroots = [self._coroot_lattice_coords(self.coroots[i]) for i in simple]
+        return tuple(tuple(sum(map(mul, a, c)) for a in roots) for c in coroots)
 
     def simple_roots(self) -> tuple[RatVector, ...]:
         return tuple(self.roots[i] for i in self.simple_indices)

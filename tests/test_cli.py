@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from gerbelevels import cech, claims, cli, intlinalg, levels, obstruction, weyl
+from gerbelevels import cech, claims, cli, intlinalg, levels, obstruction, rootdata, weyl
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
 from gerbelevels.rootdata import DatumReport, classical_datum, torus_datum
 
@@ -274,7 +274,7 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
     real_snf = intlinalg.snf
 
     def coefficient_checks_only(a, left=True, right=True):
-        # reading the fixture factors one 1 x 1 matrix per element, in the
+        # reading the fixture factors one 1 x 1 matrix per generator, in the
         # automorphism check of the rank-one coefficients; every matrix of
         # the complex has more rows
         if len(a) > 1:
@@ -439,6 +439,52 @@ def test_weyl_cap_refuses_before_the_isogeny_is_built(capsys, monkeypatch):
         assert _one_error_line(captured.err) == [f"error: {cap} {limit}"]
     assert run(capsys, "atlas", "--row", "B,8,Spin,Spin") == (
         0, f"B8 Spin->Spin  error: cap: {cap} 1000000\n")
+
+
+def test_weyl_cap_reads_only_the_simple_coordinates(capsys, monkeypatch):
+    # group_order reads the Cartan matrix, which solves for the coordinates
+    # of the simple roots and coroots only: B60 has 7,200 roots and is
+    # refused after at most 2 * 60 coordinate solves
+    real = rootdata._Frame.coords
+    solves = []
+
+    def counted(frame, v):
+        solves.append(v)
+        return real(frame, v)
+
+    fresh = rootdata._classical_datum.__wrapped__("B", 60, "Spin")
+    monkeypatch.setattr(rootdata._Frame, "coords", counted)
+    with pytest.raises(intlinalg.CapExceeded):
+        weyl.group_order(fresh)
+    assert 0 < len(solves) <= 2 * 60
+    solves.clear()
+    code = main(["levels", "B", "60", "Spin", "Spin"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert _one_error_line(captured.err) == [
+        "error: Weyl group order exceeds the configured cap 1000000"]
+    assert len(solves) <= 2 * 60
+
+
+def test_validation_reports_a_root_outside_the_lattice_first(tmp_path, capsys,
+                                                            monkeypatch):
+    # the Cartan matrix reads only simple roots, so a fixture whose other
+    # roots leave the lattice must be refused by validate_datum before
+    # group_order is reached
+    def unreachable(*args):
+        raise AssertionError("group_order was reached")
+
+    data = _fixture("g2_datum.json")
+    data["target"]["roots"][2]["den"] = 2
+    path = tmp_path / "bad_root.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(cli, "group_order", unreachable)
+    code = main(["levels", "--datum-fixture", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    [line] = _one_error_line(captured.err)
+    assert line.startswith("error: datum ")
+    assert "root[2] outside the character lattice" in line
 
 
 @pytest.mark.parametrize("entry, digest", [
@@ -620,6 +666,71 @@ def test_extension_fixtures(capsys):
     code, _ = run(capsys, "extension", "--fixture",
                   f"{FIX}/z3_bad_cochain.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("group", [{"cyclic": 3}, {"table": [[0, 1, 2], [1, 2, 0],
+                                                             [2, 0, 1]]}],
+                         ids=["cyclic", "table"])
+def test_extension_cap_edge(tmp_path, capsys, monkeypatch, group):
+    # Z/2 by Z/3 has 6 elements, a table of 36 cells: the cap admits it at
+    # 36 and refuses it at 35, before psi is read or any table is built
+    path = tmp_path / "z2_by_z3.json"
+    path.write_text(json.dumps({"group": group, "coefficients": "Z/2"}))
+    argv = ["extension", "--fixture", str(path)]
+    monkeypatch.setattr(cech, "EXTENSION_CELL_CAP", 36)
+    assert run(capsys, *argv) == (
+        0, "extension of order 6; element orders [1, 2, 3, 3, 6, 6]; center 6\n")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an extension table was built")
+
+    for module, name in ((cli, "cyclic_group"), (cech, "_cocycle_positions"),
+                         (cech, "_addition_table"), (cech, "FiniteGroupTable")):
+        monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(cech, "EXTENSION_CELL_CAP", 35)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert _one_error_line(captured.err) == [
+        "error: extension table needs 36 cells, over the cap 35"]
+
+
+@pytest.mark.parametrize("n, digest", [
+    (60, "8c56b3fbb534bc91d76cb5e3a8c9b8971697b45e9b74c81295da62e3d4fba75d"),
+    (120, "213c844b5ca9b3457ed9089ab93accaa22c6824fd3f8605864c6d0e6f483afe6"),
+], ids=["cyclic60", "cyclic120"])
+def test_extension_golden_from_generator_checks(tmp_path, capsys, n, digest):
+    # the digests of the all-triples checks and the cell-by-cell table,
+    # which took about 2 s and 15 s; the cyclic-120 run is also in the CI
+    # install smoke run
+    path = tmp_path / f"z2_by_z{n}.json"
+    path.write_text(json.dumps({"group": {"cyclic": n}, "coefficients": "Z/2"}))
+    start = time.monotonic()
+    code, out = run(capsys, "extension", "--fixture", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert time.monotonic() - start < 5
+
+
+def test_extension_default_cap_edge(tmp_path, capsys, monkeypatch):
+    # 2^20 cells: Z/2 by Z/512 (1024 elements) is admitted, Z/2 by Z/513
+    # is refused from the fixture before the table of Z/513 is built
+    z2 = cech.parse_group_label("Z/2")
+    cech.check_extension_size(512, z2)
+    with pytest.raises(intlinalg.CapExceeded):
+        cech.check_extension_size(513, z2)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr(cli, "cyclic_group", unreachable)
+    path = tmp_path / "z2_by_z513.json"
+    path.write_text(json.dumps({"group": {"cyclic": 513}, "coefficients": "Z/2"}))
+    code = main(["extension", "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert _one_error_line(captured.err) == [
+        "error: extension table needs 1052676 cells, over the cap 1048576"]
 
 
 def test_schema_violation_exit_one(tmp_path, capsys):
@@ -1015,14 +1126,28 @@ def _without_group():
     return data
 
 
-def _z2_point_with(path, value):
-    """z2_point.json with the entry at path (a key sequence) replaced."""
-    data = _fixture("z2_point.json")
+def _fixture_with(name, path, value):
+    """The fixture with the entry at path (a key sequence) replaced."""
+    data = _fixture(name)
     node = data
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     return data
+
+
+def _z2_point_with(path, value):
+    return _fixture_with("z2_point.json", path, value)
+
+
+def _z4_point_with(path, value):
+    return _fixture_with("z4_point.json", path, value)
+
+
+# a loop of order 5: identity 0 and every element its own inverse, but
+# (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
 
 
 def _z2_on_z4_by(k):
@@ -1074,6 +1199,17 @@ def _extension_with(**fields):
     ("equivariant", _z2_point_with(("nerve",), {"n_vertices": 3, "simplices": [
         [[0], [1], [2]], [[0, 1]]]}) | {"vertex_perms": [[0, 1, 2], [0, 2, 1]]},
      "error: action does not preserve the nerve"),
+    ("extension", {"group": {"table": LOOP5}, "coefficients": "Z/2"},
+     "error: extension rejected: table is not associative"),
+    ("equivariant", _z2_point_with(("group",), {"table": LOOP5}),
+     "error: table is not associative"),
+    ("extension", _extension_with(group={"cyclic": 3}, coefficients="Z/3"),
+     "error: extension rejected: not a 2-cocycle: fails on triple (1, 1, "),
+    # Z/4 is generated by 1; its square acting by 0 is caught on the edge
+    # 1 * 1 = 2, and was reported as a non-automorphism before generator
+    # checks
+    ("equivariant", _z4_point_with(("coeff_actions", 2), [[0]]),
+     "error: coefficient action is not a homomorphism"),
 ])
 def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"

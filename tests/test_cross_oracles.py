@@ -28,7 +28,11 @@ check, its powers and the all-pairs cocycle identity) that the
 generator rows, root-permutation orders and generator-edge identity
 replaced, the Hermite form that carried its unimodular transform, and
 the evenness filter that took a coefficient-space Hermite form and
-summed LevelTensors before levels were carried as vectors.
+summed LevelTensors before levels were carried as vectors, and the
+checks of finite-group inputs on every element that the generator checks
+replaced: associativity and the 2-cocycle identity on all triples, the
+homomorphism on all pairs, automorphism and nerve stability for every
+element, and the extension table built cell by cell.
 """
 
 import dataclasses
@@ -2677,3 +2681,353 @@ def test_invariant_factors_match_smith_form_of_the_diagonal():
         diag = freeze([[c if i == j else 0 for j in range(len(orders))]
                        for i, c in enumerate(orders)])
         assert invariant_factors(orders) == cokernel(diag).torsion, orders
+
+
+# --- Finite-group inputs: the exhaustive checks the generator checks ------
+# --- replaced ----------------------------------------------------------------
+
+
+def oracle_table_error(table):
+    """The exhaustive validation of a multiplication table: its error, or
+    None.  The identity and the inverses are searched for in full, and
+    associativity is checked on all n^3 triples."""
+    n = len(table)
+    for row in table:
+        if len(row) != n or any(x < 0 or x >= n for x in row):
+            return "malformed multiplication table"
+    e = next((x for x in range(n)
+              if all(table[x][y] == y and table[y][x] == y for y in range(n))), None)
+    if e is None:
+        return "table has no identity element"
+    for a in range(n):
+        if not any(table[a][b] == e and table[b][a] == e for b in range(n)):
+            return f"element {a} has no inverse"
+    if any(table[table[a][b]][c] != table[a][table[b][c]]
+           for a, b, c in itertools.product(range(n), repeat=3)):
+        return "table is not associative"
+    return None
+
+
+def oracle_cocycle_failures(table, coeff, psi):
+    """Every triple where the 2-cocycle identity fails, over all |G|^3
+    triples with a reduce per value read."""
+    n = len(table)
+
+    def val(a, b):
+        return coeff.reduce(psi.get((a, b), coeff.zero()))
+
+    return [(g1, g2, g3) for g1, g2, g3 in itertools.product(range(n), repeat=3)
+            if coeff.add(val(g2, g3), val(g1, table[g2][g3]))
+            != coeff.add(val(table[g1][g2], g3), val(g1, g2))]
+
+
+def oracle_extension_table(table, coeff, psi):
+    """The extension's table cell by cell, each sum reduced and looked up."""
+    n = len(table)
+    elems = [(a, g) for a in coeff.elements() for g in range(n)]
+    pos = {x: i for i, x in enumerate(elems)}
+
+    def val(a, b):
+        return coeff.reduce(psi.get((a, b), coeff.zero()))
+
+    return tuple(tuple(pos[(coeff.add(coeff.add(a1, a2), val(g1, g2)),
+                            table[g1][g2])] for (a2, g2) in elems)
+                 for (a1, g1) in elems)
+
+
+def oracle_action_error(table, nerve, coeff, perms, mats):
+    """The exhaustive validation of an action: its error, or None.  Every
+    element's matrix is an automorphism, every pair composes, and every
+    element's vertex map preserves the nerve."""
+    n, nv = len(table), nerve.n_vertices
+    if any(sorted(p) != list(range(nv)) for p in perms):
+        return "vertex map is not a permutation"
+    if not all(coeff.is_automorphism(m) for m in mats):
+        return "coefficient action is not an automorphism"
+    e = next(x for x in range(n) if table[x] == tuple(range(n)))
+    if perms[e] != tuple(range(nv)):
+        return "identity must act trivially on vertices"
+    if mats[e] != identity(coeff.size):
+        return "identity must act trivially on coefficients"
+    for a, b in itertools.product(range(n), repeat=2):
+        ab = table[a][b]
+        if tuple(perms[a][perms[b][v]] for v in range(nv)) != perms[ab]:
+            return "vertex action is not a homomorphism"
+        if matmul(mats[a], mats[b]) != mats[ab]:
+            return "coefficient action is not a homomorphism"
+    for p in perms:
+        for level in nerve.simplices:
+            if any(tuple(sorted(p[v] for v in s)) not in level for s in level):
+                return "action does not preserve the nerve"
+    return None
+
+
+S3_PERMS = tuple(itertools.permutations(range(3)))
+S3 = tuple(tuple(S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS)
+           for p in S3_PERMS)
+KLEIN = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+SMALL_GROUPS = {"Z/4": cyclic_group(4).table, "Klein": KLEIN, "S3": S3}
+
+
+def _table_error(table):
+    try:
+        FiniteGroupTable(table)
+    except cech.CechError as err:
+        return str(err)
+    return None
+
+
+def _with_entry(rows, i, j, value):
+    rows = [list(r) for r in rows]
+    rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square with first row and column 0..n-1: the
+    tables on n elements with identity 0 in which every equation has one
+    solution.  The groups among them are the associative ones."""
+    out = []
+
+    def extend(rows, row):
+        i, j = len(rows), len(row)
+        if j == n:
+            rows = rows + [tuple(row)]
+            if len(rows) == n:
+                out.append(tuple(rows))
+            else:
+                extend(rows, [len(rows)])
+            return
+        for v in range(n):
+            if v not in row and all(r[j] != v for r in rows):
+                extend(rows, row + [v])
+
+    extend([tuple(range(n))], [1])
+    return out
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_light_test_refuses_every_corruption_the_triple_check_refuses(name):
+    table = SMALL_GROUPS[name]
+    n = len(table)
+    assert _table_error(table) is None
+    assert oracle_table_error(table) is None
+    refused_by_associativity = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        for value in range(-1, n + 1):
+            if value == table[i][j]:
+                continue
+            bad = _with_entry(table, i, j, value)
+            expect = oracle_table_error(bad)
+            assert _table_error(bad) == expect, (name, i, j, value)
+            refused_by_associativity += expect == "table is not associative"
+    # corruptions off the inverse positions reach the associativity check
+    assert refused_by_associativity
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_light_test_sorts_the_loops_like_the_triple_check(n):
+    # the tables of loops have an identity; those whose elements have
+    # two-sided inverses reach Light's test, and only the tables of groups
+    # pass it: Z/5 six times among the 56 of order 5, Z/6 and S3 80 times
+    # among the 9408 of order 6
+    loops = _reduced_latin_squares(n)
+    assert len(loops) == {4: 4, 5: 56, 6: 9408}[n]
+    verdicts = [_table_error(t) for t in loops]
+    assert verdicts == [oracle_table_error(t) for t in loops]
+    assert verdicts.count(None) == {4: 4, 5: 6, 6: 80}[n]
+    assert verdicts.count("table is not associative") == {4: 0, 5: 2, 6: 1728}[n]
+
+
+def _carry(n, k):
+    """k times the carry cocycle of Z/n: psi(a, b) = k when a + b >= n."""
+    return {(a, b): (k,) for a in range(n) for b in range(n) if a + b >= n}
+
+
+def _coboundary_shift(table, psi, coeff, eta):
+    """psi + d eta, for a 1-cochain eta with eta(identity) = 0."""
+    n = len(table)
+    out = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        base = coeff.reduce(psi.get((a, b), coeff.zero()))
+        v = coeff.reduce(tuple(x + y - z - w for x, y, z, w in zip(
+            base, eta[table[a][b]], eta[a], eta[b])))
+        if any(v):
+            out[(a, b)] = v
+    return out
+
+
+def _normalised_cocycles():
+    """(name, group, coefficients, psi): cocycles on Z/4 and S3, each also
+    shifted by a coboundary."""
+    rng = random.Random(2303)
+    sign = [sum(p[j] > p[i] for i in range(3) for j in range(i)) % 2
+            for p in S3_PERMS]
+    cases = [
+        ("Z/4 carry in Z/4", cyclic_group(4), parse_group_label("Z/4"), _carry(4, 1)),
+        ("Z/4 carry in Z/2+Z/2", cyclic_group(4), parse_group_label("Z/2+Z/2"),
+         {k: (1, 1) for k in _carry(4, 1)}),
+        ("S3 sign cup sign in Z/2", FiniteGroupTable(S3), parse_group_label("Z/2"),
+         {(a, b): (1,) for a in range(6) for b in range(6) if sign[a] and sign[b]}),
+        ("S3 zero in Z/3", FiniteGroupTable(S3), parse_group_label("Z/3"), {}),
+    ]
+    out = []
+    for name, group, coeff, psi in cases:
+        out.append((name, group, coeff, psi))
+        eta = [coeff.zero()] + [tuple(rng.randrange(d) for d in coeff.torsion)
+                                for _ in range(group.n - 1)]
+        out.append((name + " + d eta", group, coeff,
+                    _coboundary_shift(group.table, psi, coeff, eta)))
+    return out
+
+
+COCYCLES = _normalised_cocycles()
+
+
+@pytest.mark.parametrize("case", COCYCLES, ids=[c[0] for c in COCYCLES])
+def test_generator_cocycle_check_refuses_what_the_triple_check_refuses(case):
+    name, group, coeff, psi = case
+    assert oracle_cocycle_failures(group.table, coeff, psi) == []
+    assert cech.check_two_cocycle(group, coeff, psi) is None
+    ext = cech.central_extension_from_cocycle(group, coeff, psi)
+    assert ext.table.table == oracle_extension_table(group.table, coeff, psi)
+    e = group.identity
+    for g1, g2 in itertools.product(range(group.n), repeat=2):
+        for value in coeff.elements():
+            old = coeff.reduce(psi.get((g1, g2), coeff.zero()))
+            if value == old:
+                continue
+            bad = dict(psi)
+            bad[(g1, g2)] = value
+            if e in (g1, g2):
+                with pytest.raises(cech.CechError, match="not normalized"):
+                    cech.check_two_cocycle(group, coeff, bad)
+                continue
+            failures = oracle_cocycle_failures(group.table, coeff, bad)
+            found = cech.check_two_cocycle(group, coeff, bad)
+            assert (found is None) == (not failures), (name, g1, g2, value)
+            assert found is None or found in failures
+            assert found is None or found[1] in group.generators
+
+
+def _s3_on_triangle(coeff_label):
+    """S3 permuting the vertices of the hollow triangle and the summands
+    of the coefficients by permutation matrices."""
+    perms = S3_PERMS
+    mats = tuple(tuple(tuple(int(i == p[j]) for j in range(3)) for i in range(3))
+                 for p in perms)
+    return (S3, circle_nerve(3), parse_group_label(coeff_label), perms, mats)
+
+
+def _klein_on_a_point():
+    """The Klein four-group acting on Z^2 by the four sign changes."""
+    mats = tuple(((1 - 2 * (g & 1), 0), (0, 1 - 2 * (g >> 1))) for g in range(4))
+    return (KLEIN, simplex_cone_nerve(1), parse_group_label("Z^2"), ((0,),) * 4, mats)
+
+
+ACTIONS = {"S3 on Z^3": _s3_on_triangle("Z^3"),
+           "S3 on (Z/2)^3": _s3_on_triangle("Z/2+Z/2+Z/2"),
+           "Klein on Z^2": _klein_on_a_point()}
+
+
+def _action_error(table, nerve, coeff, perms, mats):
+    try:
+        FiniteAction(FiniteGroupTable(table), nerve, coeff, perms, mats)
+    except cech.CechError as err:
+        return str(err)
+    return None
+
+
+def _corrupt_actions(table, nerve, coeff, perms, mats):
+    """(perms, mats) with one matrix entry changed, or one vertex map with
+    two images swapped, in every way."""
+    for g, m in enumerate(mats):
+        for i, j in itertools.product(range(len(m)), repeat=2):
+            for value in (-1, 0, 1, 2):
+                if value != m[i][j]:
+                    yield perms, mats[:g] + (_with_entry(m, i, j, value),) + mats[g + 1:]
+    for g, p in enumerate(perms):
+        for u, v in itertools.combinations(range(len(p)), 2):
+            q = list(p)
+            q[u], q[v] = q[v], q[u]
+            yield perms[:g] + (tuple(q),) + perms[g + 1:], mats
+
+
+@pytest.mark.parametrize("name", ACTIONS)
+def test_generator_edge_action_check_refuses_what_the_pair_check_refuses(name):
+    table, nerve, coeff, perms, mats = ACTIONS[name]
+    assert _action_error(*ACTIONS[name]) is None
+    assert oracle_action_error(*ACTIONS[name]) is None
+    group = FiniteGroupTable(table)
+    seen = set()
+    for bad_perms, bad_mats in _corrupt_actions(*ACTIONS[name]):
+        expect = oracle_action_error(table, nerve, coeff, bad_perms, bad_mats)
+        got = _action_error(table, nerve, coeff, bad_perms, bad_mats)
+        assert (got is None) == (expect is None), (name, expect, got)
+        seen.add(expect)
+        if got != expect:
+            # a non-automorphism outside the generators is caught on a
+            # generator edge, or as the identity's matrix
+            [g] = [g for g in range(group.n) if bad_mats[g] != mats[g]]
+            assert g not in group.generators
+            assert expect == "coefficient action is not an automorphism"
+            assert got == ("identity must act trivially on coefficients"
+                           if g == group.identity else
+                           "coefficient action is not a homomorphism")
+    assert {"coefficient action is not an automorphism",
+            "coefficient action is not a homomorphism"} <= seen
+    assert nerve.n_vertices == 1 or "vertex action is not a homomorphism" in seen
+
+
+def test_generator_checks_match_on_every_assignment_of_the_generators():
+    # the Klein four-group, its generators 1 and 2 sent to any two vertex
+    # permutations of the path 0 - 1 - 2, or to any two signed permutation
+    # matrices on Z^2, and 3 to their product: an action that fails only
+    # on the edges of the second generator must be refused too, and the
+    # homomorphisms that move an edge off the path are refused on a
+    # generator
+    klein = FiniteGroupTable(KLEIN)
+    assert klein.generators == (1, 2)
+    path = Nerve.from_maximal(3, [(0, 1), (1, 2)])
+    z, z2 = parse_group_label("Z"), parse_group_label("Z^2")
+    verdicts = set()
+    for p1, p2 in itertools.product(S3_PERMS, repeat=2):
+        case = (KLEIN, path, z, (S3_PERMS[0], p1, p2, tuple(p1[v] for v in p2)),
+                (((1,),),) * 4)
+        expect = oracle_action_error(*case)
+        assert _action_error(*case) == expect, case
+        verdicts.add(expect)
+    signed = [tuple(tuple(sign[i] * (i == perm[j]) for j in range(2))
+                    for i in range(2))
+              for perm in itertools.permutations(range(2))
+              for sign in itertools.product((1, -1), repeat=2)]
+    for m1, m2 in itertools.product(signed, repeat=2):
+        case = (KLEIN, simplex_cone_nerve(1), z2, ((0,),) * 4,
+                (identity(2), m1, m2, matmul(m1, m2)))
+        expect = oracle_action_error(*case)
+        assert _action_error(*case) == expect, case
+        verdicts.add(expect)
+    assert verdicts == {None, "vertex action is not a homomorphism",
+                        "coefficient action is not a homomorphism",
+                        "action does not preserve the nerve"}
+
+
+def test_generator_cocycle_check_on_every_normalised_cochain():
+    # all 2^9 normalised 2-cochains of the Klein four-group in Z/2: a
+    # cochain that fails the identity only with the second generator in
+    # the middle must be refused too
+    klein = FiniteGroupTable(KLEIN)
+    z2 = parse_group_label("Z/2")
+    pairs = list(itertools.product(range(1, 4), repeat=2))
+    verdicts = []
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        psi = {pair: (b,) for pair, b in zip(pairs, bits) if b}
+        failures = oracle_cocycle_failures(KLEIN, z2, psi)
+        found = cech.check_two_cocycle(klein, z2, psi)
+        assert (found is None) == (not failures), psi
+        assert found is None or found in failures
+        verdicts.append(found is None)
+    # |Z^2| = |H^2| |B^2| = 8 * 2: H^2(V4, Z/2) = (Z/2)^3, and B^2 is the
+    # image of the 2^3 normalised 1-cochains, whose kernel Hom(V4, Z/2)
+    # has order 4
+    assert verdicts.count(True) == 16
