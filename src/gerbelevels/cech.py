@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 
 from .intlinalg import (
     AbelianInvariants,
@@ -637,16 +638,22 @@ class FiniteGroupTable:
     def inverse(self, a: int) -> int:
         return self.inverses[a]
 
-    def element_order(self, a: int) -> int:
-        e = self.identity
-        k, x = 1, a
-        while x != e:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     def order_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(a) for a in range(self.n)))
+        """The orders of the elements, sorted.  Each cyclic subgroup <a>
+        is walked once, from an element not yet reached: its m powers
+        a, a^2, ..., a^m = e give ord(a^k) = m / gcd(k, m)."""
+        t, e = self.table, self.identity
+        orders = [0] * len(t)
+        for a in range(len(t)):
+            if orders[a]:
+                continue
+            powers = [a]
+            while powers[-1] != e:
+                powers.append(t[powers[-1]][a])
+            m = len(powers)
+            for k, x in enumerate(powers, 1):
+                orders[x] = m // gcd(k, m)
+        return tuple(sorted(orders))
 
     def center_size(self) -> int:
         return sum(map(tuple.__eq__, self.table, zip(*self.table)))

@@ -118,25 +118,33 @@ class SharedWeylAction:
 
     An element is its character matrix on the target (weyl.WeylGroup);
     on either side, w acts on cocharacters by the transpose of w^-1's
-    character matrix (weyl.act_cochar).  On the source, each simple
-    reflection acts as iso.source_reflections, the matrices the isogeny
-    check verified.  Every other element's action is the integer product
-    along the generation tree: restricting the target action to a stable
-    source lattice is a homomorphism, and products of lattice-preserving
-    maps preserve it.  The isogeny check also verifies the source
+    character matrix.  On the source, each simple reflection acts as
+    iso.source_reflections, the matrices the isogeny check verified.
+    Every other element's action is the integer product along the
+    generation tree: restricting the target action to a stable source
+    lattice is a homomorphism, and products of lattice-preserving maps
+    preserve it.  The isogeny check also verifies the source
     reflections' Coxeter relations, so a product along any word for w is
-    the same matrix.  The Weyl cap is decided at construction, on |W|
-    from the Cartan matrix (weyl.group_order).  W is enumerated to that
-    order on the first read of group, which the invariance tests never
-    make: once per target datum per process for a group of order at
-    most 384, where actions over equal targets share one WeylGroup, and
-    once per action for a larger one (_weyl_group).
+    the same matrix.  Each source matrix is built once, on its first
+    read, and its rows are recorded then: source_rows holds each
+    distinct row of the matrices built so far once, and
+    source_row_ids gives a matrix as the indices of its rows there, so
+    that a check over many elements takes one dot product per distinct
+    row.  Nothing is built at construction.  The Weyl cap is decided
+    there, on |W| from the Cartan matrix (weyl.group_order).  W is
+    enumerated to that order on the first read of group, which the
+    invariance tests never make: once per target datum per process for
+    a group of order at most 384, where actions over equal targets share
+    one WeylGroup, and once per action for a larger one (_weyl_group).
     """
 
     def __init__(self, iso: IsogenyDatum, cap: int = 10**6):
         self.iso = iso
         self._order = group_order(iso.target, cap)
         self._source_char: dict[int, Matrix] = {}
+        self._source_ids: dict[int, tuple[int, ...]] = {}
+        self._row_id: dict[Vector, int] = {}
+        self.source_rows: list[Vector] = []
 
     @cached_property
     def group(self) -> WeylGroup:
@@ -150,6 +158,21 @@ class SharedWeylAction:
         return tuple(zip(self.iso.source_reflections,
                          map(tgt.reflection_char, tgt.simple_indices)))
 
+    def _keep(self, idx: int, m: Matrix) -> None:
+        """Records m as the source action of idx, with its row ids; the
+        matrix kept is made of the rows in source_rows."""
+        row_id = self._row_id
+        ids = []
+        for row in m:
+            j = row_id.get(row)
+            if j is None:
+                j = row_id[row] = len(self.source_rows)
+                self.source_rows.append(row)
+            ids.append(j)
+        ids = tuple(ids)
+        self._source_ids[idx] = ids
+        self._source_char[idx] = tuple(map(self.source_rows.__getitem__, ids))
+
     def source_char_action(self, idx: int) -> Matrix:
         known = self._source_char
         got = known.get(idx)
@@ -157,8 +180,9 @@ class SharedWeylAction:
             return got
         group = self.group
         if not known:
-            known[group.identity_index] = identity(self.iso.source.rank)
-            known.update(zip(group.generators, self.iso.source_reflections))
+            self._keep(group.identity_index, identity(self.iso.source.rank))
+            for g, m in zip(group.generators, self.iso.source_reflections):
+                self._keep(g, m)
         # climb the generation tree to a known element, then multiply back down
         path = []
         i = idx
@@ -167,8 +191,17 @@ class SharedWeylAction:
             i = group.tree[i][1]
         for i in reversed(path):
             g, parent = group.tree[i]
-            known[i] = matmul(known[g], known[parent])
+            self._keep(i, matmul(known[g], known[parent]))
         return known[idx]
+
+    def source_row_ids(self, members) -> list[tuple[int, ...]]:
+        """For each index in members, the ids in source_rows of the rows
+        of its source action, building the actions not yet built."""
+        known = self._source_ids
+        for i in members:
+            if i not in known:
+                self.source_char_action(i)
+        return list(map(known.__getitem__, members))
 
 
 # every classical group of rank at most 4; the default atlas's scans

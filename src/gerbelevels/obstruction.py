@@ -20,8 +20,13 @@ full sweep is what makes the certificate self-contained.
 
 The per-point work runs on integers.  xi is held as integer numerators
 over one denominator, which an integer action keeps, so d_w is an exact
-division of w.xi - xi by it (_differences, with w's cocharacter matrix
-as the group holds it) and c_w = B d_w.  The cocycle identity is
+division of w.xi - xi by it and c_w = B d_w.  The cocharacter matrices
+of W share few rows (weyl.WeylGroup.cochar_rows), so a point takes one
+dot product per distinct row and reads each member's w.xi off those
+values by its row ids (_differences), and c is taken once per distinct
+d.  The witness check reads w.u the same way, off one dot product per
+distinct row of the source actions (SharedWeylAction.source_rows), and
+still compares every coordinate of every member.  The cocycle identity is
 checked on generator edges, c_{s w} = s.c_w + c_s for each generator s
 of W_L and each member w, with c_e = 0: each distinct value of c gets a
 small id, each generator's row maps the ids to the ids of their images,
@@ -35,9 +40,9 @@ cocycle and the class order.  What depends on W_L alone is made once per
 distinct W_L, and points that share a stabilizer share it: its
 generators, rows and closure check (weyl.subgroup_from_members) and the
 Smith factor of the coboundary system on its generators
-(_generator_factor).  Each point still sweeps all of W for its members,
-and checks its own differences, generator-edge identity, solves and
-witness over all of W_L.  The closure of the integral reflections,
+(_generator_factor).  Each point still tests every element of W for its
+members, and checks its own differences, generator-edge identity, solves
+and witness over all of W_L.  The closure of the integral reflections,
 taken in W, is left to certificates, and the full product table of W_L
 to their H^1, which builds it only under its cell cap.
 """
@@ -64,7 +69,6 @@ from .levels import LevelTensor, SharedWeylAction, is_invariant
 from .weyl import (
     Subgroup,
     WeylGroup,
-    act_cochar,
     integral_reflection_subgroup,
     integral_reflections,
     stabilizer,
@@ -179,8 +183,13 @@ def centralizer_cocycle(
     group = action.group
     w_l = stabilizer(group, pt.xi, cap=verify_cap)
     d_cocycle = _differences(group, w_l.members, pt.xi)
-    c_cocycle = {i: tuple(sum(map(mul, row, d)) for row in b.matrix)
-                 for i, d in d_cocycle.items()}
+    c_of: dict[Vector, Vector] = {}
+    c_cocycle = {}
+    for i, d in d_cocycle.items():
+        c = c_of.get(d)
+        if c is None:
+            c = c_of[d] = tuple(sum(map(mul, row, d)) for row in b.matrix)
+        c_cocycle[i] = c
     if not _holds_on_generator_edges(action, w_l, c_cocycle):
         raise AssertionError("cocycle identity failed")
     # raises unless every integral reflection lies in W_L
@@ -202,14 +211,16 @@ def centralizer_cocycle(
 def _differences(group: WeylGroup, members: tuple[int, ...],
                  xi: RatVector) -> dict[int, Vector]:
     """d_w = w.xi - xi for each of the members w, from the numerators of
-    xi over its denominator and w's cocharacter matrix (group.cochars).
-    Raises AssertionError when a difference is not integral."""
+    xi over its denominator: the value of each distinct cocharacter row
+    on the numerators is taken once (group.cochar_rows), and row k of
+    w's matrix is group.cochar_ids[w][k].  Raises AssertionError when a
+    difference is not integral."""
     nums, den = xi.nums, xi.den
-    cochars = group.cochars
+    values = [sum(map(mul, row, nums)) for row in group.cochar_rows]
+    ids = group.cochar_ids
     out: dict[int, Vector] = {}
     for i in members:
-        qr = [divmod(sum(map(mul, row, nums)) - x, den)
-              for row, x in zip(cochars[i], nums)]
+        qr = [divmod(values[j] - x, den) for j, x in zip(ids[i], nums)]
         if any(rem for _, rem in qr):
             raise AssertionError("stabilizer member with non-integral difference")
         out[i] = tuple(q for q, _ in qr)
@@ -274,10 +285,17 @@ def is_trivial_class(res: ObstructionResult) -> Vector | None:
 
 
 def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
-    """w.u - u = k c_w for every w in W_L."""
-    for i in res.w_l.members:
-        m, c = res.source_action(i), res.c_cocycle[i]
-        if any(sum(map(mul, row, u)) - x != k * y for row, x, y in zip(m, u, c)):
+    """w.u - u = k c_w for every w in W_L, on every coordinate: the value
+    of each distinct source row on u is taken once
+    (SharedWeylAction.source_rows), and each member's image is read off
+    its row ids."""
+    members = res.w_l.members
+    ids = res.action.source_row_ids(members)
+    values = [sum(map(mul, row, u)) for row in res.action.source_rows]
+    c_cocycle = res.c_cocycle
+    for i, row_ids in zip(members, ids):
+        if any(values[j] - x != k * y
+               for j, x, y in zip(row_ids, u, c_cocycle[i])):
             return False
     return True
 
@@ -431,7 +449,9 @@ def scan_points(
     Points are coordinate vectors in (1/d) Z^r modulo Z^r for d up to the
     bound; one lexicographically minimal representative per Weyl orbit is
     evaluated, in deterministic order.  Each orbit is walked once under
-    the Weyl generators, so every point costs one action per generator.
+    the Weyl generators, so every point costs one action per generator:
+    the cocharacter matrix of a simple reflection, its own inverse, read
+    from the group's rows.
     The walk runs on integer numerators over common = lcm(1..bound),
     which order points as the rationals do; only the representatives
     become RatVectors.
@@ -449,8 +469,10 @@ def scan_points(
         for _ in range(r):
             stack = [t + (k,) for t in stack for k in range(0, common, common // d)]
         points.update(stack)
-    # each simple reflection is its own inverse, so act_cochar applies it
-    gens = action.group.simple_reflections
+    # the cocharacter matrices of the simple reflections, by their rows
+    group = action.group
+    gens = [tuple(map(group.cochar_rows.__getitem__, group.cochar_ids[g]))
+            for g in group.generators]
     reps = []
     visited = set()
     for xi in sorted(points):
@@ -464,7 +486,7 @@ def scan_points(
             nxt = []
             for v in frontier:
                 for e in gens:
-                    img = tuple(x % common for x in act_cochar(e, v))
+                    img = tuple(sum(map(mul, row, v)) % common for row in e)
                     if img not in visited:
                         visited.add(img)
                         nxt.append(img)

@@ -204,13 +204,25 @@ class RootDatum:
                 f"coroot {_vector_text(a)} outside the cocharacter lattice")
         return c
 
+    def _every_coords(self, vectors: tuple[RatVector, ...], solve,
+                      side: int) -> tuple[Vector, ...]:
+        """The coordinates of every root (side 0) or coroot (side 1), in
+        index order, each solved once: the simple ones are read off
+        _simple_coords when cartan_matrix has made it, and solved here
+        otherwise, so the first vector outside the lattice is the one
+        named either way."""
+        made = self.__dict__.get("_simple_coords")
+        known = {} if made is None else dict(zip(self.simple_indices, made[side]))
+        return tuple(known[k] if k in known else solve(v)
+                     for k, v in enumerate(vectors))
+
     @cached_property
     def _root_coords(self) -> tuple[Vector, ...]:
-        return tuple(map(self._root_lattice_coords, self.roots))
+        return self._every_coords(self.roots, self._root_lattice_coords, 0)
 
     @cached_property
     def _coroot_coords(self) -> tuple[Vector, ...]:
-        return tuple(map(self._coroot_lattice_coords, self.coroots))
+        return self._every_coords(self.coroots, self._coroot_lattice_coords, 1)
 
     def root_coords(self) -> tuple[Vector, ...]:
         return self._root_coords
@@ -219,15 +231,30 @@ class RootDatum:
         return self._coroot_coords
 
     @cached_property
+    def _simple_coords(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+        """The coordinates of the simple roots and of their coroots, in the
+        order of simple_indices: read off _root_coords and _coroot_coords
+        when those are made, and solved otherwise, 2r solves that those
+        then reuse (_every_coords)."""
+        made = self.__dict__
+        out = []
+        for name, vectors, solve in (
+                ("_root_coords", self.roots, self._root_lattice_coords),
+                ("_coroot_coords", self.coroots, self._coroot_lattice_coords)):
+            every = made.get(name)
+            out.append(tuple(solve(vectors[i]) if every is None else every[i]
+                             for i in self.simple_indices))
+        return out[0], out[1]
+
+    @cached_property
     def cartan_matrix(self) -> Matrix:
         """c[i][j] = <alpha_j, alpha_i^vee> over the simple roots, in the
         order of simple_indices: the bases are dual, so a pairing is a dot
         product of coordinates.  Only the simple roots and coroots are
-        solved for, 2r coordinate solves: weyl.group_order reads this
+        solved for, 2r coordinate solves (_simple_coords), which the
+        coordinates of all roots then reuse: weyl.group_order reads this
         matrix before the Weyl cap can refuse, and B60 has 7,200 roots."""
-        simple = self.simple_indices
-        roots = [self._root_lattice_coords(self.roots[i]) for i in simple]
-        coroots = [self._coroot_lattice_coords(self.coroots[i]) for i in simple]
+        roots, coroots = self._simple_coords
         return tuple(tuple(sum(map(mul, a, c)) for a in roots) for c in coroots)
 
     def simple_roots(self) -> tuple[RatVector, ...]:

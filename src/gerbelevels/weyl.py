@@ -9,13 +9,16 @@ composition on the simple roots and one dictionary lookup, O(rank).
 Each element has one integer matrix, its action on X*(T) (elements[i]).
 The actions on X*(T) and X_*(T) are contragredient under the W-invariant
 pairing, so the cocharacter action of w is the transpose of the
-character matrix of w^-1.  The group holds that transpose for every
-element (cochars[i]), next to the index of each element's inverse
-(inverses[i]), both built once, when W is enumerated; the columns of
-the character matrices repeat across W, and each distinct column is one
-shared tuple.  The stabilizer sweep and the cocycle differences read
-these tables; act_cochar applies the transpose to a single matrix, for
-the orbit walk of a scan.
+character matrix of w^-1.  The group holds those transposes by their
+rows, built once, when W is enumerated: the rows repeat across W (D4's
+192 cocharacter matrices have 768 rows, 16 of them distinct), so each
+distinct row is kept once (cochar_rows) and element i's matrix is the
+tuple of its rows' indices there (cochar_ids[i]), next to the index of
+each element's inverse (inverses[i]).  A scan point takes one dot
+product per distinct row and then reads every element's images off
+those values: the stabilizer sweep, the cocycle differences
+(obstruction) and the orbit walk of a scan, which reads the simple
+reflections' rows.
 
 The group's order comes from the Cartan matrix of the simple roots
 (group_order), with no element built: that is all the generation cap
@@ -29,8 +32,8 @@ exactly the computed order.  Then come the canonical order
 serializations and reports are deterministic), the generation tree (a
 Schreier vector) on canonical indices, the maps behind mult and
 index_of, the inverse table (one product along the generation tree
-per element), the cocharacter table, and the index of each root's
-reflection.  Beyond the generation cap the engine refuses
+per element), the cocharacter rows and ids, and the index of each
+root's reflection.  Beyond the generation cap the engine refuses
 outright: downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
@@ -46,9 +49,9 @@ member.  The cocycle identity is checked on generator edges
 (obstruction).  A subgroup is built and closure-checked once per member
 set per group: the group keeps each verified subgroup by its sorted
 members (subgroups), so scan points that share a stabilizer share its
-generators, rows and closure check, while each point still sweeps all
-of W for its members.  The integral reflections are closed in W itself,
-with mult, multiplying in only those outside the closure so far.  The
+generators, rows and closure check, while each point still tests every
+element of W for its members.  The integral reflections are closed in W
+itself, with mult, multiplying in only those outside the closure so far.  The
 full left-regular table, each further row a generator row composed with
 the row of its parent in that search, is built on its first read, by
 its one reader: the bar complex of H^1, in certificates, after its cell
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import getitem, mul
 
 from .intlinalg import (
     CapExceeded,
@@ -84,12 +87,13 @@ class WeylGroup:
     reflections (reflections[k] is the index of the reflection in
     root k, None when that reflection is not in the group).  Two tables
     are built with it: inverses[i] is the index of elements[i]^-1, and
-    cochars[i] is the cocharacter matrix of elements[i], the transpose
-    of the character matrix of its inverse, whose rows are interned, so
-    that equal rows anywhere in the group are one tuple.  subgroups
-    holds each subgroup built so far (subgroup_from_members).  It is
-    built from the search's perms, chars and steps (g, parent) in the
-    order found: the identity, then each simple reflection."""
+    the cocharacter matrix of elements[i], the transpose of the
+    character matrix of its inverse, is kept by its rows: cochar_rows
+    holds each distinct row once, and row k of that matrix is
+    cochar_rows[cochar_ids[i][k]].  subgroups holds each subgroup built
+    so far (subgroup_from_members).  It is built from the search's
+    perms, chars and steps (g, parent) in the order found: the
+    identity, then each simple reflection."""
 
     def __init__(self, datum: RootDatum, perms: list[Permutation],
                  chars: list[Matrix], steps: list[tuple[int, int] | None]):
@@ -106,7 +110,6 @@ class WeylGroup:
             None if steps[b] is None else (self.generators[steps[b][0]], pos[steps[b][1]])
             for b in order)
         self.identity_index = pos[0]
-        self.simple_reflections = tuple(self.elements[g] for g in self.generators)
         self._keys = tuple(tuple(p[s] for s in simple) for p in self.perms)
         self._by_key = {k: i for i, k in enumerate(self._keys)}
         self._index = {m: i for i, m in enumerate(self.elements)}
@@ -120,10 +123,12 @@ class WeylGroup:
             inverses[pos[b]] = self._by_key[
                 tuple(map(self.perms[inverses[parent]].__getitem__, self._keys[g]))]
         self.inverses = tuple(inverses)
-        rows: dict[Vector, Vector] = {}
-        transposed = [tuple(rows.setdefault(c, c) for c in zip(*m))
+        # the columns of each character matrix, as ids of distinct rows
+        row_id: dict[Vector, int] = {}
+        transposed = [tuple(row_id.setdefault(c, len(row_id)) for c in zip(*m))
                       for m in self.elements]
-        self.cochars = tuple(map(transposed.__getitem__, self.inverses))
+        self.cochar_rows = tuple(row_id)
+        self.cochar_ids = tuple(map(transposed.__getitem__, self.inverses))
         # each verified subgroup, by its sorted members (subgroup_from_members)
         self.subgroups: dict[tuple[int, ...], Subgroup] = {}
 
@@ -248,26 +253,6 @@ def _enumerate(rd: RootDatum, n: int) -> WeylGroup:
         raise AssertionError(
             f"Weyl group has {len(perms)} elements, not its order {n}")
     return WeylGroup(rd, perms, chars, steps)
-
-
-def act_cochar(m: Matrix, nums: Vector) -> Vector:
-    """Image of a cocharacter vector (basis coordinates) under w^-1,
-    where m is w's character matrix.
-
-    nums are integer numerators, and so is the image: an integer matrix
-    keeps the denominator, so a rational vector nums / d goes to
-    act_cochar(m, nums) / d.
-
-    The actions of W on X*(T) and X_*(T) are contragredient: w's
-    cocharacter matrix is the inverse transpose of its character matrix,
-    so the transpose of w's character matrix acts on cocharacters as
-    w^-1.  To apply w itself, pass the character matrix of w^-1
-    (group.elements[group.inverses[i]]); a reflection is its own inverse.
-    This transposes m on every call, which suits a few matrices applied
-    to many vectors, as in a scan's orbit walk; a loop over the whole
-    group reads the transposes held in group.cochars instead.
-    """
-    return tuple(sum(map(mul, col, nums)) for col in zip(*m))
 
 
 @dataclass(frozen=True)
@@ -410,18 +395,21 @@ def stabilizer(group: WeylGroup, xi: RatVector, cap: int | None = None) -> Subgr
     """Elements w with w.xi - xi in the cocharacter lattice.
 
     xi is given in X_*(T) basis coordinates; the test is exact, on the
-    integer numerators of xi, and is made for every element of W, with
-    its cocharacter matrix (group.cochars).  Raises CapExceeded when the
-    stabilizer has more than cap members, before any generator or table
-    is built.  Points with the same member set share one Subgroup
-    (subgroup_from_members).
+    integer numerators of xi, and is made for every element of W: the
+    value of each distinct cocharacter row on the numerators is taken
+    once (group.cochar_rows), and element i is a member when, for every
+    coordinate k, the value of its k-th row (group.cochar_ids[i][k]) is
+    congruent to the k-th numerator modulo the denominator.  Raises
+    CapExceeded when the stabilizer has more than cap members, before
+    any generator or table is built.  Points with the same member set
+    share one Subgroup (subgroup_from_members).
     """
     nums, den = xi.nums, xi.den
-    members = [
-        i for i, m in enumerate(group.cochars)
-        if not any((sum(map(mul, row, nums)) - n) % den
-                   for row, n in zip(m, nums))
-    ]
+    values = [sum(map(mul, row, nums)) for row in group.cochar_rows]
+    # fixed[k][j]: row j's value is the k-th numerator modulo den
+    fixed = [[(v - x) % den == 0 for v in values] for x in nums]
+    members = [i for i, ids in enumerate(group.cochar_ids)
+               if all(map(getitem, fixed, ids))]
     if cap is not None and len(members) > cap:
         raise CapExceeded(f"stabilizer W_L of order {len(members)} exceeds "
                           f"the exhaustive verification cap {cap}")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -425,8 +426,45 @@ def test_group_table_validation():
     with pytest.raises(CechError):
         FiniteGroupTable(((0, 1), (1, 1)))  # not a group
     t = cyclic_group(4)
-    assert t.element_order(1) == 4
+    assert oracle_element_order(t, 1) == 4
     assert t.order_multiset() == (1, 2, 4, 4)
+
+
+def oracle_element_order(t, a):
+    """The per-element walk that order_multiset replaced: a's powers up
+    to the identity, counted."""
+    k, x = 1, a
+    while x != t.identity:
+        x = t.table[x][a]
+        k += 1
+    return k
+
+
+def _symmetric_group_3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroupTable(tuple(
+        tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms)
+        for p in perms))
+
+
+def test_order_multiset_matches_per_element_walk():
+    z2 = CoefficientGroup(0, (2,))
+    c120 = cyclic_group(120)
+    # the carry cocycle of Z/240 -> Z/120, and the zero cocycle
+    carry = {(g, h): (1,) for g in range(120) for h in range(120) if g + h >= 120}
+    groups = [cyclic_group(n) for n in (1, 2, 6, 12, 30)]
+    groups += [central_extension_from_cocycle(cyclic_group(2), z2, {}).table,
+               _symmetric_group_3(),
+               central_extension_from_cocycle(c120, z2, carry).table,
+               central_extension_from_cocycle(c120, z2, {}).table]
+    for t in groups:
+        assert t.order_multiset() == tuple(sorted(
+            oracle_element_order(t, a) for a in range(t.n)))
+    assert groups[5].order_multiset() == (1, 2, 2, 2)  # Klein four group
+    assert groups[6].order_multiset() == (1, 2, 2, 2, 3, 3)
+    assert groups[7].n == groups[8].n == 240
+    assert groups[7].order_multiset().count(240) == 64  # cyclic of order 240
 
 
 def test_parse_group_label():

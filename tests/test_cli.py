@@ -505,6 +505,18 @@ def test_rank5_scans_under_a_raised_subgroup_cap(entry, digest):
     assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
+def test_d6_scan_enumerates_its_group_per_action():
+    # |W| = 23,040 is over the order up to which a group is enumerated once
+    # per process, so the action enumerates its own; at the origin W_L = W
+    argv = ["scan", "D", "6", "Spin", "Spin", "--max-denominator", "2",
+            "--max-subgroup-order", "50000"]
+    done = subprocess.run([sys.executable, "-m", "gerbelevels.cli", *argv],
+                          capture_output=True, timeout=20, check=True)
+    assert done.stderr == b""
+    assert hashlib.sha256(done.stdout).hexdigest() == \
+        "9839e492993e6beb283a70aa02fe633c581fa65ff69edb3bf8329665a8e692c0"
+
+
 def test_atlas_reads_the_claims_file_once_per_process(capsys, monkeypatch):
     # importing the package reads nothing; the first find_claim does
     done = subprocess.run(
@@ -924,10 +936,11 @@ def test_scan_representatives_are_orbit_minimal(capsys):
     from gerbelevels.intlinalg import RatVector
     from gerbelevels.levels import SharedWeylAction
     from gerbelevels.rootdata import classical_isogeny
-    from gerbelevels.weyl import act_cochar
+    from gerbelevels.intlinalg import matvec, transpose
 
-    def image_mod1(e, xi):
-        return RatVector.make([x % xi.den for x in act_cochar(e, xi.nums)], xi.den)
+    def image_mod1(e, xi):  # the transpose of e acts on cocharacters as e^-1
+        return RatVector.make([x % xi.den for x in matvec(transpose(e), xi.nums)],
+                              xi.den)
 
     action = SharedWeylAction(classical_isogeny("B", 2, "Spin", "Spin"))
     for row in data["rows"]:

@@ -18,7 +18,9 @@ before the row emitters, the earlier matrix route (cocharacter
 matrices multiplied alongside) for Weyl products, per-element source
 actions and orbit-minimum scan representatives, the rational-vector
 scan walk, per-member differences and dict-per-row cocycle identity for
-the scan's integer numerators, the counting searches
+the scan's integer numerators, the per-member matrix products that the
+lookups on distinct Weyl and source rows replaced in the stabilizer
+sweep, the differences and the witness check, the counting searches
 for the Weyl group's order computed from the Cartan matrix, the earlier full-scan Smith form that always
 builds its left transform, the earlier subgroup routes that swept
 W with rational vectors, recomputed a closure for every candidate
@@ -35,6 +37,7 @@ homomorphism on all pairs, automorphism and nerve stability for every
 element, and the extension table built cell by cell.
 """
 
+import copy
 import dataclasses
 import functools
 import importlib.util
@@ -43,6 +46,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -121,7 +125,6 @@ from gerbelevels.cli import DEFAULT_ATLAS_ROWS
 from gerbelevels.weyl import (
     Subgroup,
     _generators_and_rows,
-    act_cochar,
     generate,
     group_order,
     simple_root_permutations,
@@ -1636,6 +1639,11 @@ def oracle_inverse(group, elements, i):
     return group.index_of(transpose(elements[i][1]))
 
 
+def cochar_matrix(group, i):
+    """Element i's cocharacter matrix, rebuilt from the group's rows."""
+    return tuple(map(group.cochar_rows.__getitem__, group.cochar_ids[i]))
+
+
 def cochar_pairs(group):
     """Each element's character matrix with its cocharacter matrix, the
     transpose of its inverse's character matrix."""
@@ -1658,10 +1666,10 @@ def test_weyl_products_match_matrix_oracle(key):
     assert group.generators == tuple(
         group.index_of(rd.reflection_char(i)) for i in rd.simple_indices)
     n = group.order
-    assert len(group.inverses) == len(group.cochars) == n
+    assert len(group.inverses) == len(group.cochar_ids) == n
     for i in range(n):
         assert group.inverses[i] == oracle_inverse(group, elements, i)
-        assert group.cochars[i] == pairs[i][1]
+        assert cochar_matrix(group, i) == pairs[i][1]
         for j in range(n):
             assert group.mult(i, j) == oracle_mult(group, i, j)
 
@@ -1702,8 +1710,9 @@ def test_source_actions_match_per_element_reexpression(case):
 
 
 def oracle_act_cochar(m, lam):
-    """The rational route act_cochar replaced: the RatVector lam under the
-    transpose of the character matrix m, reduced by RatVector.make."""
+    """The rational route the integer cocharacter rows replaced: the
+    RatVector lam under the transpose of the character matrix m, reduced
+    by RatVector.make."""
     return RatVector.make(list(matvec(transpose(m), lam.nums)), lam.den)
 
 
@@ -1803,7 +1812,7 @@ def test_lazy_weyl_table_matches_eager_generation(case):
     # read before the group is enumerated
     pairs = act.simple_char_pairs
     group = act.group
-    order, simple = group.order, group.simple_reflections
+    order = group.order
     eager = EagerWeylGroup(rd)
     assert order == len(group) == len(eager.elements)
     assert cochar_pairs(group) == list(eager.elements)
@@ -1814,7 +1823,8 @@ def test_lazy_weyl_table_matches_eager_generation(case):
     n = group.order
     assert [[group.mult(i, j) for j in range(n)] for i in range(n)] == \
         [[eager.mult(i, j) for j in range(n)] for i in range(n)]
-    assert simple == tuple(group.elements[g] for g in group.generators)
+    assert tuple(cochar_matrix(group, g) for g in group.generators) == \
+        tuple(transpose(group.elements[g]) for g in group.generators)
     assert pairs == tuple(
         (act.source_char_action(g), group.elements[g]) for g in group.generators)
 
@@ -1880,7 +1890,8 @@ def oracle_scan_walk(action, max_denominator):
     points = {RatVector.make(list(nums), d)
               for d in range(1, max_denominator + 1)
               for nums in itertools.product(range(d), repeat=r)}
-    gens = action.group.simple_reflections
+    group = action.group
+    gens = [group.elements[g] for g in group.generators]
     common = lcm(*range(1, max_denominator + 1))
     reps, visited = [], set()
     for xi in sorted(points, key=lambda v: [common // v.den * x for x in v.nums]):
@@ -1947,8 +1958,10 @@ def assert_cocycles_match_oracle(act, b, xi):
 def test_cocycles_match_rational_route_on_stabilizer_cases():
     orders = set()
     for act, b, xi in stabilizer_cases():
-        for e in act.group.elements:
-            assert RatVector.make(act_cochar(e, xi.nums), xi.den) == \
+        group = act.group
+        for i, e in enumerate(group.elements):
+            m = cochar_matrix(group, group.inverses[i])
+            assert RatVector.make(list(matvec(m, xi.nums)), xi.den) == \
                 oracle_act_cochar(e, xi)
         res = assert_cocycles_match_oracle(act, b, xi)
         k = obstruction.class_order(res)
@@ -1978,6 +1991,202 @@ def test_scan_tables_match_rational_route(entry):
         k = obstruction.class_order(res)
         rows.append(obstruction.ScanRow(xi, len(res.w_l), k, k == 1))
     assert scan_points(act, b, 2).rows == tuple(rows)
+
+
+# --- Row lookups: the per-member matvec route they replaced ---------------
+
+# every entry of the benchmark's scan workload at its largest denominator
+# (D4 at 1, rank 3 at 4, rank 2 at 4), the D4 Spin -> PSO scan with a class
+# of order 4, and B4 (|W| = 384) at denominator 2
+ROW_LOOKUP_CASES = [
+    (("D", 4, "Spin", "Spin"), 1),
+    *((e, 4) for e in (("A", 3, "SL", "SL"), ("B", 3, "Spin", "Spin"),
+                       ("B", 3, "SO", "SO"), ("B", 3, "Spin", "SO"),
+                       ("C", 3, "Sp", "Sp"), ("C", 3, "PSp", "PSp"),
+                       ("A", 2, "SL", "SL"), ("A", 2, "SL", "PGL"),
+                       ("B", 2, "Spin", "Spin"), ("C", 2, "Sp", "Sp"))),
+    (("D", 4, "Spin", "PSO"), 4),
+    (("B", 4, "Spin", "Spin"), 2),
+]
+
+
+def matvec_cochar(group, i):
+    """Element i's cocharacter matrix, the transpose of its inverse's
+    character matrix, made for each member as the scan once did."""
+    return transpose(group.elements[group.inverses[i]])
+
+
+def matvec_stabilizer(group, xi):
+    """The sweep over W with one matrix product per element."""
+    nums, den = xi.nums, xi.den
+    return tuple(i for i in range(group.order)
+                 if all((y - x) % den == 0
+                        for y, x in zip(matvec(matvec_cochar(group, i), nums), nums)))
+
+
+def matvec_differences(group, members, xi):
+    nums, den = xi.nums, xi.den
+    return {i: tuple((y - x) // den
+                     for y, x in zip(matvec(matvec_cochar(group, i), nums), nums))
+            for i in members}
+
+
+def scaled_witness(res, k):
+    """A u with w.u - u = k c_w on the generators, as class_order solves it."""
+    gens = res.w_l.generators or (res.w_l.group.identity_index,)
+    system = obstruction._generator_factor(tuple(map(res.source_action, gens)))
+    return system.solve(tuple(k * x for i in gens for x in res.c_cocycle[i])).solution
+
+
+@pytest.mark.parametrize("entry, bound", ROW_LOOKUP_CASES,
+                         ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple)
+                         else f"D={v}")
+def test_row_lookups_match_per_member_matvec_route(entry, bound):
+    iso = classical_isogeny(*entry)
+    act = SharedWeylAction(iso)
+    b = basic_level(iso).tensor
+    group = act.group
+    table = scan_points(act, b, bound)
+    for row in table.rows:
+        xi = row.xi
+        res = centralizer_cocycle(act, b, SemisimplePoint(xi), verify_cap=group.order)
+        members = matvec_stabilizer(group, xi)
+        assert res.w_l.members == members
+        d = matvec_differences(group, members, xi)
+        assert res.d_cocycle == d
+        assert res.c_cocycle == {i: matvec(b.matrix, v) for i, v in d.items()}
+        k = obstruction.class_order(res)
+        assert (len(members), k) == (row.stabilizer_order, row.class_order)
+        u = scaled_witness(res, k)
+        assert obstruction._verify_witness(res, u, k)
+        assert oracle_verify_witness(res, u, k)
+        for v in ((u[0] + 1,) + u[1:], tuple(x - 2 for x in u)):
+            for m in (k, 2 * k):
+                assert obstruction._verify_witness(res, v, m) == \
+                    oracle_verify_witness(res, v, m)
+
+
+def test_differences_refuse_every_non_member():
+    # each element outside the stabilizer has a coordinate whose row
+    # value is not congruent to the numerator, and its divmod says so
+    iso = classical_isogeny("B", 3, "Spin", "Spin")
+    group = SharedWeylAction(iso).group
+    xi = RatVector.make([0, 1, 0], 2)
+    members = set(matvec_stabilizer(group, xi))
+    assert 0 < len(members) < group.order
+    for i in range(group.order):
+        if i in members:
+            assert obstruction._differences(group, (i,), xi) == \
+                matvec_differences(group, (i,), xi)
+            continue
+        with pytest.raises(AssertionError, match="non-integral difference"):
+            obstruction._differences(group, (i,), xi)
+
+
+def _stabilizer_fails(group, points, want):
+    """Whether some point's stabilizer raises or differs from want."""
+    for xi in points:
+        try:
+            if weyl.stabilizer(group, xi).members != want[xi]:
+                return True
+        except (ValueError, AssertionError):
+            return True
+    return False
+
+
+def _point_fails(action, b, points, want):
+    """Whether some point's cocycle and class order raise, or its
+    stabilizer differs from want."""
+    for xi in points:
+        try:
+            res = centralizer_cocycle(action, b, SemisimplePoint(xi))
+            obstruction.class_order(res)
+        except (ValueError, AssertionError):
+            return True
+        if res.w_l.members != want[xi]:
+            return True
+    return False
+
+
+def _corrupted_group(group, **tables):
+    bad = copy.copy(group)
+    bad.subgroups = {}
+    for name, value in tables.items():
+        setattr(bad, name, value)
+    return bad
+
+
+def test_corrupted_cochar_rows_and_ids_are_caught():
+    # one distinct row with one entry off by one fails the stabilizer
+    # sweep at some point of denominator 2 or 3.  One element's row id
+    # pointing at another row changes that element's difference at a
+    # point it fixes, for the first such row; that fails the sweep, the
+    # cocycle identity or the witness check at some point
+    iso = classical_isogeny("B", 3, "Spin", "Spin")
+    act = SharedWeylAction(iso)
+    b = basic_level(iso).tensor
+    group = act.group
+    points = [RatVector.make(list(v), d) for d in (2, 3)
+              for v in itertools.product(range(d), repeat=3)]
+    want = {xi: matvec_stabilizer(group, xi) for xi in points}
+    rows, ids = group.cochar_rows, group.cochar_ids
+    for j, k in itertools.product(range(len(rows)), range(3)):
+        bad_rows = list(rows)
+        bad_rows[j] = rows[j][:k] + (rows[j][k] + 1,) + rows[j][k + 1:]
+        bad = _corrupted_group(group, cochar_rows=tuple(bad_rows))
+        assert _stabilizer_fails(bad, points, want), (j, k)
+    corrupted = 0
+    for i, k in itertools.product(range(group.order), range(3)):
+        fixed = [xi.nums for xi in points if i in want[xi]]
+        true = [sum(map(mul, rows[ids[i][k]], nums)) for nums in fixed]
+        other = next((j for j, row in enumerate(rows)
+                      if [sum(map(mul, row, nums)) for nums in fixed] != true), None)
+        if other is None:
+            continue
+        bad_ids = list(ids)
+        bad_ids[i] = ids[i][:k] + (other,) + ids[i][k + 1:]
+        bad_act = SharedWeylAction(iso)
+        bad_act.group = _corrupted_group(group, cochar_ids=tuple(bad_ids))
+        assert _point_fails(bad_act, b, points, want), (i, k)
+        corrupted += 1
+    assert corrupted == 3 * group.order
+    assert not _point_fails(act, b, points, want)
+
+
+def test_corrupted_source_rows_and_ids_fail_the_witness_check():
+    # at the origin W_L = W, and a coboundary c_w = w.u - u of a u with no
+    # zero entry passes; one source row off by one, or one member's row id
+    # pointing at a row of another value on u, makes the check fail, and
+    # class_order raise
+    iso = classical_isogeny("B", 3, "Spin", "Spin")
+    act = SharedWeylAction(iso)
+    b = basic_level(iso).tensor
+    res = centralizer_cocycle(act, b, SemisimplePoint(RatVector.make([0, 0, 0])))
+    u = (1, 2, 3)
+    res.c_cocycle = {i: intlinalg.vec_sub(matvec(act.source_char_action(i), u), u)
+                     for i in res.w_l.members}
+    assert obstruction._verify_witness(res, u, 1)
+    assert obstruction.class_order(res) == 1
+    rows = list(act.source_rows)
+    values = [sum(x * y for x, y in zip(row, u)) for row in rows]
+    for j, k in itertools.product(range(len(rows)), range(3)):
+        act.source_rows[j] = rows[j][:k] + (rows[j][k] + 1,) + rows[j][k + 1:]
+        try:
+            assert not obstruction._verify_witness(res, u, 1), (j, k)
+            res.class_order = None
+            with pytest.raises(AssertionError, match="scaled witness failed"):
+                obstruction.class_order(res)
+        finally:
+            act.source_rows[j] = rows[j]
+    for i, k in itertools.product(res.w_l.members, range(3)):
+        ids = act._source_ids[i]
+        other = next(j for j, v in enumerate(values) if v != values[ids[k]])
+        act._source_ids[i] = ids[:k] + (other,) + ids[k + 1:]
+        try:
+            assert not obstruction._verify_witness(res, u, 1), (i, k)
+        finally:
+            act._source_ids[i] = ids
+    assert obstruction._verify_witness(res, u, 1)
 
 
 # --- Subgroups: the all-pairs mult routes the left-regular table replaced --

@@ -313,3 +313,30 @@ def test_isogeny_check_refuses_a_broken_coxeter_relation():
     with pytest.raises(DatumError, match=r"^source reflections of root\[0\] and "
                        r"root\[1\] break the Coxeter relation of order 2$"):
         rootdata.build_isogeny(rd, rd)
+
+
+@pytest.mark.parametrize("cartan_first", [True, False])
+def test_cartan_matrix_and_all_coordinates_solve_each_vector_once(monkeypatch,
+                                                                 cartan_first):
+    # the Cartan matrix solves the simple roots and coroots, and the
+    # coordinates of all roots reuse those solves, in either order
+    real = rootdata._Frame.coords
+    solves = []
+
+    def counted(frame, v):
+        solves.append(v)
+        return real(frame, v)
+
+    monkeypatch.setattr(rootdata._Frame, "coords", counted)
+    for args in (("A", 3, "GL"), ("B", 3, "Spin"), ("C", 3, "PSp"), ("D", 4, "SO")):
+        rd = rootdata._classical_datum.__wrapped__(*args)
+        solves.clear()
+        if cartan_first:
+            cartan = rd.cartan_matrix
+            assert len(solves) == 2 * len(rd.simple_indices)
+        rd.root_coords()
+        rd.coroot_coords()
+        if not cartan_first:
+            cartan = rd.cartan_matrix
+        assert len(solves) == len(rd.roots) + len(rd.coroots)
+        assert cartan == classical_datum(*args).cartan_matrix

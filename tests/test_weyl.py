@@ -16,12 +16,19 @@ from gerbelevels.rootdata import (
     torus_datum,
 )
 from gerbelevels.weyl import (
-    act_cochar,
     generate,
     group_order,
     integral_reflection_subgroup,
     stabilizer,
 )
+
+
+def act_cochar(m, nums):
+    """Image of cocharacter numerators under w^-1, where m is w's
+    character matrix: the actions on X*(T) and X_*(T) are contragredient,
+    so the transpose of m acts on cocharacters as w^-1.  The per-matrix
+    route that the group's cocharacter rows replaced, kept as an oracle."""
+    return tuple(sum(x * y for x, y in zip(col, nums)) for col in zip(*m))
 
 
 def series_order(series, n):
@@ -117,12 +124,17 @@ def test_contragredience_every_element():
 
 
 def test_cochar_rows_are_shared_and_inverses_are_involutive():
-    # equal rows of the cocharacter table are one tuple, and the inverse
-    # table squares to the identity permutation
+    # each distinct cocharacter row is kept once, every element's ids
+    # rebuild the transpose of its inverse's character matrix, and the
+    # inverse table squares to the identity permutation
     for args in (("B", 3, "Spin"), ("A", 3, "GL"), ("D", 4, "SO")):
-        w = generate(classical_datum(*args))
-        rows = [row for m in w.cochars for row in m]
-        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+        rd = classical_datum(*args)
+        w = generate(rd)
+        assert len(set(w.cochar_rows)) == len(w.cochar_rows) < w.order * rd.rank
+        assert len(w.cochar_ids) == w.order
+        for i, ids in enumerate(w.cochar_ids):
+            assert tuple(w.cochar_rows[j] for j in ids) == \
+                transpose(w.elements[w.inverses[i]])
         assert [w.inverses[j] for j in w.inverses] == list(range(w.order))
 
 
