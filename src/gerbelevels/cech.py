@@ -49,12 +49,12 @@ model choice, not an equivalence claim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
 
 from .intlinalg import (
     AbelianInvariants,
     CapExceeded,
+    Frozen,
     Matrix,
     Smith,
     Vector,
@@ -78,16 +78,22 @@ class CechError(ValueError):
 # coefficient groups
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
+class CoefficientGroup(Frozen):
     """Z^free_rank + Z/torsion[0] + ... with elements as int tuples."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0 or any(d < 2 for d in self.torsion):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0 or any(d < 2 for d in torsion):
             raise CechError("invalid coefficient group")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @property
     def size(self) -> int:
@@ -193,27 +199,36 @@ def _malformed(what: str, err: Exception) -> CechError:
 # nerves
 
 
-@dataclass(frozen=True)
-class Nerve:
-    """Downward-closed simplex sets over vertices 0..n_vertices-1."""
+class Nerve(Frozen):
+    """Downward-closed simplex sets over vertices 0..n_vertices-1;
+    simplices[p] holds the p-simplices."""
 
-    n_vertices: int
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]  # by dimension
-
-    def __post_init__(self):
-        seen = [set(s) for s in self.simplices]
-        for p, level in enumerate(self.simplices):
+    def __init__(self, n_vertices: int,
+                 simplices: tuple[tuple[tuple[int, ...], ...], ...]):
+        seen = [set(s) for s in simplices]
+        for p, level in enumerate(simplices):
             for s in level:
                 if list(s) != sorted(set(s)):
                     raise CechError(f"simplex {s} not sorted/distinct")
                 if len(s) != p + 1:
                     raise CechError(f"simplex {s} at wrong dimension {p}")
-                if any(v < 0 or v >= self.n_vertices for v in s):
+                if any(v < 0 or v >= n_vertices for v in s):
                     raise CechError(f"simplex {s} has an invalid vertex")
                 if p:
                     for i in range(p + 1):
                         if s[:i] + s[i + 1:] not in seen[p - 1]:
                             raise CechError(f"face of {s} missing (not a complex)")
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "simplices", simplices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n_vertices, self.simplices)
+                == (other.n_vertices, other.simplices))
+
+    def __hash__(self):
+        return hash((self.n_vertices, self.simplices))
 
     @property
     def dim(self) -> int:
@@ -335,28 +350,36 @@ def _sort_sign(seq) -> tuple[tuple[int, ...], int]:
     return out, sign
 
 
-@dataclass
 class Cochain:
-    """Degree-p cochain: values on sorted p-simplices, alternating."""
+    """Degree-p cochain: values on sorted p-simplices, alternating.  The
+    values given are copied, reduced and stripped of zeros; compared by
+    its fields, and not hashable."""
 
-    nerve: Nerve
-    degree: int
-    group: CoefficientGroup
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, nerve: Nerve, degree: int, group: CoefficientGroup,
+                 values: dict | None = None):
+        if degree < 0:
             raise CechError("negative degree")
-        level = set(self.nerve.level(self.degree))
+        level = set(nerve.level(degree))
         clean = {}
-        for s, v in self.values.items():
+        for s, v in (values or {}).items():
             s = tuple(s)
             if s not in level:
                 raise CechError(f"value on non-simplex {s}")
-            vv = self.group.reduce(v)
+            vv = group.reduce(v)
             if any(vv):
                 clean[s] = vv
+        self.nerve = nerve
+        self.degree = degree
+        self.group = group
         self.values = clean
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nerve, self.degree, self.group, self.values)
+                == (other.nerve, other.degree, other.group, other.values))
+
+    __hash__ = None
 
     @classmethod
     def from_json_dict(cls, nerve: Nerve, group: CoefficientGroup,
@@ -577,8 +600,7 @@ def _generators(table, e: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+class FiniteGroupTable(Frozen):
     """Multiplication table on elements 0..n-1; table[i][j] = i*j.
 
     Validated in order: the shape, a two-sided identity (found once), a
@@ -589,16 +611,12 @@ class FiniteGroupTable:
     under products, x(ab).y = (xa)b.y = xa.by = x.a(by) = x.(ab)y, and
     include the identity, so they include every word in the generators,
     which is every element (Clifford-Preston, The Algebraic Theory of
-    Semigroups I, 1.2).
+    Semigroups I, 1.2).  identity, inverses and generators are found by
+    the validation; the table alone is compared and hashed.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int = field(init=False, repr=False, compare=False)
-    inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        t = tuple(map(tuple, self.table))
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        t = tuple(map(tuple, table))
         n = len(t)
         for row in t:
             if len(row) != n or min(row) < 0 or max(row) >= n:
@@ -624,9 +642,18 @@ class FiniteGroupTable:
                 # the row of x g against x (g y) for every y
                 if t[x_row[g]] != tuple(map(x_row.__getitem__, g_row)):
                     raise CechError("table is not associative")
-        for name, value in (("table", t), ("identity", e),
-                            ("inverses", tuple(inverses)), ("generators", gens)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "inverses", tuple(inverses))
+        object.__setattr__(self, "generators", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self):
+        return hash((self.table,))
 
     @property
     def n(self) -> int:
@@ -672,8 +699,7 @@ def cyclic_group(n: int) -> FiniteGroupTable:
     )
 
 
-@dataclass(frozen=True)
-class FiniteAction:
+class FiniteAction(Frozen):
     """A finite group acting on a nerve and on the coefficient group.
 
     vertex_perms[g][v] is the image of vertex v under g; coeff_actions[g]
@@ -691,25 +717,22 @@ class FiniteAction:
     preserves the nerve.
     """
 
-    group: FiniteGroupTable
-    nerve: Nerve
-    coefficients: CoefficientGroup
-    vertex_perms: tuple[tuple[int, ...], ...]
-    coeff_actions: tuple[Matrix, ...]
-
-    def __post_init__(self):
-        g = self.group
-        perms, mats = self.vertex_perms, self.coeff_actions
+    def __init__(self, group: FiniteGroupTable, nerve: Nerve,
+                 coefficients: CoefficientGroup,
+                 vertex_perms: tuple[tuple[int, ...], ...],
+                 coeff_actions: tuple[Matrix, ...]):
+        g = group
+        perms, mats = vertex_perms, coeff_actions
         if len(perms) != g.n or len(mats) != g.n:
             raise CechError("action tables have wrong length")
-        nv = self.nerve.n_vertices
+        nv = nerve.n_vertices
         for perm in perms:
             if sorted(perm) != list(range(nv)):
                 raise CechError("vertex map is not a permutation")
-        size = self.coefficients.size
+        size = coefficients.size
         square = all(len(m) == size and all(len(row) == size for row in m)
                      for m in mats)
-        if not square or not all(self.coefficients.is_automorphism(mats[s])
+        if not square or not all(coefficients.is_automorphism(mats[s])
                                  for s in g.generators):
             raise CechError("coefficient action is not an automorphism")
         e = g.identity
@@ -725,13 +748,31 @@ class FiniteAction:
                 if matmul(m_s, mats[w]) != mats[sw]:
                     raise CechError("coefficient action is not a homomorphism")
         # the nerve must be stable
-        levels = [frozenset(level) for level in self.nerve.simplices]
+        levels = [frozenset(level) for level in nerve.simplices]
         for s in g.generators:
             perm = perms[s]
             for members in levels:
                 for simplex in members:
                     if tuple(sorted(perm[v] for v in simplex)) not in members:
                         raise CechError("action does not preserve the nerve")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "nerve", nerve)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "vertex_perms", vertex_perms)
+        object.__setattr__(self, "coeff_actions", coeff_actions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.nerve, self.coefficients, self.vertex_perms,
+                 self.coeff_actions)
+                == (other.group, other.nerve, other.coefficients,
+                    other.vertex_perms, other.coeff_actions))
+
+    def __hash__(self):
+        return hash((self.group, self.nerve, self.coefficients,
+                     self.vertex_perms, self.coeff_actions))
+
 
     def act_on_simplex(self, g: int, s) -> tuple[tuple[int, ...], int]:
         perm = self.vertex_perms[g]
@@ -956,12 +997,26 @@ def group_cohomology(table: FiniteGroupTable, coefficients: CoefficientGroup,
 # central extensions from 2-cocycles
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    table: FiniteGroupTable
-    element_labels: tuple[tuple[Vector, int], ...]
-    order_multiset: tuple[int, ...]
-    center_size: int
+class ExtensionResult(Frozen):
+    def __init__(self, table: FiniteGroupTable,
+                 element_labels: tuple[tuple[Vector, int], ...],
+                 order_multiset: tuple[int, ...], center_size: int):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "element_labels", element_labels)
+        object.__setattr__(self, "order_multiset", order_multiset)
+        object.__setattr__(self, "center_size", center_size)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.table, self.element_labels, self.order_multiset,
+                 self.center_size)
+                == (other.table, other.element_labels, other.order_multiset,
+                    other.center_size))
+
+    def __hash__(self):
+        return hash((self.table, self.element_labels, self.order_multiset,
+                     self.center_size))
 
 
 # cells of the largest extension table built, (|A| |G|)^2: 1024 elements
@@ -1092,8 +1147,7 @@ def central_extension_from_cocycle(
 # circle covers of a torus and the level-induced cocycle
 
 
-@dataclass(frozen=True)
-class TorusCoverModel:
+class TorusCoverModel(Frozen):
     """Product of subdivided circles with branch offsets on overlaps.
 
     arc_counts[i] arcs cover the i-th circle factor; offsets assign to
@@ -1101,16 +1155,29 @@ class TorusCoverModel:
     satisfy the additive cocycle relation on triple overlaps.
     """
 
-    arc_counts: tuple[int, ...]
-    windings: tuple[int, ...]
-    nerve: Nerve
-    vertex_labels: tuple[tuple[int, ...], ...]
-    offsets: dict
-
-    def __post_init__(self):
+    def __init__(self, arc_counts: tuple[int, ...], windings: tuple[int, ...],
+                 nerve: Nerve, vertex_labels: tuple[tuple[int, ...], ...],
+                 offsets: dict):
+        object.__setattr__(self, "arc_counts", arc_counts)
+        object.__setattr__(self, "windings", windings)
+        object.__setattr__(self, "nerve", nerve)
+        object.__setattr__(self, "vertex_labels", vertex_labels)
+        object.__setattr__(self, "offsets", offsets)
         lam = self.cocycle()
         if not coboundary(lam).is_zero():
             raise CechError("branch offsets violate the triple-overlap relation")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.arc_counts, self.windings, self.nerve, self.vertex_labels,
+                 self.offsets)
+                == (other.arc_counts, other.windings, other.nerve,
+                    other.vertex_labels, other.offsets))
+
+    def __hash__(self):
+        return hash((self.arc_counts, self.windings, self.nerve,
+                     self.vertex_labels, self.offsets))
 
     @property
     def rank(self) -> int:

@@ -15,7 +15,6 @@ strictly increase from row to row, entries above a pivot are reduced into
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -31,6 +30,26 @@ class DimensionMismatch(ValueError):
 class CapExceeded(RuntimeError):
     """A configured cap refused an input before the work it bounds; the
     message names the stage, and the estimate where one is known."""
+
+
+# The value classes of this package are written out by hand, not made
+# with dataclasses: importing dataclasses pulls in inspect, ast and dis,
+# and each frozen dataclass execs its generated methods.  That was 24 of
+# the 84 ms of `import gerbelevels.cli` (median of 30 fresh interpreters,
+# Python 3.11, bytecode not cached, shared 2-core box), paid by every
+# command at start-up.
+class Frozen:
+    """Base of the immutable value classes: each sets its fields once in
+    __init__ through object.__setattr__ and compares and hashes by them;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    cached_property still works on them, as it writes the instance
+    __dict__ directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +399,7 @@ def from_columns(cols, m: int) -> Matrix:
 # solving, kernels, cokernels
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Frozen):
     """Outcome of an integer linear solve A x = y.
 
     solution is None when no integer solution exists; kernel is always a
@@ -390,13 +408,23 @@ class SolveResult:
     1 whenever solution is not None).
     """
 
-    solution: Vector | None
-    kernel: tuple[Vector, ...]
-    min_multiplier: int | None
+    def __init__(self, solution: Vector | None, kernel: tuple[Vector, ...],
+                 min_multiplier: int | None):
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "min_multiplier", min_multiplier)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.solution, self.kernel, self.min_multiplier)
+                == (other.solution, other.kernel, other.min_multiplier))
+
+    def __hash__(self):
+        return hash((self.solution, self.kernel, self.min_multiplier))
 
 
-@dataclass(frozen=True)
-class Smith:
+class Smith(Frozen):
     """A matrix a with rows rows factored once by snf: u @ a @ v is
     diagonal with the entries diag, of which the first rank are nonzero.
     Solves, kernels, cokernels and class orders are all read off this one
@@ -405,11 +433,22 @@ class Smith:
     snf then makes each row of a only when its pivot search reaches it
     (rows past full column rank are never read), with the same v."""
 
-    diag: tuple[int, ...]
-    rank: int
-    rows: int
-    u: Matrix | None
-    v: Matrix
+    def __init__(self, diag: tuple[int, ...], rank: int, rows: int,
+                 u: Matrix | None, v: Matrix):
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.diag, self.rank, self.rows, self.u, self.v)
+                == (other.diag, other.rank, other.rows, other.u, other.v))
+
+    def __hash__(self):
+        return hash((self.diag, self.rank, self.rows, self.u, self.v))
 
     @classmethod
     def of(cls, a: Matrix, left: bool = True) -> "Smith":
@@ -484,25 +523,31 @@ def solve_z(a: Matrix, y: Vector) -> SolveResult:
     return Smith.of(a).solve(y)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Frozen):
     """A finitely generated abelian group Z^free_rank + Z/d1 + Z/d2 + ...
 
     Torsion entries satisfy d1 | d2 | ... and are all >= 2 (canonical).
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion entries must be >= 2")
-        for d1, d2 in zip(self.torsion, self.torsion[1:]):
+        for d1, d2 in zip(torsion, torsion[1:]):
             if d2 % d1:
                 raise ValueError("torsion divisibility chain broken")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @classmethod
     def from_diagonal(cls, diag, extra_free: int = 0) -> "AbelianInvariants":
@@ -728,25 +773,31 @@ def kernel_basis_mod2(a: Matrix) -> tuple[Vector, ...]:
 # rational vectors with a common reduced denominator
 
 
-@dataclass(frozen=True)
-class RatVector:
+class RatVector(Frozen):
     """Integer numerators over one positive denominator, fully reduced.
 
     Invariants: den >= 1 and gcd(gcd(nums), den) == 1.  Equality is
     structural, which is safe because construction always reduces.
     """
 
-    nums: Vector
-    den: int
-
-    def __post_init__(self):
-        if self.den < 1:
+    def __init__(self, nums: Vector, den: int):
+        if den < 1:
             raise ValueError("denominator must be >= 1")
         g = 0
-        for x in self.nums:
+        for x in nums:
             g = gcd(g, x)
-        if gcd(g, self.den) != 1:
+        if gcd(g, den) != 1:
             raise ValueError("RatVector not reduced; use RatVector.make")
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nums, self.den) == (other.nums, other.den)
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
 
     @classmethod
     def make(cls, nums, den: int = 1) -> "RatVector":

@@ -25,13 +25,13 @@ provided as a labeled convenience only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
 from .intlinalg import (
+    Frozen,
     Matrix,
     RatVector,
     Vector,
@@ -44,22 +44,28 @@ from .intlinalg import (
     over_common_denominator,
     transpose,
 )
-from .rootdata import DatumError, IsogenyDatum, RootDatum
+from .rootdata import DatumError, IsogenyDatum, RootDatum, _vector_text
 from .weyl import WeylGroup, _enumerate, group_order, simple_root_permutations
 
 
-@dataclass(frozen=True)
-class LevelTensor:
+class LevelTensor(Frozen):
     """A level b over an isogeny datum, as its cocharacter Gram matrix."""
 
-    iso: IsogenyDatum
-    matrix: Matrix
-
-    def __post_init__(self):
-        if len(self.matrix) != self.iso.source.rank:
+    def __init__(self, iso: IsogenyDatum, matrix: Matrix):
+        if len(matrix) != iso.source.rank:
             raise DatumError("level matrix has wrong row count")
-        if any(len(row) != self.iso.target.rank for row in self.matrix):
+        if any(len(row) != iso.target.rank for row in matrix):
             raise DatumError("level matrix has wrong column count")
+        object.__setattr__(self, "iso", iso)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.iso, self.matrix) == (other.iso, other.matrix)
+
+    def __hash__(self):
+        return hash((self.iso, self.matrix))
 
     def bmap(self, lam: Vector) -> Vector:
         """Induced map X_*(T) -> X*(S) on basis coordinates."""
@@ -145,6 +151,9 @@ class SharedWeylAction:
         self._source_ids: dict[int, tuple[int, ...]] = {}
         self._row_id: dict[Vector, int] = {}
         self.source_rows: list[Vector] = []
+        # generator -> [(i, nonzero (k, entry) of row i)] over the rows
+        # where its source reflection differs from the identity
+        self._changed_rows: dict[int, list] = {}
 
     @cached_property
     def group(self) -> WeylGroup:
@@ -158,31 +167,41 @@ class SharedWeylAction:
         return tuple(zip(self.iso.source_reflections,
                          map(tgt.reflection_char, tgt.simple_indices)))
 
-    def _keep(self, idx: int, m: Matrix) -> None:
-        """Records m as the source action of idx, with its row ids; the
+    def _row_index(self, row: Vector) -> int:
+        """The id of row in source_rows, added there if new."""
+        j = self._row_id.get(row)
+        if j is None:
+            j = self._row_id[row] = len(self.source_rows)
+            self.source_rows.append(row)
+        return j
+
+    def _keep(self, idx: int, ids) -> None:
+        """Records the source action of idx by the ids of its rows; the
         matrix kept is made of the rows in source_rows."""
-        row_id = self._row_id
-        ids = []
-        for row in m:
-            j = row_id.get(row)
-            if j is None:
-                j = row_id[row] = len(self.source_rows)
-                self.source_rows.append(row)
-            ids.append(j)
         ids = tuple(ids)
         self._source_ids[idx] = ids
         self._source_char[idx] = tuple(map(self.source_rows.__getitem__, ids))
 
     def source_char_action(self, idx: int) -> Matrix:
+        """The action of element idx on X*(S) basis coordinates.  Below a
+        simple reflection s in the generation tree, M_s M_parent differs
+        from M_parent only in the rows where M_s differs from the
+        identity, so only those rows are computed, each from the nonzero
+        entries of M_s's row; the parent's other rows, and their ids, are
+        kept as they are."""
         known = self._source_char
         got = known.get(idx)
         if got is not None:
             return got
         group = self.group
+        changed = self._changed_rows
         if not known:
-            self._keep(group.identity_index, identity(self.iso.source.rank))
+            eye = identity(self.iso.source.rank)
+            self._keep(group.identity_index, map(self._row_index, eye))
             for g, m in zip(group.generators, self.iso.source_reflections):
-                self._keep(g, m)
+                self._keep(g, map(self._row_index, m))
+                changed[g] = [(i, [(k, c) for k, c in enumerate(row) if c])
+                              for i, (row, e) in enumerate(zip(m, eye)) if row != e]
         # climb the generation tree to a known element, then multiply back down
         path = []
         i = idx
@@ -191,7 +210,13 @@ class SharedWeylAction:
             i = group.tree[i][1]
         for i in reversed(path):
             g, parent = group.tree[i]
-            self._keep(i, matmul(known[g], known[parent]))
+            rows = known[parent]
+            ids = list(self._source_ids[parent])
+            for k, terms in changed[g]:
+                ids[k] = self._row_index(tuple([
+                    sum([c * rows[m][j] for m, c in terms])
+                    for j in range(len(rows))]))
+            self._keep(i, ids)
         return known[idx]
 
     def source_row_ids(self, members) -> list[tuple[int, ...]]:
@@ -303,17 +328,28 @@ def coroot_value(b: LevelTensor, root_index: int) -> int:
     return b.value(lift, lam)
 
 
-@dataclass(frozen=True)
-class EvReport:
+class EvReport(Frozen):
     """Even-values sublattice plus the per-orbit value table.
 
     value_table[k][j] is b_j(acheck, acheck) for the k-th root orbit
     representative and the j-th output basis element.
     """
 
-    basis: tuple[LevelTensor, ...]
-    orbit_representatives: tuple[int, ...]
-    value_table: tuple[tuple[int, ...], ...]
+    def __init__(self, basis: tuple[LevelTensor, ...],
+                 orbit_representatives: tuple[int, ...],
+                 value_table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "orbit_representatives", orbit_representatives)
+        object.__setattr__(self, "value_table", value_table)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.basis, self.orbit_representatives, self.value_table)
+                == (other.basis, other.orbit_representatives, other.value_table))
+
+    def __hash__(self):
+        return hash((self.basis, self.orbit_representatives, self.value_table))
 
 
 def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvReport:
@@ -356,8 +392,7 @@ def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvRep
 # the basic level
 
 
-@dataclass(frozen=True)
-class BasicLevelResult:
+class BasicLevelResult(Frozen):
     """Whether the basic level lies in the tensor lattice for this datum.
 
     The basic level is c * sum(t_i^2) with c normalized so that the
@@ -365,9 +400,19 @@ class BasicLevelResult:
     with k * basic inside the lattice, and tensor is k * basic.
     """
 
-    member: bool
-    minimal_multiple: int
-    tensor: LevelTensor
+    def __init__(self, member: bool, minimal_multiple: int, tensor: LevelTensor):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "minimal_multiple", minimal_multiple)
+        object.__setattr__(self, "tensor", tensor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.member, self.minimal_multiple, self.tensor)
+                == (other.member, other.minimal_multiple, other.tensor))
+
+    def __hash__(self):
+        return hash((self.member, self.minimal_multiple, self.tensor))
 
     @property
     def rational_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -410,8 +455,7 @@ def named_basic_level(series: str, rank: int, form: str) -> BasicLevelResult:
 # rank-one restriction
 
 
-@dataclass(frozen=True)
-class RankOneRestriction:
+class RankOneRestriction(Frozen):
     """Parity data of b on the rank-one subgroup attached to one root.
 
     subgroup_type is "SL2" when the coroot cocharacter is injective
@@ -419,10 +463,24 @@ class RankOneRestriction:
     corresponding divisor is blocked exactly in the odd SL2 case.
     """
 
-    root_index: int
-    subgroup_type: str
-    value: int
-    parity_obstruction: bool
+    def __init__(self, root_index: int, subgroup_type: str, value: int,
+                 parity_obstruction: bool):
+        object.__setattr__(self, "root_index", root_index)
+        object.__setattr__(self, "subgroup_type", subgroup_type)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "parity_obstruction", parity_obstruction)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.root_index, self.subgroup_type, self.value,
+                 self.parity_obstruction)
+                == (other.root_index, other.subgroup_type, other.value,
+                    other.parity_obstruction))
+
+    def __hash__(self):
+        return hash((self.root_index, self.subgroup_type, self.value,
+                     self.parity_obstruction))
 
 
 def restrict_to_rank_one(b: LevelTensor, root) -> RankOneRestriction:
@@ -430,7 +488,8 @@ def restrict_to_rank_one(b: LevelTensor, root) -> RankOneRestriction:
     tgt = iso.target
     ridx = root if isinstance(root, int) else tgt.root_index(root)
     if ridx is None or not (0 <= ridx < len(tgt.roots)):
-        raise DatumError(f"{root!r} is not a root of {tgt.name}")
+        text = str(root) if isinstance(root, int) else _vector_text(root)
+        raise DatumError(f"{text} is not a root of {tgt.name}")
     acheck = tgt.coroots[ridx]
     kills_minus_one = tgt.cochar_coords(
         RatVector.make(acheck.nums, 2 * acheck.den)) is not None
@@ -460,17 +519,37 @@ def symmetric_projection(b: LevelTensor) -> tuple[tuple[Fraction, ...], ...]:
 # reference comparison
 
 
-@dataclass(frozen=True)
-class AtlasEntry:
-    series: str
-    rank: int
-    source_form: str
-    target_form: str
-    computed_basis: tuple[Matrix, ...]
-    claim: dict | None
-    claimed_basis: tuple[Matrix, ...] | None
-    claim_note: str | None
-    verdict: str  # match | mismatch | no-claim
+class AtlasEntry(Frozen):
+    """One atlas row; verdict is "match", "mismatch" or "no-claim"."""
+
+    def __init__(self, series: str, rank: int, source_form: str,
+                 target_form: str, computed_basis: tuple[Matrix, ...],
+                 claim: dict | None, claimed_basis: tuple[Matrix, ...] | None,
+                 claim_note: str | None, verdict: str):
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "source_form", source_form)
+        object.__setattr__(self, "target_form", target_form)
+        object.__setattr__(self, "computed_basis", computed_basis)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "claimed_basis", claimed_basis)
+        object.__setattr__(self, "claim_note", claim_note)
+        object.__setattr__(self, "verdict", verdict)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.series, self.rank, self.source_form, self.target_form,
+                 self.computed_basis, self.claim, self.claimed_basis,
+                 self.claim_note, self.verdict)
+                == (other.series, other.rank, other.source_form, other.target_form,
+                    other.computed_basis, other.claim, other.claimed_basis,
+                    other.claim_note, other.verdict))
+
+    def __hash__(self):
+        return hash((self.series, self.rank, self.source_form, self.target_form,
+                     self.computed_basis, self.claim, self.claimed_basis,
+                     self.claim_note, self.verdict))
 
     def to_json_dict(self) -> dict:
         return {

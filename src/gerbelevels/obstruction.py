@@ -49,7 +49,6 @@ to their H^1, which builds it only under its cell cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
@@ -58,6 +57,7 @@ from .cech import _bar_rows
 from .intlinalg import (
     AbelianInvariants,
     CapExceeded,
+    Frozen,
     Matrix,
     RatVector,
     Smith,
@@ -88,29 +88,65 @@ class ObstructionError(ValueError):
 H1_CELL_CAP = 2**22
 
 
-@dataclass(frozen=True)
-class SemisimplePoint:
+class SemisimplePoint(Frozen):
     """xi in X_*(T) (x) Q, coordinates against the cocharacter basis."""
 
-    xi: RatVector
+    def __init__(self, xi: RatVector):
+        object.__setattr__(self, "xi", xi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.xi == other.xi
+
+    def __hash__(self):
+        return hash((self.xi,))
 
 
-@dataclass
 class ObstructionResult:
-    action: SharedWeylAction
-    level: LevelTensor
-    point: SemisimplePoint
-    w_l: Subgroup
-    d_cocycle: dict[int, Vector]
-    c_cocycle: dict[int, Vector]
-    rational_witness: RatVector
-    trivial: bool | None = None
-    witness_u: Vector | None = None
-    class_order: int | None = None
-    h1_invariants: AbelianInvariants | None = None
-    h1_class_coords: tuple[int, ...] | None = None
-    reflection_agrees: bool | None = None
-    reflection_sub: Subgroup | None = None
+    """One point's cocycles, made by centralizer_cocycle; the fields from
+    trivial on are filled in by the checks that follow it.  Compared by
+    its fields, and not hashable, as it changes."""
+
+    def __init__(self, action: SharedWeylAction, level: LevelTensor,
+                 point: SemisimplePoint, w_l: Subgroup,
+                 d_cocycle: dict[int, Vector], c_cocycle: dict[int, Vector],
+                 rational_witness: RatVector, trivial: bool | None = None,
+                 witness_u: Vector | None = None,
+                 class_order: int | None = None,
+                 h1_invariants: AbelianInvariants | None = None,
+                 h1_class_coords: tuple[int, ...] | None = None,
+                 reflection_agrees: bool | None = None,
+                 reflection_sub: Subgroup | None = None):
+        self.action = action
+        self.level = level
+        self.point = point
+        self.w_l = w_l
+        self.d_cocycle = d_cocycle
+        self.c_cocycle = c_cocycle
+        self.rational_witness = rational_witness
+        self.trivial = trivial
+        self.witness_u = witness_u
+        self.class_order = class_order
+        self.h1_invariants = h1_invariants
+        self.h1_class_coords = h1_class_coords
+        self.reflection_agrees = reflection_agrees
+        self.reflection_sub = reflection_sub
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.action, self.level, self.point, self.w_l, self.d_cocycle,
+                 self.c_cocycle, self.rational_witness, self.trivial,
+                 self.witness_u, self.class_order, self.h1_invariants,
+                 self.h1_class_coords, self.reflection_agrees, self.reflection_sub)
+                == (other.action, other.level, other.point, other.w_l,
+                    other.d_cocycle, other.c_cocycle, other.rational_witness,
+                    other.trivial, other.witness_u, other.class_order,
+                    other.h1_invariants, other.h1_class_coords,
+                    other.reflection_agrees, other.reflection_sub))
+
+    __hash__ = None
 
     def source_action(self, idx: int) -> Matrix:
         return self.action.source_char_action(idx)
@@ -341,11 +377,22 @@ def class_order(res: ObstructionResult) -> int:
 # full H^1 of the stabilizer on X*(S)
 
 
-@dataclass(frozen=True)
-class H1Result:
-    invariants: AbelianInvariants
-    class_coords: tuple[int, ...] | None
-    class_order_in_h1: int | None
+class H1Result(Frozen):
+    def __init__(self, invariants: AbelianInvariants,
+                 class_coords: tuple[int, ...] | None,
+                 class_order_in_h1: int | None):
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "class_coords", class_coords)
+        object.__setattr__(self, "class_order_in_h1", class_order_in_h1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.invariants, self.class_coords, self.class_order_in_h1)
+                == (other.invariants, other.class_coords, other.class_order_in_h1))
+
+    def __hash__(self):
+        return hash((self.invariants, self.class_coords, self.class_order_in_h1))
 
 
 def h1_group_lattice(
@@ -405,17 +452,37 @@ def obstruction_report(
     return res
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    xi: RatVector
-    stabilizer_order: int
-    class_order: int
-    trivial: bool
+class ScanRow(Frozen):
+    def __init__(self, xi: RatVector, stabilizer_order: int, class_order: int,
+                 trivial: bool):
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
+        object.__setattr__(self, "class_order", class_order)
+        object.__setattr__(self, "trivial", trivial)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.xi, self.stabilizer_order, self.class_order, self.trivial)
+                == (other.xi, other.stabilizer_order, other.class_order,
+                    other.trivial))
+
+    def __hash__(self):
+        return hash((self.xi, self.stabilizer_order, self.class_order,
+                     self.trivial))
 
 
-@dataclass(frozen=True)
-class ScanTable:
-    rows: tuple[ScanRow, ...]
+class ScanTable(Frozen):
+    def __init__(self, rows: tuple[ScanRow, ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def trivial_count(self) -> int:

@@ -42,12 +42,12 @@ content beyond them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
 from .intlinalg import (
+    Frozen,
     Matrix,
     RatVector,
     Smith,
@@ -141,15 +141,33 @@ class _Frame:
         )
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    name: str
-    ambient_dim: int
-    char_basis: tuple[RatVector, ...]
-    cochar_basis: tuple[RatVector, ...]
-    roots: tuple[RatVector, ...]
-    coroots: tuple[RatVector, ...]
-    simple_indices: tuple[int, ...]
+class RootDatum(Frozen):
+    def __init__(self, name: str, ambient_dim: int,
+                 char_basis: tuple[RatVector, ...],
+                 cochar_basis: tuple[RatVector, ...],
+                 roots: tuple[RatVector, ...], coroots: tuple[RatVector, ...],
+                 simple_indices: tuple[int, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "char_basis", char_basis)
+        object.__setattr__(self, "cochar_basis", cochar_basis)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "coroots", coroots)
+        object.__setattr__(self, "simple_indices", simple_indices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.ambient_dim, self.char_basis, self.cochar_basis,
+                 self.roots, self.coroots, self.simple_indices)
+                == (other.name, other.ambient_dim, other.char_basis,
+                    other.cochar_basis, other.roots, other.coroots,
+                    other.simple_indices))
+
+    def __hash__(self):
+        return hash((self.name, self.ambient_dim, self.char_basis,
+                     self.cochar_basis, self.roots, self.coroots,
+                     self.simple_indices))
 
     @property
     def rank(self) -> int:
@@ -341,10 +359,18 @@ def pairing(chi: RatVector, lam: RatVector) -> int:
 # validation
 
 
-@dataclass(frozen=True)
-class DatumReport:
-    passed: bool
-    violations: tuple[str, ...]
+class DatumReport(Frozen):
+    def __init__(self, passed: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "violations", violations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.passed, self.violations) == (other.passed, other.violations)
+
+    def __hash__(self):
+        return hash((self.passed, self.violations))
 
 
 def validate_datum(rd: RootDatum) -> DatumReport:
@@ -600,8 +626,7 @@ def torus_datum(rank: int, name: str = "") -> RootDatum:
 # isogeny data
 
 
-@dataclass(frozen=True)
-class IsogenyDatum:
+class IsogenyDatum(Frozen):
     """Lattice encoding of a homomorphism H -> G with central kernel.
 
     char_map sends X*(T) coordinates to X*(S) coordinates (restriction of
@@ -611,11 +636,25 @@ class IsogenyDatum:
     connected cover).
     """
 
-    source: RootDatum
-    target: RootDatum
-    char_map: Matrix
-    cochar_map: Matrix
-    coroot_lift: tuple[Vector, ...]
+    def __init__(self, source: RootDatum, target: RootDatum, char_map: Matrix,
+                 cochar_map: Matrix, coroot_lift: tuple[Vector, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "char_map", char_map)
+        object.__setattr__(self, "cochar_map", cochar_map)
+        object.__setattr__(self, "coroot_lift", coroot_lift)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.char_map, self.cochar_map,
+                 self.coroot_lift)
+                == (other.source, other.target, other.char_map, other.cochar_map,
+                    other.coroot_lift))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.char_map, self.cochar_map,
+                     self.coroot_lift))
 
     @property
     def name(self) -> str:

@@ -60,12 +60,12 @@ cap, and is kept with its subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import getitem, mul
 
 from .intlinalg import (
     CapExceeded,
+    Frozen,
     Matrix,
     RatVector,
     Vector,
@@ -255,8 +255,7 @@ def _enumerate(rd: RootDatum, n: int) -> WeylGroup:
     return WeylGroup(rd, perms, chars, steps)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """Subgroup given by sorted element indices against the canonical order.
 
     gen_rows[k][a] is the position in members of generators[k] *
@@ -267,10 +266,22 @@ class Subgroup:
     complex reads it.
     """
 
-    group: WeylGroup
-    members: tuple[int, ...]
-    generators: tuple[int, ...]
-    gen_rows: tuple[tuple[int, ...], ...]
+    def __init__(self, group: WeylGroup, members: tuple[int, ...],
+                 generators: tuple[int, ...],
+                 gen_rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "gen_rows", gen_rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.members, self.generators, self.gen_rows)
+                == (other.group, other.members, other.generators, other.gen_rows))
+
+    def __hash__(self):
+        return hash((self.group, self.members, self.generators, self.gen_rows))
 
     def __len__(self) -> int:
         return len(self.members)

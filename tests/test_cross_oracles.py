@@ -38,7 +38,6 @@ element, and the extension table built cell by cell.
 """
 
 import copy
-import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -899,6 +898,12 @@ def test_isogeny_matches_fraction_route(case):
     assert res.tensor.matrix == mat
 
 
+def fresh_datum(rd):
+    """An equal root datum with none of rd's cached values."""
+    return RootDatum(rd.name, rd.ambient_dim, rd.char_basis, rd.cochar_basis,
+                     rd.roots, rd.coroots, rd.simple_indices)
+
+
 def test_span_projection_runs_once_per_source_datum(monkeypatch):
     # fresh copies of the default atlas data, so that no projection is
     # cached yet; 14 of the 33 rows reuse a source datum
@@ -914,7 +919,7 @@ def test_span_projection_runs_once_per_source_datum(monkeypatch):
 
     def datum(*key):
         if key not in fresh:
-            fresh[key] = dataclasses.replace(classical_datum(*key))
+            fresh[key] = fresh_datum(classical_datum(*key))
         return fresh[key]
 
     for series, rank, sf, tf in DEFAULT_ATLAS_ROWS:
@@ -930,8 +935,7 @@ def test_isogeny_maps_match_a_build_with_a_fresh_projection():
         src = iso.source
         assert src._span_projection == _projection_onto_span(src.char_basis,
                                                              src.ambient_dim)
-        fresh = build_isogeny(dataclasses.replace(src),
-                              dataclasses.replace(iso.target))
+        fresh = build_isogeny(fresh_datum(src), fresh_datum(iso.target))
         assert (iso.char_map, iso.cochar_map, iso.coroot_lift) == \
             (fresh.char_map, fresh.cochar_map, fresh.coroot_lift), row
 
@@ -1709,6 +1713,43 @@ def test_source_actions_match_per_element_reexpression(case):
             oracle_reexpress(s, t, co, "cochar")
 
 
+def oracle_tree_product(group, reflections, i):
+    """The source action of element i as full matmul products along the
+    generation tree, down from the identity."""
+    path = []
+    while group.tree[i] is not None:
+        path.append(group.tree[i][0])
+        i = group.tree[i][1]
+    m = identity(len(reflections[0]))
+    for g in reversed(path):
+        m = matmul(reflections[group.generators.index(g)], m)
+    return m
+
+
+@pytest.mark.parametrize("row", [("D", 4, "Spin", "Spin"), ("B", 3, "Spin", "SO"),
+                                 ("A", 2, "SL", "PGL")], ids=str)
+def test_source_actions_by_changed_rows_match_tree_products(row):
+    # each element read once, the last first, so that most are built by
+    # a climb through elements not built yet; the rows a reflection leaves
+    # as the identity's are the parent's own row objects
+    act = SharedWeylAction(classical_isogeny(*row))
+    group = act.group
+    reflections = act.iso.source_reflections
+    for i in reversed(range(group.order)):
+        assert act.source_char_action(i) == oracle_tree_product(group, reflections, i)
+    assert len(set(act.source_rows)) == len(act.source_rows)
+    for i, ids in enumerate(act.source_row_ids(range(group.order))):
+        assert act.source_char_action(i) == tuple(act.source_rows[j] for j in ids)
+        if group.tree[i] is not None:
+            g, parent = group.tree[i]
+            kept = act.source_char_action(parent)
+            eye = identity(len(kept))
+            refl = reflections[group.generators.index(g)]
+            for k, row in enumerate(act.source_char_action(i)):
+                if refl[k] == eye[k]:
+                    assert row is kept[k]
+
+
 def oracle_act_cochar(m, lam):
     """The rational route the integer cocharacter rows replaced: the
     RatVector lam under the transpose of the character matrix m, reduced
@@ -1850,7 +1891,8 @@ def test_chain_guard_on_every_g2_pair():
     _src, tgt = g2_data()
     refused = 0
     for a, b in itertools.permutations(range(len(tgt.roots)), 2):
-        rd = dataclasses.replace(tgt, simple_indices=(a, b))
+        rd = RootDatum(tgt.name, tgt.ambient_dim, tgt.char_basis,
+                       tgt.cochar_basis, tgt.roots, tgt.coroots, (a, b))
         ra, rb, ca, cb = tgt.roots[a], tgt.roots[b], tgt.coroots[a], tgt.coroots[b]
         bad = (pairing(rb, ca) > 0 or pairing(ra, cb) > 0
                or _roots_dependent(ra, rb))
@@ -2390,7 +2432,8 @@ def test_non_closed_member_sets_are_refused():
                 ((group.order,) + sub.gen_rows[0][1:],) + sub.gen_rows[1:],
                 (ident,) + sub.gen_rows[1:]]
     for rows in bad_rows:
-        assert not dataclasses.replace(sub, gen_rows=rows).verify_closed()
+        assert not Subgroup(sub.group, sub.members, sub.generators,
+                            rows).verify_closed()
     # a member set without the identity
     assert not Subgroup(group, whole[1:], (), ()).verify_closed()
 

@@ -309,8 +309,13 @@ def test_restrict_rejects_non_root():
     res = named_basic_level("A", 2, "SL")
     from gerbelevels.rootdata import DatumError
 
-    with pytest.raises(DatumError):
+    with pytest.raises(DatumError, match=r"^\(1, 1, 1\) is not a root of SL3$"):
         restrict_to_rank_one(res.tensor, RatVector.from_fractions((1, 1, 1)))
+    with pytest.raises(DatumError, match=r"^\(1/2, 0, -1/2\) is not a root of SL3$"):
+        restrict_to_rank_one(res.tensor, RatVector.from_fractions(
+            (Fraction(1, 2), 0, Fraction(-1, 2))))
+    with pytest.raises(DatumError, match="^6 is not a root of SL3$"):
+        restrict_to_rank_one(res.tensor, 6)
 
 
 def test_parity_flag_equals_value_mod_two():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -234,7 +233,8 @@ def test_classical_isogeny_is_built_once_and_rejections_are_not_cached(monkeypat
 def test_weyl_compatibility_refuses_a_permuted_char_map():
     iso = classical_isogeny("B", 3, "Spin", "SO")
     _check_weyl_compatibility(iso)
-    bad = dataclasses.replace(iso, char_map=iso.char_map[1:] + iso.char_map[:1])
+    bad = IsogenyDatum(iso.source, iso.target, iso.char_map[1:] + iso.char_map[:1],
+                       iso.cochar_map, iso.coroot_lift)
     with pytest.raises(DatumError,
                        match="^char_map does not commute with the shared reflection action$"):
         _check_weyl_compatibility(bad)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from math import factorial
@@ -253,7 +252,8 @@ def test_reflections_index_each_roots_reflection(simple, refls):
     # proper subgroup: a reflection outside it has no index
     with open("fixtures/g2_datum.json") as fh:
         rd = RootDatum.from_json_dict(json.load(fh)["target"])
-    w = generate(dataclasses.replace(rd, simple_indices=simple))
+    w = generate(RootDatum(rd.name, rd.ambient_dim, rd.char_basis, rd.cochar_basis,
+                           rd.roots, rd.coroots, simple))
     elements = set(w.elements)
     assert len(w.reflections) == len(rd.roots)
     for k, i in enumerate(w.reflections):
@@ -273,7 +273,7 @@ def test_generate_rejects_roots_not_permuted():
     rd = classical_datum("A", 1, "SL")
     k = rd.simple_indices[0]
     # only the simple root: its reflection sends it to a missing root
-    bad = dataclasses.replace(rd, roots=(rd.roots[k],), coroots=(rd.coroots[k],),
-                              simple_indices=(0,))
+    bad = RootDatum(rd.name, rd.ambient_dim, rd.char_basis, rd.cochar_basis,
+                    (rd.roots[k],), (rd.coroots[k],), (0,))
     with pytest.raises(DatumError, match="does not permute the roots"):
         generate(bad)
