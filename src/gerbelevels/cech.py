@@ -57,6 +57,7 @@ from .intlinalg import (
     Frozen,
     Matrix,
     Smith,
+    Value,
     Vector,
     divisor_cohomology,
     freeze,
@@ -81,19 +82,12 @@ class CechError(ValueError):
 class CoefficientGroup(Frozen):
     """Z^free_rank + Z/torsion[0] + ... with elements as int tuples."""
 
+    _fields = ("free_rank", "torsion")
+
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
         if free_rank < 0 or any(d < 2 for d in torsion):
             raise CechError("invalid coefficient group")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
+        super().__init__(free_rank, torsion)
 
     @property
     def size(self) -> int:
@@ -203,6 +197,8 @@ class Nerve(Frozen):
     """Downward-closed simplex sets over vertices 0..n_vertices-1;
     simplices[p] holds the p-simplices."""
 
+    _fields = ("n_vertices", "simplices")
+
     def __init__(self, n_vertices: int,
                  simplices: tuple[tuple[tuple[int, ...], ...], ...]):
         seen = [set(s) for s in simplices]
@@ -218,17 +214,7 @@ class Nerve(Frozen):
                     for i in range(p + 1):
                         if s[:i] + s[i + 1:] not in seen[p - 1]:
                             raise CechError(f"face of {s} missing (not a complex)")
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "simplices", simplices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n_vertices, self.simplices)
-                == (other.n_vertices, other.simplices))
-
-    def __hash__(self):
-        return hash((self.n_vertices, self.simplices))
+        super().__init__(n_vertices, simplices)
 
     @property
     def dim(self) -> int:
@@ -275,9 +261,10 @@ class Nerve(Frozen):
 def nerve_of_cover(cover, dim_cap: int = 4, reads: int | None = None) -> Nerve:
     """Nerve of a cover by finite sets, up to the dimension cap.
 
-    reads, when given, is the highest dimension the caller reads: if the
-    cap cuts off a simplex of dimension at most reads, the answer would
-    be that of a truncated nerve, and CapExceeded is raised instead.
+    reads, when given, is the highest dimension the caller reads: no
+    level above it is built, and if the cap cuts off a simplex of
+    dimension at most reads, the answer would be that of a truncated
+    nerve, and CapExceeded is raised instead.
     """
     sets = [frozenset(c) for c in cover]
     if not sets:
@@ -288,8 +275,8 @@ def nerve_of_cover(cover, dim_cap: int = 4, reads: int | None = None) -> Nerve:
     if not current:
         raise CechError("cover has no nonempty set")
     levels.append(tuple(s for s, _ in current))
-    p = 0
-    while p < dim_cap and current:
+    p, top = 0, dim_cap if reads is None else min(dim_cap, reads)
+    while p < top and current:
         nxt = []
         for simplex, inter in current:
             for v in range(simplex[-1] + 1, n):
@@ -350,10 +337,12 @@ def _sort_sign(seq) -> tuple[tuple[int, ...], int]:
     return out, sign
 
 
-class Cochain:
+class Cochain(Value):
     """Degree-p cochain: values on sorted p-simplices, alternating.  The
     values given are copied, reduced and stripped of zeros; compared by
     its fields, and not hashable."""
+
+    _fields = ("nerve", "degree", "group", "values")
 
     def __init__(self, nerve: Nerve, degree: int, group: CoefficientGroup,
                  values: dict | None = None):
@@ -368,27 +357,19 @@ class Cochain:
             vv = group.reduce(v)
             if any(vv):
                 clean[s] = vv
-        self.nerve = nerve
-        self.degree = degree
-        self.group = group
-        self.values = clean
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.nerve, self.degree, self.group, self.values)
-                == (other.nerve, other.degree, other.group, other.values))
-
-    __hash__ = None
+        super().__init__(nerve, degree, group, clean)
 
     @classmethod
     def from_json_dict(cls, nerve: Nerve, group: CoefficientGroup,
                        d: dict) -> "Cochain":
         try:
             degree = freeze(d["degree"], 0)
-            values = {
-                freeze(e["simplex"], 1): freeze(e["value"], 1) for e in d["values"]
-            }
+            values = {}
+            for e in d["values"]:
+                s = freeze(e["simplex"], 1)
+                if s in values:
+                    raise ValueError(f"simplex {s} given twice")
+                values[s] = freeze(e["value"], 1)
             return cls(nerve, degree, group, values)
         except (KeyError, TypeError, ValueError) as err:
             raise _malformed("cocycle", err) from None
@@ -615,6 +596,8 @@ class FiniteGroupTable(Frozen):
     the validation; the table alone is compared and hashed.
     """
 
+    _fields = ("table",)
+
     def __init__(self, table: tuple[tuple[int, ...], ...]):
         t = tuple(map(tuple, table))
         n = len(t)
@@ -642,18 +625,10 @@ class FiniteGroupTable(Frozen):
                 # the row of x g against x (g y) for every y
                 if t[x_row[g]] != tuple(map(x_row.__getitem__, g_row)):
                     raise CechError("table is not associative")
-        object.__setattr__(self, "table", t)
+        super().__init__(t)
         object.__setattr__(self, "identity", e)
         object.__setattr__(self, "inverses", tuple(inverses))
         object.__setattr__(self, "generators", gens)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self):
-        return hash((self.table,))
 
     @property
     def n(self) -> int:
@@ -717,6 +692,8 @@ class FiniteAction(Frozen):
     preserves the nerve.
     """
 
+    _fields = ("group", "nerve", "coefficients", "vertex_perms", "coeff_actions")
+
     def __init__(self, group: FiniteGroupTable, nerve: Nerve,
                  coefficients: CoefficientGroup,
                  vertex_perms: tuple[tuple[int, ...], ...],
@@ -755,24 +732,7 @@ class FiniteAction(Frozen):
                 for simplex in members:
                     if tuple(sorted(perm[v] for v in simplex)) not in members:
                         raise CechError("action does not preserve the nerve")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "nerve", nerve)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "vertex_perms", vertex_perms)
-        object.__setattr__(self, "coeff_actions", coeff_actions)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.nerve, self.coefficients, self.vertex_perms,
-                 self.coeff_actions)
-                == (other.group, other.nerve, other.coefficients,
-                    other.vertex_perms, other.coeff_actions))
-
-    def __hash__(self):
-        return hash((self.group, self.nerve, self.coefficients,
-                     self.vertex_perms, self.coeff_actions))
-
+        super().__init__(group, nerve, coefficients, vertex_perms, coeff_actions)
 
     def act_on_simplex(self, g: int, s) -> tuple[tuple[int, ...], int]:
         perm = self.vertex_perms[g]
@@ -998,25 +958,7 @@ def group_cohomology(table: FiniteGroupTable, coefficients: CoefficientGroup,
 
 
 class ExtensionResult(Frozen):
-    def __init__(self, table: FiniteGroupTable,
-                 element_labels: tuple[tuple[Vector, int], ...],
-                 order_multiset: tuple[int, ...], center_size: int):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "element_labels", element_labels)
-        object.__setattr__(self, "order_multiset", order_multiset)
-        object.__setattr__(self, "center_size", center_size)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.table, self.element_labels, self.order_multiset,
-                 self.center_size)
-                == (other.table, other.element_labels, other.order_multiset,
-                    other.center_size))
-
-    def __hash__(self):
-        return hash((self.table, self.element_labels, self.order_multiset,
-                     self.center_size))
+    _fields = ("table", "element_labels", "order_multiset", "center_size")
 
 
 # cells of the largest extension table built, (|A| |G|)^2: 1024 elements
@@ -1038,9 +980,14 @@ def _addition_table(coeff: CoefficientGroup) -> list[list[int]]:
 def _cocycle_positions(group: FiniteGroupTable, coeff: CoefficientGroup,
                        psi: dict) -> list[list[int]]:
     """p[g1][g2] = the position of psi(g1, g2) in coeff.elements(), each
-    value reduced once; an absent pair is 0.  Raises unless psi vanishes
-    on every pair with the identity, which is read first."""
+    value reduced once; an absent pair is 0.  Raises unless every pair
+    of psi is in G x G and psi vanishes on every pair with the identity,
+    which is read first."""
     get, torsion = psi.get, coeff.torsion
+    e, span = group.identity, range(group.n)
+    for a, b in psi:
+        if a not in span or b not in span:
+            raise CechError(f"2-cochain pair {(a, b)} is outside the group")
 
     def position(a, b):
         v = get((a, b))
@@ -1051,7 +998,6 @@ def _cocycle_positions(group: FiniteGroupTable, coeff: CoefficientGroup,
             k = k * d + x
         return k
 
-    e, span = group.identity, range(group.n)
     if any(position(e, x) or position(x, e) for x in span):
         raise CechError("2-cochain is not normalized")
     return [[position(a, b) for b in span] for a in span]
@@ -1155,29 +1101,15 @@ class TorusCoverModel(Frozen):
     satisfy the additive cocycle relation on triple overlaps.
     """
 
+    _fields = ("arc_counts", "windings", "nerve", "vertex_labels", "offsets")
+
     def __init__(self, arc_counts: tuple[int, ...], windings: tuple[int, ...],
                  nerve: Nerve, vertex_labels: tuple[tuple[int, ...], ...],
                  offsets: dict):
-        object.__setattr__(self, "arc_counts", arc_counts)
-        object.__setattr__(self, "windings", windings)
-        object.__setattr__(self, "nerve", nerve)
-        object.__setattr__(self, "vertex_labels", vertex_labels)
-        object.__setattr__(self, "offsets", offsets)
+        super().__init__(arc_counts, windings, nerve, vertex_labels, offsets)
         lam = self.cocycle()
         if not coboundary(lam).is_zero():
             raise CechError("branch offsets violate the triple-overlap relation")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.arc_counts, self.windings, self.nerve, self.vertex_labels,
-                 self.offsets)
-                == (other.arc_counts, other.windings, other.nerve,
-                    other.vertex_labels, other.offsets))
-
-    def __hash__(self):
-        return hash((self.arc_counts, self.windings, self.nerve,
-                     self.vertex_labels, self.offsets))
 
     @property
     def rank(self) -> int:

@@ -422,13 +422,19 @@ def _load_fixture(path: str) -> dict:
 
 
 def _nerve_from_fixture(data: dict, dim_cap: int, reads: int) -> Nerve:
-    try:
-        if "cover" in data:
-            return nerve_of_cover([set(c) for c in data["cover"]], dim_cap, reads)
-        if "nerve" in data:
-            return Nerve.from_json_dict(data["nerve"])
-    except TypeError as err:  # e.g. a cover that is not a list of lists
-        raise CliError(f"malformed cover: {err}")
+    data = data if isinstance(data, dict) else {}
+    if "cover" in data:
+        # each set a list of integer or string labels: set() would merge
+        # true and 1.0 with 1, and split a string or an object
+        cover = data["cover"]
+        if not isinstance(cover, list) or not all(
+                isinstance(c, list) and all(type(x) in (int, str) for x in c)
+                for c in cover):
+            raise CliError("malformed cover: each set must be a list of "
+                           "integer or string labels")
+        return nerve_of_cover([set(c) for c in cover], dim_cap, reads)
+    if "nerve" in data:
+        return Nerve.from_json_dict(data["nerve"])
     raise CliError("fixture needs a 'cover' or 'nerve' field")
 
 
@@ -491,6 +497,8 @@ def cmd_extension(args) -> int:
         psi = {}
         for e in data.get("psi", []):
             g1, g2 = freeze(e["pair"], 1)
+            if (g1, g2) in psi:
+                raise ValueError(f"pair {(g1, g2)} given twice")
             psi[g1, g2] = freeze(e["value"], 1)
         res = central_extension_from_cocycle(table, coeff, psi)
     except (CechError, KeyError, TypeError, ValueError) as err:

@@ -32,18 +32,73 @@ class CapExceeded(RuntimeError):
     message names the stage, and the estimate where one is known."""
 
 
-# The value classes of this package are written out by hand, not made
-# with dataclasses: importing dataclasses pulls in inspect, ast and dis,
-# and each frozen dataclass execs its generated methods.  That was 24 of
-# the 84 ms of `import gerbelevels.cli` (median of 30 fresh interpreters,
-# Python 3.11, bytecode not cached, shared 2-core box), paid by every
-# command at start-up.
-class Frozen:
-    """Base of the immutable value classes: each sets its fields once in
-    __init__ through object.__setattr__ and compares and hashes by them;
-    assigning or deleting an attribute afterwards raises AttributeError.
-    cached_property still works on them, as it writes the instance
-    __dict__ directly."""
+# The value classes are not dataclasses: importing dataclasses pulls in
+# inspect, ast and dis, and each frozen dataclass execs its generated
+# methods, 24 of the 84 ms of `import gerbelevels.cli` (median of 30
+# fresh interpreters, Python 3.11, bytecode not cached, shared 2-core
+# box).  Fields are stored with object.__setattr__, never through
+# self.__dict__: in CPython 3.11 reading __dict__ turns the instance's
+# inline attribute values into a dict, and every later read is slower.
+_store = object.__setattr__
+
+
+class Value:
+    """Base of the value classes: a subclass lists its fields in _fields,
+    in constructor order, and is compared by them.  __eq__ compares two
+    instances of the same class only (NotImplemented otherwise).  The
+    default __init__ stores the fields by position or by name and raises
+    TypeError on a missing, extra or repeated one; a class that checks
+    its input has its own __init__, which stores them by calling this
+    one.  A Value is mutable and not hashable; see Frozen."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            for field, value in zip(fields, args):
+                _store(self, field, value)
+            return
+        name = self.__class__.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        given = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name} has no field {field!r}")
+            if field in given:
+                raise TypeError(f"{name} got field {field!r} twice")
+            given[field] = value
+        for field in fields:
+            if field not in given:
+                raise TypeError(f"{name} is missing field {field!r}")
+            _store(self, field, given[field])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+
+class Frozen(Value):
+    """A Value that cannot change: assigning or deleting an attribute
+    raises AttributeError, and it hashes by its fields.  The hash is kept
+    in _hash once made, outside _fields, so never compared: a RootDatum
+    hash walks every root, and lru_cache keys re-hash on every lookup.
+    cached_property still works, as it writes the instance __dict__
+    directly."""
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._values())
+            _store(self, "_hash", h)
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -408,20 +463,7 @@ class SolveResult(Frozen):
     1 whenever solution is not None).
     """
 
-    def __init__(self, solution: Vector | None, kernel: tuple[Vector, ...],
-                 min_multiplier: int | None):
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "min_multiplier", min_multiplier)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.solution, self.kernel, self.min_multiplier)
-                == (other.solution, other.kernel, other.min_multiplier))
-
-    def __hash__(self):
-        return hash((self.solution, self.kernel, self.min_multiplier))
+    _fields = ("solution", "kernel", "min_multiplier")
 
 
 class Smith(Frozen):
@@ -433,22 +475,7 @@ class Smith(Frozen):
     snf then makes each row of a only when its pivot search reaches it
     (rows past full column rank are never read), with the same v."""
 
-    def __init__(self, diag: tuple[int, ...], rank: int, rows: int,
-                 u: Matrix | None, v: Matrix):
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.diag, self.rank, self.rows, self.u, self.v)
-                == (other.diag, other.rank, other.rows, other.u, other.v))
-
-    def __hash__(self):
-        return hash((self.diag, self.rank, self.rows, self.u, self.v))
+    _fields = ("diag", "rank", "rows", "u", "v")
 
     @classmethod
     def of(cls, a: Matrix, left: bool = True) -> "Smith":
@@ -529,6 +556,8 @@ class AbelianInvariants(Frozen):
     Torsion entries satisfy d1 | d2 | ... and are all >= 2 (canonical).
     """
 
+    _fields = ("free_rank", "torsion")
+
     def __init__(self, free_rank: int, torsion: tuple[int, ...]):
         if free_rank < 0:
             raise ValueError("negative free rank")
@@ -538,16 +567,7 @@ class AbelianInvariants(Frozen):
         for d1, d2 in zip(torsion, torsion[1:]):
             if d2 % d1:
                 raise ValueError("torsion divisibility chain broken")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
+        super().__init__(free_rank, torsion)
 
     @classmethod
     def from_diagonal(cls, diag, extra_free: int = 0) -> "AbelianInvariants":
@@ -780,6 +800,8 @@ class RatVector(Frozen):
     structural, which is safe because construction always reduces.
     """
 
+    _fields = ("nums", "den")
+
     def __init__(self, nums: Vector, den: int):
         if den < 1:
             raise ValueError("denominator must be >= 1")
@@ -788,16 +810,7 @@ class RatVector(Frozen):
             g = gcd(g, x)
         if gcd(g, den) != 1:
             raise ValueError("RatVector not reduced; use RatVector.make")
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nums, self.den) == (other.nums, other.den)
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
+        super().__init__(nums, den)
 
     @classmethod
     def make(cls, nums, den: int = 1) -> "RatVector":

@@ -51,21 +51,14 @@ from .weyl import WeylGroup, _enumerate, group_order, simple_root_permutations
 class LevelTensor(Frozen):
     """A level b over an isogeny datum, as its cocharacter Gram matrix."""
 
+    _fields = ("iso", "matrix")
+
     def __init__(self, iso: IsogenyDatum, matrix: Matrix):
         if len(matrix) != iso.source.rank:
             raise DatumError("level matrix has wrong row count")
         if any(len(row) != iso.target.rank for row in matrix):
             raise DatumError("level matrix has wrong column count")
-        object.__setattr__(self, "iso", iso)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.iso, self.matrix) == (other.iso, other.matrix)
-
-    def __hash__(self):
-        return hash((self.iso, self.matrix))
+        super().__init__(iso, matrix)
 
     def bmap(self, lam: Vector) -> Vector:
         """Induced map X_*(T) -> X*(S) on basis coordinates."""
@@ -335,21 +328,7 @@ class EvReport(Frozen):
     representative and the j-th output basis element.
     """
 
-    def __init__(self, basis: tuple[LevelTensor, ...],
-                 orbit_representatives: tuple[int, ...],
-                 value_table: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "orbit_representatives", orbit_representatives)
-        object.__setattr__(self, "value_table", value_table)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.basis, self.orbit_representatives, self.value_table)
-                == (other.basis, other.orbit_representatives, other.value_table))
-
-    def __hash__(self):
-        return hash((self.basis, self.orbit_representatives, self.value_table))
+    _fields = ("basis", "orbit_representatives", "value_table")
 
 
 def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvReport:
@@ -400,19 +379,7 @@ class BasicLevelResult(Frozen):
     with k * basic inside the lattice, and tensor is k * basic.
     """
 
-    def __init__(self, member: bool, minimal_multiple: int, tensor: LevelTensor):
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "minimal_multiple", minimal_multiple)
-        object.__setattr__(self, "tensor", tensor)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.member, self.minimal_multiple, self.tensor)
-                == (other.member, other.minimal_multiple, other.tensor))
-
-    def __hash__(self):
-        return hash((self.member, self.minimal_multiple, self.tensor))
+    _fields = ("member", "minimal_multiple", "tensor")
 
     @property
     def rational_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -463,24 +430,7 @@ class RankOneRestriction(Frozen):
     corresponding divisor is blocked exactly in the odd SL2 case.
     """
 
-    def __init__(self, root_index: int, subgroup_type: str, value: int,
-                 parity_obstruction: bool):
-        object.__setattr__(self, "root_index", root_index)
-        object.__setattr__(self, "subgroup_type", subgroup_type)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "parity_obstruction", parity_obstruction)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.root_index, self.subgroup_type, self.value,
-                 self.parity_obstruction)
-                == (other.root_index, other.subgroup_type, other.value,
-                    other.parity_obstruction))
-
-    def __hash__(self):
-        return hash((self.root_index, self.subgroup_type, self.value,
-                     self.parity_obstruction))
+    _fields = ("root_index", "subgroup_type", "value", "parity_obstruction")
 
 
 def restrict_to_rank_one(b: LevelTensor, root) -> RankOneRestriction:
@@ -522,34 +472,8 @@ def symmetric_projection(b: LevelTensor) -> tuple[tuple[Fraction, ...], ...]:
 class AtlasEntry(Frozen):
     """One atlas row; verdict is "match", "mismatch" or "no-claim"."""
 
-    def __init__(self, series: str, rank: int, source_form: str,
-                 target_form: str, computed_basis: tuple[Matrix, ...],
-                 claim: dict | None, claimed_basis: tuple[Matrix, ...] | None,
-                 claim_note: str | None, verdict: str):
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "source_form", source_form)
-        object.__setattr__(self, "target_form", target_form)
-        object.__setattr__(self, "computed_basis", computed_basis)
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "claimed_basis", claimed_basis)
-        object.__setattr__(self, "claim_note", claim_note)
-        object.__setattr__(self, "verdict", verdict)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.series, self.rank, self.source_form, self.target_form,
-                 self.computed_basis, self.claim, self.claimed_basis,
-                 self.claim_note, self.verdict)
-                == (other.series, other.rank, other.source_form, other.target_form,
-                    other.computed_basis, other.claim, other.claimed_basis,
-                    other.claim_note, other.verdict))
-
-    def __hash__(self):
-        return hash((self.series, self.rank, self.source_form, self.target_form,
-                     self.computed_basis, self.claim, self.claimed_basis,
-                     self.claim_note, self.verdict))
+    _fields = ("series", "rank", "source_form", "target_form", "computed_basis",
+               "claim", "claimed_basis", "claim_note", "verdict")
 
     def to_json_dict(self) -> dict:
         return {

@@ -61,6 +61,7 @@ from .intlinalg import (
     Matrix,
     RatVector,
     Smith,
+    Value,
     Vector,
     matvec,
     subquotient,
@@ -91,22 +92,18 @@ H1_CELL_CAP = 2**22
 class SemisimplePoint(Frozen):
     """xi in X_*(T) (x) Q, coordinates against the cocharacter basis."""
 
-    def __init__(self, xi: RatVector):
-        object.__setattr__(self, "xi", xi)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.xi == other.xi
-
-    def __hash__(self):
-        return hash((self.xi,))
+    _fields = ("xi",)
 
 
-class ObstructionResult:
+class ObstructionResult(Value):
     """One point's cocycles, made by centralizer_cocycle; the fields from
     trivial on are filled in by the checks that follow it.  Compared by
     its fields, and not hashable, as it changes."""
+
+    _fields = ("action", "level", "point", "w_l", "d_cocycle", "c_cocycle",
+               "rational_witness", "trivial", "witness_u", "class_order",
+               "h1_invariants", "h1_class_coords", "reflection_agrees",
+               "reflection_sub")
 
     def __init__(self, action: SharedWeylAction, level: LevelTensor,
                  point: SemisimplePoint, w_l: Subgroup,
@@ -118,35 +115,10 @@ class ObstructionResult:
                  h1_class_coords: tuple[int, ...] | None = None,
                  reflection_agrees: bool | None = None,
                  reflection_sub: Subgroup | None = None):
-        self.action = action
-        self.level = level
-        self.point = point
-        self.w_l = w_l
-        self.d_cocycle = d_cocycle
-        self.c_cocycle = c_cocycle
-        self.rational_witness = rational_witness
-        self.trivial = trivial
-        self.witness_u = witness_u
-        self.class_order = class_order
-        self.h1_invariants = h1_invariants
-        self.h1_class_coords = h1_class_coords
-        self.reflection_agrees = reflection_agrees
-        self.reflection_sub = reflection_sub
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.action, self.level, self.point, self.w_l, self.d_cocycle,
-                 self.c_cocycle, self.rational_witness, self.trivial,
-                 self.witness_u, self.class_order, self.h1_invariants,
-                 self.h1_class_coords, self.reflection_agrees, self.reflection_sub)
-                == (other.action, other.level, other.point, other.w_l,
-                    other.d_cocycle, other.c_cocycle, other.rational_witness,
-                    other.trivial, other.witness_u, other.class_order,
-                    other.h1_invariants, other.h1_class_coords,
-                    other.reflection_agrees, other.reflection_sub))
-
-    __hash__ = None
+        super().__init__(action, level, point, w_l, d_cocycle, c_cocycle,
+                         rational_witness, trivial, witness_u, class_order,
+                         h1_invariants, h1_class_coords, reflection_agrees,
+                         reflection_sub)
 
     def source_action(self, idx: int) -> Matrix:
         return self.action.source_char_action(idx)
@@ -378,21 +350,7 @@ def class_order(res: ObstructionResult) -> int:
 
 
 class H1Result(Frozen):
-    def __init__(self, invariants: AbelianInvariants,
-                 class_coords: tuple[int, ...] | None,
-                 class_order_in_h1: int | None):
-        object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "class_coords", class_coords)
-        object.__setattr__(self, "class_order_in_h1", class_order_in_h1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.invariants, self.class_coords, self.class_order_in_h1)
-                == (other.invariants, other.class_coords, other.class_order_in_h1))
-
-    def __hash__(self):
-        return hash((self.invariants, self.class_coords, self.class_order_in_h1))
+    _fields = ("invariants", "class_coords", "class_order_in_h1")
 
 
 def h1_group_lattice(
@@ -453,36 +411,11 @@ def obstruction_report(
 
 
 class ScanRow(Frozen):
-    def __init__(self, xi: RatVector, stabilizer_order: int, class_order: int,
-                 trivial: bool):
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "stabilizer_order", stabilizer_order)
-        object.__setattr__(self, "class_order", class_order)
-        object.__setattr__(self, "trivial", trivial)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.xi, self.stabilizer_order, self.class_order, self.trivial)
-                == (other.xi, other.stabilizer_order, other.class_order,
-                    other.trivial))
-
-    def __hash__(self):
-        return hash((self.xi, self.stabilizer_order, self.class_order,
-                     self.trivial))
+    _fields = ("xi", "stabilizer_order", "class_order", "trivial")
 
 
 class ScanTable(Frozen):
-    def __init__(self, rows: tuple[ScanRow, ...]):
-        object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
+    _fields = ("rows",)
 
     @property
     def trivial_count(self) -> int:

@@ -142,32 +142,8 @@ class _Frame:
 
 
 class RootDatum(Frozen):
-    def __init__(self, name: str, ambient_dim: int,
-                 char_basis: tuple[RatVector, ...],
-                 cochar_basis: tuple[RatVector, ...],
-                 roots: tuple[RatVector, ...], coroots: tuple[RatVector, ...],
-                 simple_indices: tuple[int, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "char_basis", char_basis)
-        object.__setattr__(self, "cochar_basis", cochar_basis)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "coroots", coroots)
-        object.__setattr__(self, "simple_indices", simple_indices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.ambient_dim, self.char_basis, self.cochar_basis,
-                 self.roots, self.coroots, self.simple_indices)
-                == (other.name, other.ambient_dim, other.char_basis,
-                    other.cochar_basis, other.roots, other.coroots,
-                    other.simple_indices))
-
-    def __hash__(self):
-        return hash((self.name, self.ambient_dim, self.char_basis,
-                     self.cochar_basis, self.roots, self.coroots,
-                     self.simple_indices))
+    _fields = ("name", "ambient_dim", "char_basis", "cochar_basis", "roots",
+               "coroots", "simple_indices")
 
     @property
     def rank(self) -> int:
@@ -360,17 +336,7 @@ def pairing(chi: RatVector, lam: RatVector) -> int:
 
 
 class DatumReport(Frozen):
-    def __init__(self, passed: bool, violations: tuple[str, ...]):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "violations", violations)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.passed, self.violations) == (other.passed, other.violations)
-
-    def __hash__(self):
-        return hash((self.passed, self.violations))
+    _fields = ("passed", "violations")
 
 
 def validate_datum(rd: RootDatum) -> DatumReport:
@@ -636,25 +602,7 @@ class IsogenyDatum(Frozen):
     connected cover).
     """
 
-    def __init__(self, source: RootDatum, target: RootDatum, char_map: Matrix,
-                 cochar_map: Matrix, coroot_lift: tuple[Vector, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "char_map", char_map)
-        object.__setattr__(self, "cochar_map", cochar_map)
-        object.__setattr__(self, "coroot_lift", coroot_lift)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.char_map, self.cochar_map,
-                 self.coroot_lift)
-                == (other.source, other.target, other.char_map, other.cochar_map,
-                    other.coroot_lift))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.char_map, self.cochar_map,
-                     self.coroot_lift))
+    _fields = ("source", "target", "char_map", "cochar_map", "coroot_lift")
 
     @property
     def name(self) -> str:

@@ -266,22 +266,7 @@ class Subgroup(Frozen):
     complex reads it.
     """
 
-    def __init__(self, group: WeylGroup, members: tuple[int, ...],
-                 generators: tuple[int, ...],
-                 gen_rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "gen_rows", gen_rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.members, self.generators, self.gen_rows)
-                == (other.group, other.members, other.generators, other.gen_rows))
-
-    def __hash__(self):
-        return hash((self.group, self.members, self.generators, self.gen_rows))
+    _fields = ("group", "members", "generators", "gen_rows")
 
     def __len__(self) -> int:
         return len(self.members)

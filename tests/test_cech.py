@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -32,7 +33,13 @@ from gerbelevels.cech import (
     zero_cochain,
     FiniteAction,
 )
-from gerbelevels.intlinalg import AbelianInvariants, identity, matmul, transpose
+from gerbelevels.intlinalg import (
+    AbelianInvariants,
+    CapExceeded,
+    identity,
+    matmul,
+    transpose,
+)
 from gerbelevels.levels import LevelTensor, basic_level
 from gerbelevels.rootdata import classical_datum, identity_isogeny
 
@@ -70,6 +77,21 @@ def test_nerve_octahedron_from_cover():
     assert len(n.level(1)) == 12
     assert len(n.level(2)) == 8
     assert n.dim == 2
+
+
+def test_nerve_stops_at_the_dimension_read():
+    # a star: 8 sets through one point, whose nerve is the full 7-simplex
+    star = [{0, v} for v in range(1, 9)]
+    full = nerve_of_cover(star, dim_cap=7)
+    for reads in (1, 2, 3):
+        n = nerve_of_cover(star, dim_cap=4, reads=reads)
+        assert n.dim == reads and n.simplices == full.simplices[:reads + 1]
+        for degree in range(reads):
+            assert cohomology(n, degree, ZZ) == cohomology(full, degree, ZZ)
+    # reads past the cap: the cap still refuses, and builds to the cap
+    assert nerve_of_cover(star, dim_cap=4).dim == 4
+    with pytest.raises(CapExceeded, match="dimension 5, over the dimension cap 4"):
+        nerve_of_cover(star, dim_cap=4, reads=5)
 
 
 def test_nerve_downward_closure_enforced():
@@ -400,6 +422,15 @@ def test_extension_rejects_non_cocycle():
     with pytest.raises(CechError) as err:
         central_extension_from_cocycle(z3, a, psi)
     assert "triple" in str(err.value)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1), (-1, 1), (1, -1)])
+def test_two_cochain_pairs_outside_the_group_are_refused(pair):
+    z2, a = cyclic_group(2), CoefficientGroup(0, (2,))
+    psi = {(1, 1): (1,), pair: (1,)}
+    for check in (check_two_cocycle, central_extension_from_cocycle):
+        with pytest.raises(CechError, match=re.escape(f"pair {pair} is outside")):
+            check(z2, a, psi)
 
 
 def test_extension_cohomologous_cocycles_isomorphic_probe():

@@ -1223,6 +1223,23 @@ def _extension_with(**fields):
     # checks
     ("equivariant", _z4_point_with(("coeff_actions", 2), [[0]]),
      "error: coefficient action is not a homomorphism"),
+    # a set is a list of integer or string labels: true and 1.0 merged
+    # with 1, and a string or an object was split into its letters or keys
+    ("cohomology", {"cover": [[True], [1]]}, "error: malformed cover"),
+    ("cohomology", {"cover": [[1.0], [1]]}, "error: malformed cover"),
+    ("cohomology", {"cover": ["ab", "bc"]}, "error: malformed cover"),
+    ("cohomology", {"cover": [{"a": 1}, {"a": 2}]}, "error: malformed cover"),
+    ("cohomology", {"cover": [[[1]], [[1]]]}, "error: malformed cover"),
+    ("cohomology", "cover", "error: fixture needs a 'cover' or 'nerve' field"),
+    ("cohomology", ["nerve"], "error: fixture needs a 'cover' or 'nerve' field"),
+    # pairs outside Z/2 were ignored, and a repeated pair kept its last value
+    ("extension", _extension_with(psi=[{"pair": [1, 5], "value": [1]}]),
+     "error: extension rejected: 2-cochain pair (1, 5) is outside the group"),
+    ("extension", _extension_with(psi=[{"pair": [-1, 1], "value": [1]}]),
+     "error: extension rejected: 2-cochain pair (-1, 1) is outside the group"),
+    ("extension", _extension_with(psi=[{"pair": [1, 1], "value": [1]},
+                                       {"pair": [1, 1], "value": [0]}]),
+     "error: extension rejected: pair (1, 1) given twice"),
 ])
 def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"
@@ -1250,6 +1267,9 @@ def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message
      "expected an integer, got 1.0"),
     ({"degree": -1, "values": []}, "negative degree"),
     ({"degree": 5, "values": []}, "degree 5 is not --degree 1"),
+    ({"degree": 1, "values": [{"simplex": [0, 1], "value": [1]},
+                              {"simplex": [0, 1], "value": [0]}]},
+     "simplex (0, 1) given twice"),
 ])
 def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cocycle, detail):
     path = tmp_path / "cocycle.json"
@@ -1315,6 +1335,15 @@ def test_cohomology_rejects_negative_nerve_dimension(capsys):
     code, out = run(capsys, "cohomology", "--fixture",
                     f"{FIX}/triangle_cover.json", "--degree", "1")
     assert (code, out) == (0, "H^1 = Z\n")
+
+
+def test_cover_labels_are_distinct_json_values(tmp_path, capsys):
+    # 1 and "1" are different labels; equal integers are one label
+    path = tmp_path / "cover.json"
+    for cover, out in (([[1], ["1"]], "H^0 = Z^2\n"), ([[1, "a"], [1]], "H^0 = Z\n")):
+        path.write_text(json.dumps({"cover": cover}))
+        assert run(capsys, "cohomology", "--fixture", str(path), "--degree", "0") == \
+            (0, out)
 
 
 def test_nerve_cap_refuses_a_truncation_that_reaches_the_degree(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The value classes compare, hash and refuse assignment by their fields,
-and a command's import stays free of dataclasses and inspect."""
+"""The value classes name their fields once, in _fields, and compare, hash
+and refuse assignment by them; a command's import stays free of
+dataclasses and inspect."""
 
 import os
 import subprocess
@@ -20,7 +21,15 @@ from gerbelevels.cech import (
     point_action,
     torus_cover_model,
 )
-from gerbelevels.intlinalg import AbelianInvariants, RatVector, Smith, SolveResult, solve_z
+from gerbelevels.intlinalg import (
+    AbelianInvariants,
+    Frozen,
+    RatVector,
+    Smith,
+    SolveResult,
+    Value,
+    solve_z,
+)
 from gerbelevels.levels import (
     AtlasEntry,
     BasicLevelResult,
@@ -112,6 +121,14 @@ CLASSES = {cls.__name__: cls for cls in (
 MUTABLE = {"Cochain", "ObstructionResult"}
 # a field holds a dict, so hashing fails as hashing the fields would
 DICT_FIELDS = {"TorusCoverModel"}
+# attributes found by validation, stored but not fields
+FOUND = {"FiniteGroupTable": ("identity", "inverses", "generators")}
+# the classes whose constructor only stores its fields
+STORE_ONLY = {name for name, cls in CLASSES.items() if cls.__init__ is Value.__init__}
+
+
+def field_values(obj):
+    return [getattr(obj, f) for f in obj._fields]
 
 
 def test_every_value_class_has_a_maker():
@@ -119,6 +136,69 @@ def test_every_value_class_has_a_maker():
     assert len(CLASSES) == 25
     for name, make in MAKERS.items():
         assert type(make()) is CLASSES[name]
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_fields_name_what_the_constructor_stores(name):
+    cls, obj = CLASSES[name], MAKERS[name]()
+    fields = cls._fields
+    assert len(set(fields)) == len(fields) and issubclass(cls, Value)
+    assert issubclass(cls, Frozen) is (name not in MUTABLE)
+    if name not in STORE_ONLY:
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == fields
+    # rebuilt from its fields, by position and by name, an instance stores
+    # exactly those fields, in order, and equals the original
+    for built in (cls(*field_values(obj)), cls(**dict(zip(fields, field_values(obj))))):
+        assert tuple(vars(built)) == fields + FOUND.get(name, ())
+        assert built == obj
+
+
+def test_store_only_classes_use_the_default_constructor():
+    assert sorted(STORE_ONLY) == [
+        "AtlasEntry", "BasicLevelResult", "DatumReport", "EvReport",
+        "ExtensionResult", "H1Result", "IsogenyDatum", "RankOneRestriction",
+        "RootDatum", "ScanRow", "ScanTable", "SemisimplePoint", "Smith",
+        "SolveResult", "Subgroup"]
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ONLY))
+def test_default_constructor_refuses_missing_extra_and_repeated_fields(name):
+    cls, values = CLASSES[name], field_values(MAKERS[name]())
+    fields, n = cls._fields, len(values)
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{fields[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{fields[0]}'$"):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"^{name} takes {n} fields, got {n + 1}$"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=f"^{name} has no field 'extra'$"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match=f"^{name} got field '{fields[0]}' twice$"):
+        cls(*values, **{fields[0]: values[0]})
+    mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+    assert tuple(vars(mixed)) == fields and mixed == cls(*values)
+
+
+@pytest.mark.parametrize("name", sorted(set(MAKERS) - MUTABLE - DICT_FIELDS))
+def test_a_kept_hash_is_never_compared(name):
+    a, b = MAKERS[name](), MAKERS[name]()
+    vars(a).pop("_hash", None)
+    h = hash(a)
+    assert vars(a)["_hash"] == h and "_hash" not in a._fields
+    # kept: a forged hash is returned as it is, and changes no comparison
+    vars(a)["_hash"] = h + 1
+    assert hash(a) == h + 1
+    assert a == b and b == a and not a != b
+    vars(a).pop("_hash")
+    assert hash(a) == h == hash(b)
+
+
+def test_equal_hashes_do_not_make_values_equal():
+    a, b = RatVector.make([1, 2], 3), RatVector.make([1, 2], 5)
+    vars(a)["_hash"] = hash(b)
+    assert a != b and hash(a) == hash(b)
+    assert len({a, b}) == 2
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
