@@ -26,7 +26,7 @@ are read in the full bar complex.  Cochain values are stored on sorted
 simplices only, with the alternation sign applied on access.
 
 Finite-group inputs are validated on a greedy generating set of k
-elements (_generators), and each check there implies it on every
+elements (_greedy_generators), and each check there implies it on every
 element: a group table is associative by Light's test on the
 generators (FiniteGroupTable), an action is checked on the generator
 edges s -> s w (FiniteAction), and the 2-cocycle identity with a
@@ -361,16 +361,20 @@ class Cochain(Value):
 
     @classmethod
     def from_json_dict(cls, nerve: Nerve, group: CoefficientGroup,
-                       d: dict) -> "Cochain":
+                       d: dict, degree: int) -> "Cochain":
+        """A fixture's cochain, which must have the given degree: another
+        is refused before any value is placed on a simplex."""
         try:
-            degree = freeze(d["degree"], 0)
+            given = freeze(d["degree"], 0)
+            if given >= 0 and given != degree:
+                raise ValueError(f"degree {given} is not --degree {degree}")
             values = {}
             for e in d["values"]:
                 s = freeze(e["simplex"], 1)
                 if s in values:
                     raise ValueError(f"simplex {s} given twice")
                 values[s] = freeze(e["value"], 1)
-            return cls(nerve, degree, group, values)
+            return cls(nerve, given, group, values)
         except (KeyError, TypeError, ValueError) as err:
             raise _malformed("cocycle", err) from None
 
@@ -558,27 +562,29 @@ def trivialize(c: Cochain) -> Cochain | None:
 # finite groups and actions
 
 
-def _generators(table, e: int) -> tuple[int, ...]:
-    """Greedy generating set of a table with identity e, as
-    weyl._generators_and_rows picks one for W_L: each element outside the
-    closure so far becomes a generator.  The closure grows by left
-    multiplication along table rows: the new generator's row applied to
-    the old closure gives its new elements, and only those are carried
-    further, along every generator's row.  Every element is then a word
-    s_1 (s_2 (... (s_m e))) in the generators."""
+def _greedy_generators(n: int, e: int, row) -> tuple[Vector, Matrix]:
+    """Greedy generating set of a group on positions 0..n-1 with identity
+    e, and the generators' rows, row(a)[b] being the position of a * b:
+    each position outside the closure so far becomes a generator, and
+    only then is its row asked for.  The closure grows by left
+    multiplication: the new row applied to the old closure gives its new
+    elements, and only those are carried further, along every row.  Every
+    position is then a word s_1 (s_2 (... (s_m e))) in the generators."""
     gens: list[int] = []
+    rows: list[tuple[int, ...]] = []
     have = {e}
-    for a, row in enumerate(table):
+    for a in range(n):
         if a in have:
             continue
         gens.append(a)
-        frontier = {row[b] for b in have} - have
+        rows.append(row(a))
+        frontier = {rows[-1][b] for b in have} - have
         while frontier:
             have |= frontier
-            frontier = {table[s][f] for f in frontier for s in gens} - have
-        if len(have) == len(table):
+            frontier = {r[f] for f in frontier for r in rows} - have
+        if len(have) == n:
             break
-    return tuple(gens)
+    return tuple(gens), tuple(rows)
 
 
 class FiniteGroupTable(Frozen):
@@ -586,7 +592,7 @@ class FiniteGroupTable(Frozen):
 
     Validated in order: the shape, a two-sided identity (found once), a
     two-sided inverse of every element (read off its row), and
-    associativity by Light's test on a greedy generating set (_generators):
+    associativity by Light's test on greedy generators (_greedy_generators):
     (x a) y = x (a y) for every x, y and generator a, k n^2 checks for k
     generators instead of n^3.  The middle elements a that pass are closed
     under products, x(ab).y = (xa)b.y = xa.by = x.a(by) = x.(ab)y, and
@@ -618,7 +624,7 @@ class FiniteGroupTable(Frozen):
                 if b is None:
                     raise CechError(f"element {a} has no inverse")
             inverses.append(b)
-        gens = _generators(t, e)
+        gens = _greedy_generators(n, e, t.__getitem__)[0]
         for g in gens:
             g_row = t[g]
             for x_row in t:

@@ -17,9 +17,10 @@ scans).
 The parser is built once per process, on the first call of main, and
 reused by every later call; importing the module builds nothing.
 
-Output is deterministic: canonical JSON (sorted keys, fixed separators),
-fixed text layouts, no timestamps; stderr carries only `error:` lines.
-atlas computes its rows one after another in canonical order.
+Output is deterministic, and written by one function, write: canonical
+JSON (sorted keys, fixed separators), fixed text layouts, no timestamps;
+stderr carries only `error:` lines.  atlas computes its rows one after
+another in canonical order.
 """
 
 from __future__ import annotations
@@ -99,15 +100,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def emit(payload: str, out_path: str | None) -> None:
-    sys.stdout.write(payload)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def write(args, payload, text, csv=None) -> None:
+    """Writes a subcommand's output in --format to stdout, and to --out
+    when it is given: the JSON value payload as canonical JSON, or the
+    lines that text() or csv() return.  Only the rendering asked for is
+    built."""
+    if args.format == "json":
+        out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        out = "\n".join(csv() if args.format == "csv" else text()) + "\n"
+    sys.stdout.write(out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out)
 
 
 def parse_rational_vector(text: str) -> RatVector:
@@ -205,16 +210,12 @@ def cmd_levels(args) -> int:
     series, _rank, sf, tf = claim_key_of(action.iso)
     claim = find_claim(series, sf, tf)
     entry = compare_with_reference(action, claim)
-    if args.format == "json":
-        emit(canonical_json(entry.to_json_dict()), args.out)
-    elif args.format == "csv":
-        emit(_atlas_csv([entry]), args.out)
-    else:
-        emit(atlas_entry_text(entry) + "\n", args.out)
+    write(args, entry.to_json_dict(), lambda: [atlas_entry_text(entry)],
+          lambda: _atlas_csv([entry]))
     return EXIT_MISMATCH if entry.verdict == "mismatch" else EXIT_OK
 
 
-def _atlas_csv(entries) -> str:
+def _atlas_csv(entries) -> list[str]:
     lines = ["series,rank,source_form,target_form,verdict,computed,claimed"]
     for e in entries:
         comp = "|".join(json.dumps([list(r) for r in m]) for m in e.computed_basis)
@@ -227,33 +228,35 @@ def _atlas_csv(entries) -> str:
             f"{e.series},{e.rank},{e.source_form},{e.target_form},"
             f"{e.verdict},\"{comp}\",\"{claimed}\""
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _atlas_row(row, max_weyl_order, scan_denominator, max_subgroup_order):
+    """The row's entry, None when the row failed, and its JSON value."""
     series, rank, sf, tf = row
     try:
         action = _classical_action(series, rank, sf, tf, max_weyl_order)
-        iso = action.iso
         entry = compare_with_reference(
             action, find_claim(series, sf, tf)
         )
-        scan_summary = None
+        d = entry.to_json_dict()
         if scan_denominator:
-            res = basic_level(iso)
+            res = basic_level(action.iso)
             table = scan_points(action, res.tensor, scan_denominator,
                                 verify_cap=max_subgroup_order)
-            scan_summary = {
+            d["scan"] = {
                 "level": f"{res.minimal_multiple}xbasic",
                 "points": len(table.rows),
                 "trivial": table.trivial_count,
                 "nontrivial": table.nontrivial_count,
             }
-        return {"entry": entry, "scan": scan_summary, "error": None, "row": row}
+        return entry, d
     except (DatumError, CechError) as err:
-        return {"entry": None, "scan": None, "error": str(err), "row": row}
+        error = str(err)
     except CapExceeded as err:
-        return {"entry": None, "scan": None, "error": f"cap: {err}", "row": row}
+        error = f"cap: {err}"
+    return None, {"series": series, "rank": rank, "source_form": sf,
+                  "target_form": tf, "error": error}
 
 
 def cmd_atlas(args) -> int:
@@ -277,36 +280,20 @@ def cmd_atlas(args) -> int:
     rows.sort()
     results = [_atlas_row(row, args.max_weyl_order, args.scan_denominator,
                           args.max_subgroup_order) for row in rows]
-    if args.format == "json":
-        payload = []
-        for r in results:
-            if r["error"] is not None:
-                payload.append({
-                    "series": r["row"][0], "rank": r["row"][1],
-                    "source_form": r["row"][2], "target_form": r["row"][3],
-                    "error": r["error"],
-                })
+
+    def text():
+        for entry, d in results:
+            if entry is None:
+                yield (f"{d['series']}{d['rank']} {d['source_form']}->"
+                       f"{d['target_form']}  error: {d['error']}")
+            elif "scan" in d:
+                yield (f"{atlas_entry_text(entry)}  "
+                       f"scan={json.dumps(d['scan'], sort_keys=True)}")
             else:
-                d = r["entry"].to_json_dict()
-                if r["scan"] is not None:
-                    d["scan"] = r["scan"]
-                payload.append(d)
-        emit(canonical_json(payload), args.out)
-    elif args.format == "csv":
-        good = [r["entry"] for r in results if r["entry"] is not None]
-        emit(_atlas_csv(good), args.out)
-    else:
-        lines = []
-        for r in results:
-            if r["error"] is not None:
-                series, rank, sf, tf = r["row"]
-                lines.append(f"{series}{rank} {sf}->{tf}  error: {r['error']}")
-            else:
-                line = atlas_entry_text(r["entry"])
-                if r["scan"] is not None:
-                    line += f"  scan={json.dumps(r['scan'], sort_keys=True)}"
-                lines.append(line)
-        emit("\n".join(lines) + "\n", args.out)
+                yield atlas_entry_text(entry)
+
+    write(args, [d for _, d in results], text,
+          lambda: _atlas_csv(e for e, _ in results if e is not None))
     return EXIT_OK
 
 
@@ -327,22 +314,18 @@ def cmd_obstruction(args) -> int:
         str(i): [list(r) for r in action.source_char_action(i)]
         for i in res.w_l.members
     }
-    if args.format == "json":
-        emit(canonical_json(payload), args.out)
-    else:
-        lines = [
-            f"isogeny: {payload['isogeny']}",
-            f"xi (basis coords): {payload['xi']['num']} / {payload['xi']['den']}",
-            f"stabilizer order: {payload['stabilizer_order']}",
-            f"trivial: {payload['trivial']}",
-            f"class order: {payload['class_order']}",
-            f"witness: {payload['witness_u']}",
-            f"rational witness: {payload['rational_witness']['num']}"
-            f" / {payload['rational_witness']['den']}",
-            f"H1 invariants: {res.h1_invariants.label()}",
-            f"reflection subgroup agrees: {payload['reflection_subgroup_agrees']}",
-        ]
-        emit("\n".join(lines) + "\n", args.out)
+    write(args, payload, lambda: [
+        f"isogeny: {payload['isogeny']}",
+        f"xi (basis coords): {payload['xi']['num']} / {payload['xi']['den']}",
+        f"stabilizer order: {payload['stabilizer_order']}",
+        f"trivial: {payload['trivial']}",
+        f"class order: {payload['class_order']}",
+        f"witness: {payload['witness_u']}",
+        f"rational witness: {payload['rational_witness']['num']}"
+        f" / {payload['rational_witness']['den']}",
+        f"H1 invariants: {res.h1_invariants.label()}",
+        f"reflection subgroup agrees: {payload['reflection_subgroup_agrees']}",
+    ])
     return EXIT_OK
 
 
@@ -371,27 +354,21 @@ def cmd_scan(args) -> int:
         "trivial": table.trivial_count,
         "nontrivial": table.nontrivial_count,
     }
-    if args.format == "json":
-        emit(canonical_json(payload), args.out)
-    elif args.format == "csv":
-        lines = ["xi_num,xi_den,stabilizer_order,class_order,trivial"]
+
+    def text():
         for r in table.rows:
-            lines.append(
-                f"\"{list(r.xi.nums)}\",{r.xi.den},{r.stabilizer_order},"
-                f"{r.class_order},{str(r.trivial).lower()}"
-            )
-        emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"{list(r.xi.nums)}/{r.xi.den}: |W_L|={r.stabilizer_order} "
-            f"order={r.class_order} trivial={r.trivial}"
-            for r in table.rows
-        ]
-        lines.append(
-            f"total {len(table.rows)} orbits: {table.trivial_count} trivial, "
-            f"{table.nontrivial_count} nontrivial"
-        )
-        emit("\n".join(lines) + "\n", args.out)
+            yield (f"{list(r.xi.nums)}/{r.xi.den}: |W_L|={r.stabilizer_order} "
+                   f"order={r.class_order} trivial={r.trivial}")
+        yield (f"total {len(table.rows)} orbits: {table.trivial_count} trivial, "
+               f"{table.nontrivial_count} nontrivial")
+
+    def csv():
+        yield "xi_num,xi_den,stabilizer_order,class_order,trivial"
+        for r in table.rows:
+            yield (f"\"{list(r.xi.nums)}\",{r.xi.den},{r.stabilizer_order},"
+                   f"{r.class_order},{str(r.trivial).lower()}")
+
+    write(args, payload, text, csv)
     return EXIT_OK
 
 
@@ -408,8 +385,7 @@ def cmd_datum(args) -> int:
         payload = rd.to_json_dict()
         payload["valid"] = report.passed
         payload["violations"] = list(report.violations)
-    emit(canonical_json(payload) if args.format == "json"
-         else json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    write(args, payload, lambda: [json.dumps(payload, indent=2, sort_keys=True)])
     return EXIT_OK
 
 
@@ -453,16 +429,10 @@ def cmd_cohomology(args) -> int:
     }
     if args.trivialize_cocycle:
         cdata = _load_fixture(args.trivialize_cocycle)
-        cocycle = Cochain.from_json_dict(nerve, group, cdata)
-        if cocycle.degree != args.degree:
-            raise CliError(f"malformed cocycle: degree {cocycle.degree} "
-                           f"is not --degree {args.degree}")
-        witness = trivialize(cocycle)
+        witness = trivialize(Cochain.from_json_dict(nerve, group, cdata,
+                                                    args.degree))
         payload["witness"] = None if witness is None else witness.to_json_dict()
-    if args.format == "json":
-        emit(canonical_json(payload), args.out)
-    else:
-        emit(f"H^{args.degree} = {payload['label']}\n", args.out)
+    write(args, payload, lambda: [f"H^{args.degree} = {payload['label']}"])
     return EXIT_OK
 
 
@@ -474,10 +444,7 @@ def cmd_equivariant(args) -> int:
         "invariants": {"free_rank": inv.free_rank, "torsion": list(inv.torsion)},
         "label": inv.label(),
     }
-    if args.format == "json":
-        emit(canonical_json(payload), args.out)
-    else:
-        emit(f"H^{args.degree}_G = {payload['label']}\n", args.out)
+    write(args, payload, lambda: [f"H^{args.degree}_G = {payload['label']}"])
     return EXIT_OK
 
 
@@ -512,14 +479,9 @@ def cmd_extension(args) -> int:
             {"coefficient": list(a), "base": g} for (a, g) in res.element_labels
         ],
     }
-    if args.format == "json":
-        emit(canonical_json(payload), args.out)
-    else:
-        emit(
-            f"extension of order {res.table.n}; element orders "
-            f"{list(res.order_multiset)}; center {res.center_size}\n",
-            args.out,
-        )
+    write(args, payload, lambda: [
+        f"extension of order {res.table.n}; element orders "
+        f"{list(res.order_multiset)}; center {res.center_size}"])
     return EXIT_OK
 
 

@@ -825,7 +825,10 @@ class RatVector(Frozen):
         if g > 1:
             nums = [x // g for x in nums]
             den //= g
-        return cls(tuple(int(x) for x in nums), int(den))
+        # reduced: stored without the gcd __init__ takes again
+        v = cls.__new__(cls)
+        Value.__init__(v, tuple(int(x) for x in nums), int(den))
+        return v
 
     @classmethod
     def from_fractions(cls, fracs) -> "RatVector":

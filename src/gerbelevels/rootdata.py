@@ -201,12 +201,9 @@ class RootDatum(Frozen):
     def _every_coords(self, vectors: tuple[RatVector, ...], solve,
                       side: int) -> tuple[Vector, ...]:
         """The coordinates of every root (side 0) or coroot (side 1), in
-        index order, each solved once: the simple ones are read off
-        _simple_coords when cartan_matrix has made it, and solved here
-        otherwise, so the first vector outside the lattice is the one
-        named either way."""
-        made = self.__dict__.get("_simple_coords")
-        known = {} if made is None else dict(zip(self.simple_indices, made[side]))
+        index order: the simple ones read off _simple_coords, the rest
+        solved here, each once."""
+        known = dict(zip(self.simple_indices, self._simple_coords[side]))
         return tuple(known[k] if k in known else solve(v)
                      for k, v in enumerate(vectors))
 
@@ -227,18 +224,12 @@ class RootDatum(Frozen):
     @cached_property
     def _simple_coords(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
         """The coordinates of the simple roots and of their coroots, in the
-        order of simple_indices: read off _root_coords and _coroot_coords
-        when those are made, and solved otherwise, 2r solves that those
-        then reuse (_every_coords)."""
-        made = self.__dict__
-        out = []
-        for name, vectors, solve in (
-                ("_root_coords", self.roots, self._root_lattice_coords),
-                ("_coroot_coords", self.coroots, self._coroot_lattice_coords)):
-            every = made.get(name)
-            out.append(tuple(solve(vectors[i]) if every is None else every[i]
-                             for i in self.simple_indices))
-        return out[0], out[1]
+        order of simple_indices: 2r solves, which _root_coords and
+        _coroot_coords then reuse."""
+        return (tuple(self._root_lattice_coords(self.roots[i])
+                      for i in self.simple_indices),
+                tuple(self._coroot_lattice_coords(self.coroots[i])
+                      for i in self.simple_indices))
 
     @cached_property
     def cartan_matrix(self) -> Matrix:

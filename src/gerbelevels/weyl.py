@@ -63,6 +63,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from operator import getitem, mul
 
+from .cech import _greedy_generators
 from .intlinalg import (
     CapExceeded,
     Frozen,
@@ -312,32 +313,19 @@ _NOT_CLOSED = "member set is not closed under the group operations"
 
 def _generators_and_rows(group: WeylGroup, members: tuple[int, ...]
                          ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Greedy small generating set of a subgroup given by its sorted
-    members (with the identity) and each generator's row, rows[k][a] =
-    position of gens[k] * members[a]: each member outside the closure so
-    far becomes a generator, and its row is computed then.  The closure
-    grows on positions: the new row applied to the old closure gives its
-    new elements, and only those are carried further, along every row.
-    Raises ValueError when a product leaves members."""
+    """The greedy generators of a subgroup given by its sorted members
+    (with the identity), and their rows (cech._greedy_generators), made
+    with group.mult.  Raises ValueError when a product leaves members."""
     pos = {w: a for a, w in enumerate(members)}
-    gens: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    have = {pos[group.identity_index]}
-    for a, i in enumerate(members):
-        if a in have:
-            continue
+
+    def row(a: int) -> tuple[int, ...]:
         try:
-            row = tuple(pos[group.mult(i, w)] for w in members)
+            return tuple(pos[group.mult(members[a], w)] for w in members)
         except KeyError:
             raise ValueError(_NOT_CLOSED) from None
-        gens.append(i)
-        rows.append(row)
-        new = [b for b in map(row.__getitem__, have) if b not in have]
-        have.update(new)
-        _grow(tuple.__getitem__, have, new, rows)
-        if len(have) == len(members):
-            break
-    return tuple(gens), tuple(rows)
+
+    gens, rows = _greedy_generators(len(members), pos[group.identity_index], row)
+    return tuple(members[a] for a in gens), rows
 
 
 def _tree_steps(gen_rows: tuple[tuple[int, ...], ...],

@@ -551,7 +551,7 @@ def test_cocycle_from_json_rejects_non_integers():
     nerve = circle_nerve(3)
     with pytest.raises(CechError, match="malformed cocycle: expected an integer"):
         Cochain.from_json_dict(nerve, CoefficientGroup(1), {
-            "degree": 1, "values": [{"simplex": [0, 1], "value": [1.5]}]})
+            "degree": 1, "values": [{"simplex": [0, 1], "value": [1.5]}]}, 1)
 
 
 def test_torus_model_rejects_inconsistent_offsets():

@@ -378,6 +378,9 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
     # exponent 2
     (("scan", "D", "4", "Spin", "PSO", "--max-denominator", "4", "--format", "json"),
      "98886a8a6eff657962cfe30f44062c17f921ed108a27f60c29780860362ad4a8"),
+    # W_L of order 16 in |W| = 192: a class of order 2, H^1 = Z/2
+    (("obstruction", "D", "4", "Spin", "Spin", "--xi", "1/2,1/2,0,0", "--format", "json"),
+     "c0de680cbb29fb2d37c47eafbabbcbd9a989988ab60b99e59006fffc323e2dce"),
     (("atlas", "--format", "json"),
      "1dcbffe87777852ce85b30daa2e1d9c6bf6a5c1b5b70c2e69cffb4787cae17c9"),
     (("atlas",),
@@ -401,7 +404,7 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
 ], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan",
-        "D4-Spin-PSO-scan4", "atlas",
+        "D4-Spin-PSO-scan4", "D4-half-half", "atlas",
         "atlas-text", "atlas-csv", "atlas-D6", "atlas-scan2",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
@@ -799,14 +802,6 @@ def test_atlas_empty_row_list_is_default(capsys):
     assert len(data) == len(set((r["series"], r["rank"], r["source_form"],
                                  r["target_form"]) for r in data))
     assert len(data) == 33
-
-
-def test_out_file(tmp_path, capsys):
-    path = tmp_path / "entry.json"
-    code, out = run(capsys, "levels", "A", "1", "SL", "SL",
-                    "--format", "json", "--out", str(path))
-    assert code == 0
-    assert path.read_text() == out
 
 
 def test_levels_custom_datum_fixture(capsys):
@@ -1255,27 +1250,43 @@ def test_malformed_fixture_is_bad_input(tmp_path, capsys, command, data, message
     assert len(lines) == 1 and lines[0].startswith(message)
 
 
-@pytest.mark.parametrize("cocycle, detail", [
-    ({"degree": 1}, "missing field 'values'"),
-    ({"values": []}, "missing field 'degree'"),
-    ({"degree": 1, "values": 5}, ""),
-    ({"degree": 1, "values": [{"simplex": [0, 1], "value": ["x"]}]}, ""),
-    ({"degree": 1.0, "values": []}, "expected an integer, got 1.0"),
-    ({"degree": 1, "values": [{"simplex": [0, 1], "value": [1.5]}]},
+# (cover, --degree, cocycle, detail); no cover means the circle3 fixture
+MALFORMED_COCYCLES = [
+    (None, 1, {"degree": 1}, "missing field 'values'"),
+    (None, 1, {"values": []}, "missing field 'degree'"),
+    (None, 1, {"degree": 1, "values": 5}, ""),
+    (None, 1, {"degree": 1, "values": [{"simplex": [0, 1], "value": ["x"]}]}, ""),
+    (None, 1, {"degree": 1.0, "values": []}, "expected an integer, got 1.0"),
+    (None, 1, {"degree": 1, "values": [{"simplex": [0, 1], "value": [1.5]}]},
      "expected an integer, got 1.5"),
-    ({"degree": 1, "values": [{"simplex": [0, 1.0], "value": [1]}]},
+    (None, 1, {"degree": 1, "values": [{"simplex": [0, 1.0], "value": [1]}]},
      "expected an integer, got 1.0"),
-    ({"degree": -1, "values": []}, "negative degree"),
-    ({"degree": 5, "values": []}, "degree 5 is not --degree 1"),
-    ({"degree": 1, "values": [{"simplex": [0, 1], "value": [1]},
-                              {"simplex": [0, 1], "value": [0]}]},
+    (None, 1, {"degree": -1, "values": []}, "negative degree"),
+    (None, 1, {"degree": 5, "values": []}, "degree 5 is not --degree 1"),
+    (None, 1, {"degree": 1, "values": [{"simplex": [0, 1], "value": [1]},
+                                       {"simplex": [0, 1], "value": [0]}]},
      "simplex (0, 1) given twice"),
-])
-def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cocycle, detail):
+    # the nerve of a 16-set star is built to its edges for --degree 0, so
+    # the degree is refused before a value is placed on the triangle
+    ({"cover": [[0, i] for i in range(1, 17)]}, 0,
+     {"degree": 2, "values": [{"simplex": [0, 1, 2], "value": [1]}]},
+     "degree 2 is not --degree 0"),
+]
+
+
+@pytest.mark.parametrize("cover, degree, cocycle, detail", [
+    pytest.param(*case, id=f"cocycle{i}-{case[-1]}")
+    for i, case in enumerate(MALFORMED_COCYCLES)])
+def test_cohomology_rejects_malformed_cocycle(tmp_path, capsys, cover, degree,
+                                              cocycle, detail):
+    fixture = f"{FIX}/circle3.json"
+    if cover is not None:
+        fixture = tmp_path / "cover.json"
+        fixture.write_text(json.dumps(cover))
     path = tmp_path / "cocycle.json"
     path.write_text(json.dumps(cocycle))
-    code = main(["cohomology", "--fixture", f"{FIX}/circle3.json",
-                 "--degree", "1", "--trivialize-cocycle", str(path)])
+    code = main(["cohomology", "--fixture", str(fixture), "--degree", str(degree),
+                 "--trivialize-cocycle", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -1513,6 +1524,18 @@ def test_every_accepted_option_is_read(tmp_path, capsys, command):
     assert args.fn(args) == 0
     capsys.readouterr()
     assert [a.dest for a in options if a.dest not in args._reads] == []
+
+
+@pytest.mark.parametrize("command", sorted(GUARD_ARGV))
+def test_out_file_equals_stdout_in_every_format(tmp_path, capsys, command):
+    argv = list(GUARD_ARGV[command])
+    (fmt,) = [a for a in _subparsers()[command]._actions if a.dest == "format"]
+    for choice in fmt.choices:
+        argv[argv.index("--format") + 1] = choice
+        path = tmp_path / f"out.{choice}"
+        code, out = run(capsys, command, *argv, "--out", str(path))
+        assert code == 0 and out
+        assert path.read_bytes() == out.encode()
 
 
 D7_LEVELS_SHA256 = "2886936d566ef93ef319493df8a6b82a3c234c8c23015842904f7786f34dea85"

@@ -39,6 +39,7 @@ element, and the extension table built cell by cell.
 
 import copy
 import functools
+import glob
 import importlib.util
 import itertools
 import json
@@ -3283,3 +3284,128 @@ def test_generator_cocycle_check_on_every_normalised_cochain():
     # image of the 2^3 normalised 1-cochains, whose kernel Hom(V4, Z/2)
     # has order 4
     assert verdicts.count(True) == 16
+
+
+# --- Greedy generators: the two loops that cech._greedy_generators replaced
+
+
+def oracle_table_generators(table, e):
+    """The greedy generating set FiniteGroupTable took from its own loop:
+    the closure grown along table rows, as sets."""
+    gens = []
+    have = {e}
+    for a, row in enumerate(table):
+        if a in have:
+            continue
+        gens.append(a)
+        frontier = {row[b] for b in have} - have
+        while frontier:
+            have |= frontier
+            frontier = {table[s][f] for f in frontier for s in gens} - have
+        if len(have) == len(table):
+            break
+    return tuple(gens)
+
+
+def oracle_generators_and_rows(group, members):
+    """The greedy generators and rows weyl._generators_and_rows took from
+    its own loop: the closure grown on positions, as lists."""
+    pos = {w: a for a, w in enumerate(members)}
+    gens = []
+    rows = []
+    have = {pos[group.identity_index]}
+    for a, i in enumerate(members):
+        if a in have:
+            continue
+        try:
+            row = tuple(pos[group.mult(i, w)] for w in members)
+        except KeyError:
+            raise ValueError("not closed") from None
+        gens.append(i)
+        rows.append(row)
+        new = [b for b in map(row.__getitem__, have) if b not in have]
+        have.update(new)
+        while new:
+            nxt = []
+            for f in new:
+                for r in rows:
+                    if r[f] not in have:
+                        have.add(r[f])
+                        nxt.append(r[f])
+            new = nxt
+        if len(have) == len(members):
+            break
+    return tuple(gens), tuple(rows)
+
+
+def fixture_group_tables():
+    """The group of every fixture that names one, and the central
+    extension each extension fixture defines."""
+    for path in sorted(glob.glob("fixtures/*.json")):
+        with open(path) as fh:
+            data = json.load(fh)
+        group = data.get("group") if isinstance(data, dict) else None
+        if group is None:
+            continue
+        if "cyclic" in group:
+            table = cyclic_group(group["cyclic"])
+        else:
+            table = FiniteGroupTable.from_json_dict(group)
+        yield table
+        if "psi" in data:
+            psi = {tuple(e["pair"]): tuple(e["value"]) for e in data["psi"]}
+            try:
+                yield cech.central_extension_from_cocycle(
+                    table, parse_group_label(data["coefficients"]), psi).table
+            except cech.CechError:
+                pass
+
+
+def workload_scan_entries():
+    """The scan workload's entries with their denominators, read from
+    perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", "perfbench/workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return wl.SCAN_RANK4 + wl.SCAN_RANK3 + wl.SCAN_RANK2
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "not closed"
+
+
+def test_greedy_generators_match_the_loops_they_replace():
+    """Generators feed certificate witnesses, so the shared routine must
+    pick the same ones, in the same order, as each loop it replaced: on
+    the fixture tables, and on every stabilizer the benchmark's scans
+    build, both as a subgroup of W and as a table; with a non-member
+    added, closed or not, both routes agree too."""
+    tables = list(fixture_group_tables())
+    assert len(tables) == 9
+    for t in tables:
+        assert t.generators == oracle_table_generators(t.table, t.identity)
+    seen = set()
+    for series, rank, sf, tf, d in workload_scan_entries():
+        iso = classical_isogeny(series, rank, sf, tf)
+        act = SharedWeylAction(iso)
+        group = act.group
+        for row in scan_points(act, basic_level(iso).tensor, d).rows:
+            sub = stabilizer(group, row.xi)
+            expect = oracle_generators_and_rows(group, sub.members)
+            assert (sub.generators, sub.gen_rows) == expect
+            assert _generators_and_rows(group, sub.members) == expect
+            # the first non-member, none when W_L = W
+            extra = next((w for w in range(len(group)) if w not in sub.members), None)
+            if extra is not None:
+                grown = tuple(sorted(sub.members + (extra,)))
+                assert (outcome(_generators_and_rows, group, grown)
+                        == outcome(oracle_generators_and_rows, group, grown))
+            if (iso.target.name, sub.members) not in seen:
+                seen.add((iso.target.name, sub.members))
+                t = FiniteGroupTable(sub.table)
+                assert t.generators == oracle_table_generators(t.table, t.identity)
+    assert len(seen) >= 40

@@ -325,6 +325,21 @@ def test_ratvector_normalization():
         RatVector.make([1], 0)
 
 
+def test_ratvector_make_reduces_once(monkeypatch):
+    # make stores the vector it has just reduced without the constructor's
+    # check, which still refuses an unreduced vector given directly
+    def unreachable(*args):
+        raise AssertionError("make ran the constructor's check")
+
+    with monkeypatch.context() as m:
+        m.setattr(RatVector, "__init__", unreachable)
+        v = RatVector.make([2, -4], -6)
+    assert (v.nums, v.den) == ((-1, 2), 3)
+    assert v == RatVector((-1, 2), 3) and hash(v) == hash(RatVector((-1, 2), 3))
+    with pytest.raises(ValueError, match="RatVector not reduced"):
+        RatVector((2, -4), 6)
+
+
 def test_ratvector_arithmetic():
     a = RatVector.make([1, 0], 2)
     b = RatVector.make([1, 1], 3)
