@@ -562,18 +562,21 @@ def trivialize(c: Cochain) -> Cochain | None:
 # finite groups and actions
 
 
-def _greedy_generators(n: int, e: int, row) -> tuple[Vector, Matrix]:
-    """Greedy generating set of a group on positions 0..n-1 with identity
-    e, and the generators' rows, row(a)[b] being the position of a * b:
-    each position outside the closure so far becomes a generator, and
-    only then is its row asked for.  The closure grows by left
-    multiplication: the new row applied to the old closure gives its new
-    elements, and only those are carried further, along every row.  Every
-    position is then a word s_1 (s_2 (... (s_m e))) in the generators."""
+def _greedy_generators(candidates, e: int, row,
+                       n: int) -> tuple[Vector, Matrix, set[int]]:
+    """Greedy generators, among the candidates in order, of the subgroup
+    they span in a group with identity e; the generators' rows, row(a)[b]
+    being the position of a * b; and the subgroup's positions.  Each
+    candidate outside the closure so far becomes a generator, and only
+    then is its row asked for.  The closure grows by left multiplication:
+    the new row applied to the old closure gives its new elements, and
+    only those are carried further, along every row; the search stops
+    once it has n positions.  Every position in the closure is then a
+    word s_1 (s_2 (... (s_m e))) in the generators."""
     gens: list[int] = []
     rows: list[tuple[int, ...]] = []
     have = {e}
-    for a in range(n):
+    for a in candidates:
         if a in have:
             continue
         gens.append(a)
@@ -584,7 +587,7 @@ def _greedy_generators(n: int, e: int, row) -> tuple[Vector, Matrix]:
             frontier = {r[f] for f in frontier for r in rows} - have
         if len(have) == n:
             break
-    return tuple(gens), tuple(rows)
+    return tuple(gens), tuple(rows), have
 
 
 class FiniteGroupTable(Frozen):
@@ -624,7 +627,7 @@ class FiniteGroupTable(Frozen):
                 if b is None:
                     raise CechError(f"element {a} has no inverse")
             inverses.append(b)
-        gens = _greedy_generators(n, e, t.__getitem__)[0]
+        gens = _greedy_generators(range(n), e, t.__getitem__, n)[0]
         for g in gens:
             g_row = t[g]
             for x_row in t:

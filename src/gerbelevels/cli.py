@@ -125,29 +125,24 @@ def parse_rational_vector(text: str) -> RatVector:
 
 def build_action(args) -> SharedWeylAction:
     positional = (args.series, args.rank, args.source_form, args.target_form)
-    try:
-        if args.datum_fixture:
-            if positional != (None,) * 4:
-                raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture, "
-                               "not both")
-            data = _load_fixture(args.datum_fixture)
-            src = RootDatum.from_json_dict(data["source"])
-            tgt = RootDatum.from_json_dict(data["target"])
-            for rd in (src, tgt):
-                report = validate_datum(rd)
-                if not report.passed:
-                    raise CliError(f"datum {rd.name} invalid: "
-                                   f"{'; '.join(report.violations)}")
-            group_order(tgt, args.max_weyl_order)
-            iso = build_isogeny(src, tgt)
-        else:
-            if None in positional:
-                raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture")
-            return _classical_action(args.series, args.rank, args.source_form,
-                                     args.target_form, args.max_weyl_order)
-        return SharedWeylAction(iso, cap=args.max_weyl_order)
-    except KeyError as err:
-        raise CliError(str(err))
+    if not args.datum_fixture:
+        if None in positional:
+            raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture")
+        return _classical_action(*positional, args.max_weyl_order)
+    if positional != (None,) * 4:
+        raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture, not both")
+    data = _load_fixture(args.datum_fixture)
+    if not isinstance(data, dict) or not {"source", "target"} <= data.keys():
+        raise CliError("malformed datum fixture: need an object with "
+                       "'source' and 'target' fields")
+    src = RootDatum.from_json_dict(data["source"])
+    tgt = RootDatum.from_json_dict(data["target"])
+    for rd in (src, tgt):
+        report = validate_datum(rd)
+        if not report.passed:
+            raise CliError(f"datum {rd.name} invalid: {'; '.join(report.violations)}")
+    group_order(tgt, args.max_weyl_order)
+    return SharedWeylAction(build_isogeny(src, tgt), cap=args.max_weyl_order)
 
 
 def _classical_action(series, rank, source_form, target_form,

@@ -757,38 +757,6 @@ def invariant_factors(orders) -> tuple[int, ...]:
     return tuple(c for c in d if c > 1)
 
 
-def kernel_basis_mod2(a: Matrix) -> tuple[Vector, ...]:
-    """Basis of the kernel of a over GF(2); vectors have 0/1 entries."""
-    m, n = shape(a)
-    rows = [[x & 1 for x in row] for row in a]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        sel = None
-        for i in range(r, m):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                rows[i] = [(x + y) & 1 for x, y in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        for c, pr in pivot_of_col.items():
-            if rows[pr][fc]:
-                vec[c] = 1
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
 # ---------------------------------------------------------------------------
 # rational vectors with a common reduced denominator
 

@@ -38,14 +38,14 @@ from .intlinalg import (
     hnf_basis,
     identity,
     kernel_basis,
-    kernel_basis_mod2,
     matmul,
     matvec,
     over_common_denominator,
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum, _vector_text
-from .weyl import WeylGroup, _enumerate, group_order, simple_root_permutations
+from .weyl import (RowTable, WeylGroup, _enumerate, group_order,
+                   simple_root_permutations)
 
 
 class LevelTensor(Frozen):
@@ -120,17 +120,17 @@ class SharedWeylAction:
     character matrix.  On the source, each simple reflection acts as
     iso.source_reflections, the matrices the isogeny check verified.
     Every other element's action is the integer product along the
-    generation tree: restricting the target action to a stable source
-    lattice is a homomorphism, and products of lattice-preserving maps
-    preserve it.  The isogeny check also verifies the source
-    reflections' Coxeter relations, so a product along any word for w is
-    the same matrix.  Each source matrix is built once, on its first
-    read, and its rows are recorded then: source_rows holds each
-    distinct row of the matrices built so far once, and
-    source_row_ids gives a matrix as the indices of its rows there, so
-    that a check over many elements takes one dot product per distinct
-    row.  Nothing is built at construction.  The Weyl cap is decided
-    there, on |W| from the Cartan matrix (weyl.group_order).  W is
+    generation tree, each from its parent's (weyl.RowTable): restricting
+    the target action to a stable source lattice is a homomorphism, and
+    products of lattice-preserving maps preserve it.  The isogeny check
+    also verifies the source reflections' Coxeter relations, so a
+    product along any word for w is the same matrix.  An action is built
+    on its first read, with the tree ancestors it is multiplied down
+    from: source_rows holds each distinct row of the actions built so far
+    once, and source_row_ids gives an action as the indices of its rows
+    there, so that a check over many elements takes one dot product per
+    distinct row.  Nothing is built at construction.  The Weyl cap is
+    decided there, on |W| from the Cartan matrix (weyl.group_order).  W is
     enumerated to that order on the first read of group, which the
     invariance tests never make: once per target datum per process for
     a group of order at most 384, where actions over equal targets share
@@ -142,11 +142,6 @@ class SharedWeylAction:
         self._order = group_order(iso.target, cap)
         self._source_char: dict[int, Matrix] = {}
         self._source_ids: dict[int, tuple[int, ...]] = {}
-        self._row_id: dict[Vector, int] = {}
-        self.source_rows: list[Vector] = []
-        # generator -> [(i, nonzero (k, entry) of row i)] over the rows
-        # where its source reflection differs from the identity
-        self._changed_rows: dict[int, list] = {}
 
     @cached_property
     def group(self) -> WeylGroup:
@@ -160,41 +155,22 @@ class SharedWeylAction:
         return tuple(zip(self.iso.source_reflections,
                          map(tgt.reflection_char, tgt.simple_indices)))
 
-    def _row_index(self, row: Vector) -> int:
-        """The id of row in source_rows, added there if new."""
-        j = self._row_id.get(row)
-        if j is None:
-            j = self._row_id[row] = len(self.source_rows)
-            self.source_rows.append(row)
-        return j
+    @cached_property
+    def _source(self) -> RowTable:
+        return RowTable(self.iso.source_reflections, self.iso.source.rank)
 
-    def _keep(self, idx: int, ids) -> None:
-        """Records the source action of idx by the ids of its rows; the
-        matrix kept is made of the rows in source_rows."""
-        ids = tuple(ids)
-        self._source_ids[idx] = ids
-        self._source_char[idx] = tuple(map(self.source_rows.__getitem__, ids))
+    @property
+    def source_rows(self) -> list[Vector]:
+        return self._source.rows
 
     def source_char_action(self, idx: int) -> Matrix:
-        """The action of element idx on X*(S) basis coordinates.  Below a
-        simple reflection s in the generation tree, M_s M_parent differs
-        from M_parent only in the rows where M_s differs from the
-        identity, so only those rows are computed, each from the nonzero
-        entries of M_s's row; the parent's other rows, and their ids, are
-        kept as they are."""
-        known = self._source_char
-        got = known.get(idx)
+        """The action of element idx on X*(S) basis coordinates."""
+        got = self._source_char.get(idx)
         if got is not None:
             return got
-        group = self.group
-        changed = self._changed_rows
+        group, table, known = self.group, self._source, self._source_ids
         if not known:
-            eye = identity(self.iso.source.rank)
-            self._keep(group.identity_index, map(self._row_index, eye))
-            for g, m in zip(group.generators, self.iso.source_reflections):
-                self._keep(g, map(self._row_index, m))
-                changed[g] = [(i, [(k, c) for k, c in enumerate(row) if c])
-                              for i, (row, e) in enumerate(zip(m, eye)) if row != e]
+            known[group.identity_index] = table.identity
         # climb the generation tree to a known element, then multiply back down
         path = []
         i = idx
@@ -203,14 +179,9 @@ class SharedWeylAction:
             i = group.tree[i][1]
         for i in reversed(path):
             g, parent = group.tree[i]
-            rows = known[parent]
-            ids = list(self._source_ids[parent])
-            for k, terms in changed[g]:
-                ids[k] = self._row_index(tuple([
-                    sum([c * rows[m][j] for m, c in terms])
-                    for j in range(len(rows))]))
-            self._keep(i, ids)
-        return known[idx]
+            known[i] = table.child(group.generators.index(g), known[parent])
+        got = self._source_char[idx] = tuple(map(table.rows.__getitem__, known[idx]))
+        return got
 
     def source_row_ids(self, members) -> list[tuple[int, ...]]:
         """For each index in members, the ids in source_rows of the rows
@@ -338,9 +309,10 @@ def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvRep
     (x) the k-th target coroot, row-major, so Q V^T holds every coroot
     value (coroot_value) of every basis vector, root by root: the
     parities, the evenness re-check and the value table are each read
-    off one product.  The
-    coefficient vectors with even values are the mod-2 kernel of the
-    parities plus 2 Z^k; the even sublattice is the HNF of their images.
+    off one product.  The coefficient vectors x with even values are
+    those with P x = 2 y for some integer y, P the distinct parity rows
+    that are not all even: the first k entries of the integer kernel of
+    [P | -2I].  The even sublattice is the HNF of their images.
     """
     iso = action.iso
     k = len(basis)
@@ -356,9 +328,12 @@ def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvRep
         return matmul(q, transpose(vecs)) if q else ()
 
     vecs = _vectorize(b.matrix for b in basis)
-    parities = values(vecs)
-    ker2 = kernel_basis_mod2(parities) if parities else identity(k)
-    gens = ker2 + tuple(tuple(2 * x for x in row) for row in identity(k))
+    odd = sorted({tuple(x & 1 for x in row) for row in values(vecs)} - {(0,) * k})
+    gens = identity(k)
+    if odd:
+        m = len(odd)
+        gens = tuple(v[:k] for v in kernel_basis(tuple(
+            row + tuple(-2 * (i == j) for j in range(m)) for i, row in enumerate(odd))))
     even = hnf_basis(matmul(gens, vecs))
     table = values(even)
     if any(x & 1 for row in table for x in row):

@@ -284,8 +284,9 @@ class RootDatum(Frozen):
                 coroots=_vectors_load(d["coroots"]),
                 simple_indices=freeze(d["simple_indices"], 1),
             )
-        except (TypeError, ValueError) as err:
-            raise DatumError(f"malformed root datum: {err}") from None
+        except (KeyError, TypeError, ValueError) as err:
+            detail = f"missing field {err}" if isinstance(err, KeyError) else err
+            raise DatumError(f"malformed root datum: {detail}") from None
 
 
 def _rank_one_reflection(a: Vector, c: Vector) -> Matrix:

@@ -6,19 +6,19 @@ the images of the simple roots, which determine it because W acts
 trivially on the annihilator of the coroots; a product is therefore one
 composition on the simple roots and one dictionary lookup, O(rank).
 
-Each element has one integer matrix, its action on X*(T) (elements[i]).
-The actions on X*(T) and X_*(T) are contragredient under the W-invariant
-pairing, so the cocharacter action of w is the transpose of the
-character matrix of w^-1.  The group holds those transposes by their
-rows, built once, when W is enumerated: the rows repeat across W (D4's
-192 cocharacter matrices have 768 rows, 16 of them distinct), so each
-distinct row is kept once (cochar_rows) and element i's matrix is the
-tuple of its rows' indices there (cochar_ids[i]), next to the index of
-each element's inverse (inverses[i]).  A scan point takes one dot
-product per distinct row and then reads every element's images off
-those values: the stabilizer sweep, the cocycle differences
-(obstruction) and the orbit walk of a scan, which reads the simple
-reflections' rows.
+Each element has one integer matrix, its action on X*(T) (elements[i]);
+its action on X_*(T) is held by rows, which repeat across W (D4's 192
+cocharacter matrices have 16 distinct rows): each distinct row once
+(cochar_rows), and element i's matrix as its rows' indices there
+(cochar_ids[i]).  A scan point takes one dot product per distinct row
+and reads every element's images off those values: the stabilizer
+sweep, the cocycle differences (obstruction) and a scan's orbit walk.
+Every matrix action of W comes from one RowTable over the simple
+reflections, each element's matrix from its parent's: the character
+matrices from the datum's reflections, the cocharacter matrices from
+their transposes (w's is the transpose of w^-1's character matrix, and
+a reflection is its own inverse), and the source actions of
+levels.SharedWeylAction from the source reflections.
 
 The group's order comes from the Cartan matrix of the simple roots
 (group_order), with no element built: that is all the generation cap
@@ -26,14 +26,12 @@ needs, and classifying levels reads only the simple reflections, the
 datum's own reflection matrices.  W is enumerated only where an index is
 read, by generate, or by _enumerate where the order is already known:
 one breadth-first search on root permutations that builds each element's
-character matrix alongside (a rank-one update per step) and must find
-exactly the computed order.  Then come the canonical order
-(lexicographic on the flattened character matrix, so that subgroup
-serializations and reports are deterministic), the generation tree (a
-Schreier vector) on canonical indices, the maps behind mult and
-index_of, the inverse table (one product along the generation tree
-per element), the cocharacter rows and ids, and the index of each
-root's reflection.  Beyond the generation cap the engine refuses
+character matrix alongside and must find exactly the computed order.
+Then come the canonical order (lexicographic on the flattened character
+matrix, so that subgroup serializations and reports are deterministic),
+the generation tree (a Schreier vector) on canonical indices, the maps
+behind mult and index_of, the cocharacter rows and ids, and the index
+of each root's reflection.  Beyond the generation cap the engine refuses
 outright: downstream obstruction certificates need exhaustive subgroup
 verification, and an approximate group would silently invalidate them.
 
@@ -51,7 +49,7 @@ set per group: the group keeps each verified subgroup by its sorted
 members (subgroups), so scan points that share a stabilizer share its
 generators, rows and closure check, while each point still tests every
 element of W for its members.  The integral reflections are closed in W
-itself, with mult, multiplying in only those outside the closure so far.  The
+itself by the same greedy search, its products read through mult.  The
 full left-regular table, each further row a generator row composed with
 the row of its parent in that search, is built on its first read, by
 its one reader: the bar complex of H^1, in certificates, after its cell
@@ -61,7 +59,8 @@ cap, and is kept with its subgroup.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import getitem, mul
+from itertools import repeat
+from operator import add, getitem, mul, sub
 
 from .cech import _greedy_generators
 from .intlinalg import (
@@ -73,10 +72,52 @@ from .intlinalg import (
     det,
     identity,
     matvec,
+    transpose,
 )
 from .rootdata import DatumError, RootDatum
 
 Permutation = tuple[int, ...]
+
+
+class RowTable:
+    """Products of the n x n integer matrices gens, kept by their rows:
+    each distinct row once (rows), a matrix as its rows' ids there.
+    child(k, ids) is gens[k] M for M with row ids ids: only the rows where
+    gens[k] differs from the identity are computed, as sums of M's rows
+    over their nonzero entries, 1 and -1 adding and subtracting whole rows."""
+
+    def __init__(self, gens, n: int):
+        eye = identity(n)
+        self.rows: list[Vector] = []
+        self._ids: dict[Vector, int] = {}
+        self.identity = tuple(map(self._intern, eye))
+        # for each generator, (i, its nonzero (j, entry) in row i) over the
+        # rows i where it differs from the identity
+        self._changed = [[(i, [(j, c) for j, c in enumerate(row) if c])
+                          for i, (row, e) in enumerate(zip(m, eye)) if row != e]
+                         for m in gens]
+
+    def _intern(self, row: Vector) -> int:
+        j = self._ids.setdefault(row, len(self.rows))
+        if j == len(self.rows):
+            self.rows.append(row)
+        return j
+
+    def child(self, k: int, ids: tuple[int, ...]) -> tuple[int, ...]:
+        rows = self.rows
+        out = list(ids)
+        for i, terms in self._changed[k]:
+            acc = repeat(0)
+            for j, c in terms:
+                row = rows[ids[j]]
+                if c == 1:
+                    acc = map(add, acc, row)
+                elif c == -1:
+                    acc = map(sub, acc, row)
+                else:
+                    acc = map(add, acc, map(c.__mul__, row))
+            out[i] = self._intern(tuple(acc))
+        return tuple(out)
 
 
 class WeylGroup:
@@ -86,15 +127,14 @@ class WeylGroup:
     elements[g] * elements[parent], where g is a generator;
     tree[identity_index] is None), generators, identity_index and
     reflections (reflections[k] is the index of the reflection in
-    root k, None when that reflection is not in the group).  Two tables
-    are built with it: inverses[i] is the index of elements[i]^-1, and
-    the cocharacter matrix of elements[i], the transpose of the
-    character matrix of its inverse, is kept by its rows: cochar_rows
-    holds each distinct row once, and row k of that matrix is
-    cochar_rows[cochar_ids[i][k]].  subgroups holds each subgroup built
-    so far (subgroup_from_members).  It is built from the search's
-    perms, chars and steps (g, parent) in the order found: the
-    identity, then each simple reflection."""
+    root k, None when that reflection is not in the group).  The
+    cocharacter matrix of elements[i], the transpose of the character
+    matrix of its inverse, is kept by its rows: row k of it is
+    cochar_rows[cochar_ids[i][k]], each distinct row held once
+    (RowTable).  subgroups holds each subgroup built so far
+    (subgroup_from_members).  It is built from the search's perms,
+    chars and steps (g, parent) in the order found: the identity, then
+    each simple reflection."""
 
     def __init__(self, datum: RootDatum, perms: list[Permutation],
                  chars: list[Matrix], steps: list[tuple[int, int] | None]):
@@ -116,20 +156,15 @@ class WeylGroup:
         self._index = {m: i for i, m in enumerate(self.elements)}
         self.reflections = tuple(self._index.get(datum.reflection_char(k))
                                  for k in range(len(datum.roots)))
-        # (g * parent)^-1 = parent^-1 * g, as g is a reflection; the
-        # search order puts each parent before its children
-        inverses = [self.identity_index] * len(order)
-        for b in range(1, len(order)):
-            g, parent = self.tree[pos[b]]
-            inverses[pos[b]] = self._by_key[
-                tuple(map(self.perms[inverses[parent]].__getitem__, self._keys[g]))]
-        self.inverses = tuple(inverses)
-        # the columns of each character matrix, as ids of distinct rows
-        row_id: dict[Vector, int] = {}
-        transposed = [tuple(row_id.setdefault(c, len(row_id)) for c in zip(*m))
-                      for m in self.elements]
-        self.cochar_rows = tuple(row_id)
-        self.cochar_ids = tuple(map(transposed.__getitem__, self.inverses))
+        # the cocharacter matrix of s w is s^T times that of w, as a
+        # reflection is its own inverse; the search puts parents first
+        table = RowTable([transpose(datum.reflection_char(s)) for s in simple],
+                         datum.rank)
+        ids = [table.identity]
+        for g, parent in steps[1:]:
+            ids.append(table.child(g, ids[parent]))
+        self.cochar_rows = tuple(table.rows)
+        self.cochar_ids = tuple(map(ids.__getitem__, order))
         # each verified subgroup, by its sorted members (subgroup_from_members)
         self.subgroups: dict[tuple[int, ...], Subgroup] = {}
 
@@ -161,13 +196,6 @@ def simple_root_permutations(rd: RootDatum) -> tuple[Permutation, ...]:
             raise DatumError(
                 f"reflection in root[{i}] does not permute the roots") from None
     return tuple(out)
-
-
-def _reflect(a: Vector, c: Vector, m: Matrix) -> Matrix:
-    """(I - a c^T) @ m as a rank-one update of m."""
-    cm = [sum(map(mul, c, col)) for col in zip(*m)]
-    return tuple(tuple(x - ai * y for x, y in zip(row, cm))
-                 for ai, row in zip(a, m))
 
 
 @lru_cache(maxsize=64)
@@ -225,14 +253,14 @@ def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
 
 def _enumerate(rd: RootDatum, n: int) -> WeylGroup:
     """Breadth-first closure of the simple reflections on root
-    permutations, each element's character matrix built alongside, for a
-    group of order n (group_order).  Raises AssertionError unless the
-    search finds exactly n elements."""
+    permutations, each element's character matrix built alongside from
+    its parent's (RowTable), for a group of order n (group_order).
+    Raises AssertionError unless the search finds exactly n elements."""
     simple = rd.simple_indices
     gen_perms = simple_root_permutations(rd)
-    roots, coroots = rd.root_coords(), rd.coroot_coords()
+    table = RowTable([rd.reflection_char(s) for s in simple], rd.rank)
     perms = [tuple(range(len(rd.roots)))]
-    chars = [identity(rd.rank)]
+    ids = [table.identity]
     steps: list[tuple[int, int] | None] = [None]  # (generator position, parent)
     found = {tuple(simple)}
     frontier = [0]
@@ -247,12 +275,13 @@ def _enumerate(rd: RootDatum, n: int) -> WeylGroup:
                 found.add(key)
                 new_frontier.append(len(perms))
                 perms.append(tuple(map(pg.__getitem__, pw)))
-                chars.append(_reflect(roots[simple[g]], coroots[simple[g]], chars[w]))
+                ids.append(table.child(g, ids[w]))
                 steps.append((g, w))
         frontier = new_frontier
     if len(perms) != n:
         raise AssertionError(
             f"Weyl group has {len(perms)} elements, not its order {n}")
+    chars = [tuple(map(table.rows.__getitem__, m)) for m in ids]
     return WeylGroup(rd, perms, chars, steps)
 
 
@@ -293,21 +322,6 @@ class Subgroup(Frozen):
         return len(_tree_steps(self.gen_rows, e)) == n - 1
 
 
-def _grow(mult, have: set[int], frontier: list[int], seeds) -> None:
-    """Adds to have every s_1 ... s_m * f with f in frontier and each s_i
-    in seeds, where mult(s, f) is the product s * f; frontier must
-    already be in have."""
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for s in seeds:
-                m = mult(s, i)
-                if m not in have:
-                    have.add(m)
-                    nxt.append(m)
-        frontier = nxt
-
-
 _NOT_CLOSED = "member set is not closed under the group operations"
 
 
@@ -324,7 +338,8 @@ def _generators_and_rows(group: WeylGroup, members: tuple[int, ...]
         except KeyError:
             raise ValueError(_NOT_CLOSED) from None
 
-    gens, rows = _greedy_generators(len(members), pos[group.identity_index], row)
+    n = len(members)
+    gens, rows, _ = _greedy_generators(range(n), pos[group.identity_index], row, n)
     return tuple(members[a] for a in gens), rows
 
 
@@ -425,22 +440,23 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral,
     where stab is stabilizer(group, xi).
 
-    The integral reflections are closed in W with group.mult, greedily
-    as in _generators_and_rows: a reflection already in the closure so
-    far is skipped; another multiplies the closure once, and only the
-    new elements are carried further, along every reflection picked.
-    The closure lies inside stab, and differs from it when the
-    centralizer is disconnected; when the two member sets are equal,
-    stab itself is returned, with the generators it already has.
+    They are closed in W by cech._greedy_generators, reading products
+    through group.mult on demand.  The closure lies inside stab, and
+    differs from it when the centralizer is disconnected; when the member
+    sets are equal, stab itself is returned, with its generators.
     """
-    have = {group.identity_index}
-    picked: list[int] = []
-    for s in integral_reflections(group, xi, stab):
-        if s in have:
-            continue
-        picked.append(s)
-        new = [w for w in (group.mult(s, i) for i in have) if w not in have]
-        have.update(new)
-        _grow(group.mult, have, new, picked)
+    _, _, have = _greedy_generators(integral_reflections(group, xi, stab),
+                                    group.identity_index,
+                                    lambda s: _LeftRow(group.mult, s), len(stab))
     members = tuple(sorted(have))
     return stab if members == stab.members else subgroup_from_members(group, members)
+
+
+class _LeftRow:
+    """The row of s in W, read on demand: [w] is the index of s * w."""
+
+    def __init__(self, mult, s: int):
+        self.mult, self.s = mult, s
+
+    def __getitem__(self, w: int) -> int:
+        return self.mult(self.s, w)

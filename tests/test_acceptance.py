@@ -308,8 +308,8 @@ def test_criterion_6_weyl_engine():
         rd = classical_datum(*args)
         w = generate(rd)
         assert w.order == order, args
-        for i, e in enumerate(w.elements):
-            cochar = transpose(w.elements[w.inverses[i]])
+        for e, ids in zip(w.elements, w.cochar_ids):
+            cochar = tuple(w.cochar_rows[j] for j in ids)
             assert matmul(transpose(e), cochar) == identity(rd.rank)
 
 

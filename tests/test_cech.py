@@ -283,7 +283,10 @@ def test_gerbe_cocycle_weyl_compatibility():
     lam = torus_log_cocycle(model)
     group = action.group
     for g in group.generators:
-        wt = transpose(group.elements[group.inverses[g]])
+        # the cocharacter action, the transpose of the inverse's character
+        # matrix, g being its own inverse
+        assert group.mult(g, g) == group.identity_index
+        wt = transpose(group.elements[g])
         ws = action.source_char_action(g)
         lam_w = lam.map_values(lambda v: tuple(
             sum(wt[i][j] * v[j] for j in range(len(v))) for i in range(len(v))

@@ -358,6 +358,11 @@ B3_ORIGIN_SHA256 = "870338a91320e297c108c2e9897c30c339e1d30eabf88e7b3f99d267bb42
 C3_ORIGIN = ("obstruction", "C", "3", "Sp", "Sp", "--xi", "0,0,0", "--format", "json")
 C3_ORIGIN_SHA256 = "4f0c05d61a2dd7dbdc79d97d4e21f47988a25f511162bdadd32514ac5a137224"
 B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6dd3"
+# |W(D5)| = 1920, over the order up to which a Weyl group is enumerated
+# once per process; W_L of order 16, a class of order 2 in H^1 = Z/2
+D5_HALF_THIRD = ("obstruction", "D", "5", "Spin", "Spin", "--xi", "1/2,1/2,1/3,0,0",
+                 "--format", "json")
+D5_HALF_THIRD_SHA256 = "3af080afb9785dfe7bee639f8d2a60557d83006a35deaa6f58b1db451e4b5bdd"
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -381,6 +386,7 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
     # W_L of order 16 in |W| = 192: a class of order 2, H^1 = Z/2
     (("obstruction", "D", "4", "Spin", "Spin", "--xi", "1/2,1/2,0,0", "--format", "json"),
      "c0de680cbb29fb2d37c47eafbabbcbd9a989988ab60b99e59006fffc323e2dce"),
+    (D5_HALF_THIRD, D5_HALF_THIRD_SHA256),
     (("atlas", "--format", "json"),
      "1dcbffe87777852ce85b30daa2e1d9c6bf6a5c1b5b70c2e69cffb4787cae17c9"),
     (("atlas",),
@@ -404,13 +410,47 @@ B4_SCAN_SHA256 = "69b454c7ac0920674b66994374e50db24997617b51f698739f065494230e6d
       "--coefficients", "Z+Z/6", "--format", "json"),
      "733809ac2a7d0f24bdb43e92a4019559a128dc9e3b88a46506b4cf9860c3781d"),
 ], ids=["B3-origin", "C3-origin", "z4-degree4", "z4-degree6", "B4-scan", "C4-scan",
-        "D4-Spin-PSO-scan4", "D4-half-half", "atlas",
+        "D4-Spin-PSO-scan4", "D4-half-half", "D5-half-half-third", "atlas",
         "atlas-text", "atlas-csv", "atlas-D6", "atlas-scan2",
         "z2-mod2-degree4", "octahedron-Z/2+Z/4", "circle3-Z+Z/6"])
 def test_large_h1_and_equivariant_goldens(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_certificate_builds_only_the_source_actions_it_reads(capsys, monkeypatch):
+    # source actions are built on first read, each with the generation-tree
+    # ancestors it is multiplied down from: at most 55 of the 1920 here
+    actions, reads = [], set()
+
+    class Recording(levels.SharedWeylAction):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            actions.append(self)
+
+        def source_char_action(self, idx):
+            reads.add(idx)
+            return super().source_char_action(idx)
+
+        def source_row_ids(self, members):
+            reads.update(members)
+            return super().source_row_ids(members)
+
+    monkeypatch.setattr(cli, "SharedWeylAction", Recording)
+    code, out = run(capsys, *D5_HALF_THIRD)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D5_HALF_THIRD_SHA256
+    (act,) = actions
+    tree = act.group.tree
+    assert act.group.order == 1920 > levels._CACHED_ORDER_MAX
+    climbed = set()
+    for i in reads:
+        while i is not None and i not in climbed:
+            climbed.add(i)
+            i = tree[i] and tree[i][1]
+    assert set(act._source_ids) == climbed
+    assert len(climbed) <= 55
 
 
 def test_class_order_beyond_the_stabilizer_exponent(capsys):
@@ -1013,6 +1053,38 @@ def test_malformed_datum_fixture_is_bad_input(tmp_path, capsys, override):
     assert captured.out == ""
     lines = _one_error_line(captured.err)
     assert len(lines) == 1 and lines[0].startswith("error: malformed root datum")
+
+
+def _g2_without(side, *path):
+    data = _fixture("g2_datum.json")
+    node = data[side]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "malformed datum fixture: need an object with 'source' and 'target' fields"),
+    ("s", "malformed datum fixture: need an object with 'source' and 'target' fields"),
+    (None, "malformed datum fixture: need an object with 'source' and 'target' fields"),
+    ({"source": {}}, "malformed datum fixture: need an object with 'source' and "
+                     "'target' fields"),
+    (_g2_without("source", "name"), "malformed root datum: missing field 'name'"),
+    (_g2_without("target", "char_basis", 0, "den"),
+     "malformed root datum: missing field 'den'"),
+], ids=["list", "string", "null", "no-target", "no-name", "no-den"])
+@pytest.mark.parametrize("command", [["levels"], ["scan", "--max-denominator", "1"],
+                                     ["obstruction", "--xi", "0,0,0"]],
+                         ids=lambda c: c[0])
+def test_datum_fixture_of_the_wrong_shape_is_bad_input(tmp_path, capsys, data,
+                                                       message, command):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    code = main([*command, "--datum-fixture", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert _one_error_line(captured.err) == [f"error: {message}"]
 
 
 def _g2_target_with(key, value):

@@ -91,7 +91,6 @@ from gerbelevels.intlinalg import (
     identity,
     invariant_factors,
     kernel_basis,
-    kernel_basis_mod2,
     lattice_coords,
     lattices_equal,
     matmul,
@@ -284,6 +283,54 @@ def test_hnf_matches_transform_oracle_on_random_cases():
         assert matmul(u, a) == h
         assert abs(det(u)) == 1
         assert hnf(a) == h
+
+
+def kernel_basis_mod2(a):
+    """Basis of the kernel of a over GF(2); vectors have 0/1 entries.  The
+    GF(2) elimination the evenness filter used before it read the
+    integer kernel."""
+    m, n = len(a), len(a[0])
+    rows = [[x & 1 for x in row] for row in a]
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        sel = None
+        for i in range(r, m):
+            if rows[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                rows[i] = [(x + y) & 1 for x, y in zip(rows[i], rows[r])]
+        pivot_of_col[c] = r
+        r += 1
+    basis = []
+    free_cols = [c for c in range(n) if c not in pivot_of_col]
+    for fc in free_cols:
+        vec = [0] * n
+        vec[fc] = 1
+        for c, pr in pivot_of_col.items():
+            if rows[pr][fc]:
+                vec[c] = 1
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def test_integer_kernel_matches_gf2_kernel():
+    # {x : P x even} as the evenness filter reads it, the first k entries
+    # of the integer kernel of [P | -2I], against the GF(2) kernel plus 2Z^k
+    rng = random.Random(2)
+    for _ in range(300):
+        m, k = rng.randint(1, 6), rng.randint(1, 6)
+        p = random_matrix(rng, m, k, 0, 1)
+        system = tuple(row + tuple(-2 * (i == j) for j in range(m))
+                       for i, row in enumerate(p))
+        got = tuple(v[:k] for v in kernel_basis(system))
+        twos = tuple(tuple(2 * x for x in row) for row in identity(k))
+        assert hnf_basis(got) == hnf_basis(kernel_basis_mod2(p) + twos), p
 
 
 def oracle_ev_filter(basis, action):
@@ -1644,6 +1691,21 @@ def oracle_inverse(group, elements, i):
     return group.index_of(transpose(elements[i][1]))
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_inverses(group):
+    """The inverse table WeylGroup once built: (g w)^-1 = w^-1 g along
+    the generation tree, as g is a reflection."""
+    out = {group.identity_index: group.identity_index}
+
+    def inverse(i):
+        if i not in out:
+            g, parent = group.tree[i]
+            out[i] = group.mult(inverse(parent), g)
+        return out[i]
+
+    return tuple(map(inverse, range(group.order)))
+
+
 def cochar_matrix(group, i):
     """Element i's cocharacter matrix, rebuilt from the group's rows."""
     return tuple(map(group.cochar_rows.__getitem__, group.cochar_ids[i]))
@@ -1652,7 +1714,8 @@ def cochar_matrix(group, i):
 def cochar_pairs(group):
     """Each element's character matrix with its cocharacter matrix, the
     transpose of its inverse's character matrix."""
-    return [(e, transpose(group.elements[group.inverses[i]]))
+    inv = oracle_inverses(group)
+    return [(e, transpose(group.elements[inv[i]]))
             for i, e in enumerate(group.elements)]
 
 
@@ -1671,9 +1734,9 @@ def test_weyl_products_match_matrix_oracle(key):
     assert group.generators == tuple(
         group.index_of(rd.reflection_char(i)) for i in rd.simple_indices)
     n = group.order
-    assert len(group.inverses) == len(group.cochar_ids) == n
+    assert len(group.cochar_ids) == n
     for i in range(n):
-        assert group.inverses[i] == oracle_inverse(group, elements, i)
+        assert oracle_inverses(group)[i] == oracle_inverse(group, elements, i)
         assert cochar_matrix(group, i) == pairs[i][1]
         for j in range(n):
             assert group.mult(i, j) == oracle_mult(group, i, j)
@@ -1710,7 +1773,7 @@ def test_source_actions_match_per_element_reexpression(case):
     assert list(group.elements) == [ch for ch, _co in elements]
     for i, (ch, co) in enumerate(elements):
         assert act.source_char_action(i) == oracle_reexpress(s, t, ch, "char")
-        assert transpose(act.source_char_action(group.inverses[i])) == \
+        assert transpose(act.source_char_action(oracle_inverses(group)[i])) == \
             oracle_reexpress(s, t, co, "cochar")
 
 
@@ -1871,6 +1934,29 @@ def test_lazy_weyl_table_matches_eager_generation(case):
         (act.source_char_action(g), group.elements[g]) for g in group.generators)
 
 
+@pytest.mark.parametrize("case", [",".join(map(str, row)) for row in DEFAULT_ATLAS_ROWS]
+                         + ["D,5,Spin,Spin"])
+def test_row_tables_match_the_derivations_they_replace(case):
+    # one RowTable routine for every matrix action of W, against the three
+    # derivations it replaced: character and cocharacter matrices by
+    # rank-one updates in the search, cocharacter matrices as transposes of
+    # the inverse's character matrix, source actions as full products
+    # along the generation tree; each element read once, the last first
+    iso = oracle_isogeny(case)
+    act = SharedWeylAction(iso)
+    group = act.group
+    eager = EagerWeylGroup(iso.target)
+    inv = oracle_inverses(group)
+    assert list(group.elements) == [ch for ch, _co in eager.elements]
+    reflections = iso.source_reflections
+    for i in reversed(range(group.order)):
+        assert cochar_matrix(group, i) == eager.elements[i][1] == \
+            transpose(group.elements[inv[i]])
+        assert act.source_char_action(i) == oracle_tree_product(group, reflections, i)
+    for rows in (group.cochar_rows, act.source_rows):
+        assert len(set(rows)) == len(rows)
+
+
 @pytest.mark.parametrize("case", LAZY_CASES)
 def test_chain_order_matches_search(case):
     rd = oracle_isogeny(case).target
@@ -1960,7 +2046,7 @@ def oracle_cocycles(action, b, xi, members):
     group = action.group
     d = {}
     for i in members:
-        diff = oracle_act_cochar(group.elements[group.inverses[i]], xi) - xi
+        diff = oracle_act_cochar(group.elements[oracle_inverses(group)[i]], xi) - xi
         assert diff.is_integral
         d[i] = diff.int_vector()
     return d, {i: b.bmap(v) for i, v in d.items()}
@@ -2003,7 +2089,7 @@ def test_cocycles_match_rational_route_on_stabilizer_cases():
     for act, b, xi in stabilizer_cases():
         group = act.group
         for i, e in enumerate(group.elements):
-            m = cochar_matrix(group, group.inverses[i])
+            m = cochar_matrix(group, oracle_inverses(group)[i])
             assert RatVector.make(list(matvec(m, xi.nums)), xi.den) == \
                 oracle_act_cochar(e, xi)
         res = assert_cocycles_match_oracle(act, b, xi)
@@ -2056,7 +2142,7 @@ ROW_LOOKUP_CASES = [
 def matvec_cochar(group, i):
     """Element i's cocharacter matrix, the transpose of its inverse's
     character matrix, made for each member as the scan once did."""
-    return transpose(group.elements[group.inverses[i]])
+    return transpose(group.elements[oracle_inverses(group)[i]])
 
 
 def matvec_stabilizer(group, xi):
@@ -2275,7 +2361,7 @@ def oracle_verify_closed(group, members):
     if group.identity_index not in mset:
         return False
     for i in members:
-        if group.inverses[i] not in mset:
+        if oracle_inverses(group)[i] not in mset:
             return False
         for j in members:
             if group.mult(i, j) not in mset:
@@ -2338,7 +2424,7 @@ def oracle_table_closed(group, members, table):
     if e is None or table[e] != tuple(range(n)):
         return False
     for a, w in enumerate(members):
-        row, b = table[a], pos.get(group.inverses[w])
+        row, b = table[a], pos.get(oracle_inverses(group)[w])
         if len(row) != n or set(row) != set(range(n)) or b is None or row[b] != e:
             return False
     return True

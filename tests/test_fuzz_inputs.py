@@ -1,10 +1,11 @@
 """Malformed-input fuzzing of the command line over the bundled fixtures.
 
 Each example takes one input file, replaces one of its nodes (a leaf, a
-list or an object) with a float, string, bool, null, list or object, or
-deletes it, and runs the command in process.  The command must return
-one of the documented exit codes and never raise.  An integer replaced
-by a float is never accepted: JSON integers are read strictly.
+list or an object, the root included) with a float, string, bool, null,
+list or object, or deletes it, and runs the command in process.  The
+command must return one of the documented exit codes and never raise.
+An integer replaced by a float is never accepted: JSON integers are read
+strictly.
 
 Examples are derandomized so that every run checks the same inputs.
 """
@@ -56,16 +57,15 @@ def _original(name):
 
 
 def _paths(node, prefix=()):
-    """Key paths of every node below the root."""
+    """Key paths of every node, the root's () first."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return []
-    out = []
+        items = ()
+    out = [prefix]
     for key, child in items:
-        out.append(prefix + (key,))
         out.extend(_paths(child, prefix + (key,)))
     return out
 
@@ -75,7 +75,10 @@ DELETE = object()
 
 def _mutated(data, path, replacement):
     """A copy of data with the node at path replaced, or deleted when
-    replacement is DELETE; also the node that was there."""
+    replacement is DELETE; also the node that was there.  The root
+    deleted leaves an empty object."""
+    if not path:
+        return ({} if replacement is DELETE else replacement), data
     data = json.loads(json.dumps(data))
     parent = data
     for key in path[:-1]:

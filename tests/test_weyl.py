@@ -112,37 +112,54 @@ def test_cap_refusal():
         generate(rd, cap=10)
 
 
+def inverses(w):
+    """The index of each element's inverse, found by inverting its root
+    permutation."""
+    index = {p: i for i, p in enumerate(w.perms)}
+    out = []
+    for p in w.perms:
+        q = [0] * len(p)
+        for k, x in enumerate(p):
+            q[x] = k
+        out.append(index[tuple(q)])
+    return out
+
+
+def cochar(w, i):
+    return tuple(w.cochar_rows[j] for j in w.cochar_ids[i])
+
+
 def test_contragredience_every_element():
-    # w's cocharacter matrix is the transpose of w^-1's character matrix
+    # w's cocharacter matrix is the inverse transpose of its character matrix
     for args in (("B", 3, "Spin"), ("A", 2, "PGL"), ("D", 3, "SO")):
         rd = classical_datum(*args)
         w = generate(rd)
         for i, e in enumerate(w.elements):
-            cochar = transpose(w.elements[w.inverses[i]])
-            assert matmul(transpose(e), cochar) == identity(rd.rank)
+            assert matmul(transpose(e), cochar(w, i)) == identity(rd.rank)
 
 
 def test_cochar_rows_are_shared_and_inverses_are_involutive():
     # each distinct cocharacter row is kept once, every element's ids
-    # rebuild the transpose of its inverse's character matrix, and the
-    # inverse table squares to the identity permutation
+    # rebuild the transpose of its inverse's character matrix, and
+    # inversion squares to the identity permutation
     for args in (("B", 3, "Spin"), ("A", 3, "GL"), ("D", 4, "SO")):
         rd = classical_datum(*args)
         w = generate(rd)
+        inv = inverses(w)
         assert len(set(w.cochar_rows)) == len(w.cochar_rows) < w.order * rd.rank
         assert len(w.cochar_ids) == w.order
-        for i, ids in enumerate(w.cochar_ids):
-            assert tuple(w.cochar_rows[j] for j in ids) == \
-                transpose(w.elements[w.inverses[i]])
-        assert [w.inverses[j] for j in w.inverses] == list(range(w.order))
+        for i in range(w.order):
+            assert cochar(w, i) == transpose(w.elements[inv[i]])
+        assert [inv[j] for j in inv] == list(range(w.order))
 
 
 def test_group_closure_and_inverses():
     rd = classical_datum("A", 2, "SL")
     w = generate(rd)
     n = w.order
+    inv = inverses(w)
     for i in range(n):
-        assert w.mult(i, w.inverses[i]) == w.identity_index
+        assert w.mult(i, inv[i]) == w.mult(inv[i], i) == w.identity_index
         for j in range(n):
             w.mult(i, j)  # must not raise (closure)
 
