@@ -258,7 +258,12 @@ class Nerve(Frozen):
         )
 
 
-def nerve_of_cover(cover, dim_cap: int = 4, reads: int | None = None) -> Nerve:
+# the default highest dimension of a nerve built from a cover
+NERVE_DIM_CAP = 4
+
+
+def nerve_of_cover(cover, dim_cap: int = NERVE_DIM_CAP,
+                   reads: int | None = None) -> Nerve:
     """Nerve of a cover by finite sets, up to the dimension cap.
 
     reads, when given, is the highest dimension the caller reads: no
@@ -926,8 +931,13 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
     return tuple(rows), src_total, dst_total
 
 
+# the default bound on the coordinates of the equivariant complex's layers
+# (_equivariant_matrices)
+COMPLEX_SIZE_CAP = 60000
+
+
 def equivariant_cohomology(
-    act: FiniteAction, degree: int, cap: int = 60000
+    act: FiniteAction, degree: int, cap: int = COMPLEX_SIZE_CAP
 ) -> AbelianInvariants:
     """Total cohomology of the group-direction x Cech double complex.
 
@@ -956,7 +966,7 @@ def equivariant_cohomology(
 
 def group_cohomology(table: FiniteGroupTable, coefficients: CoefficientGroup,
                      degree: int, coeff_actions=None,
-                     cap: int = 60000) -> AbelianInvariants:
+                     cap: int = COMPLEX_SIZE_CAP) -> AbelianInvariants:
     """Group cohomology via the one-point equivariant model."""
     act = point_action(table, coefficients, coeff_actions)
     return equivariant_cohomology(act, degree, cap)

@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import cache
 
 from .cech import (
+    COMPLEX_SIZE_CAP,
+    NERVE_DIM_CAP,
     CechError,
     FiniteAction,
     FiniteGroupTable,
@@ -57,7 +59,8 @@ from .levels import (
     is_invariant,
 )
 from .obstruction import (
-    SemisimplePoint,
+    SCAN_POINT_CAP,
+    SUBGROUP_ORDER_CAP,
     obstruction_report,
     scan_points,
 )
@@ -69,7 +72,7 @@ from .rootdata import (
     classical_isogeny,
     validate_datum,
 )
-from .weyl import group_order
+from .weyl import WEYL_ORDER_CAP, group_order
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -302,12 +305,12 @@ def cmd_obstruction(args) -> int:
     coords = tgt.cochar_coords_q(xi_amb)
     if coords is None:
         raise CliError("xi lies outside the cocharacter span")
-    res = obstruction_report(action, level, SemisimplePoint(coords),
+    res = obstruction_report(action, level, coords,
                              verify_cap=args.max_subgroup_order)
     payload = res.to_json_dict()
     payload["stabilizer_actions"] = {
         str(i): [list(r) for r in action.source_char_action(i)]
-        for i in res.w_l.members
+        for i in res.cocycle.w_l.members
     }
     write(args, payload, lambda: [
         f"isogeny: {payload['isogeny']}",
@@ -318,7 +321,7 @@ def cmd_obstruction(args) -> int:
         f"witness: {payload['witness_u']}",
         f"rational witness: {payload['rational_witness']['num']}"
         f" / {payload['rational_witness']['den']}",
-        f"H1 invariants: {res.h1_invariants.label()}",
+        f"H1 invariants: {res.h1.invariants.label()}",
         f"reflection subgroup agrees: {payload['reflection_subgroup_agrees']}",
     ])
     return EXIT_OK
@@ -491,9 +494,9 @@ def _add_output(p: argparse.ArgumentParser, csv: bool = False) -> None:
 
 
 def _add_weyl_caps(p: argparse.ArgumentParser, subgroup: bool = True) -> None:
-    p.add_argument("--max-weyl-order", type=int, default=10**6)
+    p.add_argument("--max-weyl-order", type=int, default=WEYL_ORDER_CAP)
     if subgroup:
-        p.add_argument("--max-subgroup-order", type=int, default=384)
+        p.add_argument("--max-subgroup-order", type=int, default=SUBGROUP_ORDER_CAP)
 
 
 def _add_entry_args(p: argparse.ArgumentParser) -> None:
@@ -550,7 +553,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_entry_args(p)
     p.add_argument("--level", default="basic")
     p.add_argument("--max-denominator", type=int, required=True)
-    p.add_argument("--max-scan-points", type=int, default=20000)
+    p.add_argument("--max-scan-points", type=int, default=SCAN_POINT_CAP)
     _add_output(p, csv=True)
     _add_weyl_caps(p)
     p.set_defaults(fn=cmd_scan)
@@ -569,14 +572,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--coefficients", default="Z")
     p.add_argument("--trivialize-cocycle", default=None,
                    help="JSON cocycle to trivialize against the fixture")
-    p.add_argument("--max-nerve-dim", type=int, default=4)
+    p.add_argument("--max-nerve-dim", type=int, default=NERVE_DIM_CAP)
     _add_output(p)
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("equivariant", help="equivariant cohomology of an action")
     p.add_argument("--fixture", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-complex-size", type=int, default=60000)
+    p.add_argument("--max-complex-size", type=int, default=COMPLEX_SIZE_CAP)
     _add_output(p)
     p.set_defaults(fn=cmd_equivariant)
 

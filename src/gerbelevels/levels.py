@@ -44,8 +44,8 @@ from .intlinalg import (
     transpose,
 )
 from .rootdata import DatumError, IsogenyDatum, RootDatum, _vector_text
-from .weyl import (RowTable, WeylGroup, _enumerate, group_order,
-                   simple_root_permutations)
+from .weyl import (WEYL_ORDER_CAP, RowTable, WeylGroup, _enumerate,
+                   group_order, simple_root_permutations)
 
 
 class LevelTensor(Frozen):
@@ -133,11 +133,12 @@ class SharedWeylAction:
     decided there, on |W| from the Cartan matrix (weyl.group_order).  W is
     enumerated to that order on the first read of group, which the
     invariance tests never make: once per target datum per process for
-    a group of order at most 384, where actions over equal targets share
-    one WeylGroup, and once per action for a larger one (_weyl_group).
+    a group of order at most _CACHED_ORDER_MAX, where actions over equal
+    targets share one WeylGroup, and once per action for a larger one
+    (_weyl_group).
     """
 
-    def __init__(self, iso: IsogenyDatum, cap: int = 10**6):
+    def __init__(self, iso: IsogenyDatum, cap: int = WEYL_ORDER_CAP):
         self.iso = iso
         self._order = group_order(iso.target, cap)
         self._source_char: dict[int, Matrix] = {}

@@ -18,6 +18,12 @@ Triviality is decided on a generating set and then re-verified over the
 whole subgroup: the generator system is what keeps solves small, the
 full sweep is what makes the certificate self-contained.
 
+Each record is built once, verified, and never changed:
+centralizer_cocycle makes a point's StabilizerCocycle, class_order
+returns the order of its class with a verified witness, and
+obstruction_report adds the closure of the integral reflections and H^1
+and makes the ObstructionResult in one call.
+
 The per-point work runs on integers.  xi is held as integer numerators
 over one denominator, which an integer action keeps, so d_w is an exact
 division of w.xi - xi by it and c_w = B d_w.  The cocharacter matrices
@@ -55,13 +61,11 @@ from operator import mul
 
 from .cech import _bar_rows
 from .intlinalg import (
-    AbelianInvariants,
     CapExceeded,
     Frozen,
     Matrix,
     RatVector,
     Smith,
-    Value,
     Vector,
     matvec,
     subquotient,
@@ -89,66 +93,60 @@ class ObstructionError(ValueError):
 H1_CELL_CAP = 2**22
 
 
-class SemisimplePoint(Frozen):
-    """xi in X_*(T) (x) Q, coordinates against the cocharacter basis."""
+# Default caps of the command line and of the calls below: an exhaustively
+# verified stabilizer W_L may have at most SUBGROUP_ORDER_CAP elements, and
+# a scan may enumerate at most SCAN_POINT_CAP points.
+SUBGROUP_ORDER_CAP = 384
+SCAN_POINT_CAP = 20000
 
-    _fields = ("xi",)
+
+class StabilizerCocycle(Frozen):
+    """One point xi with its stabilizer W_L, the d and c cocycles on W_L
+    (element index -> vector) and the rational witness b(xi), made and
+    verified by centralizer_cocycle.  Not hashable, as the cocycles are
+    dicts."""
+
+    _fields = ("action", "level", "xi", "w_l", "d_cocycle", "c_cocycle",
+               "rational_witness")
 
 
-class ObstructionResult(Value):
-    """One point's cocycles, made by centralizer_cocycle; the fields from
-    trivial on are filled in by the checks that follow it.  Compared by
-    its fields, and not hashable, as it changes."""
+class ObstructionResult(Frozen):
+    """One point's certificate, made by obstruction_report: its cocycle,
+    the order of its class, the witness u of a trivial class (None for a
+    nontrivial one), H^1 of W_L on X*(S) and the closure of the integral
+    reflections in W.  Not hashable, as the cocycle is not."""
 
-    _fields = ("action", "level", "point", "w_l", "d_cocycle", "c_cocycle",
-               "rational_witness", "trivial", "witness_u", "class_order",
-               "h1_invariants", "h1_class_coords", "reflection_agrees",
-               "reflection_sub")
+    _fields = ("cocycle", "class_order", "witness_u", "h1", "reflection_sub")
 
-    def __init__(self, action: SharedWeylAction, level: LevelTensor,
-                 point: SemisimplePoint, w_l: Subgroup,
-                 d_cocycle: dict[int, Vector], c_cocycle: dict[int, Vector],
-                 rational_witness: RatVector, trivial: bool | None = None,
-                 witness_u: Vector | None = None,
-                 class_order: int | None = None,
-                 h1_invariants: AbelianInvariants | None = None,
-                 h1_class_coords: tuple[int, ...] | None = None,
-                 reflection_agrees: bool | None = None,
-                 reflection_sub: Subgroup | None = None):
-        super().__init__(action, level, point, w_l, d_cocycle, c_cocycle,
-                         rational_witness, trivial, witness_u, class_order,
-                         h1_invariants, h1_class_coords, reflection_agrees,
-                         reflection_sub)
-
-    def source_action(self, idx: int) -> Matrix:
-        return self.action.source_char_action(idx)
+    @property
+    def trivial(self) -> bool:
+        return self.class_order == 1
 
     def to_json_dict(self) -> dict:
+        c = self.cocycle
         return {
-            "isogeny": self.action.iso.name,
-            "level": [list(r) for r in self.level.matrix],
-            "xi": {"num": list(self.point.xi.nums), "den": self.point.xi.den},
-            "stabilizer_order": len(self.w_l),
-            "stabilizer_members": list(self.w_l.members),
-            "d_cocycle": {str(k): list(v) for k, v in sorted(self.d_cocycle.items())},
-            "c_cocycle": {str(k): list(v) for k, v in sorted(self.c_cocycle.items())},
+            "isogeny": c.action.iso.name,
+            "level": [list(r) for r in c.level.matrix],
+            "xi": {"num": list(c.xi.nums), "den": c.xi.den},
+            "stabilizer_order": len(c.w_l),
+            "stabilizer_members": list(c.w_l.members),
+            "d_cocycle": {str(k): list(v) for k, v in sorted(c.d_cocycle.items())},
+            "c_cocycle": {str(k): list(v) for k, v in sorted(c.c_cocycle.items())},
             "rational_witness": {
-                "num": list(self.rational_witness.nums),
-                "den": self.rational_witness.den,
+                "num": list(c.rational_witness.nums),
+                "den": c.rational_witness.den,
             },
             "trivial": self.trivial,
             "witness_u": None if self.witness_u is None else list(self.witness_u),
             "class_order": self.class_order,
-            "h1_invariants": None
-            if self.h1_invariants is None
-            else {
-                "free_rank": self.h1_invariants.free_rank,
-                "torsion": list(self.h1_invariants.torsion),
+            "h1_invariants": {
+                "free_rank": self.h1.invariants.free_rank,
+                "torsion": list(self.h1.invariants.torsion),
             },
             "h1_class_coords": None
-            if self.h1_class_coords is None
-            else list(self.h1_class_coords),
-            "reflection_subgroup_agrees": self.reflection_agrees,
+            if self.h1.class_coords is None
+            else list(self.h1.class_coords),
+            "reflection_subgroup_agrees": self.reflection_sub is c.w_l,
         }
 
 
@@ -165,11 +163,11 @@ def check_level(action: SharedWeylAction, b: LevelTensor) -> None:
 def centralizer_cocycle(
     action: SharedWeylAction,
     b: LevelTensor,
-    pt: SemisimplePoint,
-    verify_cap: int = 384,
+    xi: RatVector,
+    verify_cap: int = SUBGROUP_ORDER_CAP,
     *,
     level_checked: bool = False,
-) -> ObstructionResult:
+) -> StabilizerCocycle:
     """Stabilizer subgroup with its d and c cocycles, fully verified.
 
     Runs check_level first, unless the caller already has
@@ -182,15 +180,15 @@ def centralizer_cocycle(
     member by such words), because w -> M_w (source_char_action) is a
     homomorphism: the isogeny check verifies the source reflections'
     Coxeter relations.  Every integral reflection must lie in W_L;
-    closing them is left to certificates (compare_reflections).
+    closing them is left to certificates (obstruction_report).
     """
     if not level_checked:
         check_level(action, b)
-    if len(pt.xi) != action.iso.target.rank:
+    if len(xi) != action.iso.target.rank:
         raise ObstructionError("xi has the wrong rank")
     group = action.group
-    w_l = stabilizer(group, pt.xi, cap=verify_cap)
-    d_cocycle = _differences(group, w_l.members, pt.xi)
+    w_l = stabilizer(group, xi, cap=verify_cap)
+    d_cocycle = _differences(group, w_l.members, xi)
     c_of: dict[Vector, Vector] = {}
     c_cocycle = {}
     for i, d in d_cocycle.items():
@@ -201,19 +199,10 @@ def centralizer_cocycle(
     if not _holds_on_generator_edges(action, w_l, c_cocycle):
         raise AssertionError("cocycle identity failed")
     # raises unless every integral reflection lies in W_L
-    integral_reflections(group, pt.xi, w_l)
-    rational_witness = RatVector.make(
-        list(matvec(b.matrix, pt.xi.nums)), pt.xi.den
-    )
-    return ObstructionResult(
-        action=action,
-        level=b,
-        point=pt,
-        w_l=w_l,
-        d_cocycle=d_cocycle,
-        c_cocycle=c_cocycle,
-        rational_witness=rational_witness,
-    )
+    integral_reflections(group, xi, w_l)
+    rational_witness = RatVector.make(list(matvec(b.matrix, xi.nums)), xi.den)
+    return StabilizerCocycle(action, b, xi, w_l, d_cocycle, c_cocycle,
+                             rational_witness)
 
 
 def _differences(group: WeylGroup, members: tuple[int, ...],
@@ -256,15 +245,6 @@ def _holds_on_generator_edges(action: SharedWeylAction, w_l: Subgroup,
     return True
 
 
-def compare_reflections(res: ObstructionResult) -> None:
-    """Closes the integral reflections in W and fills in
-    res.reflection_sub and res.reflection_agrees: they agree when the
-    closure is W_L itself."""
-    w_l = res.w_l
-    res.reflection_sub = integral_reflection_subgroup(w_l.group, res.point.xi, w_l)
-    res.reflection_agrees = res.reflection_sub is w_l
-
-
 def _coboundary_matrix(actions) -> Matrix:
     """The bar differential delta^0, (w - 1) u, stacked over the given
     source actions: the matrix of the system (w - 1) u = c_w."""
@@ -280,27 +260,15 @@ def _generator_factor(actions: tuple[Matrix, ...]) -> Smith:
     return Smith.of(_coboundary_matrix(actions))
 
 
-def is_trivial_class(res: ObstructionResult) -> Vector | None:
-    """Integral witness u with c_w = w.u - u for every w, or None.
-
-    The witness is the one class_order finds: solved over the subgroup
-    generators, then re-verified over all of W_L.  Fills in res.trivial
-    and res.witness_u.
-    """
-    if res.trivial is None:
-        class_order(res)
-    return res.witness_u
-
-
-def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
+def _verify_witness(cocycle: StabilizerCocycle, u: Vector, k: int) -> bool:
     """w.u - u = k c_w for every w in W_L, on every coordinate: the value
     of each distinct source row on u is taken once
     (SharedWeylAction.source_rows), and each member's image is read off
     its row ids."""
-    members = res.w_l.members
-    ids = res.action.source_row_ids(members)
-    values = [sum(map(mul, row, u)) for row in res.action.source_rows]
-    c_cocycle = res.c_cocycle
+    members = cocycle.w_l.members
+    ids = cocycle.action.source_row_ids(members)
+    values = [sum(map(mul, row, u)) for row in cocycle.action.source_rows]
+    c_cocycle = cocycle.c_cocycle
     for i, row_ids in zip(members, ids):
         if any(values[j] - x != k * y
                for j, x, y in zip(row_ids, u, c_cocycle[i])):
@@ -308,7 +276,7 @@ def _verify_witness(res: ObstructionResult, u: Vector, k: int) -> bool:
     return True
 
 
-def class_order(res: ObstructionResult) -> int:
+def class_order(cocycle: StabilizerCocycle) -> tuple[int, Vector]:
     """Smallest k >= 1 with k*c a coboundary; it divides |W_L|, as the
     order of a finite group kills its cohomology in positive degrees
     (Brown, Cohomology of Groups, III.10.2).  It need not divide the
@@ -318,31 +286,25 @@ def class_order(res: ObstructionResult) -> int:
     k and the witness are solved over the generators of W_L, against
     the Smith factor of their coboundary system (_generator_factor, made
     once per tuple of generator actions), then the witness is verified
-    over all of W_L.  Fills in res.trivial and res.witness_u too when
-    they are still unset, so a caller that wants both needs no separate
-    is_trivial_class.
+    over all of W_L.  Returns k with that witness u: w.u - u = k c_w for
+    every w in W_L, so the class is trivial, with witness u, when k = 1.
     """
-    w_l = res.w_l
+    w_l = cocycle.w_l
     gens = w_l.generators or (w_l.group.identity_index,)
-    system = _generator_factor(tuple(map(res.source_action, gens)))
-    y = tuple(x for i in gens for x in res.c_cocycle[i])
+    system = _generator_factor(tuple(map(cocycle.action.source_char_action, gens)))
+    y = tuple(x for i in gens for x in cocycle.c_cocycle[i])
     sol = system.solve(y)
     k = sol.min_multiplier
     if k is None:
         raise AssertionError("cocycle class has infinite order against generators")
     u = sol.solution if k == 1 else system.solve(tuple(k * x for x in y)).solution
-    if u is None or not _verify_witness(res, u, k):
+    if u is None or not _verify_witness(cocycle, u, k):
         raise AssertionError("scaled witness failed full verification")
     if len(w_l) % k:
         raise AssertionError(
             f"class order {k} does not divide the subgroup order {len(w_l)}"
         )
-    res.class_order = k
-    if res.trivial is None:
-        res.trivial = k == 1
-        if k == 1:
-            res.witness_u = u
-    return k
+    return k, u
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +356,21 @@ def h1_group_lattice(
 def obstruction_report(
     action: SharedWeylAction,
     b: LevelTensor,
-    pt: SemisimplePoint,
-    verify_cap: int = 384,
+    xi: RatVector,
+    verify_cap: int = SUBGROUP_ORDER_CAP,
 ) -> ObstructionResult:
-    res = centralizer_cocycle(action, b, pt, verify_cap=verify_cap)
-    compare_reflections(res)
-    class_order(res)
-    h1 = h1_group_lattice(res.w_l, action.source_char_action, res.c_cocycle)
-    res.h1_invariants = h1.invariants
-    res.h1_class_coords = h1.class_coords
-    if h1.class_order_in_h1 is not None and h1.class_order_in_h1 != res.class_order:
-        raise AssertionError(
-            "H^1 class order disagrees with the coboundary solve"
-        )
-    return res
+    """The certificate of one point: its cocycle (centralizer_cocycle),
+    the closure of the integral reflections in W, which agrees when it
+    is W_L itself, the class order with its witness, and H^1 of W_L on
+    X*(S), whose order of the class must equal the class order."""
+    cocycle = centralizer_cocycle(action, b, xi, verify_cap)
+    w_l = cocycle.w_l
+    reflection_sub = integral_reflection_subgroup(w_l.group, xi, w_l)
+    k, u = class_order(cocycle)
+    h1 = h1_group_lattice(w_l, action.source_char_action, cocycle.c_cocycle)
+    if h1.class_order_in_h1 is not None and h1.class_order_in_h1 != k:
+        raise AssertionError("H^1 class order disagrees with the coboundary solve")
+    return ObstructionResult(cocycle, k, u if k == 1 else None, h1, reflection_sub)
 
 
 class ScanRow(Frozen):
@@ -441,8 +404,8 @@ def scan_points(
     action: SharedWeylAction,
     b: LevelTensor,
     max_denominator: int,
-    point_cap: int = 20000,
-    verify_cap: int = 384,
+    point_cap: int = SCAN_POINT_CAP,
+    verify_cap: int = SUBGROUP_ORDER_CAP,
 ) -> ScanTable:
     """Exhaustive scan of torsion points with denominator <= max_denominator.
 
@@ -493,8 +456,7 @@ def scan_points(
             frontier = nxt
     rows = []
     for xi in reps:
-        res = centralizer_cocycle(action, b, SemisimplePoint(xi), verify_cap,
-                                  level_checked=True)
-        k = class_order(res)
-        rows.append(ScanRow(xi, len(res.w_l), k, bool(res.trivial)))
+        cocycle = centralizer_cocycle(action, b, xi, verify_cap, level_checked=True)
+        k, _ = class_order(cocycle)
+        rows.append(ScanRow(xi, len(cocycle.w_l), k, k == 1))
     return ScanTable(tuple(rows))

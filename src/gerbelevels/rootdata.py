@@ -445,11 +445,10 @@ def _unit(n: int, *entries) -> tuple[int, ...]:
 
 
 def _a_series_roots(n: int):
-    roots = [RatVector.make(_unit(n, (i, 1), (j, -1)))
-             for i in range(n) for j in range(n) if i != j]
-    simple = tuple(roots.index(RatVector.make(_unit(n, (i, 1), (i + 1, -1))))
-                   for i in range(n - 1))
-    return tuple(roots), tuple(roots), simple
+    roots = tuple(RatVector.make(_unit(n, (i, 1), (j, -1)))
+                  for i in range(n) for j in range(n) if i != j)
+    # e_i - e_j is at index i (n - 1) + j - (j > i), so e_i - e_(i+1) at i n
+    return roots, roots, tuple(i * n for i in range(n - 1))
 
 
 def _bcd_roots(series: str, n: int):
@@ -612,12 +611,17 @@ class IsogenyDatum(Frozen):
     @cached_property
     def source_reflections(self) -> tuple[Matrix, ...]:
         """The target's simple reflections on X*(S) basis coordinates, in
-        the order of the target's simple_indices: each ambient reflection
-        v -> v - <v, acheck> alpha restricted to the source character
-        lattice.  Raises DatumError when one does not preserve it."""
-        tgt = self.target
-        return tuple(_ambient_reflection_on(self.source, tgt.roots[i], tgt.coroots[i])
-                     for i in tgt.simple_indices)
+        the order of the target's simple_indices: v -> v - <v, acheck>
+        alpha is I - a c^T, for a the coordinates of alpha in the source
+        character basis and c = coroot_lift of acheck.  Raises DatumError
+        when alpha has no integer coordinates there."""
+        out = []
+        for i in self.target.simple_indices:
+            a = self.source.char_coords(self.target.roots[i])
+            if a is None:
+                raise DatumError("reflection does not preserve the source lattice")
+            out.append(_rank_one_reflection(a, self.coroot_lift[i]))
+        return tuple(out)
 
     def to_json_dict(self) -> dict:
         return {
@@ -746,18 +750,6 @@ def _check_weyl_compatibility(iso: IsogenyDatum) -> None:
                 raise DatumError(
                     f"source reflections of root[{simple[i]}] and root[{simple[j]}] "
                     f"break the Coxeter relation of order {m}")
-
-
-def _ambient_reflection_on(rd: RootDatum, alpha: RatVector,
-                           acheck: RatVector) -> Matrix:
-    cols = []
-    for basis_vec in rd.char_basis:
-        img = rd.char_coords(_reflected(basis_vec, alpha, acheck))
-        if img is None:
-            raise DatumError("reflection does not preserve the source lattice")
-        cols.append(img)
-    r = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
 
 def classical_isogeny(series: str, rank: int, source_form: str,

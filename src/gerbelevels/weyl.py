@@ -198,8 +198,12 @@ def simple_root_permutations(rd: RootDatum) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
+# the default bound on |W|: D7 (322,560) is under it, D8 (5,160,960) over
+WEYL_ORDER_CAP = 10**6
+
+
 @lru_cache(maxsize=64)
-def group_order(rd: RootDatum, cap: int = 10**6) -> int:
+def group_order(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> int:
     """|W| without enumerating W: the product over k of [W_k : W_{k-1}] =
     |W_k . omega_k^vee|, where W_k = <s_1, ..., s_k> and the stabilizer
     of omega_k^vee in W_k is W_{k-1} (Humphreys, Reflection Groups and
@@ -245,7 +249,7 @@ def group_order(rd: RootDatum, cap: int = 10**6) -> int:
     return total
 
 
-def generate(rd: RootDatum, cap: int = 10**6) -> WeylGroup:
+def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     """W enumerated in full.  Raises CapExceeded when group_order
     refuses, before any element is built."""
     return _enumerate(rd, group_order(rd, cap))

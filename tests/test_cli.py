@@ -1598,6 +1598,28 @@ def test_every_accepted_option_is_read(tmp_path, capsys, command):
     assert [a.dest for a in options if a.dest not in args._reads] == []
 
 
+# each cap's default, named once in the module whose work it bounds
+CAP_DEFAULTS = {
+    "max_weyl_order": weyl.WEYL_ORDER_CAP,
+    "max_subgroup_order": obstruction.SUBGROUP_ORDER_CAP,
+    "max_scan_points": obstruction.SCAN_POINT_CAP,
+    "max_nerve_dim": cech.NERVE_DIM_CAP,
+    "max_complex_size": cech.COMPLEX_SIZE_CAP,
+}
+
+
+def test_every_cap_default_is_its_module_constant():
+    seen = set()
+    for command, parser in _subparsers().items():
+        for a in parser._actions:
+            if a.dest in cli.CAP_OPTIONS:
+                assert a.default is CAP_DEFAULTS[a.dest], (command, a.dest)
+                seen.add(a.dest)
+    assert seen == set(CAP_DEFAULTS) == set(cli.CAP_OPTIONS)
+    # the values the README's table of caps gives
+    assert [CAP_DEFAULTS[k] for k in cli.CAP_OPTIONS] == [10**6, 384, 20000, 60000, 4]
+
+
 @pytest.mark.parametrize("command", sorted(GUARD_ARGV))
 def test_out_file_equals_stdout_in_every_format(tmp_path, capsys, command):
     argv = list(GUARD_ARGV[command])

@@ -112,10 +112,9 @@ from gerbelevels.levels import (
     root_orbits,
 )
 from gerbelevels.obstruction import (
-    SemisimplePoint,
+    StabilizerCocycle,
     _holds_on_generator_edges,
     centralizer_cocycle,
-    compare_reflections,
     h1_group_lattice,
     obstruction_report,
     scan_points,
@@ -126,6 +125,7 @@ from gerbelevels.weyl import (
     _generators_and_rows,
     generate,
     group_order,
+    integral_reflection_subgroup,
     simple_root_permutations,
     stabilizer,
     subgroup_from_members,
@@ -493,9 +493,9 @@ def test_spin7_h1_is_exactly_z2():
     xi = iso.target.cochar_coords_q(
         RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
-    res = obstruction_report(act, b, SemisimplePoint(xi))
+    res = obstruction_report(act, b, xi)
     # the obstruction class generates the whole H^1
-    assert res.h1_invariants == AbelianInvariants(0, (2,))
+    assert res.h1.invariants == AbelianInvariants(0, (2,))
 
 
 def test_spin_to_so7_obstruction():
@@ -509,11 +509,11 @@ def test_spin_to_so7_obstruction():
     xi = iso.target.cochar_coords_q(
         RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
-    res = obstruction_report(act, res_basic.tensor, SemisimplePoint(xi))
-    assert len(res.w_l) == 16
+    res = obstruction_report(act, res_basic.tensor, xi)
+    assert len(res.cocycle.w_l) == 16
     assert res.trivial is False
     assert res.class_order == 2
-    assert res.h1_invariants == AbelianInvariants(0, (2,))
+    assert res.h1.invariants == AbelianInvariants(0, (2,))
 
 
 def test_cyclic_cohomology_period_two():
@@ -946,6 +946,52 @@ def test_isogeny_matches_fraction_route(case):
     assert res.tensor.matrix == mat
 
 
+def oracle_ambient_reflection_on(rd, alpha, acheck):
+    """v -> v - <v, acheck> alpha on rd's character basis, one basis
+    vector at a time through the ambient space, re-expressed by
+    char_coords; DatumError when an image leaves the lattice."""
+    cols = []
+    for basis_vec in rd.char_basis:
+        img = rd.char_coords(rootdata._reflected(basis_vec, alpha, acheck))
+        if img is None:
+            raise DatumError("reflection does not preserve the source lattice")
+        cols.append(img)
+    r = len(cols)
+    return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+
+
+def classical_isogenies(max_rank):
+    """Every classical isogeny of rank at most max_rank that builds."""
+    for series, forms in FORMS_BY_SERIES.items():
+        for rank, sf, tf in itertools.product(range(1, max_rank + 1), forms, forms):
+            try:
+                yield classical_isogeny(series, rank, sf, tf)
+            except DatumError:
+                pass
+
+
+def test_source_reflections_match_the_ambient_route():
+    cases = list(classical_isogenies(6))
+    cases += [oracle_isogeny(case) for case in ("G2", "G2-source", "G2-target")]
+    assert len(cases) == 87
+    for iso in cases:
+        tgt = iso.target
+        assert iso.source_reflections == tuple(
+            oracle_ambient_reflection_on(iso.source, tgt.roots[i], tgt.coroots[i])
+            for i in tgt.simple_indices), iso.name
+    # a target root outside the source character span: both routes refuse
+    src = classical_datum("A", 1, "SL")
+    e1 = RatVector.make([1, 0])
+    basis = rootdata._std_basis(2)
+    tgt = RootDatum("T", 2, basis, basis, (e1, -e1),
+                    (RatVector.make([2, 0]), RatVector.make([-2, 0])), (0,))
+    iso = rootdata.IsogenyDatum(src, tgt, ((1, -1),), ((1,), (-1,)), ((2,), (-2,)))
+    with pytest.raises(DatumError, match="does not preserve the source lattice"):
+        oracle_ambient_reflection_on(src, tgt.roots[0], tgt.coroots[0])
+    with pytest.raises(DatumError, match="does not preserve the source lattice"):
+        iso.source_reflections
+
+
 def fresh_datum(rd):
     """An equal root datum with none of rd's cached values."""
     return RootDatum(rd.name, rd.ambient_dim, rd.char_basis, rd.cochar_basis,
@@ -1215,7 +1261,7 @@ def oracle_coboundary_system(res, members):
     rhs = []
     eye = identity(r)
     for i in members:
-        m = res.source_action(i)
+        m = res.action.source_char_action(i)
         for a in range(r):
             rows.append(tuple(m[a][c] - eye[a][c] for c in range(r)))
         rhs.extend(res.c_cocycle[i])
@@ -1303,7 +1349,7 @@ def test_h1_matches_bar_complex_oracle():
     assert len(cases) > 4
     orders = set()
     for act, b, xi in cases:
-        res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+        res = centralizer_cocycle(act, b, xi)
         h1 = h1_group_lattice(res.w_l, act.source_char_action, res.c_cocycle)
         got = (h1.invariants, h1.class_coords, h1.class_order_in_h1)
         assert got == oracle_h1(res.w_l, act.source_char_action, res.c_cocycle)
@@ -1614,12 +1660,11 @@ def test_h1_and_coboundary_systems_match_per_entry_builders(monkeypatch):
     """delta^1 and delta^0 as handed to subquotient, and the matrix of
     the class-order system, at every denominator-2 stabilizer of
     A2, B2, C2, the Spin(7) point and the certificate points."""
-    cases = [(act, b, SemisimplePoint(xi)) for act, b, xi in stabilizer_cases()]
+    cases = list(stabilizer_cases())
     for entry, xi in workload_cert_points():
         iso = classical_isogeny(*entry)
         cases.append((SharedWeylAction(iso), basic_level(iso).tensor,
-                      SemisimplePoint(iso.target.cochar_coords_q(
-                          RatVector.from_fractions(xi)))))
+                      iso.target.cochar_coords_q(RatVector.from_fractions(xi))))
     assert len(cases) > 18
     seen = []
     monkeypatch.setattr(obstruction, "subquotient",
@@ -1634,7 +1679,7 @@ def test_h1_and_coboundary_systems_match_per_entry_builders(monkeypatch):
         for members in (res.w_l.generators or (act.group.identity_index,),
                         res.w_l.members):
             assert obstruction._coboundary_matrix(
-                [res.source_action(i) for i in members]) == \
+                [res.action.source_char_action(i) for i in members]) == \
                 oracle_coboundary_system(res, members)[0]
     assert (1024, 64) in shapes  # the D4 certificate's delta^1
 
@@ -2071,12 +2116,12 @@ def oracle_dict_identity(action, w_l, c_cocycle):
 
 
 def oracle_verify_witness(res, u, k):
-    return all(intlinalg.vec_sub(matvec(res.source_action(i), u), u)
+    return all(intlinalg.vec_sub(matvec(res.action.source_char_action(i), u), u)
                == tuple(k * x for x in res.c_cocycle[i]) for i in res.w_l.members)
 
 
 def assert_cocycles_match_oracle(act, b, xi):
-    res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+    res = centralizer_cocycle(act, b, xi)
     members = oracle_stabilizer_members(act.group, xi)
     assert res.w_l.members == members
     assert (res.d_cocycle, res.c_cocycle) == oracle_cocycles(act, b, xi, members)
@@ -2093,17 +2138,16 @@ def test_cocycles_match_rational_route_on_stabilizer_cases():
             assert RatVector.make(list(matvec(m, xi.nums)), xi.den) == \
                 oracle_act_cochar(e, xi)
         res = assert_cocycles_match_oracle(act, b, xi)
-        k = obstruction.class_order(res)
+        k, witness = obstruction.class_order(res)
         orders.add(k)
         # witnesses: the true one where the class is trivial, and shifted
         # ones that both routes must refuse
-        u0 = res.witness_u or (0,) * act.iso.source.rank
+        u0 = witness if k == 1 else (0,) * act.iso.source.rank
         for u in (u0, (u0[0] + 1,) + u0[1:], tuple(x - 2 for x in u0)):
             for m in (1, k, 2 * k):
                 assert obstruction._verify_witness(res, u, m) == \
                     oracle_verify_witness(res, u, m)
-        if res.witness_u is not None:
-            assert obstruction._verify_witness(res, res.witness_u, 1)
+        assert obstruction._verify_witness(res, witness, k)
     assert orders >= {1, 2}
 
 
@@ -2117,7 +2161,7 @@ def test_scan_tables_match_rational_route(entry):
     rows = []
     for xi in oracle_scan_walk(act, 2):
         res = assert_cocycles_match_oracle(act, b, xi)
-        k = obstruction.class_order(res)
+        k, _ = obstruction.class_order(res)
         rows.append(obstruction.ScanRow(xi, len(res.w_l), k, k == 1))
     assert scan_points(act, b, 2).rows == tuple(rows)
 
@@ -2163,7 +2207,8 @@ def matvec_differences(group, members, xi):
 def scaled_witness(res, k):
     """A u with w.u - u = k c_w on the generators, as class_order solves it."""
     gens = res.w_l.generators or (res.w_l.group.identity_index,)
-    system = obstruction._generator_factor(tuple(map(res.source_action, gens)))
+    system = obstruction._generator_factor(
+        tuple(map(res.action.source_char_action, gens)))
     return system.solve(tuple(k * x for i in gens for x in res.c_cocycle[i])).solution
 
 
@@ -2178,15 +2223,15 @@ def test_row_lookups_match_per_member_matvec_route(entry, bound):
     table = scan_points(act, b, bound)
     for row in table.rows:
         xi = row.xi
-        res = centralizer_cocycle(act, b, SemisimplePoint(xi), verify_cap=group.order)
+        res = centralizer_cocycle(act, b, xi, verify_cap=group.order)
         members = matvec_stabilizer(group, xi)
         assert res.w_l.members == members
         d = matvec_differences(group, members, xi)
         assert res.d_cocycle == d
         assert res.c_cocycle == {i: matvec(b.matrix, v) for i, v in d.items()}
-        k = obstruction.class_order(res)
+        k, u = obstruction.class_order(res)
         assert (len(members), k) == (row.stabilizer_order, row.class_order)
-        u = scaled_witness(res, k)
+        assert u == scaled_witness(res, k)
         assert obstruction._verify_witness(res, u, k)
         assert oracle_verify_witness(res, u, k)
         for v in ((u[0] + 1,) + u[1:], tuple(x - 2 for x in u)):
@@ -2228,7 +2273,7 @@ def _point_fails(action, b, points, want):
     stabilizer differs from want."""
     for xi in points:
         try:
-            res = centralizer_cocycle(action, b, SemisimplePoint(xi))
+            res = centralizer_cocycle(action, b, xi)
             obstruction.class_order(res)
         except (ValueError, AssertionError):
             return True
@@ -2290,19 +2335,20 @@ def test_corrupted_source_rows_and_ids_fail_the_witness_check():
     iso = classical_isogeny("B", 3, "Spin", "Spin")
     act = SharedWeylAction(iso)
     b = basic_level(iso).tensor
-    res = centralizer_cocycle(act, b, SemisimplePoint(RatVector.make([0, 0, 0])))
+    origin = centralizer_cocycle(act, b, RatVector.make([0, 0, 0]))
     u = (1, 2, 3)
-    res.c_cocycle = {i: intlinalg.vec_sub(matvec(act.source_char_action(i), u), u)
-                     for i in res.w_l.members}
+    c = {i: intlinalg.vec_sub(matvec(act.source_char_action(i), u), u)
+         for i in origin.w_l.members}
+    res = StabilizerCocycle(origin.action, origin.level, origin.xi, origin.w_l,
+                            origin.d_cocycle, c, origin.rational_witness)
     assert obstruction._verify_witness(res, u, 1)
-    assert obstruction.class_order(res) == 1
+    assert obstruction.class_order(res)[0] == 1
     rows = list(act.source_rows)
     values = [sum(x * y for x, y in zip(row, u)) for row in rows]
     for j, k in itertools.product(range(len(rows)), range(3)):
         act.source_rows[j] = rows[j][:k] + (rows[j][k] + 1,) + rows[j][k + 1:]
         try:
             assert not obstruction._verify_witness(res, u, 1), (j, k)
-            res.class_order = None
             with pytest.raises(AssertionError, match="scaled witness failed"):
                 obstruction.class_order(res)
         finally:
@@ -2373,7 +2419,7 @@ def oracle_cocycle_identity(res):
     """c_{w1 w2} = w1.c_{w2} + c_{w1} for every ordered pair, by mult."""
     group, c = res.w_l.group, res.c_cocycle
     return all(
-        c[group.mult(i, j)] == intlinalg.vec_add(matvec(res.source_action(i), c[j]), c[i])
+        c[group.mult(i, j)] == intlinalg.vec_add(matvec(res.action.source_char_action(i), c[j]), c[i])
         for i in res.w_l.members for j in res.w_l.members
     )
 
@@ -2485,14 +2531,14 @@ def test_subgroups_match_all_pairs_mult_oracle():
     unequal = 0
     for act, b, xi in subgroup_cases():
         group = act.group
-        res = centralizer_cocycle(act, b, SemisimplePoint(xi))
-        compare_reflections(res)
+        res = centralizer_cocycle(act, b, xi)
+        reflection_sub = integral_reflection_subgroup(group, xi, res.w_l)
         members = oracle_stabilizer_members(group, xi)
         assert_subgroup_matches_oracle(res.w_l, members)
         assert oracle_cocycle_identity(res)
         refl_members = oracle_reflection_members(group, xi)
-        assert_subgroup_matches_oracle(res.reflection_sub, refl_members)
-        assert res.reflection_agrees == (refl_members == members)
+        assert_subgroup_matches_oracle(reflection_sub, refl_members)
+        assert (reflection_sub is res.w_l) == (refl_members == members)
         unequal += refl_members != members
         orders.add(len(members))
     assert 192 in orders
@@ -2561,7 +2607,7 @@ def test_generator_rows_match_the_table_oracles():
     non_closed = 0
     for act, b, xi in generator_row_cases():
         group = act.group
-        res = centralizer_cocycle(act, b, SemisimplePoint(xi))
+        res = centralizer_cocycle(act, b, xi)
         sub = res.w_l
         members = sub.members
         table = oracle_left_regular_table(group, members, sub.generators)
@@ -2639,7 +2685,7 @@ def test_shared_stabilizer_work_matches_fresh_builds(monkeypatch):
     orders = set()
     for act, b, row in cases:
         group = act.group
-        res = centralizer_cocycle(act, b, SemisimplePoint(row.xi))
+        res = centralizer_cocycle(act, b, row.xi)
         w_l = res.w_l
         members = oracle_stabilizer_members(group, row.xi)
         assert w_l.members == members and len(w_l) == row.stabilizer_order
@@ -2647,9 +2693,10 @@ def test_shared_stabilizer_work_matches_fresh_builds(monkeypatch):
         assert (w_l.generators, w_l.gen_rows) == (gens, rows)
         assert Subgroup(group, members, gens, rows).verify_closed()
         k, trivial, witness = oracle_class_order(res)
-        assert obstruction.class_order(res) == k == row.class_order
-        assert res.trivial == trivial == row.trivial
-        assert res.witness_u == witness
+        got_k, got_u = obstruction.class_order(res)
+        assert got_k == k == row.class_order
+        assert (got_k == 1) == trivial == row.trivial
+        assert (got_u if got_k == 1 else None) == witness
         orders.add((len(w_l), k))
     # a second sweep to an equal member set, from the same point or one a
     # lattice vector away, finds the subgroup built for the first
@@ -2905,8 +2952,7 @@ def test_snf_matches_full_scan_oracle_on_certificate_h1(monkeypatch):
     for entry, xi in points:
         iso = classical_isogeny(*entry)
         act = SharedWeylAction(iso)
-        pt = SemisimplePoint(
-            iso.target.cochar_coords_q(RatVector.from_fractions(xi)))
+        pt = iso.target.cochar_coords_q(RatVector.from_fractions(xi))
         res = centralizer_cocycle(act, basic_level(iso).tensor, pt)
         for a in recorded_snf_inputs(monkeypatch, h1_group_lattice, res.w_l,
                                      act.source_char_action, res.c_cocycle):

@@ -14,7 +14,6 @@ from gerbelevels.intlinalg import (
 from gerbelevels.levels import LevelTensor, SharedWeylAction, basic_level
 from gerbelevels.obstruction import (
     ObstructionError,
-    SemisimplePoint,
     _power_sum,
     centralizer_cocycle,
     h1_group_lattice,
@@ -32,7 +31,7 @@ def spin7_setup():
     xi = iso.target.cochar_coords_q(
         RatVector.from_fractions((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     )
-    return action, b, SemisimplePoint(xi)
+    return action, b, xi
 
 
 def test_spin7_cocycle_values():
@@ -60,15 +59,15 @@ def test_spin7_class_is_order_two():
     assert res.witness_u is None
     assert res.class_order == 2
     # the only rational witness is (t1 - t2)/2, outside the lattice
-    w_amb = action.iso.source.char_ambient(res.rational_witness).fractions()
+    w_amb = action.iso.source.char_ambient(res.cocycle.rational_witness).fractions()
     assert w_amb == (Fraction(1, 2), Fraction(-1, 2), Fraction(0))
-    assert not res.rational_witness.is_integral
-    assert res.reflection_agrees is True
+    assert not res.cocycle.rational_witness.is_integral
+    assert res.reflection_sub is res.cocycle.w_l
     # H^1 sees the same order-2 class
-    assert res.h1_invariants is not None
-    assert 2 in res.h1_invariants.torsion
-    assert res.h1_class_coords is not None
-    assert any(x for x in res.h1_class_coords)
+    assert res.h1.invariants is not None
+    assert 2 in res.h1.invariants.torsion
+    assert res.h1.class_coords is not None
+    assert any(x for x in res.h1.class_coords)
 
 
 def test_sl2_half_coroot_is_trivial_with_witness_chi():
@@ -76,7 +75,7 @@ def test_sl2_half_coroot_is_trivial_with_witness_chi():
     action = SharedWeylAction(iso)
     b = basic_level(iso).tensor
     assert b.matrix == ((2,),)
-    pt = SemisimplePoint(RatVector.make([1], 2))
+    pt = RatVector.make([1], 2)
     res = obstruction_report(action, b, pt)
     assert res.trivial is True
     assert res.witness_u == (1,)  # the generating character
@@ -88,12 +87,11 @@ def test_regular_point_trivial_stabilizer():
     action = SharedWeylAction(iso)
     b = basic_level(iso).tensor
     xi = RatVector.make([1, 2, 3], 7)
-    res = obstruction_report(action, b, pt := SemisimplePoint(xi))
-    assert len(res.w_l) == 1
+    res = obstruction_report(action, b, xi)
+    assert len(res.cocycle.w_l) == 1
     assert res.trivial is True
     assert res.witness_u == (0, 0, 0)
     assert res.class_order == 1
-    del pt
 
 
 def test_integral_point_full_stabilizer_coboundary():
@@ -101,14 +99,14 @@ def test_integral_point_full_stabilizer_coboundary():
     action = SharedWeylAction(iso)
     b = basic_level(iso).tensor
     xi = RatVector.make([2, -1], 1)
-    res = obstruction_report(action, b, SemisimplePoint(xi))
-    assert len(res.w_l) == action.group.order
+    res = obstruction_report(action, b, xi)
+    assert len(res.cocycle.w_l) == action.group.order
     assert res.trivial is True
     # bmap(xi) itself is an integral witness
     u = matvec(b.matrix, xi.nums)
-    for i in res.w_l.members:
+    for i in res.cocycle.w_l.members:
         m = action.source_char_action(i)
-        assert vec_sub(matvec(m, u), u) == res.c_cocycle[i]
+        assert vec_sub(matvec(m, u), u) == res.cocycle.c_cocycle[i]
 
 
 def test_non_invariant_level_rejected():
@@ -116,7 +114,7 @@ def test_non_invariant_level_rejected():
     action = SharedWeylAction(iso)
     bad = LevelTensor(iso, ((1, 0), (0, 0)))
     with pytest.raises(ObstructionError):
-        centralizer_cocycle(action, bad, SemisimplePoint(RatVector.zero(2)))
+        centralizer_cocycle(action, bad, RatVector.zero(2))
 
 
 def test_cocycle_identity_exhaustive():
@@ -141,7 +139,7 @@ def test_cocycle_identity_catches_any_single_corrupted_value(monkeypatch):
     iso = identity_isogeny(classical_datum("B", 2, "Spin"))
     action = SharedWeylAction(iso)
     b = basic_level(iso).tensor
-    pt = SemisimplePoint(RatVector.zero(2))
+    pt = RatVector.zero(2)
     g = action.group
     shift = (1, 0)
     real = obstruction._differences
@@ -194,7 +192,7 @@ def regular_integral_point_setup():
     iso = identity_isogeny(classical_datum("B", 2, "Spin"))
     action = SharedWeylAction(iso)
     b = basic_level(iso).tensor
-    pt = SemisimplePoint(RatVector.make([3, 1]))
+    pt = RatVector.make([3, 1])
     res = centralizer_cocycle(action, b, pt)
     assert len(res.w_l) == 8 and len(set(res.c_cocycle.values())) == 8
     return action, b, pt, res
@@ -244,21 +242,21 @@ def test_log_independence():
     rng = random.Random(11)
     for _ in range(10):
         lam = RatVector.make([rng.randint(-3, 3) for _ in range(3)], 1)
-        shifted = obstruction_report(action, b, SemisimplePoint(pt.xi + lam))
+        shifted = obstruction_report(action, b, pt + lam)
         assert shifted.trivial == base.trivial
         assert shifted.class_order == base.class_order
-        assert len(shifted.w_l) == len(base.w_l)
+        assert len(shifted.cocycle.w_l) == len(base.cocycle.w_l)
 
 
 def test_pgl2_disconnected_centralizer_case():
     iso = identity_isogeny(classical_datum("A", 1, "PGL"))
     action = SharedWeylAction(iso)
     b = LevelTensor(iso, ((1,),))  # the basic allowable generator
-    res = obstruction_report(action, b, SemisimplePoint(RatVector.make([1], 2)))
+    res = obstruction_report(action, b, RatVector.make([1], 2))
     # the integrality stabilizer is all of W but contains no integral
     # reflections: the report must surface the discrepancy
-    assert len(res.w_l) == 2
-    assert res.reflection_agrees is False
+    assert len(res.cocycle.w_l) == 2
+    assert res.to_json_dict()["reflection_subgroup_agrees"] is False
     assert len(res.reflection_sub) == 1
     assert res.class_order == 2
 

@@ -340,3 +340,12 @@ def test_cartan_matrix_and_all_coordinates_solve_each_vector_once(monkeypatch,
             cartan = rd.cartan_matrix
         assert len(solves) == len(rd.roots) + len(rd.coroots)
         assert cartan == classical_datum(*args).cartan_matrix
+
+
+def test_series_a_simple_roots_are_read_by_position():
+    for n in range(2, 9):
+        roots, coroots, simple = rootdata._a_series_roots(n)
+        assert roots == coroots and len(roots) == n * (n - 1)
+        assert simple == tuple(
+            roots.index(RatVector.make(rootdata._unit(n, (i, 1), (i + 1, -1))))
+            for i in range(n - 1))

@@ -48,9 +48,10 @@ from gerbelevels.obstruction import (
     ObstructionResult,
     ScanRow,
     ScanTable,
-    SemisimplePoint,
+    StabilizerCocycle,
     centralizer_cocycle,
     h1_group_lattice,
+    obstruction_report,
 )
 from gerbelevels.rootdata import (
     DatumReport,
@@ -65,7 +66,7 @@ from gerbelevels.weyl import Subgroup, stabilizer
 A2 = classical_isogeny("A", 2, "SL", "PGL")
 B3_ACTION = SharedWeylAction(classical_isogeny("B", 3, "Spin", "Spin"))
 B3_LEVEL = basic_level(B3_ACTION.iso).tensor
-B3_POINT = SemisimplePoint(RatVector.make([0, 1, 0], 2))
+B3_POINT = RatVector.make([0, 1, 0], 2)
 TRIANGLE = Nerve(3, (((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2))))
 
 
@@ -76,7 +77,7 @@ def fresh_datum():
 
 
 def fresh_subgroup():
-    sub = stabilizer(B3_ACTION.group, B3_POINT.xi)
+    sub = stabilizer(B3_ACTION.group, B3_POINT)
     return Subgroup(sub.group, sub.members, sub.generators, sub.gen_rows)
 
 
@@ -95,8 +96,8 @@ MAKERS = {
     "BasicLevelResult": lambda: basic_level(A2),
     "RankOneRestriction": lambda: restrict_to_rank_one(B3_LEVEL, 0),
     "AtlasEntry": lambda: compare_with_reference(B3_ACTION, None),
-    "SemisimplePoint": lambda: SemisimplePoint(RatVector.make([0, 1, 0], 2)),
-    "ObstructionResult": lambda: centralizer_cocycle(B3_ACTION, B3_LEVEL, B3_POINT),
+    "StabilizerCocycle": lambda: centralizer_cocycle(B3_ACTION, B3_LEVEL, B3_POINT),
+    "ObstructionResult": lambda: obstruction_report(B3_ACTION, B3_LEVEL, B3_POINT),
     "H1Result": lambda: h1_group_lattice(fresh_subgroup(),
                                          B3_ACTION.source_char_action),
     "ScanRow": lambda: ScanRow(RatVector.make([1, 0], 2), 4, 2, False),
@@ -115,12 +116,12 @@ MAKERS = {
 CLASSES = {cls.__name__: cls for cls in (
     SolveResult, Smith, AbelianInvariants, RatVector, RootDatum, DatumReport,
     IsogenyDatum, Subgroup, LevelTensor, EvReport, BasicLevelResult,
-    RankOneRestriction, AtlasEntry, SemisimplePoint, ObstructionResult,
+    RankOneRestriction, AtlasEntry, StabilizerCocycle, ObstructionResult,
     H1Result, ScanRow, ScanTable, CoefficientGroup, Nerve, Cochain,
     FiniteGroupTable, FiniteAction, ExtensionResult, TorusCoverModel)}
-MUTABLE = {"Cochain", "ObstructionResult"}
+MUTABLE = {"Cochain"}
 # a field holds a dict, so hashing fails as hashing the fields would
-DICT_FIELDS = {"TorusCoverModel"}
+DICT_FIELDS = {"TorusCoverModel", "StabilizerCocycle", "ObstructionResult"}
 # attributes found by validation, stored but not fields
 FOUND = {"FiniteGroupTable": ("identity", "inverses", "generators")}
 # the classes whose constructor only stores its fields
@@ -157,9 +158,9 @@ def test_fields_name_what_the_constructor_stores(name):
 def test_store_only_classes_use_the_default_constructor():
     assert sorted(STORE_ONLY) == [
         "AtlasEntry", "BasicLevelResult", "DatumReport", "EvReport",
-        "ExtensionResult", "H1Result", "IsogenyDatum", "RankOneRestriction",
-        "RootDatum", "ScanRow", "ScanTable", "SemisimplePoint", "Smith",
-        "SolveResult", "Subgroup"]
+        "ExtensionResult", "H1Result", "IsogenyDatum", "ObstructionResult",
+        "RankOneRestriction", "RootDatum", "ScanRow", "ScanTable", "Smith",
+        "SolveResult", "StabilizerCocycle", "Subgroup"]
 
 
 @pytest.mark.parametrize("name", sorted(STORE_ONLY))
@@ -265,11 +266,6 @@ def test_constructor_defaults():
     assert a.values == {(0, 1): (1,)} and given == {(0, 1): (4,), (1, 2): (3,)}
     empty, other = (Cochain(TRIANGLE, 0, CoefficientGroup(1)) for _ in range(2))
     assert empty.values == {} and empty.values is not other.values
-    res = ObstructionResult(B3_ACTION, B3_LEVEL, B3_POINT, fresh_subgroup(),
-                            {}, {}, RatVector.zero(3))
-    assert (res.trivial, res.witness_u, res.class_order, res.h1_invariants,
-            res.h1_class_coords, res.reflection_agrees, res.reflection_sub) == \
-        (None,) * 7
     r = RankOneRestriction(root_index=1, subgroup_type="SL2", value=3,
                            parity_obstruction=True)
     assert r == RankOneRestriction(1, "SL2", 3, True)
