@@ -14,16 +14,21 @@ the full presentation -- those coboundaries and the relation vectors on
 both sides -- and hand it to intlinalg.subquotient, the routine that
 also computes the stabilizer H^1 of obstruction.py.
 Every coboundary matrix is built as rows by one emitter per direction:
-_cech_rows for the Cech differential and _bar_rows for the bar
-differential of a finite group.  The equivariant total differential puts
-the two side by side on normalised cochains: its group tuples avoid the
-identity, (|G|-1)^q of them in layer q instead of |G|^q, a sub-double-
-complex quasi-isomorphic to the full one (Brown, Cohomology of Groups,
-III.1; Weibel 6.5).  The --max-complex-size cap still counts the full
-layers.  obstruction.py takes the stabilizer H^1 and its coboundary
-solves from _bar_rows too, over all of W_L, so its class coordinates
-are read in the full bar complex.  Cochain values are stored on sorted
-simplices only, with the alternation sign applied on access.
+_cech_rows for the Cech differential, _group_rows for the group
+direction of the equivariant complex, and _bar_rows for the bar
+differential of a group acting on a lattice.  The equivariant total
+differential puts the first two side by side over a free ZG-resolution
+of Z built greedily, one kernel step per degree (_kernel_step), kept per
+group table for the process (_resolution): r_q generators in degree q,
+one for a cyclic group and q + 1 for the dihedral group of order 6,
+where the bar resolution has (|G|-1)^q even normalised.  Any free
+resolution gives the same H^*_G (Brown, Cohomology of Groups, I.6 and
+VII).  The --max-complex-size cap still counts the bar complex's |G|^q
+tuples per layer, and RESOLUTION_CELL_CAP bounds each kernel step.
+obstruction.py takes the stabilizer H^1 and its coboundary solves from
+_bar_rows, over all of W_L, so its class coordinates are read in the
+full bar complex.  Cochain values are stored on sorted simplices only,
+with the alternation sign applied on access.
 
 Finite-group inputs are validated on a greedy generating set of k
 elements (_greedy_generators), and each check there implies it on every
@@ -49,6 +54,7 @@ model choice, not an equivalence claim.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import gcd
 
 from .intlinalg import (
@@ -62,7 +68,10 @@ from .intlinalg import (
     divisor_cohomology,
     freeze,
     from_columns,
+    hnf_basis,
+    hnf_contains,
     identity,
+    kernel_basis,
     matmul,
     matvec,
     solve_z,
@@ -805,82 +814,207 @@ def point_action(group: FiniteGroupTable, coefficients: CoefficientGroup,
 
 
 # ---------------------------------------------------------------------------
-# equivariant cohomology via the double complex
+# the bar differential on a point, for the stabilizer H^1
 
 
-def _bar_rows(q: int, prod, actions, pull):
-    """Rows of the bar differential C^q -> C^(q+1) of a finite group,
+def _bar_rows(q: int, prod, actions):
+    """Rows of the bar differential C^q -> C^(q+1) of a finite group acting
+    on a coefficient lattice,
     (df)(g_1..g_{q+1}) = g_1.f(g_2..g_{q+1})
                          + sum_{i=1..q} (-1)^i f(.., g_i g_{i+1}, ..)
                          + (-1)^(q+1) f(g_1..g_q).
 
     The tuples run over the positions 0..n-1 of actions, in lexicographic
-    order, and actions[g] is the coefficient matrix of g.  prod[a][b] (read
-    only for q >= 1) is the position of a*b, or None where a*b is not
-    among the positions: the equivariant complex passes the elements other
-    than the identity, so its cochains are the normalised ones, which
-    vanish on every tuple containing the identity, and a merged term equal
-    to the identity drops out.  The stabilizer H^1 of obstruction.py and
-    its coboundary solves pass all of W_L, whose table has no None, and
-    read the full rows.  Cochain values live on the simplices of one
-    level: pull[g][s] = (s', sign) says g^-1.s = sign.s', so (g.f)(s) =
-    sign * actions[g] f(s'); a point has the pull table ((0, 1),) for
-    every element.  One row per (q+1)-tuple, simplex and coefficient
-    coordinate; columns (q-tuple, simplex, coordinate).
+    order; actions[g] is the coefficient matrix of g, and prod[a][b] (read
+    only for q >= 1) the position of a*b.  obstruction.py reads its
+    stabilizer H^1 and coboundary solves here, over all of W_L.  One row
+    per (q+1)-tuple and coefficient coordinate; columns (q-tuple,
+    coordinate).
     """
     n = len(actions)
-    m = len(pull[0])
     r = len(actions[0])
     power = [n ** k for k in range(q + 2)]
-    width = power[q] * m * r
+    width = power[q] * r
     for idx, t in enumerate(itertools.product(range(n), repeat=q + 1)):
-        g = t[0]
-        rho = actions[g]
-        rest = idx % power[q]
+        rho = actions[t[0]]
+        base = idx % power[q] * r
         # q-tuples of the other terms with their signs: the merged pair
         # g_i g_{i+1} sits between the digits of idx above and below it
         terms = [((idx // power[q + 2 - i]) * power[q + 1 - i]
-                  + ab * power[q - i] + idx % power[q - i],
-                  -1 if i % 2 else 1) for i in range(1, q + 1)
-                 if (ab := prod[t[i - 1]][t[i]]) is not None]
+                  + prod[t[i - 1]][t[i]] * power[q - i] + idx % power[q - i],
+                  -1 if i % 2 else 1) for i in range(1, q + 1)]
         terms.append((idx // n, 1 if q % 2 else -1))
+        for a in range(r):
+            row = [0] * width
+            row[base:base + r] = rho[a]
+            for ti, coef in terms:
+                row[ti * r + a] += coef
+            yield tuple(row)
+
+
+# ---------------------------------------------------------------------------
+# a free ZG-resolution, built greedily
+
+
+def _translate(row, v: Vector, n: int) -> Vector:
+    """h.v for v in F_q = ZG^r, written with coordinate i n + g the
+    coefficient of g e_i, and row the row of h in the group table."""
+    out = [0] * len(v)
+    for k in range(0, len(v), n):
+        for g, x in enumerate(v[k:k + n]):
+            out[k + row[g]] = x
+    return tuple(out)
+
+
+def _orbit_representative(table, v: Vector) -> Vector:
+    """The member of {+-h.v : h in G} whose first nonzero coordinate comes
+    earliest, signed so that coordinate is negative, and lexicographically
+    greatest among those.  On a table whose identity is element 0 and
+    whose first generator s is element 1, s - 1 is its own representative:
+    so the periodic resolution of a cyclic group closes up as d_3 = d_1."""
+    best = None
+    for row in table:
+        w = _translate(row, v, len(table))
+        first = next(k for k, x in enumerate(w) if x)
+        if w[first] > 0:
+            w = tuple(-x for x in w)
+        key = (first, tuple(-x for x in w))
+        if best is None or key < best[0]:
+            best = (key, w)
+    return best[1]
+
+
+# cells of the largest matrix one kernel step of a resolution factors,
+# (|G| r_(q-1)) x (|G| r_q).  Every step an input under the default
+# --max-complex-size reaches is smaller: T^(n+1) counts |G|^(n+1) <= 60000
+# and runs steps 1..n; r_1 is at most the number of prime factors of |G|,
+# counted with multiplicity, and r_(q+1) at most the rank of ker d_q,
+# which is |G| r_1 - |G| + 1 for q = 1 and at most (|G| - 1) r_q after,
+# so the largest step so bounded is 6,344,128 cells (|G| = 8, step 4).
+RESOLUTION_CELL_CAP = 2**23
+
+
+@lru_cache(maxsize=256)
+def _kernel_step(group: FiniteGroupTable, d: Matrix) -> Matrix:
+    """d_(q+1) of the resolution of _differentials, from d = d_q: the
+    images in F_q of the generators of F_(q+1).
+
+    kernel_basis gives a basis of the kernel of d_q on the Z-basis g e_i
+    of F_q.  Its vectors are taken sparsest first; each one outside the
+    span so far adds a generator, mapped to the orbit representative of
+    that vector (_orbit_representative), and its G-orbit joins the span,
+    kept in Hermite form.  d_q is a ZG-map, so the span stays inside the
+    kernel; once it holds every vector of the kernel's basis the two have
+    the same Hermite form, and F is exact at F_q.  That is checked on the
+    span's Hermite form, without forming the kernel's: its elimination
+    grows the entries of the basis (those of S4's third step are up to
+    153), and hnf_basis on it ran for minutes.  The result depends only
+    on the group and d, so equal inputs share one step."""
+    if not d:
+        return ()
+    n, table = group.n, group.table
+    columns = [_translate(row, v, n) for v in d for row in table]
+    kernel = kernel_basis(transpose(columns))
+    span: Matrix = ()
+    images = []
+    for v in sorted(kernel, key=lambda v: len(v) - v.count(0)):
+        if not hnf_contains(span, v):
+            images.append(_orbit_representative(table, v))
+            span = hnf_basis(span + tuple(_translate(row, v, n) for row in table))
+    if len(span) != len(kernel) or not all(hnf_contains(span, v) for v in kernel):
+        raise AssertionError("the resolution's span is not the kernel of d")
+    return tuple(images)
+
+
+@lru_cache(maxsize=64)
+def _resolution(group: FiniteGroupTable) -> list[Matrix]:
+    """[d_1] of a free resolution ... -> F_1 -> F_0 = ZG -> Z of the group,
+    kept for the process and extended in place by _differentials.
+
+    F_1 has one generator e_s per greedy generator s of the table
+    (FiniteGroupTable.generators), d_1(e_s) = s - 1.  That is exact at
+    F_0: the kernel of the augmentation is spanned by the g - 1, and every
+    g is a word in the generators, so g s - 1 = g (s - 1) + (g - 1) puts
+    each g - 1 in the image by induction on the length of the word."""
+    n, e = group.n, group.identity
+    d1 = []
+    for s in group.generators:
+        v = [0] * n
+        v[s], v[e] = 1, -1
+        d1.append(tuple(v))
+    return [tuple(d1)]
+
+
+def _differentials(group: FiniteGroupTable, top: int) -> list[Matrix]:
+    """[d_1, ..., d_top] of the group's resolution (_resolution), each d_q
+    the tuple of the images d_q(e_i) in F_(q-1) = ZG^(r_(q-1)), coordinate
+    j |G| + h the coefficient of h e_j.  Each missing degree is one kernel
+    step (_kernel_step), refused before it runs when its matrix would have
+    more than RESOLUTION_CELL_CAP cells."""
+    ds = _resolution(group)
+    n = group.n
+    while len(ds) < top:
+        d = ds[-1]
+        cells = n * len(d) * (len(d[0]) if d else 0)
+        if cells > RESOLUTION_CELL_CAP:
+            raise CapExceeded(f"resolution kernel step needs {cells} matrix cells, "
+                              f"over the cap {RESOLUTION_CELL_CAP}")
+        ds.append(_kernel_step(group, d))
+    return ds[:top]
+
+
+# ---------------------------------------------------------------------------
+# equivariant cohomology via the double complex
+
+
+def _group_rows(d: Matrix, n: int, actions, pull):
+    """Rows of the group direction Hom_G(F_q, C) -> Hom_G(F_(q+1), C) on
+    one level C of cochains, (df)(e_i) = f(d e_i) = sum a_(i,j,h) h.f(e_j)
+    for d(e_i) = sum a_(i,j,h) h e_j, with d[i][j n + h] = a_(i,j,h).
+    actions[h] is the coefficient matrix of h, and pull[h][s] = (s', sign)
+    says h^-1.s = sign.s', so (h.c)(s) = sign * actions[h] c(s').  One row
+    per generator e_i, simplex and coefficient coordinate; columns
+    (generator e_j, simplex, coordinate)."""
+    m = len(pull[0])
+    r = len(actions[0])
+    width = len(d[0]) // n * m * r
+    for v in d:
+        terms = [(k // n, k % n, x) for k, x in enumerate(v) if x]
         for s in range(m):
-            moved, sign = pull[g][s]
-            base = (rest * m + moved) * r
             for a in range(r):
                 row = [0] * width
-                for c, x in enumerate(rho[a]):
-                    row[base + c] += sign * x
-                for ti, coef in terms:
-                    row[(ti * m + s) * r + a] += coef
+                for j, h, x in terms:
+                    moved, sign = pull[h][s]
+                    base = (j * m + moved) * r
+                    for c, y in enumerate(actions[h][a]):
+                        row[base + c] += x * sign * y
                 yield tuple(row)
 
 
 def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
-    """Free-cover matrix of the total differential T^n -> T^(n+1) on
-    normalised cochains: block (q, p) has one column group per q-tuple of
-    elements other than the identity, (|G|-1)^q of them.
+    """Free-cover matrix of the total differential T^n -> T^(n+1), with
+    T^m the sum over p + q = m of Hom_G(F_q, C^p(X; M)) = C^p(X; M)^(r_q)
+    for the resolution F of _differentials, r_q generators in degree q.
 
-    The rows of block (q, p) of T^(n+1) are the bar rows out of block
-    (q-1, p) of T^n next to (-1)^q times the Cech rows out of block
-    (q, p-1), the latter once per q-tuple.  The cap is checked on the
-    unnormalised layers, |G|^q tuples per block.
+    A cochain in block (q, p) is its values f(e_j) on the generators of
+    F_q, one copy of C^p per generator.  The rows of block (q, p) of
+    T^(n+1) are the group direction out of block (q-1, p) (_group_rows)
+    next to (-1)^q times the Cech rows out of block (q, p-1), once per
+    generator.  The cap counts the bar complex's coordinates, |G|^q per
+    block, and is checked on T^n and T^(n+1) before the resolution is
+    extended or any row is built.
     """
     g = act.group
     nerve = act.nerve
     size = act.coefficients.size
-    e = g.identity
-    others = [x for x in range(g.n) if x != e]
-    k = len(others)
 
-    def layout(m: int):
-        """Offsets of the (q, p) blocks of total degree m that have
-        coordinates, and their total size, in order of increasing q.
-        Only Cech degrees p <= nerve.dim have simplices.  A block whose
-        |G|^q alone has 64 more bits than the cap is refused by that bit
-        count, without forming |G|^q."""
-        offs = {}
-        total = counted = 0
+    def blocks(m: int):
+        """(q, p, |level p| size) of the blocks of total degree m, in order
+        of increasing q; only Cech degrees p <= nerve.dim have simplices.
+        A block whose |G|^q alone has 64 more bits than the cap is refused
+        by that bit count, without forming |G|^q."""
+        out = []
+        counted = 0
         for p in range(min(m, nerve.dim), -1, -1):
             q = m - p
             slots = len(nerve.level(p)) * size
@@ -888,51 +1022,60 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
                 raise CapExceeded(f"equivariant complex needs more than {cap} "
                                   "coordinates, the cap")
             counted += g.n ** q * slots
-            if k ** q * slots:
-                offs[(q, p)] = total
-                total += k ** q * slots
+            out.append((q, p, slots))
         if counted > cap:
             raise CapExceeded(f"equivariant complex needs {counted} coordinates, "
                               f"over the cap {cap}")
+        return out
+
+    src, dst = blocks(n), blocks(n + 1)
+    ds = _differentials(g, max((q for q, _, slots in dst if slots), default=0))
+    rank = [1] + [len(d) for d in ds]
+
+    def layout(bl):
+        """Offsets of the blocks that have coordinates, and their total."""
+        offs = {}
+        total = 0
+        for q, p, slots in bl:
+            if slots and rank[q]:
+                offs[(q, p)] = total
+                total += rank[q] * slots
         return offs, total
 
-    src_offs, src_total = layout(n)
-    dst_offs, dst_total = layout(n + 1)
+    src_offs, src_total = layout(src)
+    dst_offs, dst_total = layout(dst)
     inverse = g.inverses
-    position = {x: i for i, x in enumerate(others)}
-    prod = [[position.get(g.table[a][b]) for b in others] for a in others]
-    actions = [act.coeff_actions[x] for x in others]
     rows = []
     for (q, p) in dst_offs:
         level = nerve.level(p)
-        per_tuple = len(level) * size
+        per_gen = len(level) * size
         if q:
             idx = nerve.index(p)
             pull = [tuple((idx[moved], sign) for moved, sign in
-                          (act.act_on_simplex(inverse[x], s) for s in level))
-                    for x in others]
-            bar = _bar_rows(q - 1, prod, actions, pull)
-            b_off, bw = src_offs[(q - 1, p)], k ** (q - 1) * per_tuple
+                          (act.act_on_simplex(inverse[h], s) for s in level))
+                    for h in range(g.n)]
+            group_dir = _group_rows(ds[q - 1], g.n, act.coeff_actions, pull)
+            b_off, bw = src_offs[(q - 1, p)], rank[q - 1] * per_gen
         else:
-            bar = itertools.repeat(())
+            group_dir = itertools.repeat(())
             b_off, bw = 0, 0
         if p:
             cech = tuple(_cech_rows(nerve, p - 1, size, -1 if q % 2 else 1))
             c_off, cw = src_offs[(q, p - 1)], len(nerve.level(p - 1)) * size
         else:
-            cech = ((),) * per_tuple
+            cech = ((),) * per_gen
             c_off, cw = b_off + bw, 0
         lead = (0,) * b_off
-        for t in range(k ** q):
+        for t in range(rank[q]):
             gap = (0,) * (c_off + t * cw - b_off - bw)
             tail = (0,) * (src_total - c_off - (t + 1) * cw)
             for crow in cech:
-                rows.append(lead + next(bar) + gap + crow + tail)
+                rows.append(lead + next(group_dir) + gap + crow + tail)
     return tuple(rows), src_total, dst_total
 
 
-# the default bound on the coordinates of the equivariant complex's layers
-# (_equivariant_matrices)
+# the default bound on the coordinates of the equivariant complex's layers,
+# counted on the bar complex (_equivariant_matrices)
 COMPLEX_SIZE_CAP = 60000
 
 
@@ -941,16 +1084,19 @@ def equivariant_cohomology(
 ) -> AbelianInvariants:
     """Total cohomology of the group-direction x Cech double complex.
 
-    With the trivial group this agrees with plain cohomology of the
-    nerve; on a point nerve it is group cohomology of the acting group.
+    Any free resolution of Z over ZG gives the same H^*_G (Brown,
+    Cohomology of Groups, I.6 and VII); this one is built greedily
+    (_differentials; Ellis, Computing group resolutions, J. Symb. Comp.
+    38, 2004).  With the trivial group this agrees with plain cohomology
+    of the nerve; on a point nerve it is group cohomology of the acting
+    group.
     """
     if degree < 0:
         raise CechError("negative degree")
-    # the cap counts the unnormalised layers, and each one bounds the
-    # normalised layer that is built; counted T^(m+1) has at least |G|
-    # times the coordinates of counted T^m, so the cap check of the first
-    # call, on T^n and T^(n+1), bounds every layer built and refuses before
-    # anything is allocated
+    # the cap counts the bar layers: counted T^(m+1) has at least |G| times
+    # the coordinates of counted T^m, so the cap check of the first call,
+    # on T^n and T^(n+1), refuses before anything is built, and that call
+    # extends the resolution as far as the second one reads
     d_out, n_here, n_next = _equivariant_matrices(act, degree, cap)
     d_in = _equivariant_matrices(act, degree - 1, cap)[0] if degree else ()
     group = act.coefficients

@@ -614,6 +614,23 @@ def hnf_basis(rows: Matrix) -> Matrix:
     return tuple(r for r in hnf(rows) if any(r))
 
 
+def hnf_contains(h: Matrix, v: Vector) -> bool:
+    """Whether v lies in the row lattice of h, a Hermite normal form
+    without zero rows: each pivot in turn must divide v's entry in its
+    column, which it then clears.  Each row is zero before its pivot, so
+    an entry outside the pivot columns is never cleared, and v lies in
+    the lattice exactly when nothing is left at the end."""
+    v = list(v)
+    for row in h:
+        c = next(j for j, x in enumerate(row) if x)
+        k, rest = divmod(v[c], row[c])
+        if rest:
+            return False
+        if k:
+            v = [a - k * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 def lattices_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
     return hnf_basis(rows_a) == hnf_basis(rows_b)
 
@@ -787,15 +804,18 @@ class RatVector(Frozen):
         if den < 0:
             nums = [-x for x in nums]
             den = -den
+        # once the gcd is 1 it stays 1: the rest of nums is not read
         g = den
         for x in nums:
+            if g == 1:
+                break
             g = gcd(g, x)
         if g > 1:
             nums = [x // g for x in nums]
             den //= g
         # reduced: stored without the gcd __init__ takes again
         v = cls.__new__(cls)
-        Value.__init__(v, tuple(int(x) for x in nums), int(den))
+        Value.__init__(v, tuple(map(int, nums)), int(den))
         return v
 
     @classmethod

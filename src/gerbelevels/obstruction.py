@@ -248,7 +248,7 @@ def _holds_on_generator_edges(action: SharedWeylAction, w_l: Subgroup,
 def _coboundary_matrix(actions) -> Matrix:
     """The bar differential delta^0, (w - 1) u, stacked over the given
     source actions: the matrix of the system (w - 1) u = c_w."""
-    return tuple(_bar_rows(0, None, actions, [((0, 1),)] * len(actions)))
+    return tuple(_bar_rows(0, None, actions))
 
 
 @lru_cache(maxsize=256)
@@ -325,11 +325,11 @@ def h1_group_lattice(
     lattice_action maps an element index to its integer action matrix.
     Z^1 = ker(delta^1) with (delta^1 c)_{w1,w2} = w1.c_{w2} - c_{w1 w2}
     + c_{w1}; B^1 = im(delta^0) with (delta^0 u)_w = w.u - u.  Both come
-    from cech._bar_rows, the bar differential that the equivariant complex
-    uses too, on W_L relabelled by position in its members, with products
-    read from the subgroup's left-regular table.  When a
-    cocycle is supplied, its coordinates in the quotient presentation
-    and its exact order there are reported.  Raises CapExceeded before
+    from cech._bar_rows, the bar differential on a point, on W_L
+    relabelled by position in its members, with products read from the
+    subgroup's left-regular table.  When a cocycle is supplied, its
+    coordinates in the quotient presentation and its exact order there
+    are reported.  Raises CapExceeded before
     building anything when delta^1 would exceed H1_CELL_CAP cells.
     """
     members = sub.members
@@ -340,9 +340,8 @@ def h1_group_lattice(
         raise CapExceeded(f"H^1 bar complex needs about {cells} matrix cells, "
                           f"over the cap {H1_CELL_CAP}")
     actions = [lattice_action(w) for w in members]
-    point = [((0, 1),)] * len(members)
-    d1 = tuple(_bar_rows(1, sub.table, actions, point))
-    d0 = tuple(_bar_rows(0, sub.table, actions, point))
+    d1 = tuple(_bar_rows(1, sub.table, actions))
+    d0 = tuple(_bar_rows(0, sub.table, actions))
     locate = None
     if cocycle is not None:
         locate = tuple(x for w in members for x in cocycle[w])

@@ -464,13 +464,15 @@ def _bcd_roots(series: str, n: int):
             for s in (1, -1):
                 roots.append(_unit(n, (i, root_len * s)))
                 coroots.append(_unit(n, (i, coroot_len * s)))
-    simple = [_unit(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-    if series == "D":
-        simple.append(_unit(n, (n - 2, 1), (n - 1, 1)))
-    else:
-        simple.append(_unit(n, (n - 1, root_len)))
+    # the four pairs +-e_i +-e_j (j > i) start at index 4 i (n - 1) -
+    # 2 i (i - 1) + 4 (j - i - 1), signs (+, +), (+, -), (-, +), (-, -);
+    # so e_i - e_(i+1) sits one past the start of its i, e_(n-2) + e_(n-1)
+    # at the start of the last pair, and +root_len e_(n-1) after the
+    # 2 n (n - 1) pairs and the two entries of each earlier i
+    simple = [4 * i * (n - 1) - 2 * i * (i - 1) + 1 for i in range(n - 1)]
+    simple.append(simple[-1] - 1 if series == "D" else 2 * n * (n - 1) + 2 * (n - 1))
     return (tuple(map(RatVector.make, roots)), tuple(map(RatVector.make, coroots)),
-            tuple(roots.index(v) for v in simple))
+            tuple(simple))
 
 
 def _std_basis(n: int) -> tuple[RatVector, ...]:

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -262,15 +263,35 @@ def test_subgroups_multiply_each_generator_by_each_member_once(monkeypatch):
     assert sorted(calls) == sorted((g, w) for g in sub.generators for w in sub.members)
 
 
+def _fresh_resolutions(monkeypatch):
+    """Empty caches of resolutions and kernel steps for this test, so
+    that one kept from an earlier run stands in for no step."""
+    for name in ("_resolution", "_kernel_step"):
+        cached = getattr(cech, name)
+        monkeypatch.setattr(cech, name, functools.lru_cache(
+            **cached.cache_parameters())(cached.__wrapped__))
+
+
+def _refuse_to_build(monkeypatch, message="the equivariant complex was built"):
+    """Make the resolution's kernel step, the assembly of the equivariant
+    matrices and their factoring raise, on empty resolution caches."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError(message)
+
+    _fresh_resolutions(monkeypatch)
+    for name in ("_kernel_step", "_group_rows", "divisor_cohomology", "subquotient"):
+        monkeypatch.setattr(cech, name, unreachable)
+    return unreachable
+
+
 def test_equivariant_complex_cap_edge(capsys, monkeypatch):
-    # T^5 of Z/4 on a point has 4^5 = 1024 coordinates: the cap admits it
-    # at 1024 and refuses it at 1023, before anything is built or factored
+    # T^5 of Z/4 on a point counts 4^5 = 1024 bar coordinates: the cap
+    # admits it at 1024 and refuses it at 1023, before the resolution is
+    # extended or anything is built or factored
     argv = ["equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4"]
     assert run(capsys, *argv, "--max-complex-size", "1024") == (0, "H^4_G = Z/4\n")
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the equivariant complex was factored")
-
+    unreachable = _refuse_to_build(monkeypatch, "the equivariant complex was factored")
     real_snf = intlinalg.snf
 
     def coefficient_checks_only(a, left=True, right=True):
@@ -281,7 +302,6 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
             unreachable()
         return real_snf(a, left=left, right=right)
 
-    monkeypatch.setattr(cech, "subquotient", unreachable)
     monkeypatch.setattr(intlinalg, "snf", coefficient_checks_only)
     code = main(argv + ["--max-complex-size", "1023"])
     captured = capsys.readouterr()
@@ -292,15 +312,11 @@ def test_equivariant_complex_cap_edge(capsys, monkeypatch):
 
 
 def test_equivariant_cap_counts_unnormalised_layers(capsys, monkeypatch):
-    # the built complex is normalised, 3^8 = 6561 coordinates in T^8 of
-    # Z/4 on a point, but the cap counts the unnormalised 4^8 = 65536 and
-    # refuses degree 7 at the default cap before anything is built or
-    # factored
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the equivariant complex was built")
-
-    for name in ("_bar_rows", "divisor_cohomology", "subquotient"):
-        monkeypatch.setattr(cech, name, unreachable)
+    # the resolution of Z/4 has one generator in each degree, so T^8 of
+    # Z/4 on a point has one coordinate, but the cap counts the bar
+    # complex's 4^8 = 65536 and refuses degree 7 at the default cap before
+    # the resolution is extended or anything is built or factored
+    _refuse_to_build(monkeypatch)
     code = main(["equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "7"])
     captured = capsys.readouterr()
     assert code == 2
@@ -314,11 +330,7 @@ def test_equivariant_far_past_the_cap_is_refused_by_bit_count(capsys, monkeypatc
     # a point nerve has one block per total degree; its 2^degree count is
     # never formed once it has 64 more bits than the cap, so even degree
     # 10^9 is refused at once, before anything is built
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the equivariant complex was built")
-
-    for name in ("_bar_rows", "divisor_cohomology", "subquotient"):
-        monkeypatch.setattr(cech, name, unreachable)
+    _refuse_to_build(monkeypatch)
     start = time.perf_counter()
     code = main(["equivariant", "--fixture", f"{FIX}/z2_point.json", "--degree", degree])
     elapsed = time.perf_counter() - start
@@ -329,6 +341,99 @@ def test_equivariant_far_past_the_cap_is_refused_by_bit_count(capsys, monkeypatc
         "error: equivariant complex needs more than 60000 coordinates, the cap"]
     assert len(captured.err.splitlines()) == 1
     assert elapsed < 1.0
+
+
+def _point_action_fixture(tmp_path, table, signs):
+    """A fixture of the group of table acting on a point and on Z, element
+    g by signs[g]."""
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({
+        "group": {"table": [list(row) for row in table]},
+        "nerve": {"n_vertices": 1, "simplices": [[[0]]]},
+        "coefficients": "Z", "vertex_perms": [[0]] * len(table),
+        "coeff_actions": [[[g]] for g in signs]}))
+    return str(path)
+
+
+# the dihedral group of order 6, r^i s^j at j 3 + i, and the sign of s
+D3_TABLE = ((0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 5, 3), (2, 0, 1, 5, 3, 4),
+            (3, 5, 4, 0, 2, 1), (4, 3, 5, 1, 0, 2), (5, 4, 3, 2, 1, 0))
+D3_SIGNS = (1, 1, 1, -1, -1, -1)
+# the symmetric group on 4 letters, a permutation p at its place in
+# lexicographic order, a b the permutation i -> a[b[i]]
+S4_PERMS = tuple(itertools.permutations(range(4)))
+S4_TABLE = tuple(tuple(S4_PERMS.index(tuple(a[i] for i in b)) for b in S4_PERMS)
+                 for a in S4_PERMS)
+
+
+def test_equivariant_d3_sign_at_degree_five(capsys, monkeypatch, tmp_path):
+    # T^6 counts 6^6 = 46656 bar coordinates, under the default cap; the
+    # normalised bar complex built a 15,625 x 3,125 coboundary here and took
+    # 52 s at 1.59 GB, the resolution has 7 generators in degree 6
+    _fresh_resolutions(monkeypatch)
+    fixture = _point_action_fixture(tmp_path, D3_TABLE, D3_SIGNS)
+    start = time.perf_counter()
+    assert run(capsys, "equivariant", "--fixture", fixture, "--degree", "5") == \
+        (0, "H^5_G = Z/2\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("sign, expect", [(False, "Z/2"), (True, "Z/3")])
+def test_equivariant_s4_on_a_point_at_degree_two(capsys, tmp_path, sign, expect):
+    # T^3 counts 24^3 = 13824 bar coordinates; H^2(S4; Z) = Hom(S4, Q/Z)
+    # = Z/2, and with the sign action H^2 = Z/3
+    signs = [(-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+             if sign else 1 for p in S4_PERMS]
+    fixture = _point_action_fixture(tmp_path, S4_TABLE, signs)
+    assert run(capsys, "equivariant", "--fixture", fixture, "--degree", "2") == \
+        (0, f"H^2_G = {expect}\n")
+
+
+def test_resolution_kernel_step_is_refused_past_its_cell_cap(capsys, monkeypatch, tmp_path):
+    # S4 on a point at degree 2 reads d_3: its first kernel step factors
+    # 24 x 72 cells and its second, with r_1 = 3 and r_2 = 6, 72 x 144 =
+    # 10368, refused under a cap of 10000 before it runs
+    _fresh_resolutions(monkeypatch)
+    fixture = _point_action_fixture(tmp_path, S4_TABLE, [1] * 24)
+    steps = []
+    real = cech._kernel_step
+    monkeypatch.setattr(cech, "_kernel_step", lambda g, d: steps.append(d) or real(g, d))
+    monkeypatch.setattr(cech, "RESOLUTION_CELL_CAP", 10000)
+    code = main(["equivariant", "--fixture", fixture, "--degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [
+        "error: resolution kernel step needs 10368 matrix cells, over the cap 10000"]
+    assert [len(d) for d in steps] == [3]
+
+
+def test_resolution_cell_cap_admits_what_the_complex_cap_admits():
+    # the bound argued next to RESOLUTION_CELL_CAP: under the default
+    # complex cap, degree n of a group of order g runs kernel steps
+    # 1..n only when g^(n+1) <= the cap; r_1 is at most the number of
+    # prime factors of g, r_2 at most the rank of ker d_1, g r_1 - g + 1,
+    # and r_(q+1) at most (g - 1) r_q after
+    def prime_factors(g):
+        count, p = 0, 2
+        while g > 1:
+            while g % p == 0:
+                g, count = g // p, count + 1
+            p += 1
+        return count
+
+    worst = 0
+    for g in range(2, cech.COMPLEX_SIZE_CAP + 1):
+        if g * g > cech.COMPLEX_SIZE_CAP:
+            break
+        ranks = [1, prime_factors(g)]
+        ranks.append(g * ranks[1] - g + 1)
+        top = 1
+        while g ** (top + 2) <= cech.COMPLEX_SIZE_CAP:
+            top += 1
+            ranks.append((g - 1) * ranks[-1])
+        worst = max(worst, max(g * ranks[q - 1] * g * ranks[q] for q in range(1, top + 1)))
+    assert worst == 6344128 <= cech.RESOLUTION_CELL_CAP
 
 
 def test_equivariant_count_reads_only_degrees_of_the_nerve():
@@ -345,8 +450,8 @@ def test_equivariant_count_reads_only_degrees_of_the_nerve():
 
 
 def test_equivariant_high_degree_on_normalised_cochains(capsys):
-    # T^15 of Z/2 on a point counts 2^15 = 32768 coordinates, under the
-    # default cap; normalised, every layer is 1 x 1
+    # T^15 of Z/2 on a point counts 2^15 = 32768 bar coordinates, under
+    # the default cap; on the resolution every layer is 1 x 1
     argv = ["equivariant", "--fixture", f"{FIX}/z2_point.json", "--degree", "14"]
     assert run(capsys, *argv) == (0, "H^14_G = Z/2\n")
 
@@ -371,7 +476,7 @@ D5_HALF_THIRD_SHA256 = "3af080afb9785dfe7bee639f8d2a60557d83006a35deaa6f58b1db45
     (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "4",
       "--format", "json"),
      "4f4a114fdce492d67ed9e7b78fb33dd613c057408357ec199751a8d093d92109"),
-    # 4^7 = 16384 unnormalised coordinates in T^7, 3^7 = 2187 built
+    # 4^7 = 16384 bar coordinates counted in T^7, one built
     (("equivariant", "--fixture", f"{FIX}/z4_point.json", "--degree", "6",
       "--format", "json"),
      "cb42d5fb9491255643376a4175e94d6830214211b1f52608205ef1d5fcb568b5"),

@@ -34,7 +34,9 @@ summed LevelTensors before levels were carried as vectors, and the
 checks of finite-group inputs on every element that the generator checks
 replaced: associativity and the 2-cocycle identity on all triples, the
 homomorphism on all pairs, automorphism and nerve stability for every
-element, and the extension table built cell by cell.
+element, and the extension table built cell by cell; and the normalised
+bar complex that the free resolution replaced in equivariant cohomology,
+compared by invariants, with Smith forms checking that resolution exact.
 """
 
 import copy
@@ -1522,6 +1524,116 @@ def oracle_normalised_matrices(act, n):
     return tuple(tuple(full[i][j] for j in cols) for i in rows), len(cols), len(rows)
 
 
+# --- the normalised bar complex that the free resolution replaced ----------
+
+
+def bar_rows(q, prod, actions, pull):
+    """Rows of the bar differential C^q -> C^(q+1) on one level of cochains,
+    (df)(g_1..g_{q+1}) = g_1.f(g_2..g_{q+1})
+                         + sum_{i=1..q} (-1)^i f(.., g_i g_{i+1}, ..)
+                         + (-1)^(q+1) f(g_1..g_q),
+    over the tuples of positions of actions in lexicographic order.
+    prod[a][b] is the position of a*b, or None where a*b is the identity,
+    which the normalised cochains leave out; pull[g][s] = (s', sign) says
+    g^-1.s = sign.s'.  One row per (q+1)-tuple, simplex and coordinate;
+    columns (q-tuple, simplex, coordinate)."""
+    n = len(actions)
+    m = len(pull[0])
+    r = len(actions[0])
+    power = [n ** k for k in range(q + 2)]
+    width = power[q] * m * r
+    for idx, t in enumerate(itertools.product(range(n), repeat=q + 1)):
+        g = t[0]
+        rho = actions[g]
+        rest = idx % power[q]
+        terms = [((idx // power[q + 2 - i]) * power[q + 1 - i]
+                  + ab * power[q - i] + idx % power[q - i],
+                  -1 if i % 2 else 1) for i in range(1, q + 1)
+                 if (ab := prod[t[i - 1]][t[i]]) is not None]
+        terms.append((idx // n, 1 if q % 2 else -1))
+        for s in range(m):
+            moved, sign = pull[g][s]
+            base = (rest * m + moved) * r
+            for a in range(r):
+                row = [0] * width
+                for c, x in enumerate(rho[a]):
+                    row[base + c] += sign * x
+                for ti, coef in terms:
+                    row[(ti * m + s) * r + a] += coef
+                yield tuple(row)
+
+
+def bar_equivariant_matrices(act, n):
+    """T^n -> T^(n+1) on normalised bar cochains: block (q, p) has one
+    column group per q-tuple of elements other than the identity.  The
+    rows of block (q, p) are the bar rows out of block (q-1, p) next to
+    (-1)^q times the Cech rows out of block (q, p-1), once per q-tuple."""
+    g = act.group
+    nerve = act.nerve
+    size = act.coefficients.size
+    others = [x for x in range(g.n) if x != g.identity]
+    k = len(others)
+
+    def layout(m):
+        offs = {}
+        total = 0
+        for p in range(min(m, nerve.dim), -1, -1):
+            q = m - p
+            width = k ** q * len(nerve.level(p)) * size
+            if width:
+                offs[(q, p)] = total
+                total += width
+        return offs, total
+
+    src_offs, src_total = layout(n)
+    dst_offs, dst_total = layout(n + 1)
+    position = {x: i for i, x in enumerate(others)}
+    prod = [[position.get(g.table[a][b]) for b in others] for a in others]
+    actions = [act.coeff_actions[x] for x in others]
+    rows = []
+    for (q, p) in dst_offs:
+        level = nerve.level(p)
+        per_tuple = len(level) * size
+        if q:
+            idx = nerve.index(p)
+            pull = [tuple((idx[moved], sign) for moved, sign in
+                          (act.act_on_simplex(g.inverse(x), s) for s in level))
+                    for x in others]
+            bar = bar_rows(q - 1, prod, actions, pull)
+            b_off, bw = src_offs[(q - 1, p)], k ** (q - 1) * per_tuple
+        else:
+            bar = itertools.repeat(())
+            b_off, bw = 0, 0
+        if p:
+            cech_rows = _cech_matrix(act.nerve, p - 1, size)
+            if q % 2:
+                cech_rows = tuple(tuple(-x for x in row) for row in cech_rows)
+            c_off, cw = src_offs[(q, p - 1)], len(nerve.level(p - 1)) * size
+        else:
+            cech_rows = ((),) * per_tuple
+            c_off, cw = b_off + bw, 0
+        lead = (0,) * b_off
+        for t in range(k ** q):
+            gap = (0,) * (c_off + t * cw - b_off - bw)
+            tail = (0,) * (src_total - c_off - (t + 1) * cw)
+            for crow in cech_rows:
+                rows.append(lead + next(bar) + gap + crow + tail)
+    return tuple(rows), src_total, dst_total
+
+
+def bar_cohomology(act, n):
+    """H^n of the normalised bar complex, by equivariant_cohomology's own
+    route: elementary divisors on Z^f or (Z/m)^k, else subquotient."""
+    d_out, n_here, n_next = bar_equivariant_matrices(act, n)
+    d_in = bar_equivariant_matrices(act, n - 1)[0] if n else ()
+    group = act.coefficients
+    if not group.torsion or (not group.free_rank and len(set(group.torsion)) == 1):
+        return divisor_cohomology(n_here, d_out, d_in,
+                                  (group.torsion[0] if group.torsion else 0,))
+    return subquotient(n_here, d_out, _relations(n_next, group), d_in,
+                       _relations(n_here, group))[0]
+
+
 def relabelled_point_action(table, coeff, mats, perm):
     """The point action with element a of the table renamed perm[a]."""
     n = table.n
@@ -1552,18 +1664,88 @@ def relabelled_group_actions():
 
 
 def test_equivariant_matrices_match_per_entry_builder():
-    # the built complex is the normalised one; the oracle is the
+    # the normalised bar builder, entry by entry: the oracle is the
     # unnormalised per-entry builder restricted to identity-free tuples
     cases = [(FiniteAction.from_json_dict(load_fixture(name)), 4)
              for name in ACTION_FIXTURES] + seeded_actions() + relabelled_group_actions()
     signs = set()
     for act, top in cases:
         for n in range(top + 1):
-            got = _equivariant_matrices(act, n, 10**6)
+            got = bar_equivariant_matrices(act, n)
             assert got == oracle_normalised_matrices(act, n), (act, n)
         signs.update(act.act_on_simplex(g, s)[1] for g in range(act.group.n)
                      for level in act.nerve.simplices for s in level)
     assert signs == {1, -1}  # some simplex is pulled back with a sign
+
+
+def test_resolution_invariants_match_the_bar_builder():
+    # the resolution's complex has other coordinates than the bar
+    # complex, so the two are compared by their invariants; the per-entry
+    # oracle's invariants are compared on the bundled and relabelled
+    # actions below, where its cocycle kernel is cheap
+    cases = [(FiniteAction.from_json_dict(load_fixture(name)), 4)
+             for name in ACTION_FIXTURES] + seeded_actions() + relabelled_group_actions()
+    for act, top in cases:
+        group = act.coefficients
+        if group.free_rank and group.torsion or len(set(group.torsion)) > 1:
+            # mixed coefficients take subquotient, which on the bar matrices
+            # of Z/6 with Z/2+Z/3 takes over a minute at degree 2
+            top = min(top, 1)
+        for n in range(top + 1):
+            assert equivariant_cohomology(act, n) == bar_cohomology(act, n), (act, n)
+
+
+def resolution_z_matrix(group, d, rank_below):
+    """The integer matrix of d_q : F_q -> F_(q-1) of the resolution, one
+    column per basis element g e_i of F_q: d(g e_i) = sum a_(i,j,h) (g h) e_j
+    for d[i][j |G| + h] = a_(i,j,h)."""
+    n = group.n
+    cols = []
+    for v in d:
+        for g in range(n):
+            col = [0] * (n * rank_below)
+            for k, a in enumerate(v):
+                j, h = divmod(k, n)
+                col[j * n + group.mult(g, h)] += a
+            cols.append(tuple(col))
+    return tuple(cols)
+
+
+S4_PERMS = tuple(itertools.permutations(range(4)))
+S4 = tuple(tuple(S4_PERMS.index(tuple(p[i] for i in q)) for q in S4_PERMS)
+           for p in S4_PERMS)
+
+
+@pytest.mark.parametrize("name", ["Z/1", "Z/2", "Z/3", "Z/4", "Z/5", "Z/6",
+                                  "D3", "D4", "Klein", "S4"])
+def test_resolution_is_exact(name):
+    # F_0 .. F_4 of the greedy resolution, checked by Smith forms rather
+    # than the Hermite forms the kernel step uses: the image of d_1 is
+    # the augmentation ideal, and for q = 1, 2, 3 d_q d_(q+1) = 0 and the
+    # image of d_(q+1) is saturated of the kernel's rank, so it is the
+    # kernel of d_q
+    tables = {"D3": dihedral_group(3).table, "D4": dihedral_group(4).table,
+              "Klein": KLEIN, "S4": S4}
+    group = FiniteGroupTable(tables[name]) if name in tables else \
+        cyclic_group(int(name[2:]))
+    ds = cech._differentials(group, 4)
+    ranks = [1] + [len(d) for d in ds]
+    images = [resolution_z_matrix(group, d, ranks[q]) for q, d in enumerate(ds)]
+    e = group.identity
+    ideal = tuple(tuple((x == g) - (x == e) for x in range(group.n))
+                  for g in range(group.n) if g != e)
+    assert hnf_basis(images[0]) == hnf_basis(ideal)
+    for q in range(1, 4):
+        if not ranks[q]:
+            assert not ranks[q + 1]
+            continue
+        d_q = transpose(images[q - 1])
+        assert not any(map(any, matmul(d_q, transpose(images[q]))))
+        diag = diagonal(snf(images[q], left=False, right=False)[0])
+        assert set(diag) - {0} == {1}
+        assert len(diag) - diag.count(0) == len(kernel_basis(d_q)), q
+    if name == "S4":
+        assert ranks == [1, 3, 6, 10, 15]
 
 
 # --- normalised cochains vs the unnormalised complex ------------------------
@@ -1581,18 +1763,22 @@ def unnormalised_divisor_cohomology(act, n):
 
 
 def test_normalised_invariants_match_unnormalised_on_point_groups():
-    # where the complexes differ most: |G|^q against (|G|-1)^q tuples
+    # where the bar complexes differ most, |G|^q against (|G|-1)^q tuples:
+    # the resolution and the normalised bar builder against the
+    # unnormalised per-entry builder
     d3 = point_action(dihedral_group(3), parse_group_label("Z"), [((s,),) for s in D3_SIGNS])
     z4 = FiniteAction.from_json_dict(load_fixture("z4_point.json"))
     seen = []
     for act, cheap, top in ((d3, 3, 4), (z4, 4, 5)):
         for n in range(cheap + 1):
             got = equivariant_cohomology(act, n)
-            assert got == oracle_equivariant(act, n), (act.group, n)
+            assert got == bar_cohomology(act, n) == oracle_equivariant(act, n), \
+                (act.group, n)
             seen.append(got)
         for n in range(cheap + 1, top + 1):
             got = equivariant_cohomology(act, n)
-            assert got == unnormalised_divisor_cohomology(act, n), (act.group, n)
+            assert got == bar_cohomology(act, n) == \
+                unnormalised_divisor_cohomology(act, n), (act.group, n)
             seen.append(got)
     # H^1..H^3 of S3 with the sign action are Z/2, Z/3, Z/2 and
     # H^2, H^4 of Z/4 with trivial Z are Z/4
@@ -1605,13 +1791,14 @@ def test_normalised_invariants_match_oracle_on_circle_and_relabelled_tables():
                             tuple(perms), (((1,),),) * 3)
     for act, top in [(rotation, 3)] + relabelled_group_actions():
         for n in range(min(top, 3) + 1):
-            assert equivariant_cohomology(act, n) == oracle_equivariant(act, n), \
-                (act.group, n)
+            assert equivariant_cohomology(act, n) == bar_cohomology(act, n) == \
+                oracle_equivariant(act, n), (act.group, n)
 
 
 def test_trivial_group_normalised_complex_is_cech():
-    # its invariants are checked against oracle_equivariant with the
-    # other bundled actions
+    # the trivial group's resolution is F_0 = Z alone, so its complex is
+    # the Cech complex; its invariants are checked against
+    # oracle_equivariant with the other bundled actions
     act = FiniteAction.from_json_dict(load_fixture("trivial_group_octahedron.json"))
     size = act.coefficients.size
     for n in range(4):
@@ -1623,7 +1810,7 @@ def test_trivial_group_normalised_complex_is_cech():
 
 @pytest.mark.parametrize("label", ["Z+Z/2", "Z/2+Z/4"])
 def test_normalised_invariants_match_oracle_on_mixed_coefficients(monkeypatch, label):
-    # mixed coefficients take the subquotient route, on the normalised
+    # mixed coefficients take the subquotient route, on the resolution's
     # matrices and relations sized on the coordinates they allocate
     calls = []
     real = cech.subquotient
@@ -1642,7 +1829,7 @@ def test_normalised_invariants_match_oracle_on_mixed_coefficients(monkeypatch, l
         for n in range(top + 1):
             assert equivariant_cohomology(act, n) == oracle_equivariant(act, n), \
                 (act.group, n)
-    # Z/2 at degree 3: one identity-free 3-tuple, two coordinates
+    # Z/2 at degree 3: one generator of F_3, two coordinates
     assert calls[3] == 2
 
 
@@ -3016,6 +3203,21 @@ def test_divisor_route_matches_subquotient_on_generated_workload_actions():
             got = equivariant_cohomology(act, n)
             assert got == subquotient_equivariant(act, n), (key, n)
     assert labels >= {"Z", "Z/2", "Z/3", "Z/4", "Z/5", "Z/6"}
+
+
+def test_resolution_matches_the_bar_builder_on_generated_workload_actions():
+    # every point and circle action the benchmark draws, in every degree up
+    # to the one it asks for
+    shapes, labels = set(), set()
+    for key, act, degree in generated_workload_actions():
+        shapes.add(key.split(" coeff=")[0])
+        labels.add((act.coefficients.label(), "action=sign" in key))
+        for n in range(degree + 1):
+            assert equivariant_cohomology(act, n) == bar_cohomology(act, n), (key, n)
+    assert shapes >= {f"equivariant cyclic n={n} point" for n in range(2, 7)} | {
+        "equivariant dihedral k=3 point", "equivariant dihedral k=4 point",
+        "equivariant cyclic n=3 circle", "equivariant cyclic n=4 circle"}
+    assert {("Z", True), ("Z/3", True), ("Z/2", False), ("Z/6", True)} <= labels
 
 
 @pytest.mark.parametrize("label", ["Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z/9"])

@@ -13,6 +13,7 @@ from gerbelevels.intlinalg import (
     freeze,
     hnf,
     hnf_basis,
+    hnf_contains,
     identity,
     kernel_basis,
     lattice_contains,
@@ -280,6 +281,25 @@ def test_lattice_equality_and_membership():
     assert hnf_basis(freeze([[0, 0], [3, 3]])) == freeze([[3, 3]])
 
 
+def test_hnf_contains_matches_smith_membership():
+    # membership read off a Hermite basis, against the Smith-based
+    # lattice_contains: lattice vectors, their halves and random vectors,
+    # on ranks from 0 to full
+    rng = random.Random(30)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, rng.randint(0, 4), n, -4, 4)
+        h = hnf_basis(a)
+        rows = tuple(r for r in a if any(r))
+        for _ in range(6):
+            coef = [rng.randint(-3, 3) for _ in a]
+            v = tuple(sum(c * r[j] for c, r in zip(coef, a)) for j in range(n))
+            for w in (v, tuple(x // 2 for x in v),
+                      tuple(rng.randint(-6, 6) for _ in range(n))):
+                expect = lattice_contains(rows, w) if rows else not any(w)
+                assert hnf_contains(h, w) == expect, (a, w)
+
+
 def test_quotient_invariants():
     amb = identity(2)
     sub = freeze([[2, 0], [0, 3]])
@@ -340,6 +360,21 @@ def test_ratvector_make_reduces_once(monkeypatch):
     assert v == RatVector((-1, 2), 3) and hash(v) == hash(RatVector((-1, 2), 3))
     with pytest.raises(ValueError, match="RatVector not reduced"):
         RatVector((2, -4), 6)
+
+
+def test_ratvector_make_matches_fractions():
+    # make stops its gcd scan once the gcd is 1; every entry still comes
+    # out as the reduced fraction, early units and trailing multiples alike
+    from fractions import Fraction
+
+    rng = random.Random(30)
+    for _ in range(400):
+        den = rng.choice([1, 2, 3, 4, 6, 12, -1, -4, -6])
+        nums = [rng.choice([0, 1, -1, 2, -3, 4, 6, -12, 24])
+                for _ in range(rng.randint(0, 7))]
+        v = RatVector.make(nums, den)
+        assert v.fractions() == tuple(Fraction(x, den) for x in nums)
+        assert v == RatVector(v.nums, v.den)
 
 
 def test_ratvector_arithmetic():

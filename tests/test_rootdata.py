@@ -349,3 +349,16 @@ def test_series_a_simple_roots_are_read_by_position():
         assert simple == tuple(
             roots.index(RatVector.make(rootdata._unit(n, (i, 1), (i + 1, -1))))
             for i in range(n - 1))
+
+
+@pytest.mark.parametrize("series, lowest", [("B", 2), ("C", 2), ("D", 3)])
+def test_series_bcd_simple_roots_are_read_by_position(series, lowest):
+    unit = rootdata._unit
+    for n in range(lowest, 13):
+        roots, _coroots, simple = rootdata._bcd_roots(series, n)
+        expect = [unit(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+        if series == "D":
+            expect.append(unit(n, (n - 2, 1), (n - 1, 1)))
+        else:
+            expect.append(unit(n, (n - 1, 1 if series == "B" else 2)))
+        assert simple == tuple(roots.index(RatVector.make(v)) for v in expect), n
