@@ -18,13 +18,13 @@ _cech_rows for the Cech differential, _group_rows for the group
 direction of the equivariant complex, and _bar_rows for the bar
 differential of a group acting on a lattice.  The equivariant total
 differential puts the first two side by side over a free ZG-resolution
-of Z built greedily, one kernel step per degree (_kernel_step), kept per
-group table for the process (_resolution): r_q generators in degree q,
-one for a cyclic group and q + 1 for the dihedral group of order 6,
-where the bar resolution has (|G|-1)^q even normalised.  Any free
-resolution gives the same H^*_G (Brown, Cohomology of Groups, I.6 and
-VII).  The --max-complex-size cap still counts the bar complex's |G|^q
-tuples per layer, and RESOLUTION_CELL_CAP bounds each kernel step.
+of Z built greedily, one kernel step per degree (_kernel_step): r_q
+generators in degree q, one for a cyclic group and q + 1 for the
+dihedral group of order 6, where the bar resolution has (|G|-1)^q even
+normalised.  Any free resolution gives the same H^*_G (Brown, Cohomology
+of Groups, I.6 and VII).  The --max-complex-size cap still counts the
+bar complex's |G|^q tuples per layer, and RESOLUTION_CELL_CAP bounds
+each kernel step.
 obstruction.py takes the stabilizer H^1 and its coboundary solves from
 _bar_rows, over all of W_L, so its class coordinates are read in the
 full bar complex.  Cochain values are stored on sorted simplices only,
@@ -54,7 +54,6 @@ model choice, not an equivalence claim.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd
 
 from .intlinalg import (
@@ -866,24 +865,6 @@ def _translate(row, v: Vector, n: int) -> Vector:
     return tuple(out)
 
 
-def _orbit_representative(table, v: Vector) -> Vector:
-    """The member of {+-h.v : h in G} whose first nonzero coordinate comes
-    earliest, signed so that coordinate is negative, and lexicographically
-    greatest among those.  On a table whose identity is element 0 and
-    whose first generator s is element 1, s - 1 is its own representative:
-    so the periodic resolution of a cyclic group closes up as d_3 = d_1."""
-    best = None
-    for row in table:
-        w = _translate(row, v, len(table))
-        first = next(k for k, x in enumerate(w) if x)
-        if w[first] > 0:
-            w = tuple(-x for x in w)
-        key = (first, tuple(-x for x in w))
-        if best is None or key < best[0]:
-            best = (key, w)
-    return best[1]
-
-
 # cells of the largest matrix one kernel step of a resolution factors,
 # (|G| r_(q-1)) x (|G| r_q).  Every step an input under the default
 # --max-complex-size reaches is smaller: T^(n+1) counts |G|^(n+1) <= 60000
@@ -894,22 +875,20 @@ def _orbit_representative(table, v: Vector) -> Vector:
 RESOLUTION_CELL_CAP = 2**23
 
 
-@lru_cache(maxsize=256)
 def _kernel_step(group: FiniteGroupTable, d: Matrix) -> Matrix:
     """d_(q+1) of the resolution of _differentials, from d = d_q: the
     images in F_q of the generators of F_(q+1).
 
     kernel_basis gives a basis of the kernel of d_q on the Z-basis g e_i
     of F_q.  Its vectors are taken sparsest first; each one outside the
-    span so far adds a generator, mapped to the orbit representative of
-    that vector (_orbit_representative), and its G-orbit joins the span,
-    kept in Hermite form.  d_q is a ZG-map, so the span stays inside the
-    kernel; once it holds every vector of the kernel's basis the two have
-    the same Hermite form, and F is exact at F_q.  That is checked on the
-    span's Hermite form, without forming the kernel's: its elimination
-    grows the entries of the basis (those of S4's third step are up to
-    153), and hnf_basis on it ran for minutes.  The result depends only
-    on the group and d, so equal inputs share one step."""
+    span so far adds a generator, mapped to that vector, and its G-orbit
+    joins the span, kept in Hermite form.  d_q is a ZG-map, so the span
+    stays inside the kernel; once it holds every vector of the kernel's
+    basis the two have the same Hermite form, and F is exact at F_q.
+    That is checked on the span's Hermite form, without forming the
+    kernel's: its elimination grows the entries of the basis (those of
+    S4's third step are up to 153), and hnf_basis on it ran for
+    minutes."""
     if not d:
         return ()
     n, table = group.n, group.table
@@ -919,40 +898,37 @@ def _kernel_step(group: FiniteGroupTable, d: Matrix) -> Matrix:
     images = []
     for v in sorted(kernel, key=lambda v: len(v) - v.count(0)):
         if not hnf_contains(span, v):
-            images.append(_orbit_representative(table, v))
+            images.append(v)
             span = hnf_basis(span + tuple(_translate(row, v, n) for row in table))
     if len(span) != len(kernel) or not all(hnf_contains(span, v) for v in kernel):
         raise AssertionError("the resolution's span is not the kernel of d")
     return tuple(images)
 
 
-@lru_cache(maxsize=64)
-def _resolution(group: FiniteGroupTable) -> list[Matrix]:
-    """[d_1] of a free resolution ... -> F_1 -> F_0 = ZG -> Z of the group,
-    kept for the process and extended in place by _differentials.
+def _differentials(group: FiniteGroupTable, top: int,
+                   ds: list[Matrix] | None = None) -> list[Matrix]:
+    """[d_1, ..., d_top] of a free resolution ... -> F_1 -> F_0 = ZG -> Z
+    of the group, each d_q the tuple of the images d_q(e_i) in F_(q-1) =
+    ZG^(r_(q-1)), coordinate j |G| + h the coefficient of h e_j.  ds, when
+    given, holds d_1, d_2, ... as far as an earlier call built them and
+    is extended in place, so that neighbouring degrees share the steps.
 
     F_1 has one generator e_s per greedy generator s of the table
     (FiniteGroupTable.generators), d_1(e_s) = s - 1.  That is exact at
     F_0: the kernel of the augmentation is spanned by the g - 1, and every
     g is a word in the generators, so g s - 1 = g (s - 1) + (g - 1) puts
-    each g - 1 in the image by induction on the length of the word."""
+    each g - 1 in the image by induction on the length of the word.  Each
+    later degree is one kernel step (_kernel_step), refused before it
+    runs when its matrix would have more than RESOLUTION_CELL_CAP cells."""
+    ds = [] if ds is None else ds
     n, e = group.n, group.identity
-    d1 = []
-    for s in group.generators:
-        v = [0] * n
-        v[s], v[e] = 1, -1
-        d1.append(tuple(v))
-    return [tuple(d1)]
-
-
-def _differentials(group: FiniteGroupTable, top: int) -> list[Matrix]:
-    """[d_1, ..., d_top] of the group's resolution (_resolution), each d_q
-    the tuple of the images d_q(e_i) in F_(q-1) = ZG^(r_(q-1)), coordinate
-    j |G| + h the coefficient of h e_j.  Each missing degree is one kernel
-    step (_kernel_step), refused before it runs when its matrix would have
-    more than RESOLUTION_CELL_CAP cells."""
-    ds = _resolution(group)
-    n = group.n
+    if not ds:
+        d1 = []
+        for s in group.generators:
+            v = [0] * n
+            v[s], v[e] = 1, -1
+            d1.append(tuple(v))
+        ds.append(tuple(d1))
     while len(ds) < top:
         d = ds[-1]
         cells = n * len(d) * (len(d[0]) if d else 0)
@@ -991,10 +967,12 @@ def _group_rows(d: Matrix, n: int, actions, pull):
                 yield tuple(row)
 
 
-def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
+def _equivariant_matrices(act: FiniteAction, n: int, cap: int,
+                          ds: list[Matrix] | None = None):
     """Free-cover matrix of the total differential T^n -> T^(n+1), with
     T^m the sum over p + q = m of Hom_G(F_q, C^p(X; M)) = C^p(X; M)^(r_q)
-    for the resolution F of _differentials, r_q generators in degree q.
+    for the resolution F of _differentials, r_q generators in degree q;
+    ds, when given, is its list of differentials, extended in place.
 
     A cochain in block (q, p) is its values f(e_j) on the generators of
     F_q, one copy of C^p per generator.  The rows of block (q, p) of
@@ -1029,7 +1007,7 @@ def _equivariant_matrices(act: FiniteAction, n: int, cap: int):
         return out
 
     src, dst = blocks(n), blocks(n + 1)
-    ds = _differentials(g, max((q for q, _, slots in dst if slots), default=0))
+    ds = _differentials(g, max((q for q, _, slots in dst if slots), default=0), ds)
     rank = [1] + [len(d) for d in ds]
 
     def layout(bl):
@@ -1096,9 +1074,10 @@ def equivariant_cohomology(
     # the cap counts the bar layers: counted T^(m+1) has at least |G| times
     # the coordinates of counted T^m, so the cap check of the first call,
     # on T^n and T^(n+1), refuses before anything is built, and that call
-    # extends the resolution as far as the second one reads
-    d_out, n_here, n_next = _equivariant_matrices(act, degree, cap)
-    d_in = _equivariant_matrices(act, degree - 1, cap)[0] if degree else ()
+    # builds the resolution as far as the second one reads
+    ds: list[Matrix] = []
+    d_out, n_here, n_next = _equivariant_matrices(act, degree, cap, ds)
+    d_in = _equivariant_matrices(act, degree - 1, cap, ds)[0] if degree else ()
     group = act.coefficients
     if not group.torsion or (not group.free_rank and len(set(group.torsion)) == 1):
         # Z^f or (Z/m)^k: the relations are m times the free cover, and

@@ -815,7 +815,7 @@ class RatVector(Frozen):
             den //= g
         # reduced: stored without the gcd __init__ takes again
         v = cls.__new__(cls)
-        Value.__init__(v, tuple(map(int, nums)), int(den))
+        Value.__init__(v, tuple(int(x) for x in nums), int(den))
         return v
 
     @classmethod

