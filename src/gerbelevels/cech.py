@@ -1,5 +1,5 @@
 """Finite cocycle models: Cech complexes on nerves, group and equivariant
-cohomology, circle-cover log cocycles, and central extensions.
+cohomology, and central extensions.
 
 Coefficients are finitely generated abelian groups presented as
 Z^free + Z/d1 + Z/d2 + ...; every computation happens on the free cover
@@ -9,7 +9,7 @@ elementary divisors of the integer coboundaries out of and into the
 degree (intlinalg.divisor_cohomology): Cech cohomology one cyclic
 summand of the coefficients at a time, and equivariant and group
 cohomology on Z^f or (Z/m)^k, whose actions compose exactly over Z.
-Mixed equivariant coefficients and a located class (cocycle_class) build
+Mixed equivariant coefficients and a located class (cochains.py) build
 the full presentation -- those coboundaries and the relation vectors on
 both sides -- and hand it to intlinalg.subquotient, the routine that
 also computes the stabilizer H^1 of obstruction.py.
@@ -27,28 +27,27 @@ bar complex's |G|^q tuples per layer, and RESOLUTION_CELL_CAP bounds
 each kernel step.
 obstruction.py takes the stabilizer H^1 and its coboundary solves from
 _bar_rows, over all of W_L, so its class coordinates are read in the
-full bar complex.  Cochain values are stored on sorted simplices only,
-with the alternation sign applied on access.
+full bar complex.
 
 Finite-group inputs are validated on a greedy generating set of k
-elements (_greedy_generators), and each check there implies it on every
-element: a group table is associative by Light's test on the
-generators (FiniteGroupTable), an action is checked on the generator
-edges s -> s w (FiniteAction), and the 2-cocycle identity with a
-generator as its middle entry (check_two_cocycle); each docstring gives
-the argument.  That is k n^2 work instead of n^3 for a table or a
-cocycle, and k |G| products instead of |G|^2 for an action.  A central
-extension's table is put together by index arithmetic, from the
-addition table of A and the positions of psi's values, with no element
-reduced per cell, and is refused past EXTENSION_CELL_CAP cells before
-anything is built.
+elements (intlinalg._greedy_generators), and each check there implies
+it on every element: a group table is associative by Light's test on
+the generators (FiniteGroupTable), an action is checked on the
+generator edges s -> s w (FiniteAction), and the 2-cocycle identity
+with a generator as its middle entry (_first_cocycle_failure); each
+docstring gives the argument.  That is k n^2 work instead of n^3 for a
+table or a cocycle, and k |G| products instead of |G|^2 for an action.
+A central extension's table is put together by index arithmetic, from
+the addition table of A and the positions of psi's values, with no
+element reduced per cell, and is refused past EXTENSION_CELL_CAP cells
+before anything is built.
 
-Overlap line bundles are modeled by their classes in the coefficient
-group (powers of one fixed bundle); section-level data is collapsed to
-the cocycle identities it satisfies.  Infinite multiplicative coefficient
-groups are modeled by finite cyclic truncations Z/N with configurable N;
-classification statements are exercised on torsion content only, as a
-model choice, not an equivalence claim.
+Code that a single command option reads, or no command at all, lives in
+modules the command line does not import at start-up: cochains and
+their classes (cochains.py) and the nerve of a cover (covers.py) are
+imported when an input asks for them; the named nerves, the
+circle-cover log cocycles, group cohomology and the 2-cocycle check are
+paper-facing API that no command calls (model.py).
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from .intlinalg import (
     Frozen,
     Matrix,
     Smith,
-    Value,
     Vector,
+    _greedy_generators,
     divisor_cohomology,
     freeze,
     from_columns,
@@ -73,7 +72,6 @@ from .intlinalg import (
     kernel_basis,
     matmul,
     matvec,
-    solve_z,
     subquotient,
     transpose,
 )
@@ -251,89 +249,13 @@ class Nerve(Frozen):
             raise _malformed("nerve", err) from None
         return cls(n_vertices, simplices)
 
-    @classmethod
-    def from_maximal(cls, n_vertices: int, maximal) -> "Nerve":
-        by_dim: dict[int, set] = {}
-        for s in maximal:
-            s = tuple(sorted(set(s)))
-            for k in range(1, len(s) + 1):
-                for face in itertools.combinations(s, k):
-                    by_dim.setdefault(k - 1, set()).add(face)
-        top = max(by_dim) if by_dim else -1
-        return cls(
-            n_vertices,
-            tuple(tuple(sorted(by_dim.get(p, ()))) for p in range(top + 1)),
-        )
-
 
 # the default highest dimension of a nerve built from a cover
 NERVE_DIM_CAP = 4
 
 
-def nerve_of_cover(cover, dim_cap: int = NERVE_DIM_CAP,
-                   reads: int | None = None) -> Nerve:
-    """Nerve of a cover by finite sets, up to the dimension cap.
-
-    reads, when given, is the highest dimension the caller reads: no
-    level above it is built, and if the cap cuts off a simplex of
-    dimension at most reads, the answer would be that of a truncated
-    nerve, and CapExceeded is raised instead.
-    """
-    sets = [frozenset(c) for c in cover]
-    if not sets:
-        raise CechError("empty cover")
-    n = len(sets)
-    levels = []
-    current = [((i,), sets[i]) for i in range(n) if sets[i]]
-    if not current:
-        raise CechError("cover has no nonempty set")
-    levels.append(tuple(s for s, _ in current))
-    p, top = 0, dim_cap if reads is None else min(dim_cap, reads)
-    while p < top and current:
-        nxt = []
-        for simplex, inter in current:
-            for v in range(simplex[-1] + 1, n):
-                meet = inter & sets[v]
-                if meet:
-                    nxt.append((simplex + (v,), meet))
-        if not nxt:
-            break
-        levels.append(tuple(s for s, _ in nxt))
-        current = nxt
-        p += 1
-    if reads is not None and p == dim_cap < reads and any(
-            inter & sets[v] for simplex, inter in current
-            for v in range(simplex[-1] + 1, n)):
-        raise CapExceeded(
-            f"nerve has simplices of dimension {dim_cap + 1}, over the "
-            f"dimension cap {dim_cap}")
-    return Nerve(n, tuple(levels))
-
-
-def simplex_cone_nerve(n_vertices: int) -> Nerve:
-    """Full simplex on the vertices: contractible reference complex."""
-    return Nerve.from_maximal(n_vertices, [tuple(range(n_vertices))])
-
-
-def circle_nerve(arcs: int = 3) -> Nerve:
-    if arcs < 3:
-        raise CechError("a circle cover needs at least 3 arcs")
-    edges = [(i, i + 1) for i in range(arcs - 1)] + [(0, arcs - 1)]
-    return Nerve.from_maximal(arcs, edges)
-
-
-def octahedron_nerve() -> Nerve:
-    """Nerve of the 6-cap cover of a sphere: the octahedron boundary."""
-    opposite = {0: 5, 1: 3, 2: 4, 3: 1, 4: 2, 5: 0}
-    faces = []
-    for f in itertools.combinations(range(6), 3):
-        if all(opposite[a] not in f for a in f):
-            faces.append(f)
-    return Nerve.from_maximal(6, faces)
-
-
 # ---------------------------------------------------------------------------
-# cochains
+# oriented simplices
 
 
 def _sort_sign(seq) -> tuple[tuple[int, ...], int]:
@@ -348,111 +270,6 @@ def _sort_sign(seq) -> tuple[tuple[int, ...], int]:
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
     return out, sign
-
-
-class Cochain(Value):
-    """Degree-p cochain: values on sorted p-simplices, alternating.  The
-    values given are copied, reduced and stripped of zeros; compared by
-    its fields, and not hashable."""
-
-    _fields = ("nerve", "degree", "group", "values")
-
-    def __init__(self, nerve: Nerve, degree: int, group: CoefficientGroup,
-                 values: dict | None = None):
-        if degree < 0:
-            raise CechError("negative degree")
-        level = set(nerve.level(degree))
-        clean = {}
-        for s, v in (values or {}).items():
-            s = tuple(s)
-            if s not in level:
-                raise CechError(f"value on non-simplex {s}")
-            vv = group.reduce(v)
-            if any(vv):
-                clean[s] = vv
-        super().__init__(nerve, degree, group, clean)
-
-    @classmethod
-    def from_json_dict(cls, nerve: Nerve, group: CoefficientGroup,
-                       d: dict, degree: int) -> "Cochain":
-        """A fixture's cochain, which must have the given degree: another
-        is refused before any value is placed on a simplex."""
-        try:
-            given = freeze(d["degree"], 0)
-            if given >= 0 and given != degree:
-                raise ValueError(f"degree {given} is not --degree {degree}")
-            values = {}
-            for e in d["values"]:
-                s = freeze(e["simplex"], 1)
-                if s in values:
-                    raise ValueError(f"simplex {s} given twice")
-                values[s] = freeze(e["value"], 1)
-            return cls(nerve, given, group, values)
-        except (KeyError, TypeError, ValueError) as err:
-            raise _malformed("cocycle", err) from None
-
-    def value(self, simplex) -> Vector:
-        simplex = tuple(simplex)
-        if len(set(simplex)) != len(simplex):
-            return self.group.zero()
-        s, sign = _sort_sign(simplex)
-        v = self.values.get(s, self.group.zero())
-        return v if sign == 1 else self.group.neg(v)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def add(self, other: "Cochain") -> "Cochain":
-        if (self.nerve, self.degree, self.group) != (
-            other.nerve, other.degree, other.group,
-        ):
-            raise CechError("cochain mismatch")
-        vals = dict(self.values)
-        for s, v in other.values.items():
-            vals[s] = self.group.add(vals.get(s, self.group.zero()), v)
-        return Cochain(self.nerve, self.degree, self.group, vals)
-
-    def neg(self) -> "Cochain":
-        return Cochain(
-            self.nerve, self.degree, self.group,
-            {s: self.group.neg(v) for s, v in self.values.items()},
-        )
-
-    def map_values(self, fn, group: CoefficientGroup) -> "Cochain":
-        return Cochain(
-            self.nerve, self.degree, group,
-            {s: group.reduce(fn(v)) for s, v in self.values.items()},
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "group": self.group.label(),
-            "values": [
-                {"simplex": list(s), "value": list(v)}
-                for s, v in sorted(self.values.items())
-            ],
-        }
-
-
-def coboundary(c: Cochain) -> Cochain:
-    """(dc)(v_0..v_{p+1}) = sum_i (-1)^i c(drop v_i)."""
-    p = c.degree
-    out: dict = {}
-    g = c.group
-    for s in c.nerve.level(p + 1):
-        acc = g.zero()
-        for i in range(p + 2):
-            face = s[:i] + s[i + 1:]
-            term = c.value(face)
-            acc = g.add(acc, term if i % 2 == 0 else g.neg(term))
-        if any(acc):
-            out[s] = acc
-    return Cochain(c.nerve, p + 1, g, out)
-
-
-def zero_cochain(nerve: Nerve, degree: int, group: CoefficientGroup) -> Cochain:
-    return Cochain(nerve, degree, group, {})
 
 
 # ---------------------------------------------------------------------------
@@ -493,41 +310,6 @@ def _relations(total: int, group: CoefficientGroup) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def _cech_presentation(nerve: Nerve, p: int, group: CoefficientGroup):
-    """The arguments of subquotient for H^p of the nerve: the size of C^p,
-    delta^p, the relations on C^(p+1), delta^(p-1) and the relations on
-    C^p, all on the free cover of the coefficients."""
-    size = group.size
-    n_p = len(nerve.level(p)) * size
-    return (
-        n_p,
-        _cech_matrix(nerve, p, size),
-        _relations(len(nerve.level(p + 1)) * size, group),
-        _cech_matrix(nerve, p - 1, size) if p else (),
-        _relations(n_p, group),
-    )
-
-
-def _cochain_vector(c: Cochain) -> Vector:
-    size = c.group.size
-    level = c.nerve.level(c.degree)
-    out = []
-    for s in level:
-        v = c.values.get(s, c.group.zero())
-        out.extend(v)
-    return tuple(out)
-
-
-def _vector_cochain(nerve: Nerve, degree: int, group: CoefficientGroup,
-                    vec) -> Cochain:
-    size = group.size
-    level = nerve.level(degree)
-    vals = {}
-    for i, s in enumerate(level):
-        vals[s] = tuple(vec[i * size: (i + 1) * size])
-    return Cochain(nerve, degree, group, vals)
-
-
 def cohomology(nerve: Nerve, p: int, group: CoefficientGroup) -> AbelianInvariants:
     """H^p of the nerve with the given coefficients, from the elementary
     divisors of the integer Cech complex.  The differential acts on each
@@ -543,64 +325,8 @@ def cohomology(nerve: Nerve, p: int, group: CoefficientGroup) -> AbelianInvarian
         (0,) * group.free_rank + group.torsion)
 
 
-def cocycle_class(c: Cochain):
-    """(H^p invariants, class coordinates, class order) of a cocycle."""
-    if not coboundary(c).is_zero():
-        raise CechError("input cochain is not a cocycle")
-    return subquotient(*_cech_presentation(c.nerve, c.degree, c.group),
-                       locate=_cochain_vector(c))
-
-
-def trivialize(c: Cochain) -> Cochain | None:
-    """A cochain b with db = c, or None when the class is nonzero."""
-    if not coboundary(c).is_zero():
-        raise CechError("input cochain is not a cocycle")
-    nerve, p, group = c.nerve, c.degree, c.group
-    target = _cochain_vector(c)
-    if not any(target):
-        return zero_cochain(nerve, max(p - 1, 0), group)
-    if p == 0:
-        return None
-    d_in = _cech_matrix(nerve, p - 1, group.size)
-    rel_in = _relations(len(nerve.level(p)) * group.size, group)
-    # unknowns: the (p-1)-cochain, then one multiplier per relation
-    a = tuple(row + tuple(v[i] for v in rel_in) for i, row in enumerate(d_in))
-    x = solve_z(a, target).solution
-    if x is None:
-        return None
-    return _vector_cochain(nerve, p - 1, group, x[: len(d_in[0])])
-
-
 # ---------------------------------------------------------------------------
 # finite groups and actions
-
-
-def _greedy_generators(candidates, e: int, row,
-                       n: int) -> tuple[Vector, Matrix, set[int]]:
-    """Greedy generators, among the candidates in order, of the subgroup
-    they span in a group with identity e; the generators' rows, row(a)[b]
-    being the position of a * b; and the subgroup's positions.  Each
-    candidate outside the closure so far becomes a generator, and only
-    then is its row asked for.  The closure grows by left multiplication:
-    the new row applied to the old closure gives its new elements, and
-    only those are carried further, along every row; the search stops
-    once it has n positions.  Every position in the closure is then a
-    word s_1 (s_2 (... (s_m e))) in the generators."""
-    gens: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    have = {e}
-    for a in candidates:
-        if a in have:
-            continue
-        gens.append(a)
-        rows.append(row(a))
-        frontier = {rows[-1][b] for b in have} - have
-        while frontier:
-            have |= frontier
-            frontier = {r[f] for f in frontier for r in rows} - have
-        if len(have) == n:
-            break
-    return tuple(gens), tuple(rows), have
 
 
 class FiniteGroupTable(Frozen):
@@ -785,31 +511,6 @@ class FiniteAction(Frozen):
         except (KeyError, TypeError, ValueError) as err:
             raise _malformed("action", err) from None
         return cls(**fields)
-
-
-def trivial_action(group: FiniteGroupTable, nerve: Nerve,
-                   coefficients: CoefficientGroup) -> FiniteAction:
-    return FiniteAction(
-        group,
-        nerve,
-        coefficients,
-        tuple(tuple(range(nerve.n_vertices)) for _ in range(group.n)),
-        tuple(identity(coefficients.size) for _ in range(group.n)),
-    )
-
-
-def point_action(group: FiniteGroupTable, coefficients: CoefficientGroup,
-                 coeff_actions=None) -> FiniteAction:
-    nerve = simplex_cone_nerve(1)
-    if coeff_actions is None:
-        coeff_actions = tuple(
-            identity(coefficients.size) for _ in range(group.n)
-        )
-    return FiniteAction(
-        group, nerve, coefficients,
-        tuple((0,) for _ in range(group.n)),
-        tuple(coeff_actions),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1089,14 +790,6 @@ def equivariant_cohomology(
                        _relations(n_here, group))[0]
 
 
-def group_cohomology(table: FiniteGroupTable, coefficients: CoefficientGroup,
-                     degree: int, coeff_actions=None,
-                     cap: int = COMPLEX_SIZE_CAP) -> AbelianInvariants:
-    """Group cohomology via the one-point equivariant model."""
-    act = point_action(table, coefficients, coeff_actions)
-    return equivariant_cohomology(act, degree, cap)
-
-
 # ---------------------------------------------------------------------------
 # central extensions from 2-cocycles
 
@@ -1164,25 +857,6 @@ def _first_cocycle_failure(group: FiniteGroupTable, add, p
     return None
 
 
-def check_two_cocycle(group: FiniteGroupTable, coeff: CoefficientGroup,
-                      psi: dict) -> tuple[int, int, int] | None:
-    """First violating triple of the (central) 2-cocycle identity, if any,
-    for a normalised psi with finite coefficients.
-
-    The identity is checked with its middle entry g2 = s a generator of G
-    (FiniteGroupTable.generators), k |G|^2 checks instead of |G|^3.  It
-    says that (0, s) passes Light's test in A x_psi G, whose associators
-    are the identity's two sides minus each other.  A normalised psi makes
-    every (a, e) central, so it passes too, and these elements generate
-    the extension: it is associative, which is the identity for every
-    triple.  The triple returned has a generator in the middle.
-    """
-    if coeff.free_rank:
-        raise CechError("2-cocycle checks need finite coefficients")
-    return _first_cocycle_failure(group, _addition_table(coeff),
-                                  _cocycle_positions(group, coeff, psi))
-
-
 def check_extension_size(group_order: int, coeff: CoefficientGroup) -> None:
     """Refuse an extension of a group of this order by coeff whose table
     would have more than EXTENSION_CELL_CAP cells, before anything is
@@ -1202,8 +876,8 @@ def central_extension_from_cocycle(
 
     (a1, g1) (a2, g2) = (a1 + a2 + psi(g1, g2), g1 g2); associativity is
     exactly the cocycle identity, checked with a generator in the middle
-    as check_two_cocycle checks it, and re-verified by Light's test on the
-    built table.
+    (_first_cocycle_failure, as model.check_two_cocycle does), and
+    re-verified by Light's test on the built table.
     The element (a, g) sits at position a * |G| + g, with a the position
     of a in coeff.elements(), and each row is put together from blocks
     read off the addition table of A and the positions of psi.  Raises
@@ -1231,134 +905,3 @@ def central_extension_from_cocycle(
         ext.order_multiset(),
         ext.center_size(),
     )
-
-
-# ---------------------------------------------------------------------------
-# circle covers of a torus and the level-induced cocycle
-
-
-class TorusCoverModel(Frozen):
-    """Product of subdivided circles with branch offsets on overlaps.
-
-    arc_counts[i] arcs cover the i-th circle factor; offsets assign to
-    every nerve edge the lattice jump between adjacent branches, and must
-    satisfy the additive cocycle relation on triple overlaps.
-    """
-
-    _fields = ("arc_counts", "windings", "nerve", "vertex_labels", "offsets")
-
-    def __init__(self, arc_counts: tuple[int, ...], windings: tuple[int, ...],
-                 nerve: Nerve, vertex_labels: tuple[tuple[int, ...], ...],
-                 offsets: dict):
-        super().__init__(arc_counts, windings, nerve, vertex_labels, offsets)
-        lam = self.cocycle()
-        if not coboundary(lam).is_zero():
-            raise CechError("branch offsets violate the triple-overlap relation")
-
-    @property
-    def rank(self) -> int:
-        return len(self.arc_counts)
-
-    def cocycle(self) -> Cochain:
-        group = CoefficientGroup(self.rank, ())
-        return Cochain(self.nerve, 1, group, dict(self.offsets))
-
-
-def torus_cover_model(arc_counts, windings) -> TorusCoverModel:
-    """Standard model: branch jumps concentrated on the wraparound edges."""
-    arc_counts = tuple(int(k) for k in arc_counts)
-    windings = tuple(int(w) for w in windings)
-    if len(arc_counts) != len(windings):
-        raise CechError("one winding per circle factor required")
-    if any(k < 3 for k in arc_counts):
-        raise CechError("each circle needs at least 3 arcs")
-    rank = len(arc_counts)
-    # ground set: 2k sample points per circle, arc a covers {2a, 2a+1, 2a+2}
-    factors = []
-    for k in arc_counts:
-        arcs = []
-        for a in range(k):
-            arcs.append(frozenset({(2 * a) % (2 * k), 2 * a + 1, (2 * a + 2) % (2 * k)}))
-        factors.append(arcs)
-    labels = list(itertools.product(*[range(k) for k in arc_counts]))
-    cover = []
-    for lab in labels:
-        pts = set(itertools.product(*[factors[i][a] for i, a in enumerate(lab)]))
-        cover.append(pts)
-    nerve = nerve_of_cover(cover, dim_cap=2 * rank)
-    label_of = {i: labels[i] for i in range(len(labels))}
-
-    def factor_jump(i, a, b):
-        k = arc_counts[i]
-        if a == b:
-            return 0
-        if (a, b) == (0, k - 1):
-            return windings[i]
-        if (a, b) == (k - 1, 0):
-            return -windings[i]
-        if b == a + 1:
-            return 0
-        if b == a - 1:
-            return 0
-        raise CechError("non-adjacent arcs sharing points")
-
-    offsets = {}
-    for (u, v) in nerve.level(1):
-        la, lb = label_of[u], label_of[v]
-        vec = tuple(
-            factor_jump(i, la[i], lb[i]) for i in range(rank)
-        )
-        if any(vec):
-            offsets[(u, v)] = vec
-    return TorusCoverModel(arc_counts, windings, nerve, tuple(labels), offsets)
-
-
-def torus_log_cocycle(model: TorusCoverModel) -> Cochain:
-    """The branch-jump 1-cocycle; verified against the nerve."""
-    lam = model.cocycle()
-    if not coboundary(lam).is_zero():
-        raise CechError("branch offsets do not form a cocycle")
-    return lam
-
-
-def winding_pairing(model: TorusCoverModel, c: Cochain) -> tuple[Vector, ...]:
-    """Sums of a 1-cochain along each coordinate loop of the model.
-
-    The traversal orientation is fixed so that the branch-jump cocycle of
-    the standard model pairs to exactly its winding vector (values are
-    taken on (next arc, this arc), matching jump = new branch - old).
-    The pairing kills coboundaries, so it reads off the cohomology class.
-    """
-    rank = model.rank
-    label_pos = {lab: i for i, lab in enumerate(model.vertex_labels)}
-    out = []
-    for i in range(rank):
-        k = model.arc_counts[i]
-        total = c.group.zero()
-        base = [0] * rank
-        for a in range(k):
-            u = list(base)
-            v = list(base)
-            u[i] = a
-            v[i] = (a + 1) % k
-            total = c.group.add(
-                total, c.value((label_pos[tuple(v)], label_pos[tuple(u)]))
-            )
-        out.append(total)
-    return tuple(out)
-
-
-def gerbe_cocycle_from_level(lam: Cochain, level) -> Cochain:
-    """Push a lattice-valued 1-cocycle through bmap of a level tensor.
-
-    Additive in the level and odd under lam -> -lam; the output is the
-    overlap-class cocycle of the induced construction.
-    """
-    b = level
-    r_t = b.iso.target.rank
-    if lam.group.torsion or lam.group.free_rank != r_t:
-        raise CechError(
-            f"cocycle values must live in the rank-{r_t} cocharacter lattice"
-        )
-    out_group = CoefficientGroup(b.iso.source.rank, ())
-    return lam.map_values(lambda v: matvec(b.matrix, v), out_group)

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from importlib import resources
 
 
 def load_claims() -> list[dict]:
+    # imported here, not at start-up: importlib.resources and what it
+    # imports take about 19 ms, and only a command that reads a claim
+    # needs them
+    from importlib import resources
+
     text = resources.files("gerbelevels.data").joinpath(
         "reference_claims.json"
     ).read_text()

@@ -15,7 +15,11 @@ element is built, by the four subcommands that read a Weyl group;
 scans).
 
 The parser is built once per process, on the first call of main, and
-reused by every later call; importing the module builds nothing.
+reused by every later call; importing the module builds nothing.  Code
+that one command or option alone reads is imported where it is read:
+validation by datum and --datum-fixture, covers by a cover fixture and
+cochains by --trivialize-cocycle.  No command imports model, the
+paper-facing API, so start-up compiles none of these.
 
 Output is deterministic, and written by one function, write: canonical
 JSON (sorted keys, fixed separators), fixed text layouts, no timestamps;
@@ -43,10 +47,7 @@ from .cech import (
     cohomology,
     cyclic_group,
     equivariant_cohomology,
-    nerve_of_cover,
     parse_group_label,
-    trivialize,
-    Cochain,
 )
 from .claims import find_claim
 from .intlinalg import CapExceeded, RatVector, freeze
@@ -68,11 +69,11 @@ from .rootdata import (
     DatumError,
     RootDatum,
     build_isogeny,
+    check_classical,
     classical_datum,
     classical_isogeny,
-    validate_datum,
 )
-from .weyl import WEYL_ORDER_CAP, group_order
+from .weyl import WEYL_ORDER_CAP, classical_order, group_order
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -134,6 +135,8 @@ def build_action(args) -> SharedWeylAction:
         return _classical_action(*positional, args.max_weyl_order)
     if positional != (None,) * 4:
         raise CliError("give SERIES RANK SOURCE TARGET or --datum-fixture, not both")
+    from .validation import validate_datum
+
     data = _load_fixture(args.datum_fixture)
     if not isinstance(data, dict) or not {"source", "target"} <= data.keys():
         raise CliError("malformed datum fixture: need an object with "
@@ -150,14 +153,14 @@ def build_action(args) -> SharedWeylAction:
 
 def _classical_action(series, rank, source_form, target_form,
                       max_weyl_order) -> SharedWeylAction:
-    """The action over a classical isogeny.  The Weyl cap is decided on
-    the target datum before the isogeny is built: the isogeny's checks
-    multiply rank-sized matrices for every pair of simple reflections,
-    which at a rank the cap refuses costs far more than |W| from the
-    Cartan matrix.  The source datum is built first, so that a bad
-    source form is reported as before."""
-    classical_datum(series, rank, source_form)
-    group_order(classical_datum(series, rank, target_form), max_weyl_order)
+    """The action over a classical isogeny.  Both forms and the rank are
+    checked, and the Weyl cap decided on |W| in closed form, before any
+    datum is built: a root system is built whole, so a rank the cap
+    refuses would otherwise cost far more than its refusal.  The source
+    form is checked first, so that its errors come first as before."""
+    check_classical(series, rank, source_form)
+    check_classical(series, rank, target_form)
+    classical_order(series, rank, max_weyl_order)
     iso = classical_isogeny(series, rank, source_form, target_form)
     return SharedWeylAction(iso, cap=max_weyl_order)
 
@@ -378,6 +381,8 @@ def cmd_datum(args) -> int:
         payload["index"] = iso.index()
         payload["cokernel"] = iso.cokernel_invariants().label()
     else:
+        from .validation import validate_datum
+
         rd = classical_datum(args.series, args.rank, args.form)
         report = validate_datum(rd)
         payload = rd.to_json_dict()
@@ -406,6 +411,8 @@ def _nerve_from_fixture(data: dict, dim_cap: int, reads: int) -> Nerve:
                 for c in cover):
             raise CliError("malformed cover: each set must be a list of "
                            "integer or string labels")
+        from .covers import nerve_of_cover
+
         return nerve_of_cover([set(c) for c in cover], dim_cap, reads)
     if "nerve" in data:
         return Nerve.from_json_dict(data["nerve"])
@@ -426,6 +433,8 @@ def cmd_cohomology(args) -> int:
         "label": inv.label(),
     }
     if args.trivialize_cocycle:
+        from .cochains import Cochain, trivialize
+
         cdata = _load_fixture(args.trivialize_cocycle)
         witness = trivialize(Cochain.from_json_dict(nerve, group, cdata,
                                                     args.degree))

@@ -10,6 +10,10 @@ depend on it): row-style echelon form whose lower-left triangle is zero.
 Each nonzero row has a positive leading entry (its pivot), pivot columns
 strictly increase from row to row, entries above a pivot are reduced into
 [0, pivot), and zero rows sit at the bottom.
+
+The greedy generator search on the positions of a finite group lives
+here too, below both of its users: cech's group tables and weyl's
+subgroups.
 """
 
 from __future__ import annotations
@@ -162,18 +166,6 @@ def matvec(a: Matrix, v: Vector) -> Vector:
     if len(v) != n:
         raise DimensionMismatch(f"cannot apply {m}x{n} to vector of length {len(v)}")
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return tuple(x - y for x, y in zip(u, v))
 
 
 def det(a: Matrix) -> int:
@@ -594,12 +586,8 @@ class AbelianInvariants(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(a: Matrix) -> AbelianInvariants:
-    """Invariants of Z^rows / (column span of a)."""
-    return _cokernel(Smith.of(a, left=False))
-
-
 def _cokernel(sm: Smith) -> AbelianInvariants:
+    """Invariants of Z^rows / (column span of the factored matrix)."""
     return AbelianInvariants.from_diagonal(sm.diag, sm.rows - len(sm.diag))
 
 
@@ -631,28 +619,9 @@ def hnf_contains(h: Matrix, v: Vector) -> bool:
     return not any(v)
 
 
-def lattices_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
-    return hnf_basis(rows_a) == hnf_basis(rows_b)
-
-
 def lattice_coords(basis_rows: Matrix, v: Vector) -> Vector | None:
     """Coordinates of v in the given row basis, or None if v is outside."""
     return Smith.of(from_columns(basis_rows, len(v))).solve(v).solution
-
-
-def lattice_contains(basis_rows: Matrix, v: Vector) -> bool:
-    return lattice_coords(basis_rows, v) is not None
-
-
-def quotient_invariants(ambient_rows: Matrix, sub_rows: Matrix) -> AbelianInvariants:
-    """Invariants of (lattice spanned by ambient_rows) / (span of sub_rows).
-
-    ambient_rows must be linearly independent, and sub_rows must lie
-    inside the lattice they span.
-    """
-    vectors = tuple(ambient_rows) + tuple(sub_rows)
-    n = len(vectors[0]) if vectors else 0
-    return _quotient(ambient_rows, n, sub_rows)[0]
 
 
 def subquotient(
@@ -870,3 +839,35 @@ def over_common_denominator(vecs) -> tuple[Matrix, int]:
     common multiple d of their denominators."""
     d = lcm(*(v.den for v in vecs))
     return tuple(tuple(d // v.den * x for x in v.nums) for v in vecs), d
+
+
+# ---------------------------------------------------------------------------
+# generators of a finite group given on positions
+
+
+def _greedy_generators(candidates, e: int, row,
+                       n: int) -> tuple[Vector, Matrix, set[int]]:
+    """Greedy generators, among the candidates in order, of the subgroup
+    they span in a group with identity e; the generators' rows, row(a)[b]
+    being the position of a * b; and the subgroup's positions.  Each
+    candidate outside the closure so far becomes a generator, and only
+    then is its row asked for.  The closure grows by left multiplication:
+    the new row applied to the old closure gives its new elements, and
+    only those are carried further, along every row; the search stops
+    once it has n positions.  Every position in the closure is then a
+    word s_1 (s_2 (... (s_m e))) in the generators."""
+    gens: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    have = {e}
+    for a in candidates:
+        if a in have:
+            continue
+        gens.append(a)
+        rows.append(row(a))
+        frontier = {rows[-1][b] for b in have} - have
+        while frontier:
+            have |= frontier
+            frontier = {r[f] for f in frontier for r in rows} - have
+        if len(have) == n:
+            break
+    return tuple(gens), tuple(rows), have

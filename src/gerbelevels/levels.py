@@ -19,8 +19,9 @@ coroot values are one integer matrix Q, row k the row-major
 coroot_lift[k] (x) (k-th target coroot), so b(acheck_k, acheck_k) is
 vec(B) . Q[k] and one product gives every value of every basis level.
 
-Symmetry of b is not assumed anywhere; a symmetric projection helper is
-provided as a labeled convenience only.
+Symmetry of b is not assumed anywhere.  The coroot value of one root,
+the named basic level and the restriction to a rank-one subgroup are
+paper-facing API that no command calls (model.py).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from operator import mul
 from .intlinalg import (
     Frozen,
     Matrix,
-    RatVector,
     Vector,
     hnf_basis,
     identity,
@@ -43,7 +43,7 @@ from .intlinalg import (
     over_common_denominator,
     transpose,
 )
-from .rootdata import DatumError, IsogenyDatum, RootDatum, _vector_text
+from .rootdata import DatumError, IsogenyDatum, RootDatum
 from .weyl import (WEYL_ORDER_CAP, RowTable, WeylGroup, _enumerate,
                    group_order, simple_root_permutations)
 
@@ -285,14 +285,6 @@ def root_orbits(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-def coroot_value(b: LevelTensor, root_index: int) -> int:
-    """b(acheck, acheck) with the first coroot lifted into X_*(S)."""
-    iso = b.iso
-    lift = iso.coroot_lift[root_index]
-    lam = iso.target.coroot_coords()[root_index]
-    return b.value(lift, lam)
-
-
 class EvReport(Frozen):
     """Even-values sublattice plus the per-orbit value table.
 
@@ -308,7 +300,7 @@ def ev_filter(basis: tuple[LevelTensor, ...], action: SharedWeylAction) -> EvRep
 
     The levels are row-major vectors here.  Row k of Q is coroot_lift[k]
     (x) the k-th target coroot, row-major, so Q V^T holds every coroot
-    value (coroot_value) of every basis vector, root by root: the
+    value (model.coroot_value) of every basis vector, root by root: the
     parities, the evenness re-check and the value table are each read
     off one product.  The coefficient vectors x with even values are
     those with P x = 2 y for some integer y, P the distinct parity rows
@@ -385,60 +377,6 @@ def basic_level(iso: IsogenyDatum) -> BasicLevelResult:
     g = gcd(den, *(num * x for row in gram for x in row))
     mat = tuple(tuple(num * x // g for x in row) for row in gram)
     return BasicLevelResult(den == g, den // g, LevelTensor(iso, mat))
-
-
-def named_basic_level(series: str, rank: int, form: str) -> BasicLevelResult:
-    from .rootdata import classical_datum, identity_isogeny
-
-    rd = classical_datum(series, rank, form)
-    return basic_level(identity_isogeny(rd))
-
-
-# ---------------------------------------------------------------------------
-# rank-one restriction
-
-
-class RankOneRestriction(Frozen):
-    """Parity data of b on the rank-one subgroup attached to one root.
-
-    subgroup_type is "SL2" when the coroot cocharacter is injective
-    (does not kill -1) and "PGL2" when it does; descent across the
-    corresponding divisor is blocked exactly in the odd SL2 case.
-    """
-
-    _fields = ("root_index", "subgroup_type", "value", "parity_obstruction")
-
-
-def restrict_to_rank_one(b: LevelTensor, root) -> RankOneRestriction:
-    iso = b.iso
-    tgt = iso.target
-    ridx = root if isinstance(root, int) else tgt.root_index(root)
-    if ridx is None or not (0 <= ridx < len(tgt.roots)):
-        text = str(root) if isinstance(root, int) else _vector_text(root)
-        raise DatumError(f"{text} is not a root of {tgt.name}")
-    acheck = tgt.coroots[ridx]
-    kills_minus_one = tgt.cochar_coords(
-        RatVector.make(acheck.nums, 2 * acheck.den)) is not None
-    subgroup_type = "PGL2" if kills_minus_one else "SL2"
-    value = coroot_value(b, ridx)
-    return RankOneRestriction(
-        root_index=ridx,
-        subgroup_type=subgroup_type,
-        value=value,
-        parity_obstruction=(subgroup_type == "SL2" and value % 2 == 1),
-    )
-
-
-def symmetric_projection(b: LevelTensor) -> tuple[tuple[Fraction, ...], ...]:
-    """(b + b^T)/2 on ambient coordinates; labeled convenience, H = G only."""
-    if b.iso.source != b.iso.target:
-        raise DatumError("symmetric projection needs source == target")
-    amb, den = b._ambient_numerators()
-    n = len(amb)
-    return tuple(
-        tuple(Fraction(amb[i][j] + amb[j][i], 2 * den) for j in range(n))
-        for i in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------

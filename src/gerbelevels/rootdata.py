@@ -26,11 +26,12 @@ exactly, with no reduced RatVector formed (the *_coords_q methods form
 one, for rational coordinates).  A span check comes first: the
 coordinates are returned only when the combination they name gives v
 back (an integer comparison), so a vector outside the span gets None,
-and a returned vector is correct even on non-dual input.  validate_datum
-checks the duality itself.  The one rational inverse needed, of a Gram
-matrix for a dual basis, is read off its Smith form.  The orthogonal
-projection onto the character span, which an isogeny from the datum
-restricts characters along, is likewise held once per datum.
+and a returned vector is correct even on non-dual input.
+validation.validate_datum checks the duality itself.  The one rational
+inverse needed, of a Gram matrix for a dual basis, is read off its
+Smith form.  The orthogonal projection onto the character span, which
+an isogeny from the datum restricts characters along, is likewise held
+once per datum.
 
 A homomorphism H -> G with central kernel and G = Z(G).Im(H) is encoded
 by an IsogenyDatum: the restriction map on characters, the induced map on
@@ -52,7 +53,7 @@ from .intlinalg import (
     RatVector,
     Smith,
     Vector,
-    cokernel,
+    _cokernel,
     freeze,
     identity,
     matmul,
@@ -68,30 +69,11 @@ class DatumError(ValueError):
     """Rejected or inconsistent root-datum input."""
 
 
-def _pairing(x: RatVector, y: RatVector) -> tuple[int, int]:
-    """<x, y> as a reduced (numerator, denominator)."""
-    if len(x) != len(y):
-        raise DatumError("ambient dimension mismatch")
-    num = sum(map(mul, x.nums, y.nums))
-    den = x.den * y.den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def _ratio_text(num: int, den: int) -> str:
     """num/den in lowest terms, written "n" or "n/d"."""
     g = gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _reflected(v: RatVector, alpha: RatVector, acheck: RatVector) -> RatVector:
-    """v - <v, acheck> alpha."""
-    p, q = _pairing(v, acheck)
-    return RatVector.make(
-        [q * alpha.den * x - p * v.den * a for x, a in zip(v.nums, alpha.nums)],
-        q * v.den * alpha.den,
-    )
 
 
 class _Frame:
@@ -310,100 +292,6 @@ def _vectors_load(rows) -> tuple[RatVector, ...]:
                  for r in rows)
 
 
-def pairing(chi: RatVector, lam: RatVector) -> int:
-    """Reference pairing of a character with a cocharacter (ambient vectors).
-
-    A non-integral value means the inputs were not actually lattice
-    elements of dual lattices, so it is reported as a hard error.
-    """
-    num, den = _pairing(chi, lam)
-    if den != 1:
-        raise DatumError(f"non-integral pairing {_ratio_text(num, den)}: "
-                         "corrupted datum")
-    return num
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-class DatumReport(Frozen):
-    _fields = ("passed", "violations")
-
-
-def validate_datum(rd: RootDatum) -> DatumReport:
-    """Check every structural invariant; diagnostics, not exceptions."""
-    bad: list[str] = []
-    r = rd.rank
-    if len(rd.cochar_basis) != r:
-        bad.append("char and cochar bases have different ranks")
-    if len(rd.roots) != len(rd.coroots):
-        bad.append("root and coroot counts differ")
-    for row in rd.char_basis + rd.cochar_basis + rd.roots + rd.coroots:
-        if len(row) != rd.ambient_dim:
-            bad.append("vector of wrong ambient dimension")
-            return DatumReport(False, tuple(bad))
-    if any(not 0 <= i < len(rd.roots) for i in rd.simple_indices):
-        bad.append("simple index outside the root list")
-    # duality: char_basis @ cochar_basis^T == identity
-    for i, cb in enumerate(rd.char_basis):
-        for j, db in enumerate(rd.cochar_basis):
-            val = _pairing(cb, db)
-            if val != (1 if i == j else 0, 1):
-                bad.append(
-                    f"bases not dual: <char[{i}], cochar[{j}]> = {_ratio_text(*val)}"
-                )
-    for k, (a, ac) in enumerate(zip(rd.roots, rd.coroots)):
-        val = _pairing(a, ac)
-        if val != (2, 1):
-            bad.append(f"<root[{k}], coroot[{k}]> = {_ratio_text(*val)} != 2")
-    for k, a in enumerate(rd.roots):
-        if rd.char_coords(a) is None:
-            bad.append(f"root[{k}] outside the character lattice")
-    for k, ac in enumerate(rd.coroots):
-        if rd.cochar_coords(ac) is None:
-            bad.append(f"coroot[{k}] outside the cocharacter lattice")
-    if any(_pairing(a, ac)[1] != 1 for a in rd.roots for ac in rd.coroots):
-        bad.append("some root pairs non-integrally with some coroot")
-    # every reflection permutes the root set
-    root_set = set(rd.roots)
-    for i, (alpha, ac) in enumerate(zip(rd.roots, rd.coroots)):
-        if any(_reflected(b, alpha, ac) not in root_set for b in rd.roots):
-            bad.append(f"reflection in root[{i}] does not permute the roots")
-    if not bad:
-        no_base = _not_a_base(rd)
-        if no_base:
-            bad.append(no_base)
-    return DatumReport(not bad, tuple(bad))
-
-
-def _not_a_base(rd: RootDatum) -> str | None:
-    """Why the simple roots are not a base, or None: a base has every root
-    an integer combination of it with coefficients of one sign.  Simple
-    roots that pair positively or are linearly dependent are no base
-    either, but they are left to weyl.group_order, whose error names
-    them; only the other sets are decided here, on integer root
-    coordinates."""
-    coords = rd.root_coords()
-    simple = rd.simple_indices
-    if not coords:
-        return None
-    coroots = rd.coroot_coords()
-    if any(i != j and sum(map(mul, coords[j], coroots[i])) > 0
-           for i in simple for j in simple):
-        return None
-    # columns are the simple roots' coordinates
-    system = Smith.of(tuple(zip(*(coords[i] for i in simple))) or ((),) * rd.rank)
-    if system.rank < len(simple):
-        return None
-    for k, alpha in enumerate(coords):
-        x = system.solve(alpha).solution
-        if x is None or min(x) < 0 < max(x):
-            return (f"simple roots are not a base: root[{k}] is not an integer "
-                    "combination of them with coefficients of one sign")
-    return None
-
-
 # ---------------------------------------------------------------------------
 # classical constructors
 
@@ -501,15 +389,27 @@ def classical_datum(series: str, rank: int, form: str) -> RootDatum:
     root coordinates, cached on first use, are shared by every caller.
     A rejected input is never cached.
     """
-    return _classical_datum(series, rank, resolve_form(series, form))
+    return _classical_datum(series, rank, check_classical(series, rank, form))
+
+
+# the least rank of each series: A_1, B_2, C_2 and D_3
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
+def check_classical(series: str, rank: int, form: str) -> str:
+    """The name of the form, aliases resolved, once the series and the
+    form and then the rank are checked: every input classical_datum
+    refuses is refused here, with its error, and nothing is built."""
+    form = resolve_form(series, form)
+    if rank < _LEAST_RANK[series]:
+        raise DatumError(f"series {series} needs rank >= {_LEAST_RANK[series]}")
+    return form
 
 
 # the default atlas reads 19 distinct data
 @lru_cache(maxsize=64)
 def _classical_datum(series: str, rank: int, form: str) -> RootDatum:
     if series == "A":
-        if rank < 1:
-            raise DatumError("series A needs rank >= 1")
         n = rank + 1
         roots, coroots, simple = _a_series_roots(n)
         if form == "GL":
@@ -532,11 +432,6 @@ def _classical_datum(series: str, rank: int, form: str) -> RootDatum:
             name = f"PGL{n}"
         rd = RootDatum(name, n, char, cochar, roots, coroots, simple)
         return rd
-    if series in ("B", "C"):
-        if rank < 2:
-            raise DatumError(f"series {series} needs rank >= 2")
-    if series == "D" and rank < 3:
-        raise DatumError("series D needs rank >= 3")
     n = rank
     roots, coroots, simple = _bcd_roots(series, n)
     half_one = RatVector.make([1] * n, 2)
@@ -568,19 +463,6 @@ def _classical_datum(series: str, rank: int, form: str) -> RootDatum:
     return RootDatum(name, n, char, cochar, roots, coroots, simple)
 
 
-def torus_datum(rank: int, name: str = "") -> RootDatum:
-    """Rank-n torus: full integer lattices, no roots."""
-    return RootDatum(
-        name or f"T{rank}",
-        rank,
-        _std_basis(rank),
-        _std_basis(rank),
-        (),
-        (),
-        (),
-    )
-
-
 # ---------------------------------------------------------------------------
 # isogeny data
 
@@ -603,7 +485,7 @@ class IsogenyDatum(Frozen):
 
     def cokernel_invariants(self):
         """Invariants of X*(S) / image of X*(T)."""
-        return cokernel(self.char_map)
+        return _cokernel(Smith.of(self.char_map, left=False))
 
     def index(self) -> int | None:
         """[X*(S) : X*(T)] when finite, else None."""

@@ -59,16 +59,16 @@ cap, and is kept with its subgroup.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, getitem, mul, sub
 
-from .cech import _greedy_generators
 from .intlinalg import (
     CapExceeded,
     Frozen,
     Matrix,
     RatVector,
     Vector,
+    _greedy_generators,
     det,
     identity,
     matvec,
@@ -242,11 +242,34 @@ def group_order(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> int:
                             orbit.add(u)
                             nxt.append(u)
                             if total * len(orbit) > cap:
-                                raise CapExceeded(
-                                    f"Weyl group order exceeds the configured cap {cap}")
+                                raise _over_cap(cap)
             frontier = nxt
         total *= len(orbit)
     return total
+
+
+def classical_order(series: str, rank: int, cap: int = WEYL_ORDER_CAP) -> int:
+    """|W| of the classical root system of this series and rank, from its
+    closed form, with no datum built: (n+1)! for A_n, 2^n n! for B_n and
+    C_n, and 2^(n-1) n! for D_n (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI, plates I-IV).  Raises CapExceeded as group_order does, when
+    |W| is over cap.  Every factor is at least 2, so a refusal comes
+    within log2(cap) + 1 of them, whatever the rank."""
+    n = rank
+    if series == "A":
+        factors = range(2, n + 2)
+    else:
+        factors = chain(range(2, n + 1), repeat(2, n - (series == "D")))
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            raise _over_cap(cap)
+    return order
+
+
+def _over_cap(cap: int) -> CapExceeded:
+    return CapExceeded(f"Weyl group order exceeds the configured cap {cap}")
 
 
 def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
@@ -332,7 +355,7 @@ _NOT_CLOSED = "member set is not closed under the group operations"
 def _generators_and_rows(group: WeylGroup, members: tuple[int, ...]
                          ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The greedy generators of a subgroup given by its sorted members
-    (with the identity), and their rows (cech._greedy_generators), made
+    (with the identity), and their rows (intlinalg._greedy_generators), made
     with group.mult.  Raises ValueError when a product leaves members."""
     pos = {w: a for a, w in enumerate(members)}
 
@@ -444,7 +467,7 @@ def integral_reflection_subgroup(group: WeylGroup, xi: RatVector,
     """Subgroup generated by reflections s_alpha with <alpha, xi> integral,
     where stab is stabilizer(group, xi).
 
-    They are closed in W by cech._greedy_generators, reading products
+    They are closed in W by intlinalg._greedy_generators, reading products
     through group.mult on demand.  The closure lies inside stab, and
     differs from it when the centralizer is disconnected; when the member
     sets are equal, stab itself is returned, with its generators.

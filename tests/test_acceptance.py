@@ -15,14 +15,6 @@ from gerbelevels.cech import (
     central_extension_from_cocycle,
     cohomology,
     cyclic_group,
-    gerbe_cocycle_from_level,
-    group_cohomology,
-    circle_nerve,
-    octahedron_nerve,
-    simplex_cone_nerve,
-    torus_cover_model,
-    torus_log_cocycle,
-    winding_pairing,
 )
 from gerbelevels.claims import find_claim
 from gerbelevels.cli import main as cli_main
@@ -33,17 +25,26 @@ from gerbelevels.intlinalg import (
     matmul,
     matvec,
     transpose,
-    vec_sub,
 )
 from gerbelevels.levels import (
     LevelTensor,
     SharedWeylAction,
     basic_level,
     compare_with_reference,
-    coroot_value,
     ev_filter,
     invariant_level_lattice,
+)
+from gerbelevels.model import (
+    circle_nerve,
+    coroot_value,
+    gerbe_cocycle_from_level,
+    group_cohomology,
+    octahedron_nerve,
     restrict_to_rank_one,
+    simplex_cone_nerve,
+    torus_cover_model,
+    torus_log_cocycle,
+    winding_pairing,
 )
 from gerbelevels.obstruction import (
     centralizer_cocycle,
@@ -53,6 +54,8 @@ from gerbelevels.obstruction import (
 )
 from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
 from gerbelevels.weyl import generate, stabilizer
+
+from helpers import vec_sub
 
 ZZ = CoefficientGroup(1, ())
 
@@ -98,7 +101,8 @@ def test_criterion_1_atlas_reproduction():
         n = rank + 1
         eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         ones = tuple((1,) * n for _ in range(n))
-        from gerbelevels.intlinalg import freeze, lattices_equal
+        from gerbelevels.intlinalg import freeze
+        from helpers import lattices_equal
 
         vec = lambda m: tuple(x for row in m for x in row)  # noqa: E731
         assert lattices_equal(
@@ -238,7 +242,7 @@ def test_criterion_5_obstruction_property_suite():
     base = centralizer_cocycle(act, b, xi)
     # cocycle identity over all pairs
     g = act.group
-    from gerbelevels.intlinalg import vec_add
+    from helpers import vec_add
 
     for i in base.w_l.members:
         mi = act.source_char_action(i)

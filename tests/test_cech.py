@@ -8,31 +8,23 @@ import pytest
 from gerbelevels.cech import (
     CechError,
     CoefficientGroup,
-    Cochain,
+    FiniteAction,
     FiniteGroupTable,
     Nerve,
     central_extension_from_cocycle,
-    check_two_cocycle,
-    circle_nerve,
-    coboundary,
-    cocycle_class,
     cohomology,
     cyclic_group,
     equivariant_cohomology,
-    gerbe_cocycle_from_level,
-    group_cohomology,
-    nerve_of_cover,
-    octahedron_nerve,
     parse_group_label,
-    simplex_cone_nerve,
-    torus_cover_model,
-    torus_log_cocycle,
-    trivial_action,
-    trivialize,
-    winding_pairing,
-    zero_cochain,
-    FiniteAction,
 )
+from gerbelevels.cochains import (
+    Cochain,
+    coboundary,
+    cocycle_class,
+    trivialize,
+    zero_cochain,
+)
+from gerbelevels.covers import nerve_of_cover
 from gerbelevels.intlinalg import (
     AbelianInvariants,
     CapExceeded,
@@ -41,7 +33,20 @@ from gerbelevels.intlinalg import (
     transpose,
 )
 from gerbelevels.levels import LevelTensor, basic_level
+from gerbelevels.model import (
+    check_two_cocycle,
+    circle_nerve,
+    gerbe_cocycle_from_level,
+    group_cohomology,
+    octahedron_nerve,
+    simplex_cone_nerve,
+    torus_cover_model,
+    torus_log_cocycle,
+    winding_pairing,
+)
 from gerbelevels.rootdata import classical_datum, identity_isogeny
+
+from helpers import trivial_action
 
 ZZ = CoefficientGroup(1, ())
 
@@ -574,7 +579,7 @@ def test_cocycle_from_json_rejects_non_integers():
 
 def test_torus_model_rejects_inconsistent_offsets():
     good = torus_cover_model([3, 3], [1, 0])
-    from gerbelevels.cech import TorusCoverModel
+    from gerbelevels.model import TorusCoverModel
 
     bad_offsets = dict(good.offsets)
     # corrupt one edge so the triple-overlap relation breaks

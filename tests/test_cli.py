@@ -9,9 +9,21 @@ import time
 
 import pytest
 
-from gerbelevels import cech, claims, cli, intlinalg, levels, obstruction, rootdata, weyl
+from gerbelevels import (
+    cech,
+    claims,
+    cli,
+    intlinalg,
+    levels,
+    obstruction,
+    rootdata,
+    validation,
+    weyl,
+)
 from gerbelevels.cli import DEFAULT_ATLAS_ROWS, main, make_parser
-from gerbelevels.rootdata import DatumReport, classical_datum, torus_datum
+from gerbelevels.model import circle_nerve, group_cohomology, torus_datum
+from gerbelevels.rootdata import classical_datum
+from gerbelevels.validation import DatumReport
 
 FIX = "fixtures"
 
@@ -428,7 +440,7 @@ def test_equivariant_count_reads_only_degrees_of_the_nerve():
     # the circle nerve has dimension 1: T^40 has the blocks (40, 0) and
     # (39, 1) only, 3 * 2^40 + 3 * 2^39 unnormalised coordinates under
     # Z/2, an exact count well short of 64 bits past the cap
-    act = cech.FiniteAction(cech.cyclic_group(2), cech.circle_nerve(3),
+    act = cech.FiniteAction(cech.cyclic_group(2), circle_nerve(3),
                             cech.parse_group_label("Z"), (tuple(range(3)),) * 2,
                             (((1,),),) * 2)
     with pytest.raises(intlinalg.CapExceeded) as err:
@@ -700,7 +712,7 @@ def test_invariants_only_runs_never_reach_subquotient(capsys, monkeypatch):
         main(["obstruction", "B", "3", "Spin", "Spin", "--xi", "1/2,-1/2,0"])
     mixed = cech.CoefficientGroup(1, (2,))
     with pytest.raises(AssertionError, match="subquotient reached"):
-        cech.group_cohomology(cech.cyclic_group(2), mixed, 2)
+        group_cohomology(cech.cyclic_group(2), mixed, 2)
 
 
 ATLAS_FORMS = sorted({(s, r, f) for s, r, sf, tf in DEFAULT_ATLAS_ROWS
@@ -1899,7 +1911,7 @@ def test_datum_breaking_a_coxeter_relation_is_bad_input(capsys, monkeypatch):
     assert captured.out == ""
     assert _one_error_line(captured.err)[0].startswith(
         "error: datum X2 invalid: reflection in root[0] does not permute the roots")
-    monkeypatch.setattr(cli, "validate_datum", lambda rd: DatumReport(True, ()))
+    monkeypatch.setattr(validation, "validate_datum", lambda rd: DatumReport(True, ()))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -1908,3 +1920,103 @@ def test_datum_breaking_a_coxeter_relation_is_bad_input(capsys, monkeypatch):
         "error: source reflections of root[0] and root[1] break the Coxeter "
         "relation of order 2"]
     assert len(captured.err.splitlines()) == 1
+
+
+# modules the command line imports only where a command or option reads
+# them, and model, which no command imports
+DEFERRED = ("gerbelevels.model", "gerbelevels.validation", "gerbelevels.covers",
+            "gerbelevels.cochains")
+
+
+def test_start_up_loads_only_the_shared_layers():
+    # importing the command line, and running commands that read no datum
+    # fixture, cover or cocycle, loads none of the deferred modules
+    probe = ("import sys, gerbelevels.cli as cli; "
+             "loaded = lambda: sorted(m for m in %r if m in sys.modules); "
+             "print(loaded()); "
+             "cli.main(['atlas', '--row', 'A,1,SL,SL', '--scan-denominator', '2']); "
+             "cli.main(['cohomology', '--fixture', 'fixtures/circle3.json', "
+             "'--degree', '1']); "
+             "cli.main(['equivariant', '--fixture', 'fixtures/z2_point.json', "
+             "'--degree', '2']); "
+             "print(loaded())" % (DEFERRED,))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[0] == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv, module", [
+    (("datum", "B", "2", "Spin"), "gerbelevels.validation"),
+    (("levels", "--datum-fixture", f"{FIX}/g2_datum.json"), "gerbelevels.validation"),
+    (("cohomology", "--fixture", f"{FIX}/triangle_cover.json", "--degree", "1"),
+     "gerbelevels.covers"),
+    (("cohomology", "--fixture", f"{FIX}/circle3.json", "--degree", "1",
+      "--trivialize-cocycle", f"{FIX}/circle3_cocycle.json"), "gerbelevels.cochains"),
+], ids=["datum", "datum-fixture", "cover", "trivialize-cocycle"])
+def test_a_deferred_module_is_loaded_by_the_command_that_reads_it(argv, module):
+    probe = ("import sys, gerbelevels.cli as cli; "
+             f"code = cli.main({list(argv)!r}); "
+             "print(code, sorted(m for m in %r if m in sys.modules))" % (DEFERRED,))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == f"0 {[module]}"
+
+
+CLASSICAL_REFUSALS = [
+    # the source form, the rank, the target form, then the Weyl cap
+    (("levels", "D", "2", "Bad", "Bad"), 1,
+     "error: form 'Bad' is not supported for series D"),
+    (("levels", "D", "2", "Spin", "Bad"), 1, "error: series D needs rank >= 3"),
+    (("levels", "A", "0", "SL", "SL"), 1, "error: series A needs rank >= 1"),
+    (("levels", "C", "1", "Sp", "PSp"), 1, "error: series C needs rank >= 2"),
+    (("levels", "D", "200", "Spin", "Bad"), 1,
+     "error: form 'Bad' is not supported for series D"),
+    (("levels", "D", "200", "SC", "AD"), 2,
+     "error: Weyl group order exceeds the configured cap 1000000"),
+    (("scan", "B", "9", "Spin", "SO", "--max-denominator", "2"), 2,
+     "error: Weyl group order exceeds the configured cap 1000000"),
+    (("levels", "B", "3", "Spin", "Spin", "--max-weyl-order", "47"), 2,
+     "error: Weyl group order exceeds the configured cap 47"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error", CLASSICAL_REFUSALS,
+                         ids=[" ".join(a) for a, _, _ in CLASSICAL_REFUSALS])
+def test_classical_refusals_keep_their_order(capsys, argv, code, error):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == [error]
+
+
+def test_a_rank_over_the_weyl_cap_builds_no_root_system(capsys, monkeypatch):
+    # |W| in closed form decides the cap before any datum is built
+    def unreachable(*args):
+        raise AssertionError("a root system was built for a rank over the cap")
+
+    monkeypatch.setattr(rootdata, "_a_series_roots", unreachable)
+    monkeypatch.setattr(rootdata, "_bcd_roots", unreachable)
+    cap = "Weyl group order exceeds the configured cap 1000000"
+    for argv in (("levels", "A", "40", "SL", "PGL"), ("levels", "D", "40", "Spin", "SO"),
+                 ("obstruction", "C", "40", "Sp", "Sp", "--xi", "0")):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert _one_error_line(captured.err) == [f"error: {cap}"]
+    assert run(capsys, "atlas", "--row", "B,40,Spin,SO") == (
+        0, f"B40 Spin->SO  error: cap: {cap}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("levels", "D", "200", "Spin", "Spin"), 2),
+    (("atlas", "--row", "D,600,Spin,Spin"), 0),
+], ids=["levels-D200", "atlas-D600"])
+def test_a_large_rank_is_refused_in_under_a_second(argv, code):
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "gerbelevels.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == code
+    assert "Weyl group order exceeds the configured cap 1000000" in (
+        done.stdout + done.stderr)
+    assert elapsed < 1.0

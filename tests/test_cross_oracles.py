@@ -56,34 +56,27 @@ from hypothesis import strategies as st
 
 from gerbelevels import cech, intlinalg, levels, obstruction, rootdata, weyl
 from gerbelevels.cech import (
-    Cochain,
     CoefficientGroup,
     FiniteAction,
     FiniteGroupTable,
     Nerve,
     _cech_matrix,
-    _cech_presentation,
     _equivariant_matrices,
     _relations,
-    cocycle_class,
-    circle_nerve,
     cohomology,
     cyclic_group,
     equivariant_cohomology,
-    group_cohomology,
-    nerve_of_cover,
-    octahedron_nerve,
     parse_group_label,
-    point_action,
-    simplex_cone_nerve,
 )
+from gerbelevels.cli import DEFAULT_ATLAS_ROWS
+from gerbelevels.cochains import Cochain, _cech_presentation, cocycle_class
+from gerbelevels.covers import nerve_of_cover
 from gerbelevels.intlinalg import (
     AbelianInvariants,
     CapExceeded,
     DimensionMismatch,
     RatVector,
     Smith,
-    cokernel,
     det,
     diagonal,
     divisor_cohomology,
@@ -94,7 +87,6 @@ from gerbelevels.intlinalg import (
     invariant_factors,
     kernel_basis,
     lattice_coords,
-    lattices_equal,
     matmul,
     matvec,
     snf,
@@ -104,14 +96,23 @@ from gerbelevels.intlinalg import (
 )
 from gerbelevels.levels import (
     EvReport,
+    LevelTensor,
     SharedWeylAction,
     basic_level,
-    coroot_value,
     ev_filter,
     invariant_level_lattice,
     is_invariant,
-    LevelTensor,
     root_orbits,
+)
+from gerbelevels.model import (
+    check_two_cocycle,
+    circle_nerve,
+    coroot_value,
+    group_cohomology,
+    nerve_from_maximal,
+    octahedron_nerve,
+    point_action,
+    simplex_cone_nerve,
 )
 from gerbelevels.obstruction import (
     StabilizerCocycle,
@@ -120,17 +121,6 @@ from gerbelevels.obstruction import (
     h1_group_lattice,
     obstruction_report,
     scan_points,
-)
-from gerbelevels.cli import DEFAULT_ATLAS_ROWS
-from gerbelevels.weyl import (
-    Subgroup,
-    _generators_and_rows,
-    generate,
-    group_order,
-    integral_reflection_subgroup,
-    simple_root_permutations,
-    stabilizer,
-    subgroup_from_members,
 )
 from gerbelevels.rootdata import (
     FORMS_BY_SERIES,
@@ -142,8 +132,20 @@ from gerbelevels.rootdata import (
     classical_datum,
     classical_isogeny,
     identity_isogeny,
-    pairing,
 )
+from gerbelevels.validation import _reflected, pairing
+from gerbelevels.weyl import (
+    Subgroup,
+    _generators_and_rows,
+    generate,
+    group_order,
+    integral_reflection_subgroup,
+    simple_root_permutations,
+    stabilizer,
+    subgroup_from_members,
+)
+
+from helpers import cokernel, lattices_equal, vec_add, vec_sub
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
@@ -954,7 +956,7 @@ def oracle_ambient_reflection_on(rd, alpha, acheck):
     char_coords; DatumError when an image leaves the lattice."""
     cols = []
     for basis_vec in rd.char_basis:
-        img = rd.char_coords(rootdata._reflected(basis_vec, alpha, acheck))
+        img = rd.char_coords(_reflected(basis_vec, alpha, acheck))
         if img is None:
             raise DatumError("reflection does not preserve the source lattice")
         cols.append(img)
@@ -1438,7 +1440,7 @@ def relabelled_action(table, nerve, coeff, perms, mats, rng):
     nv = nerve.n_vertices
     tau = list(range(nv))
     rng.shuffle(tau)
-    new_nerve = Nerve.from_maximal(
+    new_nerve = nerve_from_maximal(
         nv, [tuple(tau[v] for v in s) for level in nerve.simplices for s in level])
     new_perms = []
     for perm in perms:
@@ -2303,7 +2305,7 @@ def oracle_dict_identity(action, w_l, c_cocycle):
 
 
 def oracle_verify_witness(res, u, k):
-    return all(intlinalg.vec_sub(matvec(res.action.source_char_action(i), u), u)
+    return all(vec_sub(matvec(res.action.source_char_action(i), u), u)
                == tuple(k * x for x in res.c_cocycle[i]) for i in res.w_l.members)
 
 
@@ -2524,7 +2526,7 @@ def test_corrupted_source_rows_and_ids_fail_the_witness_check():
     b = basic_level(iso).tensor
     origin = centralizer_cocycle(act, b, RatVector.make([0, 0, 0]))
     u = (1, 2, 3)
-    c = {i: intlinalg.vec_sub(matvec(act.source_char_action(i), u), u)
+    c = {i: vec_sub(matvec(act.source_char_action(i), u), u)
          for i in origin.w_l.members}
     res = StabilizerCocycle(origin.action, origin.level, origin.xi, origin.w_l,
                             origin.d_cocycle, c, origin.rational_witness)
@@ -2606,7 +2608,7 @@ def oracle_cocycle_identity(res):
     """c_{w1 w2} = w1.c_{w2} + c_{w1} for every ordered pair, by mult."""
     group, c = res.w_l.group, res.c_cocycle
     return all(
-        c[group.mult(i, j)] == intlinalg.vec_add(matvec(res.action.source_char_action(i), c[j]), c[i])
+        c[group.mult(i, j)] == vec_add(matvec(res.action.source_char_action(i), c[j]), c[i])
         for i in res.w_l.members for j in res.w_l.members
     )
 
@@ -3475,7 +3477,7 @@ COCYCLES = _normalised_cocycles()
 def test_generator_cocycle_check_refuses_what_the_triple_check_refuses(case):
     name, group, coeff, psi = case
     assert oracle_cocycle_failures(group.table, coeff, psi) == []
-    assert cech.check_two_cocycle(group, coeff, psi) is None
+    assert check_two_cocycle(group, coeff, psi) is None
     ext = cech.central_extension_from_cocycle(group, coeff, psi)
     assert ext.table.table == oracle_extension_table(group.table, coeff, psi)
     e = group.identity
@@ -3488,10 +3490,10 @@ def test_generator_cocycle_check_refuses_what_the_triple_check_refuses(case):
             bad[(g1, g2)] = value
             if e in (g1, g2):
                 with pytest.raises(cech.CechError, match="not normalized"):
-                    cech.check_two_cocycle(group, coeff, bad)
+                    check_two_cocycle(group, coeff, bad)
                 continue
             failures = oracle_cocycle_failures(group.table, coeff, bad)
-            found = cech.check_two_cocycle(group, coeff, bad)
+            found = check_two_cocycle(group, coeff, bad)
             assert (found is None) == (not failures), (name, g1, g2, value)
             assert found is None or found in failures
             assert found is None or found[1] in group.generators
@@ -3575,7 +3577,7 @@ def test_generator_checks_match_on_every_assignment_of_the_generators():
     # generator
     klein = FiniteGroupTable(KLEIN)
     assert klein.generators == (1, 2)
-    path = Nerve.from_maximal(3, [(0, 1), (1, 2)])
+    path = nerve_from_maximal(3, [(0, 1), (1, 2)])
     z, z2 = parse_group_label("Z"), parse_group_label("Z^2")
     verdicts = set()
     for p1, p2 in itertools.product(S3_PERMS, repeat=2):
@@ -3610,7 +3612,7 @@ def test_generator_cocycle_check_on_every_normalised_cochain():
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         psi = {pair: (b,) for pair, b in zip(pairs, bits) if b}
         failures = oracle_cocycle_failures(KLEIN, z2, psi)
-        found = cech.check_two_cocycle(klein, z2, psi)
+        found = check_two_cocycle(klein, z2, psi)
         assert (found is None) == (not failures), psi
         assert found is None or found in failures
         verdicts.append(found is None)
@@ -3620,7 +3622,7 @@ def test_generator_cocycle_check_on_every_normalised_cochain():
     assert verdicts.count(True) == 16
 
 
-# --- Greedy generators: the two loops that cech._greedy_generators replaced
+# --- Greedy generators: the two loops that intlinalg._greedy_generators replaced
 
 
 def oracle_table_generators(table, e):

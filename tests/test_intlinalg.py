@@ -7,7 +7,6 @@ from gerbelevels.intlinalg import (
     DimensionMismatch,
     RatVector,
     Smith,
-    cokernel,
     det,
     diagonal,
     freeze,
@@ -16,14 +15,13 @@ from gerbelevels.intlinalg import (
     hnf_contains,
     identity,
     kernel_basis,
-    lattice_contains,
-    lattices_equal,
     matmul,
     matvec,
-    quotient_invariants,
     snf,
     solve_z,
 )
+
+from helpers import cokernel, lattice_contains, lattices_equal, quotient_invariants
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):

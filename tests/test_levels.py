@@ -10,7 +10,6 @@ from gerbelevels.intlinalg import (
     RatVector,
     freeze,
     hnf_basis,
-    lattices_equal,
     matmul,
     transpose,
 )
@@ -18,17 +17,20 @@ from gerbelevels.levels import (
     AtlasEntry,
     LevelTensor,
     SharedWeylAction,
+    _vectorize,
     allowable_lattice,
     basic_level,
     compare_with_reference,
-    coroot_value,
     ev_filter,
     invariant_level_lattice,
     is_invariant,
+    root_orbits,
+)
+from gerbelevels.model import (
+    coroot_value,
     named_basic_level,
     restrict_to_rank_one,
-    root_orbits,
-    _vectorize,
+    torus_datum,
 )
 from gerbelevels.rootdata import (
     RootDatum,
@@ -36,8 +38,9 @@ from gerbelevels.rootdata import (
     classical_datum,
     classical_isogeny,
     identity_isogeny,
-    torus_datum,
 )
+
+from helpers import lattices_equal
 
 # a long and a short root of B3 in reference coordinates
 LONG = RatVector.from_fractions((1, -1, 0))
@@ -445,7 +448,8 @@ def hand_built_g2():
 
 
 def test_hand_built_g2_classification():
-    from gerbelevels.rootdata import build_isogeny, validate_datum
+    from gerbelevels.rootdata import build_isogeny
+    from gerbelevels.validation import validate_datum
     from gerbelevels.weyl import generate
 
     rd = hand_built_g2()
@@ -475,7 +479,7 @@ def test_pso6_claim_note_when_claim_not_integral():
 
 
 def test_symmetric_projection():
-    from gerbelevels.levels import symmetric_projection
+    from helpers import symmetric_projection
     from gerbelevels.rootdata import DatumError
     from fractions import Fraction as F
 

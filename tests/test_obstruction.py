@@ -9,7 +9,6 @@ from gerbelevels.intlinalg import (
     CapExceeded,
     RatVector,
     matvec,
-    vec_sub,
 )
 from gerbelevels.levels import LevelTensor, SharedWeylAction, basic_level
 from gerbelevels.obstruction import (
@@ -22,6 +21,8 @@ from gerbelevels.obstruction import (
 )
 from gerbelevels.rootdata import classical_datum, classical_isogeny, identity_isogeny
 from gerbelevels.weyl import stabilizer, subgroup_from_members
+
+from helpers import vec_sub
 
 
 def spin7_setup():
@@ -121,7 +122,7 @@ def test_cocycle_identity_exhaustive():
     action, b, pt = spin7_setup()
     res = centralizer_cocycle(action, b, pt)
     g = action.group
-    from gerbelevels.intlinalg import vec_add
+    from helpers import vec_add
 
     for i in res.w_l.members:
         mi = action.source_char_action(i)

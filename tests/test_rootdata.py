@@ -10,8 +10,8 @@ from gerbelevels.intlinalg import (
     RatVector,
     identity,
     matmul,
-    quotient_invariants,
 )
+from gerbelevels.model import torus_datum
 from gerbelevels.rootdata import (
     DatumError,
     IsogenyDatum,
@@ -20,10 +20,10 @@ from gerbelevels.rootdata import (
     classical_datum,
     classical_isogeny,
     identity_isogeny,
-    pairing,
-    torus_datum,
-    validate_datum,
 )
+from gerbelevels.validation import pairing, validate_datum
+
+from helpers import quotient_invariants
 
 ALL_CLASSICAL = [
     ("A", 1, "SL"), ("A", 2, "SL"), ("A", 3, "SL"),

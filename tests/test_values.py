@@ -9,18 +9,15 @@ import sys
 import pytest
 
 from gerbelevels.cech import (
-    Cochain,
     CoefficientGroup,
     ExtensionResult,
     FiniteAction,
     FiniteGroupTable,
     Nerve,
-    TorusCoverModel,
     central_extension_from_cocycle,
     cyclic_group,
-    point_action,
-    torus_cover_model,
 )
+from gerbelevels.cochains import Cochain
 from gerbelevels.intlinalg import (
     AbelianInvariants,
     Frozen,
@@ -35,13 +32,18 @@ from gerbelevels.levels import (
     BasicLevelResult,
     EvReport,
     LevelTensor,
-    RankOneRestriction,
     SharedWeylAction,
     basic_level,
     compare_with_reference,
     ev_filter,
     invariant_level_lattice,
+)
+from gerbelevels.model import (
+    RankOneRestriction,
+    TorusCoverModel,
+    point_action,
     restrict_to_rank_one,
+    torus_cover_model,
 )
 from gerbelevels.obstruction import (
     H1Result,
@@ -54,13 +56,12 @@ from gerbelevels.obstruction import (
     obstruction_report,
 )
 from gerbelevels.rootdata import (
-    DatumReport,
     IsogenyDatum,
     RootDatum,
     classical_datum,
     classical_isogeny,
-    validate_datum,
 )
+from gerbelevels.validation import DatumReport, validate_datum
 from gerbelevels.weyl import Subgroup, stabilizer
 
 A2 = classical_isogeny("A", 2, "SL", "PGL")

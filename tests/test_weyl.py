@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -7,14 +9,16 @@ import pytest
 from gerbelevels import weyl
 from gerbelevels.intlinalg import CapExceeded, RatVector, identity, matmul, transpose
 from gerbelevels.levels import SharedWeylAction
+from gerbelevels.model import torus_datum
 from gerbelevels.rootdata import (
+    FORMS_BY_SERIES,
     DatumError,
     RootDatum,
     classical_datum,
     identity_isogeny,
-    torus_datum,
 )
 from gerbelevels.weyl import (
+    classical_order,
     generate,
     group_order,
     integral_reflection_subgroup,
@@ -294,3 +298,44 @@ def test_generate_rejects_roots_not_permuted():
                     (rd.roots[k],), (rd.coroots[k],), (0,))
     with pytest.raises(DatumError, match="does not permute the roots"):
         generate(bad)
+
+
+@pytest.mark.parametrize("series", sorted(FORMS_BY_SERIES))
+def test_classical_order_is_the_order_of_every_form(series):
+    # (n+1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n, against
+    # the count from the Cartan matrix, for every form up to rank 8; both
+    # refuse exactly the caps below |W|, with one message
+    least = {"A": 1, "B": 2, "C": 2, "D": 3}[series]
+    for rank in range(least, 9):
+        closed = classical_order(series, rank, 10**12)
+        for form in FORMS_BY_SERIES[series]:
+            rd = classical_datum(series, rank, form)
+            assert group_order(rd, 10**12) == closed, (series, rank, form)
+            assert classical_order(series, rank, closed) == closed
+            for refuse in (lambda cap: classical_order(series, rank, cap),
+                           lambda cap: group_order(rd, cap)):
+                with pytest.raises(CapExceeded) as err:
+                    refuse(closed - 1)
+                assert str(err.value) == (
+                    f"Weyl group order exceeds the configured cap {closed - 1}")
+
+
+def test_classical_order_refuses_any_rank_at_once():
+    # each factor of |W| is at least 2, so a refusal reads about log2(cap)
+    # of them, whatever the rank
+    for series in sorted(FORMS_BY_SERIES):
+        with pytest.raises(CapExceeded):
+            classical_order(series, 10**12)
+    assert classical_order("D", 7) == 322560
+    with pytest.raises(CapExceeded):
+        classical_order("D", 8)
+
+
+def test_levels_loads_no_cech():
+    # weyl takes its greedy generators from intlinalg, so the atlas layers
+    # load without the cohomology module
+    code = ("import sys, gerbelevels.levels; "
+            "print('gerbelevels.cech' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
